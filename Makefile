@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench bench-baseline bench-compare bench-compare-short profile
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench bench-baseline bench-compare bench-compare-short profile
 
-check: fmt vet lint build test race smoke
+check: fmt vet lint build test race smoke bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -45,6 +45,15 @@ smoke:
 	$(GO) run ./cmd/rassolve -synthetic -workers 4 -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassolve -synthetic -backend pop -partitions 4 -workers 4 -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassim -days 1 -dcs 2 -msbs 2 -racks 4 -servers 4 -grow-hour 6 -require-cache -q >/dev/null
+
+# The round-loop benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own, so nothing above compiles it: vet it, run its tests, and drive one
+# short episode of every workload through both passes, so that a change to
+# the packages it reads cannot break it unnoticed.
+bench-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) run -C benchmark . -smoke >/dev/null
 
 # Solver/backend benchmarks (ablations + backend comparison).
 bench:

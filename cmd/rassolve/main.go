@@ -259,6 +259,39 @@ func main() {
 	}
 	if *verbose {
 		printCounters(os.Stderr)
+		printWarmStarts(os.Stderr, res)
+	}
+}
+
+// printWarmStarts reports, per solve phase and from the values the solve
+// returned, how its warm-started LPs fared: columns flipped to their opposite
+// bound to restore dual feasibility, and warm starts abandoned for a cold
+// two-phase solve, by reason. The pop backend's lines sum its partitions.
+func printWarmStarts(w io.Writer, res *backend.Result) {
+	var subs []*solver.Result
+	switch {
+	case res.MIP != nil:
+		subs = []*solver.Result{res.MIP}
+	case res.POP != nil:
+		subs = res.POP.Subs
+	}
+	var phases [2]solver.PhaseStats // a phase that did not run adds zeros
+	for _, r := range subs {
+		for i, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
+			phases[i].LPSolves += ph.LPSolves
+			phases[i].LPIters += ph.LPIters
+			phases[i].LPFlippedColumns += ph.LPFlippedColumns
+			for reason, n := range ph.LPColdFallbacks {
+				phases[i].LPColdFallbacks[reason] += n
+			}
+		}
+	}
+	for i, ph := range phases {
+		if ph.LPSolves == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cold_fallbacks=%d (%v)\n",
+			i+1, ph.LPSolves, ph.LPIters, ph.LPFlippedColumns, ph.LPColdFallbacks.Total(), ph.LPColdFallbacks)
 	}
 }
 

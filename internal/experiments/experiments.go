@@ -78,9 +78,17 @@ func reservationCount(s Scale) int {
 // node is cheap enough that a several-fold larger budget still solves well
 // under the old wall-clock, and the extra depth lets the weekly churn trace
 // find preemption-free optima every hour instead of stranding bad incumbents
-// at the node limit. The stall rule bounds the other tail — a solve that has
-// its answer but cannot prove it against a flat bound stops after 128
-// stagnant nodes instead of grinding out the rest of the budget.
+// at the node limit. A cheaper node also means a node-limited search stops
+// sooner in wall-clock and shorter of its answer, so the budgets are re-sized
+// at equal wall-clock when a node gets cheaper. Bound-flip warm starts took
+// the small budget from 600 to 1200 (LP iterations per node 12.9 → 5.8 on
+// the POP sweep's sub-solves; at 600 pop k=4 stopped at objective 5687
+// instead of 90; the suite runs 13.3 s against 20.7 s) and the medium one
+// from 500 to 850 (23 → 13.5 ms per node on the Figure 7 series: 80 s
+// against 76 s, 12/12 solves within 200 preemptions where 500 nodes gave
+// 8/12). The stall rule bounds the other tail — a solve that has its answer
+// but cannot prove it against a flat bound stops after 128 stagnant nodes
+// instead of grinding out the rest of the budget.
 func solverConfig(s Scale) solver.Config {
 	stall := func(c solver.Config) solver.Config {
 		c.StallNodes = 128
@@ -91,11 +99,11 @@ func solverConfig(s Scale) solver.Config {
 	}
 	switch s {
 	case ScaleSmall:
-		return stall(solver.Config{Phase1TimeLimit: 8 * time.Second, Phase2TimeLimit: 2 * time.Second, MaxNodes: 600})
+		return stall(solver.Config{Phase1TimeLimit: 8 * time.Second, Phase2TimeLimit: 2 * time.Second, MaxNodes: 1200})
 	case ScaleLarge:
 		return stall(solver.Config{Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 15 * time.Second, MaxNodes: 400})
 	default:
-		return stall(solver.Config{Phase1TimeLimit: 25 * time.Second, Phase2TimeLimit: 5 * time.Second, MaxNodes: 500})
+		return stall(solver.Config{Phase1TimeLimit: 25 * time.Second, Phase2TimeLimit: 5 * time.Second, MaxNodes: 850})
 	}
 }
 

@@ -84,27 +84,27 @@ func Classes() []Class {
 	return out
 }
 
+// relativeValue holds Figure 3's per-generation gains (GenI, GenII, GenIII)
+// for every class.
+var relativeValue = [numClasses][3]float64{
+	DataStore: {1.00, 1.02, 1.03},
+	Feed1:     {1.00, 1.36, 1.38},
+	Feed2:     {1.00, 1.05, 1.52},
+	Web:       {1.00, 1.47, 1.82},
+	FleetAvg:  {1.00, 1.25, 1.45},
+	BatchML:   {1.00, 1.40, 2.00},
+}
+
 // RelativeValue reports how much value class c gains from generation g,
 // normalized to GenI = 1.0. The constants reproduce Figure 3: Web gains
 // 1.47× and 1.82×, DataStore is flat, Feed1 gains on II but not III, Feed2
-// the reverse, and the fleet average gains moderately per generation.
+// the reverse, and the fleet average gains moderately per generation. An
+// unknown class or generation is worth 1.0.
 func RelativeValue(c Class, g Generation) float64 {
-	table := map[Class][3]float64{
-		DataStore: {1.00, 1.02, 1.03},
-		Feed1:     {1.00, 1.36, 1.38},
-		Feed2:     {1.00, 1.05, 1.52},
-		Web:       {1.00, 1.47, 1.82},
-		FleetAvg:  {1.00, 1.25, 1.45},
-		BatchML:   {1.00, 1.40, 2.00},
-	}
-	vals, ok := table[c]
-	if !ok {
+	if c < 0 || c >= numClasses || g < GenI || g > GenIII {
 		return 1.0
 	}
-	if g < GenI || g > GenIII {
-		return 1.0
-	}
-	return vals[g-1]
+	return relativeValue[c][g-1]
 }
 
 // RRU reports the relative resource units one server of type t provides to a

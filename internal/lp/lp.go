@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 
 	"ras/internal/metrics"
@@ -241,6 +242,65 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int8(s))
 }
 
+// ColdReason says why a warm-start attempt was abandoned for the cold
+// two-phase start; Workspace.warmFinish documents each case.
+type ColdReason int8
+
+// Cold-fallback reasons. ColdNone means no warm start was attempted or the
+// warm start held.
+const (
+	ColdNone           ColdReason = iota
+	ColdBadBasis                  // the basis could not be installed: foreign shape, artificial or duplicate column, singular beyond repair
+	ColdDualInfeasible            // a wrong-signed column has no finite opposite bound to flip to
+	ColdBudget                    // the dual repair exceeded its pivot budget
+	ColdInfeasible                // the dual repair claimed infeasibility (re-verified cold)
+	ColdUnbounded                 // the primal polish claimed unboundedness (re-verified cold)
+	ColdNumerical                 // iteration limit, singular basis mid-repair, or failed residual check
+	NumColdReasons                // array size for per-reason tallies
+)
+
+var coldReasonNames = [NumColdReasons]string{
+	"none", "bad-basis", "dual-infeasible", "budget", "infeasible-claim", "unbounded-claim", "numerical",
+}
+
+func (r ColdReason) String() string {
+	if r >= 0 && r < NumColdReasons {
+		return coldReasonNames[r]
+	}
+	return fmt.Sprintf("ColdReason(%d)", int8(r))
+}
+
+// ColdCounts tallies cold fallbacks by reason (index ColdNone stays zero).
+type ColdCounts [NumColdReasons]int
+
+// Total reports the fallbacks of every reason together.
+func (c ColdCounts) Total() int {
+	t := 0
+	for _, n := range c {
+		t += n
+	}
+	return t
+}
+
+// String renders the non-zero tallies as "reason=n" pairs, "none" when there
+// are none.
+func (c ColdCounts) String() string {
+	var b strings.Builder
+	for r, n := range c {
+		if n == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%v=%d", ColdReason(r), n)
+	}
+	if b.Len() == 0 {
+		return "none"
+	}
+	return b.String()
+}
+
 // Solution is the result of solving a Problem.
 type Solution struct {
 	Status     Status
@@ -252,6 +312,13 @@ type Solution struct {
 	// (basis import or workspace basis reuse) rather than a cold two-phase
 	// solve.
 	WarmStarted bool
+	// FlippedColumns counts the nonbasic columns a warm start moved to their
+	// opposite bound to restore dual feasibility, whether or not the warm
+	// start then held.
+	FlippedColumns int
+	// ColdFallback says why a warm-start attempt was abandoned for the cold
+	// two-phase start whose result this is; ColdNone when none was.
+	ColdFallback ColdReason
 	// Basis is an opaque snapshot of the optimal basis, usable as
 	// Options.Start on a later solve of the SAME problem (same rows and
 	// variables; bounds may differ). Populated only when Options.ExportBasis
@@ -283,15 +350,16 @@ type Options struct {
 	// branch-and-bound case) primal feasibility is restored with dual
 	// simplex iterations, which is typically orders of magnitude cheaper
 	// than solving from scratch. Invalid or unusable bases fall back to a
-	// cold start silently. When the workspace already holds a reusable
-	// basis and ReuseBasis is set, the retained state wins and Start is
-	// ignored.
+	// cold start, reported in Solution.ColdFallback. When the workspace
+	// already holds a reusable basis and ReuseBasis is set, the retained
+	// state wins and Start is ignored.
 	Start *Basis
 	// ReuseBasis warm-starts from the good basis retained inside the
 	// workspace — the most recent optimal, artificial-free basis of a solve
 	// of the same problem shape — with no export/import allocations at all:
-	// the branch-and-bound node-LP fast path. Falls back to Start (if any)
-	// and then to a cold start when the workspace holds no usable state.
+	// the branch-and-bound node-LP fast path. Start (if any) is used instead
+	// while the workspace holds no good basis for this shape; a warm attempt
+	// from either that has to be abandoned is re-solved cold.
 	ReuseBasis bool
 	// ExportBasis requests a Basis snapshot on the returned Solution (an
 	// O(m + n) copy of the basis index set). Problem.Solve sets it for

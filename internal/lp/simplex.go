@@ -27,6 +27,16 @@ const defaultDevexAfter = 1500
 // which guarantees termination at the cost of speed.
 const blandAfter = 400
 
+// warmRepairBudget caps the dual-simplex repair of a warm start at this many
+// pivots per constraint row; past it the warm attempt is abandoned to the
+// cold two-phase start (ColdBudget). Sized as a tail guard from the
+// benchmark's four workloads at seed 1: of 76 504 warm solves none needed
+// more than 1.91·m dual pivots (flipped ones: median 0.14–0.39·m), while a
+// cold solve of the same models takes 0.6–1.0·m iterations at the median and
+// 3.8·m at most — so 2·m changes none of those solves and bounds a warm
+// solve's worst case at a cold one plus a prefix of about two.
+const warmRepairBudget = 2
+
 // minPivotStep floors the ratio-test pivot threshold: steps smaller than
 // this are numerically meaningless even when opt.Tol is configured to zero,
 // and dividing by them would overflow the ratio toward ±Inf.
@@ -346,8 +356,9 @@ func (s *Workspace) devexUpdate(gamma []float64, priceLimit, enter, leave int, a
 // dualSimplex restores primal feasibility from a dual-feasible basis after
 // bound changes, the branch-and-bound warm-start workhorse. It returns
 // Optimal when the basis is primal feasible, Infeasible when no pivot can
-// repair a violated basic variable, or IterLimit.
-func (s *Workspace) dualSimplex(cost []float64) Status {
+// repair a violated basic variable, or IterLimit — when the solve's MaxIter
+// is spent, or when the solve's dual pivots would pass maxDual.
+func (s *Workspace) dualSimplex(cost []float64, maxDual int) Status {
 	m := s.m
 	y := s.y
 	w := s.w
@@ -377,6 +388,9 @@ func (s *Workspace) dualSimplex(cost []float64) Status {
 		}
 		if leave == -1 {
 			return Optimal
+		}
+		if s.diters >= maxDual {
+			return IterLimit
 		}
 		s.iters++
 		s.diters++

@@ -26,10 +26,11 @@ import (
 // artificial per row starting at artStart.
 type Workspace struct {
 	// Per-solve context, reset on every entry.
-	ctx    context.Context
-	opt    Options
-	iters  int
-	diters int
+	ctx     context.Context
+	opt     Options
+	iters   int
+	diters  int
+	flipped int // nonbasic columns moved to their opposite bound on warm entry
 
 	// Structure, rebuilt by reshape when the owner or shape changes.
 	owner    *Problem
@@ -103,42 +104,39 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 	}
 	s.iters = 0
 	s.diters = 0
+	s.flipped = 0
 	s.refresh(p)
 
 	// Warm-start preference order: the workspace's own retained good basis
 	// (no allocations, and no refactorization when the live factorization is
 	// still the snapshot's), then an imported basis snapshot, then cold.
-	if opt.ReuseBasis && s.goodOK && reused {
-		if sol, ok := s.runReuse(); ok {
-			metrics.LP.WarmHits.Add(1)
-			sol.WarmStarted = true
-			return sol
-		}
-		metrics.LP.WarmMisses.Add(1)
-		warmIters := s.iters
-		s.iters = 0
-		s.diters = 0
-		s.refresh(p) // warm attempt pinned artificial bounds; reset them
-		sol := s.run()
-		sol.Iterations += warmIters
+	useGood := opt.ReuseBasis && s.goodOK && reused
+	if !useGood && opt.Start == nil {
+		return s.run()
+	}
+	var sol Solution
+	var why ColdReason
+	if useGood {
+		sol, why = s.runReuse()
+	} else {
+		sol, why = s.runWarm(opt.Start)
+	}
+	if why == ColdNone {
+		metrics.LP.WarmHits.Add(1)
+		sol.WarmStarted = true
 		return sol
 	}
-	if opt.Start != nil {
-		if sol, ok := s.runWarm(opt.Start); ok {
-			metrics.LP.WarmHits.Add(1)
-			sol.WarmStarted = true
-			return sol
-		}
-		metrics.LP.WarmMisses.Add(1)
-		warmIters := s.iters
-		s.iters = 0
-		s.diters = 0
-		s.refresh(p)
-		sol := s.run()
-		sol.Iterations += warmIters
-		return sol
-	}
-	return s.run()
+	metrics.LP.WarmMisses.Add(1)
+	warmIters, flipped := s.iters, s.flipped
+	s.iters = 0
+	s.diters = 0
+	s.flipped = 0
+	s.refresh(p) // warm attempt pinned artificial bounds; reset them
+	sol = s.run()
+	sol.Iterations += warmIters
+	sol.FlippedColumns = flipped
+	sol.ColdFallback = why
+	return sol
 }
 
 // reshape points the workspace at p, rebuilding the simplex structure unless
@@ -338,7 +336,8 @@ func (s *Workspace) finish(st Status) Solution {
 	for j := 0; j < s.nStruct; j++ {
 		obj += s.cost[j] * s.x[j]
 	}
-	sol := Solution{Status: st, Objective: obj, X: s.structX(), Iterations: s.iters, DualIters: s.diters}
+	sol := Solution{Status: st, Objective: obj, X: s.structX(), Iterations: s.iters, DualIters: s.diters,
+		FlippedColumns: s.flipped}
 	if st == Optimal && s.opt.ExportBasis {
 		sol.Basis = s.exportBasis()
 	}
@@ -383,17 +382,37 @@ func (s *Workspace) exportBasis() *Basis {
 	}
 }
 
+// installNonbasics puts every nonbasic column at the bound the warm snapshot
+// recorded for it (lower when that upper bound has since become infinite)
+// and pins the artificials at zero. s.inRow must already describe the basis.
+func (s *Workspace) installNonbasics(atUp []bool) {
+	clear(s.x)
+	clear(s.atUp)
+	for i := 0; i < s.m; i++ {
+		s.up[s.artStart+i] = 0
+	}
+	for j := 0; j < s.n; j++ {
+		if s.inRow[j] >= 0 {
+			continue
+		}
+		if atUp[j] && !math.IsInf(s.up[j], 1) {
+			s.x[j] = s.up[j]
+			s.atUp[j] = true
+		} else {
+			s.x[j] = s.lo[j]
+		}
+	}
+}
+
 // runReuse attempts a warm solve from the workspace's retained good basis —
 // the allocation-free fast path for branch-and-bound node LPs, where
 // consecutive solves differ only in variable bounds. The snapshot holds only
 // the basis index set, so entry re-factorizes it — except in the common
 // steady-state case where the previous solve ended by saving exactly the
 // basis the factorization already represents (bounds never enter B, so the
-// factors stay valid across the caller's bound changes). It reports ok=false
-// when numerical or dual-feasibility checks fail, in which case the caller
-// cold-starts.
-func (s *Workspace) runReuse() (Solution, bool) {
-	m := s.m
+// factors stay valid across the caller's bound changes). A reason other than
+// ColdNone tells the caller to cold-start; warmFinish lists them.
+func (s *Workspace) runReuse() (Solution, ColdReason) {
 	live := s.liveIsGood
 	s.liveIsGood = false
 
@@ -404,43 +423,26 @@ func (s *Workspace) runReuse() (Solution, bool) {
 		s.basis[i] = c
 		s.inRow[c] = i
 	}
-	// Install statuses: nonbasic at a bound, artificials pinned at zero.
-	clear(s.x)
-	clear(s.atUp)
-	for i := 0; i < m; i++ {
-		s.up[s.artStart+i] = 0
-	}
-	for j := 0; j < s.n; j++ {
-		if s.inRow[j] >= 0 {
-			continue
-		}
-		if s.goodAtUp[j] && !math.IsInf(s.up[j], 1) {
-			s.x[j] = s.up[j]
-			s.atUp[j] = true
-		} else {
-			s.x[j] = s.lo[j]
-		}
-	}
+	s.installNonbasics(s.goodAtUp)
 	if live {
 		s.recomputeBasics()
 		if !s.residualOK() && !s.refactorize() {
-			return Solution{}, false
+			return Solution{}, ColdBadBasis
 		}
 	} else if !s.refactorize() {
-		return Solution{}, false
+		return Solution{}, ColdBadBasis
 	}
 	return s.warmFinish()
 }
 
 // runWarm attempts a warm-started solve from a previously exported basis.
-// It reports ok=false when the basis is structurally unusable or numerical
-// checks fail, in which case the caller should cold-start. The snapshot
-// carries no factorization — the basis index set is re-factorized here.
-func (s *Workspace) runWarm(start *Basis) (Solution, bool) {
+// The snapshot carries no factorization — the basis index set is
+// re-factorized here — and a structurally unusable one is ColdBadBasis.
+func (s *Workspace) runWarm(start *Basis) (Solution, ColdReason) {
 	m, n := s.m, s.n
 	s.liveIsGood = false
 	if len(start.cols) != m || len(start.atUp) != n {
-		return Solution{}, false
+		return Solution{}, ColdBadBasis
 	}
 	for j := range s.inRow {
 		s.inRow[j] = -1
@@ -452,73 +454,62 @@ func (s *Workspace) runWarm(start *Basis) (Solution, bool) {
 			for j := range s.inRow {
 				s.inRow[j] = -1
 			}
-			return Solution{}, false
+			return Solution{}, ColdBadBasis
 		}
 		s.basis[i] = c
 		s.inRow[c] = i
 	}
-
-	// Install statuses: nonbasic at a bound, artificials pinned at zero.
-	clear(s.x)
-	clear(s.atUp)
-	for i := 0; i < m; i++ {
-		s.up[s.artStart+i] = 0
-	}
-	for j := 0; j < n; j++ {
-		if s.inRow[j] >= 0 {
-			continue
-		}
-		if start.atUp[j] && !math.IsInf(s.up[j], 1) {
-			s.x[j] = s.up[j]
-			s.atUp[j] = true
-		} else {
-			s.x[j] = s.lo[j]
-		}
-	}
+	s.installNonbasics(start.atUp)
 	if !s.refactorize() {
-		return Solution{}, false
+		return Solution{}, ColdBadBasis
 	}
 	return s.warmFinish()
 }
 
-// warmFinish is the shared tail of every warm start: dual feasibility check,
-// dual-simplex repair of primal feasibility, then a primal polish. The
-// fallback rules keep warm verdicts sound: infeasibility and unboundedness
-// claims are never trusted from a warm basis (the caller re-verifies cold),
-// while cancellation is returned directly — the point of cancelling is to
-// stop working, not to re-solve from scratch.
-func (s *Workspace) warmFinish() (Solution, bool) {
-	// The warm basis came from an optimal solve with the same costs, so it
-	// should be dual feasible; verify cheaply so dual-simplex infeasibility
-	// verdicts can be trusted.
-	if !s.dualFeasible(s.cost) {
-		return Solution{}, false
+// warmFinish is the shared tail of every warm start: restore dual
+// feasibility by bound flips, repair primal feasibility with a budgeted dual
+// simplex, then polish with primal iterations. It abandons to the cold
+// two-phase start — the returned reason says why — only for what the warm
+// basis cannot decide:
+//
+//   - ColdDualInfeasible: a column prices out wrong at its lower bound and
+//     has no upper bound to flip to;
+//   - ColdBudget: the dual repair ran past warmRepairBudget pivots per row;
+//   - ColdInfeasible, ColdUnbounded: infeasibility and unboundedness claims
+//     are never trusted from a warm basis (accumulated drift can silently
+//     break the dual feasibility of an intermediate basis, and bounds that
+//     narrowed and re-widened say nothing about rays);
+//   - ColdNumerical: the iteration limit, a basis singular beyond repair, or
+//     a final point that fails the A·x = b residual check.
+//
+// Cancellation is returned directly — the point of cancelling is to stop
+// working, not to re-solve from scratch.
+func (s *Workspace) warmFinish() (Solution, ColdReason) {
+	if !s.flipToDualFeasible(s.cost) {
+		return Solution{}, ColdDualInfeasible
 	}
-
-	switch st := s.dualSimplex(s.cost); st {
+	switch st := s.dualSimplex(s.cost, warmRepairBudget*s.m); st {
 	case Infeasible:
-		// A dual-simplex infeasibility proof is only as sound as the dual
-		// feasibility of every intermediate basis, which accumulated
-		// floating-point drift can silently break. Never report
-		// infeasibility from the warm path; make the caller verify cold.
-		return Solution{}, false
-	case IterLimit, Singular:
-		return Solution{}, false
+		return Solution{}, ColdInfeasible
+	case IterLimit:
+		if s.iters < s.opt.MaxIter {
+			return Solution{}, ColdBudget
+		}
+		return Solution{}, ColdNumerical
+	case Singular:
+		return Solution{}, ColdNumerical
 	case Cancelled:
-		return s.finish(Cancelled), true
+		return s.finish(Cancelled), ColdNone
 	}
 	// Primal feasible now; polish with primal iterations (usually zero).
 	st := s.optimize(s.cost, s.n)
-	if st == Unbounded || st == Singular {
-		// A warm start cannot soundly prove unboundedness after bound
-		// changes narrowed and re-widened variables, and a basis that went
-		// singular mid-polish proves nothing; re-verify cold.
-		return Solution{}, false
+	if st == Unbounded {
+		return Solution{}, ColdUnbounded
 	}
-	if st == Optimal && !s.residualOK() {
-		return Solution{}, false // numerical drift; the caller re-solves cold
+	if st == Singular || (st == Optimal && !s.residualOK()) {
+		return Solution{}, ColdNumerical
 	}
-	return s.finish(st), true
+	return s.finish(st), ColdNone
 }
 
 // residualOK verifies A·x = b within tolerance across every row — a cheap
@@ -542,30 +533,45 @@ func (s *Workspace) residualOK() bool {
 	return true
 }
 
-// dualFeasible checks the sign conditions of all nonbasic reduced costs.
-func (s *Workspace) dualFeasible(cost []float64) bool {
-	m := s.m
+// flipToDualFeasible makes the installed warm basis dual feasible: every
+// nonbasic, non-fixed column whose reduced cost has the wrong sign for the
+// bound it sits at is moved to its opposite bound, and the basic values are
+// recomputed for the moved point. Bounds never enter B, so the flips leave
+// the duals — and with them every reduced cost — unchanged: afterwards all
+// signs are right and a dual-simplex Infeasible verdict means what it says.
+//
+// A snapshot taken at an optimum of the same costs has the right sign on
+// every column that was free to move then. The columns that arrive here
+// wrong are the ones that were fixed (lo == up, which the sign conditions
+// skip) when it was taken and have been widened since — a dive rollback,
+// completeLP's undo, a branch-and-bound backtrack: they re-enter nonbasic at
+// the lower bound with a reduced cost of either sign. It reports false when
+// such a column has no finite upper bound to move to.
+func (s *Workspace) flipToDualFeasible(cost []float64) bool {
 	y := s.y
-	for i := 0; i < m; i++ {
+	for i := 0; i < s.m; i++ {
 		s.cb[i] = cost[s.basis[i]]
 	}
 	s.fact.btran(y, s.cb)
 	tol := math.Max(s.opt.Tol*1e3, 1e-6)
 	for j := 0; j < s.n; j++ {
-		if s.inRow[j] >= 0 || exactEqual(s.lo[j], s.up[j]) {
+		if s.priceOne(cost, y, j) <= tol {
 			continue
 		}
-		d := cost[j]
-		for _, nz := range s.cols[j] {
-			d -= y[nz.Index] * nz.Value
-		}
 		if s.atUp[j] {
-			if d > tol {
+			s.atUp[j] = false
+			s.x[j] = s.lo[j]
+		} else {
+			if math.IsInf(s.up[j], 1) {
 				return false
 			}
-		} else if d < -tol {
-			return false
+			s.atUp[j] = true
+			s.x[j] = s.up[j]
 		}
+		s.flipped++
+	}
+	if s.flipped > 0 {
+		s.recomputeBasics()
 	}
 	return true
 }

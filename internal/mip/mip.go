@@ -430,7 +430,13 @@ type Result struct {
 	LPIters     int       // total simplex iterations across all LP solves
 	LPDualIters int       // dual-simplex warm-start repair iterations
 	LPLimited   int       // LP solves that hit the iteration limit
-	SolveTime   time.Duration
+	// LPFlippedColumns sums lp.Solution.FlippedColumns over every LP solve:
+	// the bound flips that kept warm starts dual feasible. LPColdFallbacks
+	// counts the LP solves whose warm start was abandoned for a cold
+	// two-phase solve, by lp.ColdReason.
+	LPFlippedColumns int
+	LPColdFallbacks  lp.ColdCounts
+	SolveTime        time.Duration
 	// Workers is the resolved worker count the solve ran with (≥ 1).
 	Workers int
 	// IncumbentUpdates counts accepted improvements of the shared

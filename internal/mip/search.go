@@ -59,6 +59,8 @@ type engine struct {
 	lpIters     atomic.Int64
 	lpDualIters atomic.Int64
 	lpLimited   atomic.Int64
+	lpFlipped   atomic.Int64
+	lpCold      [lp.NumColdReasons]atomic.Int64
 
 	// Stall-rule progress tracking: the node count at the last incumbent or
 	// bound improvement, and the best bound seen so far (as float bits, -Inf
@@ -238,6 +240,10 @@ func (e *engine) fillStats(res *Result) {
 	res.LPIters = int(e.lpIters.Load())
 	res.LPDualIters = int(e.lpDualIters.Load())
 	res.LPLimited = int(e.lpLimited.Load())
+	res.LPFlippedColumns = int(e.lpFlipped.Load())
+	for r := range e.lpCold {
+		res.LPColdFallbacks[r] = int(e.lpCold[r].Load())
+	}
 	e.incMu.Lock()
 	res.IncumbentUpdates = e.incUpdates
 	res.HeuristicWins = e.heurWins
@@ -341,6 +347,10 @@ func (s *search) solveLP() lp.Solution {
 	s.e.lpDualIters.Add(int64(sol.DualIters))
 	if sol.Status == lp.IterLimit {
 		s.e.lpLimited.Add(1)
+	}
+	s.e.lpFlipped.Add(int64(sol.FlippedColumns))
+	if sol.ColdFallback != lp.ColdNone {
+		s.e.lpCold[sol.ColdFallback].Add(1)
 	}
 	return sol
 }

@@ -308,6 +308,11 @@ type PhaseStats struct {
 	LPSolves      int
 	LPIters       int
 	LPLimited     int
+	// LPFlippedColumns and LPColdFallbacks say how the phase's warm-started
+	// LPs fared (see mip.Result): columns flipped to restore dual
+	// feasibility, and warm starts abandoned for a cold solve, by reason.
+	LPFlippedColumns int
+	LPColdFallbacks  lp.ColdCounts
 	// RootLPIters counts the simplex iterations of the phase's root
 	// relaxation alone, and WarmRoot reports whether that root LP was seeded
 	// from a previous round's basis — together they quantify what the
@@ -774,6 +779,8 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.LPSolves = r.LPSolves
 	out.stats.LPIters = r.LPIters
 	out.stats.LPLimited = r.LPLimited
+	out.stats.LPFlippedColumns = r.LPFlippedColumns
+	out.stats.LPColdFallbacks = r.LPColdFallbacks
 	out.stats.RootLPIters = r.RootLPIters
 	out.warm = PhaseWarm{Basis: r.RootBasis, Vars: m.NumVars(), Rows: m.NumConstrs()}
 	out.stats.Workers = r.Workers
@@ -899,12 +906,7 @@ func pickPhase2(in Input, cfg Config, specs []resSpec, targets []reservation.ID)
 	cat := in.Region.Catalog
 
 	// Rack-level RRU load per output reservation from the phase-1 targets.
-	type load struct {
-		excess float64
-		racks  int
-	}
-	perRes := make(map[reservation.ID]*load)
-	rackSum := make(map[[2]int64]float64) // (res, rack) → RRU sum
+	rackSum := make(map[reservation.ID][]float64) // res → RRU sum per rack
 	crByID := make(map[reservation.ID]float64)
 	classByID := make(map[reservation.ID]hardware.Class)
 	alphaByID := make(map[reservation.ID]float64)
@@ -933,29 +935,32 @@ func pickPhase2(in Input, cfg Config, specs []resSpec, targets []reservation.ID)
 		if !countBased[id] {
 			v = hardware.RRU(cat.Type(srv.Type), classByID[id])
 		}
-		rackSum[[2]int64{int64(id), int64(srv.Rack)}] += v
-	}
-	for k, sum := range rackSum {
-		id := reservation.ID(k[0])
-		l := perRes[id]
-		if l == nil {
-			l = &load{}
-			perRes[id] = l
+		sums := rackSum[id]
+		if sums == nil {
+			sums = make([]float64, in.Region.NumRacks)
+			rackSum[id] = sums
 		}
-		if over := sum - alphaByID[id]*crByID[id]; over > 0 {
-			l.excess += over
-		}
-		l.racks++
+		sums[srv.Rack] += v
 	}
 
+	// A reservation's excess is summed on its own, over its racks in
+	// ascending order, so equal loads give bit-equal excesses and the total
+	// order below decides ties by ID — never by map iteration order.
 	type cand struct {
 		id     reservation.ID
 		excess float64
 	}
 	var cands []cand
-	for id, l := range perRes {
-		if l.excess > 0 {
-			cands = append(cands, cand{id, l.excess})
+	for id, sums := range rackSum {
+		limit := alphaByID[id] * crByID[id]
+		excess := 0.0
+		for _, sum := range sums {
+			if over := sum - limit; over > 0 {
+				excess += over
+			}
+		}
+		if excess > 0 {
+			cands = append(cands, cand{id, excess})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"ras/internal/broker"
@@ -185,5 +186,53 @@ func TestSharedBufferSizedByLargestRemainder(t *testing.T) {
 	want := float64(len(region.Servers)) * 0.02
 	if total < want-1 || total > want+1 {
 		t.Fatalf("buffer total %v, want ≈ %v (2%% of %d servers)", total, want, len(region.Servers))
+	}
+}
+
+// TestPhase2SelectionDeterministic: two equal-sized reservations hold
+// mirror-image rack loads, so their rack excesses are the same seven numbers
+// and differ at most by the rounding of the order they are added in (two
+// outcomes are reachable: 12.399999999999997 and …95). Which one phase 2
+// refines must be the same on every call — summing in map-iteration order
+// made it change from run to run.
+func TestPhase2SelectionDeterministic(t *testing.T) {
+	region := testRegion(t, 1, 4, 6, 8, 31)
+	in := freshInput(region, nil)
+	cfg := Config{AlphaRack: 0.07}.withDefaults(region) // limit 2.8 servers per rack
+	var specs []resSpec
+	for id := reservation.ID(0); id < 2; id++ {
+		specs = append(specs, resSpec{
+			res:   reservation.Reservation{ID: id, Name: "svc", Class: hardware.Web, RRUs: 40, CountBased: true},
+			outID: id, countBased: true,
+		})
+	}
+	// Per MSB, reservation 0 loads racks 0-2 and reservation 1 racks 5-3 with
+	// the same counts.
+	loads := [4][3]int{{5, 3, 2}, {6, 3, 1}, {4, 4, 2}, {7, 2, 1}}
+	targets := make([]reservation.ID, len(region.Servers))
+	placed := make(map[int]int) // rack → servers targeted so far
+	for i := range region.Servers {
+		srv := &region.Servers[i]
+		inMSB := srv.Rack % 6
+		id, want := reservation.ID(0), 0
+		if inMSB < 3 {
+			want = loads[srv.MSB][inMSB]
+		} else {
+			id, want = 1, loads[srv.MSB][5-inMSB]
+		}
+		targets[i] = reservation.Unassigned
+		if placed[srv.Rack] < want {
+			placed[srv.Rack]++
+			targets[i] = id
+		}
+	}
+	first := pickPhase2(in, cfg, specs, targets)
+	if len(first) != 1 {
+		t.Fatalf("phase 2 selected %v, want exactly one of the two tied reservations", first)
+	}
+	for run := 1; run < 20; run++ {
+		if got := pickPhase2(in, cfg, specs, targets); !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d selected %v, call 0 selected %v", run, got, first)
+		}
 	}
 }
