@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench bench-baseline bench-compare bench-compare-short profile
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench bench-baseline bench-compare bench-compare-short profile loc
 
 check: fmt vet lint build test race smoke bench-smoke
 
@@ -84,3 +84,11 @@ profile:
 	$(GO) run ./cmd/rassolve -synthetic -dcs 2 -msbs 3 -reservations 4 -workers 1 \
 		-cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
+
+# Non-test Go lines per package of the root module (the nested benchmark/
+# module and lint fixtures are not product code): the number ROADMAP asks
+# diet PRs to report in CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2

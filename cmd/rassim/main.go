@@ -24,6 +24,7 @@ import (
 	"ras/internal/backend"
 	"ras/internal/metrics"
 	"ras/internal/sim"
+	"ras/internal/solver"
 	"ras/internal/workload"
 )
 
@@ -89,6 +90,9 @@ func main() {
 	}
 
 	engine := ras.NewEngine()
+	// rebuilds tallies, from each solve's returned stats, why phases that
+	// were asked to patch their cached model rebuilt it instead.
+	var rebuilds [solver.NumRebuildReasons]int
 	// Hourly continuous optimization (Figure 6 step 8).
 	engine.Every(sim.Hour, func(now sim.Time) {
 		if ctx.Err() != nil {
@@ -98,6 +102,10 @@ func main() {
 		if err != nil {
 			logger.Printf("[%s] solve failed: %v", clock(now), err)
 			return
+		}
+		for _, r := range res.SolverResults() {
+			rebuilds[r.Phase1.Rebuild]++
+			rebuilds[r.Phase2.Rebuild]++
 		}
 		if !*quiet {
 			line := fmt.Sprintf("[%s] solve[%s]: %s in %v, moves in-use=%d idle=%d",
@@ -177,8 +185,14 @@ func main() {
 	hits := metrics.Solver.ModelPatchHits.Value()
 	misses := metrics.Solver.ModelPatchMisses.Value()
 	falls := metrics.Solver.FallbackRebuilds.Value()
-	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d",
-		hits, misses, falls)
+	why := ""
+	for r := solver.RebuildNone + 1; r < solver.NumRebuildReasons; r++ {
+		if rebuilds[r] > 0 {
+			why += fmt.Sprintf(" %v=%d", r, rebuilds[r])
+		}
+	}
+	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s",
+		hits, misses, falls, why)
 	if *requireCache && (hits == 0 || falls == 0) {
 		logger.Printf("FAIL: -require-cache wants patch_hits>0 and fallback_rebuilds>0")
 		os.Exit(1)

@@ -260,6 +260,26 @@ func main() {
 	if *verbose {
 		printCounters(os.Stderr)
 		printWarmStarts(os.Stderr, res)
+		printModelBuilds(os.Stderr, res)
+	}
+}
+
+// printModelBuilds reports, per sub-solve and phase and from the values the
+// solve returned, whether the phase's model was patched or built and why a
+// requested patch fell back, then every softened row left violated (§5.3:
+// a shortfall has to name the request it hits).
+func printModelBuilds(w io.Writer, res *backend.Result) {
+	for k, r := range res.SolverResults() {
+		for i, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
+			if ph.ModelVars == 0 {
+				continue // phase did not run
+			}
+			fmt.Fprintf(w, "model sub%d phase%d: patched=%v rebuild_reason=%v residual_slack_rows=%d\n",
+				k, i+1, ph.ModelPatched, ph.Rebuild, len(ph.ResidualSlack))
+			for _, rs := range ph.ResidualSlack {
+				fmt.Fprintf(w, "  slack %s = %.3f\n", rs.Row, rs.Amount)
+			}
+		}
 	}
 }
 
@@ -268,15 +288,8 @@ func main() {
 // bound to restore dual feasibility, and warm starts abandoned for a cold
 // two-phase solve, by reason. The pop backend's lines sum its partitions.
 func printWarmStarts(w io.Writer, res *backend.Result) {
-	var subs []*solver.Result
-	switch {
-	case res.MIP != nil:
-		subs = []*solver.Result{res.MIP}
-	case res.POP != nil:
-		subs = res.POP.Subs
-	}
 	var phases [2]solver.PhaseStats // a phase that did not run adds zeros
-	for _, r := range subs {
+	for _, r := range res.SolverResults() {
 		for i, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
 			phases[i].LPSolves += ph.LPSolves
 			phases[i].LPIters += ph.LPIters

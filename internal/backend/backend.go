@@ -167,6 +167,18 @@ type Result struct {
 	Warm *WarmState
 }
 
+// SolverResults lists the two-phase solver results behind r: one for the
+// MIP backend, one per partition for pop, none for local search.
+func (r *Result) SolverResults() []*solver.Result {
+	switch {
+	case r.MIP != nil:
+		return []*solver.Result{r.MIP}
+	case r.POP != nil:
+		return r.POP.Subs
+	}
+	return nil
+}
+
 // Config carries the tuning for every registered backend; each factory
 // reads the part it understands, so one Config can construct any backend.
 type Config struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"ras/internal/broker"
@@ -14,8 +13,6 @@ import (
 	"ras/internal/solver"
 	"ras/internal/topology"
 )
-
-var debugFig = os.Getenv("RAS_DEBUG_FIG") != ""
 
 // fig12Dims returns (total MSBs via spec, initially commissioned MSBs).
 func fig12Spec(scale Scale) (topology.GenSpec, int) {
@@ -364,12 +361,8 @@ func Fig15(scale Scale) (*Report, error) {
 	rsvs[len(base)+1].Policy.DCAffinity = storageInter
 	rsvs[len(base)+1].Policy.AffinityTheta = thetaInter
 	b = broker.New(region)
-	res2, err := applySolve(region, b, rsvs, cfg)
-	if err != nil {
+	if _, err := applySolve(region, b, rsvs, cfg); err != nil {
 		return nil, err
-	}
-	if debugFig {
-		fmt.Printf("FIG15: %+v\n", res2.Phase1)
 	}
 
 	assign = assignOf(b)

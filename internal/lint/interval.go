@@ -1368,7 +1368,7 @@ func (ev *evaluator) computeFactValue(v *ssaValue, fact floatFact, b *cfgBlock, 
 
 // guardProvesFact decides whether one branch condition, known to evaluate
 // to isTrue, proves the fact about value v. This is the guard-recognition
-// seam: exact-compare helpers (exactZero/isZero/exactEqual/approxEq — the
+// seam: exact-compare helpers (ExactZero/isZero/ExactEqual/approxEq — the
 // floatcmp allowlist), math.Abs thresholds, and sign comparisons.
 func (ev *evaluator) guardProvesFact(cond ast.Expr, isTrue bool, v *ssaValue, fact floatFact, condBlock *cfgBlock, depth int) bool {
 	if depth > evalDepthLimit {
@@ -1398,7 +1398,7 @@ func (ev *evaluator) guardProvesFact(cond ast.Expr, isTrue bool, v *ssaValue, fa
 			return ev.cmpGuardProves(c, isTrue, v, fact, condBlock, depth)
 		}
 	case *ast.CallExpr:
-		// A designated exact-compare helper on its false edge: exactZero(x)
+		// A designated exact-compare helper on its false edge: ExactZero(x)
 		// false means x != 0 exactly; approxEq(x, 0) false means |x| exceeds
 		// a nonnegative tolerance, which also proves nonzero.
 		if fact != factNonzero || isTrue {
@@ -1435,7 +1435,7 @@ func (ev *evaluator) guardProvesFact(cond ast.Expr, isTrue bool, v *ssaValue, fa
 }
 
 // calleeBaseName renders the called function's bare name for the helper
-// allowlist (exactZero, pkg.ExactZero, s.isZero all match by final name).
+// allowlist (floats.ExactZero and s.isZero both match by final name).
 func calleeBaseName(info *types.Info, call *ast.CallExpr) string {
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -260,11 +260,12 @@ var (
 		"ras/internal/mip",
 		"ras/internal/solver",
 		"ras/internal/localsearch",
+		"ras/internal/floats", // home of the helpers below: only their bodies may compare
 	}
 	// DefaultFloatcmpHelpers are the designated exact-comparison helper
 	// names: tiny, documented functions whose whole job is an intentional
 	// exact float comparison (sparsity checks on stored-exact zeros).
-	DefaultFloatcmpHelpers = []string{"exactZero", "exactEqual", "approxEq", "isZero"}
+	DefaultFloatcmpHelpers = []string{"ExactZero", "ExactEqual", "approxEq", "isZero"}
 )
 
 func (c *Config) timeScope() []string {

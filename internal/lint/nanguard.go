@@ -15,7 +15,7 @@ package lint
 //   - math.Log(a): a proven positive.
 //
 // Guards must flow through the recognized seam: the designated
-// exact-compare helpers (exactZero/isZero/exactEqual/approxEq — the same
+// exact-compare helpers (ExactZero/isZero/ExactEqual/approxEq — the same
 // allowlist floatcmp enforces), math.Abs threshold comparisons
 // (math.Abs(d) < eps → return/continue), sign comparisons against
 // constants, nonzero literals and constants, products of proven factors,
@@ -135,5 +135,5 @@ func checkNanguardExpr(pkg *Package, root ast.Expr, b *cfgBlock, ev *evaluator, 
 
 // guardHint names the designated guard helpers in diagnostics.
 func guardHint() string {
-	return "a designated exact-compare helper (exactZero/isZero)"
+	return "a designated exact-compare helper (ExactZero/isZero)"
 }

@@ -22,5 +22,5 @@ func ordered(a, b float64) bool {
 	return a < b // ordered comparison: fine
 }
 
-// exactZero is a designated helper: exact comparison is its whole job.
-func exactZero(v float64) bool { return v == 0 }
+// ExactZero is a designated helper: exact comparison is its whole job.
+func ExactZero(v float64) bool { return v == 0 }

@@ -5,10 +5,10 @@ package nanguard
 
 import "math"
 
-// exactZero is the designated exact-compare helper: its body is the one
+// ExactZero is the designated exact-compare helper: its body is the one
 // place a raw float == is permitted, and nanguard recognizes guards
 // routed through it (the same seam floatcmp enforces).
-func exactZero(x float64) bool { return x == 0 }
+func ExactZero(x float64) bool { return x == 0 }
 
 // devexScore is the seeded regression: a Devex-style pricing ratio
 // without the weight floor. Reference weights decay across re-pricing
@@ -24,7 +24,7 @@ func devexScoreFloored(viol, gamma float64) float64 {
 }
 
 func guardedByHelper(num, den float64) float64 {
-	if exactZero(den) {
+	if ExactZero(den) {
 		return 0
 	}
 	return num / den // proven on the helper's false edge
@@ -58,7 +58,7 @@ func halfGuarded(num, den float64) float64 {
 }
 
 func quoAssignGuarded(sum, w float64) float64 {
-	if exactZero(w) {
+	if ExactZero(w) {
 		return sum
 	}
 	sum /= w

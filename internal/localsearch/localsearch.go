@@ -23,6 +23,7 @@ import (
 
 	"ras/internal/broker"
 	"ras/internal/clock"
+	"ras/internal/floats"
 	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/solver"
@@ -58,11 +59,6 @@ type Config struct {
 	SoftPenalty   float64
 }
 
-// exactZero reports whether v is exactly zero — the zero-value "knob unset"
-// sentinel in Config and Policy fields. A raslint floatcmp designated
-// helper.
-func exactZero(v float64) bool { return v == 0 }
-
 func (c Config) withDefaults(region *topology.Region) Config {
 	if c.TimeLimit == 0 {
 		c.TimeLimit = 2 * time.Second
@@ -73,22 +69,22 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	if c.Candidates == 0 {
 		c.Candidates = 48
 	}
-	if exactZero(c.AlphaMSB) {
+	if floats.ExactZero(c.AlphaMSB) {
 		c.AlphaMSB = clamp(1.5/float64(max(region.NumMSBs, 1)), 0.05, 1)
 	}
-	if exactZero(c.Beta) {
+	if floats.ExactZero(c.Beta) {
 		c.Beta = 3
 	}
-	if exactZero(c.Tau) {
+	if floats.ExactZero(c.Tau) {
 		c.Tau = 3
 	}
-	if exactZero(c.MoveCostInUse) {
+	if floats.ExactZero(c.MoveCostInUse) {
 		c.MoveCostInUse = 10
 	}
-	if exactZero(c.MoveCostIdle) {
+	if floats.ExactZero(c.MoveCostIdle) {
 		c.MoveCostIdle = 1
 	}
-	if exactZero(c.SoftPenalty) {
+	if floats.ExactZero(c.SoftPenalty) {
 		c.SoftPenalty = 1000
 	}
 	return c
@@ -464,7 +460,7 @@ func (s *state) resObjective(ri int) float64 {
 	maxMSB := 0.0
 	spread := 0.0
 	alpha := r.Policy.SpreadMSB
-	if exactZero(alpha) {
+	if floats.ExactZero(alpha) {
 		alpha = s.cfg.AlphaMSB
 	}
 	for _, v := range s.loadMSB[ri] {

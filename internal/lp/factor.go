@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 
+	"ras/internal/floats"
 	"ras/internal/metrics"
 )
 
@@ -310,11 +311,11 @@ func (f *factor) pivot(cs int) {
 		switch {
 		case nz.Index == pivRow:
 		case f.rowDone[nz.Index]:
-			if !exactZero(nz.Value) {
+			if !floats.ExactZero(nz.Value) {
 				ue = append(ue, nz)
 			}
 		default:
-			if !exactZero(nz.Value) {
+			if !floats.ExactZero(nz.Value) {
 				le = append(le, Nonzero{Index: nz.Index, Value: nz.Value * f.invP[j]})
 			}
 			f.rowCnt[nz.Index]--
@@ -344,7 +345,7 @@ func (f *factor) pivot(cs int) {
 				break
 			}
 		}
-		if exactZero(alpha) {
+		if floats.ExactZero(alpha) {
 			continue // stale index entry
 		}
 		f.colCnt[s]-- // the pivot-row entry leaves the active count
@@ -447,7 +448,7 @@ func (f *factor) update(r int, w []float64, wnz []int) {
 		nz = f.etas[:n+1][n].nz[:0]
 	}
 	for _, i := range wnz {
-		if i == r || exactZero(w[i]) {
+		if i == r || floats.ExactZero(w[i]) {
 			continue
 		}
 		nz = append(nz, Nonzero{Index: i, Value: -w[i] * invP})
@@ -490,7 +491,7 @@ func (f *factor) ftranLoaded(dst []float64, nzOut []int) []int {
 		}
 		op := &f.lops[j]
 		t := rv[op.pivot]
-		if exactZero(t) {
+		if floats.ExactZero(t) {
 			continue
 		}
 		for _, nz := range op.nz {
@@ -505,7 +506,7 @@ func (f *factor) ftranLoaded(dst []float64, nzOut []int) []int {
 			continue
 		}
 		t := rv[f.pr[j]]
-		if !exactZero(t) {
+		if !floats.ExactZero(t) {
 			t *= f.invP[j]
 			for _, nz := range f.ucols[j] {
 				rv[nz.Index] -= nz.Value * t
@@ -518,7 +519,7 @@ func (f *factor) ftranLoaded(dst []float64, nzOut []int) []int {
 	for k := range f.etas {
 		op := &f.etas[k]
 		t := dst[op.pivot]
-		if exactZero(t) {
+		if floats.ExactZero(t) {
 			continue
 		}
 		dst[op.pivot] = t * op.invP
@@ -532,7 +533,7 @@ func (f *factor) ftranLoaded(dst []float64, nzOut []int) []int {
 	}
 	nzOut = nzOut[:0]
 	for i := 0; i < m; i++ {
-		if !exactZero(dst[i]) {
+		if !floats.ExactZero(dst[i]) {
 			nzOut = append(nzOut, i)
 		}
 	}

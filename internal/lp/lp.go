@@ -41,6 +41,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"ras/internal/floats"
 	"ras/internal/metrics"
 )
 
@@ -172,19 +173,6 @@ func (p *Problem) Clone() *Problem {
 	}
 }
 
-// exactZero reports whether v is exactly zero. The solver's sparsity
-// convention stores absent entries as exact zeros (assigned, never the
-// residue of arithmetic), so identity — not closeness — is the intended
-// test; a tolerance here would misclassify genuinely tiny values. This is a
-// raslint floatcmp designated helper: the one place the convention lives.
-func exactZero(v float64) bool { return v == 0 }
-
-// exactEqual reports whether a and b are exactly equal. For values copied
-// from the same store (variable bounds, pivot targets), where the question
-// is "is this that same stored value", not numerical closeness. A raslint
-// floatcmp designated helper.
-func exactEqual(a, b float64) bool { return a == b }
-
 // AddRow appends a constraint row Σ coeffs·x sense rhs and returns its index.
 // Coefficients must reference variables that already exist. Duplicate indices
 // within one row are summed.
@@ -195,7 +183,7 @@ func (p *Problem) AddRow(coeffs []Nonzero, sense Sense, rhs float64) int {
 		if nz.Index < 0 || nz.Index >= len(p.cost) {
 			panic(fmt.Sprintf("lp: row references unknown variable %d", nz.Index))
 		}
-		if exactZero(nz.Value) {
+		if floats.ExactZero(nz.Value) {
 			continue
 		}
 		if at, ok := seen[nz.Index]; ok {
@@ -438,7 +426,7 @@ func (p *Problem) SolveWith(ctx context.Context, opt Options, ws *Workspace) Sol
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if exactZero(opt.Tol) {
+	if floats.ExactZero(opt.Tol) {
 		opt.Tol = 1e-9
 	}
 	if ctx == nil {

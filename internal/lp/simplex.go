@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 
+	"ras/internal/floats"
 	"ras/internal/metrics"
 )
 
@@ -300,7 +301,7 @@ func (s *Workspace) absorbPivot(leave, refactorEvery int) bool {
 // prices y: how far its reduced cost violates the optimality sign condition
 // for its bound status. Basic and fixed columns report 0.
 func (s *Workspace) priceOne(cost, y []float64, j int) float64 {
-	if s.inRow[j] >= 0 || exactEqual(s.lo[j], s.up[j]) {
+	if s.inRow[j] >= 0 || floats.ExactEqual(s.lo[j], s.up[j]) {
 		return 0
 	}
 	d := cost[j]
@@ -333,7 +334,7 @@ func (s *Workspace) devexUpdate(gamma []float64, priceLimit, enter, leave int, a
 		for _, nz := range s.cols[j] {
 			alpha += brow[nz.Index] * nz.Value
 		}
-		if exactZero(alpha) {
+		if floats.ExactZero(alpha) {
 			continue
 		}
 		r := alpha / alphaQ
@@ -410,7 +411,7 @@ func (s *Workspace) dualSimplex(cost []float64, maxDual int) Status {
 		bestRatio := math.Inf(1)
 		var alphaQ float64
 		for j := 0; j < s.n; j++ {
-			if s.inRow[j] >= 0 || exactEqual(s.lo[j], s.up[j]) {
+			if s.inRow[j] >= 0 || floats.ExactEqual(s.lo[j], s.up[j]) {
 				continue
 			}
 			alpha := 0.0
@@ -454,7 +455,7 @@ func (s *Workspace) dualSimplex(cost []float64, maxDual int) Status {
 
 		out := s.basis[leave]
 		s.inRow[out] = -1
-		s.atUp[out] = exactEqual(target, s.up[out]) && !exactEqual(s.lo[out], s.up[out])
+		s.atUp[out] = floats.ExactEqual(target, s.up[out]) && !floats.ExactEqual(s.lo[out], s.up[out])
 		s.x[out] = target
 		s.basis[leave] = enter
 		s.inRow[enter] = leave
@@ -533,7 +534,7 @@ func (s *Workspace) recomputeBasics() {
 	resid := s.resid
 	copy(resid, s.b)
 	for j := 0; j < s.n; j++ {
-		if s.inRow[j] >= 0 || exactZero(s.x[j]) {
+		if s.inRow[j] >= 0 || floats.ExactZero(s.x[j]) {
 			continue
 		}
 		for _, nz := range s.cols[j] {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"ras/internal/floats"
 	"ras/internal/metrics"
 )
 
@@ -251,7 +252,7 @@ func (s *Workspace) run() Solution {
 	resid := s.resid
 	copy(resid, s.b)
 	for j := 0; j < s.artStart; j++ {
-		if exactZero(s.x[j]) {
+		if floats.ExactZero(s.x[j]) {
 			continue
 		}
 		for _, nz := range s.cols[j] {
@@ -319,7 +320,7 @@ func (s *Workspace) run() Solution {
 	for i := 0; i < m; i++ {
 		a := s.artStart + i
 		s.up[a] = 0
-		if !exactZero(s.x[a]) {
+		if !floats.ExactZero(s.x[a]) {
 			s.x[a] = 0 // clean up residual fuzz below tolerance
 		}
 	}
@@ -518,7 +519,7 @@ func (s *Workspace) residualOK() bool {
 	resid := s.resid
 	copy(resid, s.b)
 	for j := 0; j < s.n; j++ {
-		if exactZero(s.x[j]) {
+		if floats.ExactZero(s.x[j]) {
 			continue
 		}
 		for _, nz := range s.cols[j] {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ras/internal/floats"
 )
 
 // TestQuickDevexMatchesDantzig forces the Devex pricing stage from the first
@@ -189,7 +191,7 @@ func TestWorkspaceDeterministic(t *testing.T) {
 			t.Fatalf("solve %d: X length mismatch", i)
 		}
 		for j := range a[i].X {
-			if !exactEqual(a[i].X[j], b[i].X[j]) {
+			if !floats.ExactEqual(a[i].X[j], b[i].X[j]) {
 				t.Fatalf("solve %d: X[%d] %v vs %v", i, j, a[i].X[j], b[i].X[j])
 			}
 		}

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"ras/internal/clock"
+	"ras/internal/floats"
 	"ras/internal/lp"
 	"ras/internal/metrics"
 )
@@ -37,16 +38,6 @@ var noWarm = os.Getenv("MIP_NOWARM") != ""
 
 // debugDive logs dive-heuristic exits (debug toggle).
 var debugDive = os.Getenv("MIP_DEBUG_DIVE") != ""
-
-// exactZero reports whether v is exactly zero — the zero-value "knob unset"
-// sentinel in Options and the stored-exact sparsity convention shared with
-// package lp. A raslint floatcmp designated helper.
-func exactZero(v float64) bool { return v == 0 }
-
-// exactEqual reports whether a and b are exactly equal, for values copied
-// from the same store (warm-start points, floor/ceil anchors). A raslint
-// floatcmp designated helper.
-func exactEqual(a, b float64) bool { return a == b }
 
 // Var identifies a variable within a Model.
 type Var int
@@ -493,10 +484,10 @@ func (m *Model) Solve(ctx context.Context, opt Options) Result {
 	if ctx == nil {
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
 	}
-	if exactZero(opt.IntTol) {
+	if floats.ExactZero(opt.IntTol) {
 		opt.IntTol = 1e-6
 	}
-	if exactZero(opt.AbsGap) {
+	if floats.ExactZero(opt.AbsGap) {
 		opt.AbsGap = 1e-6
 	}
 	if opt.MaxNodes == 0 {

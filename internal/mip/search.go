@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ras/internal/clock"
+	"ras/internal/floats"
 	"ras/internal/lp"
 )
 
@@ -431,7 +432,7 @@ func (s *search) guardedRound(act, xi []float64, j int) bool {
 	// genuinely ambiguous; strong fractional pulls (e.g. capacity fills)
 	// must win over stability.
 	if m.initial != nil && j < len(m.initial) && frac > 0.35 && frac < 0.65 {
-		if iv := m.initial[j]; exactEqual(iv, floor) || exactEqual(iv, ceil) {
+		if iv := m.initial[j]; floats.ExactEqual(iv, floor) || floats.ExactEqual(iv, ceil) {
 			first, second = iv, floor+ceil-iv
 		}
 	}
@@ -550,7 +551,7 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 					need = m.rhs[i] - lhs
 				}
 			}
-			if exactZero(need) {
+			if floats.ExactZero(need) {
 				continue
 			}
 			// Round-robin unit bumps across DISTINCT row variables: the
@@ -567,7 +568,7 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 				moved := false
 				for _, nz := range row {
 					j := nz.Index
-					if !m.integer[j] || exactZero(nz.Value) || !exactZero(m.cost[j]) || bumped[j] {
+					if !m.integer[j] || floats.ExactZero(nz.Value) || !floats.ExactZero(m.cost[j]) || bumped[j] {
 						continue
 					}
 					step := sign(need) * sign(nz.Value)

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 
+	"ras/internal/floats"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -141,7 +142,7 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		if cr <= 0 {
 			continue
 		}
-		if exactZero(eligTotal[si]) {
+		if floats.ExactZero(eligTotal[si]) {
 			ev.Unserviceable += cr
 			continue
 		}
@@ -153,12 +154,8 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		}
 		capLHS := total[si]
 		if !s.isBuffer {
-			alphaF := s.res.Policy.SpreadMSB
-			if exactZero(alphaF) {
-				alphaF = cfg.AlphaMSB
-			}
 			for _, v := range sumMSB[si] {
-				ev.Spread += cfg.Beta * math.Max(0, v-alphaF*cr)
+				ev.Spread += cfg.Beta * math.Max(0, v-s.alphaF*cr)
 			}
 			ev.Buffer += cfg.Tau * env
 			capLHS -= env
@@ -166,20 +163,13 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		ev.CapSlack += cfg.SoftPenalty * math.Max(0, cr-capLHS)
 
 		if len(s.res.Policy.DCAffinity) > 0 {
-			theta := s.res.Policy.AffinityTheta
-			if exactZero(theta) {
-				theta = cfg.AffinityTheta
-			}
 			for dc := 0; dc < in.Region.NumDCs; dc++ {
-				if exactZero(eligDC[si][dc]) {
+				if floats.ExactZero(eligDC[si][dc]) {
 					continue
 				}
-				a, ok := s.res.Policy.DCAffinity[dc]
-				if !ok {
-					a = 0
-				}
-				hi := a*cr + theta*cr
-				lo := a*cr - theta*cr
+				a := s.res.Policy.DCAffinity[dc]
+				hi := a*cr + s.theta*cr
+				lo := a*cr - s.theta*cr
 				viol := math.Max(math.Max(0, sumDC[si][dc]-hi), math.Max(0, lo-sumDC[si][dc]))
 				ev.AffSlack += cfg.SoftPenalty * viol
 			}

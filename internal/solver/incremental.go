@@ -1,12 +1,14 @@
 // Incremental model build: the solver caches each phase's fully built MIP
 // together with the bookkeeping needed to patch it in place when the next
 // round's input differs only in ways that keep the model's structure — dead
-// or revived servers moving between existing symmetry groups (bound and RHS
-// flips) and resized demands C_r (RHS updates). Any structural drift — a
-// reservation created or deleted, a symmetry group appearing or emptying, a
-// move hinge appearing or vanishing — falls back to a cold rebuild, so a
-// patched model is bit-for-bit identical to what the cold path would have
-// built for the same input (the property tests compare mip.Fingerprint).
+// or revived servers moving between existing symmetry groups and resized
+// demands C_r. Construction is split in two: layout fixes the model's shape,
+// and three fill functions write every bound, right-hand side and warm-start
+// value. A cold build is layout + fill of everything; a patch re-buckets the
+// changed servers and runs the same fill functions over what they touched.
+// Any structural drift — a reservation created or deleted, a symmetry group
+// appearing or emptying, a move hinge appearing or vanishing — falls back to
+// a cold rebuild and says why (RebuildReason).
 package solver
 
 import (
@@ -18,6 +20,7 @@ import (
 
 	"ras/internal/broker"
 	"ras/internal/clock"
+	"ras/internal/floats"
 	"ras/internal/mip"
 	"ras/internal/reservation"
 	"ras/internal/topology"
@@ -53,6 +56,40 @@ func (d *Delta) structural() bool {
 		}
 	}
 	return false
+}
+
+// RebuildReason says why a round that carried a Delta rebuilt a phase's model
+// instead of patching the cached one.
+type RebuildReason uint8
+
+// Rebuild reasons. RebuildNone means the model was patched, or the round
+// carried no Delta and so never asked for a patch.
+const (
+	RebuildNone           RebuildReason = iota
+	RebuildNoCache                      // no cached model of the snapshot Delta.Since names: first round, unversioned input, or a journal gap
+	RebuildReservationSet               // the delta creates or deletes a reservation
+	RebuildConfig                       // solver config, region, or the cached model's revision differs
+	RebuildScope                        // the server count or Input.Subset differs
+	RebuildSpecCount                    // the spec list changed length (a buffer spec or phase-2 member came or went)
+	RebuildSpecShape                    // a spec changed in more than its RRUs
+	RebuildSpecActivation               // a spec's demand crossed zero
+	RebuildCacheCorrupt                 // the cache lost track of a pooled server (a bug, survived by rebuilding)
+	RebuildNewGroup                     // a server needs a symmetry group the model lacks
+	RebuildEmptyGroup                   // a symmetry group lost its last server
+	RebuildHinge                        // a move hinge appeared or vanished (a cell's X crossed zero)
+	NumRebuildReasons                   // array size for per-reason tallies
+)
+
+var rebuildReasonNames = [NumRebuildReasons]string{
+	"none", "no-cache", "reservation-set", "config", "scope", "spec-count", "spec-shape",
+	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge",
+}
+
+func (r RebuildReason) String() string {
+	if r < NumRebuildReasons {
+		return rebuildReasonNames[r]
+	}
+	return fmt.Sprintf("RebuildReason(%d)", uint8(r))
 }
 
 // ModelCache carries the per-phase built models across rounds inside
@@ -95,7 +132,8 @@ func serverKey(in Input, id topology.ServerID, rackLevel, noSymmetry, wearAware 
 }
 
 // specRows records where one spec's rows and auxiliary variables landed in
-// the model, so a patch can update exactly them. Absent entries are -1.
+// the model, so the fill functions can write exactly them. Absent entries
+// are -1.
 type specRows struct {
 	// active means the spec got constraint rows (cr > 0 and serviceable).
 	active bool
@@ -152,9 +190,7 @@ type builtPhase struct {
 	msbIdx  map[int]int
 	rackIdx map[int]int
 
-	capSlackVars []mip.Var
-	affSlackVars []mip.Var
-	assignVars   int
+	assignVars int
 
 	// Per-server bookkeeping (indexed by ServerID over the whole region).
 	states      []broker.ServerState
@@ -210,10 +246,13 @@ func parallelFor(workers, n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// buildPhase runs the cold path: grouping, initial state, and the full MIP
-// build, returning the cached form. Group-sharded passes (eligibility
-// values, variable names, initial counts) run on cfg.Workers goroutines;
-// the shards are disjoint, so the result is identical at every worker count.
+// buildPhase runs the cold path: grouping, initial state, then the MIP as
+// layout (every column, row, coefficient, name and cost, with placeholder
+// bounds and right-hand sides) followed by the fill functions over every
+// group, cell and spec — the same three functions patch runs over what a
+// delta touched. Group-sharded passes (eligibility values, variable names,
+// initial counts) run on cfg.Workers goroutines; the shards are disjoint, so
+// the result is identical at every worker count.
 func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	targets []reservation.ID, rackLevel bool, stats *PhaseStats) *builtPhase {
 
@@ -296,17 +335,8 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 
 	// ---------------- Solver build: the MIP. ------------------------------
 	t0 = clock.Now()
-	m := mip.NewModel()
-	var initX []float64 // warm-start values, parallel to model variables
-	addVar := func(v mip.Var, init float64) {
-		if int(v) != len(initX) {
-			panic("solver: variable/init bookkeeping out of sync")
-		}
-		initX = append(initX, init)
-	}
-
 	bp := &builtPhase{
-		m:         m,
+		m:         mip.NewModel(),
 		region:    in.Region,
 		rackLevel: rackLevel,
 		cfg:       cfg,
@@ -328,23 +358,51 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	for _, id := range pool {
 		bp.inPool[id] = true
 	}
-
-	nVar := make([][]mip.Var, nG) // assignment count variables; -1 if absent
-	moveVar := make([][]mip.Var, nG)
-	moveRow := make([][]int, nG)
-	for gi := range nVar {
-		nVar[gi] = make([]mip.Var, nS)
-		moveVar[gi] = make([]mip.Var, nS)
-		moveRow[gi] = make([]int, nS)
-		for si := range nVar[gi] {
-			nVar[gi][si] = -1
-			moveVar[gi][si] = -1
-			moveRow[gi][si] = -1
+	bp.layout(names)
+	for gi := range bp.groups {
+		bp.fillGroup(gi)
+		for si := range bp.specs {
+			if bp.nVar[gi][si] >= 0 {
+				bp.fillCell(gi, si)
+			}
 		}
 	}
+	for si := range bp.specs {
+		if bp.sp[si].active {
+			bp.fillSpec(si)
+		}
+	}
+	bp.m.SetInitial(bp.initX)
+	stats.SolverBuild = clock.Since(t0)
+	return bp
+}
+
+// layout adds every column and row of the phase's MIP and records where each
+// landed. It fixes the model's shape — which variables and rows exist, their
+// coefficients, names and costs — and nothing else: every bound, right-hand
+// side and warm-start value that depends on group sizes, initial counts or
+// demands is a zero placeholder here and is written by the fill functions.
+// What shape does depend on is which cells are eligible (vval > 0), which
+// have servers today (a move hinge exists iff X > 0), and which specs are
+// active (C_r > 0 and some eligible server) — exactly what patch treats as
+// structural drift.
+func (bp *builtPhase) layout(names [][]string) {
+	m, cfg, groups, specs := bp.m, bp.cfg, bp.groups, bp.specs
+	cat := bp.region.Catalog
+	nG, nS := len(groups), len(specs)
+
+	// Count variables n_{g,s}, (5) assignment Σ_s n_{g,s} ≤ |g|, and
+	// (1) stability: cost M · max(0, X − n) per cell with X > 0.
+	bp.nVar = make([][]mip.Var, nG) // -1 if absent
+	bp.moveVar = make([][]mip.Var, nG)
+	bp.moveRow = make([][]int, nG)
 	for gi, g := range groups {
+		bp.nVar[gi] = make([]mip.Var, nS)
+		bp.moveVar[gi] = make([]mip.Var, nS)
+		bp.moveRow[gi] = make([]int, nS)
 		for si := range specs {
-			if vval[gi][si] <= 0 {
+			bp.nVar[gi][si], bp.moveVar[gi][si], bp.moveRow[gi][si] = -1, -1, -1
+			if bp.vval[gi][si] <= 0 {
 				continue
 			}
 			// IO-aware placement (§5.2): worn flash assigned to a
@@ -353,66 +411,50 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 			if cfg.WearPenalty > 0 && g.wear > 0 && cat.Type(g.typeIdx).FlashTB > 0 && !specs[si].isBuffer {
 				wearCost = cfg.WearPenalty * float64(g.wear)
 			}
-			v := m.AddIntVar(names[gi][si], wearCost, 0, float64(len(g.servers)))
-			addVar(v, initCount[gi][si])
-			nVar[gi][si] = v
+			bp.nVar[gi][si] = m.AddIntVar(names[gi][si], wearCost, 0, 0)
 			bp.assignVars++
 		}
 	}
-	bp.nVar = nVar
-
-	// (5) assignment: Σ_s n_{g,s} ≤ |g|.
-	assignRow := make([]int, nG)
-	for gi, g := range groups {
-		assignRow[gi] = -1
+	bp.assignRow = make([]int, nG)
+	for gi := range groups {
+		bp.assignRow[gi] = -1
 		var terms []mip.Term
 		for si := range specs {
-			if nVar[gi][si] >= 0 {
-				terms = append(terms, mip.Term{Var: nVar[gi][si], Coef: 1})
+			if bp.nVar[gi][si] >= 0 {
+				terms = append(terms, mip.Term{Var: bp.nVar[gi][si], Coef: 1})
 			}
 		}
 		if terms != nil {
-			assignRow[gi] = m.AddConstr(fmt.Sprintf("assign[g%d]", gi), terms, mip.LE, float64(len(g.servers)))
+			bp.assignRow[gi] = m.AddConstr(fmt.Sprintf("assign[g%d]", gi), terms, mip.LE, 0)
 		}
 	}
-	bp.assignRow = assignRow
-
-	// (1) stability: cost M · max(0, X − n) per (group, spec) with X > 0.
 	for gi, g := range groups {
 		mcost := cfg.MoveCostIdle
 		if g.inUse {
 			mcost = cfg.MoveCostInUse
 		}
 		for si := range specs {
-			x0 := initCount[gi][si]
-			if x0 <= 0 || nVar[gi][si] < 0 {
+			if bp.initCount[gi][si] <= 0 || bp.nVar[gi][si] < 0 {
 				continue
 			}
-			initVal := 0.0 // warm start keeps X servers, so max(0, X−n) = 0
-			y := m.AddPosPart(fmt.Sprintf("move[g%d,s%d]", gi, si),
-				[]mip.Term{{Var: nVar[gi][si], Coef: -1}}, x0, mcost)
-			addVar(y, initVal)
-			moveVar[gi][si] = y
-			moveRow[gi][si] = m.NumConstrs() - 1
+			bp.moveVar[gi][si] = m.AddPosPart(fmt.Sprintf("move[g%d,s%d]", gi, si),
+				[]mip.Term{{Var: bp.nVar[gi][si], Coef: -1}}, 0, mcost)
+			bp.moveRow[gi][si] = m.NumConstrs() - 1
 		}
 	}
-	bp.moveVar = moveVar
-	bp.moveRow = moveRow
 
-	// Per-spec structures: MSB sums, envelope, capacity, spread, affinity.
+	// Scopes the per-spec rows sum over: MSBs, racks (phase 2), DCs, all.
 	msbGroups := make(map[int][]int, 64) // msb → group indices
+	rackGroups := make(map[int][]int, 256)
+	dcGroups := make(map[int][]int, 8)
+	all := make([]int, nG)
 	for gi, g := range groups {
 		msbGroups[g.msb] = append(msbGroups[g.msb], gi)
-	}
-	rackGroups := make(map[int][]int, 256)
-	if rackLevel {
-		for gi, g := range groups {
+		if bp.rackLevel {
 			rackGroups[g.rack] = append(rackGroups[g.rack], gi)
 		}
-	}
-	dcGroups := make(map[int][]int, 8)
-	for gi, g := range groups {
 		dcGroups[g.dc] = append(dcGroups[g.dc], gi)
+		all[gi] = gi
 	}
 	bp.msbs = sortedKeys(msbGroups)
 	bp.racks = sortedKeys(rackGroups)
@@ -425,186 +467,103 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		bp.rackIdx[rk] = k
 	}
 
-	sp := make([]specRows, nS)
-	for si := range sp {
-		sp[si] = specRows{env: -1, capRow: -1, capSlack: -1}
-	}
-
+	bp.sp = make([]specRows, nS)
 	for si := range specs {
 		s := &specs[si]
-		cr := s.res.RRUs
-		if cr <= 0 {
+		sp := &bp.sp[si]
+		*sp = specRows{env: -1, capRow: -1, capSlack: -1}
+		if s.res.RRUs <= 0 {
 			continue
 		}
-
-		// Terms and initial sums per scope.
-		sumTerms := func(gis []int) ([]mip.Term, float64) {
+		sumTerms := func(gis []int) []mip.Term {
 			var terms []mip.Term
-			initSum := 0.0
 			for _, gi := range gis {
-				if nVar[gi][si] < 0 {
-					continue
+				if bp.nVar[gi][si] >= 0 {
+					terms = append(terms, mip.Term{Var: bp.nVar[gi][si], Coef: bp.vval[gi][si]})
 				}
-				terms = append(terms, mip.Term{Var: nVar[gi][si], Coef: vval[gi][si]})
-				initSum += vval[gi][si] * initCount[gi][si]
 			}
-			return terms, initSum
+			return terms
+		}
+		// spreadRows lays out β · max(0, Σ_scope − α·C) for each scope key
+		// that has terms; absent scopes get -1.
+		spreadRows := func(format string, keys []int, byKey map[int][]int) ([]int, []mip.Var) {
+			rows, vars := make([]int, len(keys)), make([]mip.Var, len(keys))
+			for k, key := range keys {
+				rows[k], vars[k] = -1, -1
+				if terms := sumTerms(byKey[key]); terms != nil {
+					vars[k] = m.AddPosPart(fmt.Sprintf(format, si, key), terms, 0, cfg.Beta)
+					rows[k] = m.NumConstrs() - 1
+				}
+			}
+			return rows, vars
 		}
 
-		var all []int
-		for gi := range groups {
-			all = append(all, gi)
-		}
-		totalTerms, initTotal := sumTerms(all)
-		if totalTerms == nil {
+		capTerms := sumTerms(all)
+		if capTerms == nil {
 			// Nothing in the region can serve this request: report the
 			// rejection instead of silently dropping the constraint.
-			sp[si].unserviceable = true
-			sp[si].unservMsg = fmt.Sprintf("%s: no usable eligible server (class %v, %d eligible types, singleDC %d)",
+			sp.unserviceable = true
+			sp.unservMsg = fmt.Sprintf("%s: no usable eligible server (class %v, %d eligible types, singleDC %d)",
 				s.res.Name, s.res.Class, len(s.res.EligibleTypes), s.res.Policy.SingleDC)
 			continue
 		}
-		sp[si].active = true
+		sp.active = true
 
-		// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
 		// Shared-buffer specs skip the embedded buffer (they *are* buffer).
-		var env mip.Var = -1
-		initEnv := 0.0
-		alphaF := s.res.Policy.SpreadMSB
-		if exactZero(alphaF) {
-			alphaF = cfg.AlphaMSB
-		}
 		if !s.isBuffer {
-			var groupsPerMSB [][]mip.Term
+			// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
+			var perMSB [][]mip.Term
 			for _, msb := range bp.msbs {
-				terms, isum := sumTerms(msbGroups[msb])
-				if terms == nil {
-					continue
-				}
-				groupsPerMSB = append(groupsPerMSB, terms)
-				if isum > initEnv {
-					initEnv = isum
+				if terms := sumTerms(msbGroups[msb]); terms != nil {
+					perMSB = append(perMSB, terms)
 				}
 			}
-			if groupsPerMSB != nil {
-				env = m.AddUpperEnvelope(fmt.Sprintf("maxmsb[s%d]", si), groupsPerMSB, cfg.Tau)
-				addVar(env, initEnv)
+			if perMSB != nil {
+				sp.env = m.AddUpperEnvelope(fmt.Sprintf("maxmsb[s%d]", si), perMSB, cfg.Tau)
+				capTerms = append(capTerms, mip.Term{Var: sp.env, Coef: -1})
 			}
-			sp[si].env = env
-
-			// (3) MSB spread: β · max(0, Σ − αF·C).
-			sp[si].spreadRow = make([]int, len(bp.msbs))
-			sp[si].spreadVar = make([]mip.Var, len(bp.msbs))
-			for k, msb := range bp.msbs {
-				sp[si].spreadRow[k] = -1
-				sp[si].spreadVar[k] = -1
-				terms, isum := sumTerms(msbGroups[msb])
-				if terms == nil {
-					continue
-				}
-				y := m.AddPosPart(fmt.Sprintf("spreadF[s%d,m%d]", si, msb),
-					terms, -alphaF*cr, cfg.Beta)
-				addVar(y, math.Max(0, isum-alphaF*cr))
-				sp[si].spreadVar[k] = y
-				sp[si].spreadRow[k] = m.NumConstrs() - 1
-			}
-
-			// (2) rack spread, phase 2 only.
-			if rackLevel {
-				alphaK := s.res.Policy.SpreadRack
-				if exactZero(alphaK) {
-					alphaK = cfg.AlphaRack
-				}
-				sp[si].rackRow = make([]int, len(bp.racks))
-				sp[si].rackVar = make([]mip.Var, len(bp.racks))
-				for k, rk := range bp.racks {
-					sp[si].rackRow[k] = -1
-					sp[si].rackVar[k] = -1
-					terms, isum := sumTerms(rackGroups[rk])
-					if terms == nil {
-						continue
-					}
-					y := m.AddPosPart(fmt.Sprintf("spreadK[s%d,r%d]", si, rk),
-						terms, -alphaK*cr, cfg.Beta)
-					addVar(y, math.Max(0, isum-alphaK*cr))
-					sp[si].rackVar[k] = y
-					sp[si].rackRow[k] = m.NumConstrs() - 1
-				}
+			// (3) MSB spread, and (2) rack spread in phase 2 only.
+			sp.spreadRow, sp.spreadVar = spreadRows("spreadF[s%d,m%d]", bp.msbs, msbGroups)
+			if bp.rackLevel {
+				sp.rackRow, sp.rackVar = spreadRows("spreadK[s%d,r%d]", bp.racks, rackGroups)
 			}
 		}
 
 		// (6) capacity with embedded buffer, softened: Σ V·n − z + slack ≥ C.
-		// The slack is always present (bounded to the initial violation, so a
-		// clean incumbent pins it to [0,0]); keeping the column in place is
-		// what lets a patch re-open it when a delta breaks the capacity.
-		capTerms := append([]mip.Term(nil), totalTerms...)
-		initLHS := initTotal
-		if env >= 0 {
-			capTerms = append(capTerms, mip.Term{Var: env, Coef: -1})
-			initLHS -= initEnv
-		}
-		violation := math.Max(0, cr-initLHS)
-		slack := m.AddVar(fmt.Sprintf("capslack[s%d]", si), cfg.SoftPenalty, 0, violation)
-		m.MarkPenalty(slack)
-		addVar(slack, violation)
-		capTerms = append(capTerms, mip.Term{Var: slack, Coef: 1})
-		bp.capSlackVars = append(bp.capSlackVars, slack)
-		sp[si].capSlack = slack
-		sp[si].capRow = m.AddConstr(fmt.Sprintf("capacity[s%d]", si), capTerms, mip.GE, cr)
+		// The slack is always present (fill bounds it to the initial
+		// violation, so a clean incumbent pins it to [0,0]); keeping the
+		// column in place is what lets a patch re-open it when a delta breaks
+		// the capacity.
+		sp.capSlack = m.AddVar(fmt.Sprintf("capslack[s%d]", si), cfg.SoftPenalty, 0, 0)
+		m.MarkPenalty(sp.capSlack)
+		capTerms = append(capTerms, mip.Term{Var: sp.capSlack, Coef: 1})
+		sp.capRow = m.AddConstr(fmt.Sprintf("capacity[s%d]", si), capTerms, mip.GE, 0)
 
-		// (7) network affinity per DC, softened symmetrically.
+		// (7) network affinity per DC with eligible capacity, softened
+		// symmetrically: Σ − slack ≤ hi and Σ + slack ≥ lo.
 		if len(s.res.Policy.DCAffinity) > 0 {
-			theta := s.res.Policy.AffinityTheta
-			if exactZero(theta) {
-				theta = cfg.AffinityTheta
-			}
-			sp[si].affRow = make([][2]int, in.Region.NumDCs)
-			sp[si].affSlack = make([]mip.Var, in.Region.NumDCs)
-			for dc := 0; dc < in.Region.NumDCs; dc++ {
-				sp[si].affRow[dc] = [2]int{-1, -1}
-				sp[si].affSlack[dc] = -1
-				a, ok := s.res.Policy.DCAffinity[dc]
-				if !ok {
-					a = 0
-				}
-				terms, isum := sumTerms(dcGroups[dc])
+			sp.affRow = make([][2]int, bp.nDCs)
+			sp.affSlack = make([]mip.Var, bp.nDCs)
+			for dc := 0; dc < bp.nDCs; dc++ {
+				sp.affRow[dc] = [2]int{-1, -1}
+				sp.affSlack[dc] = -1
+				terms := sumTerms(dcGroups[dc])
 				if terms == nil {
-					if a > theta {
-						// Impossible affinity; leave to slack-free soft fail.
-						continue
-					}
 					continue
 				}
-				hi := a*cr + theta*cr
-				lo := a*cr - theta*cr
-				viol := math.Max(math.Max(0, isum-hi), math.Max(0, lo-isum))
-				// Soften with "no regress beyond the initial violation"
-				// semantics (§3.5.1), plus a two-server allowance for the
-				// discrete granularity of count variables: a hard row made
-				// purely of integer variables would leave rounding
-				// heuristics no room to breathe.
-				slackUB := viol + 2
-				sl := m.AddVar(fmt.Sprintf("affslack[s%d,d%d]", si, dc),
-					cfg.SoftPenalty, 0, slackUB)
+				sl := m.AddVar(fmt.Sprintf("affslack[s%d,d%d]", si, dc), cfg.SoftPenalty, 0, 0)
 				m.MarkPenalty(sl)
-				addVar(sl, viol)
-				bp.affSlackVars = append(bp.affSlackVars, sl)
-				sp[si].affSlack[dc] = sl
+				sp.affSlack[dc] = sl
 				up := append(append([]mip.Term(nil), terms...), mip.Term{Var: sl, Coef: -1})
-				hiRow := m.AddConstr(fmt.Sprintf("aff-hi[s%d,d%d]", si, dc), up, mip.LE, hi)
+				hiRow := m.AddConstr(fmt.Sprintf("aff-hi[s%d,d%d]", si, dc), up, mip.LE, 0)
 				dn := append(append([]mip.Term(nil), terms...), mip.Term{Var: sl, Coef: 1})
-				loRow := m.AddConstr(fmt.Sprintf("aff-lo[s%d,d%d]", si, dc), dn, mip.GE, lo)
-				sp[si].affRow[dc] = [2]int{hiRow, loRow}
+				loRow := m.AddConstr(fmt.Sprintf("aff-lo[s%d,d%d]", si, dc), dn, mip.GE, 0)
+				sp.affRow[dc] = [2]int{hiRow, loRow}
 			}
 		}
 	}
-	bp.sp = sp
-
-	m.SetInitial(initX)
-	bp.initX = initX
+	bp.initX = make([]float64, m.NumVars())
 	bp.rev = m.Revision()
-	stats.SolverBuild = clock.Since(t0)
-	return bp
 }
 
 // specCompatible reports whether a cached spec and a fresh one differ at
@@ -629,8 +588,8 @@ func specCompatible(old, cur *resSpec) bool {
 		}
 	}
 	p, q := &a.Policy, &b.Policy
-	if !exactEqual(p.SpreadMSB, q.SpreadMSB) || !exactEqual(p.SpreadRack, q.SpreadRack) ||
-		!exactEqual(p.AffinityTheta, q.AffinityTheta) || p.SingleDC != q.SingleDC {
+	if !floats.ExactEqual(p.SpreadMSB, q.SpreadMSB) || !floats.ExactEqual(p.SpreadRack, q.SpreadRack) ||
+		!floats.ExactEqual(p.AffinityTheta, q.AffinityTheta) || p.SingleDC != q.SingleDC {
 		return false
 	}
 	if len(p.DCAffinity) != len(q.DCAffinity) {
@@ -638,7 +597,7 @@ func specCompatible(old, cur *resSpec) bool {
 	}
 	for dc, f := range p.DCAffinity {
 		g, ok := q.DCAffinity[dc]
-		if !ok || !exactEqual(f, g) {
+		if !ok || !floats.ExactEqual(f, g) {
 			return false
 		}
 	}
@@ -671,33 +630,35 @@ func removeSorted(xs *[]topology.ServerID, id topology.ServerID) bool {
 }
 
 // patch tries to bring the cached model forward to the given input in
-// place, returning false when the change set breaks structure (the caller
-// then cold-rebuilds and the half-mutated cache is discarded). On success
-// the model is bit-for-bit what buildPhase would have produced: the change
-// set is re-derived by comparing snapshots rather than trusted from the
-// delta, and every mutation is either a bound flip, an RHS update, or a
-// warm-start value — never a new row, column, or coefficient.
+// place: re-bucket the servers whose state changed, detect structural drift,
+// and run the fill functions over the groups, cells and specs that were
+// touched. Any reason other than RebuildNone means the change set breaks
+// structure (the caller then cold-rebuilds and the half-mutated cache is
+// discarded). On success the model is bit-for-bit what buildPhase would have
+// produced: the change set is re-derived by comparing snapshots rather than
+// trusted from the delta, and the values written come from the same fill
+// functions the cold build runs.
 func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
-	targets []reservation.ID) bool {
+	targets []reservation.ID) RebuildReason {
 
 	// Structural prechecks: same config, topology, subset, and spec list.
 	if cfg != bp.cfg || in.Region != bp.region || bp.m.Revision() != bp.rev {
-		return false
+		return RebuildConfig
 	}
 	if len(in.States) != len(bp.states) || !serverIDsEqual(in.Subset, bp.subset) {
-		return false
+		return RebuildScope
 	}
 	if len(specs) != len(bp.specs) {
-		return false
+		return RebuildSpecCount
 	}
 	touchedSpec := make([]bool, len(specs))
 	for si := range specs {
 		if !specCompatible(&bp.specs[si], &specs[si]) {
-			return false
+			return RebuildSpecShape
 		}
-		if !exactEqual(bp.specs[si].res.RRUs, specs[si].res.RRUs) {
+		if !floats.ExactEqual(bp.specs[si].res.RRUs, specs[si].res.RRUs) {
 			if (specs[si].res.RRUs > 0) != (bp.specs[si].res.RRUs > 0) {
-				return false // active-spec flip changes which rows exist
+				return RebuildSpecActivation // changes which rows exist
 			}
 			bp.specs[si].res.RRUs = specs[si].res.RRUs
 			touchedSpec[si] = true
@@ -728,7 +689,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 		if bp.inPool[i] {
 			gi := int(bp.serverGroup[i])
 			if gi < 0 || !removeSorted(&bp.groups[gi].servers, id) {
-				return false
+				return RebuildCacheCorrupt
 			}
 			if si := bp.countSpec[i]; si >= 0 {
 				bp.initCount[gi][si]--
@@ -741,7 +702,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 		if inPool[i] {
 			gi, ok := bp.groupIdx[serverKey(in, id, bp.rackLevel, cfg.DisableSymmetry, wearAware)]
 			if !ok {
-				return false
+				return RebuildNewGroup
 			}
 			bp.groups[gi].servers = insertSorted(bp.groups[gi].servers, id)
 			bp.serverGroup[i] = int32(gi)
@@ -760,71 +721,76 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 		bp.inPool[i] = inPool[i]
 	}
 
-	// Group-level patches: count-variable upper bounds and assignment RHS.
 	for gi, touched := range groupTouched {
 		if !touched {
 			continue
 		}
-		g := bp.groups[gi]
-		if len(g.servers) == 0 {
-			return false // group vanished: cold build would drop it
+		if len(bp.groups[gi].servers) == 0 {
+			return RebuildEmptyGroup // cold build would drop it
 		}
-		live := float64(len(g.servers))
-		for si := range bp.specs {
-			if v := bp.nVar[gi][si]; v >= 0 {
-				bp.m.SetVarBounds(v, 0, live)
-			}
-		}
-		if r := bp.assignRow[gi]; r >= 0 {
-			bp.m.SetRHS(r, live)
-		}
+		bp.fillGroup(gi)
 	}
-
-	// Cell-level patches: move-hinge RHS and warm-start counts. A hinge
-	// appearing (X 0→positive) or vanishing (positive→0) is structural.
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	var prev [2]int32 = [2]int32{-1, -1}
+	// A hinge appearing (X 0→positive) or vanishing (positive→0) is
+	// structural; a cell touched twice is filled twice with the same values.
 	for _, p := range pairs {
-		if p == prev {
-			continue
-		}
-		prev = p
 		gi, si := int(p[0]), int(p[1])
-		x0 := bp.initCount[gi][si]
-		if (x0 > 0) != (bp.moveVar[gi][si] >= 0) {
-			return false
+		if (bp.initCount[gi][si] > 0) != (bp.moveVar[gi][si] >= 0) {
+			return RebuildHinge
 		}
-		if r := bp.moveRow[gi][si]; r >= 0 {
-			bp.m.SetRHS(r, x0)
-		}
-		bp.initX[bp.nVar[gi][si]] = x0
+		bp.fillCell(gi, si)
 		touchedSpec[si] = true
 	}
-
-	// Spec-level patches: envelope/spread/capacity/affinity RHS, slack
-	// bounds, and warm-start values for every spec whose demand or initial
-	// counts moved.
 	for si := range bp.specs {
 		if touchedSpec[si] && bp.sp[si].active {
-			bp.refreshSpec(si)
+			bp.fillSpec(si)
 		}
 	}
 	bp.m.SetInitial(bp.initX)
-	return true
+	return RebuildNone
 }
 
-// refreshSpec recomputes one active spec's demand-dependent rows exactly as
-// the cold build would: per-scope initial sums are accumulated in ascending
-// group order so every float matches bit-for-bit.
-func (bp *builtPhase) refreshSpec(si int) {
+// The three fill functions below are the only code that writes variable
+// bounds, right-hand sides and warm-start values. Each value is derived on
+// one line here and nowhere else; buildPhase runs them over everything,
+// patch over what a delta touched.
+
+// fillGroup writes what depends on the group's size |g| alone: the upper
+// bound of each of its count variables and the assignment row's RHS
+// (expression 5).
+func (bp *builtPhase) fillGroup(gi int) {
+	size := float64(len(bp.groups[gi].servers))
+	for _, v := range bp.nVar[gi] {
+		if v >= 0 {
+			bp.m.SetVarBounds(v, 0, size)
+		}
+	}
+	if r := bp.assignRow[gi]; r >= 0 {
+		bp.m.SetRHS(r, size)
+	}
+}
+
+// fillCell writes what depends on one cell's initial count X_{g,s}: the
+// count variable's warm-start value and, where X > 0, the move hinge
+// max(0, X − n) of expression 1 — its RHS, and a warm value of zero because
+// the warm start keeps all X servers. The cell must have a count variable.
+func (bp *builtPhase) fillCell(gi, si int) {
+	x0 := bp.initCount[gi][si]
+	bp.initX[bp.nVar[gi][si]] = x0
+	if r := bp.moveRow[gi][si]; r >= 0 {
+		bp.m.SetRHS(r, x0)
+		bp.initX[bp.moveVar[gi][si]] = 0
+	}
+}
+
+// fillSpec writes what depends on one active spec's demand C_r and on its
+// initial sums Σ V·X per scope: the envelope's warm value, the MSB- and
+// rack-spread hinges (RHS −α·C, expressions 3 and 2), the capacity row (RHS
+// C, slack bounded by the initial violation, expression 6) and the per-DC
+// affinity rows (a·C ± θ·C, expression 7). Sums accumulate in ascending
+// group order — the order of the rows' terms.
+func (bp *builtPhase) fillSpec(si int) {
 	s := &bp.specs[si]
 	sp := &bp.sp[si]
-	cfg := bp.cfg
 	cr := s.res.RRUs
 
 	initTotal := 0.0
@@ -843,47 +809,25 @@ func (bp *builtPhase) refreshSpec(si int) {
 		}
 		dsum[g.dc] += v
 	}
-
-	initEnv := 0.0
-	if sp.env >= 0 {
-		for _, v := range msum {
-			if v > initEnv {
-				initEnv = v
-			}
-		}
-		bp.initX[sp.env] = initEnv
-	}
-	if !s.isBuffer {
-		alphaF := s.res.Policy.SpreadMSB
-		if exactZero(alphaF) {
-			alphaF = cfg.AlphaMSB
-		}
-		for k := range bp.msbs {
-			row := sp.spreadRow[k]
-			if row < 0 {
-				continue
-			}
-			bp.m.SetRHS(row, -alphaF*cr)
-			bp.initX[sp.spreadVar[k]] = math.Max(0, msum[k]-alphaF*cr)
-		}
-		if bp.rackLevel {
-			alphaK := s.res.Policy.SpreadRack
-			if exactZero(alphaK) {
-				alphaK = cfg.AlphaRack
-			}
-			for k := range bp.racks {
-				row := sp.rackRow[k]
-				if row < 0 {
-					continue
-				}
-				bp.m.SetRHS(row, -alphaK*cr)
-				bp.initX[sp.rackVar[k]] = math.Max(0, rsum[k]-alphaK*cr)
+	// hinges fills one family of β · max(0, Σ_scope − α·C) rows.
+	hinges := func(rows []int, vars []mip.Var, sums []float64, alpha float64) {
+		for k, row := range rows {
+			if row >= 0 {
+				bp.m.SetRHS(row, -alpha*cr)
+				bp.initX[vars[k]] = math.Max(0, sums[k]-alpha*cr)
 			}
 		}
 	}
+	hinges(sp.spreadRow, sp.spreadVar, msum, s.alphaF)
+	hinges(sp.rackRow, sp.rackVar, rsum, s.alphaK)
 
 	initLHS := initTotal
 	if sp.env >= 0 {
+		initEnv := 0.0
+		for _, v := range msum {
+			initEnv = math.Max(initEnv, v)
+		}
+		bp.initX[sp.env] = initEnv
 		initLHS -= initEnv
 	}
 	violation := math.Max(0, cr-initLHS)
@@ -891,23 +835,21 @@ func (bp *builtPhase) refreshSpec(si int) {
 	bp.m.SetVarBounds(sp.capSlack, 0, violation)
 	bp.initX[sp.capSlack] = violation
 
-	if len(s.res.Policy.DCAffinity) > 0 {
-		theta := s.res.Policy.AffinityTheta
-		if exactZero(theta) {
-			theta = cfg.AffinityTheta
+	for dc, rows := range sp.affRow {
+		if rows[0] < 0 {
+			continue
 		}
-		for dc := 0; dc < bp.nDCs; dc++ {
-			if sp.affRow[dc][0] < 0 {
-				continue
-			}
-			a := s.res.Policy.DCAffinity[dc]
-			hi := a*cr + theta*cr
-			lo := a*cr - theta*cr
-			viol := math.Max(math.Max(0, dsum[dc]-hi), math.Max(0, lo-dsum[dc]))
-			bp.m.SetVarBounds(sp.affSlack[dc], 0, viol+2)
-			bp.initX[sp.affSlack[dc]] = viol
-			bp.m.SetRHS(sp.affRow[dc][0], hi)
-			bp.m.SetRHS(sp.affRow[dc][1], lo)
-		}
+		a := s.res.Policy.DCAffinity[dc]
+		hi := a*cr + s.theta*cr
+		lo := a*cr - s.theta*cr
+		viol := math.Max(math.Max(0, dsum[dc]-hi), math.Max(0, lo-dsum[dc]))
+		// "No regress beyond the initial violation" (§3.5.1), plus a
+		// two-server allowance for the discrete granularity of count
+		// variables: a hard row made purely of integer variables would leave
+		// rounding heuristics no room to breathe.
+		bp.m.SetVarBounds(sp.affSlack[dc], 0, viol+2)
+		bp.initX[sp.affSlack[dc]] = viol
+		bp.m.SetRHS(rows[0], hi)
+		bp.m.SetRHS(rows[1], lo)
 	}
 }

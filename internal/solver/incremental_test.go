@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ras/internal/broker"
+	"ras/internal/floats"
 	"ras/internal/hardware"
 	"ras/internal/metrics"
 	"ras/internal/reservation"
@@ -24,6 +25,8 @@ type mutator struct {
 	region *topology.Region
 	live   []reservation.ID
 	now    int64
+	// created counts structural creates, cycling their policy kinds.
+	created int
 }
 
 func newMutator(t *testing.T, region *topology.Region, seed int64, nRes int) *mutator {
@@ -34,20 +37,15 @@ func newMutator(t *testing.T, region *topology.Region, seed int64, nRes int) *mu
 		st:     reservation.NewStore(),
 		region: region,
 	}
-	classes := []hardware.Class{hardware.Web, hardware.Feed1, hardware.DataStore}
 	for i := 0; i < nRes; i++ {
-		id, err := m.st.Create(reservation.Reservation{
-			Name:   "res",
-			Class:  classes[i%len(classes)],
-			RRUs:   4 + float64(i%5)*3,
-			Policy: reservation.DefaultPolicy(),
-		})
+		id, err := m.st.Create(m.reservationOfKind(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.live = append(m.live, id)
 	}
-	// Seed a plausible current assignment so move hinges exist.
+	// Seed a plausible current assignment so move hinges exist, and a spread
+	// of flash wear so wear-aware configs split groups by bucket.
 	for i := range region.Servers {
 		if i%3 != 0 {
 			m.b.SetCurrent(topology.ServerID(i), m.live[i%len(m.live)])
@@ -55,26 +53,73 @@ func newMutator(t *testing.T, region *topology.Region, seed int64, nRes int) *mu
 		if i%4 == 0 {
 			m.b.SetContainers(topology.ServerID(i), 2)
 		}
+		if i%5 == 0 {
+			m.b.SetFlashWear(topology.ServerID(i), 0.3*float64(i%4))
+		}
 	}
 	return m
 }
 
-// step applies 1–3 random non-structural mutations (fail, revive, resize,
-// container churn, rebinding). When structural is true it also creates or
-// deletes a reservation, which must force a fallback rebuild.
+// reservationOfKind cycles through every policy kind the model has a branch
+// for: default rate-based, DC affinity (own θ and default θ), SingleDC,
+// count-based over the flash types only, and per-reservation spread limits.
+func (m *mutator) reservationOfKind(i int) reservation.Reservation {
+	classes := []hardware.Class{hardware.Web, hardware.Feed1, hardware.DataStore}
+	r := reservation.Reservation{
+		Name:   "res",
+		Class:  classes[i%len(classes)],
+		RRUs:   4 + float64(i%5)*3,
+		Policy: reservation.DefaultPolicy(),
+	}
+	nDC := m.region.NumDCs
+	switch i % 6 {
+	case 1:
+		r.Policy.DCAffinity = map[int]float64{0: 1}
+		if nDC > 1 {
+			r.Policy.DCAffinity = map[int]float64{0: 0.75, 1: 0.25}
+		}
+		r.Policy.AffinityTheta = 0.1
+	case 2:
+		r.Policy.SingleDC = i % nDC
+	case 3:
+		r.Class = hardware.DataStore
+		r.CountBased = true
+		cat := m.region.Catalog
+		for ti := 0; ti < cat.Len(); ti++ {
+			if cat.Type(ti).FlashTB > 0 {
+				r.EligibleTypes = append(r.EligibleTypes, ti)
+			}
+		}
+	case 4:
+		r.Policy.SpreadMSB = 0.5
+		r.Policy.SpreadRack = 0.25
+	case 5:
+		r.Policy.DCAffinity = map[int]float64{nDC - 1: 1}
+	}
+	return r
+}
+
+// step applies 1–3 random non-structural mutations (fail, revive, resize —
+// now and then to zero, container churn, rebinding, flash wear). When
+// structural is true it also creates and/or deletes a reservation, which must
+// force a fallback rebuild.
 func (m *mutator) step(structural bool) {
 	m.now++
 	n := 1 + m.rng.Intn(3)
 	for i := 0; i < n; i++ {
 		id := topology.ServerID(m.rng.Intn(len(m.region.Servers)))
-		switch m.rng.Intn(5) {
+		switch m.rng.Intn(6) {
 		case 0:
 			m.b.SetUnavailable(id, broker.RandomFailure, m.now, m.now+1000)
 		case 1:
 			m.b.ClearUnavailable(id, m.now)
 		case 2:
 			res := m.live[m.rng.Intn(len(m.live))]
-			_ = m.st.Resize(res, 2+float64(m.rng.Intn(12)))
+			rrus := 2 + float64(m.rng.Intn(12))
+			if m.rng.Intn(8) == 0 {
+				rrus = 0
+			}
+			_ = m.st.Resize(res, rrus)
 		case 3:
 			if m.b.State(id).Containers > 0 {
 				m.b.SetContainers(id, 0)
@@ -83,21 +128,23 @@ func (m *mutator) step(structural bool) {
 			}
 		case 4:
 			m.b.SetCurrent(id, m.live[m.rng.Intn(len(m.live))])
+		case 5:
+			m.b.SetFlashWear(id, m.rng.Float64())
 		}
 	}
 	if structural {
-		if len(m.live) > 2 && m.rng.Intn(2) == 0 {
+		// 0: delete, 1: create, 2: both (same spec count, different identity).
+		op := m.rng.Intn(3)
+		if op != 1 && len(m.live) > 2 {
 			k := m.rng.Intn(len(m.live))
 			_ = m.st.Delete(m.live[k])
 			m.live = append(m.live[:k], m.live[k+1:]...)
-		} else {
-			id, err := m.st.Create(reservation.Reservation{
-				Name:   "grown",
-				Class:  hardware.Web,
-				RRUs:   5,
-				Policy: reservation.DefaultPolicy(),
-			})
-			if err == nil {
+		}
+		if op != 0 {
+			m.created++
+			r := m.reservationOfKind(m.created)
+			r.Name = "grown"
+			if id, err := m.st.Create(r); err == nil {
 				m.live = append(m.live, id)
 			}
 		}
@@ -131,22 +178,35 @@ func (dt *deltaTracker) input(m *mutator, withDelta bool) (Input, func()) {
 // every random delta, a cache patched in place must be bit-for-bit identical
 // to a cold rebuild of the same input — model fingerprint, group structure,
 // and initial counts. Rounds whose delta breaks structure must report so via
-// patch() == false rather than produce a wrong model.
+// patch() != RebuildNone rather than produce a wrong model, and across the
+// three streams every reason a mutation stream can cause must fire
+// (TestRebuildReasonsOffStream covers the rest).
 func TestPatchMatchesColdRebuild(t *testing.T) {
+	var reasons [NumRebuildReasons]int
+	defer func() {
+		for _, r := range []RebuildReason{RebuildSpecCount, RebuildSpecShape, RebuildSpecActivation,
+			RebuildNewGroup, RebuildEmptyGroup} {
+			if reasons[r] == 0 && !t.Failed() {
+				t.Errorf("mutation streams never caused a %v rebuild (tally %v)", r, reasons)
+			}
+		}
+	}()
 	for _, tc := range []struct {
 		name      string
 		rackLevel bool
 		buffer    float64
+		wear      float64
 	}{
-		{"phase1", false, -1},
-		{"phase1-buffer", false, 0.02},
-		{"rack", true, -1},
+		{"phase1", false, -1, 0},
+		{"phase1-buffer", false, 0.02, 2},
+		{"rack", true, -1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			region := testRegion(t, 2, 2, 4, 6, 41)
+			region := testRegion(t, 2, 2, 4, 12, 41)
 			m := newMutator(t, region, 42, 6)
 			cfg := fastCfg()
 			cfg.SharedBufferFraction = tc.buffer
+			cfg.WearPenalty = tc.wear
 			cfg = cfg.withDefaults(region)
 
 			var cached *builtPhase
@@ -159,18 +219,14 @@ func TestPatchMatchesColdRebuild(t *testing.T) {
 				in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
 				specs := buildSpecs(in, cfg)
 				pool := usableServers(in)
-				targets := make([]reservation.ID, len(region.Servers))
-				for i := range targets {
-					targets[i] = reservation.Unassigned
-					if tc.rackLevel && i%2 == 0 && !unusable(&states[i]) {
-						targets[i] = states[i].Current
-					}
-				}
+				targets := fixtureTargets(states, tc.rackLevel)
 
 				var cold PhaseStats
 				want := buildPhase(in, cfg, specs, pool, targets, tc.rackLevel, &cold)
 				if cached != nil {
-					if cached.patch(in, cfg, specs, pool, targets) {
+					why := cached.patch(in, cfg, specs, pool, targets)
+					reasons[why]++
+					if why == RebuildNone {
 						patches++
 						if got, w := cached.m.Fingerprint(), want.m.Fingerprint(); got != w {
 							t.Fatalf("round %d: patched fingerprint %x != cold %x", round, got, w)
@@ -197,6 +253,20 @@ func TestPatchMatchesColdRebuild(t *testing.T) {
 	}
 }
 
+// fixtureTargets stands in for phase-1 output: all Unassigned in phase 1; at
+// rack level every other usable server keeps its current reservation, so
+// rack-level initial counts and move hinges exist.
+func fixtureTargets(states []broker.ServerState, rackLevel bool) []reservation.ID {
+	targets := make([]reservation.ID, len(states))
+	for i := range targets {
+		targets[i] = reservation.Unassigned
+		if rackLevel && i%2 == 0 && !unusable(&states[i]) {
+			targets[i] = states[i].Current
+		}
+	}
+	return targets
+}
+
 func compareStructure(t *testing.T, round int, got, want *builtPhase) {
 	t.Helper()
 	if len(got.groups) != len(want.groups) {
@@ -217,7 +287,7 @@ func compareStructure(t *testing.T, round int, got, want *builtPhase) {
 			}
 		}
 		for si := range got.specs {
-			if !exactEqual(got.initCount[gi][si], want.initCount[gi][si]) {
+			if !floats.ExactEqual(got.initCount[gi][si], want.initCount[gi][si]) {
 				t.Fatalf("round %d: initCount[%d][%d] = %v, cold %v",
 					round, gi, si, got.initCount[gi][si], want.initCount[gi][si])
 			}
@@ -267,11 +337,11 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 		if resA.Phase1.ModelPatched {
 			patchedRounds++
 		}
-		if !exactEqual(resA.Phase1.Objective, resB.Phase1.Objective) {
+		if !floats.ExactEqual(resA.Phase1.Objective, resB.Phase1.Objective) {
 			t.Fatalf("round %d: phase-1 objective %v (delta) != %v (cold)",
 				round, resA.Phase1.Objective, resB.Phase1.Objective)
 		}
-		if !exactEqual(resA.Phase2.Objective, resB.Phase2.Objective) {
+		if !floats.ExactEqual(resA.Phase2.Objective, resB.Phase2.Objective) {
 			t.Fatalf("round %d: phase-2 objective %v (delta) != %v (cold)",
 				round, resA.Phase2.Objective, resB.Phase2.Objective)
 		}
@@ -373,7 +443,7 @@ func TestPatchRepeatDeterministic(t *testing.T) {
 			for i := range targets {
 				targets[i] = reservation.Unassigned
 			}
-			if cached == nil || !cached.patch(in, cfg, specs, pool, targets) {
+			if cached == nil || cached.patch(in, cfg, specs, pool, targets) != RebuildNone {
 				var stats PhaseStats
 				cached = buildPhase(in, cfg, specs, pool, targets, false, &stats)
 			}
@@ -418,4 +488,83 @@ func TestPatchedModelSolves(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRebuildReasonsForced fires, on purpose, the rebuild reasons a mutation
+// stream over one phase's patch cannot reach: a changed config or scope, a
+// corrupted cache, a rack-level hinge flip (phase 1 groups by Current, so
+// there a cell's X only reaches zero with its group), and the two reasons
+// solvePhase decides before patch runs.
+func TestRebuildReasonsForced(t *testing.T) {
+	region := testRegion(t, 2, 2, 4, 12, 51)
+	m := newMutator(t, region, 52, 6)
+	cfg := fastCfg().withDefaults(region)
+	states, v := m.b.SnapshotAt()
+	in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+	specs := buildSpecs(in, cfg)
+	pool := usableServers(in)
+	unassigned := fixtureTargets(states, false)
+	build := func(rackLevel bool) *builtPhase {
+		var stats PhaseStats
+		return buildPhase(in, cfg, specs, pool, unassigned, rackLevel, &stats)
+	}
+	expect := func(name string, got, want RebuildReason) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: rebuild reason %v, want %v", name, got, want)
+		}
+	}
+
+	expect("unchanged input", build(false).patch(in, cfg, specs, pool, unassigned), RebuildNone)
+
+	cfg2 := cfg
+	cfg2.Beta++
+	expect("config", build(false).patch(in, cfg2, buildSpecs(in, cfg2), pool, unassigned), RebuildConfig)
+
+	in2 := in
+	in2.Subset = pool[:len(pool)/2]
+	expect("scope", build(false).patch(in2, cfg, specs, in2.Subset, unassigned), RebuildScope)
+
+	// A pooled server whose state changed but whose group the cache forgot.
+	moved := pool[0]
+	in3 := in
+	in3.States = append([]broker.ServerState(nil), states...)
+	in3.States[moved].Containers++
+	bp := build(false)
+	bp.serverGroup[moved] = -1
+	expect("corrupt cache", bp.patch(in3, cfg, specs, pool, unassigned), RebuildCacheCorrupt)
+
+	// Rack level: every X is zero under all-Unassigned targets, so targeting
+	// one bound server at its own reservation makes a hinge appear.
+	targets := append([]reservation.ID(nil), unassigned...)
+	for _, id := range pool {
+		if cur := states[id].Current; cur != reservation.Unassigned {
+			targets[id] = cur
+			break
+		}
+	}
+	expect("hinge", build(true).patch(in, cfg, specs, pool, targets), RebuildHinge)
+
+	// solvePhase's own reasons, through the public entry point.
+	cfg.SetupOnly = true
+	var dt deltaTracker
+	in0, commit := dt.input(m, true)
+	res0, err := SolveWarm(context.Background(), in0, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit()
+	expect("no delta", res0.Phase1.Rebuild, RebuildNone)
+	m.step(true)
+	in1, _ := dt.input(m, true)
+	res1, err := SolveWarm(context.Background(), in1, cfg, res0.Warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("create/delete", res1.Phase1.Rebuild, RebuildReservationSet)
+	res2, err := SolveWarm(context.Background(), in1, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("delta without a cache", res2.Phase1.Rebuild, RebuildNoCache)
 }

@@ -107,7 +107,6 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 type resView struct {
 	spec    resSpec
 	cr      float64
-	alphaF  float64
 	sumMSB  []float64
 	total   float64
 	members [][]topology.ServerID // per MSB, ascending
@@ -134,7 +133,7 @@ func (v *resView) localCost(cfg Config) (cost, sq float64) {
 		if s > env {
 			env = s
 		}
-		spread += cfg.Beta * math.Max(0, s-v.alphaF*v.cr)
+		spread += cfg.Beta * math.Max(0, s-v.spec.alphaF*v.cr)
 		sq += s * s
 	}
 	return spread + cfg.Tau*env + cfg.SoftPenalty*math.Max(0, v.cr-(v.total-env)), sq
@@ -144,15 +143,11 @@ func (v *resView) localCost(cfg Config) (cost, sq float64) {
 // targets: per-MSB loads and sorted member lists over usable servers the
 // spec values. Every per-type shared-buffer spec shares the SharedBuffer
 // target ID; the specValue filter keeps each view on its own type.
-func buildView(in Input, cfg Config, targets []reservation.ID, spec resSpec) *resView {
+func buildView(in Input, targets []reservation.ID, spec resSpec) *resView {
 	v := &resView{
 		spec:   spec,
 		cr:     spec.res.RRUs,
-		alphaF: spec.res.Policy.SpreadMSB,
 		sumMSB: make([]float64, in.Region.NumMSBs),
-	}
-	if exactZero(v.alphaF) {
-		v.alphaF = cfg.AlphaMSB
 	}
 	v.members = make([][]topology.ServerID, in.Region.NumMSBs)
 	for i := range in.Region.Servers {
@@ -176,7 +171,7 @@ func buildView(in Input, cfg Config, targets []reservation.ID, spec resSpec) *re
 func repairSpec(in Input, cfg Config, targets []reservation.ID,
 	spec resSpec, free []topology.ServerID, stats *RepairStats) []topology.ServerID {
 
-	v := buildView(in, cfg, targets, spec)
+	v := buildView(in, targets, spec)
 
 	// value/moveCost/wearCost of a single server under this reservation.
 	value := func(id topology.ServerID) float64 {
@@ -322,7 +317,7 @@ func repairSpec(in Input, cfg Config, targets []reservation.ID,
 		dv := donorViews[id]
 		if dv == nil {
 			d := donorOf[id]
-			dv = buildView(in, cfg, targets, resSpec{res: *d, outID: d.ID, countBased: d.CountBased})
+			dv = buildView(in, targets, newSpec(*d, cfg, false))
 			donorViews[id] = dv
 		}
 		return dv

@@ -30,12 +30,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
 	"ras/internal/broker"
 	"ras/internal/clock"
+	"ras/internal/floats"
 	"ras/internal/hardware"
 	"ras/internal/lp"
 	"ras/internal/metrics"
@@ -44,20 +44,12 @@ import (
 	"ras/internal/topology"
 )
 
-// debugSlack logs residual soft-constraint slack per reservation when the
-// RAS_DEBUG_SLACK environment variable is set — a production-style
-// visibility hook (§5.3: explain capacity decisions to service owners).
-var debugSlack = os.Getenv("RAS_DEBUG_SLACK") != ""
-
-// exactZero reports whether v is exactly zero — the zero-value "knob unset"
-// sentinel in Config and Policy fields. A raslint floatcmp designated
-// helper.
-func exactZero(v float64) bool { return v == 0 }
-
-// exactEqual reports whether a and b are exactly equal, for values copied
-// from the same store (per-reservation excess tallies used as sort keys).
-// A raslint floatcmp designated helper.
-func exactEqual(a, b float64) bool { return a == b }
+// Phase-2 selection limits (§3.5.2). Production refines 10% of reservations
+// under a 5M-variable cap; nothing here has needed other values.
+const (
+	phase2MaxVars     = 20000 // cap on phase-2 assignment variables
+	phase2ResFraction = 0.1   // share of reservations refined in phase 2
+)
 
 // Config tunes the solver. Zero values select documented defaults.
 type Config struct {
@@ -98,12 +90,6 @@ type Config struct {
 	// StallGap is the absolute-gap ceiling for the stall rule, in objective
 	// units (one in-use preemption costs MoveCostInUse). Zero disables it.
 	StallGap float64
-	// Phase2MaxVars caps phase-2 assignment variables (production: 5M).
-	// Zero = 20000.
-	Phase2MaxVars int
-	// Phase2ResFraction is the share of reservations refined in phase 2
-	// (production: 10%). Zero = 0.1.
-	Phase2ResFraction float64
 	// DisableRackPhase skips phase 2 entirely.
 	DisableRackPhase bool
 	// DisableSymmetry turns off equivalence-class grouping: every server
@@ -142,28 +128,28 @@ type Config struct {
 }
 
 func (c Config) withDefaults(region *topology.Region) Config {
-	if exactZero(c.AlphaMSB) {
+	if floats.ExactZero(c.AlphaMSB) {
 		c.AlphaMSB = clamp(1.5/float64(max(region.NumMSBs, 1)), 0.05, 1)
 	}
-	if exactZero(c.AlphaRack) {
+	if floats.ExactZero(c.AlphaRack) {
 		c.AlphaRack = clamp(4/float64(max(region.NumRacks, 1)), 0.01, 1)
 	}
-	if exactZero(c.Beta) {
+	if floats.ExactZero(c.Beta) {
 		c.Beta = 3
 	}
-	if exactZero(c.Tau) {
+	if floats.ExactZero(c.Tau) {
 		c.Tau = 3
 	}
-	if exactZero(c.MoveCostInUse) {
+	if floats.ExactZero(c.MoveCostInUse) {
 		c.MoveCostInUse = 10
 	}
-	if exactZero(c.MoveCostIdle) {
+	if floats.ExactZero(c.MoveCostIdle) {
 		c.MoveCostIdle = 1
 	}
-	if exactZero(c.SoftPenalty) {
+	if floats.ExactZero(c.SoftPenalty) {
 		c.SoftPenalty = 1000
 	}
-	if exactZero(c.AffinityTheta) {
+	if floats.ExactZero(c.AffinityTheta) {
 		c.AffinityTheta = 0.05
 	}
 	if c.Phase1TimeLimit == 0 {
@@ -175,13 +161,7 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 400
 	}
-	if c.Phase2MaxVars == 0 {
-		c.Phase2MaxVars = 20000
-	}
-	if exactZero(c.Phase2ResFraction) {
-		c.Phase2ResFraction = 0.1
-	}
-	if exactZero(c.SharedBufferFraction) {
+	if floats.ExactZero(c.SharedBufferFraction) {
 		c.SharedBufferFraction = 0.02
 	}
 	return c
@@ -298,6 +278,10 @@ type PhaseStats struct {
 	// means all initially broken constraints were fixed. Unserviceable
 	// requests contribute their full shortfall.
 	SoftSlack float64
+	// ResidualSlack names the softened rows the solution leaves violated by
+	// more than 1e-6, capacity rows first, then affinity rows, each in spec
+	// order (§5.3: explain capacity decisions to service owners).
+	ResidualSlack []SlackResidual
 	// Unserviceable lists reservations no usable server can serve at all
 	// (e.g. a SingleDC policy pointing at a datacenter with no eligible
 	// hardware). Surfacing the reason is a §5.3 operability requirement:
@@ -323,12 +307,21 @@ type PhaseStats struct {
 	// from the previous round's cache instead of rebuilt; RASBuild and
 	// InitialState are then zero and SolverBuild is the patch time.
 	ModelPatched bool
+	// Rebuild says why a round that carried a Delta rebuilt this phase's
+	// model all the same; RebuildNone when it was patched or no Delta asked.
+	Rebuild RebuildReason
 	// Workers is the resolved branch-and-bound worker count the phase ran
 	// with; IncumbentUpdates and HeuristicWins break down where its
 	// incumbents came from (see mip.Result).
 	Workers          int
 	IncumbentUpdates int
 	HeuristicWins    int
+}
+
+// SlackResidual is one softened row's remaining violation.
+type SlackResidual struct {
+	Row    string // "capacity[<reservation>]" or "affinity[<reservation>,dc<k>]"
+	Amount float64
 }
 
 // Total reports the phase's wall-clock total.
@@ -376,6 +369,10 @@ type resSpec struct {
 	outID      reservation.ID // ID written to Targets
 	countBased bool
 	isBuffer   bool
+	// alphaF, alphaK and theta are αF, αK and θ as the model uses them: the
+	// reservation's policy value, or the Config default where the policy
+	// leaves it zero (resolved by newSpec).
+	alphaF, alphaK, theta float64
 }
 
 // group is one symmetry equivalence class: servers indistinguishable to the
@@ -467,7 +464,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 	// ---- Phase 2: rack goals for the worst reservations. ----------------
 	// A cancelled phase 1 skips it: the caller asked the whole round to stop.
 	if !cfg.DisableRackPhase && !cfg.RackGoalsInPhase1 && ctx.Err() == nil {
-		subset := pickPhase2(in, cfg, specs, res.Targets)
+		subset := pickPhase2(in, specs, res.Targets)
 		if len(subset) > 0 {
 			sub := make(map[reservation.ID]bool, len(subset))
 			var specs2 []resSpec
@@ -556,7 +553,7 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 		if r.Elastic {
 			continue
 		}
-		specs = append(specs, resSpec{res: r, outID: r.ID, countBased: r.CountBased})
+		specs = append(specs, newSpec(r, cfg, false))
 	}
 	if cfg.SharedBufferFraction > 0 {
 		// Size per-type buffers proportionally to the usable fleet mix,
@@ -605,23 +602,38 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 			if want <= 0 {
 				continue
 			}
-			specs = append(specs, resSpec{
-				res: reservation.Reservation{
-					ID:            reservation.SharedBuffer,
-					Name:          "shared-buffer/" + in.Region.Catalog.Type(t).ID,
-					Class:         hardware.FleetAvg,
-					RRUs:          want,
-					EligibleTypes: []int{t},
-					CountBased:    true,
-					Policy:        reservation.DefaultPolicy(),
-				},
-				outID:      reservation.SharedBuffer,
-				countBased: true,
-				isBuffer:   true,
-			})
+			specs = append(specs, newSpec(reservation.Reservation{
+				ID:            reservation.SharedBuffer,
+				Name:          "shared-buffer/" + in.Region.Catalog.Type(t).ID,
+				Class:         hardware.FleetAvg,
+				RRUs:          want,
+				EligibleTypes: []int{t},
+				CountBased:    true,
+				Policy:        reservation.DefaultPolicy(),
+			}, cfg, true))
 		}
 	}
 	return specs
+}
+
+// newSpec wraps a reservation as a model spec. It is the one place the
+// zero-means-default policy knobs αF, αK and θ are resolved against cfg
+// (which must already carry its own defaults).
+func newSpec(r reservation.Reservation, cfg Config, isBuffer bool) resSpec {
+	return resSpec{
+		res: r, outID: r.ID, countBased: r.CountBased, isBuffer: isBuffer,
+		alphaF: orDefault(r.Policy.SpreadMSB, cfg.AlphaMSB),
+		alphaK: orDefault(r.Policy.SpreadRack, cfg.AlphaRack),
+		theta:  orDefault(r.Policy.AffinityTheta, cfg.AffinityTheta),
+	}
+}
+
+// orDefault resolves a zero-means-unset knob.
+func orDefault(v, def float64) float64 {
+	if floats.ExactZero(v) {
+		return def
+	}
+	return v
 }
 
 // unusable reports whether a server must be filtered out of the solve: the
@@ -698,17 +710,18 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 
 	// ---------------- Incremental build: patch or rebuild. ----------------
 	bp := cached
-	patched := false
 	if in.Delta != nil {
 		switch {
 		case bp == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
+			out.stats.Rebuild = RebuildNoCache
 			metrics.Solver.ModelPatchMisses.Add(1)
 		case in.Delta.structural():
+			out.stats.Rebuild = RebuildReservationSet
 			metrics.Solver.FallbackRebuilds.Add(1)
 		default:
 			t0 := clock.Now()
-			patched = bp.patch(in, cfg, specs, pool, targets)
-			if patched {
+			out.stats.Rebuild = bp.patch(in, cfg, specs, pool, targets)
+			if out.stats.Rebuild == RebuildNone {
 				out.stats.SolverBuild = clock.Since(t0)
 				out.stats.ModelPatched = true
 				metrics.Solver.ModelPatchHits.Add(1)
@@ -717,7 +730,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 			}
 		}
 	}
-	if !patched {
+	if !out.stats.ModelPatched {
 		bp = buildPhase(in, cfg, specs, pool, targets, rackLevel, &out.stats)
 	}
 	bp.statesVersion = in.StatesVersion
@@ -800,14 +813,24 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 			}
 		}
 		out.counts = counts
-		for _, sv := range bp.capSlackVars {
+		residual := func(sv mip.Var, format string, args ...any) {
 			out.stats.SoftSlack += r.X[sv]
-			if debugSlack && r.X[sv] > 1e-6 {
-				fmt.Printf("SLACK %s = %.3f\n", m.VarName(sv), r.X[sv])
+			if r.X[sv] > 1e-6 {
+				out.stats.ResidualSlack = append(out.stats.ResidualSlack,
+					SlackResidual{Row: fmt.Sprintf(format, args...), Amount: r.X[sv]})
 			}
 		}
-		for _, sv := range bp.affSlackVars {
-			out.stats.SoftSlack += r.X[sv]
+		for si := range bp.sp {
+			if bp.sp[si].active {
+				residual(bp.sp[si].capSlack, "capacity[%s]", specs[si].res.Name)
+			}
+		}
+		for si := range bp.sp {
+			for dc, sv := range bp.sp[si].affSlack {
+				if sv >= 0 {
+					residual(sv, "affinity[%s,dc%d]", specs[si].res.Name, dc)
+				}
+			}
 		}
 	}
 	return out, bp
@@ -902,7 +925,7 @@ func realize(in Input, specs []resSpec, p *phaseOutput, targets []reservation.ID
 // pickPhase2 selects the reservations with the worst rack-level objectives
 // for phase-2 refinement, under the variable cap (§3.5.2). It returns a set
 // of output reservation IDs (possibly including reservation.SharedBuffer).
-func pickPhase2(in Input, cfg Config, specs []resSpec, targets []reservation.ID) map[reservation.ID]bool {
+func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reservation.ID]bool {
 	cat := in.Region.Catalog
 
 	// Rack-level RRU load per output reservation from the phase-1 targets.
@@ -919,11 +942,7 @@ func pickPhase2(in Input, cfg Config, specs []resSpec, targets []reservation.ID)
 		crByID[s.outID] += s.res.RRUs
 		classByID[s.outID] = s.res.Class
 		countBased[s.outID] = s.countBased
-		a := s.res.Policy.SpreadRack
-		if exactZero(a) {
-			a = cfg.AlphaRack
-		}
-		alphaByID[s.outID] = a
+		alphaByID[s.outID] = s.alphaK
 	}
 	for i := range in.Region.Servers {
 		id := targets[i]
@@ -964,19 +983,19 @@ func pickPhase2(in Input, cfg Config, specs []resSpec, targets []reservation.ID)
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if !exactEqual(cands[i].excess, cands[j].excess) {
+		if !floats.ExactEqual(cands[i].excess, cands[j].excess) {
 			return cands[i].excess > cands[j].excess
 		}
 		return cands[i].id < cands[j].id
 	})
 
-	maxRes := int(math.Ceil(cfg.Phase2ResFraction * float64(len(crByID))))
+	maxRes := int(math.Ceil(phase2ResFraction * float64(len(crByID))))
 	if maxRes < 1 {
 		maxRes = 1
 	}
 	// Estimated variables per reservation: one per (rack, type) pair it can
 	// touch; a cheap over-estimate of racks × 2 keeps selection simple.
-	varBudget := cfg.Phase2MaxVars
+	varBudget := phase2MaxVars
 	out := make(map[reservation.ID]bool)
 	for _, c := range cands {
 		if len(out) >= maxRes {

@@ -127,8 +127,8 @@ func TestPhase2Selection(t *testing.T) {
 	in := freshInput(region, nil)
 	cfg := Config{}.withDefaults(region)
 	specs := []resSpec{
-		{res: reservation.Reservation{ID: 0, Name: "concentrated", Class: hardware.Web, RRUs: 10, CountBased: true}, outID: 0, countBased: true},
-		{res: reservation.Reservation{ID: 1, Name: "spread", Class: hardware.Web, RRUs: 10, CountBased: true}, outID: 1, countBased: true},
+		newSpec(reservation.Reservation{ID: 0, Name: "concentrated", Class: hardware.Web, RRUs: 10, CountBased: true}, cfg, false),
+		newSpec(reservation.Reservation{ID: 1, Name: "spread", Class: hardware.Web, RRUs: 10, CountBased: true}, cfg, false),
 	}
 	targets := make([]reservation.ID, len(region.Servers))
 	for i := range targets {
@@ -146,7 +146,7 @@ func TestPhase2Selection(t *testing.T) {
 			lastRack = region.Servers[i].Rack
 		}
 	}
-	subset := pickPhase2(in, cfg, specs, targets)
+	subset := pickPhase2(in, specs, targets)
 	if !subset[0] {
 		t.Fatalf("phase 2 did not select the rack-concentrated reservation: %v", subset)
 	}
@@ -201,10 +201,8 @@ func TestPhase2SelectionDeterministic(t *testing.T) {
 	cfg := Config{AlphaRack: 0.07}.withDefaults(region) // limit 2.8 servers per rack
 	var specs []resSpec
 	for id := reservation.ID(0); id < 2; id++ {
-		specs = append(specs, resSpec{
-			res:   reservation.Reservation{ID: id, Name: "svc", Class: hardware.Web, RRUs: 40, CountBased: true},
-			outID: id, countBased: true,
-		})
+		specs = append(specs, newSpec(
+			reservation.Reservation{ID: id, Name: "svc", Class: hardware.Web, RRUs: 40, CountBased: true}, cfg, false))
 	}
 	// Per MSB, reservation 0 loads racks 0-2 and reservation 1 racks 5-3 with
 	// the same counts.
@@ -226,12 +224,12 @@ func TestPhase2SelectionDeterministic(t *testing.T) {
 			targets[i] = id
 		}
 	}
-	first := pickPhase2(in, cfg, specs, targets)
+	first := pickPhase2(in, specs, targets)
 	if len(first) != 1 {
 		t.Fatalf("phase 2 selected %v, want exactly one of the two tied reservations", first)
 	}
 	for run := 1; run < 20; run++ {
-		if got := pickPhase2(in, cfg, specs, targets); !reflect.DeepEqual(got, first) {
+		if got := pickPhase2(in, specs, targets); !reflect.DeepEqual(got, first) {
 			t.Fatalf("call %d selected %v, call 0 selected %v", run, got, first)
 		}
 	}

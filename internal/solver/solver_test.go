@@ -325,6 +325,11 @@ func TestSolveInfeasibleSoftens(t *testing.T) {
 	if res.Phase1.SoftSlack <= 0 {
 		t.Errorf("soft slack = %v, want > 0 for an unfulfillable request", res.Phase1.SoftSlack)
 	}
+	// The shortfall is reported by value, against the row that carries it.
+	rs := res.Phase1.ResidualSlack
+	if len(rs) != 1 || rs[0].Row != "capacity[huge]" || rs[0].Amount != res.Phase1.SoftSlack {
+		t.Errorf("residual slack = %+v, want one capacity[huge] entry of %v", rs, res.Phase1.SoftSlack)
+	}
 	// Everything assignable should still be assigned.
 	n := 0
 	for _, tgt := range res.Targets {
