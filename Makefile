@@ -15,15 +15,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (cmd/raslint): determinism, mapiter,
-# ctxflow, floatcmp, errdrop, the flow-sensitive lockcheck, leakcheck, and
-# calldeterminism rules, the summary-driven globalwrite, aliascheck, and
-# sharedwrite rules, and the SSA-based nanguard, deadstore, and boundsproof
-# rules. Exceptions need //raslint:allow <rule> <reason>; -stale fails the
-# gate on allow directives that no longer suppress anything; -budget turns a
-# linter latency regression into exit 3 instead of a silently slower gate.
+# Project-specific static analysis (cmd/raslint): the AST rules determinism,
+# mapiter, ctxflow, floatcmp and errdrop, the call-graph rule calldeterminism,
+# and the concurrency rules lockcheck (a CFG dataflow) and leakcheck.
+# Exceptions need //raslint:allow <rule> <reason>; -stale fails the gate on
+# allow directives that no longer suppress anything.
 lint:
-	$(GO) run ./cmd/raslint -stale -budget 120s ./...
+	$(GO) run ./cmd/raslint -stale ./...
 
 build:
 	$(GO) build ./...

@@ -1,9 +1,8 @@
 // Command raslint runs the project's static-analysis pass (internal/lint)
-// over the module: determinism, mapiter, ctxflow, floatcmp, errdrop, the
-// flow-sensitive rules lockcheck, leakcheck, and calldeterminism, the
-// summary-driven rules globalwrite, aliascheck, and sharedwrite, and the
-// value-dataflow rules nanguard, deadstore, and boundsproof.
-// It is part of the pre-merge gate (`make lint`, inside `make check`).
+// over the module: the AST rules determinism, mapiter, ctxflow, floatcmp and
+// errdrop, the call-graph rule calldeterminism, and the concurrency rules
+// lockcheck (a CFG dataflow) and leakcheck. It is part of the pre-merge gate
+// (`make lint`, inside `make check`).
 //
 // Usage:
 //
@@ -12,25 +11,12 @@
 // Patterns are module-relative directories ("internal/mip") or subtree
 // patterns ("./..."); the default is "./...". Every rule has an enable flag
 // (-determinism=false disables it); -json emits machine-readable
-// diagnostics, each carrying a stable fingerprint (a hash of rule, file,
-// line, and message) so CI baselines can track findings across runs; -stale
-// additionally reports //raslint:allow directives that no longer suppress
-// anything (on in `make lint`).
-//
-// -baseline <file> suppresses diagnostics whose fingerprint appears in a
-// committed baseline (JSON: {"fingerprints": ["...", ...]}); baseline
-// entries that no longer match any finding are reported as baseline_stale
-// diagnostics so the baseline only ever shrinks. -j caps the per-package
-// analyzer concurrency (0 = GOMAXPROCS) — output is byte-identical at any
-// setting. Under -json, per-rule analysis timings are written to stderr as
-// one JSON object (stdout must stay byte-identical across runs); -budget
-// fails the run (exit 3) when total analysis wall-clock exceeds the given
-// duration, keeping the CI lint step's latency honest.
+// diagnostics; -stale additionally reports //raslint:allow directives that no
+// longer suppress anything (on in `make lint`).
 //
 // Exit status separates a red tree from a broken linter: 0 clean, 1
 // findings, 2 usage errors, 3 analyzer internal errors (a package failed to
-// load or type-check, output could not be written, or the -budget was
-// exceeded).
+// load or type-check, or output could not be written).
 //
 // Intentional exceptions are annotated in the source:
 //
@@ -57,9 +43,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	dir := fs.String("C", ".", "module root directory")
 	stale := fs.Bool("stale", false, "report //raslint:allow directives that suppress nothing")
-	baseline := fs.String("baseline", "", "JSON file of known-finding fingerprints to suppress; entries that no longer fire are reported as baseline_stale")
-	budget := fs.Duration("budget", 0, "fail with exit 3 when total analysis wall-clock exceeds this duration (0 disables)")
-	workers := fs.Int("j", 0, "per-package analyzer concurrency (0 = GOMAXPROCS); output is byte-identical at any setting")
 
 	docs := lint.RuleDocs()
 	ruleFlags := map[string]*bool{}
@@ -82,7 +65,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		patterns = []string{"./..."}
 	}
 
-	cfg := &lint.Config{Disabled: map[string]bool{}, Stale: *stale, Workers: *workers}
+	cfg := &lint.Config{Disabled: map[string]bool{}, Stale: *stale}
 	for name, enabled := range ruleFlags {
 		if !*enabled {
 			cfg.Disabled[name] = true
@@ -99,24 +82,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, err)
 		return 3
 	}
-	diags, stats := lint.RunWithStats(cfg, pkgs)
-
-	if *baseline != "" {
-		fps, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = applyBaseline(diags, fps, *baseline)
-	}
+	diags := lint.Run(cfg, pkgs)
 
 	if *jsonOut {
-		// Timings vary run to run, so they go to stderr: the stdout JSON
-		// must stay byte-identical for identical trees.
-		if err := json.NewEncoder(stderr).Encode(stats); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 3
-		}
 		if diags == nil {
 			diags = []lint.Diagnostic{} // a clean run is [], not null
 		}
@@ -131,13 +99,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	if *budget > 0 && stats.Total > *budget {
-		// An over-budget run is an infrastructure failure, not a finding:
-		// it outranks exit 1 so CI cannot mask a slow linter behind a red
-		// tree.
-		fmt.Fprintf(stderr, "raslint: analysis took %s, exceeding the -budget of %s\n", stats.Total, *budget)
-		return 3
-	}
 	if len(diags) > 0 {
 		if !*jsonOut {
 			fmt.Fprintf(stderr, "raslint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
@@ -145,60 +106,4 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// baselineFile is the on-disk format accepted by -baseline: the fingerprint
-// strings of known findings, as emitted in the -json output.
-type baselineFile struct {
-	Fingerprints []string `json:"fingerprints"`
-}
-
-func readBaseline(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("raslint: reading -baseline: %w", err)
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("raslint: parsing -baseline %s: %w", path, err)
-	}
-	return bf.Fingerprints, nil
-}
-
-// applyBaseline drops diagnostics whose fingerprint the baseline lists and
-// appends a baseline_stale diagnostic for every listed fingerprint that no
-// longer matches anything, so the baseline can only ever shrink. Stale
-// entries are reported in sorted order to keep output deterministic.
-func applyBaseline(diags []lint.Diagnostic, fps []string, path string) []lint.Diagnostic {
-	have := map[string]bool{}
-	for _, d := range diags {
-		have[d.Fingerprint] = true
-	}
-	suppress := map[string]bool{}
-	for _, fp := range fps {
-		suppress[fp] = true
-	}
-	out := diags[:0:0]
-	for _, d := range diags {
-		if !suppress[d.Fingerprint] {
-			out = append(out, d)
-		}
-	}
-	var stale []string
-	seen := map[string]bool{}
-	for _, fp := range fps {
-		if !have[fp] && !seen[fp] {
-			seen[fp] = true
-			stale = append(stale, fp)
-		}
-	}
-	sort.Strings(stale)
-	for _, fp := range stale {
-		out = append(out, lint.Diagnostic{
-			File:    path,
-			Rule:    "baseline_stale",
-			Message: fmt.Sprintf("baseline fingerprint %s matches no current finding; remove it from the baseline", fp),
-		})
-	}
-	return out
 }

@@ -2,7 +2,7 @@ package main
 
 // End-to-end driver test: run() against throwaway modules, asserting the
 // exit-code contract (0 clean / 1 findings / 2 usage / 3 internal) and the
-// shape of -json output, fingerprints included. The determinism rule's
+// shape of -json output. The determinism rule's
 // module-wide global-math/rand check is the finding generator: it fires
 // regardless of import path, so the synthetic module needs no solve-stack
 // layout.
@@ -109,155 +109,28 @@ func TestExitCodeInternal(t *testing.T) {
 	})
 }
 
-func TestJSONFingerprints(t *testing.T) {
+func TestJSONFindings(t *testing.T) {
 	const src = "package demo\n\nimport \"math/rand\"\n\nfunc Draw() int { return rand.Int() }\n"
 	dir := writeModule(t, map[string]string{"dirty.go": src})
-	code, stdout, _ := runCLI(t, []string{"-C", dir, "-json", "./..."})
+	code, stdout, stderr := runCLI(t, []string{"-C", dir, "-json", "./..."})
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
+	}
+	if stderr != "" {
+		t.Fatalf("-json run wrote to stderr: %q", stderr)
 	}
 	var diags []lint.Diagnostic
 	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, stdout)
 	}
-	if len(diags) == 0 {
-		t.Fatal("expected at least one diagnostic")
-	}
-	fpRe := regexp.MustCompile(`^[0-9a-f]{16}$`)
-	for _, d := range diags {
-		if !fpRe.MatchString(d.Fingerprint) {
-			t.Errorf("diagnostic %s: fingerprint %q is not 16 hex digits", d, d.Fingerprint)
-		}
+	if len(diags) == 0 || diags[0].Rule != "determinism" || diags[0].Line != 5 {
+		t.Fatalf("expected a determinism finding on line 5, got %+v", diags)
 	}
 
-	// Stability: an identical second module (different temp path) must
-	// produce... different file paths, so fingerprints differ; but a rerun
-	// over the SAME tree must reproduce them exactly.
+	// A rerun over the same tree must reproduce the output exactly.
 	code2, stdout2, _ := runCLI(t, []string{"-C", dir, "-json", "./..."})
 	if code2 != 1 || stdout2 != stdout {
 		t.Fatalf("rerun over the same tree changed output:\n%s\nvs\n%s", stdout, stdout2)
-	}
-}
-
-func TestBaseline(t *testing.T) {
-	const src = "package demo\n\nimport \"math/rand\"\n\nfunc Draw() int { return rand.Int() }\n"
-	dir := writeModule(t, map[string]string{"dirty.go": src})
-
-	// Harvest the real fingerprints first.
-	code, stdout, _ := runCLI(t, []string{"-C", dir, "-json", "./..."})
-	if code != 1 {
-		t.Fatalf("seed run: exit %d, want 1", code)
-	}
-	var diags []lint.Diagnostic
-	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("seed run produced no findings")
-	}
-	var fps []string
-	for _, d := range diags {
-		fps = append(fps, d.Fingerprint)
-	}
-
-	writeBaseline := func(fps []string) string {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "baseline.json")
-		data, err := json.Marshal(map[string][]string{"fingerprints": fps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	t.Run("suppresses known findings", func(t *testing.T) {
-		path := writeBaseline(fps)
-		code, stdout, stderr := runCLI(t, []string{"-C", dir, "-baseline", path, "./..."})
-		if code != 0 {
-			t.Fatalf("baselined run: exit %d, want 0 (stdout %q, stderr %q)", code, stdout, stderr)
-		}
-		if stdout != "" {
-			t.Fatalf("baselined run: unexpected output %q", stdout)
-		}
-	})
-
-	t.Run("stale entry fails the run", func(t *testing.T) {
-		path := writeBaseline(append(append([]string{}, fps...), "deadbeefdeadbeef"))
-		code, stdout, _ := runCLI(t, []string{"-C", dir, "-baseline", path, "./..."})
-		if code != 1 {
-			t.Fatalf("stale baseline: exit %d, want 1 (stdout %q)", code, stdout)
-		}
-		if !regexp.MustCompile(`baseline_stale`).MatchString(stdout) {
-			t.Fatalf("expected a baseline_stale diagnostic, got %q", stdout)
-		}
-		if !regexp.MustCompile(`deadbeefdeadbeef`).MatchString(stdout) {
-			t.Fatalf("stale diagnostic should name the fingerprint, got %q", stdout)
-		}
-	})
-
-	t.Run("unreadable baseline is a usage error", func(t *testing.T) {
-		code, _, _ := runCLI(t, []string{"-C", dir, "-baseline", filepath.Join(t.TempDir(), "nope.json"), "./..."})
-		if code != 2 {
-			t.Fatalf("missing baseline file: exit %d, want 2", code)
-		}
-	})
-}
-
-func TestBudgetExceeded(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"clean.go": "package demo\n\nfunc OK() int { return 1 }\n",
-	})
-	// 1ns is unreachable: any real analysis overruns it.
-	code, _, stderr := runCLI(t, []string{"-C", dir, "-budget", "1ns", "./..."})
-	if code != 3 {
-		t.Fatalf("over-budget run: exit %d, want 3 (stderr %q)", code, stderr)
-	}
-	if !regexp.MustCompile(`-budget`).MatchString(stderr) {
-		t.Fatalf("expected a budget message on stderr, got %q", stderr)
-	}
-}
-
-func TestWorkersByteIdenticalOutput(t *testing.T) {
-	const src = "package demo\n\nimport \"math/rand\"\n\nfunc Draw() int { return rand.Int() }\n"
-	dir := writeModule(t, map[string]string{
-		"a/a.go": "package a\n\nimport \"math/rand\"\n\nfunc A() int { return rand.Int() }\n",
-		"b/b.go": "package b\n\nimport \"math/rand\"\n\nfunc B() int { return rand.Int() }\n",
-		"c.go":   src,
-	})
-	var first string
-	for i, j := range []string{"1", "2", "8"} {
-		code, stdout, _ := runCLI(t, []string{"-C", dir, "-json", "-j", j, "./..."})
-		if code != 1 {
-			t.Fatalf("-j %s: exit %d, want 1", j, code)
-		}
-		if i == 0 {
-			first = stdout
-		} else if stdout != first {
-			t.Fatalf("-j %s changed output:\n%s\nvs\n%s", j, first, stdout)
-		}
-	}
-}
-
-func TestJSONTimingsOnStderr(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"clean.go": "package demo\n\nfunc OK() int { return 1 }\n",
-	})
-	code, stdout, stderr := runCLI(t, []string{"-C", dir, "-json", "./..."})
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	var stats lint.RunStats
-	if err := json.Unmarshal([]byte(stderr), &stats); err != nil {
-		t.Fatalf("stderr should carry a RunStats JSON object: %v\n%s", err, stderr)
-	}
-	if len(stats.Rules) == 0 {
-		t.Fatal("expected per-rule timings for the default-enabled rules")
-	}
-	if regexp.MustCompile(`total_nanos`).MatchString(stdout) {
-		t.Fatalf("timings leaked onto stdout: %q", stdout)
 	}
 }
 

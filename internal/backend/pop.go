@@ -156,7 +156,6 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 				// Each partition index p is claimed exactly once via the
 				// atomic cursor, so workers write disjoint elements, and
 				// wg.Wait() orders every write before the merge reads.
-				//raslint:allow sharedwrite disjoint indices from the atomic cursor; wg.Wait orders writes before reads
 				subs[p], errs[p] = solver.SolveWarm(ctx, sub, cfg, warms[p])
 			}
 		}()

@@ -17,11 +17,10 @@ package lint
 // through the seam is exactly what makes a path legal.
 //
 // This is a module-level analyzer: it runs once over all loaded packages
-// (see moduleAnalyzers in lint.go) because reachability cannot be decided
-// one package at a time.
+// (analyzer.runModule in lint.go) because reachability cannot be decided one
+// package at a time.
 
 import (
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -55,8 +54,8 @@ func (c *Config) calldeterminismEntries() []string {
 	return defaultSolveEntryPoints
 }
 
-func runCalldeterminism(cfg *Config, pkgs []*Package, mf *moduleFacts, report func(pkg *Package, pos token.Pos, format string, args ...any)) {
-	g := mf.graph
+func runCalldeterminism(cfg *Config, pkgs []*Package, report reportFunc) {
+	g := buildCallGraph(pkgs)
 
 	// Resolve entry points. Patterns naming packages outside the loaded
 	// set are silently inert so `raslint internal/mip` still works.
@@ -94,7 +93,7 @@ func runCalldeterminism(cfg *Config, pkgs []*Package, mf *moduleFacts, report fu
 					continue
 				}
 				reported[key] = true
-				report(q.node.pkg, call.pos, "solve path %s reaches %s; route timing through internal/clock or thread a seeded *rand.Rand",
+				report(call.pos, "solve path %s reaches %s; route timing through internal/clock or thread a seeded *rand.Rand",
 					strings.Join(q.trail, " → ")+" → "+what, what)
 				continue
 			}

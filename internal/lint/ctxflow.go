@@ -19,7 +19,7 @@ import (
 	"go/types"
 )
 
-func runCtxflow(cfg *Config, pkg *Package, report reportFunc) {
+func runCtxflow(pkg *Package, report reportFunc) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

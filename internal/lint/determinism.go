@@ -4,8 +4,8 @@ package lint
 // ambient nondeterministic state. Two checks:
 //
 //  1. Wall clock: time.Now and time.Since are forbidden in the solver
-//     packages (Config.DeterminismTimeScope); timing there goes through the
-//     internal/clock seam, which tests can freeze.
+//     packages (solveScope); timing there goes through the internal/clock
+//     seam, which tests can freeze.
 //  2. Global RNG: the package-level math/rand functions draw from a shared,
 //     unseeded global source, so any use makes a run unrepeatable. They are
 //     forbidden module-wide — every random stream must come from an
@@ -14,6 +14,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // forbiddenTimeFuncs are the package time functions that read the wall
@@ -38,8 +39,8 @@ var globalRandFuncs = map[string]bool{
 	"Shuffle": true, "Read": true, "Seed": true,
 }
 
-func runDeterminism(cfg *Config, pkg *Package, report reportFunc) {
-	timeInScope := inScope(cfg.timeScope(), pkg.Path)
+func runDeterminism(pkg *Package, report reportFunc) {
+	timeInScope := slices.Contains(solveScope, pkg.Path)
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)

@@ -31,8 +31,7 @@ const directivePrefix = "//raslint:"
 type allowDirective struct {
 	rule   string
 	reason string
-	// file and line locate the line the directive suppresses findings on.
-	file string
+	// line is the line the directive suppresses findings on.
 	line int
 	pos  token.Pos
 	// hit records whether this directive suppressed at least one finding in
@@ -73,31 +72,6 @@ func (d *directiveSet) allowed(pos token.Position, rule string) bool {
 	return true
 }
 
-// merge folds src into d, preserving the first-wins duplicate policy: a
-// directive already present for the same file, line, and rule keeps the
-// existing entry (the one findings mark hit). Used to combine the
-// per-package sets produced by concurrent analysis in package order.
-func (d *directiveSet) merge(src *directiveSet) {
-	for _, ad := range src.list {
-		filename := ad.file
-		lines := d.allows[filename]
-		if lines == nil {
-			lines = map[int]map[string]*allowDirective{}
-			d.allows[filename] = lines
-		}
-		rules := lines[ad.line]
-		if rules == nil {
-			rules = map[string]*allowDirective{}
-			lines[ad.line] = rules
-		}
-		if rules[ad.rule] != nil {
-			continue
-		}
-		rules[ad.rule] = ad
-		d.list = append(d.list, ad)
-	}
-}
-
 // parseDirectives scans every comment of pkg for raslint directives,
 // reporting malformed ones through report and adding valid suppressions to
 // set. knownRules guards against suppressing rules that do not exist.
@@ -117,7 +91,6 @@ func parseDirectives(pkg *Package, knownRules map[string]bool, set *directiveSet
 					continue
 				}
 				filename := pkg.Fset.Position(d.pos).Filename
-				d.file = filename
 				lines := set.allows[filename]
 				if lines == nil {
 					lines = map[int]map[string]*allowDirective{}

@@ -27,7 +27,7 @@ var errdropExemptRecv = map[string]bool{
 	"bytes.Buffer":    true,
 }
 
-func runErrdrop(cfg *Config, pkg *Package, report reportFunc) {
+func runErrdrop(pkg *Package, report reportFunc) {
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr

@@ -8,6 +8,7 @@ package lint
 // findings both fail.
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"testing"
@@ -46,10 +47,6 @@ func collectWants(t *testing.T, pkg *Package) []*expectation {
 }
 
 func TestAnalyzersAgainstTestdata(t *testing.T) {
-	loader, err := NewLoaderAt(filepath.Join("testdata", "src"), "ras-lint-testdata")
-	if err != nil {
-		t.Fatalf("NewLoaderAt: %v", err)
-	}
 	cases := []struct {
 		dir        string
 		importPath string
@@ -73,24 +70,54 @@ func TestAnalyzersAgainstTestdata(t *testing.T) {
 		{dir: "leakcheck_out", importPath: "ras/internal/metrics"},
 		{dir: "calldeterminism", importPath: "ras/internal/app",
 			cfg: &Config{CalldeterminismEntries: []string{"ras/internal/app.Solve"}}},
-		{dir: "globalwrite", importPath: "ras/internal/mip",
-			cfg: &Config{GlobalwriteEntries: []string{"ras/internal/mip.Solve"}}},
-		{dir: "globalwrite_out", importPath: "ras/internal/metrics",
-			cfg: &Config{GlobalwriteEntries: []string{"ras/internal/metrics.Solve"}}},
-		{dir: "aliascheck", importPath: "ras/internal/lp"},
-		{dir: "aliascheck_out", importPath: "ras/internal/topology"},
-		{dir: "sharedwrite", importPath: "ras/internal/backend"},
-		{dir: "sharedwrite_out", importPath: "ras/internal/topology"},
 		{dir: "stale", importPath: "ras/internal/stale", cfg: &Config{Stale: true}},
-		{dir: "nanguard", importPath: "ras/internal/lp"},
-		{dir: "nanguard_out", importPath: "ras/internal/topology"},
-		{dir: "deadstore", importPath: "ras/internal/solver"},
-		{dir: "deadstore_out", importPath: "ras/internal/metrics"},
-		{dir: "boundsproof", importPath: "ras/internal/lp"},
-		{dir: "boundsproof_out", importPath: "ras/internal/topology"},
 	}
+
+	// Registry and corpus cannot drift: a rule cannot ship without a fixture
+	// that expects it to fire, and a deleted rule cannot leave its corpus
+	// behind.
+	inTable := map[string]bool{}
+	for _, tc := range cases {
+		inTable[tc.dir] = true
+	}
+	for _, rule := range RuleNames() {
+		if rule == "directive" {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("testdata", "src", rule, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants := 0
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants += len(wantRe.FindAll(src, -1))
+		}
+		if !inTable[rule] || wants == 0 {
+			t.Errorf("rule %s needs a testdata/src/%s fixture with a want expectation, listed in the table (in table: %v, wants: %d)", rule, rule, inTable[rule], wants)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !inTable[e.Name()] {
+			t.Errorf("testdata/src/%s is not in the fixture table", e.Name())
+		}
+	}
+
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
+			// A loader of its own per fixture: Load memoizes by import path,
+			// and several fixtures share one.
+			loader, err := NewLoaderAt(filepath.Join("testdata", "src"), "ras-lint-testdata")
+			if err != nil {
+				t.Fatalf("NewLoaderAt: %v", err)
+			}
 			pkg, err := loader.Load(filepath.Join("testdata", "src", tc.dir), tc.importPath)
 			if err != nil {
 				t.Fatalf("loading testdata/src/%s: %v", tc.dir, err)

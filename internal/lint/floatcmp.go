@@ -7,26 +7,26 @@ package lint
 // determinism work exists to prevent. Comparisons belong behind tolerance
 // checks (math.Abs(a-b) <= tol) or, for the sparsity convention "an entry
 // stored as exact zero is absent", inside one of the designated
-// exact-comparison helpers (Config.FloatcmpHelpers), whose bodies are the
+// exact-comparison helpers (floatcmpHelpers), whose bodies are the
 // single documented place the convention lives.
 
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 )
 
-func runFloatcmp(cfg *Config, pkg *Package, report reportFunc) {
-	if !inScope(cfg.floatcmpScope(), pkg.Path) {
+func runFloatcmp(pkg *Package, report reportFunc) {
+	if !slices.Contains(floatScope, pkg.Path) {
 		return
 	}
-	helpers := cfg.floatcmpHelpers()
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if helpers[fd.Name.Name] {
+			if slices.Contains(floatcmpHelpers, fd.Name.Name) {
 				continue // designated exact-comparison helper
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -42,17 +42,9 @@ func runFloatcmp(cfg *Config, pkg *Package, report reportFunc) {
 				if !xok || !yok || (!isFloat(xt.Type) && !isFloat(yt.Type)) {
 					return true
 				}
-				report(be.OpPos, "float %s float compares exactly; use a tolerance or a designated helper (%v)", be.Op, cfg.floatcmpHelperNames())
+				report(be.OpPos, "float %s float compares exactly; use a tolerance or a designated helper (%v)", be.Op, floatcmpHelpers)
 				return true
 			})
 		}
 	}
-}
-
-// floatcmpHelperNames reports the configured helper names for messages.
-func (c *Config) floatcmpHelperNames() []string {
-	if c.FloatcmpHelpers != nil {
-		return c.FloatcmpHelpers
-	}
-	return DefaultFloatcmpHelpers
 }

@@ -7,13 +7,12 @@ package lint
 // peer stops listening — it pins its clone of the problem (hundreds of MB
 // at region scale) for the life of the process.
 //
-// The rule, scoped to Config.LeakcheckScope (default internal/mip,
-// internal/localsearch, internal/backend): for every `go` statement, if
-// the launched function's body contains at least one blocking channel
-// operation (send, receive, or range over a channel) and no escape hatch —
-// no `select` with a `default` clause or a `<-ctx.Done()` case, and no
-// direct receive from ctx.Done() — then every exit of that goroutine is an
-// unguarded rendezvous and it is reported as a leak candidate.
+// The rule, scoped to leakScope: for every `go` statement, if the launched
+// function's body contains at least one blocking channel operation (send,
+// receive, or range over a channel) and no escape hatch — no `select` with a
+// `default` clause or a `<-ctx.Done()` case, and no direct receive from
+// ctx.Done() — then every exit of that goroutine is an unguarded rendezvous
+// and it is reported as a leak candidate.
 //
 // Known false positives/negatives, by design (see DESIGN.md): a buffered
 // channel's first send never blocks but is still flagged (the capacity is
@@ -25,23 +24,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
-var defaultLeakScope = []string{
+// leakScope is where leakcheck applies: the goroutine-spawning solve
+// packages.
+var leakScope = []string{
 	"ras/internal/mip",
 	"ras/internal/localsearch",
 	"ras/internal/backend",
 }
 
-func (c *Config) leakcheckScope() []string {
-	if c.LeakcheckScope != nil {
-		return c.LeakcheckScope
-	}
-	return defaultLeakScope
-}
-
-func runLeakcheck(cfg *Config, pkg *Package, report reportFunc) {
-	if !inScope(cfg.leakcheckScope(), pkg.Path) {
+func runLeakcheck(pkg *Package, report reportFunc) {
+	if !slices.Contains(leakScope, pkg.Path) {
 		return
 	}
 	// Index the package's own function declarations so `go doWork()` can

@@ -1,14 +1,16 @@
 // Package lint is raslint: a from-scratch static-analysis pass, built only
 // on the standard library's go/ast, go/parser, go/types, and go/importer,
 // that machine-checks the invariants the RAS solver's reproducibility
-// promise rests on (see DESIGN.md "Static analysis"):
+// promise rests on (see DESIGN.md "Static analysis"). Eight rules.
 //
-//   - determinism — no wall-clock reads (time.Now/time.Since) in solver
-//     packages, which must route timing through internal/clock, and no
-//     global math/rand anywhere in the module.
-//   - mapiter — no map iteration whose results are accumulated (append/send)
-//     past the loop without a following sort: the classic Go
-//     nondeterminism leak.
+// AST rules, one package at a time:
+//
+//   - determinism — no wall-clock reads (time.Now/Since/Until) in the solve
+//     stack, which must route timing through internal/clock, and no global
+//     math/rand anywhere in the module.
+//   - mapiter — no map iteration in the solve stack whose results are
+//     accumulated past the loop in visit order: append without a following
+//     sort, channel send, or float compound assignment.
 //   - ctxflow — a function that receives a context.Context must not mint a
 //     fresh root context and must forward its ctx to every callee that
 //     accepts one, so cancellation reaches the whole solve stack.
@@ -16,23 +18,30 @@
 //     the designated exact-comparison helpers.
 //   - errdrop — no error return silently discarded in statement position.
 //
+// Call-graph rule, once over the module (callgraph.go):
+//
+//   - calldeterminism — no solve entry point transitively reaches a
+//     wall-clock read or global math/rand outside internal/clock.
+//
+// Concurrency rules, one function body at a time:
+//
+//   - lockcheck — a mutex acquired on some path is released on every path
+//     out (or by a defer), in the mode it was acquired in: a may-held
+//     dataflow over the function's control-flow graph (cfg.go).
+//   - leakcheck — a go-launched function in the solve stack has an exit that
+//     is not an unguarded channel operation.
+//
 // Intentional exceptions carry a //raslint:allow <rule> <reason> directive
 // (see directives.go); each suppression is scoped to a single line and must
 // name a real rule and a reason.
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Diagnostic is one finding.
@@ -42,23 +51,20 @@ type Diagnostic struct {
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	// Fingerprint is a stable identity for the finding — a short hash of
-	// rule, file, line, and message — so CI baselines and suppression
-	// ratchets can track a finding across runs without string-matching the
-	// whole diagnostic. Column is deliberately excluded: gofmt shifts
-	// columns far more often than it shifts what a finding is about.
-	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
-// An analyzer is one named rule over a type-checked package.
+// An analyzer is one named rule. Exactly one of run and runModule is set:
+// run sees one type-checked package at a time; runModule sees the whole
+// loaded set once, for what cannot be decided package by package.
 type analyzer struct {
-	name string
-	doc  string
-	run  func(cfg *Config, pkg *Package, report reportFunc)
+	name      string
+	doc       string
+	run       func(pkg *Package, report reportFunc)
+	runModule func(cfg *Config, pkgs []*Package, report reportFunc)
 }
 
 // reportFunc files one finding at pos.
@@ -73,7 +79,7 @@ var analyzers = []*analyzer{
 	},
 	{
 		name: "mapiter",
-		doc:  "flag map iterations accumulating into escaping state without a following sort",
+		doc:  "flag map iterations that append, send or float-accumulate into state outliving the loop",
 		run:  runMapiter,
 	},
 	{
@@ -92,8 +98,13 @@ var analyzers = []*analyzer{
 		run:  runErrdrop,
 	},
 	{
+		name:      "calldeterminism",
+		doc:       "flag solve-entry-point call paths that transitively reach time.Now or global math/rand outside internal/clock",
+		runModule: runCalldeterminism,
+	},
+	{
 		name: "lockcheck",
-		doc:  "a mutex acquired on some CFG path must be released on every path out (or deferred); no mode mismatches or lock copies",
+		doc:  "a mutex acquired on some CFG path must be released on every path out (or deferred), in the mode it was acquired",
 		run:  runLockcheck,
 	},
 	{
@@ -101,64 +112,13 @@ var analyzers = []*analyzer{
 		doc:  "flag go-launched functions whose only exits are unguarded channel operations",
 		run:  runLeakcheck,
 	},
-	{
-		name: "sharedwrite",
-		doc:  "captured or package-level state written from a go-launched function must be lock-held, atomic, or confined",
-		run:  runSharedwrite,
-	},
-}
-
-// moduleAnalyzers run once over the whole loaded package set instead of
-// package by package: call-graph reachability and effect summaries cannot
-// be decided locally. They share one moduleFacts (call graph + post-fixpoint
-// write-effect summaries, see summary.go) built once per run.
-type moduleAnalyzer struct {
-	name string
-	doc  string
-	run  func(cfg *Config, pkgs []*Package, mf *moduleFacts, report func(pkg *Package, pos token.Pos, format string, args ...any))
-}
-
-var moduleAnalyzersList = []*moduleAnalyzer{
-	{
-		name: "calldeterminism",
-		doc:  "flag solve-entry-point call paths that transitively reach time.Now or global math/rand outside internal/clock",
-		run:  runCalldeterminism,
-	},
-	{
-		name: "globalwrite",
-		doc:  "nothing reachable from a solve entry point may write package-level state (internal/metrics atomics excepted)",
-		run:  runGlobalwrite,
-	},
-	{
-		name: "aliascheck",
-		doc:  "workspace and incumbent buffers must not escape their owning frame by aliasing (store, goroutine capture, or retaining callee)",
-		run:  runAliascheck,
-	},
-	{
-		name: "nanguard",
-		doc:  "float divisions, math.Sqrt, and math.Log in the solve stack must have their operand proven safe on every path",
-		run:  runNanguard,
-	},
-	{
-		name: "deadstore",
-		doc:  "flag writes to locals and workspace-owned buffer elements never read before overwrite or return",
-		run:  runDeadstore,
-	},
-	{
-		name: "boundsproof",
-		doc:  "computed slice indexes in hot loops must be proven within [0, len) or carry a reasoned allow",
-		run:  runBoundsproof,
-	},
 }
 
 // RuleNames lists every rule, including the synthetic "directive" rule that
 // reports malformed //raslint: comments.
 func RuleNames() []string {
-	names := make([]string, 0, len(analyzers)+len(moduleAnalyzersList)+1)
+	names := make([]string, 0, len(analyzers)+1)
 	for _, a := range analyzers {
-		names = append(names, a.name)
-	}
-	for _, a := range moduleAnalyzersList {
 		names = append(names, a.name)
 	}
 	names = append(names, "directive")
@@ -171,79 +131,30 @@ func RuleDocs() map[string]string {
 	for _, a := range analyzers {
 		docs[a.name] = a.doc
 	}
-	for _, a := range moduleAnalyzersList {
-		docs[a.name] = a.doc
-	}
 	return docs
 }
 
-// Config selects rules and scopes. The zero value runs every rule with the
-// repository's default scopes.
+// Config selects rules. The zero value runs every rule.
 type Config struct {
 	// Disabled turns rules off by name. The "directive" rule cannot be
 	// disabled: a malformed suppression is always an error.
 	Disabled map[string]bool
-
-	// DeterminismTimeScope lists the import paths where wall-clock reads are
-	// forbidden. Nil selects the solve stack: internal/lp, internal/mip,
-	// internal/localsearch, internal/solver, internal/backend.
-	DeterminismTimeScope []string
-	// MapiterScope lists the import paths checked by mapiter. Nil selects
-	// the same solve-stack packages.
-	MapiterScope []string
-	// FloatcmpScope lists the import paths checked by floatcmp. Nil selects
-	// the numerical core and the objective plumbing above it: internal/lp,
-	// internal/mip, internal/solver, internal/localsearch.
-	FloatcmpScope []string
-	// FloatcmpHelpers names the functions allowed to compare floats exactly
-	// (the designated tolerance/exact-zero helpers). Nil selects
-	// DefaultFloatcmpHelpers.
-	FloatcmpHelpers []string
-
-	// LeakcheckScope lists the import paths checked by leakcheck. Nil
-	// selects the goroutine-spawning solve packages: internal/mip,
-	// internal/localsearch, internal/backend.
-	LeakcheckScope []string
+	// Stale, when set, reports every well-formed //raslint:allow directive
+	// that suppressed nothing in this run, under the "directive" rule, so
+	// annotations cannot outlive the finding they excuse.
+	Stale bool
 	// CalldeterminismEntries names the solve entry points reachability
 	// starts from, as "pkgpath.Func" or "pkgpath.Type.Method" (interface
 	// methods expand to every module implementation). Nil selects the
 	// repository's Solve seams (see defaultSolveEntryPoints).
 	CalldeterminismEntries []string
-	// GlobalwriteEntries names the entry points the globalwrite rule walks
-	// from, same syntax as CalldeterminismEntries. Nil selects the same
-	// Solve seams.
-	GlobalwriteEntries []string
-	// AliascheckScope lists the import paths where aliascheck reports.
-	// Summaries are still computed module-wide (callers outside the scope
-	// propagate facts into it); only the reporting is scoped. Nil selects
-	// the solve stack.
-	AliascheckScope []string
-	// SharedwriteScope lists the import paths checked by sharedwrite. Nil
-	// selects the solve stack.
-	SharedwriteScope []string
-	// NanguardScope lists the import paths where nanguard reports. The
-	// value-dataflow facts are still computed module-wide. Nil selects the
-	// solve stack.
-	NanguardScope []string
-	// DeadstoreScope lists the import paths where deadstore reports. Nil
-	// selects the solve stack.
-	DeadstoreScope []string
-	// BoundsproofScope lists the import paths where boundsproof reports.
-	// Nil selects the solve stack.
-	BoundsproofScope []string
-	// Stale, when set, reports every well-formed //raslint:allow directive
-	// that suppressed nothing in this run, under the "directive" rule, so
-	// annotations cannot outlive the finding they excuse.
-	Stale bool
-	// Workers caps the per-package analyzer concurrency. Zero or negative
-	// selects GOMAXPROCS. Output is byte-identical at any setting: workers
-	// fill private slices merged in package order.
-	Workers int
 }
 
-// Default scopes, as import paths of this module.
+// Rule scopes, as import paths of this module. Fixtures pick a scope by the
+// import path they are loaded under.
 var (
-	defaultSolveScope = []string{
+	// solveScope is where determinism (wall clock) and mapiter apply.
+	solveScope = []string{
 		"ras/internal/lp",
 		"ras/internal/mip",
 		"ras/internal/localsearch",
@@ -251,100 +162,34 @@ var (
 		"ras/internal/backend",
 		"ras/internal/partition",
 		// The broker's change journal feeds the solver's incremental model
-		// cache: retained snapshot/delta slices cross the SolveWith round
-		// boundary, so aliasing there is solve-correctness, not just style.
+		// cache, so its iteration order reaches solve results.
 		"ras/internal/broker",
 	}
-	defaultFloatScope = []string{
+	// floatScope is where floatcmp applies: the numerical core and the
+	// objective plumbing above it.
+	floatScope = []string{
 		"ras/internal/lp",
 		"ras/internal/mip",
 		"ras/internal/solver",
 		"ras/internal/localsearch",
 		"ras/internal/floats", // home of the helpers below: only their bodies may compare
 	}
-	// DefaultFloatcmpHelpers are the designated exact-comparison helper
-	// names: tiny, documented functions whose whole job is an intentional
-	// exact float comparison (sparsity checks on stored-exact zeros).
-	DefaultFloatcmpHelpers = []string{"ExactZero", "ExactEqual", "approxEq", "isZero"}
+	// floatcmpHelpers are the designated exact-comparison helper names:
+	// tiny, documented functions whose whole job is an intentional exact
+	// float comparison (sparsity checks on stored-exact zeros).
+	floatcmpHelpers = []string{"ExactZero", "ExactEqual", "approxEq", "isZero"}
 )
 
-func (c *Config) timeScope() []string {
-	if c.DeterminismTimeScope != nil {
-		return c.DeterminismTimeScope
-	}
-	return defaultSolveScope
-}
-
-func (c *Config) mapiterScope() []string {
-	if c.MapiterScope != nil {
-		return c.MapiterScope
-	}
-	return defaultSolveScope
-}
-
-func (c *Config) floatcmpScope() []string {
-	if c.FloatcmpScope != nil {
-		return c.FloatcmpScope
-	}
-	return defaultFloatScope
-}
-
-func (c *Config) floatcmpHelpers() map[string]bool {
-	names := c.FloatcmpHelpers
-	if names == nil {
-		names = DefaultFloatcmpHelpers
-	}
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	return set
-}
-
-func inScope(scope []string, path string) bool {
-	for _, s := range scope {
-		if path == s {
-			return true
-		}
-	}
-	return false
-}
-
-// RuleTiming is the accumulated analysis time of one rule across every
-// package it ran over. For per-package analyzers running concurrently the
-// nanos are summed CPU-side wall clock per package, so they can exceed the
-// run's total elapsed time.
-type RuleTiming struct {
-	Rule  string `json:"rule"`
-	Nanos int64  `json:"nanos"`
-}
-
-// RunStats reports where a run's analysis time went. Timings never reach
-// stdout in the driver: the -json stream stays byte-identical across runs.
-type RunStats struct {
-	Rules []RuleTiming  `json:"rules"` // registry order; only rules that ran
-	Total time.Duration `json:"total_nanos"`
-}
-
-// Run executes every enabled analyzer over pkgs and returns the surviving
-// findings sorted by position. Findings on lines carrying a matching
-// //raslint:allow directive are suppressed; malformed directives are
-// reported under the "directive" rule, and — with Config.Stale — so is
-// every well-formed directive that suppressed nothing.
-//
-// Per-package analyzers run concurrently, one worker per package up to
-// Config.Workers (default GOMAXPROCS); each worker fills a private finding
-// slice and directive set, and the results are merged in package order, so
-// the output is byte-identical to a serial run. Module analyzers run
-// serially afterwards over facts built once.
+// Run executes every enabled analyzer over pkgs, which must come from one
+// Loader (they share its file set), and returns the surviving findings
+// sorted by position. Findings on lines carrying a matching //raslint:allow
+// directive are suppressed; malformed directives are reported under the
+// "directive" rule, and — with Config.Stale — so is every well-formed
+// directive that suppressed nothing.
 func Run(cfg *Config, pkgs []*Package) []Diagnostic {
-	diags, _ := RunWithStats(cfg, pkgs)
-	return diags
-}
-
-// RunWithStats is Run plus per-rule timing.
-func RunWithStats(cfg *Config, pkgs []*Package) ([]Diagnostic, *RunStats) {
-	start := time.Now()
+	if len(pkgs) == 0 {
+		return nil
+	}
 	if cfg == nil {
 		cfg = &Config{}
 	}
@@ -352,97 +197,38 @@ func RunWithStats(cfg *Config, pkgs []*Package) ([]Diagnostic, *RunStats) {
 	for _, name := range RuleNames() {
 		known[name] = true
 	}
+	fset := pkgs[0].Fset
 
-	// Phase 1: collect raw findings from every analyzer and the merged
-	// directive index of every package. Filtering is global because the
-	// module analyzers report across package boundaries.
+	// Phase 1: collect raw findings from every analyzer and the directive
+	// index of every package. Filtering is global because module analyzers
+	// report across package boundaries.
+	diagAt := func(pos token.Pos, rule, format string, args ...any) Diagnostic {
+		p := fset.Position(pos)
+		return Diagnostic{File: p.Filename, Line: p.Line, Col: p.Column, Rule: rule, Message: fmt.Sprintf(format, args...)}
+	}
 	var raw []Diagnostic
-	dirs := newDirectiveSet()
-	var fset *token.FileSet
-
-	type pkgResult struct {
-		raw  []Diagnostic
-		dirs *directiveSet
-	}
-	results := make([]pkgResult, len(pkgs))
-	// ruleNanos is indexed [analyzers..., moduleAnalyzersList..., directive].
-	ruleNanos := make([]int64, len(analyzers)+len(moduleAnalyzersList)+1)
-	dirIdx := len(ruleNanos) - 1
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, max(1, workers))
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res := &results[i]
-			res.dirs = newDirectiveSet()
-			collect := func(rule string) reportFunc {
-				return func(pos token.Pos, format string, args ...any) {
-					p := pkg.Fset.Position(pos)
-					res.raw = append(res.raw, Diagnostic{
-						File:    p.Filename,
-						Line:    p.Line,
-						Col:     p.Column,
-						Rule:    rule,
-						Message: fmt.Sprintf(format, args...),
-					})
-				}
-			}
-			t0 := time.Now()
-			parseDirectives(pkg, known, res.dirs, func(pos token.Pos, rule, format string, args ...any) {
-				collect(rule)(pos, format, args...)
-			})
-			atomic.AddInt64(&ruleNanos[dirIdx], time.Since(t0).Nanoseconds())
-			for ai, a := range analyzers {
-				if cfg.Disabled[a.name] {
-					continue
-				}
-				t0 := time.Now()
-				a.run(cfg, pkg, collect(a.name))
-				atomic.AddInt64(&ruleNanos[ai], time.Since(t0).Nanoseconds())
-			}
-		}(i, pkg)
-	}
-	wg.Wait()
-	for i, pkg := range pkgs {
-		fset = pkg.Fset
-		raw = append(raw, results[i].raw...)
-		dirs.merge(results[i].dirs)
-	}
-
-	var needFacts bool
-	for _, a := range moduleAnalyzersList {
-		if !cfg.Disabled[a.name] {
-			needFacts = true
+	collect := func(rule string) reportFunc {
+		return func(pos token.Pos, format string, args ...any) {
+			raw = append(raw, diagAt(pos, rule, format, args...))
 		}
 	}
-	var mf *moduleFacts
-	if needFacts {
-		mf = buildModuleFacts(pkgs)
+	dirs := newDirectiveSet()
+	for _, pkg := range pkgs {
+		parseDirectives(pkg, known, dirs, func(pos token.Pos, rule, format string, args ...any) {
+			collect(rule)(pos, format, args...)
+		})
 	}
-	for mi, a := range moduleAnalyzersList {
+	for _, a := range analyzers {
 		if cfg.Disabled[a.name] {
 			continue
 		}
-		name := a.name
-		t0 := time.Now()
-		a.run(cfg, pkgs, mf, func(pkg *Package, pos token.Pos, format string, args ...any) {
-			p := pkg.Fset.Position(pos)
-			raw = append(raw, Diagnostic{
-				File:    p.Filename,
-				Line:    p.Line,
-				Col:     p.Column,
-				Rule:    name,
-				Message: fmt.Sprintf(format, args...),
-			})
-		})
-		ruleNanos[len(analyzers)+mi] += time.Since(t0).Nanoseconds()
+		if a.runModule != nil {
+			a.runModule(cfg, pkgs, collect(a.name))
+			continue
+		}
+		for _, pkg := range pkgs {
+			a.run(pkg, collect(a.name))
+		}
 	}
 
 	// Phase 2: apply suppressions, marking each directive that fires.
@@ -456,19 +242,13 @@ func RunWithStats(cfg *Config, pkgs []*Package) ([]Diagnostic, *RunStats) {
 
 	// Phase 3: stale directives. A directive for a rule that was disabled
 	// this run proves nothing about staleness and is skipped.
-	if cfg.Stale && fset != nil {
+	if cfg.Stale {
 		for _, ad := range dirs.list {
 			if ad.hit || cfg.Disabled[ad.rule] {
 				continue
 			}
-			p := fset.Position(ad.pos)
-			diags = append(diags, Diagnostic{
-				File:    p.Filename,
-				Line:    p.Line,
-				Col:     p.Column,
-				Rule:    "directive",
-				Message: fmt.Sprintf("stale //raslint:allow %s: it suppresses no %s finding; remove the directive", ad.rule, ad.rule),
-			})
+			diags = append(diags, diagAt(ad.pos, "directive",
+				"stale //raslint:allow %s: it suppresses no %s finding; remove the directive", ad.rule, ad.rule))
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -487,34 +267,7 @@ func RunWithStats(cfg *Config, pkgs []*Package) ([]Diagnostic, *RunStats) {
 		}
 		return a.Message < b.Message
 	})
-	for i := range diags {
-		diags[i].Fingerprint = fingerprint(diags[i])
-	}
-
-	stats := &RunStats{Total: time.Since(start)}
-	for i, n := range ruleNanos {
-		var rule string
-		switch {
-		case i < len(analyzers):
-			rule = analyzers[i].name
-		case i < len(analyzers)+len(moduleAnalyzersList):
-			rule = moduleAnalyzersList[i-len(analyzers)].name
-		default:
-			rule = "directive"
-		}
-		if n > 0 || !cfg.Disabled[rule] {
-			stats.Rules = append(stats.Rules, RuleTiming{Rule: rule, Nanos: n})
-		}
-	}
-	return diags, stats
-}
-
-// fingerprint derives the stable identity hash of a finding: the first 16
-// hex digits of SHA-256 over rule, file, line, and message. See the
-// Diagnostic.Fingerprint field for why column is excluded.
-func fingerprint(d Diagnostic) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%d\x00%s", d.Rule, d.File, d.Line, d.Message)))
-	return hex.EncodeToString(h[:8])
+	return diags
 }
 
 // ---- shared type helpers ----

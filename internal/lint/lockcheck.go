@@ -5,7 +5,7 @@ package lint
 // pool; a mutex acquired and not released on one early-return path wedges
 // every other worker the next time it blocks on the pool, and the race
 // detector only notices when a test happens to drive that interleaving.
-// Three checks:
+// Two checks:
 //
 //  1. Balance: a sync.Mutex/RWMutex acquired on some CFG path must be
 //     released on every path out of the function, unless a matching
@@ -15,9 +15,9 @@ package lint
 //  2. Mode mismatches: a lock acquired with Lock must not be released with
 //     RUnlock (and RLock not with Unlock) — silently legal-looking code
 //     that corrupts the RWMutex reader count at runtime.
-//  3. Copies: a value whose type is (or transitively contains) a sync
-//     lock must not be copied — the copy's state diverges from the
-//     original's and both "work" until they guard the same data.
+//
+// Copies of lock-bearing values are go vet's copylocks check, which `make
+// vet` runs ahead of this linter.
 //
 // Known false negatives, by construction (see DESIGN.md): deferred unlocks
 // are collected flow-insensitively, so a conditional `defer mu.Unlock()`
@@ -71,7 +71,7 @@ type lockOp struct {
 	pos     token.Pos
 }
 
-func runLockcheck(cfg *Config, pkg *Package, report reportFunc) {
+func runLockcheck(pkg *Package, report reportFunc) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -86,7 +86,6 @@ func runLockcheck(cfg *Config, pkg *Package, report reportFunc) {
 				checkLockBalance(pkg, lit.Body, name+" literal", report)
 			}
 		}
-		checkLockCopies(pkg, file, report)
 	}
 }
 
@@ -429,107 +428,4 @@ func statesEqual(a, b map[string]lockState) bool {
 		}
 	}
 	return true
-}
-
-// ---- lock copies ----
-
-// lockBearingTypes are the sync types whose values must not be copied
-// after first use.
-var lockBearingTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "Cond": true,
-	"WaitGroup": true, "Once": true, "Pool": true, "Map": true,
-}
-
-// containsLockType reports whether t is, or transitively contains (through
-// struct and array fields, not pointers), a sync lock type.
-func containsLockType(t types.Type, depth int) bool {
-	if depth > 8 {
-		return false
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockBearingTypes[obj.Name()] {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockType(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockType(u.Elem(), depth+1)
-	}
-	return false
-}
-
-// freshLockValue reports whether e creates a brand-new value (composite
-// literal or conversion of one) rather than copying an existing lock.
-func freshLockValue(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		// Conversions like T(T{}) are rare; treat call results as fresh —
-		// a function returning a lock by value is its author's problem at
-		// the return site, which this pass also checks.
-		_ = x
-		return true
-	}
-	return false
-}
-
-// checkLockCopies flags expressions that copy a lock-bearing value:
-// assignment sources, call arguments, return values, and range clauses
-// over containers of lock-bearing elements.
-func checkLockCopies(pkg *Package, file *ast.File, report reportFunc) {
-	info := pkg.Info
-	flag := func(e ast.Expr, what string) {
-		tv, ok := info.Types[e]
-		if !ok || tv.Type == nil {
-			return
-		}
-		if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-			return
-		}
-		if !containsLockType(tv.Type, 0) || freshLockValue(e) {
-			return
-		}
-		report(e.Pos(), "%s copies a value containing a sync lock (%s); use a pointer", what, tv.Type.String())
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				flag(rhs, "assignment")
-			}
-		case *ast.CallExpr:
-			if fn := funcObjOf(info, s.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-				return true // the methods themselves (mu.Lock()) don't copy
-			}
-			for _, arg := range s.Args {
-				flag(arg, "call argument")
-			}
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				flag(res, "return")
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[s.X]; ok && tv.Type != nil {
-				switch u := tv.Type.Underlying().(type) {
-				case *types.Slice:
-					if s.Value != nil && containsLockType(u.Elem(), 0) {
-						report(s.Value.Pos(), "range value copies an element containing a sync lock; iterate by index")
-					}
-				case *types.Array:
-					if s.Value != nil && containsLockType(u.Elem(), 0) {
-						report(s.Value.Pos(), "range value copies an element containing a sync lock; iterate by index")
-					}
-				}
-			}
-		}
-		return true
-	})
 }

@@ -4,24 +4,28 @@ package lint
 // ranges over a map and accumulates results into state that outlives the
 // loop — appending to a slice declared outside it, or sending into a
 // channel — produces a different order every run. In the solver packages
-// (Config.MapiterScope) that is a determinism bug unless the accumulated
-// result is canonicalized by a sort after the loop: the classic pattern
+// (solveScope) that is a determinism bug unless the accumulated result is
+// canonicalized by a sort after the loop: the classic pattern
 //
 //	for k := range m { keys = append(keys, k) }
 //	sort.Ints(keys)
 //
 // is fine; the same loop without the sort leaks map order into solve
 // results. Sends into channels cannot be repaired after the fact and are
-// always flagged.
+// always flagged. So is a float compound assignment (+=, -=, *=, /=) into
+// storage that outlives the loop: float arithmetic is not associative, so the
+// visit order reaches the low bits of the sum and no later sort takes it back
+// out (integer sums are order-independent and stay silent).
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
-func runMapiter(cfg *Config, pkg *Package, report reportFunc) {
-	if !inScope(cfg.mapiterScope(), pkg.Path) {
+func runMapiter(pkg *Package, report reportFunc) {
+	if !slices.Contains(solveScope, pkg.Path) {
 		return
 	}
 	for _, file := range pkg.Files {
@@ -69,6 +73,12 @@ func checkMapRanges(pkg *Package, body *ast.BlockStmt, report reportFunc) {
 			case *ast.SendStmt:
 				report(st.Pos(), "send into a channel while ranging over a map publishes values in nondeterministic order")
 			case *ast.AssignStmt:
+				switch st.Tok {
+				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+					if t := info.TypeOf(st.Lhs[0]); t != nil && isFloat(t) && outlivesLoop(info, st.Lhs[0], rs) {
+						report(st.Pos(), "float %s while ranging over a map accumulates in nondeterministic order (float arithmetic is not associative); range over sorted keys", st.Tok)
+					}
+				}
 				for i, rhs := range st.Rhs {
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 					if !ok || !isBuiltinAppend(info, call) || i >= len(st.Lhs) {
@@ -130,6 +140,34 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 		default:
 			return nil
 		}
+	}
+}
+
+// outlivesLoop reports whether the storage e writes to can outlive one
+// iteration of rs: its root variable is declared outside the loop, or the
+// path from a loop-local root goes through a pointer, slice or map, which
+// may point at outer state (`l := perRes[id]; l.excess += over`).
+func outlivesLoop(info *types.Info, e ast.Expr, rs *ast.RangeStmt) bool {
+	for {
+		var base ast.Expr
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			obj := info.ObjectOf(x)
+			return obj == nil || !withinRange(obj.Pos(), rs)
+		case *ast.SelectorExpr:
+			base = x.X
+		case *ast.IndexExpr:
+			base = x.X
+		default:
+			return true
+		}
+		if t := info.TypeOf(base); t != nil {
+			switch t.Underlying().(type) {
+			case *types.Pointer, *types.Slice, *types.Map:
+				return true
+			}
+		}
+		e = base
 	}
 }
 

@@ -1,5 +1,5 @@
-// Fixture for the lockcheck analyzer: CFG-based lock balance, RWMutex mode
-// mismatches, and lock copies. Loaded under "ras/internal/lockcheck"; the
+// Fixture for the lockcheck analyzer: CFG-based lock balance and RWMutex mode
+// mismatches. Loaded under "ras/internal/lockcheck"; the
 // rule is unscoped, so any path works.
 package lockcheck
 
@@ -96,18 +96,4 @@ func (g *guarded) inLiteral() func() {
 // idiom, not a finding.
 func (g *guarded) releaseOnly() {
 	g.mu.Unlock()
-}
-
-// Positive: copying a value that contains a sync lock.
-func copies() int {
-	g := guarded{} // composite literal: fresh value, no finding
-	h := g         // want `assignment copies a value containing a sync lock`
-	return h.n
-}
-
-// Negative: pointers don't copy the lock.
-func viaPointer() *guarded {
-	g := &guarded{}
-	p := g
-	return p
 }

@@ -194,7 +194,6 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 			defer wg.Done()
 			// Start i owns results[i] exclusively; wg.Wait() orders the
 			// writes before the winner scan reads them.
-			//raslint:allow sharedwrite disjoint per-start slots; wg.Wait orders writes before reads
 			results[i] = climb(ctx, in, cfg, startSeed(cfg.Seed, i), warm)
 		}(i)
 	}

@@ -304,7 +304,7 @@ func (f *factor) pivot(cs int) {
 	j := f.done
 	f.pr[j] = pivRow
 	f.ps[j] = cs
-	f.invP[j] = 1 / pivVal //raslint:allow nanguard pivVal passed the Markowitz screen |v| >= pivRelTol*colMax with colMax >= pivAbsTol, so it is nonzero
+	f.invP[j] = 1 / pivVal // nonzero: pivVal passed the Markowitz screen |v| >= pivRelTol*colMax with colMax >= pivAbsTol
 	ue := f.ucols[j][:0]
 	le := f.lops[j].nz[:0]
 	for _, nz := range col {
@@ -441,7 +441,7 @@ func (f *factor) markColumnInactive(s int) {
 // slot r, where w = FTRAN(entering column) and wnz lists w's nonzero slots.
 // The caller has already verified |w[r]| is numerically safe.
 func (f *factor) update(r int, w []float64, wnz []int) {
-	invP := 1 / w[r] //raslint:allow nanguard precondition: the caller has verified |w[r]| against the pivot tolerance before calling update
+	invP := 1 / w[r] // nonzero by precondition: the caller has verified |w[r]| against the pivot tolerance before calling update
 	var nz []Nonzero
 	if n := len(f.etas); n < cap(f.etas) {
 		// Reuse the retired eta's entry slice to avoid steady-state growth.

@@ -141,7 +141,7 @@ func (s *Workspace) optimize(cost []float64, priceLimit int) Status {
 					}
 					// Devex weights are 1 at reset and only ever grow or
 					// re-floor at 1 (devexUpdate), so the max is an
-					// identity that carries the nonzero proof.
+					// identity that keeps the divisor nonzero.
 					score := viol * viol / max(gamma[j], 1)
 					if enter == -1 || score > enterScore {
 						enter, enterScore = j, score
@@ -181,7 +181,7 @@ func (s *Workspace) optimize(cost []float64, priceLimit int) Status {
 		leave := -1
 		leaveToUpper := false
 		// The positive floor keeps the pivot threshold meaningful when Tol is
-		// zero and lets the ratio-test divisions carry a step≷±piv proof.
+		// zero, so the ratio-test divisions below never see a zero step.
 		piv := max(s.opt.Tol*10, minPivotStep)
 		for _, i := range s.wnz {
 			step := -sigma * w[i]
@@ -447,7 +447,7 @@ func (s *Workspace) dualSimplex(cost []float64, maxDual int) Status {
 
 		// Pivot: move entering by Δq so the leaving variable hits target.
 		s.wnz = s.fact.ftran(w, s.cols[enter], s.wnz)
-		dq := (s.x[s.basis[leave]] - target) / alphaQ //raslint:allow nanguard alphaQ was recorded together with enter behind the |alpha| >= 1e-9 screen, and enter == -1 returned above
+		dq := (s.x[s.basis[leave]] - target) / alphaQ // nonzero: alphaQ was recorded together with enter behind the |alpha| >= 1e-9 screen, and enter == -1 returned above
 		for _, i := range s.wnz {
 			s.x[s.basis[i]] -= dq * w[i]
 		}

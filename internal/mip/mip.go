@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -32,12 +31,6 @@ import (
 	"ras/internal/lp"
 	"ras/internal/metrics"
 )
-
-// noWarm disables LP warm starts (debug toggle).
-var noWarm = os.Getenv("MIP_NOWARM") != ""
-
-// debugDive logs dive-heuristic exits (debug toggle).
-var debugDive = os.Getenv("MIP_DEBUG_DIVE") != ""
 
 // Var identifies a variable within a Model.
 type Var int

@@ -10,7 +10,6 @@ package mip
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -334,7 +333,7 @@ func (s *search) solveLP() lp.Solution {
 	o := s.e.lpOpt
 	o.Start = s.seedBasis
 	o.ReuseBasis = true
-	if noWarm || s.forceCold || s.e.opt.NoWarmStart {
+	if s.forceCold || s.e.opt.NoWarmStart {
 		o.Start = nil
 		o.ReuseBasis = false
 	}
@@ -688,9 +687,6 @@ func (s *search) dive(seed []float64, bias float64) {
 				}
 			}
 			if !fixedAny && !progress {
-				if debugDive {
-					fmt.Printf("DIVE stuck at depth %d (%d fracs)\n", depth, len(fracs))
-				}
 				return
 			}
 		}
@@ -710,9 +706,6 @@ func (s *search) dive(seed []float64, bias float64) {
 			sol = s.solveLP()
 		}
 		if sol.Status != lp.Optimal {
-			if debugDive {
-				fmt.Printf("DIVE abort: LP %v at depth %d\n", sol.Status, depth)
-			}
 			return // infeasible dive; give up
 		}
 		x = sol.X
@@ -722,9 +715,6 @@ func (s *search) dive(seed []float64, bias float64) {
 				if m.integer[j] {
 					x[j] = math.Round(x[j])
 				}
-			}
-			if debugDive && !m.feasibleIntegralIn(s.prob, x, e.opt.IntTol) {
-				fmt.Printf("DIVE end: integral but infeasible\n")
 			}
 			if m.feasibleIntegralIn(s.prob, x, e.opt.IntTol) {
 				e.offer(x, m.objective(x), true)

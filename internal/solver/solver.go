@@ -802,7 +802,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	if r.Status == mip.Optimal || r.Status == mip.Feasible || r.Status == mip.Cancelled {
 		out.stats.Objective = r.Objective
 		out.stats.Bound = r.Bound
-		out.stats.GapPreemptions = r.Gap() / cfg.MoveCostInUse //raslint:allow nanguard withDefaults floors MoveCostInUse at 10 when zero; struct fields are outside SSA tracking
+		out.stats.GapPreemptions = r.Gap() / cfg.MoveCostInUse // nonzero: withDefaults floors MoveCostInUse at 10 when zero
 		counts := make([][]float64, nG)
 		for gi := range out.groups {
 			counts[gi] = make([]float64, nS)
