@@ -26,8 +26,9 @@ lint:
 build:
 	$(GO) build ./...
 
+# Shuffled: no test reads process-wide state, and the gate keeps it that way.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # The race suite covers the parallel solve paths: the mip/localsearch/backend
 # tests exercise Workers > 1 (branch-and-bound pool, racing heuristics,

@@ -22,7 +22,6 @@ import (
 
 	"ras"
 	"ras/internal/backend"
-	"ras/internal/metrics"
 	"ras/internal/sim"
 	"ras/internal/solver"
 	"ras/internal/workload"
@@ -90,8 +89,10 @@ func main() {
 	}
 
 	engine := ras.NewEngine()
-	// rebuilds tallies, from each solve's returned stats, why phases that
-	// were asked to patch their cached model rebuilt it instead.
+	// hits and rebuilds tally, from each solve's returned stats, the phases
+	// that patched their cached model and why the others that were asked to
+	// rebuilt it instead.
+	var hits int
 	var rebuilds [solver.NumRebuildReasons]int
 	// Hourly continuous optimization (Figure 6 step 8).
 	engine.Every(sim.Hour, func(now sim.Time) {
@@ -104,8 +105,12 @@ func main() {
 			return
 		}
 		for _, r := range res.SolverResults() {
-			rebuilds[r.Phase1.Rebuild]++
-			rebuilds[r.Phase2.Rebuild]++
+			for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
+				rebuilds[ph.Rebuild]++
+				if ph.ModelPatched {
+					hits++
+				}
+			}
 		}
 		if !*quiet {
 			line := fmt.Sprintf("[%s] solve[%s]: %s in %v, moves in-use=%d idle=%d",
@@ -182,13 +187,14 @@ func main() {
 	planned, unplanned := sys.Broker().UnavailableCount()
 	logger.Printf("final unavailability: %d planned, %d unplanned of %d servers",
 		planned, unplanned, len(region.Servers))
-	hits := metrics.Solver.ModelPatchHits.Value()
-	misses := metrics.Solver.ModelPatchMisses.Value()
-	falls := metrics.Solver.FallbackRebuilds.Value()
-	why := ""
+	// No cached model to patch is a miss; every later reason is a fallback.
+	misses, falls, why := rebuilds[solver.RebuildNoCache], 0, ""
 	for r := solver.RebuildNone + 1; r < solver.NumRebuildReasons; r++ {
 		if rebuilds[r] > 0 {
 			why += fmt.Sprintf(" %v=%d", r, rebuilds[r])
+		}
+		if r > solver.RebuildNoCache {
+			falls += rebuilds[r]
 		}
 	}
 	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s",

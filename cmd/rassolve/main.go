@@ -9,9 +9,9 @@
 //	rassolve -synthetic -dcs 2 -msbs 3 -reservations 4 > assignment.json
 //	rassolve -synthetic -backend localsearch > assignment.json
 //
-// The -backend flag selects any registered solver backend (mip, localsearch,
-// pop); -partitions sets the pop backend's sub-region count. SIGINT/SIGTERM
-// cancel the solve cooperatively: the tool still writes the best incumbent
+// The -backend flag selects the solver backend (mip, localsearch, pop);
+// -partitions sets the pop backend's sub-region count. SIGINT/SIGTERM cancel
+// the solve cooperatively: the tool still writes the best incumbent
 // assignment found before the signal.
 //
 // Input schema (JSON):
@@ -44,7 +44,7 @@ import (
 	"ras/internal/backend"
 	"ras/internal/broker"
 	"ras/internal/hardware"
-	"ras/internal/metrics"
+	"ras/internal/lp"
 	"ras/internal/reservation"
 	"ras/internal/solver"
 	"ras/internal/topology"
@@ -258,7 +258,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *verbose {
-		printCounters(os.Stderr)
+		printCounters(os.Stderr, res)
 		printWarmStarts(os.Stderr, res)
 		printModelBuilds(os.Stderr, res)
 	}
@@ -288,47 +288,56 @@ func printModelBuilds(w io.Writer, res *backend.Result) {
 // bound to restore dual feasibility, and warm starts abandoned for a cold
 // two-phase solve, by reason. The pop backend's lines sum its partitions.
 func printWarmStarts(w io.Writer, res *backend.Result) {
-	var phases [2]solver.PhaseStats // a phase that did not run adds zeros
+	var phases [2]lp.Stats // a phase that did not run adds zeros
 	for _, r := range res.SolverResults() {
-		for i, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
-			phases[i].LPSolves += ph.LPSolves
-			phases[i].LPIters += ph.LPIters
-			phases[i].LPFlippedColumns += ph.LPFlippedColumns
-			for reason, n := range ph.LPColdFallbacks {
-				phases[i].LPColdFallbacks[reason] += n
-			}
-		}
+		phases[0].Add(r.Phase1.LP)
+		phases[1].Add(r.Phase2.LP)
 	}
-	for i, ph := range phases {
-		if ph.LPSolves == 0 {
+	for i, l := range phases {
+		if l.Solves == 0 {
 			continue
 		}
 		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cold_fallbacks=%d (%v)\n",
-			i+1, ph.LPSolves, ph.LPIters, ph.LPFlippedColumns, ph.LPColdFallbacks.Total(), ph.LPColdFallbacks)
+			i+1, l.Solves, l.Iterations, l.FlippedColumns, l.ColdFallbacks.Total(), l.ColdFallbacks)
 	}
 }
 
-// printCounters dumps the process-wide solver and LP counters — the solve
-// hot-path instrumentation of internal/metrics — in a stable, greppable
-// key=value layout.
-func printCounters(w io.Writer) {
-	s, l := &metrics.Solver, &metrics.LP
+// printCounters sums the statistics this solve returned — over both phases,
+// and over the partitions under pop — in a stable, greppable key=value
+// layout. Nothing here is process-wide: two solves print two sets of numbers.
+func printCounters(w io.Writer, res *backend.Result) {
+	var solves, workers, nodes, incumbents, heurWins, warmHits, warmMisses, patched, noCache, fallbacks int
+	var l lp.Stats
+	count := func(n *int, cond bool) {
+		if cond {
+			*n++
+		}
+	}
+	for _, r := range res.SolverResults() {
+		for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
+			count(&solves, ph.Workers > 0) // resolved to ≥ 1 exactly when the phase's MIP ran
+			workers += ph.Workers
+			nodes += ph.Nodes
+			incumbents += ph.IncumbentUpdates
+			heurWins += ph.HeuristicWins
+			count(&warmHits, ph.WarmRoot)
+			count(&warmMisses, ph.RootBasisMismatch)
+			count(&patched, ph.ModelPatched)
+			count(&noCache, ph.Rebuild == solver.RebuildNoCache)
+			count(&fallbacks, ph.Rebuild > solver.RebuildNoCache)
+			l.Add(ph.LP)
+		}
+	}
 	fmt.Fprintf(w, "solver: solves=%d workers=%d nodes=%d incumbents=%d heuristic_wins=%d round_warm_hits=%d round_warm_misses=%d\n",
-		s.Solves.Value(), s.WorkersUsed.Value(), s.NodesExplored.Value(),
-		s.IncumbentUpdates.Value(), s.HeuristicWins.Value(),
-		s.RoundWarmHits.Value(), s.RoundWarmMisses.Value())
-	fmt.Fprintf(w, "model-cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d\n",
-		s.ModelPatchHits.Value(), s.ModelPatchMisses.Value(), s.FallbackRebuilds.Value())
+		solves, workers, nodes, incumbents, heurWins, warmHits, warmMisses)
+	fmt.Fprintf(w, "model-cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d\n", patched, noCache, fallbacks)
 	fmt.Fprintf(w, "lp: solves=%d iters=%d dual_iters=%d refactorizations=%d workspace_reuses=%d warm_hits=%d warm_misses=%d\n",
-		l.Solves.Value(), l.Iterations.Value(), l.DualIterations.Value(),
-		l.Refactorizations.Value(), l.WorkspaceReuses.Value(),
-		l.WarmHits.Value(), l.WarmMisses.Value())
-	fmt.Fprintf(w, "lp-factor: update_etas=%d fill_ins=%d singular_repairs=%d factor_nnz=%d factor_rows=%d\n",
-		l.UpdateEtas.Value(), l.FactorFillIns.Value(), l.SingularRepairs.Value(),
-		l.FactorNnz.Value(), l.FactorRows.Value())
-	fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d repair_moves=%d partition_warm_hits=%d partition_warm_misses=%d\n",
-		s.Partitions.Value(), s.PartitionSolves.Value(), s.RepairMoves.Value(),
-		s.PartitionWarmHits.Value(), s.PartitionWarmMisses.Value())
+		l.Solves, l.Iterations, l.DualIterations, l.Refactorizations, l.WorkspaceReuses, l.WarmHits, l.ColdFallbacks.Total())
+	fmt.Fprintf(w, "lp-factor: update_etas=%d fill_ins=%d singular_repairs=%d\n", l.UpdateEtas, l.FillIns, l.SingularRepairs)
+	if d := res.POP; d != nil {
+		fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d repair_moves=%d partition_warm_hits=%d partition_warm_misses=%d\n",
+			d.Partitions, len(d.Subs), d.Repair.Moves(), d.WarmPartitions, d.Partitions-d.WarmPartitions)
+	}
 }
 
 func toStats(p solver.PhaseStats) statsOut {

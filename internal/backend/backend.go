@@ -4,7 +4,7 @@
 // an optimization problem": RAS uses the two-phase MIP solver for placement
 // quality, while near-realtime users pick a local-search solver. This
 // package is that seam — one Backend interface, one common Result shape,
-// and a registry mapping backend names to constructors — so that every
+// and New mapping backend names to constructors — so that every
 // production caller (the ras.System façade, the CLIs, the experiment
 // runners) selects a solver by name instead of hard-wiring a code path.
 //
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"ras/internal/clock"
@@ -89,7 +87,7 @@ func (o Options) workers() int {
 // Backend is one interchangeable optimization engine producing a full
 // server-to-reservation assignment from a solve snapshot.
 type Backend interface {
-	// Name reports the registry name of the backend.
+	// Name reports the name New constructs the backend under.
 	Name() string
 	// Solve runs one optimization round. It honours ctx per the package
 	// cancellation contract: cancellation returns the best incumbent with
@@ -179,8 +177,8 @@ func (r *Result) SolverResults() []*solver.Result {
 	return nil
 }
 
-// Config carries the tuning for every registered backend; each factory
-// reads the part it understands, so one Config can construct any backend.
+// Config carries the tuning for every backend; each reads the part it
+// understands, so one Config can construct any of them.
 type Config struct {
 	// Solver tunes the two-phase MIP backend.
 	Solver solver.Config
@@ -188,66 +186,30 @@ type Config struct {
 	LocalSearch localsearch.Config
 }
 
-// Factory constructs a configured Backend.
-type Factory func(cfg Config) Backend
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
 // DefaultName is the backend the façade uses when none is selected: the
 // two-phase MIP, the solver RAS itself runs in production.
 const DefaultName = "mip"
 
-// Register installs a backend factory under name. Registering a duplicate
-// name panics: backend names are a flat global namespace and a silent
-// overwrite would reroute every caller of that name.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" || f == nil {
-		panic("backend: Register with empty name or nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", name))
-	}
-	registry[name] = f
-}
-
 // New constructs the named backend from cfg. An empty name selects
-// DefaultName. Unknown names report the registered alternatives, a §5.3
-// operability courtesy.
+// DefaultName. Unknown names report the alternatives, a §5.3 operability
+// courtesy.
 func New(name string, cfg Config) (Backend, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (registered: %v)", name, Names())
+	switch name {
+	case "mip":
+		return &mipBackend{cfg: cfg.Solver}, nil
+	case "localsearch":
+		return &localSearchBackend{cfg: cfg.LocalSearch}, nil
+	case "pop":
+		return &popBackend{cfg: cfg.Solver}, nil
 	}
-	return f(cfg), nil
+	return nil, fmt.Errorf("backend: unknown backend %q (registered: %v)", name, Names())
 }
 
-// Names lists the registered backend names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register("mip", func(cfg Config) Backend { return &mipBackend{cfg: cfg.Solver} })
-	Register("localsearch", func(cfg Config) Backend { return &localSearchBackend{cfg: cfg.LocalSearch} })
-	Register("pop", func(cfg Config) Backend { return &popBackend{cfg: cfg.Solver} })
-}
+// Names lists the backend names New accepts, sorted.
+func Names() []string { return []string{"localsearch", "mip", "pop"} }
 
 // nextWarm derives the warm state a solve hands to the next round: a copy of
 // the incoming state (so a backend switch preserves the other backends'

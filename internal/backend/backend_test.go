@@ -3,6 +3,8 @@ package backend
 import (
 	"context"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,13 +73,14 @@ func checkTargets(t *testing.T, in solver.Input, res *Result) {
 	}
 }
 
-// TestRegistryRoundTrip solves the same input with every registered backend
-// through the registry and checks each produces a valid assignment.
+// TestRegistryRoundTrip solves the same input with every backend Names lists,
+// constructed by name through New, and checks each produces a valid
+// assignment — which also keeps Names and New's switch in step.
 func TestRegistryRoundTrip(t *testing.T) {
 	in := testInput(t, 1, 4, 4)
 	names := Names()
 	if len(names) < 2 {
-		t.Fatalf("expected at least mip and localsearch registered, got %v", names)
+		t.Fatalf("expected at least mip and localsearch, got %v", names)
 	}
 	for _, name := range names {
 		be, err := New(name, Config{
@@ -112,18 +115,18 @@ func TestNewDefaultAndUnknown(t *testing.T) {
 	if be.Name() != DefaultName {
 		t.Fatalf("default backend is %q, want %q", be.Name(), DefaultName)
 	}
-	if _, err := New("no-such-backend", Config{}); err == nil {
+	_, err = New("no-such-backend", Config{})
+	if err == nil {
 		t.Fatal("unknown backend name did not error")
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
+	for _, name := range Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error %q does not list %q", err, name)
 		}
-	}()
-	Register("mip", func(Config) Backend { return nil })
+	}
+	if !sort.StringsAreSorted(Names()) {
+		t.Errorf("Names() = %v, want sorted", Names())
+	}
 }
 
 // TestCancelMIPMidSolve cancels a branch-and-bound solve shortly after it

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"ras/internal/clock"
-	"ras/internal/metrics"
 	"ras/internal/mip"
 	"ras/internal/partition"
 	"ras/internal/reservation"
@@ -33,8 +32,11 @@ type POPWarm struct {
 
 // POPDetail is the pop backend's backend-specific result detail.
 type POPDetail struct {
-	// Partitions is the effective sub-region count k.
-	Partitions int
+	// Partitions is the effective sub-region count k, and WarmPartitions how
+	// many of them were handed the previous round's warm state (all or none:
+	// the plan signature either matched or the round was cold).
+	Partitions     int
+	WarmPartitions int
 	// SubWorkers is the branch-and-bound worker count each sub-solve ran
 	// with, and Concurrent how many sub-solves ran at once —
 	// SubWorkers×Concurrent never exceeds the Options.Workers budget.
@@ -122,11 +124,10 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 		opts.Warm.POP.Sig == plan.Sig && len(opts.Warm.POP.Parts) == k {
 		copy(warms, opts.Warm.POP.Parts)
 	}
-	for p := 0; p < k; p++ {
-		if warms[p] != nil {
-			metrics.Solver.PartitionWarmHits.Add(1)
-		} else {
-			metrics.Solver.PartitionWarmMisses.Add(1)
+	warmParts := 0
+	for _, w := range warms {
+		if w != nil {
+			warmParts++
 		}
 	}
 
@@ -199,10 +200,6 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 		repair = solver.RepairTargets(in, b.cfg, targets)
 	}
 
-	metrics.Solver.Partitions.Set(int64(k))
-	metrics.Solver.PartitionSolves.Add(int64(k))
-	metrics.Solver.RepairMoves.Add(int64(repair.Moves()))
-
 	ev := solver.Evaluate(in, b.cfg, targets)
 	out := &Result{
 		Backend:   b.Name(),
@@ -215,13 +212,14 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 		Gap:     math.Inf(1),
 		Elapsed: clock.Since(start),
 		POP: &POPDetail{
-			Partitions: k,
-			SubWorkers: perSub,
-			Concurrent: concurrent,
-			PlanSig:    plan.Sig,
-			Repair:     repair,
-			Eval:       ev,
-			Subs:       subs,
+			Partitions:     k,
+			WarmPartitions: warmParts,
+			SubWorkers:     perSub,
+			Concurrent:     concurrent,
+			PlanSig:        plan.Sig,
+			Repair:         repair,
+			Eval:           ev,
+			Subs:           subs,
 		},
 	}
 	out.Warm = nextWarm(opts.Warm, func(w *WarmState) {

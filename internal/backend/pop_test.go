@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ras/internal/clock"
-	"ras/internal/metrics"
 	"ras/internal/solver"
 )
 
@@ -158,11 +157,13 @@ func TestPOPWarmStateRoundTrip(t *testing.T) {
 		t.Fatalf("warm state has %d parts for %d partitions", len(first.Warm.POP.Parts), first.POP.Partitions)
 	}
 
-	h0, m0 := metrics.Solver.PartitionWarmHits.Value(), metrics.Solver.PartitionWarmMisses.Value()
+	if first.POP.WarmPartitions != 0 {
+		t.Errorf("cold round reports %d warm partitions", first.POP.WarmPartitions)
+	}
 	warmed, second := solvePOP(t, in, Options{Workers: 1, Partitions: 2, Warm: first.Warm})
-	hits := metrics.Solver.PartitionWarmHits.Value() - h0
-	if hits != int64(second.POP.Partitions) {
-		t.Errorf("same-plan warm round hit %d partitions, want all %d", hits, second.POP.Partitions)
+	if second.POP.WarmPartitions != second.POP.Partitions {
+		t.Errorf("same-plan warm round warmed %d partitions, want all %d",
+			second.POP.WarmPartitions, second.POP.Partitions)
 	}
 	// Warm starts may legitimately re-break branch-and-bound ties: on this
 	// instance the warm and the cold round both stop at the node limit with
@@ -187,13 +188,10 @@ func TestPOPWarmStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	h0, m0 = metrics.Solver.PartitionWarmHits.Value(), metrics.Solver.PartitionWarmMisses.Value()
 	_, third := solvePOP(t, in, Options{Workers: 1, Partitions: 3, Warm: first.Warm})
-	if got := metrics.Solver.PartitionWarmHits.Value() - h0; got != 0 {
-		t.Errorf("plan-signature mismatch still hit %d warm states", got)
-	}
-	if miss := metrics.Solver.PartitionWarmMisses.Value() - m0; miss != int64(third.POP.Partitions) {
-		t.Errorf("mismatched round recorded %d misses, want %d", miss, third.POP.Partitions)
+	if third.POP.WarmPartitions != 0 {
+		t.Errorf("plan-signature mismatch still warmed %d of %d partitions",
+			third.POP.WarmPartitions, third.POP.Partitions)
 	}
 	if third.Warm.POP.Sig == first.Warm.POP.Sig {
 		t.Error("k=2 and k=3 rounds share a plan signature")

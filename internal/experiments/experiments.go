@@ -308,8 +308,8 @@ func waterfillMax(caps []float64, demand float64) float64 {
 	return level
 }
 
-// applySolve runs the MIP backend (via the backend registry, like every
-// production caller) on the current broker state and applies the targets
+// applySolve runs the MIP backend (via backend.New, like every production
+// caller) on the current broker state and applies the targets
 // directly (experiment-local; the full System path is exercised by the
 // end-to-end simulations).
 func applySolve(region *topology.Region, b *broker.Broker, rsvs []reservation.Reservation, cfg solver.Config) (*solver.Result, error) {

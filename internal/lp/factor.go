@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ras/internal/floats"
-	"ras/internal/metrics"
 )
 
 // This file implements the sparse basis factorization behind the simplex
@@ -156,7 +155,6 @@ func (f *factor) needRefactor(every int) bool {
 // only in the nonsingular case; callers must repair and re-factorize on a
 // non-empty return. The returned slice is reused by the next call.
 func (f *factor) factorize(cols [][]Nonzero, basis []int) (deficient []int) {
-	metrics.LP.Refactorizations.Add(1)
 	f.load(cols, basis)
 	for cs := f.popMinCol(); cs >= 0; cs = f.popMinCol() {
 		f.pivot(cs)
@@ -407,9 +405,6 @@ func (f *factor) finish() []int {
 	for j := done; j < m; j++ {
 		f.pr[j] = -1
 	}
-	metrics.LP.FactorFillIns.Add(int64(f.fillIns))
-	metrics.LP.FactorNnz.Set(int64(f.factNnz))
-	metrics.LP.FactorRows.Set(int64(m))
 	return f.deficient
 }
 
@@ -455,7 +450,6 @@ func (f *factor) update(r int, w []float64, wnz []int) {
 	}
 	f.etas = append(f.etas, etaOp{pivot: r, invP: invP, nz: nz})
 	f.etaNnz += len(nz) + 1
-	metrics.LP.UpdateEtas.Add(1)
 }
 
 // ftran computes dst = B^-1 · a for a constraint-row-indexed sparse column

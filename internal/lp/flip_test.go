@@ -83,6 +83,8 @@ func TestWarmMatchesColdUnderBoundEdits(t *testing.T) {
 			ws := NewWorkspace()
 			opt := Options{ReuseBasis: true, RefactorEvery: refactorEvery}
 			last := p.SolveWith(context.Background(), opt, ws)
+			// want re-adds, from the Solutions, what ws counts for itself.
+			want := Stats{Solves: 1, Iterations: last.Iterations}
 			for step := 0; step < 12; step++ {
 				type edit struct {
 					j      int
@@ -124,7 +126,15 @@ func TestWarmMatchesColdUnderBoundEdits(t *testing.T) {
 				flips += warm.FlippedColumns
 				if warm.ColdFallback != ColdNone {
 					fallbacks[warm.ColdFallback]++
+					want.ColdFallbacks[warm.ColdFallback]++
 				}
+				if warm.WarmStarted {
+					want.WarmHits++
+				}
+				want.Solves++
+				want.Iterations += warm.Iterations
+				want.DualIterations += warm.DualIters
+				want.FlippedColumns += warm.FlippedColumns
 				if warm.Status != Optimal {
 					// Step back out of the infeasible box, so the sequence
 					// goes on editing a problem that has solutions.
@@ -134,6 +144,18 @@ func TestWarmMatchesColdUnderBoundEdits(t *testing.T) {
 					continue
 				}
 				last = warm
+			}
+			got := ws.Stats()
+			if got.Refactorizations == 0 || got.WorkspaceReuses != 12 {
+				t.Fatalf("RefactorEvery=%d seed %d: %d refactorizations, %d reuses in 13 solves",
+					refactorEvery, seed, got.Refactorizations, got.WorkspaceReuses)
+			}
+			want.WorkspaceReuses, want.IterLimited = got.WorkspaceReuses, got.IterLimited
+			want.Refactorizations, want.UpdateEtas = got.Refactorizations, got.UpdateEtas
+			want.FillIns, want.SingularRepairs = got.FillIns, got.SingularRepairs
+			if got != want {
+				t.Fatalf("RefactorEvery=%d seed %d: workspace counted %+v, its Solutions add up to %+v",
+					refactorEvery, seed, got, want)
 			}
 		}
 		if flips == 0 {

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"ras/internal/floats"
-	"ras/internal/metrics"
 )
 
 // Sense describes the relation of a constraint row to its right-hand side.
@@ -289,6 +288,43 @@ func (c ColdCounts) String() string {
 	return b.String()
 }
 
+// Stats counts what one Workspace did over every solve since it was created.
+// A workspace belongs to one goroutine, so the fields are plain ints; a caller
+// running several workspaces sums them with Add once its goroutines have
+// joined.
+type Stats struct {
+	Solves           int
+	Iterations       int        // simplex iterations: both phases, warm repair and polish
+	DualIterations   int        // dual-simplex repair iterations of warm starts
+	IterLimited      int        // solves stopped by the iteration limit
+	WarmHits         int        // solves completed from a retained or imported basis
+	FlippedColumns   int        // Solution.FlippedColumns, summed
+	ColdFallbacks    ColdCounts // warm starts abandoned for a cold solve, by reason
+	WorkspaceReuses  int        // solves that re-entered an already-built structure
+	Refactorizations int        // Markowitz LU rebuilds of the basis factorization
+	UpdateEtas       int        // product-form etas appended between rebuilds
+	FillIns          int        // fill-in nonzeros those rebuilds created
+	SingularRepairs  int        // dependent basis columns swapped for an artificial
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Solves += o.Solves
+	s.Iterations += o.Iterations
+	s.DualIterations += o.DualIterations
+	s.IterLimited += o.IterLimited
+	s.WarmHits += o.WarmHits
+	s.FlippedColumns += o.FlippedColumns
+	for r, n := range o.ColdFallbacks {
+		s.ColdFallbacks[r] += n
+	}
+	s.WorkspaceReuses += o.WorkspaceReuses
+	s.Refactorizations += o.Refactorizations
+	s.UpdateEtas += o.UpdateEtas
+	s.FillIns += o.FillIns
+	s.SingularRepairs += o.SingularRepairs
+}
+
 // Solution is the result of solving a Problem.
 type Solution struct {
 	Status     Status
@@ -433,8 +469,13 @@ func (p *Problem) SolveWith(ctx context.Context, opt Options, ws *Workspace) Sol
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
 	}
 	sol := ws.solve(ctx, p, opt)
-	metrics.LP.Solves.Add(1)
-	metrics.LP.Iterations.Add(int64(sol.Iterations))
-	metrics.LP.DualIterations.Add(int64(sol.DualIters))
+	st := &ws.stats
+	st.Solves++
+	st.Iterations += sol.Iterations
+	st.DualIterations += sol.DualIters
+	st.FlippedColumns += sol.FlippedColumns
+	if sol.Status == IterLimit {
+		st.IterLimited++
+	}
 	return sol
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ras/internal/floats"
-	"ras/internal/metrics"
 )
 
 // priceBlock is the partial-pricing block width used by the Devex stage:
@@ -291,6 +290,7 @@ func (s *Workspace) absorbPivot(leave, refactorEvery int) bool {
 		return s.refactorize()
 	}
 	s.fact.update(leave, s.w, s.wnz)
+	s.stats.UpdateEtas++
 	if s.fact.needRefactor(refactorEvery) {
 		return s.refactorize()
 	}
@@ -475,19 +475,21 @@ func (s *Workspace) dualSimplex(cost []float64, maxDual int) Status {
 // — the case the dense-inverse predecessor silently papered over with stale
 // inverse columns — is repaired by swapping each linearly dependent basis
 // column for the artificial of an unpivoted row (always structurally
-// nonsingular) and re-factorizing; repairs are surfaced through
-// metrics.LP.SingularRepairs and, if repair cannot produce a factorizable
-// basis, a false return that callers turn into Status Singular.
+// nonsingular) and re-factorizing; repairs are counted in
+// Stats.SingularRepairs and, if repair cannot produce a factorizable basis,
+// a false return that callers turn into Status Singular.
 func (s *Workspace) refactorize() bool {
 	for attempt := 0; ; attempt++ {
 		deficient := s.fact.factorize(s.cols, s.basis)
+		s.stats.Refactorizations++
+		s.stats.FillIns += s.fact.fillIns
 		if len(deficient) == 0 {
 			break
 		}
 		if attempt >= 3 {
 			return false
 		}
-		metrics.LP.SingularRepairs.Add(int64(len(deficient)))
+		s.stats.SingularRepairs += len(deficient)
 		s.repairBasis(deficient)
 		s.repaired = true
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ras/internal/floats"
-	"ras/internal/metrics"
 )
 
 // Workspace holds every piece of solver state that survives between solves:
@@ -32,6 +31,8 @@ type Workspace struct {
 	iters   int
 	diters  int
 	flipped int // nonbasic columns moved to their opposite bound on warm entry
+
+	stats Stats // everything this workspace has done, never reset
 
 	// Structure, rebuilt by reshape when the owner or shape changes.
 	owner    *Problem
@@ -91,12 +92,16 @@ func NewWorkspace() *Workspace {
 	return &Workspace{}
 }
 
+// Stats reports what the workspace has done since NewWorkspace. Like every
+// other method it is for the owning goroutine, or for one that joined it.
+func (s *Workspace) Stats() Stats { return s.stats }
+
 // solve is the single entry point behind Problem.Solve/SolveWith. Options
 // are already defaulted by the caller.
 func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution {
 	reused := s.reshape(p)
 	if reused {
-		metrics.LP.WorkspaceReuses.Add(1)
+		s.stats.WorkspaceReuses++
 	}
 	s.ctx = ctx
 	s.opt = opt
@@ -123,11 +128,11 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 		sol, why = s.runWarm(opt.Start)
 	}
 	if why == ColdNone {
-		metrics.LP.WarmHits.Add(1)
+		s.stats.WarmHits++
 		sol.WarmStarted = true
 		return sol
 	}
-	metrics.LP.WarmMisses.Add(1)
+	s.stats.ColdFallbacks[why]++
 	warmIters, flipped := s.iters, s.flipped
 	s.iters = 0
 	s.diters = 0

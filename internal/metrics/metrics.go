@@ -1,7 +1,8 @@
-// Package metrics provides the small statistics toolkit used by the
-// benchmark harness: percentile estimation, mean/variance, normalized
-// variance, histograms, and time-series accumulation for the figures in the
-// paper's evaluation.
+// Package metrics is the small statistics toolkit of the experiment suite:
+// Sample (mean, variance, percentiles), NormalizedVariance (Figure 14's
+// imbalance measure) and Table (aligned text output). Solve statistics do not
+// live here: they ride the results of the solve that produced them
+// (lp.Stats, mip.Result, solver.PhaseStats).
 package metrics
 
 import (
@@ -9,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Sample is an accumulating collection of float64 observations.
@@ -82,19 +82,8 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Min reports the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
 // Max reports the largest observation (0 for an empty sample).
 func (s *Sample) Max() float64 { return s.Percentile(100) }
-
-// Values returns a copy of the observations in insertion-independent
-// (sorted) order.
-func (s *Sample) Values() []float64 {
-	out := append([]float64(nil), s.xs...)
-	sort.Float64s(out)
-	return out
-}
 
 // NormalizedVariance reports the variance of xs after dividing every value
 // by the mean — the scale-free imbalance measure of Figure 14. A uniform
@@ -117,72 +106,6 @@ func NormalizedVariance(xs []float64) float64 {
 		v += d * d
 	}
 	return v / float64(len(xs))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: bad histogram spec [%v,%v) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// N reports the total number of observations, including out-of-range ones.
-func (h *Histogram) N() int { return h.n }
-
-// Density reports the probability density of bin i (so that the integral
-// over all bins is ≤ 1, matching Figure 7's y-axis).
-func (h *Histogram) Density(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	binWidth := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / float64(h.n) / binWidth
-}
-
-// BinCenter reports the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	binWidth := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + binWidth*(float64(i)+0.5)
-}
-
-// Series is a labelled time series for figure output.
-type Series struct {
-	Name string
-	Xs   []float64
-	Ys   []float64
-}
-
-// Add appends one (x, y) point.
-func (s *Series) Add(x, y float64) {
-	s.Xs = append(s.Xs, x)
-	s.Ys = append(s.Ys, y)
 }
 
 // Table formats labelled rows as an aligned text table for the benchmark
@@ -228,116 +151,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Counter is a monotonically increasing atomic counter, safe for concurrent
-// use from solver goroutines. The zero value is ready to use.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Reset zeroes the counter (tests, epoch rollovers).
-func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is an atomically set/read level value — a most-recent measurement
-// rather than an accumulating count. The zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set records the current level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value reports the most recently set level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Reset zeroes the gauge (tests, epoch rollovers).
-func (g *Gauge) Reset() { g.v.Store(0) }
-
-// Solver aggregates process-wide counters from the branch-and-bound engine
-// (internal/mip): how many solves ran, at what parallelism, how much tree
-// they explored, and where incumbents came from. WorkersUsed accumulates
-// the resolved worker count of every solve, so WorkersUsed/Solves is the
-// average parallelism actually used.
-var Solver struct {
-	Solves           Counter
-	WorkersUsed      Counter
-	NodesExplored    Counter
-	IncumbentUpdates Counter
-	HeuristicWins    Counter
-	// RoundWarmHits/RoundWarmMisses count cross-round warm-start seeding at
-	// the solver layer: a hit when a persisted basis from round k matched
-	// the round k+1 model shape and was passed to the root LP, a miss when
-	// a basis was offered but the shape had drifted and the round fell back
-	// to a cold start.
-	RoundWarmHits   Counter
-	RoundWarmMisses Counter
-	// Incremental model build (solver model cache + broker deltas).
-	// ModelPatchHits counts rounds whose cached phase model was patched in
-	// place from a delta instead of rebuilt; ModelPatchMisses counts rounds
-	// that offered a delta but had no compatible cache to patch (first
-	// round, version gap, config change); FallbackRebuilds counts rounds
-	// where a cache and delta were present but the delta broke the model's
-	// structure (reservations created/deleted, symmetry groups appearing or
-	// emptying) and the round fell back to a cold rebuild.
-	ModelPatchHits   Counter
-	ModelPatchMisses Counter
-	FallbackRebuilds Counter
-	// POP partitioned solving (the "pop" backend). Partitions gauges the
-	// most recent solve's effective partition count k; PartitionSolves
-	// accumulates sub-MIP solves (k per pop round); RepairMoves accumulates
-	// the recombination pass's applied moves. PartitionWarmHits/Misses
-	// count per-partition cross-round warm-state reuse at the pop layer: a
-	// hit when the previous round's partition plan signature matched and
-	// that partition's warm state was handed to its sub-solve, a miss when
-	// the plan was re-drawn (or the round was cold) and the sub-solve
-	// started fresh. The deeper basis-shape matching inside each sub-solve
-	// still counts into RoundWarmHits/RoundWarmMisses.
-	Partitions          Gauge
-	PartitionSolves     Counter
-	RepairMoves         Counter
-	PartitionWarmHits   Counter
-	PartitionWarmMisses Counter
-}
-
-// LP aggregates process-wide counters from the simplex kernel (internal/lp):
-// solve and iteration volume, how often warm starts were attempted and how
-// they fared, and how much structural work was amortized away. WarmHits
-// counts solves completed by a warm path (workspace basis reuse or basis
-// import); WarmMisses counts warm attempts that fell back to a cold start.
-// Refactorizations counts sparse basis refactorizations (Markowitz LU
-// rebuilds of the eta-file factorization), and WorkspaceReuses counts solves
-// that re-entered an already-built workspace structure instead of rebuilding
-// sparse columns and the slack/artificial layout.
-//
-// The factorization kernel adds its own gauges and counters: UpdateEtas
-// counts product-form eta matrices appended by pivots between
-// refactorizations, FactorFillIns accumulates the fill-in nonzeros the
-// Markowitz elimination created, SingularRepairs counts basis repairs where
-// a linearly dependent basis column was swapped for its row's artificial,
-// and FactorNnz/FactorRows gauge the most recent factorization's stored
-// nonzeros and dimension — together they show how far the basis stays from
-// the transportation-like sparsity the kernel is built for.
-var LP struct {
-	Solves           Counter
-	Iterations       Counter
-	DualIterations   Counter
-	Refactorizations Counter
-	WorkspaceReuses  Counter
-	WarmHits         Counter
-	WarmMisses       Counter
-	UpdateEtas       Counter
-	FactorFillIns    Counter
-	SingularRepairs  Counter
-	FactorNnz        Gauge
-	FactorRows       Gauge
 }

@@ -4,15 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
-
-	"ras/internal/metrics"
 )
 
 // TestRefactorCadenceDeterministic pins the sparse kernel's refactorization
 // cadence to counts, never wall-clock: two identical Workers=1 solves must
 // produce bit-for-bit identical objectives AND identical refactorization /
-// eta-update counter deltas. Under Workers∈{2,4} the node trajectory is
+// eta-update counts on the Result they return. Under Workers∈{2,4} the node trajectory is
 // scheduler-dependent (DESIGN.md "Parallel solving"), so the counters are
 // only required to show the kernel was exercised while the objective stays
 // within the proven-optimality tolerance of the serial result.
@@ -25,19 +24,16 @@ func TestRefactorCadenceDeterministic(t *testing.T) {
 	type runStats struct {
 		status  Status
 		obj     float64
-		refacts int64
-		etas    int64
+		refacts int
+		etas    int
 	}
 	solveOnce := func(workers int) runStats {
-		m := build()
-		r0 := metrics.LP.Refactorizations.Value()
-		e0 := metrics.LP.UpdateEtas.Value()
-		res := m.Solve(context.Background(), Options{Workers: workers, MaxNodes: 400})
+		res := build().Solve(context.Background(), Options{Workers: workers, MaxNodes: 400})
 		return runStats{
 			status:  res.Status,
 			obj:     res.Objective,
-			refacts: metrics.LP.Refactorizations.Value() - r0,
-			etas:    metrics.LP.UpdateEtas.Value() - e0,
+			refacts: res.LP.Refactorizations,
+			etas:    res.LP.UpdateEtas,
 		}
 	}
 
@@ -65,6 +61,36 @@ func TestRefactorCadenceDeterministic(t *testing.T) {
 		// objectives agree to that tolerance even though trajectories differ.
 		if math.Abs(p.obj-serial.obj) > 1e-5 {
 			t.Fatalf("workers=%d objective %v differs from serial %v", w, p.obj, serial.obj)
+		}
+	}
+}
+
+// TestConcurrentSerialSolvesReportOwnStats: LP statistics belong to the solve
+// that returns them. Two identical Workers=1 solves running at the same time
+// in one process must each report exactly what the same solve reports alone —
+// which no process-wide counter could say.
+func TestConcurrentSerialSolvesReportOwnStats(t *testing.T) {
+	solve := func() Result {
+		return generalizedAssignment().Solve(context.Background(), Options{Workers: 1, MaxNodes: 400})
+	}
+	alone := solve()
+	if alone.Nodes < 2 || alone.LP.Solves <= alone.Nodes || alone.LP.Refactorizations == 0 {
+		t.Fatalf("solve too small to tell solves apart: nodes=%d LP=%+v", alone.Nodes, alone.LP)
+	}
+	var wg sync.WaitGroup
+	var got [2]Result
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = solve()
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r.LP != alone.LP || r.Nodes != alone.Nodes {
+			t.Errorf("concurrent solve %d: nodes=%d LP=%+v, alone nodes=%d LP=%+v",
+				i, r.Nodes, r.LP, alone.Nodes, alone.LP)
 		}
 	}
 }

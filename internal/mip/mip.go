@@ -29,7 +29,6 @@ import (
 	"ras/internal/clock"
 	"ras/internal/floats"
 	"ras/internal/lp"
-	"ras/internal/metrics"
 )
 
 // Var identifies a variable within a Model.
@@ -405,22 +404,15 @@ type Options struct {
 
 // Result is the outcome of Solve.
 type Result struct {
-	Status      Status
-	Objective   float64   // incumbent objective (valid unless NoSolution/Infeasible)
-	Bound       float64   // best proven lower bound on the optimum
-	X           []float64 // incumbent point, one entry per variable
-	Nodes       int       // branch-and-bound nodes explored
-	LPSolves    int       // LP relaxations solved
-	LPIters     int       // total simplex iterations across all LP solves
-	LPDualIters int       // dual-simplex warm-start repair iterations
-	LPLimited   int       // LP solves that hit the iteration limit
-	// LPFlippedColumns sums lp.Solution.FlippedColumns over every LP solve:
-	// the bound flips that kept warm starts dual feasible. LPColdFallbacks
-	// counts the LP solves whose warm start was abandoned for a cold
-	// two-phase solve, by lp.ColdReason.
-	LPFlippedColumns int
-	LPColdFallbacks  lp.ColdCounts
-	SolveTime        time.Duration
+	Status    Status
+	Objective float64   // incumbent objective (valid unless NoSolution/Infeasible)
+	Bound     float64   // best proven lower bound on the optimum
+	X         []float64 // incumbent point, one entry per variable
+	Nodes     int       // branch-and-bound nodes explored
+	// LP sums what every LP workspace of the solve did — the root, each
+	// heuristic goroutine and each worker — read once after they joined.
+	LP        lp.Stats
+	SolveTime time.Duration
 	// Workers is the resolved worker count the solve ran with (≥ 1).
 	Workers int
 	// IncumbentUpdates counts accepted improvements of the shared
@@ -505,12 +497,6 @@ func (m *Model) Solve(ctx context.Context, opt Options) Result {
 	e.fillStats(&res)
 	res.Workers = opt.Workers
 	res.SolveTime = clock.Since(start)
-
-	metrics.Solver.Solves.Add(1)
-	metrics.Solver.WorkersUsed.Add(int64(opt.Workers))
-	metrics.Solver.NodesExplored.Add(int64(res.Nodes))
-	metrics.Solver.IncumbentUpdates.Add(int64(res.IncumbentUpdates))
-	metrics.Solver.HeuristicWins.Add(int64(res.HeuristicWins))
 	return res
 }
 

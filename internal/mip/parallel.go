@@ -10,8 +10,6 @@ package mip
 import (
 	"math"
 	"sync"
-
-	"ras/internal/lp"
 )
 
 // nodePool is the shared open-node list of the parallel search. Selection
@@ -128,66 +126,6 @@ func (p *nodePool) remaining() int {
 	return len(p.open)
 }
 
-// processNode expands one node on the worker's private search state: prune,
-// solve the relaxation, offer integral/rounded incumbents, run the periodic
-// node heuristics, and branch. It returns the children to push (nil when
-// pruned or fathomed) and whether the node must be requeued because its LP
-// was cancelled mid-solve (its subtree is unexplored and must stay in the
-// bound).
-func (s *search) processNode(nd node) (children []node, requeue bool) {
-	m, e := s.m, s.e
-	opt := e.opt
-
-	// Prune against the shared incumbent. A stale read is harmless: the
-	// incumbent only improves, so the worst case is one extra LP solve.
-	if nd.bound >= e.bestObj()-opt.AbsGap {
-		return nil, false
-	}
-	if !s.applyNodeBounds(nd) {
-		return nil, false
-	}
-
-	sol := s.solveLP()
-	myNode := e.nodes.Add(1)
-	if sol.Status == lp.Cancelled {
-		return nil, true
-	}
-	if sol.Status == lp.Infeasible || sol.Status == lp.IterLimit || sol.Status == lp.Unbounded {
-		return nil, false
-	}
-	if sol.Objective >= e.bestObj()-opt.AbsGap {
-		return nil, false
-	}
-
-	frac := m.mostFractional(sol.X, opt.IntTol)
-	if frac == -1 {
-		e.offer(sol.X, sol.Objective, false)
-		return nil, false
-	}
-
-	// Rounding heuristic: round to nearest integers, verify feasibility.
-	copy(s.xbuf, sol.X)
-	for j := 0; j < e.n; j++ {
-		if m.integer[j] {
-			s.xbuf[j] = math.Round(s.xbuf[j])
-		}
-	}
-	if m.feasibleIntegralIn(s.prob, s.xbuf, opt.IntTol) {
-		e.offer(s.xbuf, m.objective(s.xbuf), false)
-	}
-	// Periodic heuristics, on the serial schedule keyed to the global node
-	// counter (bounds are still the node's at this point).
-	if myNode%16 == 1 {
-		s.roundRepairComplete(sol.X)
-	}
-	if myNode%64 == 33 {
-		s.dive(sol.X, 0.5)
-	}
-
-	first, second := s.branch(nd, frac, sol.X[frac], sol.Objective)
-	return []node{first, second}, false
-}
-
 // solveParallel is the Workers>1 branch-and-bound driver. The root
 // relaxation solves once on the model's own problem; its exported basis
 // then warm-starts every worker and heuristic goroutine (package lp copies
@@ -242,15 +180,13 @@ func (m *Model) solveParallel(e *engine) Result {
 		wg.Add(1)
 		go func(w int, ws *search) {
 			defer wg.Done()
+			var children []node // reused: finish copies them into the pool
 			for {
 				nd, ok := pool.pop(w, e)
 				if !ok {
 					return
 				}
-				children, requeue := ws.processNode(nd)
-				if requeue {
-					children = append(children, nd)
-				}
+				children = ws.processNode(nd, children[:0])
 				pool.finish(w, children)
 			}
 		}(w, ws)

@@ -77,11 +77,44 @@ func TestParallelStatsPopulated(t *testing.T) {
 	if r.Status != Optimal && r.Status != Feasible {
 		t.Fatalf("status=%v", r.Status)
 	}
-	if r.Nodes <= 0 || r.LPSolves <= 0 {
-		t.Fatalf("stats not populated: nodes=%d lpSolves=%d", r.Nodes, r.LPSolves)
+	if r.Nodes <= 0 || r.LP.Solves <= 0 {
+		t.Fatalf("stats not populated: nodes=%d LP.Solves=%d", r.Nodes, r.LP.Solves)
 	}
 	if r.IncumbentUpdates <= 0 {
 		t.Fatalf("an optimal solve must have published at least one incumbent, got %d", r.IncumbentUpdates)
+	}
+}
+
+// TestParallelLPStatsSumSearches drives the parallel driver directly so the
+// per-search workspaces stay in reach: Result.LP must be the sum over the
+// root, the racing root heuristics and the workers — each counted by its own
+// goroutine with plain ints and read only after the join, which is what the
+// race detector checks here — and every counted node solved one LP.
+func TestParallelLPStatsSumSearches(t *testing.T) {
+	const workers = 4
+	m := generalizedAssignment()
+	e := newEngine(context.Background(), m, Options{Workers: workers, MaxNodes: 400, IntTol: 1e-6, AbsGap: 1e-6}, time.Now())
+	res := m.solveParallel(e)
+	e.fillStats(&res)
+	e.restoreRootBounds()
+	if res.Status != Optimal && res.Status != Feasible {
+		t.Fatalf("status=%v", res.Status)
+	}
+	if want := 1 + 4 + workers; len(e.searches) != want {
+		t.Fatalf("%d searches, want %d (root + 4 root heuristics + %d workers)", len(e.searches), want, workers)
+	}
+	sum := 0
+	for _, s := range e.searches {
+		sum += s.ws.Stats().Solves
+	}
+	if res.LP.Solves != sum {
+		t.Fatalf("Result.LP.Solves = %d, searches sum to %d", res.LP.Solves, sum)
+	}
+	if root := e.searches[0].ws.Stats().Solves; root < 1 {
+		t.Fatalf("root search solved %d LPs", root)
+	}
+	if res.LP.Solves < 1+res.Nodes {
+		t.Fatalf("%d LP solves for the root and %d nodes", res.LP.Solves, res.Nodes)
 	}
 }
 

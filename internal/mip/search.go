@@ -2,8 +2,8 @@ package mip
 
 // This file holds the solve engine shared by the serial and parallel
 // branch-and-bound drivers: the per-solve shared state (incumbent, stop
-// flags, statistics, root bounds) and the per-goroutine search scratch
-// (problem copy, warm basis, heuristics). The serial driver solveSerial
+// flags, node count, root bounds) and the per-goroutine search scratch
+// (problem copy, warm basis and LP statistics, heuristics). The serial driver solveSerial
 // reproduces the pre-parallel algorithm exactly — same node order, same
 // heuristic schedule, same LP sequence — so Workers=1 results are
 // bit-for-bit identical to the historical single-threaded solver.
@@ -23,9 +23,10 @@ import (
 
 // engine is the state shared by every search goroutine of one Solve call.
 // All fields set in newEngine are immutable for the duration of the solve;
-// the incumbent is guarded by incMu, the statistics are atomics, and the
-// stop flags are sticky atomics so any goroutine can observe an expiry
-// another one detected.
+// the incumbent is guarded by incMu, the node count and stall tracking are
+// atomics, and the stop flags are sticky atomics so any goroutine can observe
+// an expiry another one detected. LP statistics are not shared at all: each
+// search's workspace counts its own and fillStats sums them after the join.
 type engine struct {
 	m     *Model
 	opt   Options
@@ -54,13 +55,11 @@ type engine struct {
 	incUpdates int
 	heurWins   int
 
-	nodes       atomic.Int64
-	lpSolves    atomic.Int64
-	lpIters     atomic.Int64
-	lpDualIters atomic.Int64
-	lpLimited   atomic.Int64
-	lpFlipped   atomic.Int64
-	lpCold      [lp.NumColdReasons]atomic.Int64
+	nodes atomic.Int64
+	// searches lists every search of the solve. newSearch appends to it, and
+	// only the driver goroutine calls newSearch (before it forks the search's
+	// goroutine), so the slice itself needs no lock.
+	searches []*search
 
 	// Stall-rule progress tracking: the node count at the last incumbent or
 	// bound improvement, and the best bound seen so far (as float bits, -Inf
@@ -233,16 +232,13 @@ func (e *engine) incumbentCopy() ([]float64, float64) {
 	return e.incCopy, e.incObj
 }
 
-// fillStats copies the engine's accumulated statistics into res.
+// fillStats copies the solve's statistics into res. The driver calls it after
+// every search goroutine has joined, which is what makes the workspaces'
+// plain counters safe to read.
 func (e *engine) fillStats(res *Result) {
 	res.Nodes = int(e.nodes.Load())
-	res.LPSolves = int(e.lpSolves.Load())
-	res.LPIters = int(e.lpIters.Load())
-	res.LPDualIters = int(e.lpDualIters.Load())
-	res.LPLimited = int(e.lpLimited.Load())
-	res.LPFlippedColumns = int(e.lpFlipped.Load())
-	for r := range e.lpCold {
-		res.LPColdFallbacks[r] = int(e.lpCold[r].Load())
+	for _, s := range e.searches {
+		res.LP.Add(s.ws.Stats())
 	}
 	e.incMu.Lock()
 	res.IncumbentUpdates = e.incUpdates
@@ -311,7 +307,7 @@ type search struct {
 }
 
 func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis) *search {
-	return &search{
+	s := &search{
 		m: e.m, e: e, prob: prob,
 		ws:        lp.NewWorkspace(),
 		seedBasis: seed,
@@ -320,6 +316,8 @@ func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis) *search {
 		divebuf:   make([]float64, e.n),
 		checkbuf:  make([]float64, e.n),
 	}
+	e.searches = append(e.searches, s)
+	return s
 }
 
 // solveLP solves the search's problem on the search-local workspace. The
@@ -341,18 +339,7 @@ func (s *search) solveLP() lp.Solution {
 		o.ExportBasis = true
 		s.exportNext = false
 	}
-	sol := s.prob.SolveWith(s.e.ctx, o, s.ws)
-	s.e.lpSolves.Add(1)
-	s.e.lpIters.Add(int64(sol.Iterations))
-	s.e.lpDualIters.Add(int64(sol.DualIters))
-	if sol.Status == lp.IterLimit {
-		s.e.lpLimited.Add(1)
-	}
-	s.e.lpFlipped.Add(int64(sol.FlippedColumns))
-	if sol.ColdFallback != lp.ColdNone {
-		s.e.lpCold[sol.ColdFallback].Add(1)
-	}
-	return sol
+	return s.prob.SolveWith(s.e.ctx, o, s.ws)
 }
 
 // solveRootLP is solveLP with a basis export: the root relaxation's basis
@@ -770,6 +757,69 @@ func (s *search) branch(nd node, v int, fv, objective float64) (first, second no
 	return down, up
 }
 
+// processNode expands one node on the search's private state: prune, solve
+// the relaxation, offer integral/rounded incumbents, run the periodic node
+// heuristics, and branch. It appends to open what the expansion leaves
+// unexplored and returns it: nothing when the node is pruned or fathomed, its
+// two children, or the node itself when its LP was cancelled mid-solve (the
+// subtree must stay in the bound). Both drivers expand nodes through it; with
+// one goroutine myNode is simply the node count.
+func (s *search) processNode(nd node, open []node) []node {
+	m, e := s.m, s.e
+	opt := e.opt
+
+	// Prune against the shared incumbent. A stale read is harmless: the
+	// incumbent only improves, so the worst case is one extra LP solve.
+	if nd.bound >= e.bestObj()-opt.AbsGap {
+		return open
+	}
+	if !s.applyNodeBounds(nd) {
+		return open
+	}
+
+	sol := s.solveLP()
+	myNode := e.nodes.Add(1)
+	if sol.Status == lp.Cancelled {
+		return append(open, nd)
+	}
+	// Integer restrictions cannot repair an unbounded relaxation in this
+	// node's subtree in a way we can detect, so it is skipped like the rest.
+	if sol.Status == lp.Infeasible || sol.Status == lp.IterLimit || sol.Status == lp.Unbounded {
+		return open
+	}
+	if sol.Objective >= e.bestObj()-opt.AbsGap {
+		return open
+	}
+
+	frac := m.mostFractional(sol.X, opt.IntTol)
+	if frac == -1 {
+		e.offer(sol.X, sol.Objective, false)
+		return open
+	}
+
+	// Rounding heuristic: round to nearest integers, verify feasibility.
+	copy(s.xbuf, sol.X)
+	for j := 0; j < e.n; j++ {
+		if m.integer[j] {
+			s.xbuf[j] = math.Round(s.xbuf[j])
+		}
+	}
+	if m.feasibleIntegralIn(s.prob, s.xbuf, opt.IntTol) {
+		e.offer(s.xbuf, m.objective(s.xbuf), false)
+	}
+	// Periodic heuristics from this node's relaxation, keyed to the global
+	// node counter (bounds are still the node's at this point).
+	if myNode%16 == 1 {
+		s.roundRepairComplete(sol.X)
+	}
+	if myNode%64 == 33 {
+		s.dive(sol.X, 0.5)
+	}
+
+	first, second := s.branch(nd, frac, sol.X[frac], sol.Objective)
+	return append(open, first, second)
+}
+
 // rootHeuristics runs the serial root-node primal heuristic schedule from
 // the fractional root relaxation: round/repair/complete, a nearest-rounding
 // dive, then gap-dependent retries (an up-biased dive and a cold-started
@@ -858,64 +908,9 @@ func (m *Model) solveSerial(e *engine) Result {
 		nd := open[pick]
 		open = append(open[:pick], open[pick+1:]...)
 
-		// Prune against incumbent.
-		if nd.bound >= e.bestObj()-opt.AbsGap {
-			continue
-		}
-
-		if !s.applyNodeBounds(nd) {
-			continue
-		}
-
-		sol := s.solveLP()
-		e.nodes.Add(1)
-		if sol.Status == lp.Cancelled {
-			// Put the node back so the final bound still accounts for its
-			// unexplored subtree; the loop exits via expired() above.
-			open = append(open, nd)
-			continue
-		}
-		if sol.Status == lp.Infeasible || sol.Status == lp.IterLimit {
-			continue
-		}
-		if sol.Status == lp.Unbounded {
-			// Integer restrictions cannot repair an unbounded relaxation
-			// in this node's subtree in a way we can detect; skip it.
-			continue
-		}
-		if sol.Objective >= e.bestObj()-opt.AbsGap {
-			continue
-		}
-
-		frac := m.mostFractional(sol.X, opt.IntTol)
-		if frac == -1 {
-			// Integral: new incumbent.
-			e.offer(sol.X, sol.Objective, false)
-			continue
-		}
-
-		// Rounding heuristic: round to nearest integers, verify feasibility.
-		copy(s.xbuf, sol.X)
-		for j := 0; j < e.n; j++ {
-			if m.integer[j] {
-				s.xbuf[j] = math.Round(s.xbuf[j])
-			}
-		}
-		if m.feasibleIntegralIn(s.prob, s.xbuf, opt.IntTol) {
-			e.offer(s.xbuf, m.objective(s.xbuf), false)
-		}
-		// Periodic heuristics from this node's relaxation (bounds are still
-		// the node's at this point) to refresh the incumbent.
-		if int(e.nodes.Load())%16 == 1 {
-			s.roundRepairComplete(sol.X)
-		}
-		if int(e.nodes.Load())%64 == 33 {
-			s.dive(sol.X, 0.5)
-		}
-
-		// Branch on the most fractional variable.
-		first, second := s.branch(nd, frac, sol.X[frac], sol.Objective)
-		open = append(open, first, second)
+		// A cancelled node comes back on the list, so the final bound still
+		// accounts for its subtree; the loop exits via expired() above.
+		open = s.processNode(nd, open)
 	}
 
 	// Final polish: restore root bounds and re-run the repair heuristic on

@@ -63,7 +63,9 @@ func (d *Delta) structural() bool {
 type RebuildReason uint8
 
 // Rebuild reasons. RebuildNone means the model was patched, or the round
-// carried no Delta and so never asked for a patch.
+// carried no Delta and so never asked for a patch. RebuildNoCache is a patch
+// miss — there was nothing to patch; every later reason is a fallback: a
+// cache and a delta were there, and the delta broke the model's structure.
 const (
 	RebuildNone           RebuildReason = iota
 	RebuildNoCache                      // no cached model of the snapshot Delta.Since names: first round, unversioned input, or a journal gap

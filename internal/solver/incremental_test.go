@@ -9,7 +9,6 @@ import (
 	"ras/internal/broker"
 	"ras/internal/floats"
 	"ras/internal/hardware"
-	"ras/internal/metrics"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -311,9 +310,7 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 	var dtA, dtB deltaTracker
 	var warmA, warmB *WarmState
 
-	hits0 := metrics.Solver.ModelPatchHits.Value()
-	falls0 := metrics.Solver.FallbackRebuilds.Value()
-	patchedRounds := 0
+	patchedRounds, fallbackRounds := 0, 0
 	for round := 0; round < 12; round++ {
 		if round > 0 {
 			mA.step(round == 6)
@@ -336,6 +333,13 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 
 		if resA.Phase1.ModelPatched {
 			patchedRounds++
+		}
+		if resA.Phase1.Rebuild > RebuildNoCache {
+			fallbackRounds++
+		}
+		if resB.Phase1.ModelPatched || resB.Phase1.Rebuild != RebuildNone {
+			t.Fatalf("round %d: the delta-less sequence reports patched=%v rebuild=%v",
+				round, resB.Phase1.ModelPatched, resB.Phase1.Rebuild)
 		}
 		if !floats.ExactEqual(resA.Phase1.Objective, resB.Phase1.Objective) {
 			t.Fatalf("round %d: phase-1 objective %v (delta) != %v (cold)",
@@ -368,13 +372,10 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 	if patchedRounds == 0 {
 		t.Fatal("no round used the patch path")
 	}
-	if metrics.Solver.ModelPatchHits.Value() == hits0 {
-		t.Fatal("ModelPatchHits counter did not move")
+	if fallbackRounds == 0 {
+		t.Fatal("no round fell back to a rebuild (structural round missing)")
 	}
-	if metrics.Solver.FallbackRebuilds.Value() == falls0 {
-		t.Fatal("FallbackRebuilds counter did not move (structural round missing)")
-	}
-	t.Logf("patched rounds: %d", patchedRounds)
+	t.Logf("patched rounds: %d, fallback rounds: %d", patchedRounds, fallbackRounds)
 }
 
 func ptrState(b *broker.Broker, i int) *broker.ServerState {

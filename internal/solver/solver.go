@@ -38,7 +38,6 @@ import (
 	"ras/internal/floats"
 	"ras/internal/hardware"
 	"ras/internal/lp"
-	"ras/internal/metrics"
 	"ras/internal/mip"
 	"ras/internal/reservation"
 	"ras/internal/topology"
@@ -289,20 +288,23 @@ type PhaseStats struct {
 	// needs to explain the reason".
 	Unserviceable []string
 	Nodes         int
-	LPSolves      int
-	LPIters       int
-	LPLimited     int
-	// LPFlippedColumns and LPColdFallbacks say how the phase's warm-started
-	// LPs fared (see mip.Result): columns flipped to restore dual
-	// feasibility, and warm starts abandoned for a cold solve, by reason.
-	LPFlippedColumns int
-	LPColdFallbacks  lp.ColdCounts
+	// LP is everything the phase's LP workspaces did (mip.Result.LP): volume,
+	// how warm starts fared, factorization work. LPSolves, LPIters and
+	// LPLimited repeat LP.Solves, LP.Iterations and LP.IterLimited under the
+	// names benchmark/driver.go reads.
+	LP        lp.Stats
+	LPSolves  int
+	LPIters   int
+	LPLimited int
 	// RootLPIters counts the simplex iterations of the phase's root
 	// relaxation alone, and WarmRoot reports whether that root LP was seeded
 	// from a previous round's basis — together they quantify what the
-	// cross-round warm start saved.
-	RootLPIters int
-	WarmRoot    bool
+	// cross-round warm start saved. RootBasisMismatch reports the miss: a
+	// basis was offered but the model's shape had drifted, so the root
+	// started cold.
+	RootLPIters       int
+	WarmRoot          bool
+	RootBasisMismatch bool
 	// ModelPatched reports that this phase's model was patched in place
 	// from the previous round's cache instead of rebuilt; RASBuild and
 	// InitialState are then zero and SolverBuild is the patch time.
@@ -714,19 +716,14 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		switch {
 		case bp == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
 			out.stats.Rebuild = RebuildNoCache
-			metrics.Solver.ModelPatchMisses.Add(1)
 		case in.Delta.structural():
 			out.stats.Rebuild = RebuildReservationSet
-			metrics.Solver.FallbackRebuilds.Add(1)
 		default:
 			t0 := clock.Now()
 			out.stats.Rebuild = bp.patch(in, cfg, specs, pool, targets)
 			if out.stats.Rebuild == RebuildNone {
 				out.stats.SolverBuild = clock.Since(t0)
 				out.stats.ModelPatched = true
-				metrics.Solver.ModelPatchHits.Add(1)
-			} else {
-				metrics.Solver.FallbackRebuilds.Add(1)
 			}
 		}
 	}
@@ -767,9 +764,8 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		if pw.matches(m.NumVars(), m.NumConstrs()) {
 			rootBasis = pw.Basis
 			out.stats.WarmRoot = true
-			metrics.Solver.RoundWarmHits.Add(1)
 		} else {
-			metrics.Solver.RoundWarmMisses.Add(1)
+			out.stats.RootBasisMismatch = true
 		}
 	}
 	// Gap tolerances: proving optimality below the cost of a single idle
@@ -789,11 +785,10 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.MIP = clock.Since(t0)
 	out.stats.Status = r.Status
 	out.stats.Nodes = r.Nodes
-	out.stats.LPSolves = r.LPSolves
-	out.stats.LPIters = r.LPIters
-	out.stats.LPLimited = r.LPLimited
-	out.stats.LPFlippedColumns = r.LPFlippedColumns
-	out.stats.LPColdFallbacks = r.LPColdFallbacks
+	out.stats.LP = r.LP
+	out.stats.LPSolves = r.LP.Solves
+	out.stats.LPIters = r.LP.Iterations
+	out.stats.LPLimited = r.LP.IterLimited
 	out.stats.RootLPIters = r.RootLPIters
 	out.warm = PhaseWarm{Basis: r.RootBasis, Vars: m.NumVars(), Rows: m.NumConstrs()}
 	out.stats.Workers = r.Workers

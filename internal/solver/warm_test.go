@@ -106,6 +106,12 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	if r3.Phase1.WarmRoot {
 		t.Fatal("round 3 claimed a warm root despite a shape change")
 	}
+	if !r3.Phase1.RootBasisMismatch {
+		t.Fatal("round 3 was offered a stale basis but does not report the mismatch")
+	}
+	if r1.Phase1.RootBasisMismatch {
+		t.Fatal("round 1 was offered no basis yet reports a mismatch")
+	}
 	for i := range in.Reservations {
 		r := &in.Reservations[i]
 		if got := rruOf(region, r3.Targets, r); got < r.RRUs-1e-6 {

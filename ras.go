@@ -98,8 +98,8 @@ const (
 	SolveNoSolution = backend.StatusNoSolution
 )
 
-// Backends lists the registered solver backends selectable via
-// Options.Backend or System.SolveWith ("mip" and "localsearch" by default).
+// Backends lists the solver backends selectable via Options.Backend or
+// System.SolveWith: "localsearch", "mip" and "pop".
 func Backends() []string { return backend.Names() }
 
 // NewRegion generates a synthetic region from the spec.
@@ -110,8 +110,8 @@ func DefaultPolicy() Policy { return reservation.DefaultPolicy() }
 
 // Options configures a System.
 type Options struct {
-	// Backend names the optimization backend Solve uses: "mip" (default)
-	// or "localsearch", or any name registered with the backend registry.
+	// Backend names the optimization backend Solve uses: "mip" (default),
+	// "localsearch" or "pop".
 	Backend string
 	// Solver tunes the async solver (MIP backend); the zero value selects
 	// defaults.
@@ -259,8 +259,8 @@ func (s *System) Solve(ctx context.Context, now Clock) (*SolveResult, error) {
 	return s.SolveWith(ctx, now, s.opts.Backend)
 }
 
-// SolveWith is Solve with an explicit backend name ("mip", "localsearch",
-// or any registered name; empty selects the default), letting one System
+// SolveWith is Solve with an explicit backend name ("mip", "localsearch" or
+// "pop"; empty selects the default), letting one System
 // mix backends across rounds — e.g. hourly MIP rounds with near-realtime
 // local-search touch-ups in between (paper §6).
 func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (*SolveResult, error) {
