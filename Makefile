@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench bench-baseline bench-compare bench-compare-short profile loc
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
 
 check: fmt vet lint build test race smoke bench-smoke
 
@@ -53,6 +53,14 @@ bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark . -smoke >/dev/null
+
+# Interleaved parent/change pairs of the round-loop benchmark, the way every
+# performance claim is measured (scripts/bench_pairs.sh has the procedure):
+#   make bench-pairs PARENT=<rev> [W=<workload>] [N=10] [SEEDS="1 2 …"] [SECONDS=30]
+# CI runs it with N=1 SECONDS=0 against HEAD itself as a plumbing check.
+bench-pairs:
+	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [W=<workload>] [N=10] [SEEDS="1 2 …"] [SECONDS=30]'; exit 2; }
+	bash scripts/bench_pairs.sh "$(PARENT)" "$(W)" "$(N)" "$(SEEDS)" "$(SECONDS)"
 
 # Solver/backend benchmarks (ablations + backend comparison).
 bench:

@@ -94,6 +94,7 @@ func main() {
 	// rebuilt it instead.
 	var hits int
 	var rebuilds [solver.NumRebuildReasons]int
+	var roots solver.RootBasisTally
 	// Hourly continuous optimization (Figure 6 step 8).
 	engine.Every(sim.Hour, func(now sim.Time) {
 		if ctx.Err() != nil {
@@ -107,6 +108,7 @@ func main() {
 		for _, r := range res.SolverResults() {
 			for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
 				rebuilds[ph.Rebuild]++
+				roots.Add(ph)
 				if ph.ModelPatched {
 					hits++
 				}
@@ -199,6 +201,7 @@ func main() {
 	}
 	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s",
 		hits, misses, falls, why)
+	logger.Printf("root basis: %v", roots)
 	if *requireCache && (hits == 0 || falls == 0) {
 		logger.Printf("FAIL: -require-cache wants patch_hits>0 and fallback_rebuilds>0")
 		os.Exit(1)

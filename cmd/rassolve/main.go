@@ -285,20 +285,24 @@ func printModelBuilds(w io.Writer, res *backend.Result) {
 
 // printWarmStarts reports, per solve phase and from the values the solve
 // returned, how its warm-started LPs fared: columns flipped to their opposite
-// bound to restore dual feasibility, and warm starts abandoned for a cold
-// two-phase solve, by reason. The pop backend's lines sum its partitions.
+// bound (or held back by a cost shift) to restore dual feasibility, warm
+// starts abandoned for a cold two-phase solve, by reason, and what became of
+// the previous round's root basis. The pop backend's lines sum its partitions.
 func printWarmStarts(w io.Writer, res *backend.Result) {
 	var phases [2]lp.Stats // a phase that did not run adds zeros
+	var roots [2]solver.RootBasisTally
 	for _, r := range res.SolverResults() {
 		phases[0].Add(r.Phase1.LP)
 		phases[1].Add(r.Phase2.LP)
+		roots[0].Add(&r.Phase1)
+		roots[1].Add(&r.Phase2)
 	}
 	for i, l := range phases {
 		if l.Solves == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cold_fallbacks=%d (%v)\n",
-			i+1, l.Solves, l.Iterations, l.FlippedColumns, l.ColdFallbacks.Total(), l.ColdFallbacks)
+		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cost_shifts=%d cold_fallbacks=%d (%v) root_basis: %v\n",
+			i+1, l.Solves, l.Iterations, l.FlippedColumns, l.CostShifts, l.ColdFallbacks.Total(), l.ColdFallbacks, roots[i])
 	}
 }
 

@@ -34,7 +34,9 @@ type POPWarm struct {
 type POPDetail struct {
 	// Partitions is the effective sub-region count k, and WarmPartitions how
 	// many of them were handed the previous round's warm state (all or none:
-	// the plan signature either matched or the round was cold).
+	// the plan signature either matched or the round was cold). What became
+	// of each partition's root bases is on its Subs entry
+	// (PhaseStats.RootBasisKept / RootBasisOffered / RootBasisMismatch).
 	Partitions     int
 	WarmPartitions int
 	// SubWorkers is the branch-and-bound worker count each sub-solve ran

@@ -149,8 +149,9 @@ func (f *factor) needRefactor(every int) bool {
 }
 
 // factorize rebuilds the LU factors from the given basis columns
-// (cols[basis[i]] is the constraint column basic in slot i) and discards the
-// eta file. It returns the basis slots it could not pivot — empty for a
+// (cols[basis[i]] is the constraint column basic in slot i; a negative entry
+// is an empty slot, which comes back deficient) and discards the eta file. It
+// returns the basis slots it could not pivot — empty for a
 // nonsingular basis — leaving the factors usable for the slots it did pivot
 // only in the nonsingular case; callers must repair and re-factorize on a
 // non-empty return. The returned slice is reused by the next call.
@@ -176,7 +177,9 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 
 	nnzTotal := 0
 	for s := 0; s < m; s++ {
-		nnzTotal += len(cols[basis[s]])
+		if basis[s] >= 0 {
+			nnzTotal += len(cols[basis[s]])
+		}
 	}
 	if cap(f.nzbuf) < nnzTotal+m {
 		f.nzbuf = make([]Nonzero, 0, 2*(nnzTotal+m))
@@ -190,7 +193,10 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 	}
 	f.colHeap = f.colHeap[:0]
 	for s := 0; s < m; s++ {
-		src := cols[basis[s]]
+		var src []Nonzero
+		if basis[s] >= 0 {
+			src = cols[basis[s]]
+		}
 		start := len(arena)
 		arena = append(arena, src...)
 		f.workCol[s] = arena[start:len(arena):len(arena)]

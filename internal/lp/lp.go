@@ -236,18 +236,17 @@ type ColdReason int8
 // Cold-fallback reasons. ColdNone means no warm start was attempted or the
 // warm start held.
 const (
-	ColdNone           ColdReason = iota
-	ColdBadBasis                  // the basis could not be installed: foreign shape, artificial or duplicate column, singular beyond repair
-	ColdDualInfeasible            // a wrong-signed column has no finite opposite bound to flip to
-	ColdBudget                    // the dual repair exceeded its pivot budget
-	ColdInfeasible                // the dual repair claimed infeasibility (re-verified cold)
-	ColdUnbounded                 // the primal polish claimed unboundedness (re-verified cold)
-	ColdNumerical                 // iteration limit, singular basis mid-repair, or failed residual check
-	NumColdReasons                // array size for per-reason tallies
+	ColdNone       ColdReason = iota
+	ColdBadBasis              // the basis could not be installed: written for another shape, or singular beyond repair
+	ColdBudget                // the dual repair exceeded its pivot budget
+	ColdInfeasible            // the dual repair claimed infeasibility (re-verified cold)
+	ColdUnbounded             // the primal polish claimed unboundedness (re-verified cold)
+	ColdNumerical             // iteration limit, singular basis mid-repair, or failed residual check
+	NumColdReasons            // array size for per-reason tallies
 )
 
 var coldReasonNames = [NumColdReasons]string{
-	"none", "bad-basis", "dual-infeasible", "budget", "infeasible-claim", "unbounded-claim", "numerical",
+	"none", "bad-basis", "budget", "infeasible-claim", "unbounded-claim", "numerical",
 }
 
 func (r ColdReason) String() string {
@@ -299,6 +298,7 @@ type Stats struct {
 	IterLimited      int        // solves stopped by the iteration limit
 	WarmHits         int        // solves completed from a retained or imported basis
 	FlippedColumns   int        // Solution.FlippedColumns, summed
+	CostShifts       int        // warm-entry columns with no bound to flip to, held out of the dual pass by a cost shift
 	ColdFallbacks    ColdCounts // warm starts abandoned for a cold solve, by reason
 	WorkspaceReuses  int        // solves that re-entered an already-built structure
 	Refactorizations int        // Markowitz LU rebuilds of the basis factorization
@@ -315,6 +315,7 @@ func (s *Stats) Add(o Stats) {
 	s.IterLimited += o.IterLimited
 	s.WarmHits += o.WarmHits
 	s.FlippedColumns += o.FlippedColumns
+	s.CostShifts += o.CostShifts
 	for r, n := range o.ColdFallbacks {
 		s.ColdFallbacks[r] += n
 	}
@@ -343,24 +344,74 @@ type Solution struct {
 	// ColdFallback says why a warm-start attempt was abandoned for the cold
 	// two-phase start whose result this is; ColdNone when none was.
 	ColdFallback ColdReason
-	// Basis is an opaque snapshot of the optimal basis, usable as
-	// Options.Start on a later solve of the SAME problem (same rows and
-	// variables; bounds may differ). Populated only when Options.ExportBasis
-	// is set (Problem.Solve sets it) and an exportable basis exists.
+	// Basis is the optimal basis, usable as Options.Start on a later solve of
+	// the same problem (same rows and variables; bounds may differ). Populated
+	// only when Options.ExportBasis is set (Problem.Solve sets it) and an
+	// exportable basis exists.
 	Basis *Basis
 }
 
-// Basis is an opaque simplex basis snapshot for warm starts. It carries only
-// the basis index set — which column is basic in each row, and which
-// nonbasic variables sit at their upper bound — so a snapshot is O(m + n) of
-// memory and cheap to persist across rounds. A warm import re-factorizes the
-// basis sparsely (O(nnz + fill), not O(m³)), which for the transportation-
-// structured bases RAS produces is a small fraction of even one pricing
-// pass.
+// BasisStatus is where one column, or one row's slack, sits in a Basis.
+type BasisStatus uint8
+
+// Basis statuses. A row is Basic when its slack is (the row is inactive) and
+// AtLower when the slack is nonbasic, which pins the row at its right-hand
+// side; an equality row has no slack and is always AtLower.
+const (
+	AtLower BasisStatus = iota
+	AtUpper
+	Basic
+)
+
+// Basis is a simplex basis in the portable form LP codes exchange: one status
+// per structural column and one per row. It names no slot order and no
+// internal column numbering, so besides seeding a later solve of the same
+// problem (Options.Start) it can be rewritten entry by entry onto a problem
+// whose columns and rows only partly coincide — the cross-round transfer of
+// the RAS solver. A start need not be a basis in the strict sense: Basic
+// entries beyond the row count are dropped, and rows the Basic columns leave
+// uncovered or dependent are covered by their own slacks (Workspace.refactorize).
+// Statuses are packed two bits each: a snapshot of an n-column, m-row problem
+// is (n+m)/4 bytes, a small fraction of one Solution.X. A Basis a solve
+// returned is immutable and may be shared between goroutines.
 type Basis struct {
-	cols []int
-	atUp []bool
+	nCols, nRows int
+	bits         []uint64 // 32 statuses per word: columns, then rows
 }
+
+// NewBasis returns the slack basis of an nCols × nRows problem: every column
+// AtLower, every row Basic.
+func NewBasis(nCols, nRows int) *Basis {
+	b := allAtLower(nCols, nRows)
+	for i := 0; i < nRows; i++ {
+		b.SetRow(i, Basic)
+	}
+	return b
+}
+
+func allAtLower(nCols, nRows int) *Basis {
+	return &Basis{nCols: nCols, nRows: nRows, bits: make([]uint64, (nCols+nRows+31)/32)}
+}
+
+func (b *Basis) at(k int) BasisStatus { return BasisStatus(b.bits[k/32] >> (k % 32 * 2) & 3) }
+
+func (b *Basis) set(k int, st BasisStatus) {
+	sh := k % 32 * 2
+	b.bits[k/32] = b.bits[k/32]&^(3<<sh) | uint64(st)<<sh
+}
+
+// Col reports the status of structural column j, Row that of row i.
+func (b *Basis) Col(j int) BasisStatus { return b.at(j) }
+func (b *Basis) Row(i int) BasisStatus { return b.at(b.nCols + i) }
+
+// SetCol and SetRow write one status; they are for building a start, never
+// for editing a Basis a solve returned.
+func (b *Basis) SetCol(j int, st BasisStatus) { b.set(j, st) }
+func (b *Basis) SetRow(i int, st BasisStatus) { b.set(b.nCols+i, st) }
+
+// NumCols and NumRows report the shape the basis was written for.
+func (b *Basis) NumCols() int { return b.nCols }
+func (b *Basis) NumRows() int { return b.nRows }
 
 // Options tunes the solver.
 type Options struct {
@@ -369,26 +420,27 @@ type Options struct {
 	MaxIter int
 	// Tol is the feasibility/optimality tolerance. Zero means 1e-9.
 	Tol float64
-	// Start warm-starts the solve from a basis exported by a previous
-	// Solution of the same problem. After bound changes (the
-	// branch-and-bound case) primal feasibility is restored with dual
-	// simplex iterations, which is typically orders of magnitude cheaper
-	// than solving from scratch. Invalid or unusable bases fall back to a
-	// cold start, reported in Solution.ColdFallback. When the workspace
-	// already holds a reusable basis and ReuseBasis is set, the retained
-	// state wins and Start is ignored.
+	// Start warm-starts the solve from the given basis: one a previous solve
+	// of the same problem returned, or one written status by status for this
+	// shape. After bound changes (the branch-and-bound case) primal
+	// feasibility is restored with dual simplex iterations, which is
+	// typically orders of magnitude cheaper than solving from scratch. An
+	// unusable basis falls back to a cold start, reported in
+	// Solution.ColdFallback. Offering the very Basis the workspace returned
+	// last (same pointer) costs no import and, when nothing was solved in
+	// between, no refactorization either.
 	Start *Basis
 	// ReuseBasis warm-starts from the good basis retained inside the
 	// workspace — the most recent optimal, artificial-free basis of a solve
-	// of the same problem shape — with no export/import allocations at all:
-	// the branch-and-bound node-LP fast path. Start (if any) is used instead
-	// while the workspace holds no good basis for this shape; a warm attempt
-	// from either that has to be abandoned is re-solved cold.
+	// of the same problem shape — with no export/import allocations at all.
+	// When set, the retained basis wins over Start, which then only serves
+	// while the workspace holds none; a warm attempt from either that has to
+	// be abandoned is re-solved cold.
 	ReuseBasis bool
-	// ExportBasis requests a Basis snapshot on the returned Solution (an
-	// O(m + n) copy of the basis index set). Problem.Solve sets it for
-	// compatibility; workspace-reusing callers leave it off except when
-	// they actually persist the basis (root LPs, cross-round warm starts).
+	// ExportBasis requests the optimal Basis on the returned Solution (an
+	// (n+m)/4-byte snapshot). Problem.Solve sets it for compatibility;
+	// workspace-reusing callers leave it off and ask Workspace.Basis when they
+	// actually keep one (root LPs, branching nodes).
 	ExportBasis bool
 	// DevexAfter sets how many iterations a single primal pass runs under
 	// Dantzig pricing before escalating to Devex with partial pricing.

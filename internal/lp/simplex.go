@@ -30,11 +30,15 @@ const blandAfter = 400
 // warmRepairBudget caps the dual-simplex repair of a warm start at this many
 // pivots per constraint row; past it the warm attempt is abandoned to the
 // cold two-phase start (ColdBudget). Sized as a tail guard from the
-// benchmark's four workloads at seed 1: of 76 504 warm solves none needed
-// more than 1.91·m dual pivots (flipped ones: median 0.14–0.39·m), while a
-// cold solve of the same models takes 0.6–1.0·m iterations at the median and
-// 3.8·m at most — so 2·m changes none of those solves and bounds a warm
-// solve's worst case at a cold one plus a prefix of about two.
+// benchmark's four workloads at seed 1, set-up rounds included: of 82 890
+// warm solves — 922 of them root LPs started from the previous round's basis,
+// carried over by identity where the model was rebuilt — six needed more than
+// 1·m dual pivots, all six carried roots, the largest that finished 1.71·m;
+// two more (one failure_churn set-up round, in both passes) ran into the
+// budget. Node and heuristic LPs stay under 0.66·m, while a cold solve of the
+// same models takes 0.6–1.0·m iterations at the median and 3.8·m at most — so
+// 2·m bounds a warm solve's worst case at a cold one plus a prefix of about
+// two.
 const warmRepairBudget = 2
 
 // minPivotStep floors the ratio-test pivot threshold: steps smaller than
@@ -471,13 +475,13 @@ func (s *Workspace) dualSimplex(cost []float64, maxDual int) Status {
 }
 
 // refactorize rebuilds the sparse basis factorization from the current
-// basis columns and recomputes the basic variable values. A singular basis
-// — the case the dense-inverse predecessor silently papered over with stale
-// inverse columns — is repaired by swapping each linearly dependent basis
-// column for the artificial of an unpivoted row (always structurally
-// nonsingular) and re-factorizing; repairs are counted in
-// Stats.SingularRepairs and, if repair cannot produce a factorizable basis,
-// a false return that callers turn into Status Singular.
+// basis columns and recomputes the basic variable values. A singular or
+// incomplete basis — linearly dependent columns, or the empty slots of an
+// adopted start — is repaired by giving each such slot the slack of a row the
+// factorization could not pivot (its artificial when the row is an equality)
+// and re-factorizing; repairs are counted in Stats.SingularRepairs and, if
+// repair cannot produce a factorizable basis, a false return that callers
+// turn into Status Singular.
 func (s *Workspace) refactorize() bool {
 	for attempt := 0; ; attempt++ {
 		deficient := s.fact.factorize(s.cols, s.basis)
@@ -497,23 +501,27 @@ func (s *Workspace) refactorize() bool {
 	return true
 }
 
-// repairBasis replaces the basis columns in the deficient slots with the
-// artificial columns of the rows the factorization could not pivot, making
-// the old columns nonbasic at their lower bounds. The pairing is
-// deterministic: ascending slots to ascending rows. An artificial of an
-// unpivoted row can never itself be basic (a basic artificial is a unit
-// column that would have pivoted that row), so the swap is always sound.
+// repairBasis fills the deficient slots with unit columns of the rows the
+// factorization could not pivot — the row's slack, or its artificial when it
+// has none — making the columns they replace nonbasic at their lower bounds.
+// The pairing is deterministic: ascending slots to ascending rows. Neither
+// unit column of an unpivoted row can itself be basic (it would have pivoted
+// that row), so the swap is always sound.
 func (s *Workspace) repairBasis(deficient []int) {
 	rows := s.fact.unpivotedRows()
 	sortInts(deficient)
 	for k, slot := range deficient {
-		out := s.basis[slot]
-		s.inRow[out] = -1
-		s.atUp[out] = false
-		s.x[out] = s.lo[out]
-		a := s.artStart + rows[k]
-		s.basis[slot] = a
-		s.inRow[a] = slot
+		if out := s.basis[slot]; out >= 0 {
+			s.inRow[out] = -1
+			s.atUp[out] = false
+			s.x[out] = s.lo[out]
+		}
+		c := s.slackOf[rows[k]]
+		if c < 0 {
+			c = s.artStart + rows[k]
+		}
+		s.basis[slot] = c
+		s.inRow[c] = slot
 	}
 }
 

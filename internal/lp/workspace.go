@@ -42,6 +42,7 @@ type Workspace struct {
 	cols     [][]Nonzero
 	artStart int       // first artificial column index
 	slackOf  []int     // row → slack column, or -1 for equality rows
+	slackRow []int     // slack column − nStruct → row
 	phase1   []float64 // phase-1 cost vector: 1 on artificials, else 0
 
 	// Numeric inputs, refreshed from the Problem on every entry.
@@ -58,26 +59,28 @@ type Workspace struct {
 	fact     *factor // sparse basis factorization (LU + eta file)
 	repaired bool    // last refactorization swapped artificials into the basis
 
-	// Retained good basis: a snapshot of the most recent optimal,
-	// artificial-free basis, the warm-start seed for ReuseBasis solves. The
-	// snapshot is an index set only — basis columns and bound statuses — and
-	// is re-factorized on entry (O(nnz + fill), not O(m³)); when the live
-	// factorization still belongs to the snapshot basis even that is
-	// skipped. The advance rule is exactly the one the historical Basis
-	// export/import chain followed — non-optimal or artificial-containing
-	// terminal bases never advance it.
+	// Retained good basis: the warm-start seed — the most recent optimal,
+	// artificial-free basis this workspace reached, or the Basis it last
+	// adopted from Options.Start. It is an index set only — basis columns and
+	// bound statuses — and is re-factorized on entry (O(nnz + fill), not
+	// O(m³)); when the live factorization still belongs to it even that is
+	// skipped. Non-optimal or artificial-containing terminal bases never
+	// advance it. An adopted start may leave slots empty (-1); refactorize's
+	// repair fills them on entry.
 	goodCols   []int
 	goodAtUp   []bool
-	goodOK     bool // a good snapshot exists for the current shape
-	liveIsGood bool // live factorization still matches goodCols (skip refactorization)
+	goodOK     bool   // a retained basis exists for the current shape
+	liveIsGood bool   // live factorization still matches goodCols (skip refactorization)
+	goodBasis  *Basis // the retained basis in portable form: adopted from, or last exported as; nil until asked for
 
 	// Scratch buffers.
-	y     []float64 // dual prices c_B^T B^-1
-	w     []float64 // pivot column B^-1 a_q
-	wnz   []int     // nonzero slots of w, ascending
-	cb    []float64 // basic cost vector (BTRAN source) / unit-vector scratch
-	brow  []float64 // one row of B^-1 (Devex and dual ratio tests)
-	resid []float64 // residual / recompute RHS scratch
+	y       []float64 // dual prices c_B^T B^-1
+	w       []float64 // pivot column B^-1 a_q
+	wnz     []int     // nonzero slots of w, ascending
+	cb      []float64 // basic cost vector (BTRAN source) / unit-vector scratch
+	shifted []float64 // costs with warm-entry shifts, for the dual pass (flipToDualFeasible)
+	brow    []float64 // one row of B^-1 (Devex and dual ratio tests)
+	resid   []float64 // residual / recompute RHS scratch
 
 	// Devex pricing state: reference weights (reset per optimize call) and
 	// the partial-pricing block rotor, which persists across solves so
@@ -113,19 +116,22 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 	s.flipped = 0
 	s.refresh(p)
 
-	// Warm-start preference order: the workspace's own retained good basis
-	// (no allocations, and no refactorization when the live factorization is
-	// still the snapshot's), then an imported basis snapshot, then cold.
-	useGood := opt.ReuseBasis && s.goodOK && reused
-	if !useGood && opt.Start == nil {
-		return s.run()
-	}
+	// One rule: start from the nearest solved basis on offer. That is the
+	// retained one when the caller asks for it (ReuseBasis) or offers the very
+	// Basis it was exported as — no copies, and no refactorization while the
+	// live factorization is still its own — otherwise the offered Start, which
+	// becomes the retained basis; with neither, cold.
 	var sol Solution
 	var why ColdReason
-	if useGood {
+	switch {
+	case s.goodOK && (opt.ReuseBasis || (opt.Start != nil && opt.Start == s.goodBasis)):
 		sol, why = s.runReuse()
-	} else {
-		sol, why = s.runWarm(opt.Start)
+	case opt.Start == nil:
+		return s.run()
+	case s.adopt(opt.Start):
+		sol, why = s.runReuse()
+	default:
+		why = ColdBadBasis // written for another shape
 	}
 	if why == ColdNone {
 		s.stats.WarmHits++
@@ -158,6 +164,7 @@ func (s *Workspace) reshape(p *Problem) bool {
 	s.nStruct = nStruct
 	s.goodOK = false
 	s.liveIsGood = false
+	s.goodBasis = nil
 	s.rotor = 0
 
 	// Structural columns from the sparse rows.
@@ -174,6 +181,7 @@ func (s *Workspace) reshape(p *Problem) bool {
 	for i := range s.slackOf {
 		s.slackOf[i] = -1
 	}
+	s.slackRow = s.slackRow[:0]
 	for i, sense := range p.senses {
 		switch sense {
 		case LE:
@@ -183,8 +191,9 @@ func (s *Workspace) reshape(p *Problem) bool {
 			s.slackOf[i] = len(cols)
 			cols = append(cols, []Nonzero{{Index: i, Value: -1}})
 		case EQ:
-			// no slack
+			continue // no slack
 		}
+		s.slackRow = append(s.slackRow, i)
 	}
 
 	s.artStart = len(cols)
@@ -344,10 +353,10 @@ func (s *Workspace) finish(st Status) Solution {
 	}
 	sol := Solution{Status: st, Objective: obj, X: s.structX(), Iterations: s.iters, DualIters: s.diters,
 		FlippedColumns: s.flipped}
-	if st == Optimal && s.opt.ExportBasis {
-		sol.Basis = s.exportBasis()
-	}
 	s.saveGood(st)
+	if s.opt.ExportBasis && s.liveIsGood { // the basis just retained is this solve's
+		sol.Basis = s.Basis()
+	}
 	return sol
 }
 
@@ -372,20 +381,68 @@ func (s *Workspace) saveGood(st Status) {
 	copy(s.goodAtUp, s.atUp)
 	s.goodOK = true
 	s.liveIsGood = true
+	s.goodBasis = nil
 }
 
-// exportBasis snapshots the basis if it contains no artificial columns
-// (artificial signs are cold-start-dependent, so such bases do not transfer).
-func (s *Workspace) exportBasis() *Basis {
-	for _, c := range s.basis {
-		if c >= s.artStart {
-			return nil
+// Basis returns the retained good basis in portable form, nil when there is
+// none. Calls return the same pointer until a solve advances the retained
+// basis, and offering that pointer back as Options.Start is recognised as
+// such: branch-and-bound takes a node's basis here when the node branches and
+// hands it to both children.
+func (s *Workspace) Basis() *Basis {
+	if !s.goodOK {
+		return nil
+	}
+	if s.goodBasis == nil {
+		b := allAtLower(s.nStruct, s.m)
+		for j := 0; j < s.nStruct; j++ {
+			if s.goodAtUp[j] {
+				b.set(j, AtUpper)
+			}
+		}
+		for _, c := range s.goodCols { // artificial-free: saveGood retains nothing else
+			if c < s.nStruct {
+				b.set(c, Basic)
+			} else {
+				b.SetRow(s.slackRow[c-s.nStruct], Basic)
+			}
+		}
+		s.goodBasis = b
+	}
+	return s.goodBasis
+}
+
+// adopt makes b the retained basis, as if the workspace had just solved to
+// it, and reports false when b was written for another shape. Basic columns
+// take the basis slots in index order, structural before slack; past the
+// m-th they are left nonbasic at their lower bound, and slots they do not
+// fill stay empty for refactorize's repair.
+func (s *Workspace) adopt(b *Basis) bool {
+	if b.nCols != s.nStruct || b.nRows != s.m {
+		return false
+	}
+	clear(s.goodAtUp)
+	k := 0
+	for j := 0; j < s.nStruct; j++ {
+		switch st := b.Col(j); {
+		case st == AtUpper:
+			s.goodAtUp[j] = true
+		case st == Basic && k < s.m:
+			s.goodCols[k] = j
+			k++
 		}
 	}
-	return &Basis{
-		cols: append([]int(nil), s.basis...),
-		atUp: append([]bool(nil), s.atUp[:s.n]...),
+	for i, sl := range s.slackOf {
+		if sl >= 0 && b.Row(i) == Basic && k < s.m {
+			s.goodCols[k] = sl
+			k++
+		}
 	}
+	for ; k < s.m; k++ {
+		s.goodCols[k] = -1
+	}
+	s.goodOK, s.liveIsGood, s.goodBasis = true, false, b
+	return true
 }
 
 // installNonbasics puts every nonbasic column at the bound the warm snapshot
@@ -410,14 +467,14 @@ func (s *Workspace) installNonbasics(atUp []bool) {
 	}
 }
 
-// runReuse attempts a warm solve from the workspace's retained good basis —
-// the allocation-free fast path for branch-and-bound node LPs, where
-// consecutive solves differ only in variable bounds. The snapshot holds only
-// the basis index set, so entry re-factorizes it — except in the common
-// steady-state case where the previous solve ended by saving exactly the
-// basis the factorization already represents (bounds never enter B, so the
-// factors stay valid across the caller's bound changes). A reason other than
-// ColdNone tells the caller to cold-start; warmFinish lists them.
+// runReuse attempts a warm solve from the workspace's retained good basis.
+// The snapshot holds only the basis index set, so entry re-factorizes it —
+// except in the common steady-state case where the previous solve ended by
+// saving exactly the basis the factorization already represents (bounds never
+// enter B, so the factors stay valid across the caller's bound changes): the
+// allocation-free fast path of a branch-and-bound child solved straight after
+// its parent. A reason other than ColdNone tells the caller to cold-start;
+// warmFinish lists them.
 func (s *Workspace) runReuse() (Solution, ColdReason) {
 	live := s.liveIsGood
 	s.liveIsGood = false
@@ -427,7 +484,9 @@ func (s *Workspace) runReuse() (Solution, ColdReason) {
 	}
 	for i, c := range s.goodCols {
 		s.basis[i] = c
-		s.inRow[c] = i
+		if c >= 0 {
+			s.inRow[c] = i
+		}
 	}
 	s.installNonbasics(s.goodAtUp)
 	if live {
@@ -441,45 +500,13 @@ func (s *Workspace) runReuse() (Solution, ColdReason) {
 	return s.warmFinish()
 }
 
-// runWarm attempts a warm-started solve from a previously exported basis.
-// The snapshot carries no factorization — the basis index set is
-// re-factorized here — and a structurally unusable one is ColdBadBasis.
-func (s *Workspace) runWarm(start *Basis) (Solution, ColdReason) {
-	m, n := s.m, s.n
-	s.liveIsGood = false
-	if len(start.cols) != m || len(start.atUp) != n {
-		return Solution{}, ColdBadBasis
-	}
-	for j := range s.inRow {
-		s.inRow[j] = -1
-	}
-	for i, c := range start.cols {
-		if c < 0 || c >= s.artStart || s.inRow[c] >= 0 {
-			// Out-of-range, artificial, or duplicate column: unusable. Reset
-			// inRow so the basis state is not half-installed.
-			for j := range s.inRow {
-				s.inRow[j] = -1
-			}
-			return Solution{}, ColdBadBasis
-		}
-		s.basis[i] = c
-		s.inRow[c] = i
-	}
-	s.installNonbasics(start.atUp)
-	if !s.refactorize() {
-		return Solution{}, ColdBadBasis
-	}
-	return s.warmFinish()
-}
-
 // warmFinish is the shared tail of every warm start: restore dual
-// feasibility by bound flips, repair primal feasibility with a budgeted dual
-// simplex, then polish with primal iterations. It abandons to the cold
-// two-phase start — the returned reason says why — only for what the warm
-// basis cannot decide:
+// feasibility by bound flips (and, where a column has no bound to flip to, by
+// a cost shift the dual pass alone sees), repair primal feasibility with a
+// budgeted dual simplex, then finish with primal iterations on the true costs
+// (usually none). It abandons to the cold two-phase start — the returned
+// reason says why — only for what the warm basis cannot decide:
 //
-//   - ColdDualInfeasible: a column prices out wrong at its lower bound and
-//     has no upper bound to flip to;
 //   - ColdBudget: the dual repair ran past warmRepairBudget pivots per row;
 //   - ColdInfeasible, ColdUnbounded: infeasibility and unboundedness claims
 //     are never trusted from a warm basis (accumulated drift can silently
@@ -491,10 +518,7 @@ func (s *Workspace) runWarm(start *Basis) (Solution, ColdReason) {
 // Cancellation is returned directly — the point of cancelling is to stop
 // working, not to re-solve from scratch.
 func (s *Workspace) warmFinish() (Solution, ColdReason) {
-	if !s.flipToDualFeasible(s.cost) {
-		return Solution{}, ColdDualInfeasible
-	}
-	switch st := s.dualSimplex(s.cost, warmRepairBudget*s.m); st {
+	switch st := s.dualSimplex(s.flipToDualFeasible(), warmRepairBudget*s.m); st {
 	case Infeasible:
 		return Solution{}, ColdInfeasible
 	case IterLimit:
@@ -507,7 +531,8 @@ func (s *Workspace) warmFinish() (Solution, ColdReason) {
 	case Cancelled:
 		return s.finish(Cancelled), ColdNone
 	}
-	// Primal feasible now; polish with primal iterations (usually zero).
+	// Primal feasible now; primal iterations on the true costs bring in what
+	// a cost shift held back (usually nothing).
 	st := s.optimize(s.cost, s.n)
 	if st == Unbounded {
 		return Solution{}, ColdUnbounded
@@ -539,47 +564,60 @@ func (s *Workspace) residualOK() bool {
 	return true
 }
 
-// flipToDualFeasible makes the installed warm basis dual feasible: every
-// nonbasic, non-fixed column whose reduced cost has the wrong sign for the
-// bound it sits at is moved to its opposite bound, and the basic values are
-// recomputed for the moved point. Bounds never enter B, so the flips leave
-// the duals — and with them every reduced cost — unchanged: afterwards all
-// signs are right and a dual-simplex Infeasible verdict means what it says.
+// flipToDualFeasible makes the installed warm basis dual feasible and returns
+// the cost vector it is dual feasible for. Every nonbasic, non-fixed column
+// whose reduced cost has the wrong sign for the bound it sits at is moved to
+// its opposite bound, and the basic values are recomputed for the moved
+// point. Bounds never enter B, so the flips leave the duals — and with them
+// every reduced cost — unchanged: afterwards all signs are right and a
+// dual-simplex Infeasible verdict means what it says.
 //
 // A snapshot taken at an optimum of the same costs has the right sign on
 // every column that was free to move then. The columns that arrive here
 // wrong are the ones that were fixed (lo == up, which the sign conditions
 // skip) when it was taken and have been widened since — a dive rollback,
 // completeLP's undo, a branch-and-bound backtrack: they re-enter nonbasic at
-// the lower bound with a reduced cost of either sign. It reports false when
-// such a column has no finite upper bound to move to.
-func (s *Workspace) flipToDualFeasible(cost []float64) bool {
-	y := s.y
+// the lower bound with a reduced cost of either sign — and, under a basis
+// carried over from another model, whatever the squaring-up repriced. One
+// that prices out wrong at its lower bound and has no upper bound to move to
+// stays where it is, and its cost is raised — in a scratch copy of the costs,
+// which is then what is returned — to where it prices out at zero: the dual
+// pass keeps it out, and the primal pass after it, on the true costs, lets it
+// in.
+func (s *Workspace) flipToDualFeasible() []float64 {
+	cost, y := s.cost, s.y
 	for i := 0; i < s.m; i++ {
 		s.cb[i] = cost[s.basis[i]]
 	}
 	s.fact.btran(y, s.cb)
 	tol := math.Max(s.opt.Tol*1e3, 1e-6)
+	shifts := 0
 	for j := 0; j < s.n; j++ {
-		if s.priceOne(cost, y, j) <= tol {
-			continue
-		}
-		if s.atUp[j] {
+		viol := s.priceOne(cost, y, j)
+		switch {
+		case viol <= tol:
+		case s.atUp[j]:
 			s.atUp[j] = false
 			s.x[j] = s.lo[j]
-		} else {
-			if math.IsInf(s.up[j], 1) {
-				return false
-			}
+			s.flipped++
+		case !math.IsInf(s.up[j], 1):
 			s.atUp[j] = true
 			s.x[j] = s.up[j]
+			s.flipped++
+		default:
+			if shifts == 0 {
+				s.shifted = append(s.shifted[:0], s.cost...)
+				cost = s.shifted
+			}
+			cost[j] += viol
+			shifts++
 		}
-		s.flipped++
 	}
 	if s.flipped > 0 {
 		s.recomputeBasics()
 	}
-	return true
+	s.stats.CostShifts += shifts
+	return cost
 }
 
 func (s *Workspace) feasTol() float64 { return s.opt.Tol * float64(1+s.m) * 100 }

@@ -71,7 +71,7 @@ func TestRefactorCadenceDeterministic(t *testing.T) {
 // which no process-wide counter could say.
 func TestConcurrentSerialSolvesReportOwnStats(t *testing.T) {
 	solve := func() Result {
-		return generalizedAssignment().Solve(context.Background(), Options{Workers: 1, MaxNodes: 400})
+		return generalizedAssignment(7).Solve(context.Background(), Options{Workers: 1, MaxNodes: 400})
 	}
 	alone := solve()
 	if alone.Nodes < 2 || alone.LP.Solves <= alone.Nodes || alone.LP.Refactorizations == 0 {

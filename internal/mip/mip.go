@@ -132,6 +132,9 @@ func (m *Model) NumConstrs() int { return len(m.rows) }
 // VarName reports the name given to v at creation.
 func (m *Model) VarName(v Var) string { return m.names[v] }
 
+// ConstrName reports the name given to constraint row i at creation.
+func (m *Model) ConstrName(i int) string { return m.rowNames[i] }
+
 // AddVar adds a continuous variable and returns it. The lower bound must be
 // finite; the upper bound may be mip.Inf.
 func (m *Model) AddVar(name string, cost, lo, up float64) Var {
@@ -386,11 +389,12 @@ type Options struct {
 	// NoWarmStart disables LP warm starts between node/heuristic solves
 	// (ablation: every LP solves from a cold crash basis).
 	NoWarmStart bool
-	// RootBasis warm-starts the root relaxation from a basis exported by a
-	// previous solve's Result.RootBasis — the cross-round warm start of the
-	// RAS async solver, whose consecutive rounds solve near-identical
-	// problems. A basis whose shape no longer matches the problem silently
-	// falls back to a cold root solve.
+	// RootBasis warm-starts the root relaxation: a previous solve's
+	// Result.RootBasis when the model is unchanged or patched in place, or
+	// that basis rewritten status by status onto a rebuilt model — the
+	// cross-round warm start of the RAS async solver, whose consecutive
+	// rounds solve near-identical problems. A basis the root LP cannot use
+	// falls back to a cold root solve and Result.RootCold says why.
 	RootBasis *lp.Basis
 	// Workers is the number of parallel branch-and-bound workers. 0 or 1
 	// run the exact serial algorithm — results are bit-for-bit reproducible
@@ -427,8 +431,12 @@ type Result struct {
 	// Options.RootBasis to warm-start across rounds.
 	RootBasis *lp.Basis
 	// RootLPIters counts the simplex iterations of the root relaxation
-	// alone — the quantity cross-round warm starts shrink.
+	// alone — the quantity cross-round warm starts shrink. RootWarm reports
+	// that it was completed from Options.RootBasis; RootCold is the reason it
+	// was not when a basis was offered (lp.ColdNone otherwise).
 	RootLPIters int
+	RootWarm    bool
+	RootCold    lp.ColdReason
 }
 
 // Gap reports the absolute optimality gap incumbent − bound (0 when proven
@@ -449,6 +457,12 @@ type node struct {
 	changes []boundChange
 	bound   float64 // parent LP objective (lower bound for this node)
 	depth   int
+	// basis is the optimal basis of the LP this node was branched from — the
+	// nearest solved problem, one bound away — and the start of this node's
+	// own LP, whichever goroutine pops it. Immutable, shared with the sibling;
+	// nil when the parent's basis could not be kept (the LP then starts from
+	// whatever its workspace solved last).
+	basis *lp.Basis
 }
 
 type boundChange struct {

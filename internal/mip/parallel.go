@@ -2,8 +2,9 @@ package mip
 
 // Parallel branch-and-bound driver (Options.Workers > 1): a shared open
 // list feeds a pool of worker goroutines, each with its own lp.Problem
-// clone and warm-basis chain, while the root primal heuristics race on
-// separate clones to seed the shared incumbent. The incumbent publication
+// clone and LP workspace — a node carries the basis its LP starts from, so
+// it costs the same whichever worker pops it — while the root primal
+// heuristics race on separate clones to seed the shared incumbent. The incumbent publication
 // protocol and bound-soundness argument are documented in DESIGN.md
 // ("Parallel solving").
 
@@ -127,24 +128,22 @@ func (p *nodePool) remaining() int {
 }
 
 // solveParallel is the Workers>1 branch-and-bound driver. The root
-// relaxation solves once on the model's own problem; its exported basis
-// then warm-starts every worker and heuristic goroutine (package lp copies
-// a Basis on import and export, so sharing the pointer read-only is safe).
-// Root heuristics race the B&B workers to seed the shared incumbent.
+// relaxation solves once on the model's own problem; its basis starts the
+// root node and every heuristic goroutine's chain (a Basis a solve returned is
+// immutable, so sharing the pointer is safe). Root heuristics race the B&B
+// workers to seed the shared incumbent.
 func (m *Model) solveParallel(e *engine) Result {
 	opt := e.opt
 	res := Result{Status: NoSolution, Objective: math.Inf(1), Bound: math.Inf(-1)}
 	root := newSearch(e, &m.prob, e.opt.RootBasis)
 
-	rootSol := root.solveRootLP()
-	res.RootBasis = rootSol.Basis
-	res.RootLPIters = rootSol.Iterations
-	if e.handleRootStatus(&res, rootSol) {
+	rootSol, final := root.solveRoot(&res)
+	if final {
 		return res
 	}
 	res.Bound = rootSol.Objective
 
-	pool := newNodePool(node{bound: rootSol.Objective})
+	pool := newNodePool(node{bound: rootSol.Objective, basis: res.RootBasis})
 	var wg sync.WaitGroup
 
 	if m.mostFractional(rootSol.X, opt.IntTol) != -1 {
@@ -166,7 +165,7 @@ func (m *Model) solveParallel(e *engine) Result {
 			},
 		}
 		for _, h := range heuristics {
-			hs := newSearch(e, m.prob.Clone(), rootSol.Basis)
+			hs := newSearch(e, m.prob.Clone(), res.RootBasis)
 			wg.Add(1)
 			go func(h func(*search), hs *search) {
 				defer wg.Done()
@@ -176,7 +175,7 @@ func (m *Model) solveParallel(e *engine) Result {
 	}
 
 	for w := 0; w < opt.Workers; w++ {
-		ws := newSearch(e, m.prob.Clone(), rootSol.Basis)
+		ws := newSearch(e, m.prob.Clone(), res.RootBasis)
 		wg.Add(1)
 		go func(w int, ws *search) {
 			defer wg.Done()

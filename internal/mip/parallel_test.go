@@ -92,7 +92,7 @@ func TestParallelStatsPopulated(t *testing.T) {
 // race detector checks here — and every counted node solved one LP.
 func TestParallelLPStatsSumSearches(t *testing.T) {
 	const workers = 4
-	m := generalizedAssignment()
+	m := generalizedAssignment(7)
 	e := newEngine(context.Background(), m, Options{Workers: workers, MaxNodes: 400, IntTol: 1e-6, AbsGap: 1e-6}, time.Now())
 	res := m.solveParallel(e)
 	e.fillStats(&res)

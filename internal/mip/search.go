@@ -3,10 +3,10 @@ package mip
 // This file holds the solve engine shared by the serial and parallel
 // branch-and-bound drivers: the per-solve shared state (incumbent, stop
 // flags, node count, root bounds) and the per-goroutine search scratch
-// (problem copy, warm basis and LP statistics, heuristics). The serial driver solveSerial
-// reproduces the pre-parallel algorithm exactly — same node order, same
-// heuristic schedule, same LP sequence — so Workers=1 results are
-// bit-for-bit identical to the historical single-threaded solver.
+// (problem copy, LP workspace and its statistics, heuristics). Both drivers
+// expand nodes through processNode; the serial one keys node order and the
+// heuristic schedule to node counts alone, so Workers=1 results are
+// bit-for-bit repeatable.
 
 import (
 	"context"
@@ -288,22 +288,21 @@ func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 // goroutine may mutate freely (the model's own problem for the serial
 // driver and the root of the parallel one; a Clone for every worker and
 // heuristic goroutine), the goroutine's LP workspace — which retains the
-// simplex structure, all solver scratch, and the warm-start basis chain
-// across every node and heuristic LP of this search — and reusable point
-// buffers for the heuristics. Nothing in a search is shared across
-// goroutines; everything shared lives in the engine.
+// simplex structure, all solver scratch, and the basis of the last LP it
+// solved to optimality — and reusable point buffers for the heuristics.
+// Nothing in a search is shared across goroutines; everything shared lives
+// in the engine.
 type search struct {
-	m          *Model
-	e          *engine
-	prob       *lp.Problem
-	ws         *lp.Workspace
-	seedBasis  *lp.Basis // imported seed for the first warm solves (root basis, cross-round basis)
-	exportNext bool      // export the next LP's basis (root relaxations)
-	forceCold  bool
-	xbuf       []float64 // rounding-heuristic point
-	xibuf      []float64 // roundRepairComplete working point
-	divebuf    []float64 // dive working point
-	checkbuf   []float64 // dive batch-rollback checkpoint
+	m         *Model
+	e         *engine
+	prob      *lp.Problem
+	ws        *lp.Workspace
+	seedBasis *lp.Basis // start of a chain whose workspace has solved nothing yet (root basis, cross-round basis)
+	forceCold bool
+	xbuf      []float64 // rounding-heuristic point
+	xibuf     []float64 // roundRepairComplete working point
+	divebuf   []float64 // dive working point
+	checkbuf  []float64 // dive batch-rollback checkpoint
 }
 
 func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis) *search {
@@ -320,33 +319,42 @@ func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis) *search {
 	return s
 }
 
-// solveLP solves the search's problem on the search-local workspace. The
-// workspace retains the last good basis internally, so every subsequent LP
-// of this search warm-starts from the most recent optimal one with no
-// export/import copies; bound changes between solves are absorbed by
-// dual-simplex repair in package lp. Until the workspace has a good basis of
-// its own, the seed basis (the root relaxation's, or a previous round's)
-// serves as the imported warm start.
-func (s *search) solveLP() lp.Solution {
+// offerParentBasis is false only in tests that measure what starting a node
+// LP from its parent's basis saves.
+var offerParentBasis = true
+
+// solveLP solves the search's problem on the search-local workspace, from the
+// nearest solved basis: a branch-and-bound node passes the basis of the LP it
+// was branched from, and package lp spots by pointer when that is the one the
+// workspace still holds (a child solved straight after its parent). A
+// heuristic passes nil and continues its own chain — each dive or completion
+// LP differs by a few fixings from the one this workspace solved last — which
+// the seed basis opens while the workspace has solved nothing. Bound changes
+// since the start basis was optimal are absorbed by dual-simplex repair.
+func (s *search) solveLP(start *lp.Basis) lp.Solution {
 	o := s.e.lpOpt
-	o.Start = s.seedBasis
-	o.ReuseBasis = true
-	if s.forceCold || s.e.opt.NoWarmStart {
-		o.Start = nil
-		o.ReuseBasis = false
-	}
-	if s.exportNext {
-		o.ExportBasis = true
-		s.exportNext = false
+	switch {
+	case s.forceCold || s.e.opt.NoWarmStart:
+	case start != nil && offerParentBasis:
+		o.Start = start
+	default:
+		o.Start, o.ReuseBasis = s.seedBasis, true
 	}
 	return s.prob.SolveWith(s.e.ctx, o, s.ws)
 }
 
-// solveRootLP is solveLP with a basis export: the root relaxation's basis
-// seeds the parallel workers and the next round's cross-round warm start.
-func (s *search) solveRootLP() lp.Solution {
-	s.exportNext = true
-	return s.solveLP()
+// solveRoot solves the root relaxation — from Options.RootBasis, the search's
+// seed, when the caller supplied one — and records it on res. It reports
+// whether res is final (handleRootStatus).
+func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
+	sol := s.solveLP(nil)
+	if sol.Status == lp.Optimal {
+		res.RootBasis = s.ws.Basis()
+	}
+	res.RootLPIters = sol.Iterations
+	res.RootWarm = sol.WarmStarted
+	res.RootCold = sol.ColdFallback
+	return sol, s.e.handleRootStatus(res, sol)
 }
 
 // newIntAct computes the integer-variable activity of every row at xi.
@@ -460,7 +468,7 @@ func (s *search) completeLP(xi []float64) bool {
 	}
 	improved := false
 	if ok {
-		sol := s.solveLP()
+		sol := s.solveLP(nil)
 		if sol.Status == lp.Optimal {
 			x := sol.X
 			for j := 0; j < n; j++ {
@@ -677,7 +685,7 @@ func (s *search) dive(seed []float64, bias float64) {
 				return
 			}
 		}
-		sol := s.solveLP()
+		sol := s.solveLP(nil)
 		if sol.Status != lp.Optimal && len(fracs) > 0 {
 			// Batch overshot a coupled constraint: retry with a single
 			// most-fractional fix from the checkpoint.
@@ -690,7 +698,7 @@ func (s *search) dive(seed []float64, bias float64) {
 			if !fix(fracs[0].j) {
 				return
 			}
-			sol = s.solveLP()
+			sol = s.solveLP(nil)
 		}
 		if sol.Status != lp.Optimal {
 			return // infeasible dive; give up
@@ -731,7 +739,7 @@ func (s *search) applyNodeBounds(nd node) bool {
 // branch splits nd on its most fractional variable v at value fv, returning
 // the two children ordered so that the near-integer side is LAST (pushed
 // last = popped first under LIFO selection).
-func (s *search) branch(nd node, v int, fv, objective float64) (first, second node) {
+func (s *search) branch(nd node, v int, fv, objective float64, basis *lp.Basis) (first, second node) {
 	e := s.e
 	floorUp := math.Floor(fv + e.opt.IntTol)
 	ceilLo := math.Ceil(fv - e.opt.IntTol)
@@ -744,11 +752,13 @@ func (s *search) branch(nd node, v int, fv, objective float64) (first, second no
 		changes: appendChange(nd.changes, boundChange{v, ceilLo, upV}),
 		bound:   objective,
 		depth:   nd.depth + 1,
+		basis:   basis,
 	}
 	down := node{
 		changes: appendChange(nd.changes, boundChange{v, loV, floorUp}),
 		bound:   objective,
 		depth:   nd.depth + 1,
+		basis:   basis,
 	}
 	// Dive toward the nearer integer first.
 	if fv-floorUp < ceilLo-fv {
@@ -777,7 +787,7 @@ func (s *search) processNode(nd node, open []node) []node {
 		return open
 	}
 
-	sol := s.solveLP()
+	sol := s.solveLP(nd.basis)
 	myNode := e.nodes.Add(1)
 	if sol.Status == lp.Cancelled {
 		return append(open, nd)
@@ -807,6 +817,9 @@ func (s *search) processNode(nd node, open []node) []node {
 	if m.feasibleIntegralIn(s.prob, s.xbuf, opt.IntTol) {
 		e.offer(s.xbuf, m.objective(s.xbuf), false)
 	}
+	// The node branches: keep its basis for the children before the periodic
+	// heuristics move the workspace on.
+	basis := s.ws.Basis()
 	// Periodic heuristics from this node's relaxation, keyed to the global
 	// node counter (bounds are still the node's at this point).
 	if myNode%16 == 1 {
@@ -816,7 +829,7 @@ func (s *search) processNode(nd node, open []node) []node {
 		s.dive(sol.X, 0.5)
 	}
 
-	first, second := s.branch(nd, frac, sol.X[frac], sol.Objective)
+	first, second := s.branch(nd, frac, sol.X[frac], sol.Objective, basis)
 	return append(open, first, second)
 }
 
@@ -849,21 +862,16 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 	}
 }
 
-// solveSerial is the Workers=1 branch-and-bound driver: the historical
-// single-threaded algorithm, preserved move for move (node order, heuristic
-// schedule, warm-basis chain) so serial results stay bit-for-bit identical.
+// solveSerial is the Workers=1 branch-and-bound driver: one goroutine, node
+// order and heuristic schedule keyed to node counts alone, so serial results
+// are bit-for-bit repeatable.
 func (m *Model) solveSerial(e *engine) Result {
 	opt := e.opt
 	res := Result{Status: NoSolution, Objective: math.Inf(1), Bound: math.Inf(-1)}
 	s := newSearch(e, &m.prob, opt.RootBasis)
 
-	// Root relaxation, warm-started from a previous round's basis when the
-	// caller supplied one (a mismatched shape falls back to a cold start
-	// inside package lp).
-	rootSol := s.solveRootLP()
-	res.RootBasis = rootSol.Basis
-	res.RootLPIters = rootSol.Iterations
-	if e.handleRootStatus(&res, rootSol) {
+	rootSol, final := s.solveRoot(&res)
+	if final {
 		return res
 	}
 	res.Bound = rootSol.Objective
@@ -873,7 +881,7 @@ func (m *Model) solveSerial(e *engine) Result {
 
 	// Open-node pool. Depth-first diving with periodic best-bound selection
 	// keeps memory modest while still improving the global bound.
-	open := []node{{bound: rootSol.Objective}}
+	open := []node{{bound: rootSol.Objective, basis: res.RootBasis}}
 	bestBound := func() float64 {
 		if len(open) == 0 {
 			return e.bestObj()

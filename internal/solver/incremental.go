@@ -21,6 +21,7 @@ import (
 	"ras/internal/broker"
 	"ras/internal/clock"
 	"ras/internal/floats"
+	"ras/internal/lp"
 	"ras/internal/mip"
 	"ras/internal/reservation"
 	"ras/internal/topology"
@@ -44,6 +45,11 @@ type Delta struct {
 	// Creates and deletes change the spec list itself and force a rebuild;
 	// resizes arrive as RHS updates.
 	Reservations []reservation.Request
+	// Gap marks a delta whose server change set is unknown: the broker's
+	// journal no longer reaches back to Since. Servers is then empty and the
+	// round rebuilds its models (RebuildJournalGap) — still from the cached
+	// round's root bases.
+	Gap bool
 }
 
 // structural reports whether the delta is known to break model structure
@@ -68,7 +74,7 @@ type RebuildReason uint8
 // cache and a delta were there, and the delta broke the model's structure.
 const (
 	RebuildNone           RebuildReason = iota
-	RebuildNoCache                      // no cached model of the snapshot Delta.Since names: first round, unversioned input, or a journal gap
+	RebuildNoCache                      // no cached model of the snapshot Delta.Since names: first round or unversioned input
 	RebuildReservationSet               // the delta creates or deletes a reservation
 	RebuildConfig                       // solver config, region, or the cached model's revision differs
 	RebuildScope                        // the server count or Input.Subset differs
@@ -79,12 +85,13 @@ const (
 	RebuildNewGroup                     // a server needs a symmetry group the model lacks
 	RebuildEmptyGroup                   // a symmetry group lost its last server
 	RebuildHinge                        // a move hinge appeared or vanished (a cell's X crossed zero)
+	RebuildJournalGap                   // the broker journal no longer reaches back to Delta.Since, so the change set is unknown
 	NumRebuildReasons                   // array size for per-reason tallies
 )
 
 var rebuildReasonNames = [NumRebuildReasons]string{
 	"none", "no-cache", "reservation-set", "config", "scope", "spec-count", "spec-shape",
-	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge",
+	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge", "journal-gap",
 }
 
 func (r RebuildReason) String() string {
@@ -144,6 +151,7 @@ type specRows struct {
 	unservMsg     string
 
 	env       mip.Var // envelope z (expression 4/6); -1 for buffer specs
+	envRow    []int   // by position in msbs: the row z ≥ that MSB's sum; -1 where the MSB has no terms
 	capRow    int
 	capSlack  mip.Var
 	spreadRow []int // by position in msbs; -1 where the MSB has no terms
@@ -515,8 +523,11 @@ func (bp *builtPhase) layout(names [][]string) {
 		if !s.isBuffer {
 			// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
 			var perMSB [][]mip.Term
-			for _, msb := range bp.msbs {
+			sp.envRow = make([]int, len(bp.msbs))
+			for k, msb := range bp.msbs {
+				sp.envRow[k] = -1
 				if terms := sumTerms(msbGroups[msb]); terms != nil {
+					sp.envRow[k] = m.NumConstrs() + len(perMSB) // AddUpperEnvelope adds them in this order
 					perMSB = append(perMSB, terms)
 				}
 			}
@@ -566,6 +577,124 @@ func (bp *builtPhase) layout(names [][]string) {
 	}
 	bp.initX = make([]float64, m.NumVars())
 	bp.rev = m.Revision()
+}
+
+// specKey is a spec's identity across rounds: the reservation it stands for
+// and, for the shared-buffer specs that all carry reservation.SharedBuffer,
+// the hardware type each one buffers.
+type specKey struct {
+	id      reservation.ID
+	bufType int // -1 for a user reservation
+}
+
+func (s *resSpec) key() specKey {
+	if s.isBuffer {
+		return specKey{s.outID, s.res.EligibleTypes[0]}
+	}
+	return specKey{s.outID, -1}
+}
+
+// at is xs[k], or -1 when the table has no such position.
+func at[T ~int](xs []T, k int) T {
+	if k < 0 || k >= len(xs) {
+		return -1
+	}
+	return xs[k]
+}
+
+// carryBasis rewrites b — an optimal root basis of the model old laid out —
+// onto bp's freshly built model, by identity: the layout tables say what
+// every column and row is (a symmetry-group key × a spec for count cells,
+// move hinges and assignment rows; a spec × an MSB, rack or DC for envelope,
+// spread, capacity and affinity rows and their auxiliaries), and an entry
+// both layouts have keeps its status. A column only bp has enters nonbasic at
+// the bound the seeded assignment puts it on, a row only bp has is covered by
+// its slack, and what only old has is dropped; package lp squares up whatever
+// set of Basic columns that leaves. It also reports how many of b's columns
+// bp has. For the changes a region-wide phase sees — symmetry groups
+// appearing and emptying — the rows that go contain only columns that go, so
+// the carried set is again a basis with the old duals, and the root LP is
+// left with the bounds and right-hand sides that moved.
+func (bp *builtPhase) carryBasis(old *builtPhase, b *lp.Basis) (nb *lp.Basis, kept int) {
+	m := bp.m
+	nb = lp.NewBasis(m.NumVars(), m.NumConstrs())
+	for j, x := range bp.initX {
+		if _, up := m.VarBounds(mip.Var(j)); x > 0 && x >= up {
+			nb.SetCol(j, lp.AtUpper)
+		}
+	}
+	col := func(to, from mip.Var) {
+		if to >= 0 && from >= 0 {
+			nb.SetCol(int(to), b.Col(int(from)))
+			kept++
+		}
+	}
+	row := func(to, from int) {
+		if to >= 0 && from >= 0 {
+			nb.SetRow(to, b.Row(from))
+		}
+	}
+	pos := func(idx map[int]int, key int) int {
+		if k, ok := idx[key]; ok {
+			return k
+		}
+		return -1
+	}
+
+	oldSpec := make(map[specKey]int, len(old.specs))
+	for osi := range old.specs {
+		oldSpec[old.specs[osi].key()] = osi
+	}
+	specOf := make([]int, len(bp.specs)) // spec index in old, -1 when new
+	for si := range bp.specs {
+		specOf[si] = -1
+		if osi, ok := oldSpec[bp.specs[si].key()]; ok {
+			specOf[si] = osi
+		}
+	}
+
+	for gi, g := range bp.groups {
+		ogi, ok := old.groupIdx[g.key]
+		if !ok {
+			continue
+		}
+		row(bp.assignRow[gi], old.assignRow[ogi])
+		for si, osi := range specOf {
+			if osi >= 0 {
+				col(bp.nVar[gi][si], old.nVar[ogi][osi])
+				col(bp.moveVar[gi][si], old.moveVar[ogi][osi])
+				row(bp.moveRow[gi][si], old.moveRow[ogi][osi])
+			}
+		}
+	}
+	for si, osi := range specOf {
+		if osi < 0 {
+			continue
+		}
+		sp, osp := &bp.sp[si], &old.sp[osi]
+		col(sp.env, osp.env)
+		col(sp.capSlack, osp.capSlack)
+		row(sp.capRow, osp.capRow)
+		for k, msb := range bp.msbs {
+			ok := pos(old.msbIdx, msb)
+			row(at(sp.envRow, k), at(osp.envRow, ok))
+			col(at(sp.spreadVar, k), at(osp.spreadVar, ok))
+			row(at(sp.spreadRow, k), at(osp.spreadRow, ok))
+		}
+		for k, rk := range bp.racks {
+			ok := pos(old.rackIdx, rk)
+			col(at(sp.rackVar, k), at(osp.rackVar, ok))
+			row(at(sp.rackRow, k), at(osp.rackRow, ok))
+		}
+		for dc := range sp.affRow {
+			if dc < len(osp.affRow) {
+				col(sp.affSlack[dc], osp.affSlack[dc])
+				row(sp.affRow[dc][0], osp.affRow[dc][0])
+				row(sp.affRow[dc][1], osp.affRow[dc][1])
+			}
+		}
+	}
+	return nb, kept
 }
 
 // specCompatible reports whether a cached spec and a fresh one differ at

@@ -167,27 +167,22 @@ func (c Config) withDefaults(region *topology.Region) Config {
 }
 
 // PhaseWarm is one phase's persisted cross-round warm-start state: the root
-// relaxation basis exported at the end of round k together with the model
-// shape it belongs to. Consecutive RAS rounds solve near-identical MIPs, so
-// when the next round builds a model of the same shape the basis seeds its
-// root LP (mip.Options.RootBasis); any shape drift — reservations added or
-// removed, servers failing out of symmetry groups — falls back to a cold
-// solve.
+// relaxation's optimal basis at the end of round k, and the layout of the
+// model it belongs to — which names every column and row of that model by
+// what it is (symmetry-group key × reservation for count and move cells,
+// reservation × MSB, rack or DC for the per-spec rows and their auxiliaries).
+// Consecutive RAS rounds solve near-identical MIPs: a round that patches the
+// cached model hands the basis to its root LP as it is, and a round that
+// rebuilds the model — for whatever reason — rewrites it onto the new layout
+// by identity first (builtPhase.carryBasis).
 type PhaseWarm struct {
-	Basis *lp.Basis
-	// Vars and Rows record the model shape the basis was exported from.
-	Vars, Rows int
-}
-
-// matches reports whether the warm state carries a basis usable for a model
-// of the given shape.
-func (w *PhaseWarm) matches(vars, rows int) bool {
-	return w != nil && w.Basis != nil && w.Vars == vars && w.Rows == rows
+	Basis  *lp.Basis
+	layout *builtPhase
 }
 
 // WarmState is the cross-round warm-start state of the two-phase solver.
 // Feed a round's Result.Warm to the next round's SolveWarm; a nil WarmState
-// (or a stale shape) solves cold. The zero value is ready to use.
+// solves cold. The zero value is ready to use.
 type WarmState struct {
 	Phase1 PhaseWarm
 	Phase2 PhaseWarm
@@ -297,14 +292,20 @@ type PhaseStats struct {
 	LPIters   int
 	LPLimited int
 	// RootLPIters counts the simplex iterations of the phase's root
-	// relaxation alone, and WarmRoot reports whether that root LP was seeded
-	// from a previous round's basis — together they quantify what the
-	// cross-round warm start saved. RootBasisMismatch reports the miss: a
-	// basis was offered but the model's shape had drifted, so the root
-	// started cold.
+	// relaxation alone, and WarmRoot reports that this root LP was completed
+	// from the previous round's basis — together they quantify what the
+	// cross-round warm start saved. When a basis was on offer,
+	// RootBasisOffered is its column count and RootBasisKept how many of
+	// those columns exist in this round's model (all of them when the model
+	// was patched); RootBasisMismatch reports that fewer than half did, in
+	// which case the basis is not used. RootCold is why the root LP abandoned
+	// a basis it was given (lp.ColdNone when it held or none was given).
 	RootLPIters       int
 	WarmRoot          bool
+	RootBasisKept     int
+	RootBasisOffered  int
 	RootBasisMismatch bool
+	RootCold          lp.ColdReason
 	// ModelPatched reports that this phase's model was patched in place
 	// from the previous round's cache instead of rebuilt; RASBuild and
 	// InitialState are then zero and SolverBuild is the patch time.
@@ -318,6 +319,38 @@ type PhaseStats struct {
 	Workers          int
 	IncumbentUpdates int
 	HeuristicWins    int
+}
+
+// RootBasisTally sums, over phases, how the cross-round warm start of the
+// root LP fared: what the CLIs print from the PhaseStats a solve returned.
+type RootBasisTally struct {
+	Offered, Warm, Mismatch     int // phases handed a basis; whose root completed from it; that dropped it
+	ColumnsKept, ColumnsOffered int
+	Cold                        lp.ColdCounts // roots that abandoned the basis they were given, by reason
+}
+
+// Add accumulates one phase.
+func (t *RootBasisTally) Add(p *PhaseStats) {
+	if p.RootBasisOffered == 0 {
+		return
+	}
+	t.Offered++
+	t.ColumnsKept += p.RootBasisKept
+	t.ColumnsOffered += p.RootBasisOffered
+	if p.WarmRoot {
+		t.Warm++
+	}
+	if p.RootBasisMismatch {
+		t.Mismatch++
+	}
+	if p.RootCold != lp.ColdNone {
+		t.Cold[p.RootCold]++
+	}
+}
+
+func (t RootBasisTally) String() string {
+	return fmt.Sprintf("offered=%d warm=%d mismatch=%d columns_kept=%d/%d cold=%v",
+		t.Offered, t.Warm, t.Mismatch, t.ColumnsKept, t.ColumnsOffered, t.Cold)
 }
 
 // SlackResidual is one softened row's remaining violation.
@@ -387,7 +420,8 @@ type group struct {
 	rack    int // -1 at MSB granularity (phase 1)
 	cur     reservation.ID
 	inUse   bool
-	wear    int // SSD wear bucket (0 when wear-aware placement is off)
+	wear    int      // SSD wear bucket (0 when wear-aware placement is off)
+	key     groupKey // the class's identity, equal across rounds and rebuilds
 }
 
 // wearBucket quantizes a wear level in [0,1] into 4 buckets.
@@ -415,12 +449,12 @@ func Solve(ctx context.Context, in Input, cfg Config) (*Result, error) {
 }
 
 // SolveWarm is Solve with cross-round warm-start state: warm carries the
-// previous round's final bases (pass Result.Warm from round k to round k+1;
-// nil solves cold). Each phase seeds its root relaxation from the matching
-// basis when the newly built model has the exact shape the basis was
-// exported from, and silently falls back to a cold solve otherwise — so the
-// continuous-optimization loop amortizes simplex work across rounds without
-// changing what a round is allowed to return.
+// previous round's root bases and models (pass Result.Warm from round k to
+// round k+1; nil solves cold). Each phase starts its root relaxation from the
+// previous round's basis — as it is when the model was patched, carried over
+// by identity when it was rebuilt — so the continuous-optimization loop
+// amortizes simplex work across rounds without changing what a round is
+// allowed to return.
 func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
@@ -716,6 +750,8 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		switch {
 		case bp == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
 			out.stats.Rebuild = RebuildNoCache
+		case in.Delta.Gap:
+			out.stats.Rebuild = RebuildJournalGap
 		case in.Delta.structural():
 			out.stats.Rebuild = RebuildReservationSet
 		default:
@@ -756,16 +792,21 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		return out, bp
 	}
 	t0 := clock.Now()
-	// Cross-round warm start: a basis exported by the previous round seeds
-	// this round's root relaxation, but only when the freshly built model has
-	// the exact shape the basis belongs to; any drift falls back to cold.
+	// Cross-round warm start: the root LP starts from the previous round's
+	// optimal basis — the nearest solved problem. A patched model is the one
+	// the basis belongs to; a rebuilt one gets it carried over by identity.
 	var rootBasis *lp.Basis
 	if pw != nil && pw.Basis != nil {
-		if pw.matches(m.NumVars(), m.NumConstrs()) {
-			rootBasis = pw.Basis
-			out.stats.WarmRoot = true
-		} else {
-			out.stats.RootBasisMismatch = true
+		out.stats.RootBasisOffered = pw.Basis.NumCols()
+		switch pw.layout {
+		case nil: // a hand-assembled PhaseWarm: nothing says what the columns were
+		case bp:
+			rootBasis, out.stats.RootBasisKept = pw.Basis, pw.Basis.NumCols()
+		default:
+			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.layout, pw.Basis)
+		}
+		if 2*out.stats.RootBasisKept < out.stats.RootBasisOffered {
+			rootBasis, out.stats.RootBasisMismatch = nil, true
 		}
 	}
 	// Gap tolerances: proving optimality below the cost of a single idle
@@ -790,7 +831,9 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.LPIters = r.LP.Iterations
 	out.stats.LPLimited = r.LP.IterLimited
 	out.stats.RootLPIters = r.RootLPIters
-	out.warm = PhaseWarm{Basis: r.RootBasis, Vars: m.NumVars(), Rows: m.NumConstrs()}
+	out.stats.WarmRoot = r.RootWarm
+	out.stats.RootCold = r.RootCold
+	out.warm = PhaseWarm{Basis: r.RootBasis, layout: bp}
 	out.stats.Workers = r.Workers
 	out.stats.IncumbentUpdates = r.IncumbentUpdates
 	out.stats.HeuristicWins = r.HeuristicWins
@@ -842,7 +885,7 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, noSymmetry, wea
 		g, ok := byKey[k]
 		if !ok {
 			srv := &in.Region.Servers[id]
-			g = &group{typeIdx: srv.Type, msb: srv.MSB, dc: srv.DC, rack: -1, cur: k.cur, inUse: k.inUse, wear: k.wear}
+			g = &group{typeIdx: srv.Type, msb: srv.MSB, dc: srv.DC, rack: -1, cur: k.cur, inUse: k.inUse, wear: k.wear, key: k}
 			if rackLevel {
 				g.rack = srv.Rack
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ras/internal/hardware"
+	"ras/internal/lp"
 	"ras/internal/reservation"
 )
 
@@ -69,9 +70,12 @@ func TestCrossRoundWarmStart(t *testing.T) {
 		warmRound.Phase1.RootLPIters, coldBefore.Phase1.RootLPIters)
 }
 
-// TestCrossRoundWarmShapeFallback changes the problem between rounds — a new
-// reservation appears — and checks the stale basis is rejected by the shape
-// check, the round solves cold, and the outcome is still a full allocation.
+// TestCrossRoundWarmShapeFallback changes the problem between rounds. A new
+// reservation adds variables and rows, but every column the old basis names
+// is still in the model: the basis is carried over whole and the root LP
+// completes from it. Replacing the reservation set outright leaves the basis
+// with under half its columns: that is the mismatch, the basis is not used,
+// and the round is still a full allocation.
 func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	region := testRegion(t, 2, 2, 4, 6, 11)
 	rsvs := []reservation.Reservation{
@@ -83,6 +87,9 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	r1, err := SolveWarm(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r1.Phase1.RootBasisOffered != 0 || r1.Phase1.RootBasisMismatch || r1.Phase1.WarmRoot {
+		t.Fatalf("round 1 was offered no basis yet reports %+v", r1.Phase1)
 	}
 	applyRound(&in, r1.Targets)
 
@@ -103,19 +110,36 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Phase1.WarmRoot {
-		t.Fatal("round 3 claimed a warm root despite a shape change")
+	p := r3.Phase1
+	if p.RootBasisOffered != r2.Phase1.ModelVars || p.RootBasisKept != p.RootBasisOffered || p.RootBasisMismatch {
+		t.Fatalf("round 3: offered %d kept %d mismatch %v, want all %d columns of round 2's model kept",
+			p.RootBasisOffered, p.RootBasisKept, p.RootBasisMismatch, r2.Phase1.ModelVars)
 	}
-	if !r3.Phase1.RootBasisMismatch {
-		t.Fatal("round 3 was offered a stale basis but does not report the mismatch")
-	}
-	if r1.Phase1.RootBasisMismatch {
-		t.Fatal("round 1 was offered no basis yet reports a mismatch")
+	if !p.WarmRoot && p.RootCold == lp.ColdNone {
+		t.Fatal("round 3's root neither completed from the carried basis nor says why not")
 	}
 	for i := range in.Reservations {
 		r := &in.Reservations[i]
 		if got := rruOf(region, r3.Targets, r); got < r.RRUs-1e-6 {
-			t.Fatalf("%s: fallback round delivered %.1f of %.1f RRUs", r.Name, got, r.RRUs)
+			t.Fatalf("%s: round 3 delivered %.1f of %.1f RRUs", r.Name, got, r.RRUs)
 		}
+	}
+
+	// A different reservation set: none of the basis's count or move columns
+	// survives.
+	in.Reservations = []reservation.Reservation{
+		{ID: 7, Name: "store", Class: hardware.DataStore, RRUs: 12, Policy: reservation.DefaultPolicy()},
+	}
+	r4, err := SolveWarm(context.Background(), in, cfg, r3.Warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = r4.Phase1
+	if !p.RootBasisMismatch || p.WarmRoot || 2*p.RootBasisKept >= p.RootBasisOffered {
+		t.Fatalf("round 4: offered %d kept %d mismatch %v warm %v, want a mismatch and a cold root",
+			p.RootBasisOffered, p.RootBasisKept, p.RootBasisMismatch, p.WarmRoot)
+	}
+	if got := rruOf(region, r4.Targets, &in.Reservations[0]); got < 12-1e-6 {
+		t.Fatalf("store: mismatch round delivered %.1f of 12 RRUs", got)
 	}
 }

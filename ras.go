@@ -289,14 +289,15 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 	// Broker-delta protocol: when a previous round established a snapshot
 	// version, describe what changed since so the solver's incremental
 	// build can patch its cached models. A journal gap (ChangedSince !ok)
-	// means the change set is unknown — solve without a delta.
+	// means the server change set is unknown: the delta says so, and the
+	// round rebuilds its models and reports why.
 	if s.haveDelta {
-		if changed, ok := s.broker.ChangedSince(s.lastStatesVersion); ok {
-			in.Delta = &solver.Delta{
-				Since:        s.lastStatesVersion,
-				Servers:      changed,
-				Reservations: s.store.ChangesSince(s.lastStoreVersion),
-			}
+		changed, ok := s.broker.ChangedSince(s.lastStatesVersion)
+		in.Delta = &solver.Delta{
+			Since:        s.lastStatesVersion,
+			Servers:      changed,
+			Reservations: s.store.ChangesSince(s.lastStoreVersion),
+			Gap:          !ok,
 		}
 	}
 	res, err := be.Solve(ctx, in, backend.Options{

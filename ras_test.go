@@ -2,10 +2,13 @@ package ras_test
 
 import (
 	"context"
+	"hash/fnv"
 	"testing"
 
 	"ras"
+	"ras/internal/broker"
 	"ras/internal/sim"
+	"ras/internal/solver"
 )
 
 func testSystem(t testing.TB) *ras.System {
@@ -192,4 +195,171 @@ func TestSolveLocalSearchBackend(t *testing.T) {
 	if surviving < 20 {
 		t.Fatalf("local-search backend broke the capacity guarantee: %.1f surviving", surviving)
 	}
+}
+
+// churnSystem is a system with two reservations, solved until a round patches
+// its model: the state the failure drills and repeatability checks start from.
+func churnSystem(t *testing.T) (*ras.System, []ras.ReservationID) {
+	t.Helper()
+	region, err := ras.NewRegion(ras.RegionSpec{
+		Name: "api-test", DCs: 2, MSBsPerDC: 2,
+		RacksPerMSB: 4, ServersPerRack: 6, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := ras.NewSystem(region, ras.Options{Workers: 1, Solver: ras.SolverConfig{MaxNodes: 100}})
+	var ids []ras.ReservationID
+	for _, r := range []ras.Reservation{
+		{Name: "web", Class: ras.Web, RRUs: 24, CountBased: true, Policy: ras.DefaultPolicy()},
+		{Name: "feed", Class: ras.Feed1, RRUs: 18, CountBased: true, Policy: ras.DefaultPolicy()},
+	} {
+		id, err := sys.CreateReservation(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for round := 0; ; round++ {
+		res, err := sys.Solve(context.Background(), ras.Clock(round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MIP.Phase1.ModelPatched {
+			return sys, ids
+		}
+		if round == 8 {
+			t.Fatal("no round patched its model within 8 rounds: the assignment never settled")
+		}
+	}
+}
+
+// serversWhere lists the available servers whose current binding pick accepts.
+func serversWhere(sys *ras.System, pick func(ras.ReservationID) bool) []ras.ServerID {
+	var out []ras.ServerID
+	for _, st := range sys.Broker().Snapshot() {
+		if st.Unavail == broker.Available && pick(st.Current) {
+			out = append(out, st.ID)
+		}
+	}
+	return out
+}
+
+// TestJournalGapRebuildsWarm drives a journal gap on purpose: between two
+// rounds, more broker writes than the journal holds. The round after the gap
+// cannot know what changed, so it rebuilds its model and says why — and,
+// because the previous round's basis is carried over by identity rather than
+// matched by shape, its root LP still completes from that basis. The rounds
+// after that are back on the delta protocol, and patch once the moves settle.
+func TestJournalGapRebuildsWarm(t *testing.T) {
+	sys, ids := churnSystem(t)
+	b := sys.Broker()
+	const now = ras.Clock(100)
+
+	// A real change, so the rebuilt model is not last round's: one of web's
+	// servers fails (its group shrinks, the mover takes a replacement from
+	// the free pool into a group of its own).
+	web := serversWhere(sys, func(cur ras.ReservationID) bool { return cur == ids[0] })
+	b.SetUnavailable(web[0], broker.RandomFailure, now, now+1000)
+	// Then write past the journal's cap: one free-pool server flaps.
+	free := serversWhere(sys, func(cur ras.ReservationID) bool { return cur == ras.Unassigned })
+	since := b.Version()
+	for i := 0; ; i++ {
+		if _, ok := b.ChangedSince(since - 1); !ok {
+			break
+		}
+		if i > 1<<16 {
+			t.Fatal("the journal never dropped an entry")
+		}
+		b.SetUnavailable(free[0], broker.RandomFailure, now, now+1000)
+		b.ClearUnavailable(free[0], now)
+	}
+
+	res, err := sys.Solve(context.Background(), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.MIP.Phase1
+	if p.Rebuild != solver.RebuildJournalGap || p.ModelPatched {
+		t.Fatalf("round after the gap: rebuild=%v patched=%v, want %v", p.Rebuild, p.ModelPatched, solver.RebuildJournalGap)
+	}
+	if !p.WarmRoot || p.RootBasisOffered == 0 || p.RootBasisMismatch {
+		t.Fatalf("round after the gap: warm=%v (cold reason %v), basis kept %d of %d columns, mismatch=%v",
+			p.WarmRoot, p.RootCold, p.RootBasisKept, p.RootBasisOffered, p.RootBasisMismatch)
+	}
+	if _, surviving, err := sys.GuaranteedRRUs(ids[0]); err != nil || surviving < 24 {
+		t.Fatalf("web after the gap round: %.1f RRUs survive its worst MSB, want 24 (%v)", surviving, err)
+	}
+
+	for round := 1; ; round++ {
+		res, err = sys.Solve(context.Background(), now+ras.Clock(round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.MIP.Phase1
+		if p.Rebuild == solver.RebuildJournalGap || p.Rebuild == solver.RebuildNoCache {
+			t.Fatalf("round %d after the gap round: rebuild=%v, want the delta back", round, p.Rebuild)
+		}
+		if p.ModelPatched {
+			break
+		}
+		if round == 6 {
+			t.Fatal("no round patched its model within 6 rounds of the gap")
+		}
+	}
+}
+
+// TestSolveSequenceRepeatable: at Workers = 1 two systems fed the same twenty
+// rounds of failures, recoveries and resizes — rounds that patch, rounds that
+// rebuild and carry their bases over — return the same targets round for
+// round.
+func TestSolveSequenceRepeatable(t *testing.T) {
+	run := func() (sums []uint64, rebuilt, warm int) {
+		sys, ids := churnSystem(t)
+		b := sys.Broker()
+		var down []ras.ServerID
+		for round := 0; round < 20; round++ {
+			now := ras.Clock(100 + round)
+			for _, id := range down {
+				b.ClearUnavailable(id, now)
+			}
+			held := serversWhere(sys, func(cur ras.ReservationID) bool { return cur == ids[round%2] })
+			down = []ras.ServerID{held[round%len(held)], held[(3*round+1)%len(held)]}
+			for _, id := range down {
+				b.SetUnavailable(id, broker.RandomFailure, now, now+1000)
+			}
+			if round%5 == 4 {
+				if err := sys.ResizeReservation(ids[1], float64(18+round%3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := sys.Solve(context.Background(), now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, tgt := range res.Targets {
+				h.Write([]byte{byte(tgt), byte(tgt >> 8), byte(tgt >> 16), byte(tgt >> 24)})
+			}
+			sums = append(sums, h.Sum64())
+			if !res.MIP.Phase1.ModelPatched {
+				rebuilt++
+				if res.MIP.Phase1.WarmRoot {
+					warm++
+				}
+			}
+		}
+		return sums, rebuilt, warm
+	}
+	first, rebuilt, warm := run()
+	second, _, _ := run()
+	for round := range first {
+		if first[round] != second[round] {
+			t.Fatalf("round %d: targets checksum %x, then %x", round, first[round], second[round])
+		}
+	}
+	if rebuilt == 0 || warm == 0 {
+		t.Fatalf("%d rounds rebuilt their model, %d of them from a carried basis: the sequence no longer covers the transfer", rebuilt, warm)
+	}
+	t.Logf("20 rounds: %d rebuilt, %d of those with a warm root", rebuilt, warm)
 }
