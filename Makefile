@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
 
-check: fmt vet lint build test race smoke bench-smoke
+check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -62,15 +62,29 @@ bench-pairs:
 	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [W=<workload>] [N=10] [SEEDS="1 2 …"] [SECONDS=30]'; exit 2; }
 	bash scripts/bench_pairs.sh "$(PARENT)" "$(W)" "$(N)" "$(SEEDS)" "$(SECONDS)"
 
+# The simplex kernel layer by layer on the captured RAS basis
+# (internal/lp/testdata/ras_basis.json): refactorization, the two sparse-RHS
+# solves, the row-wise pivot row, and whole dual and primal iterations, each
+# with the nonzeros it touches. `make check` runs one iteration of each as a
+# smoke.
+KERNEL_BENCHTIME ?= 2000x
+bench-lp:
+	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) ./internal/lp
+
+bench-lp-smoke:
+	@$(MAKE) --no-print-directory bench-lp KERNEL_BENCHTIME=1x >/dev/null
+
 # Solver/backend benchmarks (ablations + backend comparison).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Record the solver benchmark baseline (1/2/NumCPU worker sweeps) as JSON.
-# The raw Go benchmark lines are preserved under "benchfmt_lines"; extract
-# them with jq for benchstat comparisons against a later run.
+# Record the solver benchmark baseline (1/2/NumCPU worker sweeps, then the
+# simplex kernel's layers) as JSON. The raw Go benchmark lines are preserved
+# under "benchfmt_lines"; extract them with jq for benchstat comparisons
+# against a later run.
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkBackend|BenchmarkRoundIncremental' -benchtime 3x -count 1 . \
+	{ $(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) -count 1 ./internal/lp; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBackend|BenchmarkRoundIncremental' -benchtime 3x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"
 

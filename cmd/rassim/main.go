@@ -22,6 +22,7 @@ import (
 
 	"ras"
 	"ras/internal/backend"
+	"ras/internal/lp"
 	"ras/internal/sim"
 	"ras/internal/solver"
 	"ras/internal/workload"
@@ -95,6 +96,7 @@ func main() {
 	var hits int
 	var rebuilds [solver.NumRebuildReasons]int
 	var roots solver.RootBasisTally
+	var lps lp.Stats
 	// Hourly continuous optimization (Figure 6 step 8).
 	engine.Every(sim.Hour, func(now sim.Time) {
 		if ctx.Err() != nil {
@@ -109,6 +111,7 @@ func main() {
 			for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
 				rebuilds[ph.Rebuild]++
 				roots.Add(ph)
+				lps.Add(ph.LP)
 				if ph.ModelPatched {
 					hits++
 				}
@@ -202,6 +205,8 @@ func main() {
 	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s",
 		hits, misses, falls, why)
 	logger.Printf("root basis: %v", roots)
+	logger.Printf("lp: solves=%d iters=%d dual_iters=%d cold_fallbacks=%d (%v) %s",
+		lps.Solves, lps.Iterations, lps.DualIterations, lps.ColdFallbacks.Total(), lps.ColdFallbacks, lps.Kernel())
 	if *requireCache && (hits == 0 || falls == 0) {
 		logger.Printf("FAIL: -require-cache wants patch_hits>0 and fallback_rebuilds>0")
 		os.Exit(1)

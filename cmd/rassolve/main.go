@@ -286,8 +286,11 @@ func printModelBuilds(w io.Writer, res *backend.Result) {
 // printWarmStarts reports, per solve phase and from the values the solve
 // returned, how its warm-started LPs fared: columns flipped to their opposite
 // bound (or held back by a cost shift) to restore dual feasibility, warm
-// starts abandoned for a cold two-phase solve, by reason, and what became of
-// the previous round's root basis. The pop backend's lines sum its partitions.
+// starts abandoned for a cold two-phase solve, by reason, infeasibility claims
+// accepted on their certificate instead, the primal's degenerate steps and
+// Bland iterations, how often the maintained reduced costs were recomputed and
+// the largest drift that found, and what became of the previous round's root
+// basis. The pop backend's lines sum its partitions.
 func printWarmStarts(w io.Writer, res *backend.Result) {
 	var phases [2]lp.Stats // a phase that did not run adds zeros
 	var roots [2]solver.RootBasisTally
@@ -301,8 +304,9 @@ func printWarmStarts(w io.Writer, res *backend.Result) {
 		if l.Solves == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cost_shifts=%d cold_fallbacks=%d (%v) root_basis: %v\n",
-			i+1, l.Solves, l.Iterations, l.FlippedColumns, l.CostShifts, l.ColdFallbacks.Total(), l.ColdFallbacks, roots[i])
+		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cost_shifts=%d cold_fallbacks=%d (%v) %s root_basis: %v\n",
+			i+1, l.Solves, l.Iterations, l.FlippedColumns, l.CostShifts, l.ColdFallbacks.Total(), l.ColdFallbacks,
+			l.Kernel(), roots[i])
 	}
 }
 

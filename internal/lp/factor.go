@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 
 	"ras/internal/floats"
 )
@@ -15,11 +16,26 @@ import (
 //	B^-1 = E_k ··· E_1 · S · U^-1 · L^-1
 //
 // where L^-1 is the sequence of unit-lower-triangular elimination etas, U
-// the sparse upper-triangular factor (solved column-wise), S the
-// pivot-order-to-basis-slot permutation, and E_i the update etas appended by
-// pivots. FTRAN applies the chain left-to-right to map a constraint-row
-// vector to basis-slot coordinates (B^-1·a); BTRAN applies the transposed
-// chain in reverse to map slot coordinates to row coordinates (c^T·B^-1).
+// the sparse upper-triangular factor, S the pivot-order-to-basis-slot
+// permutation, and E_i the update etas appended by pivots. FTRAN applies the
+// chain left-to-right to map a constraint-row vector to basis-slot
+// coordinates (B^-1·a); BTRAN applies the transposed chain in reverse to map
+// slot coordinates to row coordinates (c^T·B^-1).
+//
+// L and U are stored in elimination-step coordinates — an entry's index is
+// the step that pivoted its row, not the row — so every triangular solve runs
+// over one vector indexed by step, permuted in from rows or slots and out
+// again. Each solve exists twice. The dense pair (ftranDense, btran) walks all
+// m steps and serves dense right-hand sides: the basic values, the basic
+// costs. The sparse pair (ftran of one column, btranRow of one unit vector) is
+// what an iteration pays: it visits only the steps its right-hand side
+// reaches, kept as a bitset over steps that is walked a word at a time, and
+// returns the nonzero pattern of the result as an ascending index list. A
+// visit is a zero test of the step's pivot component and a scatter, never a
+// gather, because both transposes are at hand: L and U column-wise (lcols,
+// ucols) scatter forward in FTRAN, their row-wise copies (lrows, urows, built
+// during the refactorization) scatter forward in BTRAN, and slotEtas says
+// which update etas a slot can reach without reading them.
 //
 // Memory is O(nnz(L)+nnz(U)+nnz(etas)) and a refactorization costs
 // O(nnz + fill) — for the transportation-like bases RAS produces (a handful
@@ -37,6 +53,10 @@ const (
 	// both slows FTRAN/BTRAN and compounds floating-point drift, so the
 	// interval trades per-pivot cost against refactorization cost.
 	defaultRefactorEvery = 32
+
+	// maxEtas caps the eta file whatever the configured cadence: slotEtas
+	// keeps one bit per update eta in a 64-bit word.
+	maxEtas = 64
 
 	// fillGrowthLimit triggers an early refactorization when the eta file's
 	// nonzeros exceed this multiple of the factor's own nonzeros (plus m, so
@@ -56,14 +76,76 @@ const (
 	pivRelTol = 0.01
 )
 
-// etaOp is one elementary (eta) matrix: the identity with column pivot
-// replaced so that applying it scales the pivot component and adds multiples
-// of it elsewhere. L elimination etas are unit-diagonal (scale = 1, handled
-// implicitly); PFI update etas carry the explicit 1/pivot scale.
+// etaOp is one PFI update eta: the identity with column pivot replaced, so
+// that applying it scales the pivot component by invP and adds multiples of
+// it elsewhere. It operates on basis-slot coordinates.
 type etaOp struct {
-	pivot int       // component the eta pivots on
-	invP  float64   // 1/pivot value (1 for unit L etas, unused there)
-	nz    []Nonzero // off-pivot entries: Index = component, Value = coefficient
+	pivot int       // slot the eta pivots on
+	invP  float64   // 1/pivot value
+	nz    []Nonzero // off-pivot entries: Index = slot, Value = coefficient
+}
+
+// bitset is a fixed-size set of small integers: the worklist and the result
+// pattern of the sparse solves, and the singleton queue of the
+// refactorization.
+type bitset []uint64
+
+func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// drainAscending appends the members i of b with v[i] nonzero to out, in
+// ascending order, and empties b.
+func (b bitset) drainAscending(v []float64, out []int) []int {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 | bits.TrailingZeros64(word); !floats.ExactZero(v[i]) {
+				out = append(out, i)
+			}
+		}
+		b[w] = 0
+	}
+	return out
+}
+
+// rowwise is a compressed row-wise copy of the (small) L factor: the entries
+// of step j are ents[start[j]:start[j+1]], Index naming the step of the column
+// they came from.
+type rowwise struct {
+	start []int32
+	ents  []Nonzero
+}
+
+func (r *rowwise) of(j int) []Nonzero { return r.ents[r.start[j]:r.start[j+1]] }
+
+// transpose rebuilds r from the first done columns of L, total entries in
+// all, in step coordinates.
+func (r *rowwise) transpose(cols [][]Nonzero, done, total int) {
+	start := r.start
+	clear(start)
+	if total == 0 {
+		return
+	}
+	for _, col := range cols[:done] {
+		for _, nz := range col {
+			start[nz.Index+1]++
+		}
+	}
+	for j := 0; j < done; j++ {
+		start[j+1] += start[j]
+	}
+	if cap(r.ents) < total {
+		r.ents = make([]Nonzero, total+total/2)
+	}
+	ents := r.ents[:total]
+	for c, col := range cols[:done] {
+		for _, nz := range col {
+			ents[start[nz.Index]] = Nonzero{Index: c, Value: nz.Value}
+			start[nz.Index]++
+		}
+	}
+	// Filling advanced every start to its row's end, which is the next row's
+	// start: shift back by one row.
+	copy(start[1:], start[:done])
+	start[0] = 0
 }
 
 // factor is a sparse factorization of the current simplex basis. It is
@@ -72,26 +154,45 @@ type etaOp struct {
 type factor struct {
 	m int
 
-	// LU refactorization product, in elimination order j = 0..m-1.
-	// lops[j] holds the unit elimination multipliers of step j (applied to
-	// row coordinates), ucols[j] the U column of the j-th pivot (entries in
-	// previously pivoted rows), pr[j]/ps[j] the pivot row and basis slot,
-	// invP[j] the reciprocal pivot.
-	lops  []etaOp
-	ucols [][]Nonzero
-	pr    []int
-	ps    []int
-	invP  []float64
+	// LU refactorization product, in elimination order j = 0..done-1. Step j
+	// pivoted row pr[j] of the column in basis slot ps[j], with reciprocal
+	// pivot invP[j]; rowStep and slotStep are the inverse maps (-1 for a row
+	// or slot no step pivoted). lcols[j] holds the unit elimination
+	// multipliers of step j (entries at later steps), ucols[j] the U column
+	// of the j-th pivot (entries at earlier steps); lrows and urows are the
+	// same entries by row — urows[i] filled as the columns are recorded, in
+	// ascending column order; lrows transposed at the end, L's rows having no
+	// step until then. lsteps marks the steps whose lcols is not empty:
+	// near-triangular bases leave it almost empty, and FTRAN's L pass visits
+	// nothing else.
+	lcols    [][]Nonzero
+	ucols    [][]Nonzero
+	lrows    rowwise
+	urows    [][]Nonzero
+	lsteps   bitset
+	pr       []int
+	ps       []int
+	invP     []float64
+	rowStep  []int32
+	slotStep []int32
 
 	// PFI update etas appended by pivots since the last refactorization,
-	// operating on basis-slot coordinates.
-	etas   []etaOp
-	etaNnz int
+	// operating on basis-slot coordinates. Bit k of slotEtas[s] is set when
+	// eta k pivots on slot s or has an entry there.
+	etas     []etaOp
+	etaNnz   int
+	slotEtas []uint64
 
 	factNnz int // nonzeros stored in L + U at the last refactorization
 
-	// Scratch reused across calls.
-	rv      []float64 // row-coordinate working vector
+	// Scratch of the solves, all zero between calls.
+	pv      []float64 // step-coordinate working vector
+	sv      []float64 // slot-coordinate working vector (BTRAN sources)
+	steps   bitset    // steps a sparse solve has reached
+	pattern bitset    // slots or rows where a sparse solve's result may be nonzero
+	reached []int     // slots btranRow's eta pass made nonzero
+
+	// Scratch of the refactorization.
 	workCol [][]Nonzero
 	rowCols [][]int32 // row -> slots with a (possibly stale) entry
 	rowCnt  []int32   // active nonzeros per row
@@ -104,22 +205,35 @@ type factor struct {
 	nzbuf   []Nonzero // spill arena for freshly built columns
 
 	// State of the refactorization in progress (load → pivot… → finish).
-	colHeap   []uint64 // pivot-column queue, see pushCol
-	done      int      // pivots recorded so far
-	fillIns   int
-	deficient []int // slots found unpivotable
+	singles    bitset   // slots whose column has one active entry (lazily deleted)
+	singlesLow int      // no member of singles lies in a word below this one
+	colHeap    []uint64 // pivot-column queue of everything else, see pushCol
+	heapBuilt  bool
+	done       int // pivots recorded so far
+	fillIns    int
+	deficient  []int // slots found unpivotable
 }
 
 // newFactor returns a factorization sized for an m-row basis. It holds no
 // factors until the first factorize call.
 func newFactor(m int) *factor {
+	words := (m + 63) / 64
 	f := &factor{m: m}
-	f.lops = make([]etaOp, m)
+	f.lcols = make([][]Nonzero, m)
 	f.ucols = make([][]Nonzero, m)
+	f.lrows.start = make([]int32, m+1)
+	f.urows = make([][]Nonzero, m)
+	f.lsteps = make(bitset, words)
 	f.pr = make([]int, m)
 	f.ps = make([]int, m)
 	f.invP = make([]float64, m)
-	f.rv = make([]float64, m)
+	f.rowStep = make([]int32, m)
+	f.slotStep = make([]int32, m)
+	f.slotEtas = make([]uint64, m)
+	f.pv = make([]float64, m)
+	f.sv = make([]float64, m)
+	f.steps = make(bitset, words)
+	f.pattern = make(bitset, words)
 	f.workCol = make([][]Nonzero, m)
 	f.rowCols = make([][]int32, m)
 	f.rowCnt = make([]int32, m)
@@ -128,6 +242,7 @@ func newFactor(m int) *factor {
 	f.colDone = make([]bool, m)
 	f.pos = make([]int32, m)
 	f.posEra = make([]int32, m)
+	f.singles = make(bitset, words)
 	return f
 }
 
@@ -142,7 +257,7 @@ func (f *factor) etaCount() int { return len(f.etas) }
 // asks for a rebuild before the next pivot is applied: the eta file reached
 // the cadence limit, or eta fill outgrew the factorization itself.
 func (f *factor) needRefactor(every int) bool {
-	if len(f.etas) >= every {
+	if len(f.etas) >= min(every, maxEtas) {
 		return true
 	}
 	return f.etaNnz >= fillGrowthLimit*(f.factNnz+f.m)
@@ -165,12 +280,14 @@ func (f *factor) factorize(cols [][]Nonzero, basis []int) (deficient []int) {
 
 // load starts a refactorization: it discards the eta file and builds the
 // working copy of the basis matrix, column-sparse, with the row -> columns
-// index and the pivot-column heap. Columns are copied because elimination
-// mutates them; the arena and per-slot slices are reused across calls.
+// index and the set of singleton columns. Columns are copied because
+// elimination mutates them; the arena and per-slot slices are reused across
+// calls.
 func (f *factor) load(cols [][]Nonzero, basis []int) {
 	m := f.m
 	f.etas = f.etas[:0]
 	f.etaNnz = 0
+	clear(f.slotEtas)
 	f.done = 0
 	f.fillIns = 0
 	f.deficient = f.deficient[:0]
@@ -187,11 +304,17 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 	arena := f.nzbuf[:0]
 	for i := 0; i < m; i++ {
 		f.rowCols[i] = f.rowCols[i][:0]
+		f.urows[i] = f.urows[i][:0]
 		f.rowCnt[i] = 0
+		f.rowStep[i] = -1
+		f.slotStep[i] = -1
 		f.rowDone[i] = false
 		f.colDone[i] = false
 	}
+	clear(f.singles)
+	f.singlesLow = 0
 	f.colHeap = f.colHeap[:0]
+	f.heapBuilt = false
 	for s := 0; s < m; s++ {
 		var src []Nonzero
 		if basis[s] >= 0 {
@@ -201,25 +324,58 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 		arena = append(arena, src...)
 		f.workCol[s] = arena[start:len(arena):len(arena)]
 		f.colCnt[s] = int32(len(src))
-		if len(src) > 0 {
-			f.pushCol(s)
+		if len(src) == 1 {
+			f.singles.set(s)
 		}
 		for _, nz := range src {
 			f.rowCols[nz.Index] = append(f.rowCols[nz.Index], int32(s))
 			f.rowCnt[nz.Index]++
 		}
 	}
+	f.nzbuf = arena
 }
 
-// The pivot-column queue is a binary min-heap of (active count, slot) keys
-// packed count<<32|slot, so integer order is "fewest active nonzeros, ties to
-// the lowest slot" — the Markowitz column rule. Deletion is lazy: a column's
-// count changing pushes a fresh key and leaves the old one behind, and
-// popMinCol discards keys that no longer match their column. Rescanning all
-// slots for every pivot instead was O(m²) per refactorization: 1.97 s of the
-// 2.32 s factorize took on the benchmark's failure_churn profile.
+// roomFor returns col with room for one more entry, moved to the spare half
+// of the arena at twice its size when it has none (fill-in is rare, and a
+// column that takes one usually takes more).
+func (f *factor) roomFor(col []Nonzero) []Nonzero {
+	if len(col) < cap(col) {
+		return col
+	}
+	need := 2*len(col) + 2
+	used := len(f.nzbuf)
+	if used+need > cap(f.nzbuf) {
+		return append(make([]Nonzero, 0, need), col...)
+	}
+	f.nzbuf = f.nzbuf[:used+need]
+	return append(f.nzbuf[used:used:used+need], col...)
+}
 
-// pushCol queues slot s under its current active count.
+// The pivot-column queue answers "fewest active nonzeros, ties to the lowest
+// slot" — the Markowitz column rule — in two tiers. Singleton columns, which
+// are nearly all of a RAS basis (2.3 stored nonzeros per column, no fill),
+// sit in a bitset and come off it lowest slot first: peeling that triangle
+// costs no heap traffic at all. Everything else waits in a binary min-heap of
+// (active count, slot) keys packed count<<32|slot, built only when the
+// singletons first run out, from whatever they left. Deletion is lazy in both
+// tiers: a column's count changing queues it afresh and leaves the old entry
+// behind, and popMinCol discards entries that no longer match their column.
+// Rescanning all slots for every pivot instead was O(m²) per refactorization:
+// 1.97 s of the 2.32 s factorize took on the benchmark's failure_churn
+// profile.
+
+// requeue files slot s, whose active count just changed, under the new count.
+func (f *factor) requeue(s int) {
+	switch {
+	case f.colCnt[s] == 1:
+		f.singles.set(s)
+		f.singlesLow = min(f.singlesLow, s>>6)
+	case f.colCnt[s] > 1 && f.heapBuilt:
+		f.pushCol(s)
+	}
+}
+
+// pushCol queues slot s on the heap under its current active count.
 func (f *factor) pushCol(s int) {
 	h := append(f.colHeap, uint64(f.colCnt[s])<<32|uint64(s))
 	for i := len(h) - 1; i > 0; {
@@ -236,6 +392,25 @@ func (f *factor) pushCol(s int) {
 // popMinCol returns the active column with the fewest active nonzeros, ties
 // to the lowest slot, or -1 when every remaining column is deficient.
 func (f *factor) popMinCol() int {
+	for w := f.singlesLow; w < len(f.singles); w++ {
+		for f.singles[w] != 0 {
+			s := w<<6 | bits.TrailingZeros64(f.singles[w])
+			f.singles[w] &= f.singles[w] - 1
+			if !f.colDone[s] && f.colCnt[s] == 1 {
+				f.singlesLow = w
+				return s
+			}
+		}
+	}
+	f.singlesLow = len(f.singles)
+	if !f.heapBuilt {
+		f.heapBuilt = true
+		for s := 0; s < f.m; s++ {
+			if !f.colDone[s] && f.colCnt[s] > 1 {
+				f.pushCol(s)
+			}
+		}
+	}
 	h := f.colHeap
 	for len(h) > 0 {
 		key := h[0]
@@ -304,19 +479,25 @@ func (f *factor) pivot(cs int) {
 	}
 
 	// Record the pivot: U entries are the column's values in already
-	// pivoted rows; L multipliers are its values in still-active rows.
+	// pivoted rows, named by the step that pivoted them, and filed by row as
+	// well; L multipliers are its values in still-active rows, named by row
+	// until finish knows their steps.
 	j := f.done
 	f.pr[j] = pivRow
 	f.ps[j] = cs
+	f.rowStep[pivRow] = int32(j)
+	f.slotStep[cs] = int32(j)
 	f.invP[j] = 1 / pivVal // nonzero: pivVal passed the Markowitz screen |v| >= pivRelTol*colMax with colMax >= pivAbsTol
 	ue := f.ucols[j][:0]
-	le := f.lops[j].nz[:0]
+	le := f.lcols[j][:0]
 	for _, nz := range col {
 		switch {
 		case nz.Index == pivRow:
 		case f.rowDone[nz.Index]:
 			if !floats.ExactZero(nz.Value) {
-				ue = append(ue, nz)
+				step := int(f.rowStep[nz.Index])
+				ue = append(ue, Nonzero{Index: step, Value: nz.Value})
+				f.urows[step] = append(f.urows[step], Nonzero{Index: j, Value: nz.Value})
 			}
 		default:
 			if !floats.ExactZero(nz.Value) {
@@ -326,7 +507,7 @@ func (f *factor) pivot(cs int) {
 		}
 	}
 	f.ucols[j] = ue
-	f.lops[j] = etaOp{pivot: pivRow, invP: 1, nz: le}
+	f.lcols[j] = le
 	f.rowDone[pivRow] = true
 	f.colDone[cs] = true
 	f.done++
@@ -369,7 +550,7 @@ func (f *factor) pivot(cs int) {
 				if f.posEra[i] == era {
 					tgt[f.pos[i]].Value -= delta
 				} else {
-					tgt = append(tgt, Nonzero{Index: i, Value: -delta})
+					tgt = append(f.roomFor(tgt), Nonzero{Index: i, Value: -delta})
 					f.pos[i] = int32(len(tgt) - 1)
 					f.posEra[i] = era
 					f.colCnt[s]++
@@ -380,14 +561,14 @@ func (f *factor) pivot(cs int) {
 			}
 			f.workCol[s] = tgt
 		}
-		if f.colCnt[s] > 0 {
-			f.pushCol(s)
-		}
+		f.requeue(s)
 	}
 }
 
-// finish closes a refactorization after the last pivot and returns the
-// deficient slots.
+// finish closes a refactorization after the last pivot: it sweeps up the
+// columns no step pivoted, renames the recorded L entries from rows to the
+// steps that pivoted them, builds L's row-wise copy, and returns the deficient
+// slots.
 func (f *factor) finish() []int {
 	m, done := f.m, f.done
 	// Columns the elimination never pivoted — numerically dependent ones
@@ -401,13 +582,28 @@ func (f *factor) finish() []int {
 		}
 	}
 
+	clear(f.lsteps)
 	f.factNnz = 0
+	lnnz := 0
 	for j := 0; j < done; j++ {
-		f.factNnz += len(f.lops[j].nz) + len(f.ucols[j]) + 1
+		// A multiplier in a row nothing pivoted (a deficient factorization,
+		// unusable until repaired) has no step to act on and is dropped.
+		le := f.lcols[j][:0]
+		for _, nz := range f.lcols[j] {
+			if step := f.rowStep[nz.Index]; step >= 0 {
+				le = append(le, Nonzero{Index: int(step), Value: nz.Value})
+			}
+		}
+		f.lcols[j] = le
+		if len(le) > 0 {
+			f.lsteps.set(j)
+			lnnz += len(le)
+		}
+		f.factNnz += len(le) + len(f.ucols[j]) + 1
 	}
-	// Truncate the pivot arrays to the successful steps so FTRAN/BTRAN never
-	// walk uninitialized tail entries (only reachable transiently: a
-	// non-empty deficient return forces repair + re-factorize).
+	f.lrows.transpose(f.lcols, done, lnnz)
+	// The solves stop at done; the marks say where the pivot sequence ends to
+	// whoever reads pr whole.
 	for j := done; j < m; j++ {
 		f.pr[j] = -1
 	}
@@ -444,78 +640,102 @@ func (f *factor) markColumnInactive(s int) {
 func (f *factor) update(r int, w []float64, wnz []int) {
 	invP := 1 / w[r] // nonzero by precondition: the caller has verified |w[r]| against the pivot tolerance before calling update
 	var nz []Nonzero
-	if n := len(f.etas); n < cap(f.etas) {
+	k := len(f.etas)
+	if k < cap(f.etas) {
 		// Reuse the retired eta's entry slice to avoid steady-state growth.
-		nz = f.etas[:n+1][n].nz[:0]
+		nz = f.etas[:k+1][k].nz[:0]
 	}
+	bit := uint64(1) << uint(k) // k < maxEtas: needRefactor rebuilds before the file outgrows the word
+	f.slotEtas[r] |= bit
 	for _, i := range wnz {
 		if i == r || floats.ExactZero(w[i]) {
 			continue
 		}
 		nz = append(nz, Nonzero{Index: i, Value: -w[i] * invP})
+		f.slotEtas[i] |= bit
 	}
 	f.etas = append(f.etas, etaOp{pivot: r, invP: invP, nz: nz})
 	f.etaNnz += len(nz) + 1
 }
 
-// ftran computes dst = B^-1 · a for a constraint-row-indexed sparse column
-// a, writing the basis-slot-indexed result over all of dst. When nzOut is
-// non-nil it returns the slots where dst is nonzero, in ascending order —
-// the ratio test and step application iterate exactly those.
-func (f *factor) ftran(dst []float64, a []Nonzero, nzOut []int) []int {
-	rv := f.rv
-	clear(rv)
-	for _, nz := range a {
-		rv[nz.Index] = nz.Value
-	}
-	return f.ftranLoaded(dst, nzOut)
-}
-
-// ftranDense is ftran for a dense row-indexed source vector (the
-// recompute-basics residual). src and dst may not alias.
-func (f *factor) ftranDense(dst, src []float64) {
-	copy(f.rv, src)
-	f.ftranLoaded(dst, nil)
-}
-
-// ftranLoaded runs the FTRAN chain over the row vector already staged in
-// f.rv, which it destroys.
-func (f *factor) ftranLoaded(dst []float64, nzOut []int) []int {
-	m := f.m
-	rv := f.rv
-
-	// L pass: apply elimination multipliers in pivot order.
-	for j := range f.lops {
-		if f.pr[j] < 0 {
-			break
-		}
-		op := &f.lops[j]
-		t := rv[op.pivot]
+// applyEtas runs the update etas, in application order, over the
+// slot-coordinate vector v — the last leg of both FTRANs.
+func (f *factor) applyEtas(v []float64) {
+	for k := range f.etas {
+		op := &f.etas[k]
+		t := v[op.pivot]
 		if floats.ExactZero(t) {
 			continue
 		}
+		v[op.pivot] = t * op.invP
 		for _, nz := range op.nz {
-			rv[nz.Index] -= nz.Value * t
+			v[nz.Index] += nz.Value * t
+		}
+	}
+}
+
+// ftran computes dst = B^-1 · a for a constraint-row-indexed sparse column a,
+// writing the basis-slot-indexed result over all of dst, and returns the slots
+// where dst is nonzero, in ascending order, appended to nzOut[:0] — the ratio
+// test and step application iterate exactly those. Only the elimination steps
+// the column reaches are visited.
+func (f *factor) ftran(dst []float64, a []Nonzero, nzOut []int) []int {
+	pv, steps := f.pv, f.steps
+	clear(dst)
+	for _, nz := range a {
+		if j := f.rowStep[nz.Index]; j >= 0 {
+			pv[j] = nz.Value
+			steps.set(int(j))
 		}
 	}
 
-	// U backsolve, column-oriented in reverse pivot order, scattering each
-	// solved component straight into its basis slot.
-	for j := m - 1; j >= 0; j-- {
-		if f.pr[j] < 0 {
-			continue
-		}
-		t := rv[f.pr[j]]
-		if !floats.ExactZero(t) {
-			t *= f.invP[j]
-			for _, nz := range f.ucols[j] {
-				rv[nz.Index] -= nz.Value * t
+	// L pass, upward through the reached steps that have multipliers; the
+	// steps they reach lie above and stay marked for the U pass.
+	for w := range steps {
+		var seen uint64
+		for {
+			todo := steps[w] & f.lsteps[w] &^ seen
+			if todo == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(todo)
+			seen |= 1 << uint(b)
+			j := w<<6 | b
+			t := pv[j]
+			if floats.ExactZero(t) {
+				continue
+			}
+			for _, nz := range f.lcols[j] {
+				pv[nz.Index] -= nz.Value * t
+				steps.set(nz.Index)
 			}
 		}
-		dst[f.ps[j]] = t
 	}
 
-	// PFI update etas, in application order, in slot coordinates.
+	// U backsolve, downward: each solved component goes straight to its basis
+	// slot and scatters into the steps below it.
+	pattern := f.pattern
+	for w := len(steps) - 1; w >= 0; w-- {
+		for steps[w] != 0 {
+			b := bits.Len64(steps[w]) - 1
+			steps[w] &^= 1 << uint(b)
+			j := w<<6 | b
+			t := pv[j]
+			if floats.ExactZero(t) {
+				continue
+			}
+			pv[j] = 0
+			t *= f.invP[j]
+			for _, nz := range f.ucols[j] {
+				pv[nz.Index] -= nz.Value * t
+				steps.set(nz.Index)
+			}
+			dst[f.ps[j]] = t
+			pattern.set(f.ps[j])
+		}
+	}
+
+	// Update etas, as applyEtas runs them, recording the slots they fill.
 	for k := range f.etas {
 		op := &f.etas[k]
 		t := dst[op.pivot]
@@ -525,79 +745,174 @@ func (f *factor) ftranLoaded(dst []float64, nzOut []int) []int {
 		dst[op.pivot] = t * op.invP
 		for _, nz := range op.nz {
 			dst[nz.Index] += nz.Value * t
+			pattern.set(nz.Index)
 		}
 	}
-
-	if nzOut == nil {
-		return nil
-	}
-	nzOut = nzOut[:0]
-	for i := 0; i < m; i++ {
-		if !floats.ExactZero(dst[i]) {
-			nzOut = append(nzOut, i)
-		}
-	}
-	return nzOut
+	return pattern.drainAscending(dst, nzOut[:0])
 }
 
-// btran computes dst = (B^-1)^T · c for a basis-slot-indexed vector c,
-// writing the constraint-row-indexed result (dual prices) over all of dst.
-// src and dst may not alias.
+// ftranDense is ftran for a dense row-indexed source vector (the
+// recompute-basics residual), walking every step. src and dst may not alias.
+func (f *factor) ftranDense(dst, src []float64) {
+	pv, done := f.pv, f.done
+	for j := 0; j < done; j++ {
+		pv[j] = src[f.pr[j]]
+	}
+	for j := 0; j < done; j++ {
+		t := pv[j]
+		if floats.ExactZero(t) {
+			continue
+		}
+		for _, nz := range f.lcols[j] {
+			pv[nz.Index] -= nz.Value * t
+		}
+	}
+	for j := done - 1; j >= 0; j-- {
+		t := pv[j]
+		if !floats.ExactZero(t) {
+			t *= f.invP[j]
+			for _, nz := range f.ucols[j] {
+				pv[nz.Index] -= nz.Value * t
+			}
+		}
+		dst[f.ps[j]] = t
+		pv[j] = 0
+	}
+	f.applyEtas(dst)
+}
+
+// btran computes dst = (B^-1)^T · c for a dense basis-slot-indexed vector c
+// (the basic costs), writing the constraint-row-indexed result (dual prices)
+// over all of dst and walking every step. src and dst may not alias.
 func (f *factor) btran(dst, src []float64) {
-	m := f.m
-	rv := f.rv
-	copy(rv, src)
+	pv, sv, done := f.pv, f.sv, f.done
+	copy(sv, src)
 
 	// Transposed update etas, in reverse application order (slot space).
 	for k := len(f.etas) - 1; k >= 0; k-- {
 		op := &f.etas[k]
-		t := op.invP * rv[op.pivot]
+		t := op.invP * sv[op.pivot]
 		for _, nz := range op.nz {
-			t += nz.Value * rv[nz.Index]
+			t += nz.Value * sv[nz.Index]
 		}
-		rv[op.pivot] = t
+		sv[op.pivot] = t
 	}
-
-	// Permutation transpose: slot coordinates to pivot-row coordinates.
-	clear(dst)
-	for j := 0; j < m; j++ {
-		if f.pr[j] >= 0 {
-			dst[f.pr[j]] = rv[f.ps[j]]
-		}
+	for j := 0; j < done; j++ {
+		pv[j] = sv[f.ps[j]]
 	}
+	clear(sv)
 
 	// U^T forward solve in pivot order: each column's entries reference only
-	// earlier pivot rows, whose components are already final.
-	for j := 0; j < m; j++ {
-		if f.pr[j] < 0 {
-			continue
-		}
-		t := dst[f.pr[j]]
+	// earlier steps, whose components are already final.
+	for j := 0; j < done; j++ {
+		t := pv[j]
 		for _, nz := range f.ucols[j] {
-			t -= nz.Value * dst[nz.Index]
+			t -= nz.Value * pv[nz.Index]
 		}
-		dst[f.pr[j]] = t * f.invP[j]
+		pv[j] = t * f.invP[j]
 	}
 
-	// Transposed L etas in reverse pivot order.
-	for j := len(f.lops) - 1; j >= 0; j-- {
-		if f.pr[j] < 0 {
-			continue
+	// Transposed L etas in reverse pivot order, then out to rows.
+	clear(dst)
+	for j := done - 1; j >= 0; j-- {
+		t := pv[j]
+		for _, nz := range f.lcols[j] {
+			t -= nz.Value * pv[nz.Index]
 		}
-		op := &f.lops[j]
-		t := dst[op.pivot]
-		for _, nz := range op.nz {
-			t -= nz.Value * dst[nz.Index]
-		}
-		dst[op.pivot] = t
+		pv[j] = t
+		dst[f.pr[j]] = t
 	}
+	clear(pv)
 }
 
 // btranRow computes one row of B^-1 — dst = e_slot^T · B^-1, row-indexed —
-// the pivot-row vector the dual ratio test and Devex weight update dot
-// against nonbasic columns. It is btran with a unit source vector.
-func (f *factor) btranRow(dst []float64, slot int, scratch []float64) {
-	clear(scratch)
-	scratch[slot] = 1
-	f.btran(dst, scratch)
+// the pivot-row vector of an iteration, and returns the rows where it is
+// nonzero, ascending, appended to nzOut[:0]. It is btran of a unit vector
+// turned inside out: every leg scatters from the components that are nonzero
+// instead of gathering into every component, so the cost follows the result's
+// nonzeros, not the factor's.
+func (f *factor) btranRow(dst []float64, slot int, nzOut []int) []int {
+	pv, sv, steps := f.pv, f.sv, f.steps
+	clear(dst)
+
+	// Transposed update etas, newest first. An eta changes sv only at its
+	// pivot slot, and only if sv is already nonzero somewhere it touches, so
+	// the etas still to visit are the union of slotEtas over the slots made
+	// nonzero so far, below the eta in hand.
+	sv[slot] = 1
+	reached := append(f.reached[:0], slot)
+	for todo := f.slotEtas[slot]; todo != 0; {
+		k := bits.Len64(todo) - 1
+		todo &^= 1 << uint(k)
+		op := &f.etas[k]
+		old := sv[op.pivot]
+		t := op.invP * old
+		for _, nz := range op.nz {
+			t += nz.Value * sv[nz.Index]
+		}
+		sv[op.pivot] = t
+		if floats.ExactZero(old) && !floats.ExactZero(t) {
+			reached = append(reached, op.pivot)
+			todo |= f.slotEtas[op.pivot] & (1<<uint(k) - 1)
+		}
+	}
+	f.reached = reached
+	for _, s := range reached {
+		// A slot cancelled to zero and reached again is listed twice; the
+		// first visit takes its value.
+		if t := sv[s]; !floats.ExactZero(t) {
+			sv[s] = 0
+			if j := f.slotStep[s]; j >= 0 {
+				pv[j] = t
+				steps.set(int(j))
+			}
+		}
+	}
+
+	// U^T forward solve, upward: a final component scatters along its row of
+	// U into the later steps.
+	for w := range steps {
+		var seen uint64
+		for {
+			todo := steps[w] &^ seen
+			if todo == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(todo)
+			seen |= 1 << uint(b)
+			j := w<<6 | b
+			t := pv[j]
+			if floats.ExactZero(t) {
+				continue
+			}
+			t *= f.invP[j]
+			pv[j] = t
+			for _, nz := range f.urows[j] {
+				pv[nz.Index] -= nz.Value * t
+				steps.set(nz.Index)
+			}
+		}
+	}
+
+	// Transposed L etas, downward, and out to rows.
+	pattern := f.pattern
+	for w := len(steps) - 1; w >= 0; w-- {
+		for steps[w] != 0 {
+			b := bits.Len64(steps[w]) - 1
+			steps[w] &^= 1 << uint(b)
+			j := w<<6 | b
+			t := pv[j]
+			if floats.ExactZero(t) {
+				continue
+			}
+			pv[j] = 0
+			for _, nz := range f.lrows.of(j) {
+				pv[nz.Index] -= nz.Value * t
+				steps.set(nz.Index)
+			}
+			dst[f.pr[j]] = t
+			pattern.set(f.pr[j])
+		}
+	}
+	return pattern.drainAscending(dst, nzOut[:0])
 }

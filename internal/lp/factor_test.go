@@ -2,10 +2,8 @@ package lp
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 )
@@ -112,10 +110,33 @@ func randBasis(rng *rand.Rand, cols [][]Nonzero, m int) []int {
 	return basis
 }
 
+// checkPattern asserts that a sparse-RHS solve agrees with the dense routine
+// to 1e-12 and that its index list is exactly the nonzeros of its result, in
+// ascending order.
+func checkPattern(t testing.TB, what string, got, dense []float64, nz []int) {
+	t.Helper()
+	k := 0
+	for i := range got {
+		if math.Abs(got[i]-dense[i]) > 1e-12*(1+math.Abs(dense[i])) {
+			t.Fatalf("%s: component %d = %g, dense routine %g", what, i, got[i], dense[i])
+		}
+		if got[i] != 0 {
+			if k >= len(nz) || nz[k] != i {
+				t.Fatalf("%s: nonzero component %d missing from the index list %v", what, i, nz)
+			}
+			k++
+		}
+	}
+	if k != len(nz) {
+		t.Fatalf("%s: index list %v names %d components, %d are nonzero", what, nz, len(nz), k)
+	}
+}
+
 // TestFactorMatchesDenseReference cross-checks every factorization operation
 // — FTRAN (sparse and dense sources), BTRAN, and pivot-row BTRAN — against
 // the dense Gauss-Jordan inverse on randomized transportation-structured
-// bases, including after a chain of eta updates.
+// bases, including after a chain of eta updates; the sparse-RHS solves are
+// also held to the dense routines and to their own nonzero lists.
 func TestFactorMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -185,17 +206,33 @@ func TestFactorMatchesDenseReference(t *testing.T) {
 					t.Fatalf("trial %d %s: btran row %d = %g, dense %g", trial, stage, k, dst[k], want)
 				}
 			}
-			// Pivot-row BTRAN against the matching row of the dense inverse.
-			scratch := make([]float64, m)
+			// Pivot-row BTRAN against the matching row of the dense inverse
+			// and, to 1e-12, against the dense BTRAN of the same unit vector.
+			unit, dense := make([]float64, m), make([]float64, m)
 			for slotTrial := 0; slotTrial < 3; slotTrial++ {
 				slot := rng.Intn(m)
-				f.btranRow(dst, slot, scratch)
+				nz = f.btranRow(dst, slot, nz)
 				for k := 0; k < m; k++ {
 					want := inv[slot*m+k]
 					if math.Abs(dst[k]-want) > 1e-7*(1+math.Abs(want)) {
 						t.Fatalf("trial %d %s: btranRow slot %d col %d = %g, dense %g", trial, stage, slot, k, dst[k], want)
 					}
 				}
+				clear(unit)
+				unit[slot] = 1
+				f.btran(dense, unit)
+				checkPattern(t, "btranRow", dst, dense, nz)
+			}
+			// Single-column FTRAN against the dense FTRAN of the scattered column.
+			for k := 0; k < 3; k++ {
+				c := rng.Intn(len(cols))
+				clear(unit)
+				for _, e := range cols[c] {
+					unit[e.Index] = e.Value
+				}
+				f.ftranDense(dense, unit)
+				nz = f.ftran(dst, cols[c], nz)
+				checkPattern(t, "ftran", dst, dense, nz)
 			}
 		}
 		checkOps("fresh")
@@ -345,7 +382,7 @@ func sameFactors(t *testing.T, label string, got, want *factor, gotDef, wantDef 
 		if math.Float64bits(got.invP[j]) != math.Float64bits(want.invP[j]) {
 			t.Fatalf("%s: step %d: 1/pivot %v, reference %v", label, j, got.invP[j], want.invP[j])
 		}
-		if !reflect.DeepEqual(got.lops[j].nz, want.lops[j].nz) || !reflect.DeepEqual(got.ucols[j], want.ucols[j]) {
+		if !reflect.DeepEqual(got.lcols[j], want.lcols[j]) || !reflect.DeepEqual(got.ucols[j], want.ucols[j]) {
 			t.Fatalf("%s: step %d: L/U entries differ from the reference", label, j)
 		}
 	}
@@ -372,26 +409,12 @@ func TestFactorHeapMatchesLinearScan(t *testing.T) {
 		}
 	}
 
-	raw, err := os.ReadFile("testdata/ras_basis.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fixture struct {
-		M       int
-		Columns [][][2]float64 // per basis slot: (row, value) pairs
-	}
-	if err := json.Unmarshal(raw, &fixture); err != nil {
-		t.Fatal(err)
-	}
-	cols := make([][]Nonzero, len(fixture.Columns))
-	basis := make([]int, len(fixture.Columns))
-	for s, col := range fixture.Columns {
+	m, cols := loadFixture(t)
+	basis := make([]int, m)
+	for s := range basis {
 		basis[s] = s
-		for _, e := range col {
-			cols[s] = append(cols[s], Nonzero{Index: int(e[0]), Value: e[1]})
-		}
 	}
-	heap, ref := newFactor(fixture.M), newFactor(fixture.M)
+	heap, ref := newFactor(m), newFactor(m)
 	gotDef := heap.factorize(cols, basis)
 	if len(gotDef) != 0 {
 		t.Fatalf("captured basis reported deficient slots %v", gotDef)

@@ -153,6 +153,9 @@ func TestWarmMatchesColdUnderBoundEdits(t *testing.T) {
 			want.WorkspaceReuses, want.IterLimited = got.WorkspaceReuses, got.IterLimited
 			want.Refactorizations, want.UpdateEtas = got.Refactorizations, got.UpdateEtas
 			want.FillIns, want.SingularRepairs = got.FillIns, got.SingularRepairs
+			want.DegenerateSteps, want.BlandIters = got.DegenerateSteps, got.BlandIters
+			want.DualRefreshes, want.MaxDualDrift = got.DualRefreshes, got.MaxDualDrift
+			want.CertifiedInfeasible = got.CertifiedInfeasible
 			if got != want {
 				t.Fatalf("RefactorEvery=%d seed %d: workspace counted %+v, its Solutions add up to %+v",
 					refactorEvery, seed, got, want)

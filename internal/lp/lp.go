@@ -305,6 +305,13 @@ type Stats struct {
 	UpdateEtas       int        // product-form etas appended between rebuilds
 	FillIns          int        // fill-in nonzeros those rebuilds created
 	SingularRepairs  int        // dependent basis columns swapped for an artificial
+	DegenerateSteps  int        // primal iterations whose ratio test allowed no movement
+	BlandIters       int        // primal iterations priced by Bland's rule after a degenerate run
+	DualRefreshes    int        // reduced-cost vectors computed from a fresh BTRAN (solve entry, refactorization, closing pass)
+	// MaxDualDrift is the largest |maintained − fresh| reduced cost seen when
+	// a refresh replaced a vector that had absorbed pivots.
+	MaxDualDrift        float64
+	CertifiedInfeasible int // warm infeasibility claims accepted on their Farkas certificate, with no cold re-solve
 }
 
 // Add accumulates o into s.
@@ -324,6 +331,18 @@ func (s *Stats) Add(o Stats) {
 	s.UpdateEtas += o.UpdateEtas
 	s.FillIns += o.FillIns
 	s.SingularRepairs += o.SingularRepairs
+	s.DegenerateSteps += o.DegenerateSteps
+	s.BlandIters += o.BlandIters
+	s.DualRefreshes += o.DualRefreshes
+	s.MaxDualDrift = max(s.MaxDualDrift, o.MaxDualDrift)
+	s.CertifiedInfeasible += o.CertifiedInfeasible
+}
+
+// Kernel renders the iteration kernel's own counters as "key=n" pairs, the
+// tail of the CLIs' LP lines.
+func (s Stats) Kernel() string {
+	return fmt.Sprintf("certified_infeasible=%d degenerate_steps=%d bland_iters=%d dual_refreshes=%d max_dual_drift=%.1e",
+		s.CertifiedInfeasible, s.DegenerateSteps, s.BlandIters, s.DualRefreshes, s.MaxDualDrift)
 }
 
 // Solution is the result of solving a Problem.

@@ -9,9 +9,9 @@ import (
 
 // Workspace holds every piece of solver state that survives between solves:
 // the simplex structure derived from a Problem's rows (sparse columns, the
-// slack/artificial layout, the constant phase-1 cost vector), the basis
-// state of the previous solve (basis, statuses, the sparse factorization),
-// and all pricing/ratio-test scratch vectors. Building the structure is
+// slack/artificial layout), the basis state of the previous solve (basis,
+// statuses, the sparse factorization), and all pricing/ratio-test scratch
+// vectors. Building the structure is
 // O(nnz + m), and every retained buffer — including the factorization — is
 // O(nnz + m) of memory; re-entering a workspace for a problem of the same
 // shape reuses all of it, which makes steady-state re-solves
@@ -36,14 +36,13 @@ type Workspace struct {
 
 	// Structure, rebuilt by reshape when the owner or shape changes.
 	owner    *Problem
-	m        int // rows
-	n        int // total columns (structural + slacks + artificials)
-	nStruct  int // structural variable count
-	cols     [][]Nonzero
-	artStart int       // first artificial column index
-	slackOf  []int     // row → slack column, or -1 for equality rows
-	slackRow []int     // slack column − nStruct → row
-	phase1   []float64 // phase-1 cost vector: 1 on artificials, else 0
+	m        int         // rows
+	n        int         // total columns (structural + slacks + artificials)
+	nStruct  int         // structural variable count
+	cols     [][]Nonzero // column-wise copy of the rows (which pivotRow reads in place), then the unit columns
+	artStart int         // first artificial column index
+	slackOf  []int       // row → slack column, or -1 for equality rows
+	slackRow []int       // slack column − nStruct → row
 
 	// Numeric inputs, refreshed from the Problem on every entry.
 	cost []float64 // phase-2 costs (structural section copied per solve)
@@ -73,20 +72,39 @@ type Workspace struct {
 	liveIsGood bool   // live factorization still matches goodCols (skip refactorization)
 	goodBasis  *Basis // the retained basis in portable form: adopted from, or last exported as; nil until asked for
 
-	// Scratch buffers.
-	y       []float64 // dual prices c_B^T B^-1
-	w       []float64 // pivot column B^-1 a_q
-	wnz     []int     // nonzero slots of w, ascending
-	cb      []float64 // basic cost vector (BTRAN source) / unit-vector scratch
+	// Maintained reduced costs (simplex.go): d_j of every structural and slack
+	// column under objective obj, zero on basic columns.
+	d       []float64
+	obj     []float64 // s.cost, s.shifted, or nil for the phase-1 objective
+	dualAge int       // pivots d has absorbed since a fresh BTRAN of the current basis produced it; -1 when it is not this basis's at all
 	shifted []float64 // costs with warm-entry shifts, for the dual pass (flipToDualFeasible)
-	brow    []float64 // one row of B^-1 (Devex and dual ratio tests)
-	resid   []float64 // residual / recompute RHS scratch
 
-	// Devex pricing state: reference weights (reset per optimize call) and
-	// the partial-pricing block rotor, which persists across solves so
-	// pricing effort rotates through the columns deterministically.
-	gamma []float64
-	rotor int
+	// The iteration's pivot row and column.
+	rho      []float64 // row `leave` of B^-1, by constraint row
+	rhoIdx   []int     // its nonzero rows, ascending
+	alpha    []float64 // rho·A by column, exact zero off alphaIdx
+	alphaIdx []int     // the columns pivotRow touched
+	touched  []bool    // membership in alphaIdx
+	cands    []int     // dual ratio test candidates
+	viol     []int     // primal pricing list: columns violating their sign condition (chooseEntering)
+	isViol   []bool    // membership in viol
+	w        []float64 // pivot column B^-1 a_q
+	wnz      []int     // nonzero slots of w, ascending
+
+	// Scratch buffers.
+	y     []float64 // dual prices c_B^T B^-1
+	cb    []float64 // basic cost vector (BTRAN source)
+	resid []float64 // residual / recompute RHS scratch
+
+	afterPivot func() // test hook, run after every basis change
+
+	// Devex pricing state: reference weights (allocated and reset when an
+	// optimize call escalates) and the partial-pricing block rotor, which
+	// persists across solves so pricing effort rotates through the columns
+	// deterministically.
+	gamma  []float64
+	rotor  int
+	cursor int // Dantzig's round-robin tie cursor (chooseEntering), reset per solve
 }
 
 // NewWorkspace returns an empty workspace. Structure is built lazily on the
@@ -114,6 +132,7 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 	s.iters = 0
 	s.diters = 0
 	s.flipped = 0
+	s.cursor = 0
 	s.refresh(p)
 
 	// One rule: start from the nearest solved basis on offer. That is the
@@ -167,42 +186,56 @@ func (s *Workspace) reshape(p *Problem) bool {
 	s.goodBasis = nil
 	s.rotor = 0
 
-	// Structural columns from the sparse rows.
-	cols := make([][]Nonzero, nStruct, nStruct+2*m)
+	// Count, allocate once, fill: structural columns from the sparse rows,
+	// then one unit column per inequality row (its slack: +1 for LE and -1 for
+	// GE, bounds [0, +Inf), zero cost) and one per row (its artificial).
+	s.slackOf = make([]int, m)
+	s.slackRow = s.slackRow[:0]
+	n := nStruct
+	for i, sense := range p.senses {
+		s.slackOf[i] = -1
+		if sense != EQ {
+			s.slackOf[i] = n
+			s.slackRow = append(s.slackRow, i)
+			n++
+		}
+	}
+	s.artStart = n
+	n += m
+	s.n = n
+	count := make([]int, n) // becomes s.inRow, which every start overwrites
+	total := 0
+	for _, row := range p.rows {
+		for _, nz := range row {
+			count[nz.Index]++
+		}
+		total += len(row)
+	}
+	arena := make([]Nonzero, total+n-nStruct)
+	cols := make([][]Nonzero, n)
+	at := 0
+	for j := range cols {
+		size := 1
+		if j < nStruct {
+			size = count[j]
+		}
+		cols[j] = arena[at : at : at+size]
+		at += size
+	}
 	for i, row := range p.rows {
 		for _, nz := range row {
 			cols[nz.Index] = append(cols[nz.Index], Nonzero{Index: i, Value: nz.Value})
 		}
-	}
-
-	// Slack columns: one per inequality row, +1 for LE and -1 for GE, with
-	// fixed bounds [0, +Inf) and zero cost.
-	s.slackOf = make([]int, m)
-	for i := range s.slackOf {
-		s.slackOf[i] = -1
-	}
-	s.slackRow = s.slackRow[:0]
-	for i, sense := range p.senses {
-		switch sense {
-		case LE:
-			s.slackOf[i] = len(cols)
-			cols = append(cols, []Nonzero{{Index: i, Value: 1}})
-		case GE:
-			s.slackOf[i] = len(cols)
-			cols = append(cols, []Nonzero{{Index: i, Value: -1}})
-		case EQ:
-			continue // no slack
+		if sl := s.slackOf[i]; sl >= 0 {
+			v := 1.0
+			if p.senses[i] == GE {
+				v = -1
+			}
+			cols[sl] = append(cols[sl], Nonzero{Index: i, Value: v})
 		}
-		s.slackRow = append(s.slackRow, i)
-	}
-
-	s.artStart = len(cols)
-	for i := 0; i < m; i++ {
-		cols = append(cols, []Nonzero{{Index: i, Value: 1}}) // sign fixed per cold start
+		cols[s.artStart+i] = append(cols[s.artStart+i], Nonzero{Index: i, Value: 1}) // sign fixed per cold start
 	}
 	s.cols = cols
-	s.n = len(cols)
-	n := s.n
 
 	s.cost = make([]float64, n)
 	s.lo = make([]float64, n)
@@ -211,26 +244,30 @@ func (s *Workspace) reshape(p *Problem) bool {
 	for j := s.nStruct; j < s.artStart; j++ {
 		s.up[j] = Inf // slack bounds are constant: [0, +Inf)
 	}
-	s.phase1 = make([]float64, n)
-	for i := 0; i < m; i++ {
-		s.phase1[s.artStart+i] = 1
-	}
 
 	s.basis = make([]int, m)
-	s.inRow = make([]int, n)
+	s.inRow = count
 	s.atUp = make([]bool, n)
 	s.x = make([]float64, n)
 	s.fact = newFactor(m)
 	s.goodCols = make([]int, m)
 	s.goodAtUp = make([]bool, n)
 
+	s.d = make([]float64, s.artStart)
+	s.obj = nil
+	s.rho = make([]float64, m)
+	s.rhoIdx = make([]int, 0, m)
+	s.alpha = make([]float64, s.artStart)
+	s.alphaIdx = s.alphaIdx[:0]
+	s.touched = make([]bool, s.artStart)
+	s.viol = s.viol[:0]
+	s.isViol = make([]bool, s.artStart)
 	s.y = make([]float64, m)
 	s.w = make([]float64, m)
 	s.wnz = make([]int, 0, m)
 	s.cb = make([]float64, m)
-	s.brow = make([]float64, m)
 	s.resid = make([]float64, m)
-	s.gamma = make([]float64, n)
+	s.gamma = nil // sized when a pass first escalates to Devex
 	return false
 }
 
@@ -238,7 +275,12 @@ func (s *Workspace) reshape(p *Problem) bool {
 // into the workspace and resets the artificial bounds to their pre-solve
 // state. Structure and basis state are untouched.
 func (s *Workspace) refresh(p *Problem) {
-	copy(s.cost[:s.nStruct], p.cost)
+	for j, c := range p.cost {
+		if !floats.ExactEqual(s.cost[j], c) {
+			s.cost[j] = c
+			s.dualAge = -1 // reduced costs kept from the last solve are for other costs
+		}
+	}
 	copy(s.lo[:s.nStruct], p.lo)
 	copy(s.up[:s.nStruct], p.up)
 	copy(s.b, p.rhs)
@@ -253,6 +295,7 @@ func (s *Workspace) refresh(p *Problem) {
 func (s *Workspace) run() Solution {
 	m := s.m
 	s.liveIsGood = false
+	s.dualAge = -1
 
 	// Initial point: every non-artificial variable at a finite bound
 	// (prefer the lower bound, which is always finite).
@@ -316,7 +359,7 @@ func (s *Workspace) run() Solution {
 
 	// Phase 1: minimize the sum of active artificials.
 	if needPhase1 {
-		st := s.optimize(s.phase1, s.artStart)
+		st := s.optimize(nil)
 		if st == IterLimit || st == Cancelled || st == Singular {
 			return Solution{Status: st, X: s.structX(), Iterations: s.iters}
 		}
@@ -340,7 +383,7 @@ func (s *Workspace) run() Solution {
 	}
 
 	// Phase 2: minimize the true objective.
-	st := s.optimize(s.cost, s.n)
+	st := s.optimize(s.cost)
 	return s.finish(st)
 }
 
@@ -478,6 +521,9 @@ func (s *Workspace) installNonbasics(atUp []bool) {
 func (s *Workspace) runReuse() (Solution, ColdReason) {
 	live := s.liveIsGood
 	s.liveIsGood = false
+	if !live {
+		s.dualAge = -1 // another basis: the reduced costs in hand are not its own
+	}
 
 	for j := range s.inRow {
 		s.inRow[j] = -1
@@ -491,8 +537,11 @@ func (s *Workspace) runReuse() (Solution, ColdReason) {
 	s.installNonbasics(s.goodAtUp)
 	if live {
 		s.recomputeBasics()
-		if !s.residualOK() && !s.refactorize() {
-			return Solution{}, ColdBadBasis
+		if !s.residualOK() {
+			s.dualAge = -1 // a rebuild may repair the basis
+			if !s.refactorize() {
+				return Solution{}, ColdBadBasis
+			}
 		}
 	} else if !s.refactorize() {
 		return Solution{}, ColdBadBasis
@@ -511,15 +560,22 @@ func (s *Workspace) runReuse() (Solution, ColdReason) {
 //   - ColdInfeasible, ColdUnbounded: infeasibility and unboundedness claims
 //     are never trusted from a warm basis (accumulated drift can silently
 //     break the dual feasibility of an intermediate basis, and bounds that
-//     narrowed and re-widened say nothing about rays);
+//     narrowed and re-widened say nothing about rays) — except an
+//     infeasibility claim whose pivot row is a Farkas certificate
+//     (certifiedInfeasible), which is returned as the answer it proves;
 //   - ColdNumerical: the iteration limit, a basis singular beyond repair, or
 //     a final point that fails the A·x = b residual check.
 //
 // Cancellation is returned directly — the point of cancelling is to stop
 // working, not to re-solve from scratch.
 func (s *Workspace) warmFinish() (Solution, ColdReason) {
-	switch st := s.dualSimplex(s.flipToDualFeasible(), warmRepairBudget*s.m); st {
+	s.flipToDualFeasible()
+	switch st, certified := s.dualSimplex(warmRepairBudget * s.m); st {
 	case Infeasible:
+		if certified {
+			s.stats.CertifiedInfeasible++
+			return s.finish(Infeasible), ColdNone
+		}
 		return Solution{}, ColdInfeasible
 	case IterLimit:
 		if s.iters < s.opt.MaxIter {
@@ -533,7 +589,7 @@ func (s *Workspace) warmFinish() (Solution, ColdReason) {
 	}
 	// Primal feasible now; primal iterations on the true costs bring in what
 	// a cost shift held back (usually nothing).
-	st := s.optimize(s.cost, s.n)
+	st := s.optimize(s.cost)
 	if st == Unbounded {
 		return Solution{}, ColdUnbounded
 	}
@@ -564,13 +620,14 @@ func (s *Workspace) residualOK() bool {
 	return true
 }
 
-// flipToDualFeasible makes the installed warm basis dual feasible and returns
-// the cost vector it is dual feasible for. Every nonbasic, non-fixed column
-// whose reduced cost has the wrong sign for the bound it sits at is moved to
-// its opposite bound, and the basic values are recomputed for the moved
-// point. Bounds never enter B, so the flips leave the duals — and with them
-// every reduced cost — unchanged: afterwards all signs are right and a
-// dual-simplex Infeasible verdict means what it says.
+// flipToDualFeasible makes the installed warm basis dual feasible for the
+// objective it leaves in s.obj, with that objective's freshly computed reduced
+// costs in s.d. Every nonbasic, non-fixed column whose reduced cost has the
+// wrong sign for the bound it sits at is moved to its opposite bound, and the
+// basic values are recomputed for the moved point. Bounds never enter B, so
+// the flips leave the duals — and with them every reduced cost — unchanged:
+// afterwards all signs are right and a dual-simplex Infeasible verdict means
+// what it says.
 //
 // A snapshot taken at an optimum of the same costs has the right sign on
 // every column that was free to move then. The columns that arrive here
@@ -581,19 +638,19 @@ func (s *Workspace) residualOK() bool {
 // carried over from another model, whatever the squaring-up repriced. One
 // that prices out wrong at its lower bound and has no upper bound to move to
 // stays where it is, and its cost is raised — in a scratch copy of the costs,
-// which is then what is returned — to where it prices out at zero: the dual
-// pass keeps it out, and the primal pass after it, on the true costs, lets it
-// in.
-func (s *Workspace) flipToDualFeasible() []float64 {
-	cost, y := s.cost, s.y
-	for i := 0; i < s.m; i++ {
-		s.cb[i] = cost[s.basis[i]]
+// which then becomes s.obj — to where it prices out at zero: the dual pass
+// keeps it out, and the primal pass after it, on the true costs, lets it in.
+func (s *Workspace) flipToDualFeasible() {
+	// A solve that re-enters the basis and factorization the last one ended on
+	// also re-enters its reduced costs, when those were freshly computed for
+	// the true costs: bounds enter neither.
+	if s.dualAge != 0 || !sameVector(s.obj, s.cost) {
+		s.refreshDuals(s.cost)
 	}
-	s.fact.btran(y, s.cb)
 	tol := math.Max(s.opt.Tol*1e3, 1e-6)
 	shifts := 0
-	for j := 0; j < s.n; j++ {
-		viol := s.priceOne(cost, y, j)
+	for j := 0; j < s.artStart; j++ { // the artificials are pinned at zero
+		viol := s.violation(j)
 		switch {
 		case viol <= tol:
 		case s.atUp[j]:
@@ -607,9 +664,10 @@ func (s *Workspace) flipToDualFeasible() []float64 {
 		default:
 			if shifts == 0 {
 				s.shifted = append(s.shifted[:0], s.cost...)
-				cost = s.shifted
+				s.obj = s.shifted
 			}
-			cost[j] += viol
+			s.shifted[j] += viol
+			s.d[j] = 0
 			shifts++
 		}
 	}
@@ -617,15 +675,14 @@ func (s *Workspace) flipToDualFeasible() []float64 {
 		s.recomputeBasics()
 	}
 	s.stats.CostShifts += shifts
-	return cost
 }
 
 func (s *Workspace) feasTol() float64 { return s.opt.Tol * float64(1+s.m) * 100 }
 
-// cancelled polls the solve context every few iterations. The check runs
-// once per simplex pivot, whose own cost (an O(m·n) pricing pass) dwarfs the
-// atomic load inside ctx.Err, so polling every iteration keeps cancellation
-// latency at a single pivot without measurable overhead.
+// cancelled polls the solve context. The check runs once per simplex pivot,
+// whose own cost dwarfs the atomic load inside ctx.Err, so polling every
+// iteration keeps cancellation latency at a single pivot without measurable
+// overhead.
 func (s *Workspace) cancelled() bool { return s.ctx.Err() != nil }
 
 func (s *Workspace) structX() []float64 {

@@ -301,8 +301,8 @@ func compareStructure(t *testing.T, round int, got, want *builtPhase) {
 // one fallback round so both paths are actually exercised.
 func TestIncrementalSolveEquivalence(t *testing.T) {
 	region := testRegion(t, 2, 2, 3, 5, 43)
-	mA := newMutator(t, region, 44, 5)
-	mB := newMutator(t, region, 44, 5)
+	mA := newMutator(t, region, 45, 5)
+	mB := newMutator(t, region, 45, 5)
 
 	cfg := fastCfg()
 	cfg.Workers = 1
