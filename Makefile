@@ -78,13 +78,15 @@ bench-lp-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Record the solver benchmark baseline (1/2/NumCPU worker sweeps, then the
-# simplex kernel's layers) as JSON. The raw Go benchmark lines are preserved
-# under "benchfmt_lines"; extract them with jq for benchstat comparisons
-# against a later run.
+# Record the solver benchmark baseline (the simplex kernel's layers, the
+# 1/2/NumCPU worker and POP k sweeps, then 20 individually timed rounds of
+# BenchmarkRoundIncremental per mode for its p50 and max) as JSON. The raw Go
+# benchmark lines are preserved under "benchfmt_lines"; extract them with jq
+# for benchstat comparisons against a later run.
 bench-baseline:
 	{ $(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) -count 1 ./internal/lp; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBackend|BenchmarkRoundIncremental' -benchtime 3x -count 1 .; } \
+	  $(GO) test -run '^$$' -bench BenchmarkBackend -benchtime 3x -count 1 .; \
+	  $(GO) test -run '^$$' -bench BenchmarkRoundIncremental -benchtime 20x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"
 

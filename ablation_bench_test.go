@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -219,6 +220,9 @@ func BenchmarkBackendPOPLarge(b *testing.B) {
 // deterministic mutation stream, so objective/op must match; the
 // buildns/op ratio between the modes is the incremental-build payoff that
 // cmd/benchjson derives into BENCH_solver.json's round_incremental section.
+// One slow round moves ns/op by a factor that depends on b.N, so the rounds
+// are also timed one by one and reported as p50-ns/round and max-ns/round;
+// the committed row is taken at -benchtime 20x (make bench-baseline).
 func BenchmarkRoundIncremental(b *testing.B) {
 	for _, mode := range []string{"patch", "cold"} {
 		b.Run("mode="+mode, func(b *testing.B) {
@@ -281,6 +285,7 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 	warm = res.Warm
 
 	var buildNS, mipNS float64
+	rounds := make([]time.Duration, 0, b.N)
 	patched := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -302,10 +307,12 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 		}
 		last = v
 		b.StartTimer()
+		t0 := time.Now()
 		res, err := solver.SolveWarm(context.Background(), in, cfg, warm)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rounds = append(rounds, time.Since(t0))
 		warm = res.Warm
 		for _, p := range []*solver.PhaseStats{&res.Phase1, &res.Phase2} {
 			buildNS += float64(p.RASBuild + p.InitialState + p.SolverBuild)
@@ -324,6 +331,9 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 	b.ReportMetric(buildNS/float64(b.N), "buildns/op")
 	b.ReportMetric(mipNS/float64(b.N), "mipns/op")
 	b.ReportMetric(float64(patched)/float64(b.N), "patchrounds/op")
+	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
+	b.ReportMetric(float64(rounds[len(rounds)/2]), "p50-ns/round")
+	b.ReportMetric(float64(rounds[len(rounds)-1]), "max-ns/round")
 }
 
 // runBackendBench solves the ablation workload through the unified Backend

@@ -69,13 +69,19 @@ type POPSweep struct {
 // mutation stream rebuilt cold every round (mode=cold). BuildSpeedup is the
 // cold model-build time over the patch time — the ISSUE's ≥5× target —
 // and ObjectiveDelta must be 0: patching is only taken when the patched
-// model is bit-for-bit identical to a rebuild.
+// model is bit-for-bit identical to a rebuild. The round times are the median
+// and the slowest of the benchmark's individually timed rounds, which — unlike
+// ns/op — do not move with the iteration count.
 type RoundIncremental struct {
-	PatchBuildNs   float64 `json:"patch_build_ns"`
-	ColdBuildNs    float64 `json:"cold_build_ns"`
-	BuildSpeedup   float64 `json:"build_speedup"`
-	PatchRounds    float64 `json:"patch_rounds_frac"`
-	ObjectiveDelta float64 `json:"objective_delta"`
+	PatchBuildNs    float64 `json:"patch_build_ns"`
+	ColdBuildNs     float64 `json:"cold_build_ns"`
+	BuildSpeedup    float64 `json:"build_speedup"`
+	PatchRounds     float64 `json:"patch_rounds_frac"`
+	ObjectiveDelta  float64 `json:"objective_delta"`
+	PatchRoundP50Ns float64 `json:"patch_round_p50_ns"`
+	PatchRoundMaxNs float64 `json:"patch_round_max_ns"`
+	ColdRoundP50Ns  float64 `json:"cold_round_p50_ns"`
+	ColdRoundMaxNs  float64 `json:"cold_round_max_ns"`
 }
 
 func main() {
@@ -245,6 +251,11 @@ func deriveRoundIncremental(benches []Bench) *RoundIncremental {
 		ColdBuildNs:    cold.Metrics["buildns/op"],
 		PatchRounds:    patch.Metrics["patchrounds/op"],
 		ObjectiveDelta: patch.Metrics["objective"] - cold.Metrics["objective"],
+
+		PatchRoundP50Ns: patch.Metrics["p50-ns/round"],
+		PatchRoundMaxNs: patch.Metrics["max-ns/round"],
+		ColdRoundP50Ns:  cold.Metrics["p50-ns/round"],
+		ColdRoundMaxNs:  cold.Metrics["max-ns/round"],
 	}
 	if r.PatchBuildNs > 0 {
 		r.BuildSpeedup = r.ColdBuildNs / r.PatchBuildNs

@@ -23,6 +23,7 @@ import (
 	"ras"
 	"ras/internal/backend"
 	"ras/internal/lp"
+	"ras/internal/mip"
 	"ras/internal/sim"
 	"ras/internal/solver"
 	"ras/internal/workload"
@@ -92,8 +93,9 @@ func main() {
 	engine := ras.NewEngine()
 	// hits and rebuilds tally, from each solve's returned stats, the phases
 	// that patched their cached model and why the others that were asked to
-	// rebuilt it instead.
-	var hits int
+	// rebuilt it instead; rackProven of the rackRounds rack phases that ran
+	// ended Optimal.
+	var hits, rackRounds, rackProven int
 	var rebuilds [solver.NumRebuildReasons]int
 	var roots solver.RootBasisTally
 	var lps lp.Stats
@@ -108,6 +110,12 @@ func main() {
 			return
 		}
 		for _, r := range res.SolverResults() {
+			if r.RanPhase2 {
+				rackRounds++
+				if r.Phase2.Status == mip.Optimal {
+					rackProven++
+				}
+			}
 			for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
 				rebuilds[ph.Rebuild]++
 				roots.Add(ph)
@@ -202,8 +210,8 @@ func main() {
 			falls += rebuilds[r]
 		}
 	}
-	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s",
-		hits, misses, falls, why)
+	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s; rack phase proven %d of %d rounds",
+		hits, misses, falls, why, rackProven, rackRounds)
 	logger.Printf("root basis: %v", roots)
 	logger.Printf("lp: solves=%d iters=%d dual_iters=%d cold_fallbacks=%d (%v) %s",
 		lps.Solves, lps.Iterations, lps.DualIterations, lps.ColdFallbacks.Total(), lps.ColdFallbacks, lps.Kernel())

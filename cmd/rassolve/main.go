@@ -266,16 +266,18 @@ func main() {
 
 // printModelBuilds reports, per sub-solve and phase and from the values the
 // solve returned, whether the phase's model was patched or built and why a
-// requested patch fell back, then every softened row left violated (§5.3:
-// a shortfall has to name the request it hits).
+// requested patch fell back, how many rounding cuts it carries and the gap the
+// search started from (the root relaxation's bound against the objective it
+// ended on), then every softened row left violated (§5.3: a shortfall has to
+// name the request it hits).
 func printModelBuilds(w io.Writer, res *backend.Result) {
 	for k, r := range res.SolverResults() {
 		for i, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
 			if ph.ModelVars == 0 {
 				continue // phase did not run
 			}
-			fmt.Fprintf(w, "model sub%d phase%d: patched=%v rebuild_reason=%v residual_slack_rows=%d\n",
-				k, i+1, ph.ModelPatched, ph.Rebuild, len(ph.ResidualSlack))
+			fmt.Fprintf(w, "model sub%d phase%d: patched=%v rebuild_reason=%v cut_rows=%d root_bound=%.4f objective=%.4f residual_slack_rows=%d\n",
+				k, i+1, ph.ModelPatched, ph.Rebuild, ph.CutRows, ph.RootBound, ph.Objective, len(ph.ResidualSlack))
 			for _, rs := range ph.ResidualSlack {
 				fmt.Fprintf(w, "  slack %s = %.3f\n", rs.Row, rs.Amount)
 			}

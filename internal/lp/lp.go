@@ -87,6 +87,10 @@ type Problem struct {
 	senses []Sense
 	rhs    []float64
 
+	// mark is AddRow's scratch: for each variable, one more than its position
+	// in the row being added, zero outside AddRow.
+	mark []int32
+
 	// ws caches the workspace used by Solve so repeated Solve calls on the
 	// same problem reuse structure and scratch. Taken with an atomic swap so
 	// concurrent Solve calls on one Problem each get a private workspace
@@ -177,7 +181,9 @@ func (p *Problem) Clone() *Problem {
 // within one row are summed.
 func (p *Problem) AddRow(coeffs []Nonzero, sense Sense, rhs float64) int {
 	row := make([]Nonzero, 0, len(coeffs))
-	seen := make(map[int]int, len(coeffs))
+	if n := len(p.cost) - len(p.mark); n > 0 {
+		p.mark = append(p.mark, make([]int32, n)...)
+	}
 	for _, nz := range coeffs {
 		if nz.Index < 0 || nz.Index >= len(p.cost) {
 			panic(fmt.Sprintf("lp: row references unknown variable %d", nz.Index))
@@ -185,12 +191,15 @@ func (p *Problem) AddRow(coeffs []Nonzero, sense Sense, rhs float64) int {
 		if floats.ExactZero(nz.Value) {
 			continue
 		}
-		if at, ok := seen[nz.Index]; ok {
-			row[at].Value += nz.Value
+		if at := p.mark[nz.Index]; at > 0 {
+			row[at-1].Value += nz.Value
 			continue
 		}
-		seen[nz.Index] = len(row)
 		row = append(row, nz)
+		p.mark[nz.Index] = int32(len(row))
+	}
+	for _, nz := range row {
+		p.mark[nz.Index] = 0
 	}
 	p.rows = append(p.rows, row)
 	p.senses = append(p.senses, sense)
@@ -287,8 +296,8 @@ func (c ColdCounts) String() string {
 	return b.String()
 }
 
-// Stats counts what one Workspace did over every solve since it was created.
-// A workspace belongs to one goroutine, so the fields are plain ints; a caller
+// Stats counts what one Workspace did over every solve since it was created
+// or last had its counters reset (Workspace.ResetStats). A workspace belongs to one goroutine, so the fields are plain ints; a caller
 // running several workspaces sums them with Add once its goroutines have
 // joined.
 type Stats struct {

@@ -32,7 +32,7 @@ type Workspace struct {
 	diters  int
 	flipped int // nonbasic columns moved to their opposite bound on warm entry
 
-	stats Stats // everything this workspace has done, never reset
+	stats Stats // everything this workspace has done since ResetStats
 
 	// Structure, rebuilt by reshape when the owner or shape changes.
 	owner    *Problem
@@ -113,9 +113,14 @@ func NewWorkspace() *Workspace {
 	return &Workspace{}
 }
 
-// Stats reports what the workspace has done since NewWorkspace. Like every
-// other method it is for the owning goroutine, or for one that joined it.
+// Stats reports what the workspace has done since NewWorkspace or the last
+// ResetStats. Like every other method it is for the owning goroutine, or for
+// one that joined it.
 func (s *Workspace) Stats() Stats { return s.stats }
+
+// ResetStats zeroes the counters: the owner of a workspace that outlives one
+// unit of work calls it between units, so that Stats is each one's own.
+func (s *Workspace) ResetStats() { s.stats = Stats{} }
 
 // solve is the single entry point behind Problem.Solve/SolveWith. Options
 // are already defaulted by the caller.

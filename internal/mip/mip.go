@@ -396,6 +396,15 @@ type Options struct {
 	// rounds solve near-identical problems. A basis the root LP cannot use
 	// falls back to a cold root solve and Result.RootCold says why.
 	RootBasis *lp.Basis
+	// RootWorkspace is the Result.RootWorkspace of the previous solve of this
+	// same model (patched in place since, perhaps): the root search runs on it
+	// instead of a new one, so the simplex structure is not rebuilt, and when
+	// RootBasis is the basis it still holds — nothing was solved on it after
+	// that root — the root LP re-enters its factorization too, once the basic
+	// values recomputed from the new bounds and right-hand sides pass the
+	// residual check (it is refactorized otherwise). It is state like
+	// RootBasis, and like it single-flight: one solve at a time may hold it.
+	RootWorkspace *lp.Workspace
 	// Workers is the number of parallel branch-and-bound workers. 0 or 1
 	// run the exact serial algorithm — results are bit-for-bit reproducible
 	// and identical to the historical single-threaded solver. Values > 1
@@ -437,6 +446,13 @@ type Result struct {
 	RootLPIters int
 	RootWarm    bool
 	RootCold    lp.ColdReason
+	// RootObjective is the root relaxation's optimum — the bound the search
+	// starts from, so Objective − RootObjective is the gap it had to close;
+	// -Inf when the root LP did not solve to optimality.
+	RootObjective float64
+	// RootWorkspace is the LP workspace the root search ran on, for the next
+	// solve's Options.RootWorkspace.
+	RootWorkspace *lp.Workspace
 }
 
 // Gap reports the absolute optimality gap incumbent − bound (0 when proven

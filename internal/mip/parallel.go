@@ -134,8 +134,8 @@ func (p *nodePool) remaining() int {
 // workers to seed the shared incumbent.
 func (m *Model) solveParallel(e *engine) Result {
 	opt := e.opt
-	res := Result{Status: NoSolution, Objective: math.Inf(1), Bound: math.Inf(-1)}
-	root := newSearch(e, &m.prob, e.opt.RootBasis)
+	res := newResult()
+	root := newSearch(e, &m.prob, opt.RootBasis, opt.RootWorkspace)
 
 	rootSol, final := root.solveRoot(&res)
 	if final {
@@ -165,7 +165,7 @@ func (m *Model) solveParallel(e *engine) Result {
 			},
 		}
 		for _, h := range heuristics {
-			hs := newSearch(e, m.prob.Clone(), res.RootBasis)
+			hs := newSearch(e, m.prob.Clone(), res.RootBasis, nil)
 			wg.Add(1)
 			go func(h func(*search), hs *search) {
 				defer wg.Done()
@@ -175,7 +175,7 @@ func (m *Model) solveParallel(e *engine) Result {
 	}
 
 	for w := 0; w < opt.Workers; w++ {
-		ws := newSearch(e, m.prob.Clone(), res.RootBasis)
+		ws := newSearch(e, m.prob.Clone(), res.RootBasis, nil)
 		wg.Add(1)
 		go func(w int, ws *search) {
 			defer wg.Done()
@@ -192,15 +192,9 @@ func (m *Model) solveParallel(e *engine) Result {
 	}
 	wg.Wait()
 
-	// Final polish at root bounds on the model's own problem (all workers
-	// have joined; no clone can race it). The root search's workspace still
-	// holds the root basis as its warm-start seed.
-	if inc, _ := e.incumbentCopy(); inc != nil {
-		for j := 0; j < e.n; j++ {
-			root.prob.SetBounds(j, e.rootLo[j], e.rootUp[j])
-		}
-		root.roundRepairComplete(inc)
-	}
-
+	// The closing polish runs on the model's own problem (all workers have
+	// joined; no clone can race it). The root search's workspace still holds
+	// the root basis as its warm-start seed.
+	root.polish(pool.bestBound(e))
 	return e.finalResult(res, pool.bestBound(e), pool.remaining())
 }

@@ -305,10 +305,16 @@ type search struct {
 	checkbuf  []float64 // dive batch-rollback checkpoint
 }
 
-func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis) *search {
+// newSearch gives the search the workspace ws, which counts from zero for this
+// solve, or a new one when ws is nil.
+func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis, ws *lp.Workspace) *search {
+	if ws == nil {
+		ws = lp.NewWorkspace()
+	}
+	ws.ResetStats()
 	s := &search{
 		m: e.m, e: e, prob: prob,
-		ws:        lp.NewWorkspace(),
+		ws:        ws,
 		seedBasis: seed,
 		xbuf:      make([]float64, e.n),
 		xibuf:     make([]float64, e.n),
@@ -344,12 +350,17 @@ func (s *search) solveLP(start *lp.Basis) lp.Solution {
 }
 
 // solveRoot solves the root relaxation — from Options.RootBasis, the search's
-// seed, when the caller supplied one — and records it on res. It reports
-// whether res is final (handleRootStatus).
+// seed, when the caller supplied one: offered as the start, so that a
+// workspace carried over from the solve that exported it (Options.RootWorkspace)
+// recognises its own basis, and one that has moved on adopts it instead of
+// continuing from wherever the last search ended — and records it on res. It
+// reports whether res is final (handleRootStatus).
 func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
-	sol := s.solveLP(nil)
+	sol := s.solveLP(s.seedBasis)
+	res.RootWorkspace = s.ws
 	if sol.Status == lp.Optimal {
 		res.RootBasis = s.ws.Basis()
+		res.RootObjective = sol.Objective + s.m.objOffset
 	}
 	res.RootLPIters = sol.Iterations
 	res.RootWarm = sol.WarmStarted
@@ -867,8 +878,8 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 // are bit-for-bit repeatable.
 func (m *Model) solveSerial(e *engine) Result {
 	opt := e.opt
-	res := Result{Status: NoSolution, Objective: math.Inf(1), Bound: math.Inf(-1)}
-	s := newSearch(e, &m.prob, opt.RootBasis)
+	res := newResult()
+	s := newSearch(e, &m.prob, opt.RootBasis, opt.RootWorkspace)
 
 	rootSol, final := s.solveRoot(&res)
 	if final {
@@ -921,17 +932,31 @@ func (m *Model) solveSerial(e *engine) Result {
 		open = s.processNode(nd, open)
 	}
 
-	// Final polish: restore root bounds and re-run the repair heuristic on
-	// the incumbent. Node incumbents found mid-search never saw it, and it
-	// often closes residual soft-penalty slack.
-	if inc, _ := e.incumbentCopy(); inc != nil {
-		for j := 0; j < e.n; j++ {
-			s.prob.SetBounds(j, e.rootLo[j], e.rootUp[j])
-		}
-		s.roundRepairComplete(inc)
-	}
-
+	s.polish(bestBound())
 	return e.finalResult(res, bestBound(), len(open))
+}
+
+// polish closes a search: back at root bounds, it re-runs the repair heuristic
+// on the incumbent, which node incumbents found mid-search never saw and which
+// often closes residual soft-penalty slack. An incumbent within AbsGap of the
+// best outstanding bound is left alone: the search prunes at that distance
+// everywhere, so nothing the completion LP could return would be kept.
+func (s *search) polish(bound float64) {
+	e := s.e
+	inc, incObj := e.incumbentCopy()
+	if inc == nil || incObj-bound <= e.opt.AbsGap {
+		return
+	}
+	for j := 0; j < e.n; j++ {
+		s.prob.SetBounds(j, e.rootLo[j], e.rootUp[j])
+	}
+	s.roundRepairComplete(inc)
+}
+
+// newResult is a solve's Result before its root LP: nothing found, nothing
+// proven.
+func newResult() Result {
+	return Result{Status: NoSolution, Objective: math.Inf(1), Bound: math.Inf(-1), RootObjective: math.Inf(-1)}
 }
 
 // finalResult assembles the end-of-search Result from the best outstanding

@@ -11,12 +11,15 @@ import (
 // the fill functions derive that does not depend on the code under test: the
 // patch ≡ cold property tests compare the shared derivations with
 // themselves. Order: seeds 1, 2, 3 × {phase 1, phase 1 + shared buffer, rack
-// level}. A deliberate model change re-records them (t.Logf prints the new
-// values).
+// level}. A deliberate model change re-records them (the failure message
+// prints the new values): ISSUE 24 did so for the rack-level entries of seeds 1
+// and 3, whose models gained rounding-cut rows (of seed 2's two count-based
+// specs one has an integral α·C and the other was resized to zero, so it has
+// none); the six region-level entries are as recorded.
 var goldenColdFingerprints = [9]uint64{
-	0xfef77c25127d2b47, 0x7a2a03bf2501c3ca, 0x6d8dcbaafeff1809,
+	0xfef77c25127d2b47, 0x7a2a03bf2501c3ca, 0x416597293c9c6f4f,
 	0xaec9a9ad40b628db, 0x230c861df26d3bab, 0x779a8f3431043ebf,
-	0xa8335564191c4559, 0x42126ece2f64a7dd, 0x0e9fe5c23a830430,
+	0xa8335564191c4559, 0x42126ece2f64a7dd, 0x651fc9e60d439c3a,
 }
 
 // TestGoldenColdFingerprints builds the cold model for a fixture whose

@@ -7,8 +7,9 @@
 // value. A cold build is layout + fill of everything; a patch re-buckets the
 // changed servers and runs the same fill functions over what they touched.
 // Any structural drift — a reservation created or deleted, a symmetry group
-// appearing or emptying, a move hinge appearing or vanishing — falls back to
-// a cold rebuild and says why (RebuildReason).
+// appearing or emptying, a move hinge appearing or vanishing, a resize that
+// moves a rounding cut's slope — falls back to a cold rebuild and says why
+// (RebuildReason).
 package solver
 
 import (
@@ -86,12 +87,13 @@ const (
 	RebuildEmptyGroup                   // a symmetry group lost its last server
 	RebuildHinge                        // a move hinge appeared or vanished (a cell's X crossed zero)
 	RebuildJournalGap                   // the broker journal no longer reaches back to Delta.Since, so the change set is unknown
+	RebuildCutSlope                     // a resize moved the slope of a spec's rounding cuts, which is a row coefficient
 	NumRebuildReasons                   // array size for per-reason tallies
 )
 
 var rebuildReasonNames = [NumRebuildReasons]string{
 	"none", "no-cache", "reservation-set", "config", "scope", "spec-count", "spec-shape",
-	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge", "journal-gap",
+	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge", "journal-gap", "cut-slope",
 }
 
 func (r RebuildReason) String() string {
@@ -156,8 +158,10 @@ type specRows struct {
 	capSlack  mip.Var
 	spreadRow []int // by position in msbs; -1 where the MSB has no terms
 	spreadVar []mip.Var
+	spreadCut []int // the hinge's rounding cut (roundingCut); -1 where there is none
 	rackRow   []int // by position in racks (rack level only)
 	rackVar   []mip.Var
+	rackCut   []int
 	affRow    [][2]int  // by DC: {aff-hi row, aff-lo row}; {-1,-1} absent
 	affSlack  []mip.Var // by DC; -1 absent
 }
@@ -201,6 +205,7 @@ type builtPhase struct {
 	rackIdx map[int]int
 
 	assignVars int
+	cutRows    int // rounding-cut rows laid out next to spread hinges
 
 	// Per-server bookkeeping (indexed by ServerID over the whole region).
 	states      []broker.ServerState
@@ -393,8 +398,9 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 // side and warm-start value that depends on group sizes, initial counts or
 // demands is a zero placeholder here and is written by the fill functions.
 // What shape does depend on is which cells are eligible (vval > 0), which
-// have servers today (a move hinge exists iff X > 0), and which specs are
-// active (C_r > 0 and some eligible server) — exactly what patch treats as
+// have servers today (a move hinge exists iff X > 0), which specs are active
+// (C_r > 0 and some eligible server) and, at rack level, the fractional part
+// of α·C_r for count-based specs (roundingCut) — exactly what patch treats as
 // structural drift.
 func (bp *builtPhase) layout(names [][]string) {
 	m, cfg, groups, specs := bp.m, bp.cfg, bp.groups, bp.specs
@@ -495,17 +501,31 @@ func (bp *builtPhase) layout(names [][]string) {
 			return terms
 		}
 		// spreadRows lays out β · max(0, Σ_scope − α·C) for each scope key
-		// that has terms; absent scopes get -1.
-		spreadRows := func(format string, keys []int, byKey map[int][]int) ([]int, []mip.Var) {
-			rows, vars := make([]int, len(keys)), make([]mip.Var, len(keys))
+		// that has terms; absent scopes get -1. In the rack-level model a
+		// count-based spec's hinge is followed by its rounding cut, whose
+		// slope — a coefficient, so part of the shape — comes from the demand
+		// the model is laid out for.
+		spreadRows := func(format string, keys []int, byKey map[int][]int, alpha float64) (rows []int, vars []mip.Var, cuts []int) {
+			slope := bp.cutSlope(s, alpha, s.res.RRUs)
+			rows, vars, cuts = make([]int, len(keys)), make([]mip.Var, len(keys)), make([]int, len(keys))
 			for k, key := range keys {
-				rows[k], vars[k] = -1, -1
-				if terms := sumTerms(byKey[key]); terms != nil {
-					vars[k] = m.AddPosPart(fmt.Sprintf(format, si, key), terms, 0, cfg.Beta)
-					rows[k] = m.NumConstrs() - 1
+				rows[k], vars[k], cuts[k] = -1, -1, -1
+				terms := sumTerms(byKey[key])
+				if terms == nil {
+					continue
+				}
+				vars[k] = m.AddPosPart(fmt.Sprintf(format, si, key), terms, 0, cfg.Beta)
+				rows[k] = m.NumConstrs() - 1
+				if slope > 0 {
+					row := append(make([]mip.Term, 0, len(terms)+1), mip.Term{Var: vars[k], Coef: 1})
+					for _, t := range terms {
+						row = append(row, mip.Term{Var: t.Var, Coef: -slope})
+					}
+					cuts[k] = m.AddConstr("cut/"+fmt.Sprintf(format, si, key), row, mip.GE, 0)
+					bp.cutRows++
 				}
 			}
-			return rows, vars
+			return rows, vars, cuts
 		}
 
 		capTerms := sumTerms(all)
@@ -536,9 +556,9 @@ func (bp *builtPhase) layout(names [][]string) {
 				capTerms = append(capTerms, mip.Term{Var: sp.env, Coef: -1})
 			}
 			// (3) MSB spread, and (2) rack spread in phase 2 only.
-			sp.spreadRow, sp.spreadVar = spreadRows("spreadF[s%d,m%d]", bp.msbs, msbGroups)
+			sp.spreadRow, sp.spreadVar, sp.spreadCut = spreadRows("spreadF[s%d,m%d]", bp.msbs, msbGroups, s.alphaF)
 			if bp.rackLevel {
-				sp.rackRow, sp.rackVar = spreadRows("spreadK[s%d,r%d]", bp.racks, rackGroups)
+				sp.rackRow, sp.rackVar, sp.rackCut = spreadRows("spreadK[s%d,r%d]", bp.racks, rackGroups, s.alphaK)
 			}
 		}
 
@@ -577,6 +597,50 @@ func (bp *builtPhase) layout(names [][]string) {
 	}
 	bp.initX = make([]float64, m.NumVars())
 	bp.rev = m.Revision()
+}
+
+// roundingCut is the integer-rounding cut of a hinge y ≥ Σ − t, y ≥ 0 whose
+// sum Σ takes only integer values (a count-based spec: V = 1 on every term):
+//
+//	y ≥ (⌈t⌉ − t)·(Σ − ⌊t⌋)
+//
+// At Σ ≤ ⌊t⌋ the right side is ≤ 0 ≤ y; at Σ = ⌊t⌋ + k, k ≥ 1, it is
+// (1 − f)·k with f = t − ⌊t⌋, and Σ − t = k − f ≥ (1 − f)·k because k ≥ 1. So
+// every integer point of the hinge satisfies it, with equality at ⌊t⌋ and
+// ⌈t⌉: it is the chord of the hinge's integer hull, takes nothing from the
+// MIP and lifts the LP bound to what the integers can reach. It returns the
+// slope ⌈t⌉ − t and ⌊t⌋; ok is false when t is integral (to 1e-9) and the
+// hinge is its own hull.
+func roundingCut(t float64) (slope, floor float64, ok bool) {
+	floor = math.Floor(t)
+	if t-floor <= 1e-9 || floor+1-t <= 1e-9 {
+		return 0, 0, false
+	}
+	return floor + 1 - t, floor, true
+}
+
+// cutSlope is the slope of the rounding cuts on spec s's hinges of threshold
+// alpha·rrus, or 0 where the model has none: they belong to the rack-level
+// model's count-based user specs with a fractional threshold.
+func (bp *builtPhase) cutSlope(s *resSpec, alpha, rrus float64) float64 {
+	if !bp.rackLevel || !s.countBased || s.isBuffer {
+		return 0
+	}
+	slope, _, _ := roundingCut(alpha * rrus)
+	return slope
+}
+
+// cutSlopeMoves reports whether resizing spec si to rrus changes the slope of
+// its rounding cuts, or whether it has any. The slope is a row coefficient,
+// which no patch can write.
+func (bp *builtPhase) cutSlopeMoves(si int, rrus float64) bool {
+	s := &bp.specs[si]
+	for _, alpha := range [2]float64{s.alphaF, s.alphaK} {
+		if !floats.ExactEqual(bp.cutSlope(s, alpha, s.res.RRUs), bp.cutSlope(s, alpha, rrus)) {
+			return true
+		}
+	}
+	return false
 }
 
 // specKey is a spec's identity across rounds: the reservation it stands for
@@ -680,11 +744,13 @@ func (bp *builtPhase) carryBasis(old *builtPhase, b *lp.Basis) (nb *lp.Basis, ke
 			row(at(sp.envRow, k), at(osp.envRow, ok))
 			col(at(sp.spreadVar, k), at(osp.spreadVar, ok))
 			row(at(sp.spreadRow, k), at(osp.spreadRow, ok))
+			row(at(sp.spreadCut, k), at(osp.spreadCut, ok))
 		}
 		for k, rk := range bp.racks {
 			ok := pos(old.rackIdx, rk)
 			col(at(sp.rackVar, k), at(osp.rackVar, ok))
 			row(at(sp.rackRow, k), at(osp.rackRow, ok))
+			row(at(sp.rackCut, k), at(osp.rackCut, ok))
 		}
 		for dc := range sp.affRow {
 			if dc < len(osp.affRow) {
@@ -790,6 +856,9 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 		if !floats.ExactEqual(bp.specs[si].res.RRUs, specs[si].res.RRUs) {
 			if (specs[si].res.RRUs > 0) != (bp.specs[si].res.RRUs > 0) {
 				return RebuildSpecActivation // changes which rows exist
+			}
+			if bp.cutSlopeMoves(si, specs[si].res.RRUs) {
+				return RebuildCutSlope
 			}
 			bp.specs[si].res.RRUs = specs[si].res.RRUs
 			touchedSpec[si] = true
@@ -940,17 +1009,22 @@ func (bp *builtPhase) fillSpec(si int) {
 		}
 		dsum[g.dc] += v
 	}
-	// hinges fills one family of β · max(0, Σ_scope − α·C) rows.
-	hinges := func(rows []int, vars []mip.Var, sums []float64, alpha float64) {
+	// hinges fills one family of β · max(0, Σ_scope − α·C) rows and, where
+	// layout put one, the rounding cut of each: y − slope·Σ ≥ −slope·⌊α·C⌋.
+	hinges := func(rows, cuts []int, vars []mip.Var, sums []float64, alpha float64) {
+		slope, floor, _ := roundingCut(alpha * cr)
 		for k, row := range rows {
 			if row >= 0 {
 				bp.m.SetRHS(row, -alpha*cr)
 				bp.initX[vars[k]] = math.Max(0, sums[k]-alpha*cr)
+				if cut := cuts[k]; cut >= 0 {
+					bp.m.SetRHS(cut, -slope*floor)
+				}
 			}
 		}
 	}
-	hinges(sp.spreadRow, sp.spreadVar, msum, s.alphaF)
-	hinges(sp.rackRow, sp.rackVar, rsum, s.alphaK)
+	hinges(sp.spreadRow, sp.spreadCut, sp.spreadVar, msum, s.alphaF)
+	hinges(sp.rackRow, sp.rackCut, sp.rackVar, rsum, s.alphaK)
 
 	initLHS := initTotal
 	if sp.env >= 0 {

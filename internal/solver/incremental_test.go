@@ -184,7 +184,7 @@ func TestPatchMatchesColdRebuild(t *testing.T) {
 	var reasons [NumRebuildReasons]int
 	defer func() {
 		for _, r := range []RebuildReason{RebuildSpecCount, RebuildSpecShape, RebuildSpecActivation,
-			RebuildNewGroup, RebuildEmptyGroup} {
+			RebuildNewGroup, RebuildEmptyGroup, RebuildCutSlope} {
 			if reasons[r] == 0 && !t.Failed() {
 				t.Errorf("mutation streams never caused a %v rebuild (tally %v)", r, reasons)
 			}
@@ -296,9 +296,12 @@ func compareStructure(t *testing.T, round int, got, want *builtPhase) {
 
 // TestIncrementalSolveEquivalence runs two full SolveWarm sequences over the
 // same mutation stream — one handing the solver deltas (patching), one not
-// (rebuilding every round) — and requires identical objectives, targets, and
-// move accounting every round at Workers=1, plus at least one patched and
-// one fallback round so both paths are actually exercised.
+// (rebuilding every round) — and requires identical targets and move
+// accounting and equal objectives every round at Workers=1, plus at least one
+// patched and one fallback round so both paths are actually exercised. The
+// objectives are compared to 1e-9 relative: a patched round's root LP re-enters
+// the factorization the last round left, a rebuilt round's refactorizes, and
+// the two can differ in the last bit of a sum.
 func TestIncrementalSolveEquivalence(t *testing.T) {
 	region := testRegion(t, 2, 2, 3, 5, 43)
 	mA := newMutator(t, region, 45, 5)
@@ -341,13 +344,10 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 			t.Fatalf("round %d: the delta-less sequence reports patched=%v rebuild=%v",
 				round, resB.Phase1.ModelPatched, resB.Phase1.Rebuild)
 		}
-		if !floats.ExactEqual(resA.Phase1.Objective, resB.Phase1.Objective) {
-			t.Fatalf("round %d: phase-1 objective %v (delta) != %v (cold)",
-				round, resA.Phase1.Objective, resB.Phase1.Objective)
-		}
-		if !floats.ExactEqual(resA.Phase2.Objective, resB.Phase2.Objective) {
-			t.Fatalf("round %d: phase-2 objective %v (delta) != %v (cold)",
-				round, resA.Phase2.Objective, resB.Phase2.Objective)
+		for k, obj := range [2][2]float64{{resA.Phase1.Objective, resB.Phase1.Objective}, {resA.Phase2.Objective, resB.Phase2.Objective}} {
+			if d := math.Abs(obj[0] - obj[1]); d > 1e-9*(1+math.Abs(obj[1])) {
+				t.Fatalf("round %d: phase-%d objective %v (delta) != %v (cold)", round, k+1, obj[0], obj[1])
+			}
 		}
 		if resA.Moves != resB.Moves {
 			t.Fatalf("round %d: moves %+v (delta) != %+v (cold)", round, resA.Moves, resB.Moves)

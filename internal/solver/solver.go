@@ -174,10 +174,15 @@ func (c Config) withDefaults(region *topology.Region) Config {
 // Consecutive RAS rounds solve near-identical MIPs: a round that patches the
 // cached model hands the basis to its root LP as it is, and a round that
 // rebuilds the model — for whatever reason — rewrites it onto the new layout
-// by identity first (builtPhase.carryBasis).
+// by identity first (builtPhase.carryBasis). ws is the LP workspace that root
+// ran on: it holds the simplex structure of layout's model and, while nothing
+// was solved after the root, the factorization of Basis, so a round that
+// patches the model hands it back with the basis (mip.Options.RootWorkspace);
+// a rebuilt model is another problem and never sees it.
 type PhaseWarm struct {
 	Basis  *lp.Basis
 	layout *builtPhase
+	ws     *lp.Workspace
 }
 
 // WarmState is the cross-round warm-start state of the two-phase solver.
@@ -265,6 +270,11 @@ type PhaseStats struct {
 	Status       mip.Status
 	Objective    float64
 	Bound        float64
+	// RootBound is the root relaxation's optimum (mip.Result.RootObjective):
+	// Objective − RootBound is the gap the search had to close. CutRows counts
+	// the rounding cuts that tighten it (rack-level models only).
+	RootBound float64
+	CutRows   int
 	// GapPreemptions expresses the optimality gap in units of in-use server
 	// preemptions (Figure 9's "proven optimal within N preemptions").
 	GapPreemptions float64
@@ -775,6 +785,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.Groups = nG
 	out.stats.ModelVars = m.NumVars()
 	out.stats.ModelRows = m.NumConstrs()
+	out.stats.CutRows = bp.cutRows
 	for si := range bp.sp {
 		if bp.sp[si].unserviceable {
 			out.stats.SoftSlack += bp.specs[si].res.RRUs
@@ -796,12 +807,14 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	// optimal basis — the nearest solved problem. A patched model is the one
 	// the basis belongs to; a rebuilt one gets it carried over by identity.
 	var rootBasis *lp.Basis
+	var rootWS *lp.Workspace
 	if pw != nil && pw.Basis != nil {
 		out.stats.RootBasisOffered = pw.Basis.NumCols()
 		switch pw.layout {
 		case nil: // a hand-assembled PhaseWarm: nothing says what the columns were
 		case bp:
 			rootBasis, out.stats.RootBasisKept = pw.Basis, pw.Basis.NumCols()
+			rootWS = pw.ws
 		default:
 			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.layout, pw.Basis)
 		}
@@ -814,14 +827,15 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	// early timeouts and measures the remaining gap, Figure 9). The stall
 	// rule passes through for callers with tight node budgets.
 	r := m.Solve(phaseCtx, mip.Options{
-		MaxNodes:    cfg.MaxNodes,
-		AbsGap:      0.9 * cfg.MoveCostIdle,
-		RelGap:      0.02,
-		StallNodes:  cfg.StallNodes,
-		StallGap:    cfg.StallGap,
-		NoWarmStart: cfg.DisableWarmStart,
-		Workers:     cfg.Workers,
-		RootBasis:   rootBasis,
+		MaxNodes:      cfg.MaxNodes,
+		AbsGap:        0.9 * cfg.MoveCostIdle,
+		RelGap:        0.02,
+		StallNodes:    cfg.StallNodes,
+		StallGap:      cfg.StallGap,
+		NoWarmStart:   cfg.DisableWarmStart,
+		Workers:       cfg.Workers,
+		RootBasis:     rootBasis,
+		RootWorkspace: rootWS,
 	})
 	out.stats.MIP = clock.Since(t0)
 	out.stats.Status = r.Status
@@ -833,13 +847,14 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.RootLPIters = r.RootLPIters
 	out.stats.WarmRoot = r.RootWarm
 	out.stats.RootCold = r.RootCold
-	out.warm = PhaseWarm{Basis: r.RootBasis, layout: bp}
+	out.warm = PhaseWarm{Basis: r.RootBasis, layout: bp, ws: r.RootWorkspace}
 	out.stats.Workers = r.Workers
 	out.stats.IncumbentUpdates = r.IncumbentUpdates
 	out.stats.HeuristicWins = r.HeuristicWins
 	if r.Status == mip.Optimal || r.Status == mip.Feasible || r.Status == mip.Cancelled {
 		out.stats.Objective = r.Objective
 		out.stats.Bound = r.Bound
+		out.stats.RootBound = r.RootObjective
 		out.stats.GapPreemptions = r.Gap() / cfg.MoveCostInUse // nonzero: withDefaults floors MoveCostInUse at 10 when zero
 		counts := make([][]float64, nG)
 		for gi := range out.groups {

@@ -89,7 +89,8 @@ func rootOf(bp *builtPhase, start *lp.Basis) mip.Result {
 // basis over by identity — the root LP from the carried basis reaches the
 // cold root's objective, and either completes warm or names why it fell back.
 // rack selects the rack-level model, where a rebinding flips move hinges
-// without touching a group.
+// without touching a group and the count-based spec's spread hinges carry
+// rounding cuts, rows whose coefficients a resize changes.
 func FuzzBasisTransfer(f *testing.F) {
 	f.Add(false, []byte{0, 7, 0, 0, 9, 0, 1, 7, 0})                                   // fail two servers, revive one
 	f.Add(false, []byte{4, 1, 2, 4, 2, 3, 4, 4, 1})                                   // rebind servers: new groups, shrunken ones
@@ -99,6 +100,8 @@ func FuzzBasisTransfer(f *testing.F) {
 	f.Add(false, []byte{6, 0, 1, 7, 0, 3, 7, 0, 1})                                   // delete and create reservations
 	f.Add(true, []byte{0, 3, 0, 5, 10, 200, 3, 12, 0, 7, 0, 4, 4, 40, 5, 1, 3, 0})    // a bit of everything
 	f.Add(false, []byte{5, 0, 255, 5, 5, 128, 5, 10, 10, 3, 4, 0, 3, 8, 0, 0, 20, 0}) // wear buckets and container churn
+	f.Add(true, []byte{2, 5, 3, 0, 11, 0})                                            // rack level: the count-based spec resized, its cut rows change slope
+	f.Add(true, []byte{2, 4, 3, 4, 6, 3, 4, 8, 3})                                    // rack level: resized to an integral α·C, its rack cuts go
 
 	region := testRegion(f, 2, 2, 3, 5, 43)
 	f.Fuzz(func(t *testing.T, rack bool, ops []byte) {
@@ -156,8 +159,16 @@ func FuzzBasisTransfer(f *testing.F) {
 // symmetry group has emptied and another has appeared — and checks the carried
 // statuses entry by entry: what both models have keeps its status, the new
 // group's count column sits at the bound its servers put it on, its rows are
-// covered by their slacks, and the emptied group's entries are gone.
+// covered by their slacks, and the emptied group's entries are gone. At rack
+// level "web" is resized as well: its MSB hinges gain rounding cuts (α·C goes
+// from 3 to 3.75), new rows, while "feed" keeps its own.
 func TestCarryBasisStatuses(t *testing.T) {
+	for _, rack := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rack=%v", rack), func(t *testing.T) { carryBasisStatuses(t, rack) })
+	}
+}
+
+func carryBasisStatuses(t *testing.T, rack bool) {
 	region := testRegion(t, 1, 2, 2, 3, 5)
 	rsvs := []reservation.Reservation{
 		{ID: 0, Name: "web", Class: hardware.Web, RRUs: 4, CountBased: true, Policy: reservation.DefaultPolicy()},
@@ -173,14 +184,20 @@ func TestCarryBasisStatuses(t *testing.T) {
 	build := func() *builtPhase {
 		in := Input{Region: region, Reservations: rsvs, States: b.Snapshot()}
 		var st PhaseStats
-		return buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, false), false, &st)
+		return buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, rack), rack, &st)
 	}
 	old := build()
 	// Server 0 stops its containers and joins "feed": its in-use group
 	// empties, and an idle group bound to "feed" appears.
 	b.SetContainers(0, 0)
 	b.SetCurrent(0, 1)
+	if rack {
+		rsvs[0].RRUs = 5
+	}
 	bp := build()
+	if rack && (old.cutRows == 0 || bp.cutRows <= old.cutRows) {
+		t.Fatalf("%d cut rows before the resize, %d after: the fixture lost its point", old.cutRows, bp.cutRows)
+	}
 
 	names := func(p *builtPhase) (cols, rows map[string]int) {
 		cols, rows = map[string]int{}, map[string]int{}

@@ -7,6 +7,7 @@ import (
 
 	"ras"
 	"ras/internal/broker"
+	"ras/internal/mip"
 	"ras/internal/sim"
 	"ras/internal/solver"
 )
@@ -201,19 +202,26 @@ func TestSolveLocalSearchBackend(t *testing.T) {
 // its model: the state the failure drills and repeatability checks start from.
 func churnSystem(t *testing.T) (*ras.System, []ras.ReservationID) {
 	t.Helper()
-	region, err := ras.NewRegion(ras.RegionSpec{
+	return settledSystem(t, ras.RegionSpec{
 		Name: "api-test", DCs: 2, MSBsPerDC: 2,
 		RacksPerMSB: 4, ServersPerRack: 6, Seed: 5,
+	}, ras.SolverConfig{MaxNodes: 100}, []ras.Reservation{
+		{Name: "web", Class: ras.Web, RRUs: 24, CountBased: true, Policy: ras.DefaultPolicy()},
+		{Name: "feed", Class: ras.Feed1, RRUs: 18, CountBased: true, Policy: ras.DefaultPolicy()},
 	})
+}
+
+// settledSystem is a serial-solver system over the region and reservations
+// given, solved until a round patches its model.
+func settledSystem(t *testing.T, spec ras.RegionSpec, cfg ras.SolverConfig, rsvs []ras.Reservation) (*ras.System, []ras.ReservationID) {
+	t.Helper()
+	region, err := ras.NewRegion(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := ras.NewSystem(region, ras.Options{Workers: 1, Solver: ras.SolverConfig{MaxNodes: 100}})
+	sys := ras.NewSystem(region, ras.Options{Workers: 1, Solver: cfg})
 	var ids []ras.ReservationID
-	for _, r := range []ras.Reservation{
-		{Name: "web", Class: ras.Web, RRUs: 24, CountBased: true, Policy: ras.DefaultPolicy()},
-		{Name: "feed", Class: ras.Feed1, RRUs: 18, CountBased: true, Policy: ras.DefaultPolicy()},
-	} {
+	for _, r := range rsvs {
 		id, err := sys.CreateReservation(r)
 		if err != nil {
 			t.Fatal(err)
@@ -362,4 +370,80 @@ func TestSolveSequenceRepeatable(t *testing.T) {
 		t.Fatalf("%d rounds rebuilt their model, %d of them from a carried basis: the sequence no longer covers the transfer", rebuilt, warm)
 	}
 	t.Logf("20 rounds: %d rebuilt, %d of those with a warm root", rebuilt, warm)
+}
+
+// TestQuietRoundProvesRackPhase: on a settled system, a round in which only
+// free-pool servers fail is a sliver of a solve. Over 30 such rounds, every
+// round that patched both its models proves the rack phase at the root —
+// Optimal in at most one node — most of them re-enter the region phase's root
+// factorization without rebuilding it (the rest are the eta file's own
+// periodic refresh), and each phase's objective agrees with a cold solve of
+// the same snapshot within the gaps the two report: nothing is carried over
+// but a place to start.
+func TestQuietRoundProvesRackPhase(t *testing.T) {
+	// Three reservations over half the region, every capacity met and a free
+	// pool of 48: some rack always holds more than α_K·C of one reservation,
+	// so the rack phase runs every round. No shared buffer: its per-type
+	// sizes follow the usable fleet, so a failure would reshape its specs.
+	cfg := solver.Config{MaxNodes: 100, Workers: 1, SharedBufferFraction: -1}
+	sys, _ := settledSystem(t, ras.RegionSpec{
+		Name: "quiet", DCs: 2, MSBsPerDC: 2, RacksPerMSB: 6, ServersPerRack: 8, Seed: 1,
+	}, cfg, []ras.Reservation{
+		{Name: "web", Class: ras.Web, RRUs: 30, CountBased: true, Policy: ras.DefaultPolicy()},
+		{Name: "feed1", Class: ras.Feed1, RRUs: 32, CountBased: true, Policy: ras.DefaultPolicy()},
+		{Name: "feed2", Class: ras.Feed2, RRUs: 34, CountBased: true, Policy: ras.DefaultPolicy()},
+	})
+	b := sys.Broker()
+	var down []ras.ServerID
+	patched, reentered := 0, 0
+	for round := 0; round < 30; round++ {
+		now := ras.Clock(100 + round)
+		for _, id := range down {
+			b.ClearUnavailable(id, now)
+		}
+		free := serversWhere(sys, func(cur ras.ReservationID) bool { return cur == ras.Unassigned })
+		down = []ras.ServerID{free[round%len(free)], free[(5*round+2)%len(free)]}
+		for _, id := range down {
+			b.SetUnavailable(id, broker.RandomFailure, now, now+1000)
+		}
+		in := solver.Input{Region: sys.Region(), Reservations: sys.Reservations().All(), States: b.Snapshot()}
+		res, err := sys.Solve(context.Background(), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := solver.Solve(context.Background(), in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.MIP
+		if !r.RanPhase2 || !cold.RanPhase2 {
+			t.Fatalf("round %d: rack phase ran = %v, cold %v: the fixture lost its point", round, r.RanPhase2, cold.RanPhase2)
+		}
+		for k, ph := range [2][2]*solver.PhaseStats{{&r.Phase1, &cold.Phase1}, {&r.Phase2, &cold.Phase2}} {
+			warm, cold := ph[0], ph[1]
+			gaps := (warm.Objective - warm.Bound) + (cold.Objective - cold.Bound)
+			if d := warm.Objective - cold.Objective; d > gaps+1e-6 || -d > gaps+1e-6 {
+				t.Fatalf("round %d phase %d: objective %.6f (bound %.6f), cold %.6f (bound %.6f)",
+					round, k+1, warm.Objective, warm.Bound, cold.Objective, cold.Bound)
+			}
+		}
+		if !r.Phase1.ModelPatched || !r.Phase2.ModelPatched {
+			continue
+		}
+		patched++
+		if r.Phase2.Status != mip.Optimal || r.Phase2.Nodes > 1 {
+			t.Fatalf("round %d: rack phase %v in %d nodes (root bound %.4f, objective %.4f, %d cut rows)",
+				round, r.Phase2.Status, r.Phase2.Nodes, r.Phase2.RootBound, r.Phase2.Objective, r.Phase2.CutRows)
+		}
+		if r.Phase2.CutRows == 0 {
+			t.Fatalf("round %d: the rack-level model has no cut rows", round)
+		}
+		if r.Phase1.LP.Refactorizations == 0 {
+			reentered++
+		}
+	}
+	if patched < 20 || 10*reentered < 8*patched {
+		t.Fatalf("%d of 30 rounds patched both models, %d of them without refactorizing the region phase's basis", patched, reentered)
+	}
+	t.Logf("30 rounds: %d patched both models, %d of them re-entered the region phase's factorization", patched, reentered)
 }
