@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
 
-check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke
+check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -74,18 +74,32 @@ bench-lp:
 bench-lp-smoke:
 	@$(MAKE) --no-print-directory bench-lp KERNEL_BENCHTIME=1x >/dev/null
 
+# The pop backend's repair pass alone (BenchmarkRepairTargets: ns/op, B/op,
+# allocs/op, and the moves, steps and candidates of one pass) on merged
+# assignments of the pop_cold-shaped region at k = 2 and the large region at
+# k = 8, both solved in set-up. `make check` runs one iteration of each.
+REPAIR_BENCHTIME ?= 20x
+bench-repair:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkRepairTargets -benchtime $(REPAIR_BENCHTIME) ./internal/solver
+
+bench-repair-smoke:
+	@$(MAKE) --no-print-directory bench-repair REPAIR_BENCHTIME=1x >/dev/null
+
 # Solver/backend benchmarks (ablations + backend comparison).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Record the solver benchmark baseline (the simplex kernel's layers, the
-# 1/2/NumCPU worker and POP k sweeps, then 20 individually timed rounds of
+# 1/2/NumCPU worker sweeps, the POP k sweep and the repair pass three times
+# each at GOMAXPROCS=1, then 20 individually timed rounds of
 # BenchmarkRoundIncremental per mode for its p50 and max) as JSON. The raw Go
 # benchmark lines are preserved under "benchfmt_lines"; extract them with jq
 # for benchstat comparisons against a later run.
 bench-baseline:
 	{ $(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) -count 1 ./internal/lp; \
-	  $(GO) test -run '^$$' -bench BenchmarkBackend -benchtime 3x -count 1 .; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBackend(MIP|LocalSearch)' -benchtime 3x -count 1 .; \
+	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkBackendPOPLarge -benchtime 3x -count 3 .; \
+	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkRepairTargets -benchtime $(REPAIR_BENCHTIME) -count 3 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench BenchmarkRoundIncremental -benchtime 20x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"

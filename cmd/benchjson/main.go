@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,13 +55,15 @@ type Baseline struct {
 // backend at k partitions against the serial MIP baseline on the same large
 // workload (BenchmarkBackendMIPLarge/workers=1). Speedup is the MIP ns/op
 // over the pop ns/op; ObjectiveDeltaPct is the allocation-quality price of
-// partitioning ((pop−mip)/mip·100, positive = worse).
+// partitioning ((pop−mip)/mip·100, positive = worse). Repeated runs of one k
+// (-count) make one row: NsPerOp is their median, NsPerOpRuns every run.
 type POPSweep struct {
-	Partitions        int     `json:"partitions"`
-	NsPerOp           float64 `json:"ns_per_op"`
-	Speedup           float64 `json:"speedup_vs_mip"`
-	Objective         float64 `json:"objective"`
-	ObjectiveDeltaPct float64 `json:"objective_delta_pct"`
+	Partitions        int       `json:"partitions"`
+	NsPerOp           float64   `json:"ns_per_op"`
+	NsPerOpRuns       []float64 `json:"ns_per_op_runs"`
+	Speedup           float64   `json:"speedup_vs_mip"`
+	Objective         float64   `json:"objective"`
+	ObjectiveDeltaPct float64   `json:"objective_delta_pct"`
 }
 
 // RoundIncremental is the derived incremental-model-build summary: the
@@ -213,18 +216,24 @@ func derivePOPKSweep(benches []Bench) []POPSweep {
 		if err != nil {
 			continue
 		}
-		row := POPSweep{
-			Partitions: k,
-			NsPerOp:    b.Metrics["ns/op"],
-			Objective:  b.Metrics["objective"],
+		i := slices.IndexFunc(rows, func(r POPSweep) bool { return r.Partitions == k })
+		if i < 0 {
+			rows = append(rows, POPSweep{Partitions: k, Objective: b.Metrics["objective"]})
+			i = len(rows) - 1
 		}
+		rows[i].NsPerOpRuns = append(rows[i].NsPerOpRuns, b.Metrics["ns/op"])
+	}
+	for i := range rows {
+		row := &rows[i]
+		runs := slices.Clone(row.NsPerOpRuns)
+		slices.Sort(runs)
+		row.NsPerOp = (runs[(len(runs)-1)/2] + runs[len(runs)/2]) / 2
 		if row.NsPerOp > 0 {
 			row.Speedup = mip.Metrics["ns/op"] / row.NsPerOp
 		}
 		if mo := mip.Metrics["objective"]; mo != 0 {
 			row.ObjectiveDeltaPct = (row.Objective - mo) / math.Abs(mo) * 100
 		}
-		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Partitions < rows[j].Partitions })
 	return rows

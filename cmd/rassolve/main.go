@@ -345,8 +345,8 @@ func printCounters(w io.Writer, res *backend.Result) {
 		l.Solves, l.Iterations, l.DualIterations, l.Refactorizations, l.WorkspaceReuses, l.WarmHits, l.ColdFallbacks.Total())
 	fmt.Fprintf(w, "lp-factor: update_etas=%d fill_ins=%d singular_repairs=%d\n", l.UpdateEtas, l.FillIns, l.SingularRepairs)
 	if d := res.POP; d != nil {
-		fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d repair_moves=%d partition_warm_hits=%d partition_warm_misses=%d\n",
-			d.Partitions, len(d.Subs), d.Repair.Moves(), d.WarmPartitions, d.Partitions-d.WarmPartitions)
+		fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d repair_moves=%d repair_steps=%d repair_candidates=%d partition_warm_hits=%d partition_warm_misses=%d\n",
+			d.Partitions, len(d.Subs), d.Repair.Moves(), d.Repair.Steps, d.Repair.Candidates, d.WarmPartitions, d.Partitions-d.WarmPartitions)
 	}
 }
 

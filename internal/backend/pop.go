@@ -57,9 +57,9 @@ type POPDetail struct {
 
 // divideWorkers splits a total worker budget across k sub-solves: each
 // sub-solve gets w/k branch-and-bound workers (floor 1), and enough
-// sub-solves run concurrently to use the budget without oversubscribing
-// (perSub×concurrent ≤ max(w, k... never above k)). Examples: (w=4, k=4) →
-// 1×4; (w=1, k=4) → 1×1; (w=8, k=4) → 2×4; (w=4, k=8) → 1×4.
+// sub-solves run concurrently to use the budget without oversubscribing:
+// perSub×concurrent ≤ max(w, 1), and concurrent ≤ k. Examples: (w=4, k=4)
+// → 1×4; (w=1, k=4) → 1×1; (w=8, k=4) → 2×4; (w=4, k=8) → 1×4.
 func divideWorkers(w, k int) (perSub, concurrent int) {
 	if w < 1 {
 		w = 1

@@ -814,8 +814,16 @@ func serverIDsEqual(a, b []topology.ServerID) bool {
 	return true
 }
 
-// removeSorted removes id from the ascending list, reporting success
-// (insertion reuses repair.go's insertSorted).
+// insertSorted inserts id into an ascending slice, keeping it ascending.
+func insertSorted(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
+	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = id
+	return s
+}
+
+// removeSorted removes id from the ascending list, reporting success.
 func removeSorted(xs *[]topology.ServerID, id topology.ServerID) bool {
 	s := *xs
 	i := sort.Search(len(s), func(k int) bool { return s[k] >= id })

@@ -1,14 +1,16 @@
 package solver
 
 import (
-	"math"
+	"math/bits"
 	"sort"
 
+	"ras/internal/broker"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
 
-// RepairStats counts the moves the cross-partition repair pass applied.
+// RepairStats counts the moves the cross-partition repair pass applied and
+// the work it spent finding them.
 type RepairStats struct {
 	// Acquired counts free servers pulled into a reservation (capacity
 	// shortfalls, expression 6).
@@ -24,6 +26,12 @@ type RepairStats struct {
 	// the merge one reservation can starve while a same-class one holds
 	// more than it needs.
 	Stolen int
+	// Steps counts greedy steps scored, each spec's closing non-improving
+	// step included, and Candidates the candidate moves scored in them: a
+	// cheaper pass shows up as fewer candidates or cheaper steps, a smarter
+	// one as fewer steps.
+	Steps      int
+	Candidates int
 }
 
 // Moves reports the total repair operations.
@@ -54,11 +62,10 @@ const (
 // scarce server class to whichever reservation bid locally) — and apply it
 // only if it strictly lowers the exact combined objective of the touched
 // reservations (spread + buffer + capacity slack + stability + wear deltas).
-// All scans run over index-sorted slices; the pass is a pure function of its
+// Every pick breaks ties by index; the pass is a pure function of its
 // inputs. Shared-buffer and unusable servers are never touched.
 func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	cfg = cfg.withDefaults(in.Region)
-	var stats RepairStats
 
 	// The repaired rows are the same specs Evaluate scores: user
 	// reservations plus the per-type shared-buffer rows. The buffer rows
@@ -90,26 +97,25 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	// Sweep until a full pass applies nothing (bounded): a reservation
 	// trimming its surplus frees servers an earlier-processed reservation's
 	// shortfall can only pick up on the next sweep.
-	free := usableFreeServers(in, targets)
+	p := newRepairPass(&in, &cfg, specs, targets)
 	for sweep := 0; sweep < repairMaxSweeps; sweep++ {
-		before := stats.Moves()
+		before := p.stats.Moves()
 		for _, si := range order {
-			free = repairSpec(in, cfg, targets, specs[si], free, &stats)
+			p.repairSpec(si)
 		}
-		if stats.Moves() == before {
+		if p.stats.Moves() == before {
 			break
 		}
 	}
-	return stats
+	return p.stats
 }
 
-// resView is the mutable per-reservation state the greedy loop updates.
+// resView is a spec's live load: what localCost prices.
 type resView struct {
-	spec    resSpec
-	cr      float64
-	sumMSB  []float64
-	total   float64
-	members [][]topology.ServerID // per MSB, ascending
+	spec   *resSpec
+	cr     float64
+	sumMSB []float64
+	total  float64
 }
 
 // localCost is the reservation's share of the phase-1 objective (stability
@@ -119,473 +125,556 @@ type resView struct {
 // a single move cannot lower τ·max (zero cost delta), but moves that
 // equalize loads strictly shrink the squared sum and walk the plateau until
 // the envelope can actually drop.
-func (v *resView) localCost(cfg Config) (cost, sq float64) {
+func (v *resView) localCost(cfg *Config) (cost, sq float64) {
 	if v.spec.isBuffer {
 		// Buffer rows have no spread goals and no envelope subtraction
 		// (expression 6 reduces to total ≥ C_r): cost is purely the
 		// unmet-capacity penalty, and the plateau tiebreaker is pinned to
 		// zero so cost-neutral churn is never accepted.
-		return cfg.SoftPenalty * math.Max(0, v.cr-v.total), 0
+		return cfg.SoftPenalty * pos(v.cr-v.total), 0
 	}
-	env := 0.0
-	spread := 0.0
+	env, spread, hinge := 0.0, 0.0, v.spec.alphaF*v.cr
 	for _, s := range v.sumMSB {
 		if s > env {
 			env = s
 		}
-		spread += cfg.Beta * math.Max(0, s-v.spec.alphaF*v.cr)
+		spread += cfg.Beta * pos(s-hinge)
 		sq += s * s
 	}
-	return spread + cfg.Tau*env + cfg.SoftPenalty*math.Max(0, v.cr-(v.total-env)), sq
+	return spread + cfg.Tau*env + cfg.SoftPenalty*pos(v.cr-(v.total-env)), sq
 }
 
-// buildView assembles a spec's mutable repair state from the current
-// targets: per-MSB loads and sorted member lists over usable servers the
-// spec values. Every per-type shared-buffer spec shares the SharedBuffer
-// target ID; the specValue filter keeps each view on its own type.
-func buildView(in Input, targets []reservation.ID, spec resSpec) *resView {
-	v := &resView{
-		spec:   spec,
-		cr:     spec.res.RRUs,
-		sumMSB: make([]float64, in.Region.NumMSBs),
+// pos is max(0, x) without math.Max's NaN and signed-zero handling, which
+// costs the pass's inner loop a third of its time.
+func pos(x float64) float64 {
+	if x > 0 {
+		return x
 	}
-	v.members = make([][]topology.ServerID, in.Region.NumMSBs)
-	for i := range in.Region.Servers {
-		if targets[i] != spec.outID || unusable(&in.States[i]) {
+	return 0
+}
+
+// costWith is localCost with x1 added to MSB m1's load, x2 to MSB m2's (m2
+// < 0: none) and both to the total, leaving the view as it was.
+func (v *resView) costWith(cfg *Config, m1 int, x1 float64, m2 int, x2 float64) (cost, sq float64) {
+	s1, s2, t := v.sumMSB[m1], 0.0, v.total
+	v.sumMSB[m1] += x1
+	if m2 >= 0 {
+		s2 = v.sumMSB[m2]
+		v.sumMSB[m2] += x2
+	}
+	v.total += x1 + x2
+	cost, sq = v.localCost(cfg)
+	v.sumMSB[m1], v.total = s1, t
+	if m2 >= 0 {
+		v.sumMSB[m2] = s2
+	}
+	return cost, sq
+}
+
+// repairPass is what one RepairTargets call builds once and keeps in step
+// with every applied move. Usable servers are grouped into classes — one
+// (MSB, hardware type, DC) triple each, so a spec values a class's servers
+// alike — and a class owns a run of words in every bit set, bit b standing
+// for its b-th lowest server ID. Per spec, mem holds the servers targeted
+// to it (valued or not: a donor's server is stealable by whatever the thief
+// values) and home the servers it currently holds; free is the free pool.
+// Every pick — a view's lowest own free server, its lowest foreign member,
+// a donor's lowest stealable server in an MSB — is the first set bit over
+// one MSB's classes, so a step costs O(MSBs × donors × types) lookups plus
+// one O(MSBs) localCost per scored view, and allocates nothing.
+type repairPass struct {
+	in      *Input
+	cfg     *Config
+	targets []reservation.ID
+	specs   []resSpec
+	views   []resView // one per spec, live for the whole pass
+	donors  []int     // specs a steal can take from: guaranteed reservations
+	stats   RepairStats
+
+	nC      int                 // classes
+	words   int                 // words per bit set
+	msbCls  []int               // MSB m's classes are msbCls[m] ≤ c < msbCls[m+1]
+	clsWord []int               // class c's words are clsWord[c] ≤ w < clsWord[c+1]
+	bitSrv  []topology.ServerID // the server behind each bit
+	srvBit  []int32             // each server's bit (-1: unusable)
+	srvCls  []int32             // each server's class
+	val     []float64           // val[s*nC+c]: V_{s,r} of class c under spec s
+	free    []uint64
+	mem     []uint64 // words per spec
+	home    []uint64 // words per spec
+
+	// Within a step the free pool and the views only change by trial, so
+	// a donor's baseline cost and backfill pick, and the stepping spec's
+	// cost with one more server of a class, are computed once per step.
+	step    int          // numbers the greedy steps of the pass
+	donorAt []donorCache // per spec
+	thiefAt []stepCost   // per class
+	pairs   []stealPair
+}
+
+// stepCost is a localCost result and the step it belongs to.
+type stepCost struct {
+	step     int
+	cost, sq float64
+}
+
+// donorCache is what a step learns about a donor at its first steal
+// candidate and reuses at every other MSB.
+type donorCache struct {
+	stepCost // its baseline cost
+	bf       topology.ServerID
+	bfMSB    int
+}
+
+// stealPair is one steal candidate: a donor's lowest server in an MSB.
+type stealPair struct {
+	id    topology.ServerID
+	donor int
+}
+
+func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservation.ID) *repairPass {
+	reg := in.Region
+	nT, nD, nM, nS := reg.Catalog.Len(), reg.NumDCs, reg.NumMSBs, len(specs)
+	p := &repairPass{in: in, cfg: cfg, targets: targets, specs: specs}
+
+	// Classes in (MSB, type, DC) order, so each MSB's classes are adjacent.
+	key := func(srv *topology.Server) int { return (srv.MSB*nT+srv.Type)*nD + srv.DC }
+	keyCls := make([]int32, nM*nT*nD) // class size, then class index
+	for i := range reg.Servers {
+		if !unusable(&in.States[i]) {
+			keyCls[key(&reg.Servers[i])]++
+		}
+	}
+	p.msbCls = make([]int, nM+1)
+	for k, n := range keyCls {
+		if n > 0 {
+			p.nC++
+			p.words += int(n+63) / 64
+			p.msbCls[k/(nT*nD)+1]++
+		}
+	}
+	for m := 0; m < nM; m++ {
+		p.msbCls[m+1] += p.msbCls[m]
+	}
+	p.clsWord = make([]int, p.nC+1)
+	p.val = make([]float64, nS*p.nC)
+	c := 0
+	for k, n := range keyCls {
+		if n == 0 {
 			continue
 		}
-		srv := &in.Region.Servers[i]
-		val := specValue(in, &v.spec, srv.Type, srv.DC)
-		if val <= 0 {
+		p.clsWord[c+1] = p.clsWord[c] + int(n+63)/64
+		for s := range specs {
+			p.val[s*p.nC+c] = specValue(*in, &specs[s], k/nD%nT, k%nD)
+		}
+		keyCls[k] = int32(c)
+		c++
+	}
+
+	// Bits in ascending server ID within each class.
+	p.bitSrv = make([]topology.ServerID, 64*p.words)
+	p.srvBit = make([]int32, len(reg.Servers))
+	p.srvCls = make([]int32, len(reg.Servers))
+	next := make([]int, p.nC)
+	for i := range reg.Servers {
+		p.srvBit[i] = -1
+		if unusable(&in.States[i]) {
 			continue
 		}
-		v.sumMSB[srv.MSB] += val
-		v.total += val
-		v.members[srv.MSB] = append(v.members[srv.MSB], topology.ServerID(i))
+		c := keyCls[key(&reg.Servers[i])]
+		b := 64*p.clsWord[c] + next[c]
+		next[c]++
+		p.srvBit[i], p.srvCls[i], p.bitSrv[b] = int32(b), c, topology.ServerID(i)
 	}
-	return v
+
+	// owner resolves a target or current reservation to the spec whose view
+	// holds the server: a user reservation's own spec, or the shared-buffer
+	// row of the server's type.
+	userSpec := make(map[reservation.ID]int, nS)
+	p.donors = make([]int, 0, nS)
+	bufSpec := make([]int, p.nC)
+	for c := range bufSpec {
+		bufSpec[c] = -1
+	}
+	for s := range specs {
+		if !specs[s].isBuffer {
+			userSpec[specs[s].outID] = s
+			if specs[s].res.RRUs > 0 {
+				p.donors = append(p.donors, s)
+			}
+			continue
+		}
+		for c := range bufSpec {
+			if bufSpec[c] < 0 && p.val[s*p.nC+c] > 0 {
+				bufSpec[c] = s
+			}
+		}
+	}
+	owner := func(id reservation.ID, c int32) int {
+		if id == reservation.SharedBuffer {
+			return bufSpec[c]
+		}
+		if s, ok := userSpec[id]; ok {
+			return s
+		}
+		return -1
+	}
+
+	sets := make([]uint64, (1+2*nS)*p.words)
+	p.free, p.mem, p.home = sets[:p.words], sets[p.words:(1+nS)*p.words], sets[(1+nS)*p.words:]
+	loads := make([]float64, nS*nM)
+	p.views = make([]resView, nS)
+	for s := range specs {
+		p.views[s] = resView{spec: &specs[s], cr: specs[s].res.RRUs, sumMSB: loads[s*nM : (s+1)*nM]}
+	}
+	for i := range reg.Servers {
+		b, c := p.srvBit[i], p.srvCls[i]
+		if b < 0 {
+			continue
+		}
+		if targets[i] == reservation.Unassigned {
+			setBit(p.free, b, true)
+		} else if s := owner(targets[i], c); s >= 0 {
+			setBit(p.setOf(p.mem, s), b, true)
+			p.views[s].add(reg.Servers[i].MSB, p.val[s*p.nC+int(c)])
+		}
+		if s := owner(in.States[i].Current, c); s >= 0 {
+			setBit(p.setOf(p.home, s), b, true)
+		}
+	}
+
+	p.donorAt = make([]donorCache, nS)
+	p.thiefAt = make([]stepCost, p.nC)
+	p.pairs = make([]stealPair, 0, len(p.donors))
+	return p
+}
+
+func setBit(set []uint64, b int32, on bool) {
+	if on {
+		set[b/64] |= 1 << (b % 64)
+	} else {
+		set[b/64] &^= 1 << (b % 64)
+	}
+}
+
+// setOf is spec s's words of a per-spec bit set.
+func (p *repairPass) setOf(sets []uint64, s int) []uint64 {
+	return sets[s*p.words : (s+1)*p.words]
+}
+
+// add puts x on the view's MSB m load and on its total.
+func (v *resView) add(m int, x float64) {
+	v.sumMSB[m] += x
+	v.total += x
+}
+
+func (p *repairPass) value(s int, id topology.ServerID) float64 {
+	return p.val[s*p.nC+int(p.srvCls[id])]
+}
+
+// lowest is the lowest server in MSB m, among the classes spec by values,
+// whose bit is set in set — and, with a mask, set (keep) or clear (!keep)
+// in mask. -1 if there is none.
+func (p *repairPass) lowest(m, by int, set, mask []uint64, keep bool) topology.ServerID {
+	best := topology.ServerID(-1)
+	for c := p.msbCls[m]; c < p.msbCls[m+1]; c++ {
+		if p.val[by*p.nC+c] <= 0 {
+			continue
+		}
+		for w := p.clsWord[c]; w < p.clsWord[c+1]; w++ {
+			x := set[w]
+			if mask != nil && keep {
+				x &= mask[w]
+			} else if mask != nil {
+				x &^= mask[w]
+			}
+			if x != 0 {
+				if id := p.bitSrv[64*w+bits.TrailingZeros64(x)]; best < 0 || id < best {
+					best = id
+				}
+				break
+			}
+		}
+	}
+	return best
+}
+
+// pickAcquire selects the free server spec s values in its least-loaded
+// MSB (ties: lower MSB, then recover-own-current first, then lower ID).
+// Used for the spec's own acquires and for donor backfills in compound
+// steals.
+func (p *repairPass) pickAcquire(s int) (topology.ServerID, int) {
+	load := p.views[s].sumMSB
+	best := -1
+	for m := range load {
+		if (best < 0 || load[m] < load[best]) && p.lowest(m, s, p.free, nil, false) >= 0 {
+			best = m
+		}
+	}
+	if best < 0 {
+		return -1, -1
+	}
+	if id := p.lowest(best, s, p.free, p.setOf(p.home, s), true); id >= 0 {
+		return id, best
+	}
+	return p.lowest(best, s, p.free, nil, false), best
+}
+
+// pickRelease selects a member of spec s's most-loaded MSB (ties: lower
+// MSB; within it, foreign-current members first so releases stay free,
+// then lower ID).
+func (p *repairPass) pickRelease(s int) (topology.ServerID, int) {
+	load, mem := p.views[s].sumMSB, p.setOf(p.mem, s)
+	best := -1
+	for m := range load {
+		if (best < 0 || load[m] > load[best]) && p.lowest(m, s, mem, nil, false) >= 0 {
+			best = m
+		}
+	}
+	if best < 0 {
+		return -1, -1
+	}
+	if id := p.lowest(best, s, mem, p.setOf(p.home, s), false); id >= 0 {
+		return id, best
+	}
+	return p.lowest(best, s, mem, nil, false), best
+}
+
+// moveCost is M_s: what moving the server out of its current reservation
+// costs.
+func (p *repairPass) moveCost(st *broker.ServerState) float64 {
+	if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
+		return p.cfg.MoveCostInUse
+	}
+	return p.cfg.MoveCostIdle
+}
+
+// moveDelta is the stability and wear change of spec s acquiring (or
+// releasing) the server.
+func (p *repairPass) moveDelta(s int, id topology.ServerID, acquiring bool) float64 {
+	st := &p.in.States[id]
+	d := 0.0
+	if st.Current == p.specs[s].outID {
+		// Releasing a current member starts paying M_s; re-acquiring one
+		// stops paying it. Servers current elsewhere already pay their
+		// move either way.
+		if acquiring {
+			d -= p.moveCost(st)
+		} else {
+			d += p.moveCost(st)
+		}
+	}
+	if p.cfg.WearPenalty > 0 && !p.specs[s].isBuffer &&
+		p.in.Region.Catalog.Type(p.in.Region.Servers[id].Type).FlashTB > 0 {
+		if b := wearBucket(st.FlashWear); b > 0 {
+			w := p.cfg.WearPenalty * float64(b)
+			if acquiring {
+				d += w
+			} else {
+				d -= w
+			}
+		}
+	}
+	return d
+}
+
+// Candidate kinds.
+const (
+	moveAcquire = iota
+	moveRelease
+	moveRebalance
+	moveSteal
+	moveStealBackfill // a steal whose donor refills from the free pool
+)
+
+type repairMove struct {
+	kind           int
+	acq, rel, bf   topology.ServerID // a steal's acq is the stolen server
+	donor          int               // a steal's donor spec, which a backfill refills with bf
+	delta, sqDelta float64
+}
+
+// offer counts a scored candidate and keeps it if it beats best.
+// Lexicographic acceptance: a strict cost improvement, or a cost-neutral
+// move that strictly equalizes MSB loads (plateau walking). Both strictly
+// decrease (cost, Σ S²), so the loop cannot cycle. Earlier candidates win
+// ties.
+func (p *repairPass) offer(best *repairMove, c repairMove) {
+	p.stats.Candidates++
+	if !(c.delta < -1e-9 || (c.delta < 1e-9 && c.sqDelta < -1e-9)) {
+		return
+	}
+	if best.kind < 0 || c.delta < best.delta-1e-9 ||
+		(c.delta < best.delta+1e-9 && c.sqDelta < best.sqDelta-1e-9) {
+		*best = c
+	}
 }
 
 // repairSpec runs the greedy loop for one spec (a reservation or one
-// per-type shared-buffer row) and returns the updated free pool.
-func repairSpec(in Input, cfg Config, targets []reservation.ID,
-	spec resSpec, free []topology.ServerID, stats *RepairStats) []topology.ServerID {
-
-	v := buildView(in, targets, spec)
-
-	// value/moveCost/wearCost of a single server under this reservation.
-	value := func(id topology.ServerID) float64 {
-		srv := &in.Region.Servers[id]
-		return specValue(in, &v.spec, srv.Type, srv.DC)
-	}
-	moveDelta := func(id topology.ServerID, acquiring bool) float64 {
-		st := &in.States[id]
-		d := 0.0
-		if st.Current == v.spec.outID {
-			// Releasing a current member starts paying M_s; re-acquiring one
-			// stops paying it. Servers current elsewhere already pay their
-			// move either way.
-			m := cfg.MoveCostIdle
-			if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-				m = cfg.MoveCostInUse
-			}
-			if acquiring {
-				d -= m
-			} else {
-				d += m
-			}
-		}
-		if cfg.WearPenalty > 0 && !v.spec.isBuffer &&
-			in.Region.Catalog.Type(in.Region.Servers[id].Type).FlashTB > 0 {
-			if b := wearBucket(st.FlashWear); b > 0 {
-				w := cfg.WearPenalty * float64(b)
-				if acquiring {
-					d += w
-				} else {
-					d -= w
-				}
-			}
-		}
-		return d
-	}
-
-	// Free servers grouped per MSB (ascending within each), maintained as
-	// moves are applied so every pick scans only one MSB's list.
-	freeByMSB := make([][]topology.ServerID, in.Region.NumMSBs)
-	for _, id := range free {
-		m := in.Region.Servers[id].MSB
-		freeByMSB[m] = append(freeByMSB[m], id)
-	}
-
-	// pickAcquireFor selects the free server the view's spec values in its
-	// least-loaded MSB (ties: lower MSB, then recover-own-current first, then
-	// lower ID). Used for this reservation's acquires and for donor backfills
-	// in compound steals.
-	pickAcquireFor := func(view *resView) (topology.ServerID, int) {
-		viewVal := func(id topology.ServerID) float64 {
-			srv := &in.Region.Servers[id]
-			return specValue(in, &view.spec, srv.Type, srv.DC)
-		}
-		bestMSB, found := -1, false
-		for m := 0; m < in.Region.NumMSBs; m++ {
-			has := false
-			for _, id := range freeByMSB[m] {
-				if viewVal(id) > 0 {
-					has = true
-					break
-				}
-			}
-			if !has {
-				continue
-			}
-			if !found || view.sumMSB[m] < view.sumMSB[bestMSB] {
-				bestMSB, found = m, true
-			}
-		}
-		if !found {
-			return -1, -1
-		}
-		best := topology.ServerID(-1)
-		bestOwn := false
-		for _, id := range freeByMSB[bestMSB] {
-			if viewVal(id) <= 0 {
-				continue
-			}
-			own := in.States[id].Current == view.spec.outID
-			if best < 0 || (own && !bestOwn) {
-				best, bestOwn = id, own
-			}
-		}
-		return best, bestMSB
-	}
-	pickAcquire := func() (topology.ServerID, int) { return pickAcquireFor(v) }
-	// pickRelease selects a member of the most-loaded MSB (ties: lower MSB;
-	// within it, foreign-current members first so releases stay free, then
-	// lower ID).
-	pickRelease := func() (topology.ServerID, int) {
-		bestMSB, found := -1, false
-		for m := 0; m < in.Region.NumMSBs; m++ {
-			if len(v.members[m]) == 0 {
-				continue
-			}
-			if !found || v.sumMSB[m] > v.sumMSB[bestMSB] {
-				bestMSB, found = m, true
-			}
-		}
-		if !found {
-			return -1, -1
-		}
-		best := topology.ServerID(-1)
-		bestForeign := false
-		for _, id := range v.members[bestMSB] {
-			foreign := in.States[id].Current != v.spec.outID
-			if best < 0 || (foreign && !bestForeign) {
-				best, bestForeign = id, foreign
-			}
-		}
-		return best, bestMSB
-	}
-
-	// Steal bookkeeping: servers assigned to other guaranteed reservations
-	// that this spec could use, grouped per MSB (ascending). Donor views are
-	// built lazily and kept in sync as steals are applied, so every steal's
-	// delta includes the donor's exact cost change. Buffer rows use this
-	// too: when a short type has no free stock, the compound variant takes
-	// a member from a reservation that can backfill from the free pool with
-	// a type the buffer row cannot use.
-	donorOf := map[reservation.ID]*reservation.Reservation{}
-	stealByMSB := make([][]topology.ServerID, in.Region.NumMSBs)
-	for ri := range in.Reservations {
-		d := &in.Reservations[ri]
-		if d.Elastic || d.RRUs <= 0 || d.ID == spec.outID {
-			continue
-		}
-		donorOf[d.ID] = d
-	}
-	for i := range in.Region.Servers {
-		if donorOf[targets[i]] == nil || unusable(&in.States[i]) {
-			continue
-		}
-		id := topology.ServerID(i)
-		if value(id) <= 0 {
-			continue
-		}
-		stealByMSB[in.Region.Servers[i].MSB] = append(stealByMSB[in.Region.Servers[i].MSB], id)
-	}
-	donorViews := map[reservation.ID]*resView{}
-	donorView := func(id reservation.ID) *resView {
-		dv := donorViews[id]
-		if dv == nil {
-			d := donorOf[id]
-			dv = buildView(in, targets, newSpec(*d, cfg, false))
-			donorViews[id] = dv
-		}
-		return dv
-	}
-
-	applyAcquire := func(id topology.ServerID, msb int) {
-		targets[id] = v.spec.outID
-		val := value(id)
-		v.sumMSB[msb] += val
-		v.total += val
-		v.members[msb] = insertSorted(v.members[msb], id)
-		free = removeID(free, id)
-		freeByMSB[msb] = removeID(freeByMSB[msb], id)
-	}
-	applyRelease := func(id topology.ServerID, msb int) {
-		targets[id] = reservation.Unassigned
-		val := value(id)
-		v.sumMSB[msb] -= val
-		v.total -= val
-		v.members[msb] = removeID(v.members[msb], id)
-		free = insertSorted(free, id)
-		freeByMSB[msb] = insertSorted(freeByMSB[msb], id)
-	}
-	applySteal := func(id topology.ServerID, msb int) {
-		dv := donorView(targets[id])
-		srv := &in.Region.Servers[id]
-		if dval := specValue(in, &dv.spec, srv.Type, srv.DC); dval > 0 {
-			dv.sumMSB[msb] -= dval
-			dv.total -= dval
-			dv.members[msb] = removeID(dv.members[msb], id)
-		}
-		targets[id] = v.spec.outID
-		val := value(id)
-		v.sumMSB[msb] += val
-		v.total += val
-		v.members[msb] = insertSorted(v.members[msb], id)
-		stealByMSB[msb] = removeID(stealByMSB[msb], id)
-	}
-	// applyDonorAcquire backfills the donor from the free pool after a
-	// compound steal.
-	applyDonorAcquire := func(id topology.ServerID, msb int, donorID reservation.ID) {
-		dv := donorView(donorID)
-		srv := &in.Region.Servers[id]
-		bval := specValue(in, &dv.spec, srv.Type, srv.DC)
-		dv.sumMSB[msb] += bval
-		dv.total += bval
-		dv.members[msb] = insertSorted(dv.members[msb], id)
-		targets[id] = donorID
-		free = removeID(free, id)
-		freeByMSB[msb] = removeID(freeByMSB[msb], id)
-		if value(id) > 0 {
-			stealByMSB[msb] = insertSorted(stealByMSB[msb], id)
-		}
-	}
-
+// per-type shared-buffer row).
+func (p *repairPass) repairSpec(s int) {
+	v, cfg := &p.views[s], p.cfg
 	for step := 0; step < repairBudgetPerRes; step++ {
+		p.step++
+		p.stats.Steps++
 		curCost, curSq := v.localCost(cfg)
+		best := repairMove{kind: -1}
 
-		type candidate struct {
-			kind    int // 0 acquire, 1 release, 2 rebalance, 3 steal, 4 steal+backfill
-			acq     topology.ServerID
-			acqMSB  int
-			rel     topology.ServerID
-			relMSB  int
-			donor   reservation.ID    // kinds 3–4: reservation the server leaves
-			bf      topology.ServerID // kind 4: free server the donor takes instead
-			bfMSB   int
-			delta   float64
-			sqDelta float64
-			counted *int
-		}
-		var cands []candidate
-		// try scores one candidate by temporarily applying its load change:
-		// delta is the exact local objective change (including the server
-		// move/wear costs), sqDelta the plateau tiebreaker change.
-		try := func(c candidate, moveCost float64, apply, undo func()) {
-			apply()
-			cost, sq := v.localCost(cfg)
-			undo()
-			c.delta = cost - curCost + moveCost
-			c.sqDelta = sq - curSq
-			cands = append(cands, c)
-		}
-
-		acqID, acqMSB := pickAcquire()
-		relID, relMSB := pickRelease()
+		acqID, acqMSB := p.pickAcquire(s)
+		relID, relMSB := p.pickRelease(s)
+		var av, rv float64
 		if acqID >= 0 {
-			av := value(acqID)
-			try(candidate{kind: 0, acq: acqID, acqMSB: acqMSB, counted: &stats.Acquired},
-				moveDelta(acqID, true),
-				func() { v.sumMSB[acqMSB] += av; v.total += av },
-				func() { v.sumMSB[acqMSB] -= av; v.total -= av })
+			av = p.value(s, acqID)
+			cost, sq := v.costWith(cfg, acqMSB, av, -1, 0)
+			p.offer(&best, repairMove{kind: moveAcquire, acq: acqID,
+				delta: cost - curCost + p.moveDelta(s, acqID, true), sqDelta: sq - curSq})
 		}
 		if relID >= 0 {
-			rv := value(relID)
-			try(candidate{kind: 1, rel: relID, relMSB: relMSB, counted: &stats.Released},
-				moveDelta(relID, false),
-				func() { v.sumMSB[relMSB] -= rv; v.total -= rv },
-				func() { v.sumMSB[relMSB] += rv; v.total += rv })
+			rv = p.value(s, relID)
+			cost, sq := v.costWith(cfg, relMSB, -rv, -1, 0)
+			p.offer(&best, repairMove{kind: moveRelease, rel: relID,
+				delta: cost - curCost + p.moveDelta(s, relID, false), sqDelta: sq - curSq})
 		}
 		if acqID >= 0 && relID >= 0 && acqMSB != relMSB {
-			av, rv := value(acqID), value(relID)
-			try(candidate{kind: 2, acq: acqID, acqMSB: acqMSB, rel: relID, relMSB: relMSB, counted: &stats.Rebalanced},
-				moveDelta(acqID, true)+moveDelta(relID, false),
-				func() { v.sumMSB[acqMSB] += av; v.sumMSB[relMSB] -= rv; v.total += av - rv },
-				func() { v.sumMSB[acqMSB] -= av; v.sumMSB[relMSB] += rv; v.total -= av - rv })
+			cost, sq := v.costWith(cfg, acqMSB, av, relMSB, -rv)
+			p.offer(&best, repairMove{kind: moveRebalance, acq: acqID, rel: relID,
+				delta: cost - curCost + (p.moveDelta(s, acqID, true) + p.moveDelta(s, relID, false)), sqDelta: sq - curSq})
 		}
-		// bfPick caches each donor's backfill pick for this step: the free
-		// pool and the donor views only change when a move is applied, so
-		// one pickAcquireFor per donor covers every MSB's compound variant.
-		bfOf := map[reservation.ID]topology.ServerID{}
-		bfMSBOf := map[reservation.ID]int{}
-		bfPick := func(donorID reservation.ID) (topology.ServerID, int) {
-			if id, ok := bfOf[donorID]; ok {
-				return id, bfMSBOf[donorID]
-			}
-			id, msb := pickAcquireFor(donorView(donorID))
-			bfOf[donorID], bfMSBOf[donorID] = id, msb
-			return id, msb
-		}
-		// Steal candidates: one per (MSB, donor) pair in the steal pool —
-		// the donor's lowest-ID stealable server there — each scored with
-		// the exact combined change of both touched reservations plus the
-		// server's stability change (wear is per-assigned-server, so a
-		// transfer leaves it unchanged). Scanning every pair matters: the
-		// only acceptable steal is often one from the donor's most-loaded
-		// MSB, where its total and envelope drop together and its
-		// embedded-buffer row keeps its slack — a single least-loaded-MSB
-		// pick never generates it. Each pair also offers a compound variant
-		// where the donor immediately backfills from the free pool: the
-		// chain that routes capacity across eligibility classes (the stolen
-		// server's class is contested, the backfill's is not). The global
-		// potential Σ(cost, Σ S²) still strictly decreases on acceptance,
-		// so sweeps cannot cycle through mutual theft.
-		var stealDonors []reservation.ID // per-step dedup, reset per MSB
-		for stealMSB := 0; stealMSB < in.Region.NumMSBs; stealMSB++ {
-			stealDonors = stealDonors[:0]
-			for _, stealID := range stealByMSB[stealMSB] {
-				donorID := targets[stealID]
-				dup := false
-				for _, d := range stealDonors {
-					if d == donorID {
-						dup = true
-						break
-					}
-				}
-				if dup {
+		// Steal candidates: one per (MSB, donor) pair — the donor's lowest
+		// server there that this spec values, donors in order of that ID.
+		// Scanning every pair matters: the only acceptable steal is often
+		// one from the donor's most-loaded MSB, where its total and envelope
+		// drop together and its embedded-buffer row keeps its slack — a
+		// single least-loaded-MSB pick never generates it. Buffer rows steal
+		// too: when a short type has no free stock, the compound variant
+		// takes a member from a reservation that can backfill from the free
+		// pool with a type the buffer row cannot use.
+		for m := range v.sumMSB {
+			pairs := p.pairs[:0]
+			for _, d := range p.donors {
+				if p.specs[d].outID == v.spec.outID {
 					continue
 				}
-				stealDonors = append(stealDonors, donorID)
-				dv := donorView(donorID)
-				srv := &in.Region.Servers[stealID]
-				dval := specValue(in, &dv.spec, srv.Type, srv.DC)
-				av := value(stealID)
-				dCost0, dSq0 := dv.localCost(cfg)
-				dv.sumMSB[stealMSB] -= dval
-				dv.total -= dval
-				dCost1, dSq1 := dv.localCost(cfg)
-				bfID, bfMSB := bfPick(donorID)
-				dCost2, dSq2, bfMove := 0.0, 0.0, 0.0
-				if bfID >= 0 {
-					bsrv := &in.Region.Servers[bfID]
-					bval := specValue(in, &dv.spec, bsrv.Type, bsrv.DC)
-					dv.sumMSB[bfMSB] += bval
-					dv.total += bval
-					dCost2, dSq2 = dv.localCost(cfg)
-					dv.sumMSB[bfMSB] -= bval
-					dv.total -= bval
-					bst := &in.States[bfID]
-					if bst.Current == donorID {
-						bm := cfg.MoveCostIdle
-						if bst.Containers > 0 && bst.LoanedTo == reservation.Unassigned {
-							bm = cfg.MoveCostInUse
-						}
-						bfMove -= bm // donor recovers its own server: move charge ends
-					}
-					if cfg.WearPenalty > 0 && in.Region.Catalog.Type(bsrv.Type).FlashTB > 0 {
-						if b := wearBucket(bst.FlashWear); b > 0 {
-							bfMove += cfg.WearPenalty * float64(b)
-						}
-					}
+				id := p.lowest(m, s, p.setOf(p.mem, d), nil, false)
+				if id < 0 {
+					continue
 				}
-				dv.sumMSB[stealMSB] += dval
-				dv.total += dval
-				st := &in.States[stealID]
-				m := cfg.MoveCostIdle
-				if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-					m = cfg.MoveCostInUse
+				i := len(pairs)
+				pairs = append(pairs, stealPair{})
+				for ; i > 0 && pairs[i-1].id > id; i-- {
+					pairs[i] = pairs[i-1]
 				}
-				stab := 0.0
-				switch st.Current {
-				case v.spec.outID:
-					stab = -m // coming home: its move charge disappears
-				case donorID:
-					stab = +m // leaving its home reservation: a new move
-				}
-				try(candidate{kind: 3, acq: stealID, acqMSB: stealMSB, donor: donorID, counted: &stats.Stolen},
-					(dCost1-dCost0)+stab,
-					func() { v.sumMSB[stealMSB] += av; v.total += av },
-					func() { v.sumMSB[stealMSB] -= av; v.total -= av })
-				// Fold the donor's tiebreaker change in as well so plateau
-				// comparisons stay globally consistent.
-				cands[len(cands)-1].sqDelta += dSq1 - dSq0
-				if bfID >= 0 {
-					try(candidate{kind: 4, acq: stealID, acqMSB: stealMSB, donor: donorID,
-						bf: bfID, bfMSB: bfMSB, counted: &stats.Stolen},
-						(dCost2-dCost0)+stab+bfMove,
-						func() { v.sumMSB[stealMSB] += av; v.total += av },
-						func() { v.sumMSB[stealMSB] -= av; v.total -= av })
-					cands[len(cands)-1].sqDelta += dSq2 - dSq0
-				}
+				pairs[i] = stealPair{id, d}
+			}
+			for _, sp := range pairs {
+				p.offerSteal(s, m, sp, curCost, curSq, &best)
 			}
 		}
 
-		// Lexicographic acceptance: a strict cost improvement, or a
-		// cost-neutral move that strictly equalizes MSB loads (plateau
-		// walking). Both strictly decrease (cost, Σ S²), so the loop cannot
-		// cycle.
-		best := -1
-		for ci := range cands {
-			c := &cands[ci]
-			improving := c.delta < -1e-9 || (c.delta < 1e-9 && c.sqDelta < -1e-9)
-			if !improving {
-				continue
+		switch best.kind {
+		case -1:
+			return
+		case moveAcquire:
+			p.acquire(s, best.acq)
+			p.stats.Acquired++
+		case moveRelease:
+			p.release(s, best.rel)
+			p.stats.Released++
+		case moveRebalance:
+			p.release(s, best.rel)
+			p.acquire(s, best.acq)
+			p.stats.Rebalanced++
+		default:
+			p.steal(s, best.donor, best.acq)
+			p.stats.Stolen++
+			if best.kind == moveStealBackfill {
+				p.acquire(best.donor, best.bf)
+				p.stats.Acquired++ // the backfill half of the compound move
 			}
-			if best < 0 || c.delta < cands[best].delta-1e-9 ||
-				(c.delta < cands[best].delta+1e-9 && c.sqDelta < cands[best].sqDelta-1e-9) {
-				best = ci
-			}
 		}
-		if best < 0 {
-			return free
-		}
-		c := cands[best]
-		switch c.kind {
-		case 0:
-			applyAcquire(c.acq, c.acqMSB)
-		case 1:
-			applyRelease(c.rel, c.relMSB)
-		case 2:
-			applyRelease(c.rel, c.relMSB)
-			applyAcquire(c.acq, c.acqMSB)
-		case 3:
-			applySteal(c.acq, c.acqMSB)
-		case 4:
-			applySteal(c.acq, c.acqMSB)
-			applyDonorAcquire(c.bf, c.bfMSB, c.donor)
-			stats.Acquired++ // the backfill half of the compound move
-		}
-		*c.counted++
 	}
-	return free
 }
 
-// insertSorted inserts id into an ascending slice, keeping it ascending.
-func insertSorted(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
+// offerSteal scores stealing sp.id from donor sp.donor in MSB m, plain and
+// with the donor's backfill, each with the exact combined change of both
+// touched reservations plus the server's stability change (wear is
+// per-assigned-server, so a transfer leaves it unchanged). The compound
+// variant is the chain that routes capacity across eligibility classes
+// (the stolen server's class is contested, the backfill's is not). The
+// donor's tiebreaker change is folded in too, so the global potential
+// Σ(cost, Σ S²) still strictly decreases on acceptance and sweeps cannot
+// cycle through mutual theft.
+func (p *repairPass) offerSteal(s, m int, sp stealPair, curCost, curSq float64, best *repairMove) {
+	v, d, cfg := &p.views[s], sp.donor, p.cfg
+	dv := &p.views[d]
+	dc := &p.donorAt[d]
+	first := dc.step != p.step
+	if first {
+		dc.step = p.step
+		dc.cost, dc.sq = dv.localCost(cfg)
+	}
+	dCost0, dSq0 := dc.cost, dc.sq
+
+	dval := p.value(d, sp.id)
+	sm, st := dv.sumMSB[m], dv.total
+	dv.sumMSB[m] -= dval
+	dv.total -= dval
+	dCost1, dSq1 := dv.localCost(cfg)
+	if first {
+		// Picked with the load of this first MSB already lowered.
+		dc.bf, dc.bfMSB = p.pickAcquire(d)
+	}
+	bfID, bfMSB := dc.bf, dc.bfMSB
+	dCost2, dSq2, bfMove := 0.0, 0.0, 0.0
+	if bfID >= 0 {
+		dCost2, dSq2 = dv.costWith(cfg, bfMSB, p.value(d, bfID), -1, 0)
+		bfMove = p.moveDelta(d, bfID, true)
+	}
+	dv.sumMSB[m], dv.total = sm, st
+
+	stab := 0.0
+	switch cur := &p.in.States[sp.id]; cur.Current {
+	case v.spec.outID:
+		stab = -p.moveCost(cur) // coming home: its move charge disappears
+	case p.specs[d].outID:
+		stab = +p.moveCost(cur) // leaving its home reservation: a new move
+	}
+	tc := &p.thiefAt[p.srvCls[sp.id]]
+	if tc.step != p.step {
+		tc.step = p.step
+		tc.cost, tc.sq = v.costWith(cfg, m, p.value(s, sp.id), -1, 0)
+	}
+	cost, sq := tc.cost, tc.sq
+	p.offer(best, repairMove{kind: moveSteal, acq: sp.id, donor: d,
+		delta: cost - curCost + ((dCost1 - dCost0) + stab), sqDelta: sq - curSq + (dSq1 - dSq0)})
+	if bfID >= 0 {
+		p.offer(best, repairMove{kind: moveStealBackfill, acq: sp.id, donor: d, bf: bfID,
+			delta: cost - curCost + ((dCost2 - dCost0) + stab + bfMove), sqDelta: sq - curSq + (dSq2 - dSq0)})
+	}
 }
 
-// removeID removes id from an ascending slice (no-op if absent).
-func removeID(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
+// acquire moves a free server into spec s.
+func (p *repairPass) acquire(s int, id topology.ServerID) {
+	p.targets[id] = p.specs[s].outID
+	setBit(p.free, p.srvBit[id], false)
+	setBit(p.setOf(p.mem, s), p.srvBit[id], true)
+	p.views[s].add(p.in.Region.Servers[id].MSB, p.value(s, id))
+}
+
+// release returns a member of spec s to the free pool.
+func (p *repairPass) release(s int, id topology.ServerID) {
+	p.targets[id] = reservation.Unassigned
+	setBit(p.setOf(p.mem, s), p.srvBit[id], false)
+	setBit(p.free, p.srvBit[id], true)
+	p.views[s].add(p.in.Region.Servers[id].MSB, -p.value(s, id))
+}
+
+// steal moves a server from donor spec d to spec s.
+func (p *repairPass) steal(s, d int, id topology.ServerID) {
+	m := p.in.Region.Servers[id].MSB
+	setBit(p.setOf(p.mem, d), p.srvBit[id], false)
+	p.views[d].add(m, -p.value(d, id))
+	p.targets[id] = p.specs[s].outID
+	setBit(p.setOf(p.mem, s), p.srvBit[id], true)
+	p.views[s].add(m, p.value(s, id))
 }
