@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
 
-check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke
+check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -85,21 +85,34 @@ bench-repair:
 bench-repair-smoke:
 	@$(MAKE) --no-print-directory bench-repair REPAIR_BENCHTIME=1x >/dev/null
 
+# The online path alone on the round benchmark's 1,728-server region filled
+# to 60 %: BenchmarkPlace (one container placed and stopped) and
+# BenchmarkApplyTargets (a quiet round's 0–4 pending moves), ns/op, B/op and
+# allocs/op. `make check` runs one iteration of each.
+ONLINE_BENCHTIME ?= 20000x
+bench-online:
+	$(GO) test -run '^$$' -bench 'BenchmarkPlace|BenchmarkApplyTargets' -benchtime $(ONLINE_BENCHTIME) ./internal/allocator ./internal/mover
+
+bench-online-smoke:
+	@$(MAKE) --no-print-directory bench-online ONLINE_BENCHTIME=1x >/dev/null
+
 # Solver/backend benchmarks (ablations + backend comparison).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Record the solver benchmark baseline (the simplex kernel's layers, the
 # 1/2/NumCPU worker sweeps, the POP k sweep and the repair pass three times
-# each at GOMAXPROCS=1, then 20 individually timed rounds of
-# BenchmarkRoundIncremental per mode for its p50 and max) as JSON. The raw Go
-# benchmark lines are preserved under "benchfmt_lines"; extract them with jq
-# for benchstat comparisons against a later run.
+# each at GOMAXPROCS=1, the online path's two benchmarks, then 20
+# individually timed rounds of BenchmarkRoundIncremental per mode for its p50
+# and max) as JSON. The raw Go benchmark lines are preserved under
+# "benchfmt_lines"; extract them with jq for benchstat comparisons against a
+# later run.
 bench-baseline:
 	{ $(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) -count 1 ./internal/lp; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBackend(MIP|LocalSearch)' -benchtime 3x -count 1 .; \
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkBackendPOPLarge -benchtime 3x -count 3 .; \
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkRepairTargets -benchtime $(REPAIR_BENCHTIME) -count 3 ./internal/solver; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPlace|BenchmarkApplyTargets' -benchtime $(ONLINE_BENCHTIME) -count 1 ./internal/allocator ./internal/mover; \
 	  $(GO) test -run '^$$' -bench BenchmarkRoundIncremental -benchtime 20x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"

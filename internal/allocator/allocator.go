@@ -49,9 +49,12 @@ type Allocator struct {
 	broker *broker.Broker
 	// capacity per server in allocation units (stacking limit).
 	unitsPerServer int
-	used           map[topology.ServerID]int
-	containers     map[ContainerID]*Container
-	nextID         ContainerID
+	// used and count are indexed by ServerID: the allocation units and the
+	// number of containers on each server of the region.
+	used       []int
+	count      []int
+	containers map[ContainerID]*Container
+	nextID     ContainerID
 	// placements counts successful placements (metrics).
 	placements int
 	evictions  int
@@ -64,10 +67,12 @@ func New(b *broker.Broker, unitsPerServer int) *Allocator {
 	if unitsPerServer <= 0 {
 		unitsPerServer = 8
 	}
+	n := len(b.Region().Servers)
 	return &Allocator{
 		broker:         b,
 		unitsPerServer: unitsPerServer,
-		used:           make(map[topology.ServerID]int),
+		used:           make([]int, n),
+		count:          make([]int, n),
 		containers:     make(map[ContainerID]*Container),
 	}
 }
@@ -89,32 +94,20 @@ func (a *Allocator) place(res reservation.ID, job string, units int, exclude top
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
+	// The reservation's placeable servers are the ones it owns and has not
+	// loaned out, plus the ones it borrows; they are read in place, in
+	// ascending ID order, so the first most-loaded one wins ties.
 	best := topology.ServerID(-1)
 	bestUsed := -1
-	consider := func(id topology.ServerID, st *broker.ServerState) {
-		if st.Unavail != broker.Available {
+	a.broker.ScanReservation(res, func(st *broker.ServerState) {
+		placeable := st.Current == res && st.LoanedTo == reservation.Unassigned || st.LoanedTo == res
+		if !placeable || st.ID == exclude || st.Unavail != broker.Available {
 			return
 		}
-		u := a.used[id]
-		if u+units > a.unitsPerServer {
-			return
+		if u := a.used[st.ID]; u+units <= a.unitsPerServer && u > bestUsed {
+			bestUsed, best = u, st.ID
 		}
-		if u > bestUsed {
-			bestUsed, best = u, id
-		}
-	}
-	snap := a.broker.Snapshot()
-	for i := range snap {
-		st := &snap[i]
-		if st.ID == exclude {
-			continue
-		}
-		owned := st.Current == res && st.LoanedTo == reservation.Unassigned
-		borrowed := st.LoanedTo == res
-		if owned || borrowed {
-			consider(st.ID, st)
-		}
-	}
+	})
 	if best < 0 {
 		return 0, ErrNoCapacity
 	}
@@ -122,20 +115,10 @@ func (a *Allocator) place(res reservation.ID, job string, units int, exclude top
 	c := &Container{ID: a.nextID, Job: job, Res: res, Server: best, Units: units}
 	a.containers[c.ID] = c
 	a.used[best] += units
+	a.count[best]++
 	a.placements++
-	a.broker.SetContainers(best, a.countOn(best))
+	a.broker.SetContainers(best, a.count[best])
 	return c.ID, nil
-}
-
-// countOn counts containers on a server (mu held).
-func (a *Allocator) countOn(id topology.ServerID) int {
-	n := 0
-	for _, c := range a.containers {
-		if c.Server == id {
-			n++
-		}
-	}
-	return n
 }
 
 // Stop removes a container.
@@ -148,10 +131,8 @@ func (a *Allocator) Stop(id ContainerID) error {
 	}
 	delete(a.containers, id)
 	a.used[c.Server] -= c.Units
-	if a.used[c.Server] <= 0 {
-		delete(a.used, c.Server)
-	}
-	a.broker.SetContainers(c.Server, a.countOn(c.Server))
+	a.count[c.Server]--
+	a.broker.SetContainers(c.Server, a.count[c.Server])
 	return nil
 }
 
@@ -209,7 +190,7 @@ func (a *Allocator) Evict(id topology.ServerID) []Container {
 		delete(a.containers, c.ID)
 		a.evictions++
 	}
-	delete(a.used, id)
+	a.used[id], a.count[id] = 0, 0
 	a.mu.Unlock()
 	a.broker.SetContainers(id, 0)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -241,13 +222,10 @@ func (a *Allocator) FreeUnits(res reservation.ID) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	total := 0
-	snap := a.broker.Snapshot()
-	for i := range snap {
-		st := &snap[i]
-		if st.Current != res || st.LoanedTo != reservation.Unassigned || st.Unavail != broker.Available {
-			continue
+	a.broker.ScanReservation(res, func(st *broker.ServerState) {
+		if st.Current == res && st.LoanedTo == reservation.Unassigned && st.Unavail == broker.Available {
+			total += a.unitsPerServer - a.used[st.ID]
 		}
-		total += a.unitsPerServer - a.used[st.ID]
-	}
+	})
 	return total
 }

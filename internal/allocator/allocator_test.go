@@ -7,6 +7,7 @@ import (
 	"ras/internal/broker"
 	"ras/internal/reservation"
 	"ras/internal/topology"
+	"ras/internal/workload"
 )
 
 func setup(t testing.TB) (*broker.Broker, *Allocator) {
@@ -182,5 +183,88 @@ func TestStopMissing(t *testing.T) {
 	}
 	if _, err := a.Get(42); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get missing: %v", err)
+	}
+}
+
+// benchSpec is the round benchmark's region: 3×4×6×24, 1,728 servers.
+var benchSpec = topology.GenSpec{DCs: 3, MSBsPerDC: 4, RacksPerMSB: 6, ServersPerRack: 24, Seed: 9}
+
+// filledRegion binds 70 % of the region's servers to eight reservations in
+// ID blocks, puts every 50th server in the shared buffer, leaves the rest
+// free, and fills every reservation to 60 % of its stacking units with the
+// round benchmark's container sizes, the way its set-up does.
+func filledRegion(tb testing.TB, spec topology.GenSpec) (*Allocator, []reservation.ID) {
+	tb.Helper()
+	region, err := topology.Generate(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := broker.New(region)
+	n := len(region.Servers)
+	for i := 0; i < n; i++ {
+		switch {
+		case i%50 == 7:
+			b.SetCurrent(topology.ServerID(i), reservation.SharedBuffer)
+		case i%10 < 7:
+			b.SetCurrent(topology.ServerID(i), reservation.ID(i*8/n))
+		}
+	}
+	a := New(b, 8)
+	gen := workload.NewContainerGen(8, 9)
+	ids := make([]reservation.ID, 8)
+	for r := range ids {
+		ids[r] = reservation.ID(r)
+		want := len(b.ServersIn(ids[r])) * 8 * 6 / 10
+		for used := 0; used < want; {
+			units := gen.Next()
+			if _, err := a.Place(ids[r], "job", units); err != nil {
+				break
+			}
+			used += units
+		}
+	}
+	return a, ids
+}
+
+// TestPlaceAllocs pins a placement to the one container it creates, on a
+// 48-server region and on the 1,728-server one alike: Place reads the
+// broker in place and never copies the region.
+func TestPlaceAllocs(t *testing.T) {
+	for _, spec := range []topology.GenSpec{{DCs: 1, MSBsPerDC: 2, RacksPerMSB: 3, ServersPerRack: 8, Seed: 9}, benchSpec} {
+		a, ids := filledRegion(t, spec)
+		place := func() {
+			id, err := a.Place(ids[1], "job", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Stop(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8192; i++ {
+			place() // let the broker's journal reach its steady capacity
+		}
+		if n := testing.AllocsPerRun(100, place); n != 1 {
+			t.Fatalf("%d servers: Place and Stop allocate %v objects, want 1 (the container)", len(a.used), n)
+		}
+	}
+}
+
+// BenchmarkPlace places one container of the round benchmark's sizes in
+// each reservation in turn on the filled 1,728-server region, and stops it
+// again so that the region stays at 60 %.
+func BenchmarkPlace(b *testing.B) {
+	a, ids := filledRegion(b, benchSpec)
+	gen := workload.NewContainerGen(8, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := a.Place(ids[i%len(ids)], "job", gen.Next())
+		if err == nil {
+			err = a.Stop(id)
+		}
+		if err != nil && !errors.Is(err, ErrNoCapacity) {
+			b.Fatal(err)
+		}
 	}
 }

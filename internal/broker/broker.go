@@ -323,6 +323,32 @@ func (b *Broker) SnapshotAt() ([]ServerState, uint64) {
 	return append([]ServerState(nil), b.states...), b.version
 }
 
+// Scan calls visit with every server's record in ascending ID order, in
+// place under the read lock: the online path's read, which never copies the
+// region. visit filters and reads; it must not retain st, write through it,
+// or call into the broker (the lock is held), so a caller that acts on what
+// it finds collects the IDs first and acts after Scan returns.
+func (b *Broker) Scan(visit func(st *ServerState)) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for i := range b.states {
+		visit(&b.states[i])
+	}
+}
+
+// ScanReservation is Scan restricted to the servers res owns or borrows
+// (Current or LoanedTo is res), filtered inside the loop so that the rest of
+// the region costs no call.
+func (b *Broker) ScanReservation(res reservation.ID, visit func(st *ServerState)) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for i := range b.states {
+		if st := &b.states[i]; st.Current == res || st.LoanedTo == res {
+			visit(st)
+		}
+	}
+}
+
 // ServersIn lists the servers currently bound to res, including loaned-out
 // buffer servers (their Current still names the owning reservation).
 func (b *Broker) ServersIn(res reservation.ID) []topology.ServerID {

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -184,5 +185,36 @@ func TestKindStrings(t *testing.T) {
 	}
 	if UnavailKind(9).String() == "" {
 		t.Error("unknown kind must stringify")
+	}
+}
+
+// TestScanInPlace checks both in-place reads: Scan visits every record in
+// ascending ID order, ScanReservation exactly the servers a reservation owns
+// or borrows, and neither allocates.
+func TestScanInPlace(t *testing.T) {
+	b := testBroker(t)
+	b.SetCurrent(2, 5)
+	b.SetCurrent(7, 5)
+	b.SetLoan(7, 9) // owned by 5, lent to 9
+	b.SetCurrent(4, reservation.SharedBuffer)
+	b.SetLoan(4, 5) // borrowed by 5
+	var all, in5 []topology.ServerID
+	b.Scan(func(st *ServerState) { all = append(all, st.ID) })
+	b.ScanReservation(5, func(st *ServerState) { in5 = append(in5, st.ID) })
+	if len(all) != len(b.Region().Servers) {
+		t.Fatalf("Scan visited %d of %d servers", len(all), len(b.Region().Servers))
+	}
+	for i, id := range all {
+		if id != topology.ServerID(i) {
+			t.Fatalf("Scan visited %v, want ascending IDs", all)
+		}
+	}
+	if want := []topology.ServerID{2, 4, 7}; !slices.Equal(in5, want) {
+		t.Fatalf("ScanReservation(5) visited %v, want %v", in5, want)
+	}
+	n := 0
+	count := func(*ServerState) { n++ }
+	if allocs := testing.AllocsPerRun(10, func() { b.Scan(count); b.ScanReservation(5, count) }); allocs != 0 {
+		t.Fatalf("scans allocate %v objects, want 0", allocs)
 	}
 }

@@ -15,8 +15,6 @@
 package mover
 
 import (
-	"sort"
-
 	"ras/internal/allocator"
 	"ras/internal/broker"
 	"ras/internal/hardware"
@@ -33,6 +31,7 @@ type Stats struct {
 	ReplacementMiss int // failures with no eligible buffer server
 	Loans           int // servers loaned to elastic reservations
 	Revocations     int // loans revoked for failure handling
+	Unplaced        int // preempted containers with no room left in their reservation
 	FailedReplace   []topology.ServerID
 }
 
@@ -70,21 +69,23 @@ func (m *Mover) profileOf(id reservation.ID) string {
 	return r.HostProfile
 }
 
-// ApplyTargets walks the broker and moves every server whose target binding
-// differs from its current one: preempt → clean up → reconfigure → rebind
-// (§3.2). It returns the number of servers moved.
+// ApplyTargets moves every server whose target binding differs from its
+// current one: preempt → clean up → reconfigure → rebind (§3.2). One in-place
+// scan finds them; each server's state is read again when it moves, because
+// an earlier move of the pass may have rescheduled containers onto it. It
+// returns the number of servers moved.
 func (m *Mover) ApplyTargets(now int64) int {
-	snap := m.broker.Snapshot()
-	moved := 0
-	for i := range snap {
-		st := &snap[i]
-		if st.Target == st.Current {
-			continue
+	var pending []topology.ServerID
+	m.broker.Scan(func(st *broker.ServerState) {
+		if st.Target != st.Current {
+			pending = append(pending, st.ID)
 		}
-		m.moveServer(st, st.Target)
-		moved++
+	})
+	for _, id := range pending {
+		st := m.broker.State(id)
+		m.moveServer(&st, st.Target)
 	}
-	return moved
+	return len(pending)
 }
 
 // moveServer executes one ownership change.
@@ -92,7 +93,7 @@ func (m *Mover) moveServer(st *broker.ServerState, to reservation.ID) {
 	inUse := st.Containers > 0 && st.LoanedTo == reservation.Unassigned
 	if m.alloc != nil && st.Containers > 0 {
 		// Preempt: reschedule the containers inside their own reservation.
-		m.alloc.Reschedule(st.ID)
+		m.reschedule(st.ID)
 	}
 	if m.profileOf(st.Current) != m.profileOf(to) {
 		m.stats.ProfileSwitches++
@@ -107,6 +108,12 @@ func (m *Mover) moveServer(st *broker.ServerState, to reservation.ID) {
 	m.broker.SetCurrent(st.ID, to)
 }
 
+// reschedule moves the server's containers to other servers of their own
+// reservations, counting the ones that found no room.
+func (m *Mover) reschedule(id topology.ServerID) {
+	m.stats.Unplaced += len(m.alloc.Reschedule(id))
+}
+
 // HandleFailure reacts to one unavailability event. Random and ToR failures
 // of servers inside guaranteed reservations are replaced from the shared
 // buffer within the minute; correlated failures need no action (embedded
@@ -116,7 +123,7 @@ func (m *Mover) HandleFailure(ev broker.Event, now int64) {
 	case broker.RandomFailure, broker.ToRFailure:
 		st := m.broker.State(ev.Server)
 		if m.alloc != nil && st.Containers > 0 {
-			m.alloc.Reschedule(ev.Server) // containers flee the dead server
+			m.reschedule(ev.Server) // containers flee the dead server
 		}
 		if st.Current < 0 {
 			return // free pool or buffer server failed: nothing to replace
@@ -125,7 +132,7 @@ func (m *Mover) HandleFailure(ev broker.Event, now int64) {
 	case broker.CorrelatedFailure:
 		// Embedded buffers absorb this; the allocator simply reschedules.
 		if m.alloc != nil {
-			m.alloc.Reschedule(ev.Server)
+			m.reschedule(ev.Server)
 		}
 	case broker.Available:
 		// Recovered server stays where it is; the next solve rebalances.
@@ -143,51 +150,42 @@ func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID)
 	}
 	failedType := m.region.Servers[failed].Type
 
-	snap := m.broker.Snapshot()
-	type cand struct {
-		id     topology.ServerID
-		loaned bool
-		same   bool // same hardware type as the failed server
-	}
-	var cands []cand
-	for i := range snap {
-		st := &snap[i]
+	// Prefer identical hardware, then un-loaned servers: rank 0 is same type
+	// and idle, rank 3 another type and loaned. The scan ascends by ID, so
+	// the first server of the best rank wins.
+	best, bestRank, bestLoaned := topology.ServerID(-1), 4, false
+	m.broker.ScanReservation(reservation.SharedBuffer, func(st *broker.ServerState) {
 		if st.Current != reservation.SharedBuffer || st.Unavail != broker.Available {
-			continue
+			return
 		}
 		t := m.region.Servers[st.ID].Type
 		if rsv.Name != "" {
 			v := hardware.RRU(m.region.Catalog.Type(t), rsv.Class)
 			if !rsv.Eligible(t, v) {
-				continue
+				return
 			}
 		}
-		cands = append(cands, cand{
-			id:     st.ID,
-			loaned: st.LoanedTo != reservation.Unassigned,
-			same:   t == failedType,
-		})
-	}
-	if len(cands) == 0 {
+		loaned := st.LoanedTo != reservation.Unassigned
+		rank := 0
+		if t != failedType {
+			rank = 2
+		}
+		if loaned {
+			rank++
+		}
+		if rank < bestRank {
+			best, bestRank, bestLoaned = st.ID, rank, loaned
+		}
+	})
+	if best < 0 {
 		m.stats.ReplacementMiss++
 		m.stats.FailedReplace = append(m.stats.FailedReplace, failed)
 		return
 	}
-	// Prefer identical hardware, then un-loaned servers.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].same != cands[j].same {
-			return cands[i].same
-		}
-		if cands[i].loaned != cands[j].loaned {
-			return !cands[i].loaned
-		}
-		return cands[i].id < cands[j].id
-	})
-	c := cands[0]
-	if c.loaned {
-		m.revoke(c.id)
+	if bestLoaned {
+		m.revoke(best)
 	}
-	m.broker.SetCurrent(c.id, into)
+	m.broker.SetCurrent(best, into)
 	m.stats.Replacements++
 }
 
@@ -197,23 +195,18 @@ func (m *Mover) LoanIdleBuffers(elastic []reservation.ID) int {
 	if len(elastic) == 0 {
 		return 0
 	}
-	snap := m.broker.Snapshot()
-	loans := 0
-	next := 0
-	for i := range snap {
-		st := &snap[i]
-		if st.Current != reservation.SharedBuffer ||
-			st.LoanedTo != reservation.Unassigned ||
-			st.Unavail != broker.Available ||
-			st.Containers > 0 {
-			continue
+	var idle []topology.ServerID
+	m.broker.ScanReservation(reservation.SharedBuffer, func(st *broker.ServerState) {
+		if st.Current == reservation.SharedBuffer && st.LoanedTo == reservation.Unassigned &&
+			st.Unavail == broker.Available && st.Containers == 0 {
+			idle = append(idle, st.ID)
 		}
-		m.broker.SetLoan(st.ID, elastic[next%len(elastic)])
-		next++
-		loans++
-		m.stats.Loans++
+	})
+	for i, id := range idle {
+		m.broker.SetLoan(id, elastic[i%len(elastic)])
 	}
-	return loans
+	m.stats.Loans += len(idle)
+	return len(idle)
 }
 
 // revoke reclaims one loaned buffer server, evicting elastic containers.
@@ -236,13 +229,14 @@ func (m *Mover) RevokeAllLoansFor(id topology.ServerID) {
 // RevokeAllLoans reclaims every elastic loan (e.g. at the start of a
 // large-scale failure response) and returns the number revoked.
 func (m *Mover) RevokeAllLoans() int {
-	snap := m.broker.Snapshot()
-	n := 0
-	for i := range snap {
-		if snap[i].LoanedTo != reservation.Unassigned {
-			m.revoke(snap[i].ID)
-			n++
+	var loaned []topology.ServerID
+	m.broker.Scan(func(st *broker.ServerState) {
+		if st.LoanedTo != reservation.Unassigned {
+			loaned = append(loaned, st.ID)
 		}
+	})
+	for _, id := range loaned {
+		m.revoke(id)
 	}
-	return n
+	return len(loaned)
 }

@@ -309,7 +309,7 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 	if res.Status != SolveNoSolution {
 		// A cancelled round still persists: its incumbent can never regress
 		// below the assignment the round started from (§3.5.1 softening).
-		s.applyTargets(res.Targets, now)
+		s.applyTargets(states, res.Targets, now)
 	}
 	s.lastSolve = res
 	s.warm = res.Warm
@@ -321,13 +321,19 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 
 // applyTargets persists solved target bindings to the broker and has the
 // online mover execute them (Figure 6 steps 4–5) — the single persistence
-// path shared by every backend.
-func (s *System) applyTargets(tgts []reservation.ID, now Clock) {
-	targets := make(map[topology.ServerID]reservation.ID, len(tgts))
+// path shared by every backend. Only the targets that differ from the
+// round's input snapshot are written, still in one critical section. That
+// diff is the broker's whole change because the solver is the only writer of
+// Target in a System: the greedy baseline never reaches this path, and the
+// mover and emergency grants write Current alone.
+func (s *System) applyTargets(input []broker.ServerState, tgts []reservation.ID, now Clock) {
+	changed := make(map[topology.ServerID]reservation.ID)
 	for i, tgt := range tgts {
-		targets[topology.ServerID(i)] = tgt
+		if tgt != input[i].Target {
+			changed[topology.ServerID(i)] = tgt
+		}
 	}
-	s.broker.SetTargets(targets)
+	s.broker.SetTargets(changed)
 	s.mover.ApplyTargets(now)
 }
 
