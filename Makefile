@@ -96,7 +96,8 @@ bench-online:
 bench-online-smoke:
 	@$(MAKE) --no-print-directory bench-online ONLINE_BENCHTIME=1x >/dev/null
 
-# Solver/backend benchmarks (ablations + backend comparison).
+# Every benchmark of the root module once: the paper-figure benches, the
+# backend comparison and the layer benches.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -1,10 +1,10 @@
 package ras_test
 
-// Ablation benchmarks for the design choices the paper's §3.5.2 and this
-// repository's DESIGN.md call out: symmetry exploitation, two-phase
-// solving, and the branch-and-bound LP warm-start machinery. Each pair runs
-// the same workload with the feature on and off; compare the reported
-// assignvars/op, lpiters/op, and ns/op.
+// Backend benchmarks: the MIP, local-search and pop backends on a small and
+// a 10× region, with worker and partition sweeps, and the multi-round
+// incremental loop. The §3.5.2 design choices these regions once ablated are
+// checked as tests: symmetry grouping and two-phase solving in
+// internal/solver, branch-and-bound LP warm starts in internal/mip.
 
 import (
 	"context"
@@ -23,8 +23,8 @@ import (
 	"ras/internal/topology"
 )
 
-// ablationWorkload builds the fixed region + reservations every ablation
-// bench solves.
+// ablationWorkload builds the small fixed region + reservations the backend
+// benches solve.
 func ablationWorkload(b *testing.B) (*topology.Region, []reservation.Reservation, []broker.ServerState) {
 	b.Helper()
 	region, err := topology.Generate(topology.GenSpec{
@@ -44,69 +44,6 @@ func ablationWorkload(b *testing.B) (*topology.Region, []reservation.Reservation
 		})
 	}
 	return region, rsvs, broker.New(region).Snapshot()
-}
-
-func runAblation(b *testing.B, cfg solver.Config) {
-	b.Helper()
-	region, rsvs, states := ablationWorkload(b)
-	cfg.Phase1TimeLimit = 20 * time.Second
-	cfg.Phase2TimeLimit = 5 * time.Second
-	if cfg.MaxNodes == 0 {
-		cfg.MaxNodes = 100
-	}
-	cfg.SharedBufferFraction = -1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := solver.Solve(context.Background(), solver.Input{Region: region, Reservations: rsvs, States: states}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.Phase1.AssignVars), "assignvars")
-			b.ReportMetric(float64(res.Phase1.LPIters), "lpiters")
-			b.ReportMetric(res.Phase1.GapPreemptions, "gap-preempt")
-			b.ReportMetric(res.Phase1.SoftSlack, "softslack")
-		}
-	}
-}
-
-// BenchmarkAblationSymmetryOn solves with equivalence-class grouping (the
-// production configuration, paper §3.5.2).
-func BenchmarkAblationSymmetryOn(b *testing.B) {
-	runAblation(b, solver.Config{})
-}
-
-// BenchmarkAblationSymmetryOff solves the raw per-server formulation the
-// symmetry exploitation exists to avoid. Expect assignvars to blow up by
-// roughly servers/groups and the solve to slow down accordingly.
-func BenchmarkAblationSymmetryOff(b *testing.B) {
-	runAblation(b, solver.Config{DisableSymmetry: true})
-}
-
-// BenchmarkAblationTwoPhase is the production two-phase configuration:
-// region-wide MSB goals first, rack goals for the worst reservations after.
-func BenchmarkAblationTwoPhase(b *testing.B) {
-	runAblation(b, solver.Config{})
-}
-
-// BenchmarkAblationSinglePhaseRack folds rack goals into one region-wide
-// phase — the "without phasing, the full problems would be at least 10x
-// larger" configuration of §4.1.3.
-func BenchmarkAblationSinglePhaseRack(b *testing.B) {
-	runAblation(b, solver.Config{RackGoalsInPhase1: true})
-}
-
-// BenchmarkAblationWarmStartOn uses LP warm starts between branch-and-bound
-// node and heuristic solves (basis export + dual-simplex repair).
-func BenchmarkAblationWarmStartOn(b *testing.B) {
-	runAblation(b, solver.Config{})
-}
-
-// BenchmarkAblationWarmStartOff cold-starts every LP. Expect lpiters to
-// grow by an order of magnitude for the same search.
-func BenchmarkAblationWarmStartOff(b *testing.B) {
-	runAblation(b, solver.Config{DisableWarmStart: true})
 }
 
 // largeWorkload builds a region roughly 10× the ablation workload (4 DCs ×

@@ -6,7 +6,7 @@
 // seconds-scale). This package is that second backend, implemented over the
 // same model as internal/solver — capacity with embedded MSB buffers,
 // fault-domain spread, movement costs — so the two can be compared directly
-// (see the MIPvsLocalSearch ablation benchmarks).
+// (see BenchmarkBackendLocalSearch).
 //
 // The algorithm is steepest-of-sample hill climbing over single-server
 // moves: acquire from the free pool, release surplus, or reassign between
@@ -23,15 +23,15 @@ import (
 
 	"ras/internal/broker"
 	"ras/internal/clock"
-	"ras/internal/floats"
 	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/solver"
 	"ras/internal/topology"
 )
 
-// Config tunes the search. Zero values select defaults matching
-// solver.Config's cost structure.
+// Config tunes the search. Zero values select defaults. The search prices
+// moves with the solver's default weights (solver.Config.WithDefaults) and
+// each reservation's resolved policy, so both backends score one objective.
 type Config struct {
 	// TimeLimit bounds the search. Zero means 2s.
 	TimeLimit time.Duration
@@ -49,17 +49,9 @@ type Config struct {
 	// reproducible regardless of scheduling or GOMAXPROCS, and start 0
 	// always equals the single-start search with the same Seed.
 	Starts int
-
-	// Cost structure (defaults mirror solver.Config).
-	AlphaMSB      float64
-	Beta          float64
-	Tau           float64
-	MoveCostInUse float64
-	MoveCostIdle  float64
-	SoftPenalty   float64
 }
 
-func (c Config) withDefaults(region *topology.Region) Config {
+func (c Config) withDefaults() Config {
 	if c.TimeLimit == 0 {
 		c.TimeLimit = 2 * time.Second
 	}
@@ -68,24 +60,6 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	}
 	if c.Candidates == 0 {
 		c.Candidates = 48
-	}
-	if floats.ExactZero(c.AlphaMSB) {
-		c.AlphaMSB = clamp(1.5/float64(max(region.NumMSBs, 1)), 0.05, 1)
-	}
-	if floats.ExactZero(c.Beta) {
-		c.Beta = 3
-	}
-	if floats.ExactZero(c.Tau) {
-		c.Tau = 3
-	}
-	if floats.ExactZero(c.MoveCostInUse) {
-		c.MoveCostInUse = 10
-	}
-	if floats.ExactZero(c.MoveCostIdle) {
-		c.MoveCostIdle = 1
-	}
-	if floats.ExactZero(c.SoftPenalty) {
-		c.SoftPenalty = 1000
 	}
 	return c
 }
@@ -128,11 +102,11 @@ type Result struct {
 
 // state is the incremental evaluation state.
 type state struct {
-	cfg    Config
+	w      solver.Config // the objective weights
 	region *topology.Region
 	in     solver.Input
 
-	rsvs   []reservation.Reservation // non-elastic reservations
+	rsvs   []reservation.Reservation // non-elastic reservations, policies resolved
 	resIdx map[reservation.ID]int
 
 	assign  []reservation.ID // current assignment per server (-1 free)
@@ -172,7 +146,7 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 	if warm != nil && len(warm.Targets) != len(in.Region.Servers) {
 		warm = nil // shape drift: fall back to a cold start
 	}
-	cfg = cfg.withDefaults(in.Region)
+	cfg = cfg.withDefaults()
 	start := clock.Now()
 
 	if cfg.Starts <= 1 {
@@ -225,7 +199,7 @@ func startSeed(base int64, i int) int64 {
 // its state, so any number may run concurrently on one input.
 func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *WarmState) *Result {
 	start := clock.Now()
-	s := newState(in, cfg)
+	s := newState(in)
 	s.seedWarm(warm)
 	rng := rand.New(rand.NewSource(seed))
 	res := &Result{}
@@ -316,12 +290,13 @@ func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *W
 	return res
 }
 
-func newState(in solver.Input, cfg Config) *state {
-	s := &state{cfg: cfg, region: in.Region, in: in, resIdx: map[reservation.ID]int{}}
+func newState(in solver.Input) *state {
+	s := &state{w: solver.Config{}.WithDefaults(), region: in.Region, in: in, resIdx: map[reservation.ID]int{}}
 	for _, r := range in.Reservations {
 		if r.Elastic {
 			continue
 		}
+		r.Policy = r.Policy.Resolve(in.Region.NumMSBs, in.Region.NumRacks)
 		s.resIdx[r.ID] = len(s.rsvs)
 		s.rsvs = append(s.rsvs, r)
 	}
@@ -458,21 +433,17 @@ func (s *state) resObjective(ri int) float64 {
 	r := &s.rsvs[ri]
 	maxMSB := 0.0
 	spread := 0.0
-	alpha := r.Policy.SpreadMSB
-	if floats.ExactZero(alpha) {
-		alpha = s.cfg.AlphaMSB
-	}
 	for _, v := range s.loadMSB[ri] {
 		if v > maxMSB {
 			maxMSB = v
 		}
-		if over := v - alpha*r.RRUs; over > 0 {
+		if over := v - r.Policy.SpreadMSB*r.RRUs; over > 0 {
 			spread += over
 		}
 	}
-	obj := s.cfg.Tau*maxMSB + s.cfg.Beta*spread
+	obj := s.w.Tau*maxMSB + s.w.Beta*spread
 	if short := r.RRUs - (s.total[ri] - maxMSB); short > 0 {
-		obj += s.cfg.SoftPenalty * short
+		obj += s.w.SoftPenalty * short
 	}
 	// Shaping term: the buffer-adjusted shortfall above is blind to the
 	// very first servers of a reservation (total and maxMSB rise together),
@@ -480,7 +451,7 @@ func (s *state) resObjective(ri int) float64 {
 	// shortfall too — never larger than the real term — keeps downhill
 	// gradient without changing the zero set.
 	if shortT := r.RRUs - s.total[ri]; shortT > 0 {
-		obj += s.cfg.SoftPenalty * shortT
+		obj += s.w.SoftPenalty * shortT
 	}
 	return obj
 }
@@ -492,9 +463,9 @@ func (s *state) moveCost(sid topology.ServerID, to reservation.ID) float64 {
 		return 0
 	}
 	if s.inUse[sid] {
-		return s.cfg.MoveCostInUse
+		return s.w.MoveCostInUse
 	}
-	return s.cfg.MoveCostIdle
+	return s.w.MoveCostIdle
 }
 
 // objective computes the full objective (used once at the end; the search
@@ -567,14 +538,4 @@ func (s *state) apply(sid topology.ServerID, to reservation.ID) {
 	}
 	s.assign[sid] = to
 	s.moved[sid] = s.in.States[sid].Current != to
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

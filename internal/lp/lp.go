@@ -470,30 +470,12 @@ type Options struct {
 	// workspace-reusing callers leave it off and ask Workspace.Basis when they
 	// actually keep one (root LPs, branching nodes).
 	ExportBasis bool
-	// DevexAfter sets how many iterations a single primal pass runs under
-	// Dantzig pricing before escalating to Devex with partial pricing.
-	// Zero means a default tuned so the short warm re-solves that dominate
-	// branch-and-bound never escalate; negative engages Devex from the
-	// first iteration (testing and very large cold solves).
-	DevexAfter int
 	// RefactorEvery sets how many eta updates accumulate before the basis
 	// factorization is rebuilt from scratch. Rebuilds can also trigger
 	// earlier when eta-file fill outgrows the factors; both triggers are
 	// deterministic counts, never wall-clock. Zero means the default (32);
 	// negative refactorizes after every pivot (testing).
 	RefactorEvery int
-}
-
-// devexAfter resolves the staged-pricing escalation point.
-func (o *Options) devexAfter() int {
-	switch {
-	case o.DevexAfter < 0:
-		return 0
-	case o.DevexAfter == 0:
-		return defaultDevexAfter
-	default:
-		return o.DevexAfter
-	}
 }
 
 // refactorEvery resolves the eta-count refactorization cadence.

@@ -31,14 +31,16 @@ import (
 // degrade to full pricing.
 const priceBlock = 256
 
-// defaultDevexAfter is the default Dantzig→Devex escalation point; see
-// Options.DevexAfter. The threshold is sized so that the solves behind the
-// repo's deterministic regression suites (the longest measured optimize call
-// across the experiment reproductions runs just under 1000 iterations) stay
-// on pure Dantzig and keep their historical pivot sequences bit-for-bit,
-// while genuinely long degenerate solves — whose iteration budget scales
-// with problem size — still escalate to Devex well before hitting MaxIter.
-const defaultDevexAfter = 1500
+// devexAfter is the number of iterations a single primal pass runs under
+// Dantzig pricing before escalating to Devex with partial pricing. The
+// threshold is sized so that the solves behind the repo's deterministic
+// regression suites (the longest measured optimize call across the
+// experiment reproductions runs just under 1000 iterations) stay on pure
+// Dantzig and keep their historical pivot sequences bit-for-bit, while
+// genuinely long degenerate solves — whose iteration budget scales with
+// problem size — still escalate to Devex well before hitting MaxIter. Only
+// tests change it, to 0, which engages Devex from the first iteration.
+var devexAfter = 1500
 
 // blandAfter is the number of consecutive degenerate pivots tolerated before
 // pricing falls back to Bland's rule (first eligible column in index order),
@@ -245,7 +247,6 @@ func (s *Workspace) updateDuals(enter, out int, alphaQ float64) {
 // BTRAN of the final basis produced.
 func (s *Workspace) optimize(cost []float64) Status {
 	w := s.w
-	devexAfter := s.opt.devexAfter()
 	refactorEvery := s.opt.refactorEvery()
 	staged := dantzig
 

@@ -21,7 +21,10 @@ func TestQuickDevexMatchesDantzig(t *testing.T) {
 		nRows := 1 + rng.Intn(10)
 		p, _ := buildRandomFeasible(rng, nVars, nRows)
 		base := p.Solve(context.Background(), Options{})
-		devex := p.Solve(context.Background(), Options{DevexAfter: -1})
+		staged := devexAfter
+		devexAfter = 0
+		devex := p.Solve(context.Background(), Options{})
+		devexAfter = staged
 		if base.Status != devex.Status {
 			t.Logf("seed %d: status %v (dantzig) vs %v (devex)", seed, base.Status, devex.Status)
 			return false
@@ -52,7 +55,10 @@ func TestDevexPartialPricingBlocks(t *testing.T) {
 	p, _ := buildRandomFeasible(rng, 3*priceBlock, 40)
 	base := p.Solve(context.Background(), Options{})
 	ws := NewWorkspace()
-	devex := p.SolveWith(context.Background(), Options{DevexAfter: -1}, ws)
+	staged := devexAfter
+	devexAfter = 0
+	devex := p.SolveWith(context.Background(), Options{}, ws)
+	devexAfter = staged
 	if base.Status != Optimal || devex.Status != Optimal {
 		t.Fatalf("status: dantzig=%v devex=%v, want optimal", base.Status, devex.Status)
 	}

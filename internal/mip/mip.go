@@ -384,11 +384,6 @@ type Options struct {
 	// StallGap is the absolute-gap ceiling below which the stall rule may
 	// fire. Zero disables the rule.
 	StallGap float64
-	// LPIterLimit bounds simplex iterations per node LP. Zero = lp default.
-	LPIterLimit int
-	// NoWarmStart disables LP warm starts between node/heuristic solves
-	// (ablation: every LP solves from a cold crash basis).
-	NoWarmStart bool
 	// RootBasis warm-starts the root relaxation: a previous solve's
 	// Result.RootBasis when the model is unchanged or patched in place, or
 	// that basis rewritten status by status onto a rebuilt model — the

@@ -28,10 +28,9 @@ import (
 // an expiry another one detected. LP statistics are not shared at all: each
 // search's workspace counts its own and fillStats sums them after the join.
 type engine struct {
-	m     *Model
-	opt   Options
-	ctx   context.Context
-	lpOpt lp.Options
+	m   *Model
+	opt Options
+	ctx context.Context
 
 	n       int
 	rootLo  []float64
@@ -73,7 +72,6 @@ func newEngine(ctx context.Context, m *Model, opt Options, start time.Time) *eng
 		m:      m,
 		opt:    opt,
 		ctx:    ctx,
-		lpOpt:  lp.Options{MaxIter: opt.LPIterLimit},
 		n:      m.prob.NumVars(),
 		incObj: math.Inf(1),
 	}
@@ -326,8 +324,9 @@ func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis, ws *lp.Workspace) *s
 }
 
 // offerParentBasis is false only in tests that measure what starting a node
-// LP from its parent's basis saves.
-var offerParentBasis = true
+// LP from its parent's basis saves, and coldLPs true only in tests that
+// measure what warm starts save altogether: every LP then starts cold.
+var offerParentBasis, coldLPs = true, false
 
 // solveLP solves the search's problem on the search-local workspace, from the
 // nearest solved basis: a branch-and-bound node passes the basis of the LP it
@@ -338,9 +337,9 @@ var offerParentBasis = true
 // the seed basis opens while the workspace has solved nothing. Bound changes
 // since the start basis was optimal are absorbed by dual-simplex repair.
 func (s *search) solveLP(start *lp.Basis) lp.Solution {
-	o := s.e.lpOpt
+	var o lp.Options
 	switch {
-	case s.forceCold || s.e.opt.NoWarmStart:
+	case s.forceCold || coldLPs:
 	case start != nil && offerParentBasis:
 		o.Start = start
 	default:

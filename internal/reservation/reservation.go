@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"ras/internal/floats"
 	"ras/internal/hardware"
 )
 
@@ -32,15 +33,16 @@ const (
 type Policy struct {
 	// SpreadMSB is αF: the maximum fraction of the reservation's capacity
 	// desired within a single MSB before spread penalties apply. Zero means
-	// the solver default.
+	// the region default (Resolve).
 	SpreadMSB float64
-	// SpreadRack is αK, the rack-level analogue (phase-2 goal).
+	// SpreadRack is αK, the rack-level analogue (phase-2 goal). Zero means
+	// the region default.
 	SpreadRack float64
 	// DCAffinity maps datacenter index → desired fraction of capacity
 	// (the A_{r,G} of expression 7). Empty means no affinity constraint.
 	DCAffinity map[int]float64
 	// AffinityTheta is θ, the allowed deviation from DCAffinity fractions.
-	// Zero means the solver default.
+	// Zero means the default.
 	AffinityTheta float64
 	// SingleDC restricts all capacity to one datacenter (high-bandwidth ML
 	// workloads, paper §4.3 service 13). -1 means unrestricted.
@@ -49,6 +51,23 @@ type Policy struct {
 
 // DefaultPolicy returns the policy used when a request does not specify one.
 func DefaultPolicy() Policy { return Policy{SingleDC: -1} }
+
+// Resolve returns p with its zero αF, αK and θ set to their defaults for a
+// region of numMSBs MSBs and numRacks racks: αF = 1.5/numMSBs clamped to
+// [0.05, 1], αK = 4/numRacks clamped to [0.01, 1], θ = 0.05. Every backend
+// prices a reservation by its resolved policy.
+func (p Policy) Resolve(numMSBs, numRacks int) Policy {
+	if floats.ExactZero(p.SpreadMSB) {
+		p.SpreadMSB = min(max(1.5/float64(max(numMSBs, 1)), 0.05), 1)
+	}
+	if floats.ExactZero(p.SpreadRack) {
+		p.SpreadRack = min(max(4/float64(max(numRacks, 1)), 0.01), 1)
+	}
+	if floats.ExactZero(p.AffinityTheta) {
+		p.AffinityTheta = 0.05
+	}
+	return p
+}
 
 // Reservation is a logical cluster with guaranteed capacity.
 type Reservation struct {

@@ -15,9 +15,7 @@ package solver
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"ras/internal/broker"
 	"ras/internal/clock"
@@ -118,13 +116,12 @@ type groupKey struct {
 	scope   int // MSB or rack index
 	cur     reservation.ID
 	inUse   bool
-	wear    int               // wear bucket; 0 unless wear-aware placement is on
-	server  topology.ServerID // set only when symmetry is disabled
+	wear    int // wear bucket; 0 unless wear-aware placement is on
 }
 
 // serverKey computes the symmetry-class key of one server, mirroring the
 // grouping pass of groupServers exactly.
-func serverKey(in Input, id topology.ServerID, rackLevel, noSymmetry, wearAware bool) groupKey {
+func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupKey {
 	srv := &in.Region.Servers[id]
 	st := &in.States[id]
 	inUse := st.Containers > 0 && st.LoanedTo == reservation.Unassigned
@@ -132,10 +129,7 @@ func serverKey(in Input, id topology.ServerID, rackLevel, noSymmetry, wearAware 
 	if rackLevel {
 		scope = srv.Rack
 	}
-	k := groupKey{typeIdx: srv.Type, scope: scope, cur: st.Current, inUse: inUse, server: -1}
-	if noSymmetry {
-		k.server = id
-	}
+	k := groupKey{typeIdx: srv.Type, scope: scope, cur: st.Current, inUse: inUse}
 	if wearAware && in.Region.Catalog.Type(srv.Type).FlashTB > 0 {
 		k.wear = wearBucket(st.FlashWear)
 	}
@@ -216,91 +210,40 @@ type builtPhase struct {
 	subset      []topology.ServerID
 }
 
-// parallelBuildMin is the group×spec matrix size below which the cold build
-// stays serial: goroutine fan-out costs more than it saves on small models.
-const parallelBuildMin = 4096
-
-// buildWorkers resolves the cold build's parallelism from the config.
-func buildWorkers(cfg Config, cells int) int {
-	if cells < parallelBuildMin {
-		return 1
-	}
-	w := cfg.Workers
-	if w < 0 {
-		w = runtime.NumCPU()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelFor splits [0,n) into one contiguous shard per worker and runs f
-// on each concurrently. f must only touch its own shard's slots.
-func parallelFor(workers, n int, f func(lo, hi int)) {
-	if workers <= 1 || n < 2 {
-		f(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // buildPhase runs the cold path: grouping, initial state, then the MIP as
 // layout (every column, row, coefficient, name and cost, with placeholder
 // bounds and right-hand sides) followed by the fill functions over every
 // group, cell and spec — the same three functions patch runs over what a
-// delta touched. Group-sharded passes (eligibility values, variable names,
-// initial counts) run on cfg.Workers goroutines; the shards are disjoint, so
-// the result is identical at every worker count.
+// delta touched.
 func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	targets []reservation.ID, rackLevel bool, stats *PhaseStats) *builtPhase {
 
 	// ---------------- RAS build: grouping & constants. -------------------
 	t0 := clock.Now()
-	groups, groupIdx := groupServers(in, pool, rackLevel, cfg.DisableSymmetry, cfg.WearPenalty > 0)
+	groups, groupIdx := groupServers(in, pool, rackLevel, cfg.WearPenalty > 0)
 	cat := in.Region.Catalog
 	nG, nS := len(groups), len(specs)
-	workers := buildWorkers(cfg, nG*nS)
 
 	// Per-(group, spec) RRU values, eligibility, and variable names.
 	vval := make([][]float64, nG)
 	names := make([][]string, nG)
-	parallelFor(workers, nG, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			g := groups[gi]
-			row := make([]float64, nS)
-			nrow := make([]string, nS)
-			for si := range specs {
-				s := &specs[si]
-				if s.res.Policy.SingleDC >= 0 && g.dc != s.res.Policy.SingleDC {
-					continue
-				}
-				v := rruValue(cat, g.typeIdx, s)
-				row[si] = v
-				if v > 0 {
-					nrow[si] = fmt.Sprintf("n[g%d,%s]", gi, s.res.Name)
-				}
+	for gi, g := range groups {
+		row := make([]float64, nS)
+		nrow := make([]string, nS)
+		for si := range specs {
+			s := &specs[si]
+			if s.res.Policy.SingleDC >= 0 && g.dc != s.res.Policy.SingleDC {
+				continue
 			}
-			vval[gi] = row
-			names[gi] = nrow
+			v := rruValue(cat, g.typeIdx, s)
+			row[si] = v
+			if v > 0 {
+				nrow[si] = fmt.Sprintf("n[g%d,%s]", gi, s.res.Name)
+			}
 		}
-	})
+		vval[gi] = row
+		names[gi] = nrow
+	}
 	stats.RASBuild = clock.Since(t0)
 
 	// ---------------- Initial state. -------------------------------------
@@ -328,24 +271,21 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		serverGroup[i] = -1
 		countSpec[i] = -1
 	}
-	parallelFor(workers, nG, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			g := groups[gi]
-			row := make([]float64, nS)
-			for _, id := range g.servers {
-				serverGroup[id] = int32(gi)
-				// Buffer specs share an outID; pick the one matching the type.
-				for _, si := range specByID[curRef[id]] {
-					if vval[gi][si] > 0 {
-						row[si]++
-						countSpec[id] = int32(si)
-						break
-					}
+	for gi, g := range groups {
+		row := make([]float64, nS)
+		for _, id := range g.servers {
+			serverGroup[id] = int32(gi)
+			// Buffer specs share an outID; pick the one matching the type.
+			for _, si := range specByID[curRef[id]] {
+				if vval[gi][si] > 0 {
+					row[si]++
+					countSpec[id] = int32(si)
+					break
 				}
 			}
-			initCount[gi] = row
 		}
-	})
+		initCount[gi] = row
+	}
 	stats.InitialState = clock.Since(t0)
 
 	// ---------------- Solver build: the MIP. ------------------------------
@@ -908,7 +848,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 			bp.countSpec[i] = -1
 		}
 		if inPool[i] {
-			gi, ok := bp.groupIdx[serverKey(in, id, bp.rackLevel, cfg.DisableSymmetry, wearAware)]
+			gi, ok := bp.groupIdx[serverKey(in, id, bp.rackLevel, wearAware)]
 			if !ok {
 				return RebuildNewGroup
 			}

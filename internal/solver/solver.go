@@ -50,15 +50,10 @@ const (
 	phase2ResFraction = 0.1   // share of reservations refined in phase 2
 )
 
-// Config tunes the solver. Zero values select documented defaults.
+// Config tunes the solver. Zero values select documented defaults. The
+// spread and affinity limits αF, αK and θ are per-reservation policy
+// (reservation.Policy), not solver settings.
 type Config struct {
-	// AlphaMSB is αF, the fraction of a reservation's capacity allowed in
-	// one MSB before spread penalties accrue. Zero means 1.5/numMSBs
-	// (clamped to [0.05, 1]).
-	AlphaMSB float64
-	// AlphaRack is αK, the rack-level analogue. Zero means 4/numRacks
-	// (clamped to [0.01, 1]).
-	AlphaRack float64
 	// Beta is β, the penalty per RRU beyond a spread threshold. Zero = 3.
 	Beta float64
 	// Tau is τ, the penalty per RRU of correlated-failure buffer. Zero = 3.
@@ -70,8 +65,6 @@ type Config struct {
 	MoveCostIdle float64
 	// SoftPenalty prices one unit of softened-constraint slack. Zero = 1000.
 	SoftPenalty float64
-	// AffinityTheta is the default θ for expression 7. Zero = 0.05.
-	AffinityTheta float64
 
 	// Phase1TimeLimit / Phase2TimeLimit bound each phase's MIP step. Zero
 	// means 10s each (production: a joint one-hour SLO).
@@ -91,18 +84,6 @@ type Config struct {
 	StallGap float64
 	// DisableRackPhase skips phase 2 entirely.
 	DisableRackPhase bool
-	// DisableSymmetry turns off equivalence-class grouping: every server
-	// becomes its own group, reproducing the raw per-server formulation
-	// the paper's §3.5.2 symmetry exploitation exists to avoid (ablation).
-	DisableSymmetry bool
-	// RackGoalsInPhase1 folds rack-level goals into a single region-wide
-	// phase instead of two-phase solving — the "without phasing, the full
-	// problems would be at least 10x larger" configuration of §4.1.3
-	// (ablation).
-	RackGoalsInPhase1 bool
-	// DisableWarmStart turns off LP warm starts inside the MIP search
-	// (ablation for the branch-and-bound warm-start machinery).
-	DisableWarmStart bool
 	// Workers is the branch-and-bound worker count for each phase's MIP
 	// solve. Zero or one keeps the exact serial search; values above one
 	// enable the parallel engine (see mip.Options.Workers); negative means
@@ -124,15 +105,23 @@ type Config struct {
 	// bucket (4 buckets over [0,1]), steering storage onto fresh drives.
 	// Zero disables; wear buckets then do not split symmetry groups.
 	WearPenalty float64
+
+	// numMSBs and numRacks are the solved region's shape, recorded by
+	// withDefaults: newSpec resolves each reservation's policy against them.
+	numMSBs, numRacks int
 }
 
+// withDefaults is WithDefaults for a solve over region.
 func (c Config) withDefaults(region *topology.Region) Config {
-	if floats.ExactZero(c.AlphaMSB) {
-		c.AlphaMSB = clamp(1.5/float64(max(region.NumMSBs, 1)), 0.05, 1)
-	}
-	if floats.ExactZero(c.AlphaRack) {
-		c.AlphaRack = clamp(4/float64(max(region.NumRacks, 1)), 0.01, 1)
-	}
+	c = c.WithDefaults()
+	c.numMSBs, c.numRacks = region.NumMSBs, region.NumRacks
+	return c
+}
+
+// WithDefaults returns c with every zero field set to its documented
+// default. The local-search backend scores with the zero Config's weights,
+// so both backends price one objective.
+func (c Config) WithDefaults() Config {
 	if floats.ExactZero(c.Beta) {
 		c.Beta = 3
 	}
@@ -147,9 +136,6 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	}
 	if floats.ExactZero(c.SoftPenalty) {
 		c.SoftPenalty = 1000
-	}
-	if floats.ExactZero(c.AffinityTheta) {
-		c.AffinityTheta = 0.05
 	}
 	if c.Phase1TimeLimit == 0 {
 		c.Phase1TimeLimit = 10 * time.Second
@@ -238,6 +224,16 @@ func (in Input) subsetMask() []bool {
 		mask[id] = true
 	}
 	return mask
+}
+
+// hasReservation reports whether id is one of the input's reservations.
+func (in Input) hasReservation(id reservation.ID) bool {
+	for i := range in.Reservations {
+		if in.Reservations[i].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // validateSubset checks Subset is ascending, duplicate-free, and in range.
@@ -415,8 +411,7 @@ type resSpec struct {
 	countBased bool
 	isBuffer   bool
 	// alphaF, alphaK and theta are αF, αK and θ as the model uses them: the
-	// reservation's policy value, or the Config default where the policy
-	// leaves it zero (resolved by newSpec).
+	// reservation's resolved policy (newSpec).
 	alphaF, alphaK, theta float64
 }
 
@@ -498,10 +493,9 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 	}
 	res.Warm.Cache = cache
 
-	// ---- Phase 1: whole region, MSB granularity (or rack granularity
-	// when the single-phase ablation is on). ------------------------------
+	// ---- Phase 1: whole region, MSB granularity. ------------------------
 	pool := usableServers(in)
-	p1, bp1 := solvePhase(ctx, in, cfg, specs, pool, res.Targets, cfg.RackGoalsInPhase1, cfg.Phase1TimeLimit, w1, cache.phase1)
+	p1, bp1 := solvePhase(ctx, in, cfg, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1, cache.phase1)
 	cache.phase1 = bp1
 	res.Phase1 = p1.stats
 	res.Warm.Phase1 = p1.warm
@@ -509,7 +503,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 
 	// ---- Phase 2: rack goals for the worst reservations. ----------------
 	// A cancelled phase 1 skips it: the caller asked the whole round to stop.
-	if !cfg.DisableRackPhase && !cfg.RackGoalsInPhase1 && ctx.Err() == nil {
+	if !cfg.DisableRackPhase && ctx.Err() == nil {
 		subset := pickPhase2(in, specs, res.Targets)
 		if len(subset) > 0 {
 			sub := make(map[reservation.ID]bool, len(subset))
@@ -556,7 +550,8 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 // servers (nil mask = whole region), fixing unusable servers' bindings in
 // place: a failed server leaving its reservation is a casualty, not a move
 // the mover executes, so it keeps its previous binding intent and returns
-// home on recovery.
+// home on recovery — when that home is the shared buffer or a reservation of
+// the input. A failed server of a deleted reservation is freed.
 func accountMoves(in Input, mask []bool, targets []reservation.ID) MoveStats {
 	var moves MoveStats
 	for i := range in.States {
@@ -571,7 +566,10 @@ func accountMoves(in Input, mask []bool, targets []reservation.ID) MoveStats {
 			continue // acquiring a free server is not a move
 		}
 		if unusable(st) {
-			targets[i] = st.Current
+			targets[i] = reservation.Unassigned
+			if st.Current == reservation.SharedBuffer || in.hasReservation(st.Current) {
+				targets[i] = st.Current
+			}
 			continue
 		}
 		if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
@@ -585,8 +583,8 @@ func accountMoves(in Input, mask []bool, targets []reservation.ID) MoveStats {
 
 // CountMoves recomputes the region-wide MoveStats for an externally
 // assembled assignment (the pop backend's merged-and-repaired targets),
-// applying the same unusable-server return-home rule as a direct solve —
-// targets is fixed up in place.
+// applying the same unusable-server rule as a direct solve — targets is
+// fixed up in place.
 func CountMoves(in Input, targets []reservation.ID) MoveStats {
 	return accountMoves(in, nil, targets)
 }
@@ -662,24 +660,14 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 	return specs
 }
 
-// newSpec wraps a reservation as a model spec. It is the one place the
-// zero-means-default policy knobs αF, αK and θ are resolved against cfg
-// (which must already carry its own defaults).
+// newSpec wraps a reservation as a model spec, resolving its policy's αF, αK
+// and θ against the region cfg was resolved for (withDefaults).
 func newSpec(r reservation.Reservation, cfg Config, isBuffer bool) resSpec {
+	p := r.Policy.Resolve(cfg.numMSBs, cfg.numRacks)
 	return resSpec{
 		res: r, outID: r.ID, countBased: r.CountBased, isBuffer: isBuffer,
-		alphaF: orDefault(r.Policy.SpreadMSB, cfg.AlphaMSB),
-		alphaK: orDefault(r.Policy.SpreadRack, cfg.AlphaRack),
-		theta:  orDefault(r.Policy.AffinityTheta, cfg.AffinityTheta),
+		alphaF: p.SpreadMSB, alphaK: p.SpreadRack, theta: p.AffinityTheta,
 	}
-}
-
-// orDefault resolves a zero-means-unset knob.
-func orDefault(v, def float64) float64 {
-	if floats.ExactZero(v) {
-		return def
-	}
-	return v
 }
 
 // unusable reports whether a server must be filtered out of the solve: the
@@ -832,7 +820,6 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		RelGap:        0.02,
 		StallNodes:    cfg.StallNodes,
 		StallGap:      cfg.StallGap,
-		NoWarmStart:   cfg.DisableWarmStart,
 		Workers:       cfg.Workers,
 		RootBasis:     rootBasis,
 		RootWorkspace: rootWS,
@@ -892,11 +879,11 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 // groupServers computes the symmetry equivalence classes of the pool,
 // returning them in their deterministic model order plus the key → index
 // map the incremental patch uses to route servers between classes.
-func groupServers(in Input, pool []topology.ServerID, rackLevel, noSymmetry, wearAware bool) ([]*group, map[groupKey]int) {
+func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool) ([]*group, map[groupKey]int) {
 	byKey := make(map[groupKey]*group, 256)
 	var order []groupKey
 	for _, id := range pool {
-		k := serverKey(in, id, rackLevel, noSymmetry, wearAware)
+		k := serverKey(in, id, rackLevel, wearAware)
 		g, ok := byKey[k]
 		if !ok {
 			srv := &in.Region.Servers[id]
@@ -909,10 +896,10 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, noSymmetry, wea
 		}
 		g.servers = append(g.servers, id)
 	}
-	// The comparator is total over the key (wear and server break the
-	// remaining ties), so the group order is a pure function of the key set:
-	// a patched cache and a cold rebuild agree on group indices no matter
-	// what order the pool produced the keys in.
+	// The comparator is total over the key (wear breaks the remaining ties),
+	// so the group order is a pure function of the key set: a patched cache
+	// and a cold rebuild agree on group indices no matter what order the
+	// pool produced the keys in.
 	sort.Slice(order, func(i, j int) bool {
 		a, b := order[i], order[j]
 		if a.scope != b.scope {
@@ -927,10 +914,7 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, noSymmetry, wea
 		if a.inUse != b.inUse {
 			return !a.inUse
 		}
-		if a.wear != b.wear {
-			return a.wear < b.wear
-		}
-		return a.server < b.server
+		return a.wear < b.wear
 	})
 	groups := make([]*group, 0, len(order))
 	idx := make(map[groupKey]int, len(order))
@@ -1071,14 +1055,4 @@ func sortedKeys(m map[int][]int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

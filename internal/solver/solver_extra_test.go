@@ -102,7 +102,8 @@ func TestLoanedServersAreCheapToMove(t *testing.T) {
 	}
 }
 
-// TestSolverConfigDefaults: the zero config resolves to documented values.
+// TestSolverConfigDefaults: the zero config and the default policy resolve
+// to documented values.
 func TestSolverConfigDefaults(t *testing.T) {
 	region := testRegion(t, 1, 2, 2, 2, 24)
 	cfg := Config{}.withDefaults(region)
@@ -112,8 +113,10 @@ func TestSolverConfigDefaults(t *testing.T) {
 	if cfg.SharedBufferFraction != 0.02 {
 		t.Fatalf("shared buffer fraction %v, want 0.02", cfg.SharedBufferFraction)
 	}
-	if cfg.AlphaMSB <= 0 || cfg.AlphaMSB > 1 || cfg.AlphaRack <= 0 {
-		t.Fatalf("alpha defaults: %v / %v", cfg.AlphaMSB, cfg.AlphaRack)
+	// 2 MSBs and 4 racks: αF = 1.5/2, αK = 4/4.
+	s := newSpec(reservation.Reservation{Policy: reservation.DefaultPolicy()}, cfg, false)
+	if s.alphaF != 0.75 || s.alphaK != 1 || s.theta != 0.05 {
+		t.Fatalf("policy defaults αF %v, αK %v, θ %v; want 0.75, 1, 0.05", s.alphaF, s.alphaK, s.theta)
 	}
 	if cfg.SoftPenalty <= cfg.MoveCostInUse {
 		t.Fatal("soft penalty must dominate move costs")
@@ -198,11 +201,11 @@ func TestSharedBufferSizedByLargestRemainder(t *testing.T) {
 func TestPhase2SelectionDeterministic(t *testing.T) {
 	region := testRegion(t, 1, 4, 6, 8, 31)
 	in := freshInput(region, nil)
-	cfg := Config{AlphaRack: 0.07}.withDefaults(region) // limit 2.8 servers per rack
+	cfg := Config{}.withDefaults(region)
 	var specs []resSpec
 	for id := reservation.ID(0); id < 2; id++ {
-		specs = append(specs, newSpec(
-			reservation.Reservation{ID: id, Name: "svc", Class: hardware.Web, RRUs: 40, CountBased: true}, cfg, false))
+		specs = append(specs, newSpec(reservation.Reservation{ID: id, Name: "svc", Class: hardware.Web, RRUs: 40,
+			CountBased: true, Policy: reservation.Policy{SpreadRack: 0.07}}, cfg, false)) // limit 2.8 servers per rack
 	}
 	// Per MSB, reservation 0 loads racks 0-2 and reservation 1 racks 5-3 with
 	// the same counts.

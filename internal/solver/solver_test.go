@@ -407,7 +407,7 @@ func TestGroupSymmetryReduction(t *testing.T) {
 	region := testRegion(t, 1, 2, 10, 10, 15)
 	in := freshInput(region, nil)
 	pool := usableServers(in)
-	groups, _ := groupServers(in, pool, false, false, false)
+	groups, _ := groupServers(in, pool, false, false)
 	if len(groups) >= len(region.Servers)/2 {
 		t.Fatalf("grouping achieved no reduction: %d groups for %d servers",
 			len(groups), len(region.Servers))
@@ -425,8 +425,8 @@ func TestGroupRackLevelFinerThanMSB(t *testing.T) {
 	region := testRegion(t, 1, 2, 6, 4, 16)
 	in := freshInput(region, nil)
 	pool := usableServers(in)
-	coarse, _ := groupServers(in, pool, false, false, false)
-	fine, _ := groupServers(in, pool, true, false, false)
+	coarse, _ := groupServers(in, pool, false, false)
+	fine, _ := groupServers(in, pool, true, false)
 	if len(fine) < len(coarse) {
 		t.Fatalf("rack-level grouping (%d) must be at least as fine as MSB-level (%d)",
 			len(fine), len(coarse))
@@ -441,7 +441,7 @@ func TestRealizeKeepsCurrentMembers(t *testing.T) {
 		in.States[i].Current = 5
 	}
 	pool := usableServers(in)
-	groups, _ := groupServers(in, pool, false, false, false)
+	groups, _ := groupServers(in, pool, false, false)
 	specs := []resSpec{{
 		res:        reservation.Reservation{ID: 5, Name: "r", Class: hardware.Web, RRUs: 3, CountBased: true},
 		outID:      5,
@@ -481,9 +481,8 @@ func TestPhase2RunsAndImprovesRackSpread(t *testing.T) {
 	rsvs := []reservation.Reservation{
 		{ID: 0, Name: "web", Class: hardware.Web, RRUs: 30, CountBased: true, Policy: reservation.DefaultPolicy()},
 	}
-	cfg := fastCfg()
-	cfg.AlphaRack = 0.10 // forces rack goals to matter
-	res, err := Solve(context.Background(), freshInput(region, rsvs), cfg)
+	rsvs[0].Policy.SpreadRack = 0.10 // forces rack goals to matter
+	res, err := Solve(context.Background(), freshInput(region, rsvs), fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,6 +94,37 @@ func TestSystemResizeAndDelete(t *testing.T) {
 	}
 }
 
+// TestFailedServerOfDeletedReservationIsFreed: a failed server keeps its
+// reservation as target so it returns home on recovery — unless that
+// reservation was deleted, in which case it has no home and is freed.
+func TestFailedServerOfDeletedReservationIsFreed(t *testing.T) {
+	sys := testSystem(t)
+	id, err := sys.CreateReservation(ras.Reservation{
+		Name: "svc", Class: ras.FleetAvg, RRUs: 10, CountBased: true, Policy: ras.DefaultPolicy(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Solve(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	bound := sys.Broker().ServersIn(id)
+	if len(bound) == 0 {
+		t.Fatal("no server bound after the first solve")
+	}
+	if err := sys.DeleteReservation(id); err != nil {
+		t.Fatal(err)
+	}
+	failed := bound[0]
+	sys.Broker().SetUnavailable(failed, broker.RandomFailure, int64(sim.Hour), int64(2*sim.Hour))
+	if _, err := sys.Solve(context.Background(), sim.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if tgt := sys.Broker().State(failed).Target; tgt != ras.Unassigned {
+		t.Fatalf("failed server %d of deleted reservation %d has target %d, want the free pool", failed, id, tgt)
+	}
+}
+
 func TestSystemGreedyBaseline(t *testing.T) {
 	region, err := ras.NewRegion(ras.RegionSpec{
 		Name: "greedy", DCs: 1, MSBsPerDC: 3, RacksPerMSB: 4, ServersPerRack: 6, Seed: 6,
