@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
 
 check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke
 
@@ -31,10 +31,23 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # The race suite covers the parallel solve paths: the mip/localsearch/backend
-# tests exercise Workers > 1 (branch-and-bound pool, racing heuristics,
-# multi-start climbs) under the race detector.
+# tests exercise Workers > 1 (the branch-and-bound node pool drained by
+# several workers while the root heuristics run, multi-start climbs) under
+# the race detector.
 race:
 	$(GO) test -race ./...
+
+# Every fuzz target of the root module for FUZZTIME each, from its committed
+# corpus on. `go test -fuzz` takes one target per run, so this loops over what
+# `go test -list` finds. Not part of `make check`, which stays fast; CI runs it
+# after. Minimization is capped: it would otherwise eat the budget.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read pkg fz; do \
+		echo "fuzz $$pkg $$fz"; \
+		$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1x $$pkg || exit 1; \
+	done
 
 # End-to-end smoke runs on a synthetic region: the parallel MIP, the
 # partitioned backend (k sub-solves dividing the same worker budget), and a

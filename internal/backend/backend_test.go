@@ -133,9 +133,12 @@ func TestNewDefaultAndUnknown(t *testing.T) {
 // starts and checks the backend returns promptly with the best incumbent and
 // a context-derived status, not an error.
 func TestCancelMIPMidSolve(t *testing.T) {
-	in := testInput(t, 2, 8, 10) // 960 servers: a multi-second MIP solve
+	// 960 servers without the default node cap: a multi-second MIP solve,
+	// so the cancel always lands mid-search.
+	in := testInput(t, 2, 8, 10)
 	be, err := New("mip", Config{Solver: solver.Config{
 		Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 30 * time.Second,
+		MaxNodes: 1 << 20,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -55,9 +55,12 @@ func TestWorkersDeterministicObjective(t *testing.T) {
 // TestCancelMIPMidSolve: cancellation must stop all workers promptly, still
 // return the incumbent assignment, and leak no goroutines.
 func TestCancelMIPMidSolveParallel(t *testing.T) {
-	in := testInput(t, 2, 8, 10) // 960 servers: a multi-second MIP solve
+	// 960 servers without the default node cap: a multi-second MIP solve,
+	// so the cancel always lands mid-search.
+	in := testInput(t, 2, 8, 10)
 	be, err := New("mip", Config{Solver: solver.Config{
 		Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 30 * time.Second,
+		MaxNodes: 1 << 20,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +86,8 @@ func TestCancelMIPMidSolveParallel(t *testing.T) {
 	}
 	checkTargetsShape(t, in, res)
 
-	// Every worker and heuristic goroutine must have joined before Solve
-	// returned. Poll briefly: unrelated runtime goroutines retire lazily.
+	// Every worker must have joined before Solve returned. Poll briefly:
+	// unrelated runtime goroutines retire lazily.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+1 {
 		if time.Now().After(deadline) {

@@ -149,20 +149,13 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 	cfg = cfg.withDefaults()
 	start := clock.Now()
 
-	if cfg.Starts <= 1 {
-		res := climb(ctx, in, cfg, cfg.Seed, warm)
-		res.Starts = 1
-		res.Elapsed = clock.Since(start)
-		return res, nil
-	}
-
-	// Multi-start: independent climbs race on goroutines; each start's RNG
-	// seed is a pure function of (Seed, index), so any scheduling order
-	// produces the same per-start results and therefore — with the
-	// lowest-index tie break below — the same winner.
-	results := make([]*Result, cfg.Starts)
+	// Independent climbs: start 0 on the calling goroutine, the others on
+	// their own. Each start's RNG seed is a pure function of (Seed, index), so
+	// any scheduling order produces the same per-start results and therefore
+	// — with the lowest-index tie break below — the same winner.
+	results := make([]*Result, max(cfg.Starts, 1))
 	var wg sync.WaitGroup
-	for i := range results {
+	for i := 1; i < len(results); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -171,6 +164,7 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 			results[i] = climb(ctx, in, cfg, startSeed(cfg.Seed, i), warm)
 		}(i)
 	}
+	results[0] = climb(ctx, in, cfg, startSeed(cfg.Seed, 0), warm)
 	wg.Wait()
 	best := 0
 	for i := 1; i < len(results); i++ {
@@ -179,7 +173,7 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 		}
 	}
 	res := results[best]
-	res.Starts = cfg.Starts
+	res.Starts = len(results)
 	res.BestStart = best
 	res.Elapsed = clock.Since(start)
 	res.Cancelled = ctx.Err() == context.Canceled

@@ -400,13 +400,13 @@ type Options struct {
 	// residual check (it is refactorized otherwise). It is state like
 	// RootBasis, and like it single-flight: one solve at a time may hold it.
 	RootWorkspace *lp.Workspace
-	// Workers is the number of parallel branch-and-bound workers. 0 or 1
-	// run the exact serial algorithm — results are bit-for-bit reproducible
-	// and identical to the historical single-threaded solver. Values > 1
-	// run that many workers over a shared open list, with the root primal
-	// heuristics racing concurrently to seed the incumbent; results remain
-	// correct (same proven status and gap guarantees) but the incumbent
-	// point may differ between runs. Negative means runtime.NumCPU().
+	// Workers is the number of branch-and-bound workers draining one open
+	// list. 0 or 1 run the search on the calling goroutine alone — results
+	// are bit-for-bit reproducible. Values > 1 fork that many minus one
+	// workers on problem clones, which start on the tree while the root
+	// primal heuristics still run; results remain correct (same proven
+	// status and gap guarantees) but the incumbent point may differ between
+	// runs. Negative means runtime.NumCPU().
 	Workers int
 }
 
@@ -417,14 +417,14 @@ type Result struct {
 	Bound     float64   // best proven lower bound on the optimum
 	X         []float64 // incumbent point, one entry per variable
 	Nodes     int       // branch-and-bound nodes explored
-	// LP sums what every LP workspace of the solve did — the root, each
-	// heuristic goroutine and each worker — read once after they joined.
+	// LP sums what every LP workspace of the solve did — the root search's
+	// and each other worker's — read once after they joined.
 	LP        lp.Stats
 	SolveTime time.Duration
 	// Workers is the resolved worker count the solve ran with (≥ 1).
 	Workers int
 	// IncumbentUpdates counts accepted improvements of the shared
-	// incumbent, including the serial driver's.
+	// incumbent.
 	IncumbentUpdates int
 	// HeuristicWins counts incumbent updates contributed by the primal
 	// heuristics (round/repair/complete and diving) rather than by
@@ -513,12 +513,7 @@ func (m *Model) Solve(ctx context.Context, opt Options) Result {
 	e := newEngine(ctx, m, opt, start)
 	defer e.restoreRootBounds()
 
-	var res Result
-	if opt.Workers > 1 {
-		res = m.solveParallel(e)
-	} else {
-		res = m.solveSerial(e)
-	}
+	res := m.branchAndBound(e)
 	e.fillStats(&res)
 	res.Workers = opt.Workers
 	res.SolveTime = clock.Since(start)

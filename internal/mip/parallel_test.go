@@ -10,7 +10,7 @@ import (
 )
 
 // fixedAssignment builds a deterministic assignment model large enough that
-// the parallel driver actually runs several workers' worth of nodes.
+// several workers actually get nodes to expand.
 func fixedAssignment(t *testing.T, seed int64, n, k int) (*Model, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -85,36 +85,37 @@ func TestParallelStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestParallelLPStatsSumSearches drives the parallel driver directly so the
-// per-search workspaces stay in reach: Result.LP must be the sum over the
-// root, the racing root heuristics and the workers — each counted by its own
+// TestParallelLPStatsSumSearches drives the driver directly so the per-search
+// workspaces stay in reach: there is one search per worker, the root search
+// among them, and Result.LP must be their sum — each counted by its own
 // goroutine with plain ints and read only after the join, which is what the
 // race detector checks here — and every counted node solved one LP.
 func TestParallelLPStatsSumSearches(t *testing.T) {
-	const workers = 4
-	m := generalizedAssignment(7)
-	e := newEngine(context.Background(), m, Options{Workers: workers, MaxNodes: 400, IntTol: 1e-6, AbsGap: 1e-6}, time.Now())
-	res := m.solveParallel(e)
-	e.fillStats(&res)
-	e.restoreRootBounds()
-	if res.Status != Optimal && res.Status != Feasible {
-		t.Fatalf("status=%v", res.Status)
-	}
-	if want := 1 + 4 + workers; len(e.searches) != want {
-		t.Fatalf("%d searches, want %d (root + 4 root heuristics + %d workers)", len(e.searches), want, workers)
-	}
-	sum := 0
-	for _, s := range e.searches {
-		sum += s.ws.Stats().Solves
-	}
-	if res.LP.Solves != sum {
-		t.Fatalf("Result.LP.Solves = %d, searches sum to %d", res.LP.Solves, sum)
-	}
-	if root := e.searches[0].ws.Stats().Solves; root < 1 {
-		t.Fatalf("root search solved %d LPs", root)
-	}
-	if res.LP.Solves < 1+res.Nodes {
-		t.Fatalf("%d LP solves for the root and %d nodes", res.LP.Solves, res.Nodes)
+	for _, workers := range []int{1, 4} {
+		m := generalizedAssignment(7)
+		e := newEngine(context.Background(), m, Options{Workers: workers, MaxNodes: 400, IntTol: 1e-6, AbsGap: 1e-6}, time.Now())
+		res := m.branchAndBound(e)
+		e.fillStats(&res)
+		e.restoreRootBounds()
+		if res.Status != Optimal && res.Status != Feasible {
+			t.Fatalf("workers=%d: status=%v", workers, res.Status)
+		}
+		if len(e.searches) != workers {
+			t.Fatalf("%d searches at workers=%d, want one per worker", len(e.searches), workers)
+		}
+		sum := 0
+		for _, s := range e.searches {
+			sum += s.ws.Stats().Solves
+		}
+		if res.LP.Solves != sum {
+			t.Fatalf("workers=%d: Result.LP.Solves = %d, searches sum to %d", workers, res.LP.Solves, sum)
+		}
+		if root := e.searches[0].ws.Stats().Solves; root < 1 {
+			t.Fatalf("workers=%d: root search solved %d LPs", workers, root)
+		}
+		if res.LP.Solves < 1+res.Nodes {
+			t.Fatalf("workers=%d: %d LP solves for the root and %d nodes", workers, res.LP.Solves, res.Nodes)
+		}
 	}
 }
 
@@ -173,8 +174,8 @@ func TestParallelCancelReturnsIncumbentNoLeak(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation not prompt: solve ran %v", elapsed)
 	}
-	// All workers and heuristic goroutines must have joined. Poll briefly:
-	// unrelated runtime goroutines may take a moment to retire.
+	// Every worker must have joined. Poll briefly: unrelated runtime
+	// goroutines may take a moment to retire.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= before+1 {
@@ -213,8 +214,8 @@ func TestParallelNegativeWorkersMeansNumCPU(t *testing.T) {
 	}
 }
 
-// Regression tests from the serial-assumption bug sweep. The parallel driver
-// shares node.changes slices between sibling nodes and between goroutines, so
+// Regression tests from the serial-assumption bug sweep. The driver shares
+// node.changes slices between sibling nodes and between goroutines, so
 // appendChange must never alias its input's backing array.
 func TestAppendChangeDoesNotAliasParent(t *testing.T) {
 	parent := make([]boundChange, 1, 8) // spare capacity invites aliasing bugs

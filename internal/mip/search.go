@@ -1,11 +1,10 @@
 package mip
 
-// This file holds the solve engine shared by the serial and parallel
-// branch-and-bound drivers: the per-solve shared state (incumbent, stop
-// flags, node count, root bounds) and the per-goroutine search scratch
-// (problem copy, LP workspace and its statistics, heuristics). Both drivers
-// expand nodes through processNode; the serial one keys node order and the
-// heuristic schedule to node counts alone, so Workers=1 results are
+// This file holds the solve engine under the branch-and-bound driver
+// (pool.go): the per-solve shared state (incumbent, stop flags, node count,
+// root bounds) and the per-goroutine search scratch (problem copy, LP
+// workspace and its statistics, heuristics). Node order and the heuristic
+// schedule are keyed to node counts alone, so Workers=1 results are
 // bit-for-bit repeatable.
 
 import (
@@ -55,9 +54,10 @@ type engine struct {
 	heurWins   int
 
 	nodes atomic.Int64
-	// searches lists every search of the solve. newSearch appends to it, and
-	// only the driver goroutine calls newSearch (before it forks the search's
-	// goroutine), so the slice itself needs no lock.
+	// searches lists every search of the solve, the root search first.
+	// newSearch appends to it, and only the driver goroutine calls newSearch
+	// (before it forks the search's goroutine), so the slice itself needs no
+	// lock.
 	searches []*search
 
 	// Stall-rule progress tracking: the node count at the last incumbent or
@@ -216,8 +216,8 @@ func (e *engine) offer(x []float64, obj float64, heuristic bool) bool {
 }
 
 // incumbentCopy snapshots the shared incumbent (nil when none exists) into
-// an engine-owned buffer that the next call overwrites. Call sites all sit
-// in the serial phases of a solve (before workers fork, after they join), so
+// an engine-owned buffer that the next call overwrites. Only the root search's
+// goroutine calls it (root status, root heuristics, polish, final result), so
 // at most one snapshot is live at a time; the final one may escape into
 // Result.X, which is safe because the engine dies with the solve.
 func (e *engine) incumbentCopy() ([]float64, float64) {
@@ -245,8 +245,7 @@ func (e *engine) fillStats(res *Result) {
 }
 
 // handleRootStatus maps a non-Optimal root relaxation status onto a final
-// Result, shared verbatim by the serial and parallel drivers. It reports
-// whether res is final.
+// Result. It reports whether res is final.
 func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 	switch rootSol.Status {
 	case lp.Infeasible:
@@ -283,11 +282,11 @@ func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 }
 
 // search is the per-goroutine solve scratch: a problem whose bounds this
-// goroutine may mutate freely (the model's own problem for the serial
-// driver and the root of the parallel one; a Clone for every worker and
-// heuristic goroutine), the goroutine's LP workspace — which retains the
-// simplex structure, all solver scratch, and the basis of the last LP it
-// solved to optimality — and reusable point buffers for the heuristics.
+// goroutine may mutate freely (the model's own problem for the root search,
+// a Clone for every other worker), the goroutine's LP workspace — which
+// retains the simplex structure, all solver scratch, and the basis of the
+// last LP it solved to optimality — and reusable point buffers for the
+// heuristics.
 // Nothing in a search is shared across goroutines; everything shared lives
 // in the engine.
 type search struct {
@@ -782,8 +781,8 @@ func (s *search) branch(nd node, v int, fv, objective float64, basis *lp.Basis) 
 // heuristics, and branch. It appends to open what the expansion leaves
 // unexplored and returns it: nothing when the node is pruned or fathomed, its
 // two children, or the node itself when its LP was cancelled mid-solve (the
-// subtree must stay in the bound). Both drivers expand nodes through it; with
-// one goroutine myNode is simply the node count.
+// subtree must stay in the bound). With one worker myNode is simply the node
+// count.
 func (s *search) processNode(nd node, open []node) []node {
 	m, e := s.m, s.e
 	opt := e.opt
@@ -843,8 +842,8 @@ func (s *search) processNode(nd node, open []node) []node {
 	return append(open, first, second)
 }
 
-// rootHeuristics runs the serial root-node primal heuristic schedule from
-// the fractional root relaxation: round/repair/complete, a nearest-rounding
+// rootHeuristics runs the root-node primal heuristic schedule from the
+// fractional root relaxation: round/repair/complete, a nearest-rounding
 // dive, then gap-dependent retries (an up-biased dive and a cold-started
 // dive) and a final repair polish of the incumbent.
 func (s *search) rootHeuristics(rootSol lp.Solution) {
@@ -870,69 +869,6 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 	if inc, _ := e.incumbentCopy(); inc != nil {
 		s.roundRepairComplete(inc)
 	}
-}
-
-// solveSerial is the Workers=1 branch-and-bound driver: one goroutine, node
-// order and heuristic schedule keyed to node counts alone, so serial results
-// are bit-for-bit repeatable.
-func (m *Model) solveSerial(e *engine) Result {
-	opt := e.opt
-	res := newResult()
-	s := newSearch(e, &m.prob, opt.RootBasis, opt.RootWorkspace)
-
-	rootSol, final := s.solveRoot(&res)
-	if final {
-		return res
-	}
-	res.Bound = rootSol.Objective
-	if m.mostFractional(rootSol.X, opt.IntTol) != -1 {
-		s.rootHeuristics(rootSol)
-	}
-
-	// Open-node pool. Depth-first diving with periodic best-bound selection
-	// keeps memory modest while still improving the global bound.
-	open := []node{{bound: rootSol.Objective, basis: res.RootBasis}}
-	bestBound := func() float64 {
-		if len(open) == 0 {
-			return e.bestObj()
-		}
-		b := math.Inf(1)
-		for i := range open {
-			if open[i].bound < b {
-				b = open[i].bound
-			}
-		}
-		return b
-	}
-
-	for len(open) > 0 {
-		if int(e.nodes.Load()) >= opt.MaxNodes || e.expired() {
-			break
-		}
-		bb := bestBound()
-		e.noteBound(bb)
-		if e.stalled(bb) {
-			break
-		}
-		// Node selection: mostly LIFO (dive), every 16th node best-bound.
-		pick := len(open) - 1
-		if int(e.nodes.Load())%16 == 15 {
-			for i := range open {
-				if open[i].bound < open[pick].bound {
-					pick = i
-				}
-			}
-		}
-		nd := open[pick]
-		open = append(open[:pick], open[pick+1:]...)
-
-		// A cancelled node comes back on the list, so the final bound still
-		// accounts for its subtree; the loop exits via expired() above.
-		open = s.processNode(nd, open)
-	}
-
-	s.polish(bestBound())
-	return e.finalResult(res, bestBound(), len(open))
 }
 
 // polish closes a search: back at root bounds, it re-runs the repair heuristic

@@ -173,6 +173,71 @@ func (dt *deltaTracker) input(m *mutator, withDelta bool) (Input, func()) {
 	return in, func() { dt.lastStates = v; dt.lastStore = storeV; dt.have = true }
 }
 
+// patchPhase is one kind of phase model the patch property runs on.
+type patchPhase struct {
+	name      string
+	rackLevel bool
+	buffer    float64 // SharedBufferFraction
+	wear      float64 // WearPenalty
+}
+
+// patchPhases are phase 1, phase 1 with the shared buffer and wear buckets,
+// and the rack-level model.
+var patchPhases = []patchPhase{
+	{"phase1", false, -1, 0},
+	{"phase1-buffer", false, 0.02, 2},
+	{"rack", true, -1, 2},
+}
+
+// patchRounds runs rounds of m's mutation stream through one cached model of
+// kind pk — a round is structural (a reservation created and/or deleted) when
+// structural says so — and requires every round whose delta patches to be
+// bit-for-bit identical to a cold rebuild of the same input: model
+// fingerprint, group structure, and initial counts. It tallies why the other
+// rounds fell back into reasons and returns both counts.
+func patchRounds(t *testing.T, region *topology.Region, m *mutator, pk patchPhase, rounds int,
+	structural func(round int) bool, reasons *[NumRebuildReasons]int) (patches, fallbacks int) {
+	t.Helper()
+	cfg := fastCfg()
+	cfg.SharedBufferFraction = pk.buffer
+	cfg.WearPenalty = pk.wear
+	cfg = cfg.withDefaults(region)
+
+	var cached *builtPhase
+	for round := 0; round < rounds; round++ {
+		if round > 0 {
+			m.step(structural(round))
+		}
+		states, v := m.b.SnapshotAt()
+		in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+		specs := buildSpecs(in, cfg)
+		pool := usableServers(in)
+		targets := fixtureTargets(states, pk.rackLevel)
+
+		var cold PhaseStats
+		want := buildPhase(in, cfg, specs, pool, targets, pk.rackLevel, &cold)
+		if cached != nil {
+			why := cached.patch(in, cfg, specs, pool, targets)
+			reasons[why]++
+			if why == RebuildNone {
+				patches++
+				if got, w := cached.m.Fingerprint(), want.m.Fingerprint(); got != w {
+					t.Fatalf("round %d: patched fingerprint %x != cold %x", round, got, w)
+				}
+				compareStructure(t, round, cached, want)
+				// Keep solving on the patched model to mimic real use.
+			} else {
+				fallbacks++
+				cached = want
+			}
+		} else {
+			cached = want
+		}
+		cached.statesVersion = v
+	}
+	return patches, fallbacks
+}
+
 // TestPatchMatchesColdRebuild is the core incremental-build property: after
 // every random delta, a cache patched in place must be bit-for-bit identical
 // to a cold rebuild of the same input — model fingerprint, group structure,
@@ -190,66 +255,42 @@ func TestPatchMatchesColdRebuild(t *testing.T) {
 			}
 		}
 	}()
-	for _, tc := range []struct {
-		name      string
-		rackLevel bool
-		buffer    float64
-		wear      float64
-	}{
-		{"phase1", false, -1, 0},
-		{"phase1-buffer", false, 0.02, 2},
-		{"rack", true, -1, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, pk := range patchPhases {
+		t.Run(pk.name, func(t *testing.T) {
 			region := testRegion(t, 2, 2, 4, 12, 41)
 			m := newMutator(t, region, 42, 6)
-			cfg := fastCfg()
-			cfg.SharedBufferFraction = tc.buffer
-			cfg.WearPenalty = tc.wear
-			cfg = cfg.withDefaults(region)
-
-			var cached *builtPhase
-			patches, fallbacks := 0, 0
-			for round := 0; round < 40; round++ {
-				if round > 0 {
-					m.step(round%7 == 3)
-				}
-				states, v := m.b.SnapshotAt()
-				in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
-				specs := buildSpecs(in, cfg)
-				pool := usableServers(in)
-				targets := fixtureTargets(states, tc.rackLevel)
-
-				var cold PhaseStats
-				want := buildPhase(in, cfg, specs, pool, targets, tc.rackLevel, &cold)
-				if cached != nil {
-					why := cached.patch(in, cfg, specs, pool, targets)
-					reasons[why]++
-					if why == RebuildNone {
-						patches++
-						if got, w := cached.m.Fingerprint(), want.m.Fingerprint(); got != w {
-							t.Fatalf("round %d: patched fingerprint %x != cold %x", round, got, w)
-						}
-						compareStructure(t, round, cached, want)
-						// Keep solving on the patched model to mimic real use.
-					} else {
-						fallbacks++
-						cached = want
-					}
-				} else {
-					cached = want
-				}
-				cached.statesVersion = v
-			}
+			patches, fallbacks := patchRounds(t, region, m, pk, 40, func(round int) bool { return round%7 == 3 }, &reasons)
 			if patches == 0 {
 				t.Fatal("mutation stream never produced a patchable round")
 			}
 			if fallbacks == 0 {
 				t.Fatal("mutation stream never produced a fallback round")
 			}
-			t.Logf("%s: %d patches, %d fallbacks", tc.name, patches, fallbacks)
+			t.Logf("%s: %d patches, %d fallbacks", pk.name, patches, fallbacks)
 		})
 	}
+}
+
+// FuzzPatchMatchesRebuild is TestPatchMatchesColdRebuild's property for any
+// mutation stream: the fuzz bytes pick the mutator's seed, the phase kind
+// (patchPhases) and the structural cadence — every cadence-th round creates
+// and/or deletes a reservation, none when it is zero — and every patched
+// round must match a cold rebuild's fingerprint and structure.
+func FuzzPatchMatchesRebuild(f *testing.F) {
+	f.Add(int64(42), byte(0), byte(7))
+	f.Add(int64(42), byte(1), byte(7))
+	f.Add(int64(42), byte(2), byte(7))
+	f.Add(int64(3), byte(2), byte(2)) // rack level, structural every other round
+	f.Add(int64(9), byte(1), byte(0)) // buffer and wear, never structural
+
+	region := testRegion(f, 2, 2, 4, 12, 41)
+	f.Fuzz(func(t *testing.T, seed int64, kind, cadence byte) {
+		every := int(cadence % 9)
+		var reasons [NumRebuildReasons]int
+		m := newMutator(t, region, seed, 6)
+		patchRounds(t, region, m, patchPhases[int(kind)%len(patchPhases)], 24,
+			func(round int) bool { return every > 0 && round%every == 0 }, &reasons)
+	})
 }
 
 // fixtureTargets stands in for phase-1 output: all Unassigned in phase 1; at
