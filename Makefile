@@ -30,9 +30,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The race suite covers the parallel solve paths: the mip/localsearch/backend
-# tests exercise Workers > 1 (the branch-and-bound node pool drained by
-# several workers while the root heuristics run, multi-start climbs) under
+# The race suite covers the parallel solve paths: the mip and backend tests
+# exercise Workers > 1 (the branch-and-bound node pool drained by several
+# workers while the root heuristics run, pop's concurrent sub-solves) under
 # the race detector.
 race:
 	$(GO) test -race ./...
@@ -50,12 +50,14 @@ fuzz-smoke:
 	done
 
 # End-to-end smoke runs on a synthetic region: the parallel MIP, the
-# partitioned backend (k sub-solves dividing the same worker budget), and a
-# multi-round simulation that must exercise both the model-cache patch path
-# and — via the -grow-hour structural delta — the fallback rebuild path.
+# partitioned backend (k sub-solves dividing the same worker budget), local
+# search, and a multi-round simulation that must exercise both the
+# model-cache patch path and — via the -grow-hour structural delta — the
+# fallback rebuild path.
 smoke:
 	$(GO) run ./cmd/rassolve -synthetic -workers 4 -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassolve -synthetic -backend pop -partitions 4 -workers 4 -time-limit 10s >/dev/null
+	$(GO) run ./cmd/rassolve -synthetic -backend localsearch >/dev/null
 	$(GO) run ./cmd/rassim -days 1 -dcs 2 -msbs 2 -racks 4 -servers 4 -grow-hour 6 -require-cache -q >/dev/null
 
 # The round-loop benchmark (BENCHMARK.json, benchmark/) is a module of its
@@ -115,12 +117,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Record the solver benchmark baseline (the simplex kernel's layers, the
-# 1/2/NumCPU worker sweeps, the POP k sweep and the repair pass three times
-# each at GOMAXPROCS=1, the online path's two benchmarks, then 20
-# individually timed rounds of BenchmarkRoundIncremental per mode for its p50
-# and max) as JSON. The raw Go benchmark lines are preserved under
-# "benchfmt_lines"; extract them with jq for benchstat comparisons against a
-# later run.
+# MIP's 1/2/NumCPU worker sweeps and the serial local search, the POP k
+# sweep and the repair pass three times each at GOMAXPROCS=1, the online
+# path's two benchmarks, then 20 individually timed rounds of
+# BenchmarkRoundIncremental per mode for its p50 and max) as JSON. The raw
+# Go benchmark lines are preserved under "benchfmt_lines"; extract them with
+# jq for benchstat comparisons against a later run.
 bench-baseline:
 	{ $(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) -count 1 ./internal/lp; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBackend(MIP|LocalSearch)' -benchtime 3x -count 1 .; \

@@ -17,7 +17,6 @@ import (
 	"ras/internal/backend"
 	"ras/internal/broker"
 	"ras/internal/hardware"
-	"ras/internal/localsearch"
 	"ras/internal/reservation"
 	"ras/internal/solver"
 	"ras/internal/topology"
@@ -118,16 +117,10 @@ func BenchmarkBackendMIPLarge(b *testing.B) {
 
 // BenchmarkBackendLocalSearch solves the same workload with the local-search
 // backend — the one ReBalancer picks for near-realtime users like Shard
-// Manager (§6): seconds-scale, slightly worse placement quality. For this
-// backend the worker count is the number of independent seeded climbs.
+// Manager (§6): milliseconds, scored on the MIP's objective. It runs serial,
+// so there is no worker sweep.
 func BenchmarkBackendLocalSearch(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			runBackendBench(b, "localsearch", backend.Config{
-				LocalSearch: localsearch.Config{TimeLimit: 2 * time.Second, Seed: 9},
-			}, w)
-		})
-	}
+	runBackendBench(b, "localsearch", backend.Config{Solver: solver.Config{SharedBufferFraction: -1}}, 1)
 }
 
 // BenchmarkBackendPOPLarge is the POP-paper-style k-sweep (k ∈ {1, 2, 4,

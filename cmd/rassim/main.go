@@ -43,7 +43,7 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress the hourly log")
 		fillFrac = flag.Float64("fill", 0.7, "fraction of the region requested as capacity")
 		workers  = flag.Int("workers", runtime.NumCPU(),
-			"solve parallelism for the hourly rounds: branch-and-bound workers (mip) or climb starts (localsearch); 1 = serial")
+			"solve parallelism for the hourly rounds: branch-and-bound workers (mip) or the budget pop divides across its sub-solves; localsearch is serial; 1 = serial")
 		beName = flag.String("backend", backend.DefaultName,
 			"solver backend for the hourly rounds ("+strings.Join(backend.Names(), ", ")+")")
 		partitions = flag.Int("partitions", 0,

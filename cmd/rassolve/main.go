@@ -112,7 +112,7 @@ func main() {
 		nres      = flag.Int("reservations", 4, "synthetic: reservation count")
 		timeLimit = flag.Duration("time-limit", 10*time.Second, "solve time limit")
 		workers   = flag.Int("workers", runtime.NumCPU(),
-			"solve parallelism: branch-and-bound workers (mip) or climb starts (localsearch); 1 = serial")
+			"solve parallelism: branch-and-bound workers (mip) or the budget pop divides across its sub-solves; localsearch is serial; 1 = serial")
 		beName = flag.String("backend", backend.DefaultName,
 			"solver backend ("+strings.Join(backend.Names(), ", ")+")")
 		partitions = flag.Int("partitions", 0,

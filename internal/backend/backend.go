@@ -11,9 +11,10 @@
 // The cancellation contract: Backend.Solve takes a context.Context that
 // bounds the entire solve. Cancellation propagates cooperatively down the
 // whole stack (branch-and-bound nodes, simplex iteration loops, local-search
-// steps); a cancelled solve is NOT an error — it returns promptly with the
-// best incumbent assignment found so far and Status StatusCancelled, so a
-// supervisor can always apply the most recent targets it has.
+// repair passes); a cancelled solve is NOT an error — it returns promptly
+// with the best incumbent assignment found so far and Status
+// StatusCancelled, so a supervisor can always apply the most recent targets
+// it has.
 package backend
 
 import (
@@ -24,7 +25,6 @@ import (
 	"time"
 
 	"ras/internal/clock"
-	"ras/internal/localsearch"
 	"ras/internal/mip"
 	"ras/internal/reservation"
 	"ras/internal/solver"
@@ -40,12 +40,12 @@ type Options struct {
 	// the context.
 	TimeLimit time.Duration
 	// Workers caps one solve's parallelism: branch-and-bound workers for
-	// the MIP backend, independent climb starts for local search, and the
-	// total budget the pop backend divides across its concurrent sub-solves
-	// (never multiplies — `-workers 4 -partitions 4` runs 4 serial
-	// sub-solves, not 16 threads). Zero means runtime.NumCPU() — backends
-	// exploit the whole machine unless told otherwise; 1 forces the exact
-	// serial engines.
+	// the MIP backend and the total budget the pop backend divides across
+	// its concurrent sub-solves (never multiplies — `-workers 4 -partitions
+	// 4` runs 4 serial sub-solves, not 16 threads). Local search is serial
+	// and ignores it. Zero means runtime.NumCPU() — backends exploit the
+	// whole machine unless told otherwise; 1 forces the exact serial
+	// engines.
 	Workers int
 	// Partitions is the pop backend's sub-region count k (clamped to the
 	// region's MSB count). Zero means DefaultPartitions. Other backends
@@ -67,7 +67,7 @@ type WarmState struct {
 	// MIP is the two-phase solver's persisted root bases.
 	MIP *solver.WarmState
 	// LocalSearch is the last local-search assignment.
-	LocalSearch *localsearch.WarmState
+	LocalSearch []reservation.ID
 	// POP is the partitioned backend's per-partition warm state.
 	POP *POPWarm
 }
@@ -142,7 +142,9 @@ type Result struct {
 	Targets []reservation.ID
 	// Moves counts the server moves the assignment implies (Figure 16).
 	Moves solver.MoveStats
-	// Objective is the backend's internal objective at Targets.
+	// Objective is the phase-1 objective functional (solver.Evaluate's) at
+	// Targets for local search and pop. For mip it is the MIP's phase-1
+	// objective, priced before the rack phase refines Targets.
 	Objective float64
 	// Bound is the best proven lower bound on the optimum; -Inf when the
 	// backend proves none (local search never does).
@@ -155,7 +157,7 @@ type Result struct {
 	// MIP carries the two-phase solver detail; set iff the MIP backend ran.
 	MIP *solver.Result
 	// LocalSearch carries the search detail; set iff that backend ran.
-	LocalSearch *localsearch.Result
+	LocalSearch *LocalSearchDetail
 	// POP carries the partitioned backend detail; set iff that backend ran.
 	POP *POPDetail
 
@@ -177,13 +179,12 @@ func (r *Result) SolverResults() []*solver.Result {
 	return nil
 }
 
-// Config carries the tuning for every backend; each reads the part it
-// understands, so one Config can construct any of them.
+// Config carries the tuning for every backend, so one Config can construct
+// any of them.
 type Config struct {
-	// Solver tunes the two-phase MIP backend.
+	// Solver tunes the two-phase MIP solves of mip and pop, and sets the
+	// objective weights and shared-buffer size every backend scores with.
 	Solver solver.Config
-	// LocalSearch tunes the local-search backend.
-	LocalSearch localsearch.Config
 }
 
 // DefaultName is the backend the façade uses when none is selected: the
@@ -201,7 +202,7 @@ func New(name string, cfg Config) (Backend, error) {
 	case "mip":
 		return &mipBackend{cfg: cfg.Solver}, nil
 	case "localsearch":
-		return &localSearchBackend{cfg: cfg.LocalSearch}, nil
+		return &localSearchBackend{cfg: cfg.Solver}, nil
 	case "pop":
 		return &popBackend{cfg: cfg.Solver}, nil
 	}
@@ -271,48 +272,6 @@ func (b *mipBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 		out.Status = StatusNoSolution
 		out.Bound = math.Inf(-1)
 		out.Gap = math.Inf(1)
-	}
-	return out, nil
-}
-
-// localSearchBackend adapts the hill-climbing solver (internal/localsearch)
-// to the Backend interface.
-type localSearchBackend struct {
-	cfg localsearch.Config
-}
-
-func (b *localSearchBackend) Name() string { return "localsearch" }
-
-func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Options) (*Result, error) {
-	cfg := b.cfg
-	if opts.TimeLimit > 0 {
-		cfg.TimeLimit = opts.TimeLimit
-	}
-	cfg.Starts = opts.workers()
-	var warm *localsearch.WarmState
-	if opts.Warm != nil {
-		warm = opts.Warm.LocalSearch
-	}
-	res, err := localsearch.SolveWarm(ctx, in, cfg, warm)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Backend:     b.Name(),
-		Status:      StatusFeasible, // hill climbing proves no bound
-		Targets:     res.Targets,
-		Moves:       res.Moves,
-		Objective:   res.Objective,
-		Bound:       math.Inf(-1),
-		Gap:         math.Inf(1),
-		Elapsed:     res.Elapsed,
-		LocalSearch: res,
-		Warm: nextWarm(opts.Warm, func(w *WarmState) {
-			w.LocalSearch = &localsearch.WarmState{Targets: res.Targets}
-		}),
-	}
-	if res.Cancelled {
-		out.Status = StatusCancelled
 	}
 	return out, nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"ras/internal/broker"
 	"ras/internal/hardware"
-	"ras/internal/localsearch"
 	"ras/internal/mip"
 	"ras/internal/reservation"
 	"ras/internal/solver"
@@ -73,9 +72,28 @@ func checkTargets(t *testing.T, in solver.Input, res *Result) {
 	}
 }
 
+// surviving is what a reservation keeps after losing its largest MSB — the
+// capacity guarantee of expression 6, counted server by server.
+func surviving(in solver.Input, targets []reservation.ID, id reservation.ID) float64 {
+	perMSB := make([]float64, in.Region.NumMSBs)
+	total := 0.0
+	for i := range in.Region.Servers {
+		if targets[i] == id {
+			perMSB[in.Region.Servers[i].MSB]++
+			total++
+		}
+	}
+	worst := 0.0
+	for _, v := range perMSB {
+		worst = math.Max(worst, v)
+	}
+	return total - worst
+}
+
 // TestRegistryRoundTrip solves the same input with every backend Names lists,
 // constructed by name through New, and checks each produces a valid
-// assignment — which also keeps Names and New's switch in step.
+// assignment and rejects a snapshot without a region — which also keeps
+// Names and New's switch in step.
 func TestRegistryRoundTrip(t *testing.T) {
 	in := testInput(t, 1, 4, 4)
 	names := Names()
@@ -84,8 +102,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	for _, name := range names {
 		be, err := New(name, Config{
-			Solver:      solver.Config{Phase1TimeLimit: 10 * time.Second, Phase2TimeLimit: 5 * time.Second},
-			LocalSearch: localsearch.Config{TimeLimit: 3 * time.Second, Seed: 1},
+			Solver: solver.Config{Phase1TimeLimit: 10 * time.Second, Phase2TimeLimit: 5 * time.Second},
 		})
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
@@ -104,6 +121,37 @@ func TestRegistryRoundTrip(t *testing.T) {
 			t.Fatalf("%s: unexpected status %v", name, res.Status)
 		}
 		checkTargets(t, in, res)
+		if _, err := be.Solve(context.Background(), solver.Input{}, Options{}); err == nil {
+			t.Errorf("%s: a snapshot without a region did not error", name)
+		}
+	}
+}
+
+// TestBackendsScoreOneObjective pins the objective contract across backends:
+// local search and pop report solver.Evaluate's phase-1 functional of their
+// own Targets exactly, and mip's phase-1 objective agrees with it when no
+// rack phase refines Targets afterwards. The default config provisions the
+// shared random-failure buffer, so a backend that never fills it shows here.
+func TestBackendsScoreOneObjective(t *testing.T) {
+	in := testInput(t, 1, 4, 4)
+	cfg := solver.Config{Phase1TimeLimit: 10 * time.Second, DisableRackPhase: true}
+	for _, name := range Names() {
+		be, err := New(name, Config{Solver: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := be.Solve(context.Background(), in, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ev := solver.Evaluate(in, cfg, res.Targets)
+		tol := 0.0
+		if name == "mip" {
+			tol = 1e-6
+		}
+		if math.Abs(res.Objective-ev.Objective) > tol {
+			t.Errorf("%s: Result.Objective %v, Evaluate %v (%+v)", name, res.Objective, ev.Objective, ev)
+		}
 	}
 }
 
@@ -184,34 +232,58 @@ func TestCancelMIPMidSolve(t *testing.T) {
 	}
 }
 
-// TestCancelLocalSearchMidSolve cancels a long-budget local search and checks
-// it stops promptly with the incumbent assignment.
+// pollCountCtx is a cancellable context whose Err polls are counted; at poll
+// number cancelAt (when that is set) it cancels itself. Local search polls
+// its context once between repair passes, so a poll count names a point in
+// the solve that does not depend on how fast the host is.
+type pollCountCtx struct {
+	context.Context
+	cancel    context.CancelFunc
+	polls     int
+	cancelAt  int
+	cancelled time.Time
+}
+
+func (c *pollCountCtx) Err() error {
+	if c.polls++; c.polls == c.cancelAt {
+		c.cancelled = time.Now()
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancelLocalSearchMidSolve cancels a local search halfway through the
+// repair passes an uncancelled solve of the same input runs and checks it
+// stops promptly with the incumbent assignment.
 func TestCancelLocalSearchMidSolve(t *testing.T) {
-	// 2304 servers with a wide candidate sample: tens of milliseconds of
-	// search, so the 10ms cancel lands mid-climb.
+	// 2304 servers and 60 reservations: several repair passes to the fixed
+	// point, so a cancel between them lands mid-search.
 	in := testInput(t, 3, 60, 48)
-	be, err := New("localsearch", Config{
-		LocalSearch: localsearch.Config{TimeLimit: 30 * time.Second, Seed: 2, Candidates: 2048},
-	})
+	be, err := New("localsearch", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	full := &pollCountCtx{Context: context.Background()}
+	if _, err := be.Solve(full, in, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if full.polls < 3 {
+		t.Fatalf("an uncancelled solve polled its context %d times: too few passes to cancel between", full.polls)
+	}
+	base, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	timer := time.AfterFunc(10*time.Millisecond, cancel)
-	defer timer.Stop()
+	ctx := &pollCountCtx{Context: base, cancel: cancel, cancelAt: full.polls / 2}
 
-	start := time.Now()
 	res, err := be.Solve(ctx, in, Options{})
-	elapsed := time.Since(start)
+	returned := time.Now()
 	if err != nil {
 		t.Fatalf("cancelled solve returned error: %v", err)
 	}
 	if res.Status != StatusCancelled {
-		t.Fatalf("status = %v after explicit cancel (solve took %v), want %v",
-			res.Status, elapsed, StatusCancelled)
+		t.Fatalf("status = %v after a cancel at poll %d of %d, want %v",
+			res.Status, ctx.cancelAt, full.polls, StatusCancelled)
 	}
-	if over := elapsed - 10*time.Millisecond; over > 200*time.Millisecond {
+	if over := returned.Sub(ctx.cancelled); over > 200*time.Millisecond {
 		t.Fatalf("solve returned %v after cancellation, want < 200ms", over)
 	}
 	if res.LocalSearch == nil {

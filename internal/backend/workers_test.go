@@ -4,10 +4,10 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"ras/internal/localsearch"
 	"ras/internal/solver"
 )
 
@@ -97,26 +97,29 @@ func TestCancelMIPMidSolveParallel(t *testing.T) {
 	}
 }
 
-// TestLocalSearchWorkersAreStarts checks the workers knob maps to multi-start
-// on the local-search backend and stays deterministic.
-func TestLocalSearchWorkersAreStarts(t *testing.T) {
+// TestLocalSearchIgnoresWorkers checks local search is serial and a pure
+// function of its input: every Workers value, and a repeated solve, returns
+// the same assignment.
+func TestLocalSearchIgnoresWorkers(t *testing.T) {
 	in := testInput(t, 5, 4, 4)
-	be, err := New("localsearch", Config{
-		LocalSearch: localsearch.Config{TimeLimit: 30 * time.Second, Seed: 9, MaxSteps: 300},
-	})
+	be, err := New("localsearch", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := be.Solve(context.Background(), in, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := be.Solve(context.Background(), in, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTargets(t, in, a)
-	if a.Objective != b.Objective {
-		t.Fatalf("local-search multi-start nondeterministic: %v vs %v", a.Objective, b.Objective)
+	var ref *Result
+	for _, workers := range []int{1, 3, 1, 4} {
+		res, err := be.Solve(context.Background(), in, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTargets(t, in, res)
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if res.Objective != ref.Objective || !slices.Equal(res.Targets, ref.Targets) {
+			t.Fatalf("workers=%d: objective %v, want %v (targets equal: %v)",
+				workers, res.Objective, ref.Objective, slices.Equal(res.Targets, ref.Targets))
+		}
 	}
 }

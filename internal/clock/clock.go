@@ -4,8 +4,8 @@
 // enough to trust (Workers ≤ 1 bit-for-bit, parallel runs
 // objective-deterministic) — rests on solve paths never consulting ambient
 // nondeterministic state directly. raslint's determinism rule forbids
-// time.Now/time.Since in internal/lp, internal/mip, internal/localsearch,
-// internal/solver, and internal/backend; those packages route every timing
+// time.Now/time.Since in internal/lp, internal/mip, internal/solver,
+// internal/backend, internal/partition and internal/broker; those packages route every timing
 // read through this seam instead. Production uses the real clock; tests
 // inject a fake one and get identical phase timings run-to-run.
 package clock

@@ -1,5 +1,5 @@
 // Package floats holds the designated exact float comparisons of the
-// numerical core (lp, mip, solver, localsearch). raslint's floatcmp rule
+// numerical core (lp, mip, solver). raslint's floatcmp rule
 // forbids == and != between floats in those packages; the helpers here are
 // the one place the two intended uses live.
 package floats

@@ -43,7 +43,6 @@ var defaultSolveEntryPoints = []string{
 	"ras/internal/partition.Split",
 	"ras/internal/partition.SplitDemands",
 	"ras/internal/mip.Model.Solve",
-	"ras/internal/localsearch.Solve",
 	"ras/internal/lp.Problem.Solve",
 }
 

@@ -31,7 +31,6 @@ import (
 // packages.
 var leakScope = []string{
 	"ras/internal/mip",
-	"ras/internal/localsearch",
 	"ras/internal/backend",
 }
 

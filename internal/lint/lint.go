@@ -157,7 +157,6 @@ var (
 	solveScope = []string{
 		"ras/internal/lp",
 		"ras/internal/mip",
-		"ras/internal/localsearch",
 		"ras/internal/solver",
 		"ras/internal/backend",
 		"ras/internal/partition",
@@ -171,7 +170,6 @@ var (
 		"ras/internal/lp",
 		"ras/internal/mip",
 		"ras/internal/solver",
-		"ras/internal/localsearch",
 		"ras/internal/floats", // home of the helpers below: only their bodies may compare
 	}
 	// floatcmpHelpers are the designated exact-comparison helper names:

@@ -5,7 +5,6 @@ import (
 
 	"ras/internal/floats"
 	"ras/internal/reservation"
-	"ras/internal/topology"
 )
 
 // Eval is the region-wide phase-1 objective of an assignment, broken down by
@@ -177,16 +176,4 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 	}
 	ev.Objective = ev.Stability + ev.Spread + ev.Buffer + ev.CapSlack + ev.AffSlack + ev.Wear
 	return ev
-}
-
-// usableFreeServers lists the usable servers an assignment leaves in the
-// free pool, ascending — the acquisition pool for the repair pass.
-func usableFreeServers(in Input, targets []reservation.ID) []topology.ServerID {
-	var out []topology.ServerID
-	for i := range in.Region.Servers {
-		if targets[i] == reservation.Unassigned && !unusable(&in.States[i]) {
-			out = append(out, topology.ServerID(i))
-		}
-	}
-	return out
 }

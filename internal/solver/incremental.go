@@ -101,15 +101,6 @@ func (r RebuildReason) String() string {
 	return fmt.Sprintf("RebuildReason(%d)", uint8(r))
 }
 
-// ModelCache carries the per-phase built models across rounds inside
-// WarmState. It is mutated in place by each solve, so a WarmState must feed
-// at most one solve at a time (the same single-flight rule the rest of the
-// warm-start state already follows).
-type ModelCache struct {
-	phase1 *builtPhase
-	phase2 *builtPhase
-}
-
 // groupKey identifies one symmetry equivalence class (see groupServers).
 type groupKey struct {
 	typeIdx int

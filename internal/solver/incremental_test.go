@@ -606,3 +606,57 @@ func TestRebuildReasonsForced(t *testing.T) {
 	}
 	expect("delta without a cache", res2.Phase1.Rebuild, RebuildNoCache)
 }
+
+// TestPhaseWarmCarriesModel pins what a phase's warm state holds across the
+// rounds that export no basis: a SetupOnly round keeps its model (the next
+// round patches it), a round that skips the rack phase hands the rack
+// model on untouched, and a hand-assembled PhaseWarm with a basis but no
+// model builds cold and offers the basis without keeping it.
+func TestPhaseWarmCarriesModel(t *testing.T) {
+	region := testRegion(t, 2, 2, 4, 12, 61)
+	m := newMutator(t, region, 62, 5)
+	var dt deltaTracker
+	solve := func(cfg Config, warm *WarmState) *Result {
+		t.Helper()
+		in, commit := dt.input(m, true)
+		res, err := SolveWarm(context.Background(), in, cfg, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit()
+		return res
+	}
+
+	setup := fastCfg()
+	setup.SetupOnly = true
+	res0 := solve(setup, nil)
+	if res0.Warm.Phase1.Basis != nil || res0.Warm.Phase1.model == nil {
+		t.Fatalf("SetupOnly round exported basis %v, model %v; want no basis and its model", res0.Warm.Phase1.Basis, res0.Warm.Phase1.model)
+	}
+	m.step(false)
+	if res := solve(setup, res0.Warm); !res.Phase1.ModelPatched {
+		t.Fatalf("round after a SetupOnly round rebuilt phase 1 (%v), want the kept model patched", res.Phase1.Rebuild)
+	}
+	res1 := solve(fastCfg(), nil)
+	if !res1.RanPhase2 {
+		t.Skip("the rack phase did not run on this region")
+	}
+
+	noRack := fastCfg()
+	noRack.DisableRackPhase = true
+	res2 := solve(noRack, res1.Warm)
+	if res2.RanPhase2 || res2.Warm.Phase2.model != res1.Warm.Phase2.model || res2.Warm.Phase2.Basis != nil {
+		t.Fatal("a round without the rack phase must hand the rack model on, without a basis")
+	}
+
+	m.step(false)
+	in, _ := dt.input(m, true)
+	hand, err := SolveWarm(context.Background(), in, fastCfg(), &WarmState{Phase1: PhaseWarm{Basis: res1.Warm.Phase1.Basis}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := hand.Phase1; p.Rebuild != RebuildNoCache || p.RootBasisOffered == 0 || p.RootBasisKept != 0 {
+		t.Fatalf("hand-assembled PhaseWarm: rebuild %v, basis offered %d kept %d; want no-cache, offered, none kept",
+			p.Rebuild, p.RootBasisOffered, p.RootBasisKept)
+	}
+}

@@ -37,6 +37,16 @@ type RepairStats struct {
 // Moves reports the total repair operations.
 func (s RepairStats) Moves() int { return s.Acquired + s.Released + s.Rebalanced + s.Stolen }
 
+// Add accumulates o into s: the local-search backend's passes summed.
+func (s *RepairStats) Add(o RepairStats) {
+	s.Acquired += o.Acquired
+	s.Released += o.Released
+	s.Rebalanced += o.Rebalanced
+	s.Stolen += o.Stolen
+	s.Steps += o.Steps
+	s.Candidates += o.Candidates
+}
+
 // repairBudgetPerRes bounds the greedy steps spent on one reservation per
 // sweep, and repairMaxSweeps bounds the sweeps, so a pathological instance
 // cannot turn the cheap pass into a second solve.
@@ -74,25 +84,7 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	// buffer counts miss the region-wide targets by ±1 per type, each miss
 	// a full SoftPenalty.
 	specs := buildSpecs(in, cfg)
-	order := make([]int, 0, len(specs))
-	for si := range specs {
-		if specs[si].res.RRUs <= 0 {
-			continue
-		}
-		order = append(order, si)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &specs[order[i]], &specs[order[j]]
-		if a.isBuffer != b.isBuffer {
-			// Reservations first: buffer shortfalls restock from whatever
-			// the guaranteed rows just released.
-			return !a.isBuffer
-		}
-		if a.isBuffer {
-			return order[i] < order[j] // builder order: ascending hardware type
-		}
-		return a.res.ID < b.res.ID
-	})
+	order := repairOrder(specs)
 
 	// Sweep until a full pass applies nothing (bounded): a reservation
 	// trimming its surplus frees servers an earlier-processed reservation's
@@ -108,6 +100,136 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 		}
 	}
 	return p.stats
+}
+
+// repairOrder lists the specs with demand in the order the repair pass and
+// the seed visit them: reservations by ascending ID, then the shared-buffer
+// rows by ascending hardware type, so buffer shortfalls restock from
+// whatever the guaranteed rows just released.
+func repairOrder(specs []resSpec) []int {
+	order := make([]int, 0, len(specs))
+	for si := range specs {
+		if specs[si].res.RRUs > 0 {
+			order = append(order, si)
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := &specs[order[i]], &specs[order[j]]
+		if a.isBuffer != b.isBuffer {
+			return !a.isBuffer
+		}
+		return !a.isBuffer && a.res.ID < b.res.ID // buffer rows keep builder order
+	})
+	return order
+}
+
+// SeedTargets is the local-search backend's seed, run once before
+// RepairTargets takes the assignment to a fixed point. It reaches what
+// single repair steps cannot: the plateau where a short reservation's
+// capacity row ignores its first servers (total and envelope rise
+// together), and surplus members outside the most-loaded MSB or behind an
+// in-use one there. A server whose target is no reservation valuing it — a
+// shared-buffer member, a deleted reservation, an ineligible binding —
+// starts free. Then, with every spec in RepairTargets' order, the seed
+// fills, trims and fills again: a fill acquires free servers one at a time
+// into a short spec's least-loaded MSB (pickAcquire, own current members
+// first) until its capacity row (expression 6) holds or no eligible free
+// server is left; a trim releases members while that lowers the spec's
+// share of the objective (trim). The second fill restocks from what the
+// trim freed, the buffer rows last. targets is updated in place; the
+// returned stats count the seed's acquisitions and releases.
+func SeedTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
+	cfg = cfg.withDefaults(in.Region)
+	specs := buildSpecs(in, cfg)
+	userSpec := make(map[reservation.ID]int, len(specs))
+	for s := range specs {
+		if !specs[s].isBuffer {
+			userSpec[specs[s].outID] = s
+		}
+	}
+	for i := range targets {
+		srv := &in.Region.Servers[i]
+		if s, ok := userSpec[targets[i]]; !ok || specValue(in, &specs[s], srv.Type, srv.DC) <= 0 {
+			targets[i] = reservation.Unassigned
+		}
+	}
+	p := newRepairPass(&in, &cfg, specs, targets)
+	order := repairOrder(specs)
+	fill := func() {
+		for _, s := range order {
+			for p.views[s].short() {
+				id, _ := p.pickAcquire(s)
+				if id < 0 {
+					break
+				}
+				p.acquire(s, id)
+				p.stats.Acquired++
+			}
+		}
+	}
+	fill()
+	for _, s := range order {
+		p.trim(s)
+	}
+	fill()
+	return p.stats
+}
+
+// trim releases spec s's members one at a time while a release lowers the
+// spec's cost, stability and wear included: at every MSB it scores the
+// member whose release costs the least stability and wear (ties: lower ID)
+// and takes the best of those.
+func (p *repairPass) trim(s int) {
+	v, cfg := &p.views[s], p.cfg
+	for {
+		cur, _ := v.localCost(cfg)
+		best, bestID := -1e-9, topology.ServerID(-1)
+		for m := range v.sumMSB {
+			id, move := p.pickTrim(s, m)
+			if id < 0 {
+				continue
+			}
+			cost, _ := v.costWith(cfg, m, -p.value(s, id), -1, 0)
+			if d := cost - cur + move; d < best {
+				best, bestID = d, id
+			}
+		}
+		if bestID < 0 {
+			return
+		}
+		p.release(s, bestID)
+		p.stats.Released++
+	}
+}
+
+// pickTrim selects spec s's member in MSB m whose release changes stability
+// and wear the least (ties: lower ID), and that change; -1 if it has none.
+func (p *repairPass) pickTrim(s, m int) (topology.ServerID, float64) {
+	mem := p.setOf(p.mem, s)
+	id, move := topology.ServerID(-1), 0.0
+	for c := p.msbCls[m]; c < p.msbCls[m+1]; c++ {
+		for w := p.clsWord[c]; w < p.clsWord[c+1]; w++ {
+			for x := mem[w]; x != 0; x &= x - 1 {
+				sid := p.bitSrv[64*w+bits.TrailingZeros64(x)]
+				if d := p.moveDelta(s, sid, false); id < 0 || d < move-1e-12 || (d < move+1e-12 && sid < id) {
+					id, move = sid, d
+				}
+			}
+		}
+	}
+	return id, move
+}
+
+// short reports that the view's capacity row (expression 6) is unmet: total
+// minus the largest MSB for a reservation, the total for a buffer row.
+func (v *resView) short() bool {
+	lhs := v.total
+	if !v.spec.isBuffer {
+		for _, s := range v.sumMSB {
+			lhs = min(lhs, v.total-s)
+		}
+	}
+	return v.cr-lhs > 1e-9
 }
 
 // resView is a spec's live load: what localCost prices.

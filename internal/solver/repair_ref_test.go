@@ -562,3 +562,15 @@ func removeID(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
 	}
 	return s
 }
+
+// usableFreeServers lists the usable servers an assignment leaves in the
+// free pool, ascending — the reference pass's acquisition pool.
+func usableFreeServers(in Input, targets []reservation.ID) []topology.ServerID {
+	var out []topology.ServerID
+	for i := range in.Region.Servers {
+		if targets[i] == reservation.Unassigned && !unusable(&in.States[i]) {
+			out = append(out, topology.ServerID(i))
+		}
+	}
+	return out
+}

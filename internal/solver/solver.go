@@ -111,17 +111,10 @@ type Config struct {
 	numMSBs, numRacks int
 }
 
-// withDefaults is WithDefaults for a solve over region.
+// withDefaults returns c with every zero field set to its documented
+// default, for a solve over region.
 func (c Config) withDefaults(region *topology.Region) Config {
-	c = c.WithDefaults()
 	c.numMSBs, c.numRacks = region.NumMSBs, region.NumRacks
-	return c
-}
-
-// WithDefaults returns c with every zero field set to its documented
-// default. The local-search backend scores with the zero Config's weights,
-// so both backends price one objective.
-func (c Config) WithDefaults() Config {
 	if floats.ExactZero(c.Beta) {
 		c.Beta = 3
 	}
@@ -152,23 +145,23 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// PhaseWarm is one phase's persisted cross-round warm-start state: the root
-// relaxation's optimal basis at the end of round k, and the layout of the
-// model it belongs to — which names every column and row of that model by
-// what it is (symmetry-group key × reservation for count and move cells,
-// reservation × MSB, rack or DC for the per-spec rows and their auxiliaries).
-// Consecutive RAS rounds solve near-identical MIPs: a round that patches the
-// cached model hands the basis to its root LP as it is, and a round that
-// rebuilds the model — for whatever reason — rewrites it onto the new layout
-// by identity first (builtPhase.carryBasis). ws is the LP workspace that root
-// ran on: it holds the simplex structure of layout's model and, while nothing
-// was solved after the root, the factorization of Basis, so a round that
-// patches the model hands it back with the basis (mip.Options.RootWorkspace);
-// a rebuilt model is another problem and never sees it.
+// PhaseWarm is one phase's persisted cross-round warm-start state: the model
+// round k built or patched, the root relaxation's optimal basis on it (nil
+// when the MIP did not run), and the LP workspace that root ran on.
+// Consecutive RAS rounds solve near-identical MIPs. When the next round
+// arrives with a Delta whose Since matches the model's StatesVersion, the
+// phase patches the model in place and hands the basis to its root LP as it
+// is, with ws — which holds the simplex structure of the model and, while
+// nothing was solved after the root, the factorization of Basis
+// (mip.Options.RootWorkspace). A round that rebuilds the model — for
+// whatever reason — rewrites the basis onto the new one by identity first
+// (builtPhase.carryBasis: the model's layout names every column and row by
+// what it is), and never sees ws. The model is mutated by the next solve, so
+// a WarmState must feed at most one solve at a time.
 type PhaseWarm struct {
-	Basis  *lp.Basis
-	layout *builtPhase
-	ws     *lp.Workspace
+	Basis *lp.Basis
+	model *builtPhase
+	ws    *lp.Workspace
 }
 
 // WarmState is the cross-round warm-start state of the two-phase solver.
@@ -177,12 +170,6 @@ type PhaseWarm struct {
 type WarmState struct {
 	Phase1 PhaseWarm
 	Phase2 PhaseWarm
-	// Cache holds the per-phase built models for the incremental build: when
-	// the next round arrives with a Delta whose Since matches the cached
-	// round's StatesVersion, each phase patches its cached model in place
-	// instead of rebuilding it. The cache is mutated by every solve, so a
-	// WarmState must feed at most one solve at a time.
-	Cache *ModelCache
 }
 
 // Input is one solve's snapshot of the world (Figure 6 step 2).
@@ -483,20 +470,15 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 	specs := buildSpecs(in, cfg)
 	res.Warm = &WarmState{}
 	var w1, w2 *PhaseWarm
-	var cache *ModelCache
 	if warm != nil {
 		w1, w2 = &warm.Phase1, &warm.Phase2
-		cache = warm.Cache
+		// A round that skips the rack phase hands its model on untouched.
+		res.Warm.Phase2.model = warm.Phase2.model
 	}
-	if cache == nil {
-		cache = &ModelCache{}
-	}
-	res.Warm.Cache = cache
 
 	// ---- Phase 1: whole region, MSB granularity. ------------------------
 	pool := usableServers(in)
-	p1, bp1 := solvePhase(ctx, in, cfg, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1, cache.phase1)
-	cache.phase1 = bp1
+	p1 := solvePhase(ctx, in, cfg, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1)
 	res.Phase1 = p1.stats
 	res.Warm.Phase1 = p1.warm
 	realize(in, specs, p1, res.Targets)
@@ -521,8 +503,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 					pool2 = append(pool2, id)
 				}
 			}
-			p2, bp2 := solvePhase(ctx, in, cfg, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2, cache.phase2)
-			cache.phase2 = bp2
+			p2 := solvePhase(ctx, in, cfg, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2)
 			res.Phase2 = p2.stats
 			res.Warm.Phase2 = p2.warm
 			res.RanPhase2 = true
@@ -719,23 +700,22 @@ type phaseOutput struct {
 	// counts[g][si] is the solved server count of group g for spec si
 	// (indices into groups/specs).
 	counts [][]float64
-	// warm is the phase's exported cross-round warm-start state.
+	// warm is the phase's exported cross-round warm-start state: the patched
+	// or freshly built model, and its root basis when the MIP ran.
 	warm PhaseWarm
 }
 
 // solvePhase builds (or patches) and solves one phase's MIP over the given
 // server pool. rackLevel selects the grouping granularity and enables
 // expression 2. targets carries phase-1 intent (used for warm starts in
-// phase 2). cached is the phase's model from an earlier round (nil solves
-// cold); the returned builtPhase is the cache to carry forward — the patched
-// or freshly built model.
+// phase 2). pw is the phase's warm state from an earlier round (nil, or a
+// PhaseWarm without a model, builds cold).
 //
 // The phase deadline is derived from the parent context: the MIP stops at
 // the earlier of now+limit and the parent's own deadline, and parent
 // cancellation aborts the search immediately.
 func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
-	targets []reservation.ID, rackLevel bool, limit time.Duration, pw *PhaseWarm,
-	cached *builtPhase) (*phaseOutput, *builtPhase) {
+	targets []reservation.ID, rackLevel bool, limit time.Duration, pw *PhaseWarm) *phaseOutput {
 
 	phaseCtx, cancel := context.WithTimeout(ctx, limit)
 	defer cancel()
@@ -743,7 +723,10 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out := &phaseOutput{specs: specs}
 
 	// ---------------- Incremental build: patch or rebuild. ----------------
-	bp := cached
+	var bp *builtPhase
+	if pw != nil {
+		bp = pw.model
+	}
 	if in.Delta != nil {
 		switch {
 		case bp == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
@@ -786,9 +769,10 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	// cache's live count matrix, which stays untouched until the next
 	// round's patch — realize consumes it within the current round.
 	out.counts = bp.initCount
+	out.warm.model = bp
 	if cfg.SetupOnly {
 		out.stats.Status = mip.NoSolution
-		return out, bp
+		return out
 	}
 	t0 := clock.Now()
 	// Cross-round warm start: the root LP starts from the previous round's
@@ -798,13 +782,13 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	var rootWS *lp.Workspace
 	if pw != nil && pw.Basis != nil {
 		out.stats.RootBasisOffered = pw.Basis.NumCols()
-		switch pw.layout {
+		switch pw.model {
 		case nil: // a hand-assembled PhaseWarm: nothing says what the columns were
 		case bp:
 			rootBasis, out.stats.RootBasisKept = pw.Basis, pw.Basis.NumCols()
 			rootWS = pw.ws
 		default:
-			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.layout, pw.Basis)
+			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.model, pw.Basis)
 		}
 		if 2*out.stats.RootBasisKept < out.stats.RootBasisOffered {
 			rootBasis, out.stats.RootBasisMismatch = nil, true
@@ -834,7 +818,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.RootLPIters = r.RootLPIters
 	out.stats.WarmRoot = r.RootWarm
 	out.stats.RootCold = r.RootCold
-	out.warm = PhaseWarm{Basis: r.RootBasis, layout: bp, ws: r.RootWorkspace}
+	out.warm.Basis, out.warm.ws = r.RootBasis, r.RootWorkspace
 	out.stats.Workers = r.Workers
 	out.stats.IncumbentUpdates = r.IncumbentUpdates
 	out.stats.HeuristicWins = r.HeuristicWins
@@ -873,7 +857,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 			}
 		}
 	}
-	return out, bp
+	return out
 }
 
 // groupServers computes the symmetry equivalence classes of the pool,

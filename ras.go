@@ -28,7 +28,6 @@ import (
 	"ras/internal/greedy"
 	"ras/internal/hardware"
 	"ras/internal/health"
-	"ras/internal/localsearch"
 	"ras/internal/mover"
 	"ras/internal/reservation"
 	"ras/internal/sim"
@@ -56,11 +55,9 @@ type (
 	Class = hardware.Class
 	// SolverConfig tunes the async solver (the MIP backend).
 	SolverConfig = solver.Config
-	// LocalSearchConfig tunes the local-search backend.
-	LocalSearchConfig = localsearch.Config
 	// SolveResult is the backend-independent outcome of one
-	// continuous-optimization round. Backend detail (phase stats, search
-	// steps) is carried in its MIP / LocalSearch fields.
+	// continuous-optimization round. Backend detail (phase stats, repair
+	// passes, partitions) is carried in its MIP / LocalSearch / POP fields.
 	SolveResult = backend.Result
 	// SolveStatus classifies a solve outcome.
 	SolveStatus = backend.Status
@@ -113,12 +110,9 @@ type Options struct {
 	// Backend names the optimization backend Solve uses: "mip" (default),
 	// "localsearch" or "pop".
 	Backend string
-	// Solver tunes the async solver (MIP backend); the zero value selects
-	// defaults.
+	// Solver tunes the async solver (MIP backend) and sets the objective
+	// every backend scores with; the zero value selects defaults.
 	Solver SolverConfig
-	// LocalSearch tunes the local-search backend; the zero value selects
-	// defaults.
-	LocalSearch LocalSearchConfig
 	// Health sets failure-injection rates; the zero value selects
 	// health.DefaultConfig().
 	Health *HealthConfig
@@ -126,7 +120,7 @@ type Options struct {
 	// means 8.
 	StackingUnits int
 	// Workers caps each solve round's parallelism (branch-and-bound
-	// workers or local-search starts). Zero means runtime.NumCPU(); 1
+	// workers; local search is serial). Zero means runtime.NumCPU(); 1
 	// forces the serial engines. See backend.Options.Workers.
 	Workers int
 	// Partitions is the pop backend's sub-region count k. Zero means the
@@ -271,10 +265,7 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 		}
 		return &SolveResult{Backend: "greedy", Status: SolveFeasible}, nil
 	}
-	be, err := backend.New(backendName, backend.Config{
-		Solver:      s.opts.Solver,
-		LocalSearch: s.opts.LocalSearch,
-	})
+	be, err := backend.New(backendName, backend.Config{Solver: s.opts.Solver})
 	if err != nil {
 		return nil, err
 	}

@@ -217,7 +217,7 @@ func TestSolveLocalSearchBackend(t *testing.T) {
 	if res.Backend != "localsearch" || res.LocalSearch == nil {
 		t.Fatalf("expected local-search detail, got backend=%q", res.Backend)
 	}
-	if res.LocalSearch.Steps == 0 {
+	if res.LocalSearch.Seed.Moves()+res.LocalSearch.Repair.Moves() == 0 {
 		t.Fatal("local-search backend made no moves")
 	}
 	_, surviving, err := sys.GuaranteedRRUs(id)
