@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ras/internal/broker"
-	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -30,17 +29,6 @@ func (s *System) EmergencyGrant(id ReservationID, rrus float64) ([]ServerID, err
 	if err != nil {
 		return nil, err
 	}
-	value := func(sid topology.ServerID) float64 {
-		ty := s.region.Servers[sid].Type
-		v := hardware.RRU(s.region.Catalog.Type(ty), r.Class)
-		if !r.Eligible(ty, v) {
-			return 0
-		}
-		if r.CountBased {
-			return 1
-		}
-		return v
-	}
 
 	type cand struct {
 		id   topology.ServerID
@@ -54,7 +42,7 @@ func (s *System) EmergencyGrant(id ReservationID, rrus float64) ([]ServerID, err
 		if st.Unavail != broker.Available {
 			continue
 		}
-		v := value(st.ID)
+		v := r.Value(s.region.Catalog, s.region.Servers[st.ID].Type)
 		if v <= 0 {
 			continue
 		}

@@ -75,6 +75,11 @@ type ServerState struct {
 // InUse reports whether the server hosts running containers.
 func (s *ServerState) InUse() bool { return s.Containers > 0 }
 
+// Usable reports whether the server counts as capacity: the availability
+// constraint excludes unplanned failures, while planned maintenance remains
+// usable capacity covered by embedded buffers (§3.3.1).
+func (s *ServerState) Usable() bool { return s.Unavail == Available || s.Unavail.Planned() }
+
 // Event notifies subscribers of a server availability transition.
 type Event struct {
 	Server topology.ServerID

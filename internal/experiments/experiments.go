@@ -173,19 +173,6 @@ func makeReservations(region *topology.Region, n int, fill float64) []reservatio
 	return out
 }
 
-// rruFor computes the value one server contributes to a reservation.
-func rruFor(region *topology.Region, id topology.ServerID, r *reservation.Reservation) float64 {
-	t := region.Servers[id].Type
-	v := hardware.RRU(region.Catalog.Type(t), r.Class)
-	if v <= 0 || !r.Eligible(t, v) {
-		return 0
-	}
-	if r.CountBased {
-		return 1
-	}
-	return v
-}
-
 // perMSBLoad computes a reservation's RRU load per MSB under an assignment.
 func perMSBLoad(region *topology.Region, assign []reservation.ID, r *reservation.Reservation) []float64 {
 	out := make([]float64, region.NumMSBs)
@@ -193,7 +180,7 @@ func perMSBLoad(region *topology.Region, assign []reservation.ID, r *reservation
 		if assign[i] != r.ID {
 			continue
 		}
-		out[region.Servers[i].MSB] += rruFor(region, topology.ServerID(i), r)
+		out[region.Servers[i].MSB] += r.Value(region.Catalog, region.Servers[i].Type)
 	}
 	return out
 }
@@ -253,7 +240,7 @@ func waterfillBound(region *topology.Region, rsvs []reservation.Reservation, usa
 			if usable != nil && !usable(id) {
 				continue
 			}
-			capPerMSB[region.Servers[s].MSB] += rruFor(region, id, r)
+			capPerMSB[region.Servers[s].MSB] += r.Value(region.Catalog, region.Servers[s].Type)
 		}
 		max := waterfillMax(capPerMSB, r.RRUs)
 		num += max

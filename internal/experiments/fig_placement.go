@@ -327,7 +327,7 @@ func Fig15(scale Scale) (*Report, error) {
 			if assign[i] != rr.ID {
 				continue
 			}
-			v := rruFor(region, topology.ServerID(i), rr)
+			v := rr.Value(region.Catalog, region.Servers[i].Type)
 			perDC[region.Servers[i].DC] += v
 			total += v
 		}
@@ -444,7 +444,7 @@ func BufferAccounting(scale Scale) (*Report, error) {
 		have := 0.0
 		for s := range region.Servers {
 			if assign[s] == rsvs[i].ID {
-				have += rruFor(region, topology.ServerID(s), &rsvs[i])
+				have += rsvs[i].Value(region.Catalog, region.Servers[s].Type)
 			}
 		}
 		if over := have - rsvs[i].RRUs; over > 0 {

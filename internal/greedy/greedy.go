@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"ras/internal/broker"
-	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -29,15 +28,7 @@ func New(b *broker.Broker) *Assigner {
 
 // rru computes the value of a server for a reservation.
 func (a *Assigner) rru(id topology.ServerID, r *reservation.Reservation) float64 {
-	t := a.region.Servers[id].Type
-	v := hardware.RRU(a.region.Catalog.Type(t), r.Class)
-	if !r.Eligible(t, v) {
-		return 0
-	}
-	if r.CountBased {
-		return 1
-	}
-	return v
+	return r.Value(a.region.Catalog, a.region.Servers[id].Type)
 }
 
 // Fulfill greedily acquires free servers until the reservation's RRU demand

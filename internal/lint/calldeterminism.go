@@ -43,7 +43,7 @@ var defaultSolveEntryPoints = []string{
 	"ras/internal/partition.Split",
 	"ras/internal/partition.SplitDemands",
 	"ras/internal/mip.Model.Solve",
-	"ras/internal/lp.Problem.Solve",
+	"ras/internal/lp.Problem.SolveWith",
 }
 
 func (c *Config) calldeterminismEntries() []string {

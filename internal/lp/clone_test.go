@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"sync"
 	"testing"
 )
@@ -23,7 +22,7 @@ func TestCloneIndependentBounds(t *testing.T) {
 	if !approx(orig.Objective, -12) {
 		t.Fatalf("original obj=%v, want -12", orig.Objective)
 	}
-	clSol := c.Solve(context.Background(), Options{})
+	clSol := solveCold(c)
 	if clSol.Status != Optimal || approx(clSol.Objective, orig.Objective) {
 		t.Fatalf("clone with tighter bounds solved to %v (status %v); expected a different optimum", clSol.Objective, clSol.Status)
 	}
@@ -51,7 +50,7 @@ func TestCloneConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *Problem) {
 			defer wg.Done()
-			sols[i] = c.Solve(context.Background(), Options{})
+			sols[i] = solveCold(c)
 		}(i, c)
 	}
 	wg.Wait()

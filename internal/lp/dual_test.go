@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,8 +12,9 @@ import (
 func TestWarmAfterFixAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	p, _ := buildRandomFeasible(rng, 15, 8)
-	first := p.Solve(context.Background(), Options{})
-	if first.Status != Optimal || first.Basis == nil {
+	ws := NewWorkspace()
+	first, basis := solveOn(p, ws, Options{})
+	if first.Status != Optimal || basis == nil {
 		t.Skip("no basis")
 	}
 	saved := make([][2]float64, p.NumVars())
@@ -24,8 +24,8 @@ func TestWarmAfterFixAll(t *testing.T) {
 		v := math.Max(lo, math.Min(up, math.Round(first.X[j])))
 		p.SetBounds(j, v, v)
 	}
-	warm := p.Solve(context.Background(), Options{Start: first.Basis})
-	cold := p.Solve(context.Background(), Options{})
+	warm, _ := solveOn(p, ws, Options{Start: basis})
+	cold, _ := solveOn(p, ws, Options{})
 	if warm.Status != cold.Status {
 		t.Fatalf("warm=%v cold=%v after fixing all variables", warm.Status, cold.Status)
 	}
@@ -43,11 +43,11 @@ func TestWarmAfterFixAll(t *testing.T) {
 func TestWarmChainStaysConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	p, _ := buildRandomFeasible(rng, 20, 12)
-	sol := p.Solve(context.Background(), Options{})
+	ws := NewWorkspace()
+	sol, basis := solveOn(p, ws, Options{})
 	if sol.Status != Optimal {
 		t.Skip("base not optimal")
 	}
-	basis := sol.Basis
 	for step := 0; step < 40; step++ {
 		j := rng.Intn(p.NumVars())
 		lo, up := p.Bounds(j)
@@ -60,8 +60,8 @@ func TestWarmChainStaysConsistent(t *testing.T) {
 		case 2:
 			p.SetBounds(j, lo, up+1)
 		}
-		warm := p.Solve(context.Background(), Options{Start: basis})
-		cold := p.Solve(context.Background(), Options{})
+		warm, warmBasis := solveOn(p, ws, Options{Start: basis})
+		cold, _ := solveOn(p, ws, Options{})
 		if warm.Status != cold.Status {
 			t.Fatalf("step %d: warm=%v cold=%v", step, warm.Status, cold.Status)
 		}
@@ -70,8 +70,8 @@ func TestWarmChainStaysConsistent(t *testing.T) {
 				t.Fatalf("step %d: warm obj %v vs cold %v", step, warm.Objective, cold.Objective)
 			}
 			sol = warm
-			if warm.Basis != nil {
-				basis = warm.Basis
+			if warmBasis != nil {
+				basis = warmBasis
 			}
 		} else {
 			// Infeasible: revert the bound change to keep the chain alive.
@@ -85,13 +85,14 @@ func TestWarmChainStaysConsistent(t *testing.T) {
 func TestWarmStaleBasisRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p1, _ := buildRandomFeasible(rng, 10, 5)
-	sol1 := p1.Solve(context.Background(), Options{})
-	if sol1.Basis == nil {
+	_, basis1 := solveOn(p1, NewWorkspace(), Options{})
+	if basis1 == nil {
 		t.Skip("no basis")
 	}
 	p2, _ := buildRandomFeasible(rng, 14, 7) // different shape
-	sol2 := p2.Solve(context.Background(), Options{Start: sol1.Basis})
-	cold := p2.Solve(context.Background(), Options{})
+	ws := NewWorkspace()
+	sol2, _ := solveOn(p2, ws, Options{Start: basis1})
+	cold, _ := solveOn(p2, ws, Options{})
 	if sol2.Status != cold.Status {
 		t.Fatalf("foreign basis changed status: %v vs %v", sol2.Status, cold.Status)
 	}
@@ -106,12 +107,13 @@ func TestQuickWarmNeverWorseIters(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, _ := buildRandomFeasible(rng, 4+rng.Intn(10), 2+rng.Intn(6))
-		first := p.Solve(context.Background(), Options{})
-		if first.Status != Optimal || first.Basis == nil {
+		ws := NewWorkspace()
+		first, basis := solveOn(p, ws, Options{})
+		if first.Status != Optimal || basis == nil {
 			return true
 		}
 		// Unchanged problem: warm solve should be nearly free.
-		warm := p.Solve(context.Background(), Options{Start: first.Basis})
+		warm, _ := solveOn(p, ws, Options{Start: basis})
 		return warm.Status == Optimal && warm.Iterations <= first.Iterations+2
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {

@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -291,7 +290,7 @@ func TestFactorSingularRepair(t *testing.T) {
 	p.AddRow([]Nonzero{{x0, 1}, {x1, 1}, {x2, 1}}, EQ, 4)
 	p.AddRow([]Nonzero{{x0, 1}, {x1, 1}, {x2, 2}}, EQ, 6)
 
-	sol := p.Solve(context.Background(), Options{})
+	sol := solveCold(&p)
 	if sol.Status != Optimal {
 		t.Fatalf("status %v, want optimal", sol.Status)
 	}
@@ -307,7 +306,6 @@ func TestFactorSingularRepair(t *testing.T) {
 	// {x0, x1} in a workspace and refactorize.
 	ws := NewWorkspace()
 	ws.reshape(&p)
-	ws.opt = Options{Tol: 1e-9}
 	ws.refresh(&p)
 	for j := range ws.inRow {
 		ws.inRow[j] = -1

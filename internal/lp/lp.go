@@ -24,10 +24,10 @@
 // factorization, and every pricing and ratio-test scratch vector — lives in
 // a reusable Workspace so that repeated solves of the same Problem shape
 // (the branch-and-bound node-LP loop, the round-after-round re-solves of the
-// RAS async solver) run allocation-free in steady state. Problem.Solve keeps
-// its historical signature by caching a workspace inside the Problem;
-// callers that own the solve loop use SolveWith with an explicit workspace
-// and Options.ReuseBasis to also skip basis export/import copies.
+// RAS async solver) run allocation-free in steady state. SolveWith is the one
+// entry: the caller owns the workspace, asks it for the optimal basis
+// (Workspace.Basis) only when it keeps one, and reads its counters from
+// Workspace.Stats.
 //
 // lp is the substrate for package mip, which layers branch-and-bound on top
 // to solve the mixed-integer programs formulated by the RAS async solver.
@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"ras/internal/floats"
 )
@@ -90,12 +89,6 @@ type Problem struct {
 	// mark is AddRow's scratch: for each variable, one more than its position
 	// in the row being added, zero outside AddRow.
 	mark []int32
-
-	// ws caches the workspace used by Solve so repeated Solve calls on the
-	// same problem reuse structure and scratch. Taken with an atomic swap so
-	// concurrent Solve calls on one Problem each get a private workspace
-	// (the loser of the race simply builds a fresh one).
-	ws atomic.Pointer[Workspace]
 }
 
 // NumVars reports the number of variables added so far.
@@ -158,11 +151,22 @@ func (p *Problem) SetRHS(i int, rhs float64) {
 // RHS reports the current right-hand side of row i.
 func (p *Problem) RHS(i int) float64 { return p.rhs[i] }
 
+// Row reports the coefficients of row i as AddRow stored them: zeros dropped,
+// duplicate indices summed, in first-occurrence order. The slice is the
+// problem's own and must not be modified.
+func (p *Problem) Row(i int) []Nonzero { return p.rows[i] }
+
+// Sense reports the sense of row i.
+func (p *Problem) Sense(i int) Sense { return p.senses[i] }
+
+// Cost reports the objective coefficient of variable j.
+func (p *Problem) Cost(j int) float64 { return p.cost[j] }
+
 // Clone returns a copy of the problem whose bounds (and costs) can be
 // mutated independently of the original — the per-worker scratch state of a
 // parallel branch-and-bound search, where every worker tightens bounds on
 // its own copy between node LPs. The sparse row payloads are shared with the
-// original: rows are append-only and never mutated in place by Solve or
+// original: rows are append-only and never mutated in place by SolveWith or
 // SetBounds, so sharing them is safe as long as no rows or variables are
 // added to either copy while clones are in use.
 func (p *Problem) Clone() *Problem {
@@ -306,7 +310,7 @@ type Stats struct {
 	DualIterations   int        // dual-simplex repair iterations of warm starts
 	IterLimited      int        // solves stopped by the iteration limit
 	WarmHits         int        // solves completed from a retained or imported basis
-	FlippedColumns   int        // Solution.FlippedColumns, summed
+	FlippedColumns   int        // nonbasic columns warm entries moved to their opposite bound, whether or not the warm start held
 	CostShifts       int        // warm-entry columns with no bound to flip to, held out of the dual pass by a cost shift
 	ColdFallbacks    ColdCounts // warm starts abandoned for a cold solve, by reason
 	WorkspaceReuses  int        // solves that re-entered an already-built structure
@@ -360,23 +364,13 @@ type Solution struct {
 	Objective  float64   // objective value at X (valid when Status == Optimal)
 	X          []float64 // one value per problem variable
 	Iterations int       // total simplex iterations across both phases
-	DualIters  int       // dual-simplex repair iterations (warm starts)
 	// WarmStarted reports whether the solution was produced by a warm path
 	// (basis import or workspace basis reuse) rather than a cold two-phase
 	// solve.
 	WarmStarted bool
-	// FlippedColumns counts the nonbasic columns a warm start moved to their
-	// opposite bound to restore dual feasibility, whether or not the warm
-	// start then held.
-	FlippedColumns int
 	// ColdFallback says why a warm-start attempt was abandoned for the cold
 	// two-phase start whose result this is; ColdNone when none was.
 	ColdFallback ColdReason
-	// Basis is the optimal basis, usable as Options.Start on a later solve of
-	// the same problem (same rows and variables; bounds may differ). Populated
-	// only when Options.ExportBasis is set (Problem.Solve sets it) and an
-	// exportable basis exists.
-	Basis *Basis
 }
 
 // BasisStatus is where one column, or one row's slack, sits in a Basis.
@@ -443,17 +437,12 @@ func (b *Basis) NumRows() int { return b.nRows }
 
 // Options tunes the solver.
 type Options struct {
-	// MaxIter bounds the total number of simplex iterations across both
-	// phases. Zero means a default proportional to the problem size.
-	MaxIter int
-	// Tol is the feasibility/optimality tolerance. Zero means 1e-9.
-	Tol float64
 	// Start warm-starts the solve from the given basis: one a previous solve
-	// of the same problem returned, or one written status by status for this
-	// shape. After bound changes (the branch-and-bound case) primal
-	// feasibility is restored with dual simplex iterations, which is
-	// typically orders of magnitude cheaper than solving from scratch. An
-	// unusable basis falls back to a cold start, reported in
+	// of the same problem left in its workspace (Workspace.Basis), or one
+	// written status by status for this shape. After bound changes (the
+	// branch-and-bound case) primal feasibility is restored with dual simplex
+	// iterations, which is typically orders of magnitude cheaper than solving
+	// from scratch. An unusable basis falls back to a cold start, reported in
 	// Solution.ColdFallback. Offering the very Basis the workspace returned
 	// last (same pointer) costs no import and, when nothing was solved in
 	// between, no refactorization either.
@@ -465,11 +454,6 @@ type Options struct {
 	// while the workspace holds none; a warm attempt from either that has to
 	// be abandoned is re-solved cold.
 	ReuseBasis bool
-	// ExportBasis requests the optimal Basis on the returned Solution (an
-	// (n+m)/4-byte snapshot). Problem.Solve sets it for compatibility;
-	// workspace-reusing callers leave it off and ask Workspace.Basis when they
-	// actually keep one (root LPs, branching nodes).
-	ExportBasis bool
 	// RefactorEvery sets how many eta updates accumulate before the basis
 	// factorization is rebuilt from scratch. Rebuilds can also trigger
 	// earlier when eta-file fill outgrows the factors; both triggers are
@@ -477,6 +461,16 @@ type Options struct {
 	// negative refactorizes after every pivot (testing).
 	RefactorEvery int
 }
+
+// tol is the feasibility/optimality tolerance of every solve. Typed, so that
+// the products formed from it (tol*10, tol*1e3) round exactly as they do on a
+// float64 variable.
+const tol float64 = 1e-9
+
+// iterLimit, when positive, replaces the iteration budget of a solve — the
+// total simplex iterations across both phases, by default proportional to
+// the problem size. Only tests set it.
+var iterLimit = 0
 
 // refactorEvery resolves the eta-count refactorization cadence.
 func (o *Options) refactorEvery() int {
@@ -493,51 +487,27 @@ func (o *Options) refactorEvery() int {
 // ErrMalformed reports a structurally invalid problem.
 var ErrMalformed = errors.New("lp: malformed problem")
 
-// Solve minimizes the problem's objective and returns the solution. The
-// problem itself is not modified and may be solved repeatedly, including
-// after further rows or variables are added.
+// SolveWith minimizes the problem's objective on the workspace ws and returns
+// the solution. The problem itself is not modified and may be solved
+// repeatedly, including after further rows or variables are added. The
+// workspace retains the problem's simplex structure and all scratch buffers
+// between calls, so a steady-state re-solve performs no allocation beyond the
+// Solution's X vector. A workspace must not be used by more than one
+// goroutine at a time, and is retargeted automatically when given a different
+// problem or shape.
 //
 // Cancelling ctx aborts the simplex iteration loops promptly; the returned
 // Solution then has Status Cancelled and carries whatever (possibly
 // infeasible) point the solver held when it stopped.
-//
-// Solve reuses an internal workspace across calls on the same Problem, so
-// repeated solves allocate little beyond the returned Solution. For explicit
-// workspace control (branch-and-bound, cross-round re-solves) use SolveWith.
-func (p *Problem) Solve(ctx context.Context, opt Options) Solution {
-	opt.ExportBasis = true // historical contract: Solve exports on Optimal
-	ws := p.ws.Swap(nil)
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	sol := p.SolveWith(ctx, opt, ws)
-	p.ws.Store(ws)
-	return sol
-}
-
-// SolveWith is Solve with an explicit workspace. The workspace retains the
-// problem's simplex structure and all scratch buffers between calls, so a
-// steady-state re-solve performs no allocation beyond the Solution's X
-// vector. A workspace must not be used by more than one goroutine at a time,
-// and is retargeted automatically when given a different problem or shape.
 func (p *Problem) SolveWith(ctx context.Context, opt Options, ws *Workspace) Solution {
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	if floats.ExactZero(opt.Tol) {
-		opt.Tol = 1e-9
-	}
 	if ctx == nil {
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
 	}
 	sol := ws.solve(ctx, p, opt)
-	st := &ws.stats
-	st.Solves++
-	st.Iterations += sol.Iterations
-	st.DualIterations += sol.DualIters
-	st.FlippedColumns += sol.FlippedColumns
+	ws.stats.Solves++
+	ws.stats.Iterations += sol.Iterations
 	if sol.Status == IterLimit {
-		st.IterLimited++
+		ws.stats.IterLimited++
 	}
 	return sol
 }

@@ -12,9 +12,25 @@ const eps = 1e-6
 
 func approx(a, b float64) bool { return math.Abs(a-b) <= eps*(1+math.Abs(a)+math.Abs(b)) }
 
+// solveCold solves p from scratch on a new workspace.
+func solveCold(p *Problem) Solution {
+	return p.SolveWith(context.Background(), Options{}, NewWorkspace())
+}
+
+// solveOn solves p on ws and returns the solution with the basis it ended
+// on: the one the workspace just retained, nil when it retained none (the
+// solve did not end optimal and artificial-free).
+func solveOn(p *Problem, ws *Workspace, opt Options) (Solution, *Basis) {
+	sol := p.SolveWith(context.Background(), opt, ws)
+	if !ws.liveIsGood {
+		return sol, nil
+	}
+	return sol, ws.Basis()
+}
+
 func solveOK(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	sol := p.Solve(context.Background(), Options{})
+	sol := solveCold(p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
@@ -83,7 +99,7 @@ func TestInfeasible(t *testing.T) {
 	var p Problem
 	x := p.AddVar(1, 0, 1)
 	p.AddRow([]Nonzero{{x, 1}}, GE, 5)
-	sol := p.Solve(context.Background(), Options{})
+	sol := solveCold(&p)
 	if sol.Status != Infeasible {
 		t.Fatalf("status=%v, want infeasible", sol.Status)
 	}
@@ -95,7 +111,7 @@ func TestInfeasibleEquality(t *testing.T) {
 	y := p.AddVar(0, 0, 10)
 	p.AddRow([]Nonzero{{x, 1}, {y, 1}}, EQ, 5)
 	p.AddRow([]Nonzero{{x, 1}, {y, 1}}, EQ, 7)
-	sol := p.Solve(context.Background(), Options{})
+	sol := solveCold(&p)
 	if sol.Status != Infeasible {
 		t.Fatalf("status=%v, want infeasible", sol.Status)
 	}
@@ -104,7 +120,7 @@ func TestInfeasibleEquality(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	var p Problem
 	p.AddVar(-1, 0, Inf) // maximize x with no constraint
-	sol := p.Solve(context.Background(), Options{})
+	sol := solveCold(&p)
 	if sol.Status != Unbounded {
 		t.Fatalf("status=%v, want unbounded", sol.Status)
 	}
@@ -238,7 +254,9 @@ func TestIterLimit(t *testing.T) {
 	x := p.AddVar(-1, 0, Inf)
 	y := p.AddVar(-1, 0, Inf)
 	p.AddRow([]Nonzero{{x, 1}, {y, 1}}, LE, 10)
-	sol := p.Solve(context.Background(), Options{MaxIter: 1})
+	defer func(n int) { iterLimit = n }(iterLimit)
+	iterLimit = 1
+	sol := solveCold(&p)
 	if sol.Status != IterLimit && sol.Status != Optimal {
 		t.Fatalf("status=%v, want iteration-limit or optimal", sol.Status)
 	}
@@ -317,7 +335,7 @@ func TestQuickRandomFeasible(t *testing.T) {
 		nVars := 2 + rng.Intn(12)
 		nRows := 1 + rng.Intn(10)
 		p, point := buildRandomFeasible(rng, nVars, nRows)
-		sol := p.Solve(context.Background(), Options{})
+		sol := solveCold(p)
 		if sol.Status != Optimal {
 			t.Logf("seed %d: status %v", seed, sol.Status)
 			return false
@@ -349,7 +367,7 @@ func TestQuickScaleInvariance(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, _ := buildRandomFeasible(rng, 2+rng.Intn(8), 1+rng.Intn(6))
-		sol1 := p.Solve(context.Background(), Options{})
+		sol1 := solveCold(p)
 		if sol1.Status != Optimal {
 			return true // skip unbounded/degenerate cases here
 		}
@@ -360,7 +378,7 @@ func TestQuickScaleInvariance(t *testing.T) {
 		for i := range p.rows {
 			p2.AddRow(p.rows[i], p.senses[i], p.rhs[i])
 		}
-		sol2 := p2.Solve(context.Background(), Options{})
+		sol2 := solveCold(p2)
 		if sol2.Status != Optimal {
 			return false
 		}
@@ -377,7 +395,7 @@ func TestMediumScale(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	p, point := buildRandomFeasible(rng, 200, 80)
-	sol := p.Solve(context.Background(), Options{})
+	sol := solveCold(p)
 	if sol.Status != Optimal {
 		t.Fatalf("status=%v", sol.Status)
 	}
@@ -438,10 +456,11 @@ func TestAddRowPanicsUnknownVar(t *testing.T) {
 func BenchmarkSolveTransportation(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	p, _ := buildRandomFeasible(rng, 120, 50)
+	ws := NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sol := p.Solve(context.Background(), Options{}); sol.Status != Optimal {
+		if sol := p.SolveWith(context.Background(), Options{}, ws); sol.Status != Optimal {
 			b.Fatalf("status=%v", sol.Status)
 		}
 	}

@@ -38,7 +38,7 @@ const priceBlock = 256
 // experiment reproductions runs just under 1000 iterations) stay on pure
 // Dantzig and keep their historical pivot sequences bit-for-bit, while
 // genuinely long degenerate solves — whose iteration budget scales with
-// problem size — still escalate to Devex well before hitting MaxIter. Only
+// problem size — still escalate to Devex well before the budget runs out. Only
 // tests change it, to 0, which engages Devex from the first iteration.
 var devexAfter = 1500
 
@@ -60,11 +60,6 @@ const blandAfter = 400
 // 2·m bounds a warm solve's worst case at a cold one plus a prefix of about
 // two.
 const warmRepairBudget = 2
-
-// minPivotStep floors the ratio-test pivot threshold: steps smaller than
-// this are numerically meaningless even when opt.Tol is configured to zero,
-// and dividing by them would overflow the ratio toward ±Inf.
-const minPivotStep = 1e-30
 
 // tieTol is the relative tolerance within which two pricing quantities — two
 // dual ratios, two primal violations — count as tied. Maintained reduced
@@ -260,7 +255,7 @@ func (s *Workspace) optimize(cost []float64) Status {
 	}
 	s.collectViolators()
 	for {
-		if s.iters >= s.opt.MaxIter {
+		if s.iters >= s.maxIter {
 			return IterLimit
 		}
 		if s.cancelled() {
@@ -311,9 +306,7 @@ func (s *Workspace) optimize(cost []float64) Status {
 		tMax := s.up[enter] - s.lo[enter] // bound-flip distance (may be +Inf)
 		leave := -1
 		leaveToUpper := false
-		// The positive floor keeps the pivot threshold meaningful when Tol is
-		// zero, so the ratio-test divisions below never see a zero step.
-		piv := max(s.opt.Tol*10, minPivotStep)
+		piv := tol * 10 // no ratio-test division below sees a smaller step
 		for _, i := range s.wnz {
 			step := -sigma * w[i]
 			if step > piv { // basic value increases toward its upper bound
@@ -322,13 +315,13 @@ func (s *Workspace) optimize(cost []float64) Status {
 					continue
 				}
 				t := (s.up[bi] - s.x[bi]) / step
-				if t < tMax-s.opt.Tol || (t < tMax+s.opt.Tol && leave == -1) {
+				if t < tMax-tol || (t < tMax+tol && leave == -1) {
 					tMax, leave, leaveToUpper = t, i, true
 				}
 			} else if step < -piv { // basic value decreases toward its lower bound
 				bi := s.basis[i]
 				t := (s.x[bi] - s.lo[bi]) / -step
-				if t < tMax-s.opt.Tol || (t < tMax+s.opt.Tol && leave == -1) {
+				if t < tMax-tol || (t < tMax+tol && leave == -1) {
 					tMax, leave, leaveToUpper = t, i, false
 				}
 			}
@@ -340,7 +333,7 @@ func (s *Workspace) optimize(cost []float64) Status {
 		if tMax < 0 {
 			tMax = 0
 		}
-		if tMax <= s.opt.Tol {
+		if tMax <= tol {
 			degenerate++
 			s.stats.DegenerateSteps++
 		} else {
@@ -411,7 +404,7 @@ func (s *Workspace) optimize(cost []float64) Status {
 func (s *Workspace) collectViolators() {
 	list := s.viol[:0]
 	for j := range s.isViol {
-		s.isViol[j] = s.violation(j) > s.opt.Tol
+		s.isViol[j] = s.violation(j) > tol
 		if s.isViol[j] {
 			list = append(list, j)
 		}
@@ -425,7 +418,7 @@ func (s *Workspace) collectViolators() {
 // meets them.
 func (s *Workspace) noteViolators(out int) {
 	for _, j := range s.alphaIdx {
-		if !s.isViol[j] && s.violation(j) > s.opt.Tol {
+		if !s.isViol[j] && s.violation(j) > tol {
 			s.isViol[j] = true
 			s.viol = append(s.viol, j)
 		}
@@ -453,7 +446,6 @@ func (s *Workspace) noteViolators(out int) {
 // (reset at every solve, so a solve stays a function of its problem and its
 // start).
 func (s *Workspace) chooseEntering(rule pricing) int {
-	tol := s.opt.Tol
 	// One pass drops the columns that no longer violate and finds the rule's
 	// leading candidate.
 	enter, best, second := -1, 0.0, 0.0 // second: the largest violation below best (Dantzig)
@@ -598,16 +590,16 @@ func (s *Workspace) devexUpdate(enter, out int, alphaQ float64) {
 // costs flipToDualFeasible left in s.d. It returns Optimal when the basis is
 // primal feasible, Infeasible when no pivot can repair a violated basic
 // variable — certified then says whether the row that shows it is a proof
-// (certifiedInfeasible) — or IterLimit: when the solve's MaxIter is spent, or
+// (certifiedInfeasible) — or IterLimit: when the solve's iteration budget is spent, or
 // when the solve's dual pivots would pass maxDual.
 func (s *Workspace) dualSimplex(maxDual int) (st Status, certified bool) {
 	m := s.m
 	w := s.w
 	refactorEvery := s.opt.refactorEvery()
-	ptol := s.opt.Tol * 1e3 // primal bound tolerance
+	ptol := tol * 1e3 // primal bound tolerance
 
 	for {
-		if s.iters >= s.opt.MaxIter {
+		if s.iters >= s.maxIter {
 			return IterLimit, false
 		}
 		if s.cancelled() {

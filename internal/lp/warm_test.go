@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,8 +13,9 @@ func TestQuickWarmMatchesCold(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, _ := buildRandomFeasible(rng, 3+rng.Intn(10), 1+rng.Intn(8))
-		first := p.Solve(context.Background(), Options{})
-		if first.Status != Optimal || first.Basis == nil {
+		ws := NewWorkspace()
+		first, basis := solveOn(p, ws, Options{})
+		if first.Status != Optimal || basis == nil {
 			return true // nothing to warm-start from
 		}
 		// Tighten random variable bounds (branching-style changes).
@@ -34,8 +34,8 @@ func TestQuickWarmMatchesCold(t *testing.T) {
 				}
 			}
 		}
-		warm := p.Solve(context.Background(), Options{Start: first.Basis})
-		cold := p.Solve(context.Background(), Options{})
+		warm, _ := solveOn(p, ws, Options{Start: basis})
+		cold, _ := solveOn(p, ws, Options{})
 		if warm.Status != cold.Status {
 			t.Logf("seed %d: warm=%v cold=%v", seed, warm.Status, cold.Status)
 			return false
@@ -62,11 +62,12 @@ func TestQuickWarmMatchesCold(t *testing.T) {
 func TestWarmNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p, _ := buildRandomFeasible(rng, 20, 10)
-	first := p.Solve(context.Background(), Options{})
-	if first.Status != Optimal || first.Basis == nil {
+	ws := NewWorkspace()
+	first, basis := solveOn(p, ws, Options{})
+	if first.Status != Optimal || basis == nil {
 		t.Skip("no exportable basis")
 	}
-	warm := p.Solve(context.Background(), Options{Start: first.Basis})
+	warm, _ := solveOn(p, ws, Options{Start: basis})
 	if warm.Status != Optimal {
 		t.Fatalf("warm status=%v", warm.Status)
 	}

@@ -28,9 +28,9 @@ type Workspace struct {
 	// Per-solve context, reset on every entry.
 	ctx     context.Context
 	opt     Options
+	maxIter int // iteration budget of the solve (iterLimit, or proportional to its size)
 	iters   int
-	diters  int
-	flipped int // nonbasic columns moved to their opposite bound on warm entry
+	diters  int // dual-simplex pivots of the warm attempt; finish counts them
 
 	stats Stats // everything this workspace has done since ResetStats
 
@@ -122,8 +122,7 @@ func (s *Workspace) Stats() Stats { return s.stats }
 // unit of work calls it between units, so that Stats is each one's own.
 func (s *Workspace) ResetStats() { s.stats = Stats{} }
 
-// solve is the single entry point behind Problem.Solve/SolveWith. Options
-// are already defaulted by the caller.
+// solve is the single entry point behind Problem.SolveWith.
 func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution {
 	reused := s.reshape(p)
 	if reused {
@@ -131,12 +130,12 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 	}
 	s.ctx = ctx
 	s.opt = opt
-	if opt.MaxIter == 0 {
-		s.opt.MaxIter = 2000 + 40*(s.m+s.n)
+	s.maxIter = iterLimit
+	if s.maxIter <= 0 {
+		s.maxIter = 2000 + 40*(s.m+s.n)
 	}
 	s.iters = 0
 	s.diters = 0
-	s.flipped = 0
 	s.cursor = 0
 	s.refresh(p)
 
@@ -163,14 +162,12 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 		return sol
 	}
 	s.stats.ColdFallbacks[why]++
-	warmIters, flipped := s.iters, s.flipped
+	warmIters := s.iters
 	s.iters = 0
 	s.diters = 0
-	s.flipped = 0
 	s.refresh(p) // warm attempt pinned artificial bounds; reset them
 	sol = s.run()
 	sol.Iterations += warmIters
-	sol.FlippedColumns = flipped
 	sol.ColdFallback = why
 	return sol
 }
@@ -353,7 +350,7 @@ func (s *Workspace) run() Solution {
 			s.basis[i] = a
 			s.inRow[a] = i
 			s.x[a] = math.Abs(resid[i])
-			if s.x[a] > s.opt.Tol {
+			if s.x[a] > tol {
 				needPhase1 = true
 			}
 		}
@@ -399,13 +396,9 @@ func (s *Workspace) finish(st Status) Solution {
 	for j := 0; j < s.nStruct; j++ {
 		obj += s.cost[j] * s.x[j]
 	}
-	sol := Solution{Status: st, Objective: obj, X: s.structX(), Iterations: s.iters, DualIters: s.diters,
-		FlippedColumns: s.flipped}
+	s.stats.DualIterations += s.diters
 	s.saveGood(st)
-	if s.opt.ExportBasis && s.liveIsGood { // the basis just retained is this solve's
-		sol.Basis = s.Basis()
-	}
-	return sol
+	return Solution{Status: st, Objective: obj, X: s.structX(), Iterations: s.iters}
 }
 
 // saveGood snapshots the working basis as the retained warm-start seed when
@@ -583,7 +576,7 @@ func (s *Workspace) warmFinish() (Solution, ColdReason) {
 		}
 		return Solution{}, ColdInfeasible
 	case IterLimit:
-		if s.iters < s.opt.MaxIter {
+		if s.iters < s.maxIter {
 			return Solution{}, ColdBudget
 		}
 		return Solution{}, ColdNumerical
@@ -652,20 +645,20 @@ func (s *Workspace) flipToDualFeasible() {
 	if s.dualAge != 0 || !sameVector(s.obj, s.cost) {
 		s.refreshDuals(s.cost)
 	}
-	tol := math.Max(s.opt.Tol*1e3, 1e-6)
-	shifts := 0
+	dtol := math.Max(tol*1e3, 1e-6)
+	flips, shifts := 0, 0
 	for j := 0; j < s.artStart; j++ { // the artificials are pinned at zero
 		viol := s.violation(j)
 		switch {
-		case viol <= tol:
+		case viol <= dtol:
 		case s.atUp[j]:
 			s.atUp[j] = false
 			s.x[j] = s.lo[j]
-			s.flipped++
+			flips++
 		case !math.IsInf(s.up[j], 1):
 			s.atUp[j] = true
 			s.x[j] = s.up[j]
-			s.flipped++
+			flips++
 		default:
 			if shifts == 0 {
 				s.shifted = append(s.shifted[:0], s.cost...)
@@ -676,13 +669,14 @@ func (s *Workspace) flipToDualFeasible() {
 			shifts++
 		}
 	}
-	if s.flipped > 0 {
+	if flips > 0 {
 		s.recomputeBasics()
 	}
+	s.stats.FlippedColumns += flips
 	s.stats.CostShifts += shifts
 }
 
-func (s *Workspace) feasTol() float64 { return s.opt.Tol * float64(1+s.m) * 100 }
+func (s *Workspace) feasTol() float64 { return tol * float64(1+s.m) * 100 }
 
 // cancelled polls the solve context. The check runs once per simplex pivot,
 // whose own cost dwarfs the atomic load inside ctx.Err, so polling every

@@ -20,10 +20,10 @@ func TestQuickDevexMatchesDantzig(t *testing.T) {
 		nVars := 2 + rng.Intn(12)
 		nRows := 1 + rng.Intn(10)
 		p, _ := buildRandomFeasible(rng, nVars, nRows)
-		base := p.Solve(context.Background(), Options{})
+		base := solveCold(p)
 		staged := devexAfter
 		devexAfter = 0
-		devex := p.Solve(context.Background(), Options{})
+		devex := solveCold(p)
 		devexAfter = staged
 		if base.Status != devex.Status {
 			t.Logf("seed %d: status %v (dantzig) vs %v (devex)", seed, base.Status, devex.Status)
@@ -53,7 +53,7 @@ func TestQuickDevexMatchesDantzig(t *testing.T) {
 func TestDevexPartialPricingBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p, _ := buildRandomFeasible(rng, 3*priceBlock, 40)
-	base := p.Solve(context.Background(), Options{})
+	base := solveCold(p)
 	ws := NewWorkspace()
 	staged := devexAfter
 	devexAfter = 0
@@ -155,7 +155,7 @@ func TestWorkspaceRetargets(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(shape.nVars * shape.nRows)))
 		p, _ := buildRandomFeasible(rng, shape.nVars, shape.nRows)
 		got := p.SolveWith(context.Background(), opt, ws)
-		want := p.Solve(context.Background(), Options{})
+		want := solveCold(p)
 		if got.Status != want.Status {
 			t.Fatalf("shape %dx%d: status %v, want %v", shape.nVars, shape.nRows, got.Status, want.Status)
 		}

@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"ras/internal/clock"
 )
 
 // TestMarkPenaltyExposesViolation: without MarkPenalty the repair heuristic
@@ -82,11 +80,10 @@ func TestDiveRollback(t *testing.T) {
 	}
 }
 
-// TestTimeLimitRespected: a generous assignment model with a tiny time
-// budget must stop at the deadline. Time is logical, not wall: a
-// clock.Stepper advances 1ms per Now read, so the engine's per-node
-// deadline poll runs out of budget after a deterministic number of nodes
-// and the test neither sleeps nor measures real elapsed time.
+// TestTimeLimitRespected: a generous assignment model whose ctx deadline has
+// already passed stops before its first node, and reports the stop as a
+// spent budget, never as Cancelled. The deadline is fixed in the past, so the
+// test neither sleeps nor measures real elapsed time.
 func TestTimeLimitRespected(t *testing.T) {
 	m := NewModel()
 	var terms []Term
@@ -95,22 +92,16 @@ func TestTimeLimitRespected(t *testing.T) {
 		terms = append(terms, Term{v, float64(1 + i%4)})
 	}
 	m.AddConstr("cap", terms, LE, 50)
-	step := clock.NewStepper(time.Unix(0, 0), time.Millisecond)
-	defer clock.Override(step)()
-	r := m.Solve(context.Background(), Options{TimeLimit: 50 * time.Millisecond})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	r := m.Solve(ctx, Options{})
 	switch r.Status {
-	case Optimal, Feasible, NoSolution, Unbounded:
+	case Feasible, NoSolution:
 	default:
-		t.Fatalf("status %v", r.Status)
+		t.Fatalf("status %v, want feasible or no-solution", r.Status)
 	}
-	// SolveTime is read off the same stepper: the solve either finished
-	// within budget or stopped at the first poll past the deadline, so
-	// logical elapsed time can exceed the limit by at most a few reads.
-	if r.SolveTime > 60*time.Millisecond {
-		t.Fatalf("solve consumed %v of logical time against a 50ms limit", r.SolveTime)
-	}
-	if step.Reads() == 0 {
-		t.Fatal("solve never consulted the clock seam")
+	if r.Nodes != 0 {
+		t.Fatalf("explored %d nodes past the deadline", r.Nodes)
 	}
 }
 
@@ -120,7 +111,7 @@ func TestGapReporting(t *testing.T) {
 	m := NewModel()
 	var terms []Term
 	for i := 0; i < 25; i++ {
-		v := m.AddBinVar("x", -(1 + float64(i%5)*0.37))
+		v := m.AddIntVar("x", -(1 + float64(i%5)*0.37), 0, 1)
 		terms = append(terms, Term{v, 1 + float64(i%3)*0.61})
 	}
 	m.AddConstr("w", terms, LE, 11.5)
@@ -148,7 +139,7 @@ func TestEnvelopeWithCapacity(t *testing.T) {
 		groups = append(groups, []Term{{doms[d], 1}})
 		total = append(total, Term{doms[d], 1})
 	}
-	z := m.AddUpperEnvelope("z", groups, 3)
+	z, _ := m.AddUpperEnvelope("z", groups, 3)
 	cap := append(append([]Term{}, total...), Term{z, -1})
 	m.AddConstr("cap", cap, GE, 10)
 	r := m.Solve(context.Background(), Options{MaxNodes: 200})

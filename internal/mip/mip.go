@@ -4,13 +4,16 @@
 // relaxations.
 //
 // mip is the engine behind the RAS async solver (internal/solver). The RAS
-// formulation uses three nonlinear constructs that mip linearizes with
+// formulation uses two nonlinear constructs that mip linearizes with
 // auxiliary variables:
 //
 //   - max(0, expr)   → AddPosPart
 //   - max over group sums (the embedded correlated-failure buffer)
 //     → AddUpperEnvelope
-//   - |expr − a| ≤ θ (network affinity) → AddAbsRange
+//
+// A Model is one lp.Problem — variables, rows, objective, stored and read
+// there only — plus what branch-and-bound needs on top of it: integrality,
+// penalty marks, a warm-start point and names.
 //
 // Solve reports not only an incumbent but also the best proven bound and the
 // absolute gap, mirroring the quality-gap methodology of the paper's
@@ -24,9 +27,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"time"
 
-	"ras/internal/clock"
 	"ras/internal/floats"
 	"ras/internal/lp"
 )
@@ -55,16 +56,10 @@ var Inf = lp.Inf
 
 // Model is a mixed-integer program under construction.
 type Model struct {
-	prob    lp.Problem
-	integer []bool
-	names   []string
-	cost    []float64 // mirror of objective coefficients for evaluation
-
-	rows      [][]lp.Nonzero
-	senses    []Sense
-	rhs       []float64
-	rowNames  []string
-	objOffset float64
+	prob     lp.Problem // variables, bounds, costs and rows
+	integer  []bool
+	names    []string
+	rowNames []string
 
 	initial []float64    // optional warm-start point (may be partial: NaN = unset)
 	penalty map[Var]bool // soft-constraint slack variables (see MarkPenalty)
@@ -90,14 +85,14 @@ type rowRef struct {
 // buildColIndex (re)builds the column→rows index used by the repair
 // heuristic. It is a no-op when the model has not grown since the last call.
 func (m *Model) buildColIndex() {
-	if m.idxRows == len(m.rows) && m.idxVars == m.prob.NumVars() {
+	if m.idxRows == m.prob.NumRows() && m.idxVars == m.prob.NumVars() {
 		return
 	}
 	m.colRows = make([][]rowRef, m.prob.NumVars())
-	m.intOnlyRows = make([]bool, len(m.rows))
-	for i, row := range m.rows {
+	m.intOnlyRows = make([]bool, m.prob.NumRows())
+	for i := range m.intOnlyRows {
 		pure := true
-		for _, nz := range row {
+		for _, nz := range m.prob.Row(i) {
 			m.colRows[nz.Index] = append(m.colRows[nz.Index], rowRef{row: i, coef: nz.Value})
 			if !m.integer[nz.Index] {
 				pure = false
@@ -105,7 +100,7 @@ func (m *Model) buildColIndex() {
 		}
 		m.intOnlyRows[i] = pure
 	}
-	m.idxRows = len(m.rows)
+	m.idxRows = m.prob.NumRows()
 	m.idxVars = m.prob.NumVars()
 }
 
@@ -115,19 +110,8 @@ func NewModel() *Model { return &Model{} }
 // NumVars reports the number of variables added so far.
 func (m *Model) NumVars() int { return m.prob.NumVars() }
 
-// NumIntVars reports the number of integer variables added so far.
-func (m *Model) NumIntVars() int {
-	n := 0
-	for _, b := range m.integer {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // NumConstrs reports the number of constraints added so far.
-func (m *Model) NumConstrs() int { return len(m.rows) }
+func (m *Model) NumConstrs() int { return m.prob.NumRows() }
 
 // VarName reports the name given to v at creation.
 func (m *Model) VarName(v Var) string { return m.names[v] }
@@ -141,7 +125,6 @@ func (m *Model) AddVar(name string, cost, lo, up float64) Var {
 	j := m.prob.AddVar(cost, lo, up)
 	m.integer = append(m.integer, false)
 	m.names = append(m.names, name)
-	m.cost = append(m.cost, cost)
 	m.revision++
 	return Var(j)
 }
@@ -153,24 +136,16 @@ func (m *Model) AddIntVar(name string, cost, lo, up float64) Var {
 	return v
 }
 
-// AddBinVar adds a {0,1} variable and returns it.
-func (m *Model) AddBinVar(name string, cost float64) Var {
-	return m.AddIntVar(name, cost, 0, 1)
-}
-
 // AddConstr adds the constraint Σ terms sense rhs and returns its row index.
 func (m *Model) AddConstr(name string, terms []Term, sense Sense, rhs float64) int {
 	nz := make([]lp.Nonzero, 0, len(terms))
 	for _, t := range terms {
 		nz = append(nz, lp.Nonzero{Index: int(t.Var), Value: t.Coef})
 	}
-	m.prob.AddRow(nz, sense, rhs)
-	m.rows = append(m.rows, nz)
-	m.senses = append(m.senses, sense)
-	m.rhs = append(m.rhs, rhs)
+	i := m.prob.AddRow(nz, sense, rhs)
 	m.rowNames = append(m.rowNames, name)
 	m.revision++
-	return len(m.rows) - 1
+	return i
 }
 
 // Revision reports the model's structural revision: it increments whenever a
@@ -192,17 +167,11 @@ func (m *Model) VarBounds(v Var) (lo, up float64) { return m.prob.Bounds(int(v))
 // SetRHS replaces the right-hand side of constraint row i in place
 // (model-patching API), keeping the row's coefficients, sense, and name —
 // the RAS incremental build's path for resized demands C_r.
-func (m *Model) SetRHS(i int, rhs float64) {
-	m.prob.SetRHS(i, rhs)
-	m.rhs[i] = rhs // evaluation mirror (feasibleIntegral, heuristics)
-}
-
-// RHS reports the current right-hand side of constraint row i.
-func (m *Model) RHS(i int) float64 { return m.rhs[i] }
+func (m *Model) SetRHS(i int, rhs float64) { m.prob.SetRHS(i, rhs) }
 
 // Fingerprint hashes the model's entire solve-relevant content — variables
 // (bounds, costs, integrality, names), rows (coefficients, senses, RHS,
-// names), objective offset, warm-start point, and penalty marks — into one
+// names), warm-start point, and penalty marks — into one
 // uint64. Two models with equal fingerprints are interchangeable for Solve;
 // the solver's incremental-build property tests compare a patched model
 // against a cold rebuild this way.
@@ -220,7 +189,7 @@ func (m *Model) Fingerprint() uint64 {
 		lo, up := m.prob.Bounds(j)
 		wf(lo)
 		wf(up)
-		wf(m.cost[j])
+		wf(m.prob.Cost(j))
 		if m.integer[j] {
 			w64(1)
 		} else {
@@ -228,18 +197,18 @@ func (m *Model) Fingerprint() uint64 {
 		}
 		ws(m.names[j])
 	}
-	w64(uint64(len(m.rows)))
-	for i, row := range m.rows {
+	w64(uint64(m.prob.NumRows()))
+	for i := 0; i < m.prob.NumRows(); i++ {
+		row := m.prob.Row(i)
 		w64(uint64(len(row)))
 		for _, nz := range row {
 			w64(uint64(nz.Index))
 			wf(nz.Value)
 		}
-		w64(uint64(m.senses[i]))
-		wf(m.rhs[i])
+		w64(uint64(m.prob.Sense(i)))
+		wf(m.prob.RHS(i))
 		ws(m.rowNames[i])
 	}
-	wf(m.objOffset)
 	w64(uint64(len(m.initial)))
 	for _, v := range m.initial {
 		wf(v)
@@ -256,48 +225,40 @@ func (m *Model) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// AddObjOffset adds a constant to the objective (bookkeeping only).
-func (m *Model) AddObjOffset(c float64) { m.objOffset += c }
-
 // AddPosPart adds an auxiliary continuous variable y with objective
 // coefficient cost, constrained by y ≥ Σ terms + constant and y ≥ 0, and
-// returns y. When cost > 0 and the model is minimized, y takes the value
-// max(0, Σ terms + constant), which linearizes the hinge penalties of the
-// RAS stability and spread objectives (paper expressions 1–3).
-func (m *Model) AddPosPart(name string, terms []Term, constant, cost float64) Var {
+// returns y with the index of that row. When cost > 0 and the model is
+// minimized, y takes the value max(0, Σ terms + constant), which linearizes
+// the hinge penalties of the RAS stability and spread objectives (paper
+// expressions 1–3).
+func (m *Model) AddPosPart(name string, terms []Term, constant, cost float64) (Var, int) {
 	y := m.AddVar(name, cost, 0, Inf)
 	row := make([]Term, 0, len(terms)+1)
 	row = append(row, Term{y, 1})
 	for _, t := range terms {
 		row = append(row, Term{t.Var, -t.Coef})
 	}
-	m.AddConstr(name, row, GE, constant)
-	return y
+	return y, m.AddConstr(name, row, GE, constant)
 }
 
 // AddUpperEnvelope adds an auxiliary continuous variable z with objective
-// coefficient cost and one constraint z ≥ Σ group per group, returning z.
-// Under minimization pressure z equals the maximum group sum, linearizing
-// the correlated-failure-buffer term (paper expression 4) and providing the
-// left-hand max of the buffer constraint (expression 6).
-func (m *Model) AddUpperEnvelope(name string, groups [][]Term, cost float64) Var {
+// coefficient cost and one constraint z ≥ Σ group per group, returning z
+// with the row indices, one per group in order. Under minimization pressure z
+// equals the maximum group sum, linearizing the correlated-failure-buffer
+// term (paper expression 4) and providing the left-hand max of the buffer
+// constraint (expression 6).
+func (m *Model) AddUpperEnvelope(name string, groups [][]Term, cost float64) (Var, []int) {
 	z := m.AddVar(name, cost, 0, Inf)
+	rows := make([]int, len(groups))
 	for gi, g := range groups {
 		row := make([]Term, 0, len(g)+1)
 		row = append(row, Term{z, 1})
 		for _, t := range g {
 			row = append(row, Term{t.Var, -t.Coef})
 		}
-		m.AddConstr(fmt.Sprintf("%s[%d]", name, gi), row, GE, 0)
+		rows[gi] = m.AddConstr(fmt.Sprintf("%s[%d]", name, gi), row, GE, 0)
 	}
-	return z
-}
-
-// AddAbsRange adds |Σ terms − target| ≤ theta as two linear rows,
-// linearizing the network-affinity constraint (paper expression 7).
-func (m *Model) AddAbsRange(name string, terms []Term, target, theta float64) {
-	m.AddConstr(name+"/hi", terms, LE, target+theta)
-	m.AddConstr(name+"/lo", terms, GE, target-theta)
+	return z, rows
 }
 
 // MarkPenalty declares v to be a pure penalty slack: a continuous variable
@@ -361,14 +322,14 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int8(s))
 }
 
-// Options tunes the branch-and-bound search.
+// intTol is the integrality tolerance.
+const intTol float64 = 1e-6
+
+// Options tunes the branch-and-bound search. It has no time limit: the
+// caller bounds a solve with a ctx deadline.
 type Options struct {
-	// TimeLimit bounds wall-clock solve time. Zero means no limit.
-	TimeLimit time.Duration
 	// MaxNodes bounds the number of explored nodes. Zero means 100000.
 	MaxNodes int
-	// IntTol is the integrality tolerance. Zero means 1e-6.
-	IntTol float64
 	// AbsGap stops the search once incumbent − bound ≤ AbsGap. Zero means 1e-6.
 	AbsGap float64
 	// RelGap stops the search once the relative gap falls below it.
@@ -419,8 +380,7 @@ type Result struct {
 	Nodes     int       // branch-and-bound nodes explored
 	// LP sums what every LP workspace of the solve did — the root search's
 	// and each other worker's — read once after they joined.
-	LP        lp.Stats
-	SolveTime time.Duration
+	LP lp.Stats
 	// Workers is the resolved worker count the solve ran with (≥ 1).
 	Workers int
 	// IncumbentUpdates counts accepted improvements of the shared
@@ -487,15 +447,11 @@ type boundChange struct {
 // Cancelling ctx aborts the search cooperatively: the context is polled at
 // every branch-and-bound node and inside every LP's simplex loop, and the
 // best incumbent found so far is returned with Status Cancelled (NoSolution
-// when no incumbent exists yet). A ctx deadline and Options.TimeLimit
-// compose; whichever expires first stops the search.
+// when no incumbent exists yet). A ctx deadline stops the search the same way
+// but reports the incumbent as Feasible: the budget ran out.
 func (m *Model) Solve(ctx context.Context, opt Options) Result {
-	start := clock.Now()
 	if ctx == nil {
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
-	}
-	if floats.ExactZero(opt.IntTol) {
-		opt.IntTol = 1e-6
 	}
 	if floats.ExactZero(opt.AbsGap) {
 		opt.AbsGap = 1e-6
@@ -510,13 +466,12 @@ func (m *Model) Solve(ctx context.Context, opt Options) Result {
 		opt.Workers = 1
 	}
 
-	e := newEngine(ctx, m, opt, start)
+	e := newEngine(ctx, m, opt)
 	defer e.restoreRootBounds()
 
 	res := m.branchAndBound(e)
 	e.fillStats(&res)
 	res.Workers = opt.Workers
-	res.SolveTime = clock.Since(start)
 	return res
 }
 
@@ -546,10 +501,10 @@ func nodeBounds(nd node, v int, rootLo, rootUp float64) (lo, up float64) {
 }
 
 // mostFractional returns the integer variable with value farthest from an
-// integer, or -1 if all integer variables are integral within tol.
-func (m *Model) mostFractional(x []float64, tol float64) int {
+// integer, or -1 if all integer variables are integral within intTol.
+func (m *Model) mostFractional(x []float64) int {
 	best := -1
-	bestDist := tol
+	bestDist := intTol
 	for j, isInt := range m.integer {
 		if !isInt {
 			continue
@@ -564,25 +519,26 @@ func (m *Model) mostFractional(x []float64, tol float64) int {
 	return best
 }
 
-// objective evaluates the model objective (without offset) at x.
+// objective evaluates the model objective at x.
 func (m *Model) objective(x []float64) float64 {
 	obj := 0.0
-	for j, c := range m.cost {
-		obj += c * x[j]
+	for j := 0; j < m.prob.NumVars(); j++ {
+		obj += m.prob.Cost(j) * x[j]
 	}
 	return obj
 }
 
 // feasibleIntegral reports whether x satisfies every constraint, the
-// model's current bounds, and integrality within tol.
-func (m *Model) feasibleIntegral(x []float64, tol float64) bool {
-	return m.feasibleIntegralIn(&m.prob, x, tol)
+// model's current bounds, and integrality within intTol.
+func (m *Model) feasibleIntegral(x []float64) bool {
+	return m.feasibleIntegralIn(&m.prob, x)
 }
 
-// feasibleIntegralIn is feasibleIntegral evaluated against the bounds of an
-// explicit problem copy — the worker-local scratch of a parallel search,
-// whose bounds may be tightened independently of the model's own problem.
-func (m *Model) feasibleIntegralIn(p *lp.Problem, x []float64, tol float64) bool {
+// feasibleIntegralIn is feasibleIntegral evaluated against an explicit
+// problem copy — the worker-local scratch of a parallel search, whose bounds
+// may be tightened independently of the model's own problem and whose rows
+// are the model's.
+func (m *Model) feasibleIntegralIn(p *lp.Problem, x []float64) bool {
 	if len(x) != p.NumVars() {
 		return false
 	}
@@ -596,58 +552,32 @@ func (m *Model) feasibleIntegralIn(p *lp.Problem, x []float64, tol float64) bool
 			return false
 		}
 		if m.integer[j] {
-			if d := math.Abs(x[j] - math.Round(x[j])); d > tol {
+			if d := math.Abs(x[j] - math.Round(x[j])); d > intTol {
 				return false
 			}
 		}
 	}
-	for i, row := range m.rows {
+	for i := 0; i < p.NumRows(); i++ {
 		lhs := 0.0
-		for _, nz := range row {
+		for _, nz := range p.Row(i) {
 			lhs += nz.Value * x[nz.Index]
 		}
-		scale := 1.0 + math.Abs(m.rhs[i])
-		switch m.senses[i] {
+		rhs := p.RHS(i)
+		scale := 1.0 + math.Abs(rhs)
+		switch p.Sense(i) {
 		case LE:
-			if lhs > m.rhs[i]+ftol*scale {
+			if lhs > rhs+ftol*scale {
 				return false
 			}
 		case GE:
-			if lhs < m.rhs[i]-ftol*scale {
+			if lhs < rhs-ftol*scale {
 				return false
 			}
 		case EQ:
-			if math.Abs(lhs-m.rhs[i]) > ftol*scale {
+			if math.Abs(lhs-rhs) > ftol*scale {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// Fractionality returns the indices of integer variables with fractional
-// values in x, sorted by decreasing distance from integrality. It is used by
-// diagnostics and tests.
-func (m *Model) Fractionality(x []float64, tol float64) []int {
-	type fv struct {
-		j int
-		d float64
-	}
-	var fs []fv
-	for j, isInt := range m.integer {
-		if !isInt || j >= len(x) {
-			continue
-		}
-		f := x[j] - math.Floor(x[j])
-		d := math.Min(f, 1-f)
-		if d > tol {
-			fs = append(fs, fv{j, d})
-		}
-	}
-	sort.Slice(fs, func(a, b int) bool { return fs[a].d > fs[b].d })
-	out := make([]int, len(fs))
-	for i, f := range fs {
-		out[i] = f.j
-	}
-	return out
 }

@@ -22,7 +22,7 @@ func fixedAssignment(t *testing.T, seed int64, n, k int) (*Model, []float64) {
 	if int(assigned) != n {
 		t.Fatalf("seed %d: greedy point assigned %v of %d tasks; pick another seed", seed, assigned, n)
 	}
-	if !m.feasibleIntegral(point, 1e-6) {
+	if !m.feasibleIntegral(point) {
 		t.Fatalf("seed %d: greedy point infeasible; pick another seed", seed)
 	}
 	return m, point
@@ -41,7 +41,7 @@ func TestParallelDeterministicObjective(t *testing.T) {
 		if r.Workers != workers {
 			t.Fatalf("workers=%d: Result.Workers=%d", workers, r.Workers)
 		}
-		if !m.feasibleIntegral(r.X, 1e-6) {
+		if !m.feasibleIntegral(r.X) {
 			t.Fatalf("workers=%d: solution not feasible/integral", workers)
 		}
 		if got := m.objective(r.X); !approx(got, r.Objective) {
@@ -93,7 +93,7 @@ func TestParallelStatsPopulated(t *testing.T) {
 func TestParallelLPStatsSumSearches(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m := generalizedAssignment(7)
-		e := newEngine(context.Background(), m, Options{Workers: workers, MaxNodes: 400, IntTol: 1e-6, AbsGap: 1e-6}, time.Now())
+		e := newEngine(context.Background(), m, Options{Workers: workers, MaxNodes: 400, AbsGap: 1e-6})
 		res := m.branchAndBound(e)
 		e.fillStats(&res)
 		e.restoreRootBounds()
@@ -128,7 +128,7 @@ func hardBinaryModel(seed int64, n, rows int) (*Model, []float64) {
 	vars := make([]Var, n)
 	point := make([]float64, n)
 	for j := 0; j < n; j++ {
-		vars[j] = m.AddBinVar("x", rng.Float64())
+		vars[j] = m.AddIntVar("x", rng.Float64(), 0, 1)
 		if rng.Intn(2) == 1 {
 			point[j] = 1
 		}
@@ -168,7 +168,7 @@ func TestParallelCancelReturnsIncumbentNoLeak(t *testing.T) {
 	if r.X == nil {
 		t.Fatalf("no incumbent returned despite warm start")
 	}
-	if !m.feasibleIntegral(r.X, 1e-6) {
+	if !m.feasibleIntegral(r.X) {
 		t.Fatalf("returned incumbent not feasible/integral")
 	}
 	if elapsed > 5*time.Second {
@@ -234,7 +234,7 @@ func TestAppendChangeDoesNotAliasParent(t *testing.T) {
 
 func TestSetInitialCopiesCallerSlice(t *testing.T) {
 	m := NewModel()
-	x := m.AddBinVar("x", -1)
+	x := m.AddIntVar("x", -1, 0, 1)
 	m.AddConstr("c", []Term{{x, 1}}, LE, 1)
 	point := []float64{1}
 	m.SetInitial(point)

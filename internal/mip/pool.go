@@ -164,7 +164,7 @@ func (m *Model) branchAndBound(e *engine) Result {
 			s.drain(pool, w)
 		}(w)
 	}
-	if m.mostFractional(rootSol.X, opt.IntTol) != -1 {
+	if m.mostFractional(rootSol.X) != -1 {
 		root.rootHeuristics(rootSol)
 	}
 	root.drain(pool, 0)

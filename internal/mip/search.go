@@ -13,9 +13,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"ras/internal/clock"
 	"ras/internal/floats"
 	"ras/internal/lp"
 )
@@ -37,8 +35,6 @@ type engine struct {
 	contMin []float64 // per-row reachable continuous activity, lower side
 	contMax []float64 // upper side
 
-	deadline time.Time
-
 	timedOut  atomic.Bool
 	cancelled atomic.Bool
 
@@ -48,7 +44,7 @@ type engine struct {
 	// can at worst miss a prune, never corrupt the incumbent.
 	incMu      sync.Mutex
 	incumbent  []float64
-	incObj     float64 // objective without objOffset, +Inf when none
+	incObj     float64 // +Inf when none
 	incCopy    []float64
 	incUpdates int
 	heurWins   int
@@ -67,7 +63,7 @@ type engine struct {
 	boundBits atomic.Uint64
 }
 
-func newEngine(ctx context.Context, m *Model, opt Options, start time.Time) *engine {
+func newEngine(ctx context.Context, m *Model, opt Options) *engine {
 	e := &engine{
 		m:      m,
 		opt:    opt,
@@ -84,10 +80,6 @@ func newEngine(ctx context.Context, m *Model, opt Options, start time.Time) *eng
 		e.rootLo[j], e.rootUp[j] = m.prob.Bounds(j)
 	}
 
-	if opt.TimeLimit > 0 {
-		e.deadline = start.Add(opt.TimeLimit)
-	}
-
 	// Build the lazy column index up front: parallel searches share it
 	// read-only, so a lazy rebuild mid-search would race.
 	m.buildColIndex()
@@ -96,10 +88,10 @@ func newEngine(ctx context.Context, m *Model, opt Options, start time.Time) *eng
 	// how much can the row's continuous members still move the activity?
 	// Pure-integer rows have a zero range; rows with an unbounded envelope
 	// or free slack have an infinite side and never bind the guard there.
-	e.contMin = make([]float64, len(m.rows))
-	e.contMax = make([]float64, len(m.rows))
-	for i, row := range m.rows {
-		for _, nz := range row {
+	e.contMin = make([]float64, m.prob.NumRows())
+	e.contMax = make([]float64, m.prob.NumRows())
+	for i := range e.contMin {
+		for _, nz := range m.prob.Row(i) {
 			if m.integer[nz.Index] {
 				continue
 			}
@@ -114,7 +106,7 @@ func newEngine(ctx context.Context, m *Model, opt Options, start time.Time) *eng
 	}
 
 	// Seed the incumbent from the warm-start point when valid.
-	if m.initial != nil && m.feasibleIntegral(m.initial, opt.IntTol) {
+	if m.initial != nil && m.feasibleIntegral(m.initial) {
 		e.incumbent = append([]float64(nil), m.initial...)
 		e.incObj = m.objective(e.incumbent)
 	}
@@ -164,25 +156,21 @@ func (e *engine) restoreRootBounds() {
 }
 
 // expired reports whether the solve should stop, distinguishing a time
-// budget running out (TimeLimit or ctx deadline → timedOut → Feasible) from
-// an explicit cancellation (→ cancelled → Cancelled). Both flags are sticky.
+// budget running out (ctx deadline → timedOut → Feasible) from an explicit
+// cancellation (→ cancelled → Cancelled). Both flags are sticky.
 func (e *engine) expired() bool {
 	if e.timedOut.Load() || e.cancelled.Load() {
 		return true
 	}
 	switch e.ctx.Err() {
 	case nil:
+		return false
 	case context.DeadlineExceeded:
 		e.timedOut.Store(true)
-		return true
 	default:
 		e.cancelled.Store(true)
-		return true
 	}
-	if !e.deadline.IsZero() && clock.Now().After(e.deadline) {
-		e.timedOut.Store(true)
-	}
-	return e.timedOut.Load()
+	return true
 }
 
 // bestObj reads the shared incumbent objective (+Inf when none).
@@ -193,8 +181,7 @@ func (e *engine) bestObj() float64 {
 	return v
 }
 
-// offer publishes x as a candidate incumbent with objective obj
-// (offset-free). Updates are monotone improve-only: a strictly better
+// offer publishes x as a candidate incumbent with objective obj. Updates are monotone improve-only: a strictly better
 // objective replaces the incumbent, anything else is discarded, so racing
 // offers can never regress the shared solution. heuristic attributes the
 // improvement to a primal heuristic (vs. an integral node LP) for the
@@ -253,7 +240,7 @@ func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 			// The warm start satisfies every row by direct evaluation, so an
 			// infeasible relaxation is numerical noise; keep the incumbent.
 			res.Status = Feasible
-			res.Objective = incObj + e.m.objOffset
+			res.Objective = incObj
 			res.Bound = math.Inf(-1)
 			res.X = inc
 			return true
@@ -273,7 +260,7 @@ func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 		if rootSol.Status == lp.Cancelled && e.ctx.Err() != context.DeadlineExceeded {
 			res.Status = Cancelled
 		}
-		res.Objective = incObj + e.m.objOffset
+		res.Objective = incObj
 		res.Bound = math.Inf(-1)
 		res.X = inc
 		return true
@@ -358,7 +345,7 @@ func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
 	res.RootWorkspace = s.ws
 	if sol.Status == lp.Optimal {
 		res.RootBasis = s.ws.Basis()
-		res.RootObjective = sol.Objective + s.m.objOffset
+		res.RootObjective = sol.Objective
 	}
 	res.RootLPIters = sol.Iterations
 	res.RootWarm = sol.WarmStarted
@@ -368,9 +355,9 @@ func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
 
 // newIntAct computes the integer-variable activity of every row at xi.
 func (m *Model) newIntAct(xi []float64) []float64 {
-	act := make([]float64, len(m.rows))
-	for i, row := range m.rows {
-		for _, nz := range row {
+	act := make([]float64, m.prob.NumRows())
+	for i := range act {
+		for _, nz := range m.prob.Row(i) {
 			if m.integer[nz.Index] {
 				act[i] += nz.Value * xi[nz.Index]
 			}
@@ -388,17 +375,18 @@ func (s *search) guardBlocked(act []float64, j int, delta float64) int {
 	for _, ri := range m.colRows[j] {
 		i := ri.row
 		na := act[i] + ri.coef*delta
-		switch m.senses[i] {
+		rhs := m.prob.RHS(i)
+		switch m.prob.Sense(i) {
 		case LE:
-			if na+e.contMin[i] > m.rhs[i]+1e-9 {
+			if na+e.contMin[i] > rhs+1e-9 {
 				return i
 			}
 		case GE:
-			if na+e.contMax[i] < m.rhs[i]-1e-9 {
+			if na+e.contMax[i] < rhs-1e-9 {
 				return i
 			}
 		case EQ:
-			if na+e.contMin[i] > m.rhs[i]+1e-9 || na+e.contMax[i] < m.rhs[i]-1e-9 {
+			if na+e.contMin[i] > rhs+1e-9 || na+e.contMax[i] < rhs-1e-9 {
 				return i
 			}
 		}
@@ -485,7 +473,7 @@ func (s *search) completeLP(xi []float64) bool {
 					x[j] = math.Round(x[j])
 				}
 			}
-			if m.feasibleIntegralIn(s.prob, x, e.opt.IntTol) {
+			if m.feasibleIntegralIn(s.prob, x) {
 				improved = e.offer(x, m.objective(x), true)
 			}
 		}
@@ -531,27 +519,29 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 	// to rounded-down counts.
 	for pass := 0; pass < 4; pass++ {
 		dirty := false
-		for i, row := range m.rows {
-			if m.intOnlyRows[i] {
+		for i, pure := range m.intOnlyRows {
+			if pure {
 				continue // kept feasible by the guard
 			}
+			row := m.prob.Row(i)
 			lhs := 0.0
 			for _, nz := range row {
 				lhs += nz.Value * xi[nz.Index]
 			}
+			rhs := m.prob.RHS(i)
 			var need float64
-			switch m.senses[i] {
+			switch m.prob.Sense(i) {
 			case LE:
-				if lhs > m.rhs[i]+1e-7 {
-					need = m.rhs[i] - lhs
+				if lhs > rhs+1e-7 {
+					need = rhs - lhs
 				}
 			case GE:
-				if lhs < m.rhs[i]-1e-7 {
-					need = m.rhs[i] - lhs
+				if lhs < rhs-1e-7 {
+					need = rhs - lhs
 				}
 			case EQ:
-				if math.Abs(lhs-m.rhs[i]) > 1e-7 {
-					need = m.rhs[i] - lhs
+				if math.Abs(lhs-rhs) > 1e-7 {
+					need = rhs - lhs
 				}
 			}
 			if floats.ExactZero(need) {
@@ -563,7 +553,7 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 			// that would cancel the gain. For the same reason,
 			// inequality repairs overshoot by one unit: a single bump
 			// can be eaten entirely by an envelope in its own domain.
-			if m.senses[i] != EQ {
+			if m.prob.Sense(i) != EQ {
 				need += 2 * sign(need)
 			}
 			bumped := map[int]bool{}
@@ -571,7 +561,7 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 				moved := false
 				for _, nz := range row {
 					j := nz.Index
-					if !m.integer[j] || floats.ExactZero(nz.Value) || !floats.ExactZero(m.cost[j]) || bumped[j] {
+					if !m.integer[j] || floats.ExactZero(nz.Value) || !floats.ExactZero(m.prob.Cost(j)) || bumped[j] {
 						continue
 					}
 					step := sign(need) * sign(nz.Value)
@@ -713,14 +703,14 @@ func (s *search) dive(seed []float64, bias float64) {
 			return // infeasible dive; give up
 		}
 		x = sol.X
-		if m.mostFractional(x, e.opt.IntTol) == -1 {
+		if m.mostFractional(x) == -1 {
 			// Snap integers exactly and accept if feasible.
 			for j := 0; j < n; j++ {
 				if m.integer[j] {
 					x[j] = math.Round(x[j])
 				}
 			}
-			if m.feasibleIntegralIn(s.prob, x, e.opt.IntTol) {
+			if m.feasibleIntegralIn(s.prob, x) {
 				e.offer(x, m.objective(x), true)
 			}
 			return
@@ -750,8 +740,8 @@ func (s *search) applyNodeBounds(nd node) bool {
 // last = popped first under LIFO selection).
 func (s *search) branch(nd node, v int, fv, objective float64, basis *lp.Basis) (first, second node) {
 	e := s.e
-	floorUp := math.Floor(fv + e.opt.IntTol)
-	ceilLo := math.Ceil(fv - e.opt.IntTol)
+	floorUp := math.Floor(fv + intTol)
+	ceilLo := math.Ceil(fv - intTol)
 	if ceilLo <= floorUp { // numerically integral; nudge
 		ceilLo = floorUp + 1
 	}
@@ -810,7 +800,7 @@ func (s *search) processNode(nd node, open []node) []node {
 		return open
 	}
 
-	frac := m.mostFractional(sol.X, opt.IntTol)
+	frac := m.mostFractional(sol.X)
 	if frac == -1 {
 		e.offer(sol.X, sol.Objective, false)
 		return open
@@ -823,7 +813,7 @@ func (s *search) processNode(nd node, open []node) []node {
 			s.xbuf[j] = math.Round(s.xbuf[j])
 		}
 	}
-	if m.feasibleIntegralIn(s.prob, s.xbuf, opt.IntTol) {
+	if m.feasibleIntegralIn(s.prob, s.xbuf) {
 		e.offer(s.xbuf, m.objective(s.xbuf), false)
 	}
 	// The node branches: keep its basis for the children before the periodic
@@ -909,10 +899,9 @@ func (e *engine) finalResult(res Result, outstanding float64, openNodes int) Res
 		}
 		return res
 	}
-	res.Objective = incObj + e.m.objOffset
-	res.Bound += e.m.objOffset
+	res.Objective = incObj
 	res.X = incumbent
-	gap := incObj + e.m.objOffset - res.Bound
+	gap := incObj - res.Bound
 	rel := gap / (1 + math.Abs(res.Objective))
 	if openNodes == 0 || gap <= opt.AbsGap || (opt.RelGap > 0 && rel <= opt.RelGap) {
 		res.Status = Optimal

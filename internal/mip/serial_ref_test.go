@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ras/internal/clock"
 	"ras/internal/floats"
 )
 
@@ -33,7 +32,7 @@ func (m *Model) solveSerialRef(e *engine) Result {
 		return res
 	}
 	res.Bound = rootSol.Objective
-	if m.mostFractional(rootSol.X, opt.IntTol) != -1 {
+	if m.mostFractional(rootSol.X) != -1 {
 		s.rootHeuristics(rootSol)
 	}
 
@@ -85,10 +84,6 @@ func (m *Model) solveSerialRef(e *engine) Result {
 
 // solveRef is Model.Solve at Workers=1 with the reference driver.
 func (m *Model) solveRef(ctx context.Context, opt Options) Result {
-	start := clock.Now()
-	if floats.ExactZero(opt.IntTol) {
-		opt.IntTol = 1e-6
-	}
 	if floats.ExactZero(opt.AbsGap) {
 		opt.AbsGap = 1e-6
 	}
@@ -97,12 +92,11 @@ func (m *Model) solveRef(ctx context.Context, opt Options) Result {
 	}
 	opt.Workers = 1
 
-	e := newEngine(ctx, m, opt, start)
+	e := newEngine(ctx, m, opt)
 	defer e.restoreRootBounds()
 	res := m.solveSerialRef(e)
 	e.fillStats(&res)
 	res.Workers = opt.Workers
-	res.SolveTime = clock.Since(start)
 	return res
 }
 

@@ -22,7 +22,7 @@ func generalizedAssignment(seed int64) *Model {
 		x[i] = make([]Var, bins)
 		row := make([]Term, bins)
 		for j := range x[i] {
-			x[i][j] = m.AddBinVar("x", 1+rng.Float64()*9)
+			x[i][j] = m.AddIntVar("x", 1+rng.Float64()*9, 0, 1)
 			row[j] = Term{x[i][j], 1}
 		}
 		m.AddConstr("assign", row, EQ, 1)

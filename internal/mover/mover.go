@@ -17,7 +17,6 @@ package mover
 import (
 	"ras/internal/allocator"
 	"ras/internal/broker"
-	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -143,9 +142,10 @@ func (m *Mover) HandleFailure(ev broker.Event, now int64) {
 // server's reservation. Loaned-out buffer servers are revoked if necessary.
 func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID) {
 	var rsv reservation.Reservation
+	known := false // the store holds the reservation, so its eligibility applies
 	if m.store != nil {
 		if r, err := m.store.Get(into); err == nil {
-			rsv = r
+			rsv, known = r, true
 		}
 	}
 	failedType := m.region.Servers[failed].Type
@@ -159,11 +159,8 @@ func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID)
 			return
 		}
 		t := m.region.Servers[st.ID].Type
-		if rsv.Name != "" {
-			v := hardware.RRU(m.region.Catalog.Type(t), rsv.Class)
-			if !rsv.Eligible(t, v) {
-				return
-			}
+		if known && rsv.Value(m.region.Catalog, t) <= 0 {
+			return
 		}
 		loaned := st.LoanedTo != reservation.Unassigned
 		rank := 0

@@ -58,9 +58,10 @@ func (m *refMover) HandleFailure(ev broker.Event, now int64) {
 // server's reservation. Loaned-out buffer servers are revoked if necessary.
 func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.ID) {
 	var rsv reservation.Reservation
+	known := false
 	if m.store != nil {
 		if r, err := m.store.Get(into); err == nil {
-			rsv = r
+			rsv, known = r, true
 		}
 	}
 	failedType := m.region.Servers[failed].Type
@@ -78,7 +79,7 @@ func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.
 			continue
 		}
 		t := m.region.Servers[st.ID].Type
-		if rsv.Name != "" {
+		if known {
 			v := hardware.RRU(m.region.Catalog.Type(t), rsv.Class)
 			if !rsv.Eligible(t, v) {
 				continue

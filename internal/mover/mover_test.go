@@ -112,6 +112,43 @@ func TestReplacementMissRecorded(t *testing.T) {
 	}
 }
 
+// TestReplacementHonoursEligibilityOfUnnamedReservation: a reservation's
+// eligibility applies whether or not it has a name. The shared buffer holds
+// one server, of a type the reservation does not accept, so the failure is a
+// miss and the buffer server stays where it is.
+func TestReplacementHonoursEligibilityOfUnnamedReservation(t *testing.T) {
+	b, store, _, m := setup(t)
+	servers := b.Region().Servers
+	victim := topology.ServerID(0)
+	typeA := servers[victim].Type
+	var buf topology.ServerID = -1
+	for i := range servers {
+		if servers[i].Type != typeA {
+			buf = topology.ServerID(i)
+			break
+		}
+	}
+	if buf < 0 {
+		t.Fatal("the region has a single hardware type")
+	}
+	id, err := store.Create(reservation.Reservation{EligibleTypes: []int{typeA}, Policy: reservation.DefaultPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetCurrent(victim, id)
+	b.SetCurrent(buf, reservation.SharedBuffer)
+
+	b.SetUnavailable(victim, broker.RandomFailure, 10, 1000)
+	m.HandleFailure(broker.Event{Server: victim, Kind: broker.RandomFailure, Time: 10}, 10)
+
+	if got := b.State(buf).Current; got != reservation.SharedBuffer {
+		t.Fatalf("ineligible buffer server %d (type %d) moved into %d (eligible: type %d)", buf, servers[buf].Type, got, typeA)
+	}
+	if st := m.Stats(); st.ReplacementMiss != 1 || st.Replacements != 0 {
+		t.Fatalf("replacements = %d, misses = %d; want 0 and 1", st.Replacements, st.ReplacementMiss)
+	}
+}
+
 func TestCorrelatedFailureNoMoverAction(t *testing.T) {
 	b, store, _, m := setup(t)
 	id, _ := store.Create(reservation.Reservation{Name: "svc", Policy: reservation.DefaultPolicy()})

@@ -23,7 +23,6 @@ import (
 	"hash/fnv"
 
 	"ras/internal/broker"
-	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -46,17 +45,6 @@ type Plan struct {
 	// warm-start state is keyed on it: a changed signature means the
 	// sub-problems were re-drawn and per-partition bases no longer apply.
 	Sig uint64
-}
-
-// usable mirrors the solver's availability constraint: unplanned failures
-// are excluded, planned maintenance remains usable capacity (§3.3.1).
-func usable(st *broker.ServerState) bool {
-	switch st.Unavail {
-	case broker.Available, broker.PlannedMaintenance:
-		return true
-	default:
-		return false
-	}
 }
 
 // Split partitions the region into (at most) k sub-regions. MSBs are
@@ -91,7 +79,7 @@ func Split(region *topology.Region, states []broker.ServerState, k int) (*Plan, 
 
 	usablePerMSB := make([]int, region.NumMSBs)
 	for i := range region.Servers {
-		if usable(&states[i]) {
+		if states[i].Usable() {
 			usablePerMSB[region.Servers[i].MSB]++
 		}
 	}
@@ -176,19 +164,16 @@ func SplitDemands(region *topology.Region, states []broker.ServerState,
 		capTotal, heldTotal := 0.0, 0.0
 		for i := range region.Servers {
 			st := &states[i]
-			if !usable(st) {
+			if !st.Usable() {
 				continue
 			}
 			srv := &region.Servers[i]
 			if r.Policy.SingleDC >= 0 && srv.DC != r.Policy.SingleDC {
 				continue
 			}
-			v := hardware.RRU(region.Catalog.Type(srv.Type), r.Class)
-			if v <= 0 || !r.Eligible(srv.Type, v) {
+			v := r.Value(region.Catalog, srv.Type)
+			if v <= 0 {
 				continue
-			}
-			if r.CountBased {
-				v = 1
 			}
 			p := plan.PartOfMSB[srv.MSB]
 			caps[p] += v

@@ -111,6 +111,20 @@ func (r *Reservation) Eligible(t int, rru float64) bool {
 	return false
 }
 
+// Value is V_{s,r}, what one server of hardware type typeIdx contributes to
+// the reservation: its RRU value for the reservation's class, 1 for a
+// count-based reservation, and 0 when the type is not eligible.
+func (r *Reservation) Value(cat *hardware.Catalog, typeIdx int) float64 {
+	v := hardware.RRU(cat.Type(typeIdx), r.Class)
+	if !r.Eligible(typeIdx, v) {
+		return 0
+	}
+	if r.CountBased {
+		return 1
+	}
+	return v
+}
+
 // Validate reports structural problems with the reservation.
 func (r *Reservation) Validate() error {
 	if r.RRUs < 0 {

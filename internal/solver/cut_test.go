@@ -170,11 +170,11 @@ func TestCutRowsWhereSumsAreCounts(t *testing.T) {
 				rows, cuts []int
 			}{{"MSB", s.alphaF, sp.spreadRow, sp.spreadCut}, {"rack", s.alphaK, sp.rackRow, sp.rackCut}} {
 				_, _, fractional := roundingCut(fam.alpha * s.res.RRUs)
-				want := s.countBased && !s.isBuffer && fractional
+				want := s.res.CountBased && !s.isBuffer && fractional
 				for k, row := range fam.rows {
 					if got := fam.cuts[k] >= 0; got != (want && row >= 0) {
 						t.Fatalf("spec %d (%s, count-based %v, buffer %v, α·C = %v): %s hinge %d has cut = %v",
-							si, s.res.Name, s.countBased, s.isBuffer, fam.alpha*s.res.RRUs, fam.name, k, got)
+							si, s.res.Name, s.res.CountBased, s.isBuffer, fam.alpha*s.res.RRUs, fam.name, k, got)
 					}
 				}
 				if want {
@@ -260,7 +260,7 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 			if resB.Targets[i] != tgt {
 				t.Fatalf("round %d: target[%d] = %d on carried workspaces, %d on fresh ones", round, i, tgt, resB.Targets[i])
 			}
-			if mA.b.State(topology.ServerID(i)).Current != tgt && !unusable(ptrState(mA.b, i)) {
+			if mA.b.State(topology.ServerID(i)).Current != tgt && ptrState(mA.b, i).Usable() {
 				mA.b.SetCurrent(topology.ServerID(i), tgt)
 				mB.b.SetCurrent(topology.ServerID(i), tgt)
 			}

@@ -44,7 +44,7 @@ func specValue(in Input, s *resSpec, typeIdx, dc int) float64 {
 	if s.res.Policy.SingleDC >= 0 && dc != s.res.Policy.SingleDC {
 		return 0
 	}
-	return rruValue(in.Region.Catalog, typeIdx, s)
+	return s.res.Value(in.Region.Catalog, typeIdx)
 }
 
 // Evaluate scores a full-region assignment with the phase-1 objective
@@ -100,7 +100,7 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 
 	for i := range in.Region.Servers {
 		st := &in.States[i]
-		if unusable(st) {
+		if !st.Usable() {
 			continue
 		}
 		srv := &in.Region.Servers[i]

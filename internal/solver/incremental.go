@@ -226,7 +226,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 			if s.res.Policy.SingleDC >= 0 && g.dc != s.res.Policy.SingleDC {
 				continue
 			}
-			v := rruValue(cat, g.typeIdx, s)
+			v := s.res.Value(cat, g.typeIdx)
 			row[si] = v
 			if v > 0 {
 				nrow[si] = fmt.Sprintf("n[g%d,%s]", gi, s.res.Name)
@@ -384,9 +384,8 @@ func (bp *builtPhase) layout(names [][]string) {
 			if bp.initCount[gi][si] <= 0 || bp.nVar[gi][si] < 0 {
 				continue
 			}
-			bp.moveVar[gi][si] = m.AddPosPart(fmt.Sprintf("move[g%d,s%d]", gi, si),
+			bp.moveVar[gi][si], bp.moveRow[gi][si] = m.AddPosPart(fmt.Sprintf("move[g%d,s%d]", gi, si),
 				[]mip.Term{{Var: bp.nVar[gi][si], Coef: -1}}, 0, mcost)
-			bp.moveRow[gi][si] = m.NumConstrs() - 1
 		}
 	}
 
@@ -445,8 +444,7 @@ func (bp *builtPhase) layout(names [][]string) {
 				if terms == nil {
 					continue
 				}
-				vars[k] = m.AddPosPart(fmt.Sprintf(format, si, key), terms, 0, cfg.Beta)
-				rows[k] = m.NumConstrs() - 1
+				vars[k], rows[k] = m.AddPosPart(fmt.Sprintf(format, si, key), terms, 0, cfg.Beta)
 				if slope > 0 {
 					row := append(make([]mip.Term, 0, len(terms)+1), mip.Term{Var: vars[k], Coef: 1})
 					for _, t := range terms {
@@ -474,16 +472,21 @@ func (bp *builtPhase) layout(names [][]string) {
 		if !s.isBuffer {
 			// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
 			var perMSB [][]mip.Term
+			var envKeys []int // the bp.msbs index of each perMSB group
 			sp.envRow = make([]int, len(bp.msbs))
 			for k, msb := range bp.msbs {
 				sp.envRow[k] = -1
 				if terms := sumTerms(msbGroups[msb]); terms != nil {
-					sp.envRow[k] = m.NumConstrs() + len(perMSB) // AddUpperEnvelope adds them in this order
 					perMSB = append(perMSB, terms)
+					envKeys = append(envKeys, k)
 				}
 			}
 			if perMSB != nil {
-				sp.env = m.AddUpperEnvelope(fmt.Sprintf("maxmsb[s%d]", si), perMSB, cfg.Tau)
+				var rows []int
+				sp.env, rows = m.AddUpperEnvelope(fmt.Sprintf("maxmsb[s%d]", si), perMSB, cfg.Tau)
+				for g, k := range envKeys {
+					sp.envRow[k] = rows[g]
+				}
 				capTerms = append(capTerms, mip.Term{Var: sp.env, Coef: -1})
 			}
 			// (3) MSB spread, and (2) rack spread in phase 2 only.
@@ -554,7 +557,7 @@ func roundingCut(t float64) (slope, floor float64, ok bool) {
 // alpha·rrus, or 0 where the model has none: they belong to the rack-level
 // model's count-based user specs with a fractional threshold.
 func (bp *builtPhase) cutSlope(s *resSpec, alpha, rrus float64) float64 {
-	if !bp.rackLevel || !s.countBased || s.isBuffer {
+	if !bp.rackLevel || !s.res.CountBased || s.isBuffer {
 		return 0
 	}
 	slope, _, _ := roundingCut(alpha * rrus)
@@ -699,7 +702,7 @@ func (bp *builtPhase) carryBasis(old *builtPhase, b *lp.Basis) (nb *lp.Basis, ke
 // absorb as an RHS update. Everything else (eligibility, class, policy,
 // identity) shapes the model's rows and columns.
 func specCompatible(old, cur *resSpec) bool {
-	if old.outID != cur.outID || old.countBased != cur.countBased || old.isBuffer != cur.isBuffer {
+	if old.outID != cur.outID || old.isBuffer != cur.isBuffer {
 		return false
 	}
 	a, b := &old.res, &cur.res

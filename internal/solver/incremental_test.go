@@ -300,7 +300,7 @@ func fixtureTargets(states []broker.ServerState, rackLevel bool) []reservation.I
 	targets := make([]reservation.ID, len(states))
 	for i := range targets {
 		targets[i] = reservation.Unassigned
-		if rackLevel && i%2 == 0 && !unusable(&states[i]) {
+		if rackLevel && i%2 == 0 && states[i].Usable() {
 			targets[i] = states[i].Current
 		}
 	}
@@ -402,10 +402,10 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 		// Both sequences must apply their targets the same way so the next
 		// round's Current matches.
 		for i, tgt := range resA.Targets {
-			if mA.b.State(topology.ServerID(i)).Current != tgt && !unusable(ptrState(mA.b, i)) {
+			if mA.b.State(topology.ServerID(i)).Current != tgt && ptrState(mA.b, i).Usable() {
 				mA.b.SetCurrent(topology.ServerID(i), tgt)
 			}
-			if mB.b.State(topology.ServerID(i)).Current != resB.Targets[i] && !unusable(ptrState(mB.b, i)) {
+			if mB.b.State(topology.ServerID(i)).Current != resB.Targets[i] && ptrState(mB.b, i).Usable() {
 				mB.b.SetCurrent(topology.ServerID(i), resB.Targets[i])
 			}
 		}

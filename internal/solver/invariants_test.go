@@ -131,7 +131,7 @@ func invariantCheck(t *testing.T, seed int64) bool {
 				if res.Targets[i] != r.ID {
 					continue
 				}
-				v := rruValue(region.Catalog, region.Servers[i].Type, &resSpec{res: *r, countBased: r.CountBased})
+				v := r.Value(region.Catalog, region.Servers[i].Type)
 				perMSB[region.Servers[i].MSB] += v
 				total += v
 			}

@@ -363,7 +363,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 	key := func(srv *topology.Server) int { return (srv.MSB*nT+srv.Type)*nD + srv.DC }
 	keyCls := make([]int32, nM*nT*nD) // class size, then class index
 	for i := range reg.Servers {
-		if !unusable(&in.States[i]) {
+		if in.States[i].Usable() {
 			keyCls[key(&reg.Servers[i])]++
 		}
 	}
@@ -400,7 +400,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 	next := make([]int, p.nC)
 	for i := range reg.Servers {
 		p.srvBit[i] = -1
-		if unusable(&in.States[i]) {
+		if !in.States[i].Usable() {
 			continue
 		}
 		c := keyCls[key(&reg.Servers[i])]

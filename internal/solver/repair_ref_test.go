@@ -131,7 +131,7 @@ func buildRefView(in Input, targets []reservation.ID, spec resSpec) *refView {
 	}
 	v.members = make([][]topology.ServerID, in.Region.NumMSBs)
 	for i := range in.Region.Servers {
-		if targets[i] != spec.outID || unusable(&in.States[i]) {
+		if targets[i] != spec.outID || !in.States[i].Usable() {
 			continue
 		}
 		srv := &in.Region.Servers[i]
@@ -283,7 +283,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		donorOf[d.ID] = d
 	}
 	for i := range in.Region.Servers {
-		if donorOf[targets[i]] == nil || unusable(&in.States[i]) {
+		if donorOf[targets[i]] == nil || !in.States[i].Usable() {
 			continue
 		}
 		id := topology.ServerID(i)
@@ -568,7 +568,7 @@ func removeID(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
 func usableFreeServers(in Input, targets []reservation.ID) []topology.ServerID {
 	var out []topology.ServerID
 	for i := range in.Region.Servers {
-		if targets[i] == reservation.Unassigned && !unusable(&in.States[i]) {
+		if targets[i] == reservation.Unassigned && in.States[i].Usable() {
 			out = append(out, topology.ServerID(i))
 		}
 	}

@@ -393,10 +393,9 @@ func (r *Result) TotalTime() time.Duration { return r.Phase1.Total() + r.Phase2.
 // resSpec is an internal reservation: either a user reservation or one of
 // the per-hardware-type shared-buffer reservations (§3.3.1, §3.5.3).
 type resSpec struct {
-	res        reservation.Reservation
-	outID      reservation.ID // ID written to Targets
-	countBased bool
-	isBuffer   bool
+	res      reservation.Reservation
+	outID    reservation.ID // ID written to Targets
+	isBuffer bool
 	// alphaF, alphaK and theta are αF, αK and θ as the model uses them: the
 	// reservation's resolved policy (newSpec).
 	alphaF, alphaK, theta float64
@@ -546,7 +545,7 @@ func accountMoves(in Input, mask []bool, targets []reservation.ID) MoveStats {
 		if st.Current == reservation.Unassigned {
 			continue // acquiring a free server is not a move
 		}
-		if unusable(st) {
+		if !st.Usable() {
 			targets[i] = reservation.Unassigned
 			if st.Current == reservation.SharedBuffer || in.hasReservation(st.Current) {
 				targets[i] = st.Current
@@ -591,7 +590,7 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 			if mask != nil && !mask[i] {
 				continue
 			}
-			if unusable(&in.States[i]) {
+			if !in.States[i].Usable() {
 				continue
 			}
 			counts[in.Region.Servers[i].Type]++
@@ -646,20 +645,8 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 func newSpec(r reservation.Reservation, cfg Config, isBuffer bool) resSpec {
 	p := r.Policy.Resolve(cfg.numMSBs, cfg.numRacks)
 	return resSpec{
-		res: r, outID: r.ID, countBased: r.CountBased, isBuffer: isBuffer,
+		res: r, outID: r.ID, isBuffer: isBuffer,
 		alphaF: p.SpreadMSB, alphaK: p.SpreadRack, theta: p.AffinityTheta,
-	}
-}
-
-// unusable reports whether a server must be filtered out of the solve: the
-// availability constraint excludes unplanned failures, while planned
-// maintenance remains usable capacity covered by embedded buffers (§3.3.1).
-func unusable(st *broker.ServerState) bool {
-	switch st.Unavail {
-	case broker.Available, broker.PlannedMaintenance:
-		return false
-	default:
-		return true
 	}
 }
 
@@ -670,26 +657,11 @@ func usableServers(in Input) []topology.ServerID {
 		if mask != nil && !mask[i] {
 			continue
 		}
-		if !unusable(&in.States[i]) {
+		if in.States[i].Usable() {
 			pool = append(pool, topology.ServerID(i))
 		}
 	}
 	return pool
-}
-
-// rruValue is V_{s,r} for one hardware type and spec.
-func rruValue(cat *hardware.Catalog, typeIdx int, s *resSpec) float64 {
-	base := hardware.RRU(cat.Type(typeIdx), s.res.Class)
-	if base <= 0 {
-		return 0
-	}
-	if !s.res.Eligible(typeIdx, base) {
-		return 0
-	}
-	if s.countBased {
-		return 1
-	}
-	return base
 }
 
 // phaseOutput carries a solved phase back to realization.
@@ -952,17 +924,15 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 	// Rack-level RRU load per output reservation from the phase-1 targets.
 	rackSum := make(map[reservation.ID][]float64) // res → RRU sum per rack
 	crByID := make(map[reservation.ID]float64)
-	classByID := make(map[reservation.ID]hardware.Class)
+	resByID := make(map[reservation.ID]*reservation.Reservation)
 	alphaByID := make(map[reservation.ID]float64)
-	countBased := make(map[reservation.ID]bool)
 	for si := range specs {
 		s := &specs[si]
 		if s.isBuffer {
 			continue
 		}
 		crByID[s.outID] += s.res.RRUs
-		classByID[s.outID] = s.res.Class
-		countBased[s.outID] = s.countBased
+		resByID[s.outID] = &s.res
 		alphaByID[s.outID] = s.alphaK
 	}
 	for i := range in.Region.Servers {
@@ -971,10 +941,7 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 			continue
 		}
 		srv := &in.Region.Servers[i]
-		v := 1.0
-		if !countBased[id] {
-			v = hardware.RRU(cat.Type(srv.Type), classByID[id])
-		}
+		v := resByID[id].Value(cat, srv.Type)
 		sums := rackSum[id]
 		if sums == nil {
 			sums = make([]float64, in.Region.NumRacks)

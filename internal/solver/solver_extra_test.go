@@ -167,8 +167,8 @@ func TestUnusableClassification(t *testing.T) {
 	}
 	for kind, want := range cases {
 		st := broker.ServerState{Unavail: kind}
-		if got := unusable(&st); got != want {
-			t.Errorf("unusable(%v) = %v, want %v", kind, got, want)
+		if got := !st.Usable(); got != want {
+			t.Errorf("%v: unusable = %v, want %v", kind, got, want)
 		}
 	}
 }

@@ -443,9 +443,8 @@ func TestRealizeKeepsCurrentMembers(t *testing.T) {
 	pool := usableServers(in)
 	groups, _ := groupServers(in, pool, false, false)
 	specs := []resSpec{{
-		res:        reservation.Reservation{ID: 5, Name: "r", Class: hardware.Web, RRUs: 3, CountBased: true},
-		outID:      5,
-		countBased: true,
+		res:   reservation.Reservation{ID: 5, Name: "r", Class: hardware.Web, RRUs: 3, CountBased: true},
+		outID: 5,
 	}}
 	// groupServers splits by current reservation: find the group with cur=5.
 	counts := make([][]float64, len(groups))

@@ -362,10 +362,7 @@ func (s *System) GuaranteedRRUs(id ReservationID) (total, afterWorstMSB float64,
 	perMSB := make([]float64, s.region.NumMSBs)
 	for _, sid := range s.broker.ServersIn(id) {
 		srv := s.region.Server(sid)
-		v := hardware.RRU(s.region.Catalog.Type(srv.Type), r.Class)
-		if r.CountBased {
-			v = 1
-		}
+		v := r.Value(s.region.Catalog, srv.Type)
 		if v <= 0 {
 			continue
 		}
