@@ -9,7 +9,6 @@ package broker
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"ras/internal/reservation"
@@ -96,34 +95,20 @@ type Broker struct {
 	subs   []func(Event)
 	// version increments on every mutation, letting pollers detect change.
 	version uint64
-	// journal is the publish-time side of the snapshot/delta protocol: one
-	// entry per solve-relevant mutation (current binding, loans, container
-	// occupancy, availability, flash wear), tagged with the post-mutation
-	// version, so ChangedSince can answer "which servers differ between
-	// version v and now" without diffing snapshots. Target writes are
-	// deliberately not journaled — targets are solver *output* and do not
-	// feed the next solve's model. The journal is bounded: when it outgrows
-	// its cap the oldest half is evicted and journalFloor rises, after which
-	// ChangedSince reports history-lost for baselines at or below the floor.
-	journal      []journalEntry
-	journalFloor uint64
+	// changed stamps each server with the version of its last solve-relevant
+	// write (current binding, loan, container occupancy, availability, flash
+	// wear), so ChangedSince can answer "which servers differ between version
+	// v and now" without diffing snapshots. Target writes are deliberately not
+	// stamped: targets are solver *output* and do not feed the next solve's
+	// model.
+	changed []uint64
 }
-
-// journalEntry records that a solve-relevant mutation at the given version
-// touched the given server.
-type journalEntry struct {
-	version uint64
-	server  topology.ServerID
-}
-
-// minJournalCap is the journal's minimum entry cap; larger regions get
-// 4 entries per server before eviction.
-const minJournalCap = 1024
 
 // New creates a broker over the region with every server unassigned and
 // available.
 func New(region *topology.Region) *Broker {
-	b := &Broker{region: region, states: make([]ServerState, len(region.Servers))}
+	n := len(region.Servers)
+	b := &Broker{region: region, states: make([]ServerState, n), changed: make([]uint64, n)}
 	for i := range b.states {
 		b.states[i] = ServerState{
 			ID:       topology.ServerID(i),
@@ -145,46 +130,23 @@ func (b *Broker) Version() uint64 {
 	return b.version
 }
 
-// record journals a solve-relevant mutation of id at the current version and
-// enforces the journal cap. Callers hold b.mu and have already bumped
-// b.version.
-func (b *Broker) record(id topology.ServerID) {
-	b.journal = append(b.journal, journalEntry{version: b.version, server: id})
-	limit := 4 * len(b.states)
-	if limit < minJournalCap {
-		limit = minJournalCap
-	}
-	if len(b.journal) > limit {
-		drop := len(b.journal) / 2
-		b.journalFloor = b.journal[drop-1].version
-		b.journal = append(b.journal[:0], b.journal[drop:]...)
-	}
-}
-
 // ChangedSince lists the servers whose solve-relevant state may have changed
 // after version since (a value previously returned by Version or
 // SnapshotAt), ascending and duplicate-free. The list can be a superset —
-// a mutation that rewrote a field to its existing value still journals — but
-// never misses a change. ok is false when the journal no longer reaches back
-// to since (evicted history, or a version from a different broker); the
-// caller must then treat every server as changed.
+// a write that set a field to its existing value still stamps — but never
+// misses a change. ok is false only for a version this broker has not
+// reached.
 func (b *Broker) ChangedSince(since uint64) (ids []topology.ServerID, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if since < b.journalFloor || since > b.version {
+	if since > b.version {
 		return nil, false
 	}
-	// Journal versions ascend, so the relevant suffix starts at the first
-	// entry past since.
-	lo := sort.Search(len(b.journal), func(i int) bool { return b.journal[i].version > since })
-	seen := make(map[topology.ServerID]bool, len(b.journal)-lo)
-	for _, e := range b.journal[lo:] {
-		if !seen[e.server] {
-			seen[e.server] = true
-			ids = append(ids, e.server)
+	for i, v := range b.changed {
+		if v > since {
+			ids = append(ids, topology.ServerID(i))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, true
 }
 
@@ -212,7 +174,7 @@ func (b *Broker) SetCurrent(id topology.ServerID, res reservation.ID) {
 	b.states[id].Current = res
 	b.states[id].LoanedTo = reservation.Unassigned
 	b.version++
-	b.record(id)
+	b.changed[id] = b.version
 }
 
 // SetTarget writes the solver's binding intent for the server.
@@ -242,7 +204,7 @@ func (b *Broker) SetLoan(id topology.ServerID, elastic reservation.ID) {
 	defer b.mu.Unlock()
 	b.states[id].LoanedTo = elastic
 	b.version++
-	b.record(id)
+	b.changed[id] = b.version
 }
 
 // SetContainers records the number of running containers on the server.
@@ -254,7 +216,7 @@ func (b *Broker) SetContainers(id topology.ServerID, n int) {
 	defer b.mu.Unlock()
 	b.states[id].Containers = n
 	b.version++
-	b.record(id)
+	b.changed[id] = b.version
 }
 
 // SetFlashWear records the server's SSD wear level in [0,1].
@@ -266,7 +228,7 @@ func (b *Broker) SetFlashWear(id topology.ServerID, wear float64) {
 	defer b.mu.Unlock()
 	b.states[id].FlashWear = wear
 	b.version++
-	b.record(id)
+	b.changed[id] = b.version
 }
 
 // SetUnavailable records an unavailability event and notifies subscribers.
@@ -280,7 +242,7 @@ func (b *Broker) SetUnavailable(id topology.ServerID, kind UnavailKind, now, unt
 	b.states[id].Unavail = kind
 	b.states[id].UnavailEnd = until
 	b.version++
-	b.record(id)
+	b.changed[id] = b.version
 	subs := append([]func(Event){}, b.subs...)
 	b.mu.Unlock()
 	ev := Event{Server: id, Kind: kind, Prev: prev, Time: now}
@@ -301,7 +263,7 @@ func (b *Broker) ClearUnavailable(id topology.ServerID, now int64) {
 	b.states[id].Unavail = Available
 	b.states[id].UnavailEnd = 0
 	b.version++
-	b.record(id)
+	b.changed[id] = b.version
 	subs := append([]func(Event){}, b.subs...)
 	b.mu.Unlock()
 	ev := Event{Server: id, Kind: Available, Prev: prev, Time: now}
@@ -318,10 +280,10 @@ func (b *Broker) Snapshot() []ServerState {
 	return append([]ServerState(nil), b.states...)
 }
 
-// SnapshotAt is Snapshot plus the version the copy corresponds to. Feed the
-// version back to ChangedSince after further mutations to get the delta
-// between this snapshot and a later one — the solver-facing half of the
-// snapshot/delta protocol behind incremental model builds.
+// SnapshotAt is Snapshot plus the version the copy corresponds to. The
+// solver keys its cached phase models by that version; feed it back to
+// ChangedSince after further mutations to list the servers that differ
+// between this snapshot and a later one.
 func (b *Broker) SnapshotAt() ([]ServerState, uint64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -414,7 +376,7 @@ func (b *Broker) ExpireUnavailability(now int64) []topology.ServerID {
 	if len(recovered) > 0 {
 		b.version++
 		for _, id := range recovered {
-			b.record(id)
+			b.changed[id] = b.version
 		}
 	}
 	subs := append([]func(Event){}, b.subs...)

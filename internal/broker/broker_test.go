@@ -218,3 +218,89 @@ func TestScanInPlace(t *testing.T) {
 		t.Fatalf("scans allocate %v objects, want 0", allocs)
 	}
 }
+
+// FuzzChangedSinceCoversWrites applies a fuzzed interleaving of every broker
+// write between two snapshots and checks ChangedSince against them: the list
+// is ascending and duplicate-free, holds every server whose state differs
+// in any field but Target, and holds no server that only target writes
+// touched. A version the broker has not reached reports ok == false.
+func FuzzChangedSinceCoversWrites(f *testing.F) {
+	f.Add(byte(0), []byte{0, 1, 1, 2, 4, 3, 6, 4, 8, 0})
+	f.Add(byte(2), []byte{6, 5, 4, 5, 1, 5, 2, 7, 7, 5, 8, 9, 3, 3})
+	f.Add(byte(1), []byte{1, 0, 2, 4, 1, 8, 6, 10, 5, 11, 8, 200})
+	f.Fuzz(func(t *testing.T, before byte, ops []byte) {
+		b := testBroker(t)
+		n := len(b.Region().Servers)
+		var now int64
+		touched := make([]bool, n) // by a write other than a target write
+		apply := func(op, arg byte) {
+			now++
+			id := topology.ServerID(int(arg) % n)
+			res := reservation.ID(int(arg)%4) - 1 // Unassigned and 0–2
+			switch op % 9 {
+			case 0:
+				b.SetCurrent(id, res)
+			case 1:
+				b.SetTarget(id, res)
+				return
+			case 2:
+				b.SetTargets(map[topology.ServerID]reservation.ID{id: res, (id + 1) % topology.ServerID(n): res})
+				return
+			case 3:
+				b.SetLoan(id, res)
+			case 4:
+				b.SetContainers(id, int(arg)%4)
+			case 5:
+				b.SetFlashWear(id, float64(arg%5)/4)
+			case 6:
+				b.SetUnavailable(id, UnavailKind(arg%5), now, now+int64(arg%3))
+			case 7:
+				b.ClearUnavailable(id, now)
+			case 8:
+				for _, r := range b.ExpireUnavailability(now) {
+					touched[r] = true
+				}
+				return
+			}
+			touched[id] = true
+		}
+		split := min(2*int(before), len(ops)&^1)
+		for k := 0; k+1 < split; k += 2 {
+			apply(ops[k], ops[k+1])
+		}
+		s0, v0 := b.SnapshotAt()
+		clear(touched)
+		for k := split; k+1 < len(ops); k += 2 {
+			apply(ops[k], ops[k+1])
+		}
+		s1, v1 := b.SnapshotAt()
+
+		ids, ok := b.ChangedSince(v0)
+		if !ok {
+			t.Fatalf("ChangedSince(%d) at version %d: ok == false", v0, v1)
+		}
+		in := make([]bool, n)
+		for k, id := range ids {
+			if k > 0 && id <= ids[k-1] {
+				t.Fatalf("ChangedSince(%d) = %v: not ascending and duplicate-free", v0, ids)
+			}
+			if !touched[id] {
+				t.Fatalf("ChangedSince(%d) lists server %d, which no write but a target write touched", v0, id)
+			}
+			in[id] = true
+		}
+		for i := range s1 {
+			a, c := s0[i], s1[i]
+			a.Target, c.Target = 0, 0
+			if a != c && !in[i] {
+				t.Fatalf("server %d changed (%+v → %+v) but ChangedSince(%d) = %v", i, s0[i], s1[i], v0, ids)
+			}
+		}
+		if _, ok := b.ChangedSince(v1 + 1); ok {
+			t.Fatalf("ChangedSince(%d) at version %d: ok == true for an unreached version", v1+1, v1)
+		}
+		if ids, ok := b.ChangedSince(v1); !ok || len(ids) != 0 {
+			t.Fatalf("ChangedSince(Version()) = %v, %v; want empty, true", ids, ok)
+		}
+	})
+}

@@ -16,23 +16,22 @@ func TestSystemClockAdvances(t *testing.T) {
 	}
 }
 
+// fixed is a clock frozen at one instant.
+type fixed time.Time
+
+func (f fixed) Now() time.Time                  { return time.Time(f) }
+func (f fixed) Since(t time.Time) time.Duration { return time.Time(f).Sub(t) }
+
 func TestOverrideAndFake(t *testing.T) {
 	base := time.Date(2021, 10, 26, 0, 0, 0, 0, time.UTC) // SOSP'21
-	f := NewFake(base)
-	restore := Override(f)
+	restore := Override(fixed(base))
 	defer restore()
 
 	if got := Now(); !got.Equal(base) {
 		t.Fatalf("Now() = %v, want %v", got, base)
 	}
-	f.Advance(90 * time.Second)
-	if got := Since(base); got != 90*time.Second {
-		t.Fatalf("Since(base) = %v, want 90s", got)
-	}
-	// Two reads with no Advance are identical: the seam makes timing
-	// deterministic under test.
-	if a, b := Now(), Now(); !a.Equal(b) {
-		t.Fatalf("fake clock drifted: %v vs %v", a, b)
+	if got := Since(base.Add(-90 * time.Second)); got != 90*time.Second {
+		t.Fatalf("Since(base−90s) = %v, want 90s", got)
 	}
 
 	restore()
@@ -40,70 +39,5 @@ func TestOverrideAndFake(t *testing.T) {
 		t.Fatalf("restore did not reinstall the previous clock: %v", got)
 	}
 	// Calling restore twice must not clobber a later Override.
-	f2 := NewFake(base.Add(time.Hour))
-	defer Override(f2)()
-}
-
-func TestStepperAdvancesPerRead(t *testing.T) {
-	base := time.Unix(1000, 0)
-	s := NewStepper(base, time.Millisecond)
-	defer Override(s)()
-
-	if got := Now(); !got.Equal(base) {
-		t.Fatalf("first read = %v, want %v", got, base)
-	}
-	if got := Now(); !got.Equal(base.Add(time.Millisecond)) {
-		t.Fatalf("second read = %v, want start+1ms", got)
-	}
-	// Since is a pure read: it must not advance the clock.
-	before := Since(base)
-	if after := Since(base); after != before {
-		t.Fatalf("Since advanced the stepper: %v then %v", before, after)
-	}
-	if before != 2*time.Millisecond {
-		t.Fatalf("Since(base) = %v after two reads, want 2ms", before)
-	}
-	if got := s.Reads(); got != 2 {
-		t.Fatalf("Reads() = %d, want 2", got)
-	}
-}
-
-// TestStepperDeadlineLoop is the pattern the MIP time-limit test relies on:
-// a poll loop against a deadline terminates after a deterministic number of
-// reads, with no sleeping.
-func TestStepperDeadlineLoop(t *testing.T) {
-	s := NewStepper(time.Unix(0, 0), time.Millisecond)
-	defer Override(s)()
-
-	deadline := Now().Add(50 * time.Millisecond) // read 1
-	polls := 0
-	for !Now().After(deadline) {
-		polls++
-		if polls > 1000 {
-			t.Fatal("deadline loop did not terminate")
-		}
-	}
-	// Reads 2..52 report 1ms..51ms; the read reporting 51ms is the first
-	// after the 51ms deadline (50ms past the post-advance base of read 1).
-	if polls != 50 {
-		t.Fatalf("polls = %d, want 50", polls)
-	}
-}
-
-func TestFakeSinceConcurrent(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			f.Advance(time.Millisecond)
-		}
-		close(done)
-	}()
-	for i := 0; i < 1000; i++ {
-		_ = f.Since(time.Unix(0, 0))
-	}
-	<-done
-	if got := f.Since(time.Unix(0, 0)); got != time.Second {
-		t.Fatalf("after 1000×1ms advances Since = %v, want 1s", got)
-	}
+	defer Override(fixed(base.Add(time.Hour)))()
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"ras/internal/broker"
@@ -96,7 +97,7 @@ func Fig3(Scale) (*Report, error) {
 			fmt.Sprintf("%.2f", hardware.RelativeValue(c, hardware.GenII)),
 			fmt.Sprintf("%.2f", hardware.RelativeValue(c, hardware.GenIII)))
 	}
-	for _, line := range splitLines(tbl.String()) {
+	for _, line := range strings.FieldsFunc(tbl.String(), func(r rune) bool { return r == '\n' }) {
 		r.addf("%s", line)
 	}
 	r.ShapeHolds = hardware.RelativeValue(hardware.Web, hardware.GenII) == 1.47 &&
@@ -199,27 +200,4 @@ func Fig5(scale Scale) (*Report, error) {
 	r.ShapeHolds = baselineOK && plannedDominates && spikeOK
 	r.Elapsed = time.Since(start)
 	return r, nil
-}
-
-func splitLines(s string) []string {
-	var out []string
-	for _, l := range splitOn(s, '\n') {
-		if l != "" {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-func splitOn(s string, sep byte) []string {
-	var out []string
-	startIdx := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			out = append(out, s[startIdx:i])
-			startIdx = i + 1
-		}
-	}
-	out = append(out, s[startIdx:])
-	return out
 }

@@ -178,10 +178,3 @@ func runFig16Week(solveScale Scale, seed int64) (fig16Week, error) {
 	}
 	return week, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -160,8 +160,8 @@ var (
 		"ras/internal/solver",
 		"ras/internal/backend",
 		"ras/internal/partition",
-		// The broker's change journal feeds the solver's incremental model
-		// cache, so its iteration order reaches solve results.
+		// The broker's snapshots and change stamps feed the solver, so its
+		// iteration order reaches solve results.
 		"ras/internal/broker",
 	}
 	// floatScope is where floatcmp applies: the numerical core and the

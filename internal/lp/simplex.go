@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 
 	"ras/internal/floats"
 )
@@ -809,7 +810,7 @@ func (s *Workspace) refactorize() bool {
 // that row), so the swap is always sound.
 func (s *Workspace) repairBasis(deficient []int) {
 	rows := s.fact.unpivotedRows()
-	sortInts(deficient)
+	slices.Sort(deficient)
 	for k, slot := range deficient {
 		if out := s.basis[slot]; out >= 0 {
 			s.inRow[out] = -1
@@ -822,19 +823,6 @@ func (s *Workspace) repairBasis(deficient []int) {
 		}
 		s.basis[slot] = c
 		s.inRow[c] = slot
-	}
-}
-
-// sortInts sorts a small int slice in place (insertion sort: deficiency
-// lists are nearly always length 1, never large).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0; j-- {
-			if xs[j] >= xs[j-1] {
-				break
-			}
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 

@@ -325,6 +325,11 @@ func (s Status) String() string {
 // intTol is the integrality tolerance.
 const intTol float64 = 1e-6
 
+// relGap is the relative gap, (incumbent − bound) / (1 + |incumbent|), at or
+// below which a search that stopped early — node cap, stall rule, deadline —
+// is still labelled Optimal. It does not stop the search.
+const relGap = 0.02
+
 // Options tunes the branch-and-bound search. It has no time limit: the
 // caller bounds a solve with a ctx deadline.
 type Options struct {
@@ -332,8 +337,6 @@ type Options struct {
 	MaxNodes int
 	// AbsGap stops the search once incumbent − bound ≤ AbsGap. Zero means 1e-6.
 	AbsGap float64
-	// RelGap stops the search once the relative gap falls below it.
-	RelGap float64
 	// StallNodes stops the search once this many consecutive nodes pass
 	// with no incumbent improvement and no bound improvement while the
 	// absolute gap is at most StallGap — the long tail of a solve that has

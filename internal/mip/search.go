@@ -903,7 +903,7 @@ func (e *engine) finalResult(res Result, outstanding float64, openNodes int) Res
 	res.X = incumbent
 	gap := incObj - res.Bound
 	rel := gap / (1 + math.Abs(res.Objective))
-	if openNodes == 0 || gap <= opt.AbsGap || (opt.RelGap > 0 && rel <= opt.RelGap) {
+	if openNodes == 0 || gap <= opt.AbsGap || rel <= relGap {
 		res.Status = Optimal
 		if openNodes == 0 {
 			res.Bound = res.Objective

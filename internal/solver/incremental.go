@@ -15,11 +15,12 @@ package solver
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ras/internal/broker"
 	"ras/internal/clock"
 	"ras/internal/floats"
+	"ras/internal/hardware"
 	"ras/internal/lp"
 	"ras/internal/mip"
 	"ras/internal/reservation"
@@ -28,27 +29,22 @@ import (
 
 // Delta describes what changed in a round's inputs relative to the snapshot
 // an earlier round solved, letting the solver patch its cached phase models
-// instead of rebuilding them. Callers assemble it from the broker's
-// ChangedSince journal and the reservation store's ChangesSince log.
+// instead of rebuilding them. Callers assemble it from the snapshot version
+// they last solved and the reservation store's ChangesSince log; the patch
+// finds the changed servers itself, by comparing each server's model inputs
+// with what the cache recorded.
 type Delta struct {
 	// Since is the broker snapshot version the cached round solved
 	// (Input.StatesVersion of that round). The patch path engages only when
 	// it matches the cache.
 	Since uint64
-	// Servers lists the servers whose broker state changed since Since,
-	// ascending. The patch path re-derives the exact change set by comparing
-	// snapshots, so a superset is fine; the field exists for observability
-	// and tests.
+	// Servers may list the servers whose broker state changed since Since
+	// (broker.ChangedSince). The solver never reads it.
 	Servers []topology.ServerID
 	// Reservations are the capacity requests logged since the cached round.
 	// Creates and deletes change the spec list itself and force a rebuild;
 	// resizes arrive as RHS updates.
 	Reservations []reservation.Request
-	// Gap marks a delta whose server change set is unknown: the broker's
-	// journal no longer reaches back to Since. Servers is then empty and the
-	// round rebuilds its models (RebuildJournalGap) — still from the cached
-	// round's root bases.
-	Gap bool
 }
 
 // structural reports whether the delta is known to break model structure
@@ -84,14 +80,13 @@ const (
 	RebuildNewGroup                     // a server needs a symmetry group the model lacks
 	RebuildEmptyGroup                   // a symmetry group lost its last server
 	RebuildHinge                        // a move hinge appeared or vanished (a cell's X crossed zero)
-	RebuildJournalGap                   // the broker journal no longer reaches back to Delta.Since, so the change set is unknown
 	RebuildCutSlope                     // a resize moved the slope of a spec's rounding cuts, which is a row coefficient
 	NumRebuildReasons                   // array size for per-reason tallies
 )
 
 var rebuildReasonNames = [NumRebuildReasons]string{
 	"none", "no-cache", "reservation-set", "config", "scope", "spec-count", "spec-shape",
-	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge", "journal-gap", "cut-slope",
+	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge", "cut-slope",
 }
 
 func (r RebuildReason) String() string {
@@ -125,6 +120,17 @@ func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupK
 		k.wear = wearBucket(st.FlashWear)
 	}
 	return k
+}
+
+// holds reports whether a server of g's type and scope in state st still
+// keys into g: whether the dynamic half of its group key — Current, in-use
+// and, when wear-aware, the wear bucket — matches g's. The static half
+// (type, MSB or rack) is fixed for a server's life.
+func (g *group) holds(st *broker.ServerState, wearAware bool, cat *hardware.Catalog) bool {
+	if g.cur != st.Current || g.inUse != (st.Containers > 0 && st.LoanedTo == reservation.Unassigned) {
+		return false
+	}
+	return !wearAware || g.wear == wearBucket(st.FlashWear) || (g.wear == 0 && cat.Type(g.typeIdx).FlashTB <= 0)
 }
 
 // specRows records where one spec's rows and auxiliary variables landed in
@@ -192,8 +198,8 @@ type builtPhase struct {
 	assignVars int
 	cutRows    int // rounding-cut rows laid out next to spread hinges
 
-	// Per-server bookkeeping (indexed by ServerID over the whole region).
-	states      []broker.ServerState
+	// Per-server bookkeeping (indexed by ServerID over the whole region):
+	// with the group keys, everything of a server the model reads.
 	curRef      []reservation.ID // Current in phase 1, targets at rack level
 	inPool      []bool
 	serverGroup []int32 // group index; -1 outside the pool
@@ -294,7 +300,6 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		vval:      vval,
 		initCount: initCount,
 
-		states:      append([]broker.ServerState(nil), in.States...),
 		curRef:      curRef,
 		serverGroup: serverGroup,
 		countSpec:   countSpec,
@@ -735,48 +740,18 @@ func specCompatible(old, cur *resSpec) bool {
 	return true
 }
 
-// serverIDsEqual reports whether two server lists are identical.
-func serverIDsEqual(a, b []topology.ServerID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// insertSorted inserts id into an ascending slice, keeping it ascending.
-func insertSorted(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// removeSorted removes id from the ascending list, reporting success.
-func removeSorted(xs *[]topology.ServerID, id topology.ServerID) bool {
-	s := *xs
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= id })
-	if i >= len(s) || s[i] != id {
-		return false
-	}
-	*xs = append(s[:i], s[i+1:]...)
-	return true
-}
-
 // patch tries to bring the cached model forward to the given input in
-// place: re-bucket the servers whose state changed, detect structural drift,
-// and run the fill functions over the groups, cells and specs that were
-// touched. Any reason other than RebuildNone means the change set breaks
+// place: re-bucket the servers whose model inputs changed, detect structural
+// drift, and run the fill functions over the groups, cells and specs that
+// were touched. Any reason other than RebuildNone means the change set breaks
 // structure (the caller then cold-rebuilds and the half-mutated cache is
 // discarded). On success the model is bit-for-bit what buildPhase would have
-// produced: the change set is re-derived by comparing snapshots rather than
-// trusted from the delta, and the values written come from the same fill
-// functions the cold build runs.
+// produced: the change set is derived here, by comparing each server's pool
+// membership, count reference and group key with the cache's, and the
+// values written come from the same fill functions the cold build runs. A
+// server whose write touched nothing else the model reads (UnavailEnd,
+// Target, wear within its bucket, one more container on a busy server) keeps
+// its place.
 func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	targets []reservation.ID) RebuildReason {
 
@@ -784,7 +759,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 	if cfg != bp.cfg || in.Region != bp.region || bp.m.Revision() != bp.rev {
 		return RebuildConfig
 	}
-	if len(in.States) != len(bp.states) || !serverIDsEqual(in.Subset, bp.subset) {
+	if len(in.States) != len(bp.inPool) || !slices.Equal(in.Subset, bp.subset) {
 		return RebuildScope
 	}
 	if len(specs) != len(bp.specs) {
@@ -807,7 +782,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 		}
 	}
 
-	inPool := make([]bool, len(bp.states))
+	inPool := make([]bool, len(bp.inPool))
 	for _, id := range pool {
 		inPool[id] = true
 	}
@@ -816,23 +791,35 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 	// that does not exist, or emptying the one it leaves, changes the
 	// model's shape — bail to the cold path.
 	wearAware := cfg.WearPenalty > 0
+	cat := in.Region.Catalog
 	groupTouched := make([]bool, len(bp.groups))
 	var pairs [][2]int32 // (group, spec) cells whose initCount changed
 	for i := range in.States {
-		newSt := in.States[i]
-		newCur := newSt.Current
+		st := &in.States[i]
+		newCur := st.Current
 		if bp.rackLevel {
 			newCur = targets[i]
 		}
-		if newSt == bp.states[i] && inPool[i] == bp.inPool[i] && newCur == bp.curRef[i] {
-			continue
+		// Skip a server when nothing of it the model reads moved.
+		if inPool[i] == bp.inPool[i] && newCur == bp.curRef[i] {
+			if !inPool[i] {
+				continue
+			}
+			if gi := bp.serverGroup[i]; gi >= 0 && bp.groups[gi].holds(st, wearAware, cat) {
+				continue
+			}
 		}
 		id := topology.ServerID(i)
 		if bp.inPool[i] {
 			gi := int(bp.serverGroup[i])
-			if gi < 0 || !removeSorted(&bp.groups[gi].servers, id) {
+			if gi < 0 {
 				return RebuildCacheCorrupt
 			}
+			k, ok := slices.BinarySearch(bp.groups[gi].servers, id)
+			if !ok {
+				return RebuildCacheCorrupt
+			}
+			bp.groups[gi].servers = slices.Delete(bp.groups[gi].servers, k, k+1)
 			if si := bp.countSpec[i]; si >= 0 {
 				bp.initCount[gi][si]--
 				pairs = append(pairs, [2]int32{int32(gi), si})
@@ -846,7 +833,8 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 			if !ok {
 				return RebuildNewGroup
 			}
-			bp.groups[gi].servers = insertSorted(bp.groups[gi].servers, id)
+			k, _ := slices.BinarySearch(bp.groups[gi].servers, id)
+			bp.groups[gi].servers = slices.Insert(bp.groups[gi].servers, k, id)
 			bp.serverGroup[i] = int32(gi)
 			for _, si := range bp.specByID[newCur] {
 				if bp.vval[gi][si] > 0 {
@@ -858,7 +846,6 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 			}
 			groupTouched[gi] = true
 		}
-		bp.states[i] = newSt
 		bp.curRef[i] = newCur
 		bp.inPool[i] = inPool[i]
 	}

@@ -15,10 +15,11 @@ import (
 
 // mutator drives a seeded random change stream through a real broker and
 // reservation store — the same write paths production rounds see — so the
-// deltas the tests consume come from the journal protocol, not hand-built
-// fixtures.
+// snapshots and deltas the tests consume come from those write paths, not
+// hand-built fixtures.
 type mutator struct {
 	rng    *rand.Rand
+	unread *rand.Rand // drives the writes the model does not read
 	b      *broker.Broker
 	st     *reservation.Store
 	region *topology.Region
@@ -32,6 +33,7 @@ func newMutator(t *testing.T, region *topology.Region, seed int64, nRes int) *mu
 	t.Helper()
 	m := &mutator{
 		rng:    rand.New(rand.NewSource(seed)),
+		unread: rand.New(rand.NewSource(^seed)),
 		b:      broker.New(region),
 		st:     reservation.NewStore(),
 		region: region,
@@ -99,9 +101,10 @@ func (m *mutator) reservationOfKind(i int) reservation.Reservation {
 }
 
 // step applies 1–3 random non-structural mutations (fail, revive, resize —
-// now and then to zero, container churn, rebinding, flash wear). When
-// structural is true it also creates and/or deletes a reservation, which must
-// force a fallback rebuild.
+// now and then to zero, container churn, rebinding, flash wear, and writes
+// the model does not read: one more container on a busy server, a target,
+// a failure re-reported with a later end). When structural is true it also
+// creates and/or deletes a reservation, which must force a fallback rebuild.
 func (m *mutator) step(structural bool) {
 	m.now++
 	n := 1 + m.rng.Intn(3)
@@ -131,6 +134,23 @@ func (m *mutator) step(structural bool) {
 			m.b.SetFlashWear(id, m.rng.Float64())
 		}
 	}
+	// The unread writes draw from their own stream, so they leave the
+	// mutations above — and the cold models of every fixture built on
+	// them — as they were.
+	id := topology.ServerID(m.unread.Intn(len(m.region.Servers)))
+	switch m.unread.Intn(3) {
+	case 0:
+		if j, ok := m.find(id, func(st broker.ServerState) bool { return st.Containers == 2 }); ok {
+			m.b.SetContainers(j, 3)
+		}
+	case 1:
+		m.b.SetTarget(id, m.live[m.unread.Intn(len(m.live))])
+	case 2:
+		if j, ok := m.find(id, func(st broker.ServerState) bool { return st.Unavail != broker.Available }); ok {
+			st := m.b.State(j)
+			m.b.SetUnavailable(j, st.Unavail, m.now, st.UnavailEnd+1)
+		}
+	}
 	if structural {
 		// 0: delete, 1: create, 2: both (same spec count, different identity).
 		op := m.rng.Intn(3)
@@ -150,6 +170,19 @@ func (m *mutator) step(structural bool) {
 	}
 }
 
+// find returns the first server from id on, wrapping around, whose state
+// pick accepts.
+func (m *mutator) find(id topology.ServerID, pick func(broker.ServerState) bool) (topology.ServerID, bool) {
+	n := len(m.region.Servers)
+	for k := 0; k < n; k++ {
+		j := topology.ServerID((int(id) + k) % n)
+		if pick(m.b.State(j)) {
+			return j, true
+		}
+	}
+	return 0, false
+}
+
 // deltaTracker mirrors ras.System's snapshot/delta bookkeeping.
 type deltaTracker struct {
 	lastStates uint64
@@ -162,13 +195,7 @@ func (dt *deltaTracker) input(m *mutator, withDelta bool) (Input, func()) {
 	states, v := m.b.SnapshotAt()
 	in := Input{Region: m.region, Reservations: m.st.All(), States: states, StatesVersion: v}
 	if withDelta && dt.have {
-		if changed, ok := m.b.ChangedSince(dt.lastStates); ok {
-			in.Delta = &Delta{
-				Since:        dt.lastStates,
-				Servers:      changed,
-				Reservations: m.st.ChangesSince(dt.lastStore),
-			}
-		}
+		in.Delta = &Delta{Since: dt.lastStates, Reservations: m.st.ChangesSince(dt.lastStore)}
 	}
 	return in, func() { dt.lastStates = v; dt.lastStore = storeV; dt.have = true }
 }

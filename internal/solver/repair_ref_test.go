@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ras/internal/reservation"
@@ -308,7 +309,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		val := value(id)
 		v.sumMSB[msb] += val
 		v.total += val
-		v.members[msb] = insertSorted(v.members[msb], id)
+		v.members[msb] = insertID(v.members[msb], id)
 		free = removeID(free, id)
 		freeByMSB[msb] = removeID(freeByMSB[msb], id)
 	}
@@ -318,8 +319,8 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		v.sumMSB[msb] -= val
 		v.total -= val
 		v.members[msb] = removeID(v.members[msb], id)
-		free = insertSorted(free, id)
-		freeByMSB[msb] = insertSorted(freeByMSB[msb], id)
+		free = insertID(free, id)
+		freeByMSB[msb] = insertID(freeByMSB[msb], id)
 	}
 	applySteal := func(id topology.ServerID, msb int) {
 		dv := donorView(targets[id])
@@ -333,7 +334,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		val := value(id)
 		v.sumMSB[msb] += val
 		v.total += val
-		v.members[msb] = insertSorted(v.members[msb], id)
+		v.members[msb] = insertID(v.members[msb], id)
 		stealByMSB[msb] = removeID(stealByMSB[msb], id)
 	}
 	// applyDonorAcquire backfills the donor from the free pool after a
@@ -344,12 +345,12 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		bval := specValue(in, &dv.spec, srv.Type, srv.DC)
 		dv.sumMSB[msb] += bval
 		dv.total += bval
-		dv.members[msb] = insertSorted(dv.members[msb], id)
+		dv.members[msb] = insertID(dv.members[msb], id)
 		targets[id] = donorID
 		free = removeID(free, id)
 		freeByMSB[msb] = removeID(freeByMSB[msb], id)
 		if value(id) > 0 {
-			stealByMSB[msb] = insertSorted(stealByMSB[msb], id)
+			stealByMSB[msb] = insertID(stealByMSB[msb], id)
 		}
 	}
 
@@ -552,6 +553,12 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		*c.counted++
 	}
 	return free
+}
+
+// insertID inserts id into an ascending list, keeping it ascending.
+func insertID(s []topology.ServerID, id topology.ServerID) []topology.ServerID {
+	i, _ := slices.BinarySearch(s, id)
+	return slices.Insert(s, i, id)
 }
 
 // removeID removes id from an ascending slice (no-op if absent).

@@ -191,11 +191,13 @@ type Input struct {
 	// (broker.SnapshotAt). Zero means "unversioned": the round solves fine
 	// but its models cannot serve as a patch base for later deltas.
 	StatesVersion uint64
-	// Delta, when non-nil, describes what changed since the round whose
-	// StatesVersion equals Delta.Since, opting this round into the
-	// incremental model build: phases with a cached model from that round
-	// patch it in place and fall back to a cold rebuild when the delta
-	// breaks model structure. nil always rebuilds. Region topology must be
+	// Delta, when non-nil, names the earlier round whose StatesVersion
+	// equals Delta.Since and the capacity requests logged since, opting
+	// this round into the incremental model build: phases with a cached
+	// model from that round patch it in place, finding the changed servers
+	// by comparing each server's model inputs with the cache, and fall back
+	// to a cold rebuild when the change breaks model structure. nil always
+	// rebuilds. Region topology must be
 	// unchanged between the rounds (the same *Region pointer).
 	Delta *Delta
 }
@@ -703,8 +705,6 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		switch {
 		case bp == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
 			out.stats.Rebuild = RebuildNoCache
-		case in.Delta.Gap:
-			out.stats.Rebuild = RebuildJournalGap
 		case in.Delta.structural():
 			out.stats.Rebuild = RebuildReservationSet
 		default:
@@ -773,7 +773,6 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	r := m.Solve(phaseCtx, mip.Options{
 		MaxNodes:      cfg.MaxNodes,
 		AbsGap:        0.9 * cfg.MoveCostIdle,
-		RelGap:        0.02,
 		StallNodes:    cfg.StallNodes,
 		StallGap:      cfg.StallGap,
 		Workers:       cfg.Workers,

@@ -9,6 +9,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ras/internal/hardware"
@@ -212,7 +213,7 @@ func msbTypeWeights(cat *hardware.Catalog, age float64, uniform bool, rng *rand.
 			case hardware.GenI:
 				base = 2.5 * (1 - age)
 			case hardware.GenII:
-				base = 1.5 * (1 - 0.5*absf(age-0.5))
+				base = 1.5 * (1 - 0.5*math.Abs(age-0.5))
 			case hardware.GenIII:
 				base = 2.5 * age
 			}
@@ -231,13 +232,6 @@ func msbTypeWeights(cat *hardware.Catalog, age float64, uniform bool, rng *rand.
 		w[i] = base
 	}
 	return w
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func sampleType(weights []float64, rng *rand.Rand) int {

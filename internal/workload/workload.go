@@ -13,6 +13,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strconv"
 
 	"ras/internal/hardware"
 	"ras/internal/reservation"
@@ -106,21 +107,7 @@ func (g *RequestGen) Next() reservation.Reservation {
 
 func requestName(seq int) string {
 	const alpha = "abcdefghijklmnopqrstuvwxyz"
-	return "svc-" + string(alpha[seq%26]) + string(alpha[(seq/26)%26]) + itoa(seq)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "svc-" + string(alpha[seq%26]) + string(alpha[(seq/26)%26]) + strconv.Itoa(seq)
 }
 
 func sortByGenerationDesc(cat *hardware.Catalog, idx []int) {

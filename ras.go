@@ -20,12 +20,10 @@ package ras
 
 import (
 	"context"
-	"fmt"
 
 	"ras/internal/allocator"
 	"ras/internal/backend"
 	"ras/internal/broker"
-	"ras/internal/greedy"
 	"ras/internal/hardware"
 	"ras/internal/health"
 	"ras/internal/mover"
@@ -127,10 +125,6 @@ type Options struct {
 	// backend default; other backends ignore it. See
 	// backend.Options.Partitions.
 	Partitions int
-	// Greedy switches server assignment to the Twine-greedy baseline
-	// (paper §1.1) instead of the RAS solver. Used for baseline
-	// comparisons (Figures 12, 14, 15).
-	Greedy bool
 }
 
 // System is a fully wired two-level RAS deployment over one region: broker,
@@ -143,7 +137,6 @@ type System struct {
 	health *health.Service
 	mover  *mover.Mover
 	alloc  *allocator.Allocator
-	greedy *greedy.Assigner
 
 	opts      Options
 	lastSolve *SolveResult
@@ -156,9 +149,9 @@ type System struct {
 	warm *backend.WarmState
 	// lastStatesVersion / lastStoreVersion identify the snapshots the last
 	// solve consumed, and haveDelta records that they are valid — together
-	// they let the next round hand the solver a Delta (broker journal plus
-	// capacity-request log since then) so it can patch its cached phase
-	// models instead of rebuilding them.
+	// they let the next round hand the solver a Delta (that snapshot's
+	// version plus the capacity-request log since then) so it can patch its
+	// cached phase models instead of rebuilding them.
 	lastStatesVersion uint64
 	lastStoreVersion  int
 	haveDelta         bool
@@ -181,7 +174,6 @@ func NewSystem(region *Region, opts Options) *System {
 		health: health.New(b, hcfg),
 		mover:  mv,
 		alloc:  al,
-		greedy: greedy.New(b),
 		opts:   opts,
 	}
 	// The online mover subscribes to unavailability events (Figure 6
@@ -212,31 +204,12 @@ func (s *System) Mover() *mover.Mover { return s.mover }
 func (s *System) Allocator() *allocator.Allocator { return s.alloc }
 
 // CreateReservation registers a capacity request and returns its ID. The
-// capacity materializes at the next Solve (or immediately under the greedy
-// baseline).
-func (s *System) CreateReservation(r Reservation) (ReservationID, error) {
-	id, err := s.store.Create(r)
-	if err != nil {
-		return 0, err
-	}
-	if s.opts.Greedy && !r.Elastic {
-		rr, _ := s.store.Get(id)
-		s.greedy.Fulfill(&rr)
-	}
-	return id, nil
-}
+// capacity materializes at the next Solve.
+func (s *System) CreateReservation(r Reservation) (ReservationID, error) { return s.store.Create(r) }
 
 // ResizeReservation changes a reservation's requested RRUs.
 func (s *System) ResizeReservation(id ReservationID, rrus float64) error {
-	if err := s.store.Resize(id, rrus); err != nil {
-		return err
-	}
-	if s.opts.Greedy {
-		rr, _ := s.store.Get(id)
-		s.greedy.Fulfill(&rr)
-		s.greedy.Release(&rr)
-	}
-	return nil
+	return s.store.Resize(id, rrus)
 }
 
 // DeleteReservation removes a reservation; its servers return to the free
@@ -258,13 +231,6 @@ func (s *System) Solve(ctx context.Context, now Clock) (*SolveResult, error) {
 // mix backends across rounds — e.g. hourly MIP rounds with near-realtime
 // local-search touch-ups in between (paper §6).
 func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (*SolveResult, error) {
-	if s.opts.Greedy {
-		missing := s.greedy.FulfillAll(s.store.All())
-		if missing > 0 {
-			return nil, fmt.Errorf("ras: greedy baseline left %.1f RRUs unfulfilled", missing)
-		}
-		return &SolveResult{Backend: "greedy", Status: SolveFeasible}, nil
-	}
 	be, err := backend.New(backendName, backend.Config{Solver: s.opts.Solver})
 	if err != nil {
 		return nil, err
@@ -277,18 +243,14 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 		States:        states,
 		StatesVersion: statesVersion,
 	}
-	// Broker-delta protocol: when a previous round established a snapshot
-	// version, describe what changed since so the solver's incremental
-	// build can patch its cached models. A journal gap (ChangedSince !ok)
-	// means the server change set is unknown: the delta says so, and the
-	// round rebuilds its models and reports why.
+	// When a previous round established a snapshot version, name it and the
+	// capacity requests logged since, so the solver's incremental build can
+	// patch the models it cached for that snapshot. The solver finds the
+	// changed servers itself.
 	if s.haveDelta {
-		changed, ok := s.broker.ChangedSince(s.lastStatesVersion)
 		in.Delta = &solver.Delta{
 			Since:        s.lastStatesVersion,
-			Servers:      changed,
 			Reservations: s.store.ChangesSince(s.lastStoreVersion),
-			Gap:          !ok,
 		}
 	}
 	res, err := be.Solve(ctx, in, backend.Options{
@@ -315,8 +277,7 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 // path shared by every backend. Only the targets that differ from the
 // round's input snapshot are written, still in one critical section. That
 // diff is the broker's whole change because the solver is the only writer of
-// Target in a System: the greedy baseline never reaches this path, and the
-// mover and emergency grants write Current alone.
+// Target in a System: the mover and emergency grants write Current alone.
 func (s *System) applyTargets(input []broker.ServerState, tgts []reservation.ID, now Clock) {
 	changed := make(map[topology.ServerID]reservation.ID)
 	for i, tgt := range tgts {

@@ -125,29 +125,6 @@ func TestFailedServerOfDeletedReservationIsFreed(t *testing.T) {
 	}
 }
 
-func TestSystemGreedyBaseline(t *testing.T) {
-	region, err := ras.NewRegion(ras.RegionSpec{
-		Name: "greedy", DCs: 1, MSBsPerDC: 3, RacksPerMSB: 4, ServersPerRack: 6, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := ras.NewSystem(region, ras.Options{Greedy: true})
-	id, err := sys.CreateReservation(ras.Reservation{
-		Name: "svc", Class: ras.Web, RRUs: 8, CountBased: true, Policy: ras.DefaultPolicy(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Greedy materializes capacity immediately, on the critical path.
-	if got := len(sys.Broker().ServersIn(id)); got < 8 {
-		t.Fatalf("greedy assigned %d servers, want ≥ 8", got)
-	}
-	if _, err := sys.Solve(context.Background(), 0); err != nil {
-		t.Fatalf("greedy Solve: %v", err)
-	}
-}
-
 func TestSystemElasticLoans(t *testing.T) {
 	sys := testSystem(t)
 	if _, err := sys.CreateReservation(ras.Reservation{
@@ -282,70 +259,6 @@ func serversWhere(sys *ras.System, pick func(ras.ReservationID) bool) []ras.Serv
 		}
 	}
 	return out
-}
-
-// TestJournalGapRebuildsWarm drives a journal gap on purpose: between two
-// rounds, more broker writes than the journal holds. The round after the gap
-// cannot know what changed, so it rebuilds its model and says why — and,
-// because the previous round's basis is carried over by identity rather than
-// matched by shape, its root LP still completes from that basis. The rounds
-// after that are back on the delta protocol, and patch once the moves settle.
-func TestJournalGapRebuildsWarm(t *testing.T) {
-	sys, ids := churnSystem(t)
-	b := sys.Broker()
-	const now = ras.Clock(100)
-
-	// A real change, so the rebuilt model is not last round's: one of web's
-	// servers fails (its group shrinks, the mover takes a replacement from
-	// the free pool into a group of its own).
-	web := serversWhere(sys, func(cur ras.ReservationID) bool { return cur == ids[0] })
-	b.SetUnavailable(web[0], broker.RandomFailure, now, now+1000)
-	// Then write past the journal's cap: one free-pool server flaps.
-	free := serversWhere(sys, func(cur ras.ReservationID) bool { return cur == ras.Unassigned })
-	since := b.Version()
-	for i := 0; ; i++ {
-		if _, ok := b.ChangedSince(since - 1); !ok {
-			break
-		}
-		if i > 1<<16 {
-			t.Fatal("the journal never dropped an entry")
-		}
-		b.SetUnavailable(free[0], broker.RandomFailure, now, now+1000)
-		b.ClearUnavailable(free[0], now)
-	}
-
-	res, err := sys.Solve(context.Background(), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.MIP.Phase1
-	if p.Rebuild != solver.RebuildJournalGap || p.ModelPatched {
-		t.Fatalf("round after the gap: rebuild=%v patched=%v, want %v", p.Rebuild, p.ModelPatched, solver.RebuildJournalGap)
-	}
-	if !p.WarmRoot || p.RootBasisOffered == 0 || p.RootBasisMismatch {
-		t.Fatalf("round after the gap: warm=%v (cold reason %v), basis kept %d of %d columns, mismatch=%v",
-			p.WarmRoot, p.RootCold, p.RootBasisKept, p.RootBasisOffered, p.RootBasisMismatch)
-	}
-	if _, surviving, err := sys.GuaranteedRRUs(ids[0]); err != nil || surviving < 24 {
-		t.Fatalf("web after the gap round: %.1f RRUs survive its worst MSB, want 24 (%v)", surviving, err)
-	}
-
-	for round := 1; ; round++ {
-		res, err = sys.Solve(context.Background(), now+ras.Clock(round))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := res.MIP.Phase1
-		if p.Rebuild == solver.RebuildJournalGap || p.Rebuild == solver.RebuildNoCache {
-			t.Fatalf("round %d after the gap round: rebuild=%v, want the delta back", round, p.Rebuild)
-		}
-		if p.ModelPatched {
-			break
-		}
-		if round == 6 {
-			t.Fatal("no round patched its model within 6 rounds of the gap")
-		}
-	}
 }
 
 // TestSolveSequenceRepeatable: at Workers = 1 two systems fed the same twenty
