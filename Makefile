@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-pairs bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
 
 check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke
 
@@ -76,6 +76,15 @@ bench-smoke:
 bench-pairs:
 	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [W=<workload>] [N=10] [SEEDS="1 2 …"] [SECONDS=30]'; exit 2; }
 	bash scripts/bench_pairs.sh "$(PARENT)" "$(W)" "$(N)" "$(SEEDS)" "$(SECONDS)"
+
+# A refactor's proof that it changed no decision (scripts/same_decisions.sh):
+# one traced episode of every workload per seed on each side, and every
+# per-layer metric of unit count, ratio or cost must read the same.
+#   make same-decisions PARENT=<rev> [SEEDS="1 7"]
+# CI runs it with PARENT=HEAD SEEDS=1 as a plumbing check.
+same-decisions:
+	@test -n "$(PARENT)" || { echo 'usage: make same-decisions PARENT=<rev> [SEEDS="1 7"]'; exit 2; }
+	bash scripts/same_decisions.sh "$(PARENT)" "$(SEEDS)"
 
 # The simplex kernel layer by layer on the captured RAS basis
 # (internal/lp/testdata/ras_basis.json): refactorization, the two sparse-RHS

@@ -22,8 +22,6 @@ import (
 
 	"ras"
 	"ras/internal/backend"
-	"ras/internal/lp"
-	"ras/internal/mip"
 	"ras/internal/sim"
 	"ras/internal/solver"
 	"ras/internal/workload"
@@ -91,14 +89,8 @@ func main() {
 	}
 
 	engine := ras.NewEngine()
-	// hits and rebuilds tally, from each solve's returned stats, the phases
-	// that patched their cached model and why the others that were asked to
-	// rebuilt it instead; rackProven of the rackRounds rack phases that ran
-	// ended Optimal.
-	var hits, rackRounds, rackProven int
-	var rebuilds [solver.NumRebuildReasons]int
-	var roots solver.RootBasisTally
-	var lps lp.Stats
+	// totals sums what every round's solve returned; it is printed at exit.
+	var totals backend.Totals
 	// Hourly continuous optimization (Figure 6 step 8).
 	engine.Every(sim.Hour, func(now sim.Time) {
 		if ctx.Err() != nil {
@@ -109,22 +101,7 @@ func main() {
 			logger.Printf("[%s] solve failed: %v", clock(now), err)
 			return
 		}
-		for _, r := range res.SolverResults() {
-			if r.RanPhase2 {
-				rackRounds++
-				if r.Phase2.Status == mip.Optimal {
-					rackProven++
-				}
-			}
-			for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
-				rebuilds[ph.Rebuild]++
-				roots.Add(ph)
-				lps.Add(ph.LP)
-				if ph.ModelPatched {
-					hits++
-				}
-			}
-		}
+		totals.Add(res)
 		if !*quiet {
 			line := fmt.Sprintf("[%s] solve[%s]: %s in %v, moves in-use=%d idle=%d",
 				clock(now), res.Backend, res.Status, res.Elapsed.Round(1e6),
@@ -200,22 +177,16 @@ func main() {
 	planned, unplanned := sys.Broker().UnavailableCount()
 	logger.Printf("final unavailability: %d planned, %d unplanned of %d servers",
 		planned, unplanned, len(region.Servers))
-	// No cached model to patch is a miss; every later reason is a fallback.
-	misses, falls, why := rebuilds[solver.RebuildNoCache], 0, ""
-	for r := solver.RebuildNone + 1; r < solver.NumRebuildReasons; r++ {
-		if rebuilds[r] > 0 {
-			why += fmt.Sprintf(" %v=%d", r, rebuilds[r])
-		}
-		if r > solver.RebuildNoCache {
-			falls += rebuilds[r]
+	totals.Print(logger.Writer())
+	why := ""
+	for r := solver.RebuildNoCache; r < solver.NumRebuildReasons; r++ {
+		if totals.Rebuilds[r] > 0 {
+			why += fmt.Sprintf(" %v=%d", r, totals.Rebuilds[r])
 		}
 	}
-	logger.Printf("model cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d rebuild_reasons:%s; rack phase proven %d of %d rounds",
-		hits, misses, falls, why, rackProven, rackRounds)
-	logger.Printf("root basis: %v", roots)
-	logger.Printf("lp: solves=%d iters=%d dual_iters=%d cold_fallbacks=%d (%v) %s",
-		lps.Solves, lps.Iterations, lps.DualIterations, lps.ColdFallbacks.Total(), lps.ColdFallbacks, lps.Kernel())
-	if *requireCache && (hits == 0 || falls == 0) {
+	logger.Printf("rebuild_reasons:%s", why)
+	logger.Printf("rack-phase: rounds=%d proven=%d", totals.RackRounds, totals.RackProven)
+	if *requireCache && (totals.Patched == 0 || totals.Fallbacks() == 0) {
 		logger.Printf("FAIL: -require-cache wants patch_hits>0 and fallback_rebuilds>0")
 		os.Exit(1)
 	}

@@ -44,7 +44,6 @@ import (
 	"ras/internal/backend"
 	"ras/internal/broker"
 	"ras/internal/hardware"
-	"ras/internal/lp"
 	"ras/internal/reservation"
 	"ras/internal/solver"
 	"ras/internal/topology"
@@ -258,8 +257,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if *verbose {
-		printCounters(os.Stderr, res)
-		printWarmStarts(os.Stderr, res)
+		var totals backend.Totals
+		totals.Add(res)
+		totals.Print(os.Stderr)
 		printModelBuilds(os.Stderr, res)
 	}
 }
@@ -282,71 +282,6 @@ func printModelBuilds(w io.Writer, res *backend.Result) {
 				fmt.Fprintf(w, "  slack %s = %.3f\n", rs.Row, rs.Amount)
 			}
 		}
-	}
-}
-
-// printWarmStarts reports, per solve phase and from the values the solve
-// returned, how its warm-started LPs fared: columns flipped to their opposite
-// bound (or held back by a cost shift) to restore dual feasibility, warm
-// starts abandoned for a cold two-phase solve, by reason, infeasibility claims
-// accepted on their certificate instead, the primal's degenerate steps and
-// Bland iterations, how often the maintained reduced costs were recomputed and
-// the largest drift that found, and what became of the previous round's root
-// basis. The pop backend's lines sum its partitions.
-func printWarmStarts(w io.Writer, res *backend.Result) {
-	var phases [2]lp.Stats // a phase that did not run adds zeros
-	var roots [2]solver.RootBasisTally
-	for _, r := range res.SolverResults() {
-		phases[0].Add(r.Phase1.LP)
-		phases[1].Add(r.Phase2.LP)
-		roots[0].Add(&r.Phase1)
-		roots[1].Add(&r.Phase2)
-	}
-	for i, l := range phases {
-		if l.Solves == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "lp-warm phase%d: solves=%d iters=%d flipped_columns=%d cost_shifts=%d cold_fallbacks=%d (%v) %s root_basis: %v\n",
-			i+1, l.Solves, l.Iterations, l.FlippedColumns, l.CostShifts, l.ColdFallbacks.Total(), l.ColdFallbacks,
-			l.Kernel(), roots[i])
-	}
-}
-
-// printCounters sums the statistics this solve returned — over both phases,
-// and over the partitions under pop — in a stable, greppable key=value
-// layout. Nothing here is process-wide: two solves print two sets of numbers.
-func printCounters(w io.Writer, res *backend.Result) {
-	var solves, workers, nodes, incumbents, heurWins, warmHits, warmMisses, patched, noCache, fallbacks int
-	var l lp.Stats
-	count := func(n *int, cond bool) {
-		if cond {
-			*n++
-		}
-	}
-	for _, r := range res.SolverResults() {
-		for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
-			count(&solves, ph.Workers > 0) // resolved to ≥ 1 exactly when the phase's MIP ran
-			workers += ph.Workers
-			nodes += ph.Nodes
-			incumbents += ph.IncumbentUpdates
-			heurWins += ph.HeuristicWins
-			count(&warmHits, ph.WarmRoot)
-			count(&warmMisses, ph.RootBasisMismatch)
-			count(&patched, ph.ModelPatched)
-			count(&noCache, ph.Rebuild == solver.RebuildNoCache)
-			count(&fallbacks, ph.Rebuild > solver.RebuildNoCache)
-			l.Add(ph.LP)
-		}
-	}
-	fmt.Fprintf(w, "solver: solves=%d workers=%d nodes=%d incumbents=%d heuristic_wins=%d round_warm_hits=%d round_warm_misses=%d\n",
-		solves, workers, nodes, incumbents, heurWins, warmHits, warmMisses)
-	fmt.Fprintf(w, "model-cache: patch_hits=%d patch_misses=%d fallback_rebuilds=%d\n", patched, noCache, fallbacks)
-	fmt.Fprintf(w, "lp: solves=%d iters=%d dual_iters=%d refactorizations=%d workspace_reuses=%d warm_hits=%d warm_misses=%d\n",
-		l.Solves, l.Iterations, l.DualIterations, l.Refactorizations, l.WorkspaceReuses, l.WarmHits, l.ColdFallbacks.Total())
-	fmt.Fprintf(w, "lp-factor: update_etas=%d fill_ins=%d singular_repairs=%d\n", l.UpdateEtas, l.FillIns, l.SingularRepairs)
-	if d := res.POP; d != nil {
-		fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d repair_moves=%d repair_steps=%d repair_candidates=%d partition_warm_hits=%d partition_warm_misses=%d\n",
-			d.Partitions, len(d.Subs), d.Repair.Moves(), d.Repair.Steps, d.Repair.Candidates, d.WarmPartitions, d.Partitions-d.WarmPartitions)
 	}
 }
 

@@ -80,8 +80,9 @@ func TestVerboseCountersAddUp(t *testing.T) {
 		t.Run(tc.backend, func(t *testing.T) {
 			res := solveSynthetic(t, tc.backend, tc.partitions)
 			var buf bytes.Buffer
-			printCounters(&buf, res)
-			printWarmStarts(&buf, res)
+			var totals backend.Totals
+			totals.Add(res)
+			totals.Print(&buf)
 			got := parseCounters(t, buf.String())
 
 			subs := res.SolverResults()

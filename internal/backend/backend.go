@@ -44,8 +44,9 @@ type Options struct {
 	// its concurrent sub-solves (never multiplies — `-workers 4 -partitions
 	// 4` runs 4 serial sub-solves, not 16 threads). Local search is serial
 	// and ignores it. Zero means runtime.NumCPU() — backends exploit the
-	// whole machine unless told otherwise; 1 forces the exact serial
-	// engines.
+	// whole machine unless told otherwise; this is the one place zero is
+	// resolved, and solver.Config.Workers gets the resolved count. Negative
+	// or 1 forces the exact serial engines.
 	Workers int
 	// Partitions is the pop backend's sub-region count k (clamped to the
 	// region's MSB count). Zero means DefaultPartitions. Other backends
@@ -82,6 +83,19 @@ func (o Options) workers() int {
 		w = 1
 	}
 	return w
+}
+
+// solverConfig is cfg for a solve under these options: the two-phase solver's
+// resolved worker count, and a joint TimeLimit split like production's
+// one-hour SLO — most of it on the region-wide phase, the rest on rack
+// refinement.
+func (o Options) solverConfig(cfg solver.Config, workers int) solver.Config {
+	if o.TimeLimit > 0 {
+		cfg.Phase1TimeLimit = o.TimeLimit * 2 / 3
+		cfg.Phase2TimeLimit = o.TimeLimit / 3
+	}
+	cfg.Workers = workers
+	return cfg
 }
 
 // Backend is one interchangeable optimization engine producing a full
@@ -233,14 +247,7 @@ type mipBackend struct {
 func (b *mipBackend) Name() string { return "mip" }
 
 func (b *mipBackend) Solve(ctx context.Context, in solver.Input, opts Options) (*Result, error) {
-	cfg := b.cfg
-	if opts.TimeLimit > 0 {
-		// Split the joint budget like production's one-hour SLO: most of it
-		// on the region-wide phase, the rest on rack refinement.
-		cfg.Phase1TimeLimit = opts.TimeLimit * 2 / 3
-		cfg.Phase2TimeLimit = opts.TimeLimit / 3
-	}
-	cfg.Workers = opts.workers()
+	cfg := opts.solverConfig(b.cfg, opts.workers())
 	var warm *solver.WarmState
 	if opts.Warm != nil {
 		warm = opts.Warm.MIP

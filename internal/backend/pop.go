@@ -109,15 +109,9 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	k = plan.K
 	demands := partition.SplitDemands(in.Region, in.States, in.Reservations, plan)
 
-	cfg := b.cfg
-	if opts.TimeLimit > 0 {
-		// Same budget split as the mip backend; sub-solves share the
-		// wall-clock window because they run concurrently.
-		cfg.Phase1TimeLimit = opts.TimeLimit * 2 / 3
-		cfg.Phase2TimeLimit = opts.TimeLimit / 3
-	}
+	// Sub-solves share the wall-clock window: they run concurrently.
 	perSub, concurrent := divideWorkers(opts.workers(), k)
-	cfg.Workers = perSub
+	cfg := opts.solverConfig(b.cfg, perSub)
 
 	// Per-partition warm states apply only when the plan they were exported
 	// under is the plan we just drew.

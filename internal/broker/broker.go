@@ -74,6 +74,14 @@ type ServerState struct {
 // InUse reports whether the server hosts running containers.
 func (s *ServerState) InUse() bool { return s.Containers > 0 }
 
+// MovePreempts reports whether moving the server out of its current
+// reservation preempts that reservation's running containers: the in-use
+// move-cost class M_s of the MIP's expression 1 (§3.5.3). A server on loan
+// runs the borrower's containers, so moving it is an idle move.
+func (s *ServerState) MovePreempts() bool {
+	return s.Containers > 0 && s.LoanedTo == reservation.Unassigned
+}
+
 // Usable reports whether the server counts as capacity: the availability
 // constraint excludes unplanned failures, while planned maintenance remains
 // usable capacity covered by embedded buffers (§3.3.1).

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sort"
 
 	"ras/internal/floats"
@@ -63,11 +62,6 @@ type Model struct {
 
 	initial []float64    // optional warm-start point (may be partial: NaN = unset)
 	penalty map[Var]bool // soft-constraint slack variables (see MarkPenalty)
-
-	// revision counts structural growth (variables or constraints added).
-	// In-place patches — SetVarBounds, SetRHS, SetInitial — leave it
-	// untouched; see Revision.
-	revision int
 
 	// Column index caches for the repair heuristic, rebuilt lazily when the
 	// model grows.
@@ -125,7 +119,6 @@ func (m *Model) AddVar(name string, cost, lo, up float64) Var {
 	j := m.prob.AddVar(cost, lo, up)
 	m.integer = append(m.integer, false)
 	m.names = append(m.names, name)
-	m.revision++
 	return Var(j)
 }
 
@@ -144,17 +137,8 @@ func (m *Model) AddConstr(name string, terms []Term, sense Sense, rhs float64) i
 	}
 	i := m.prob.AddRow(nz, sense, rhs)
 	m.rowNames = append(m.rowNames, name)
-	m.revision++
 	return i
 }
-
-// Revision reports the model's structural revision: it increments whenever a
-// variable or constraint is added and is unchanged by the in-place patch
-// calls (SetVarBounds, SetRHS, SetInitial). Cross-round warm-start state
-// keyed to a revision therefore survives a patch — bound and RHS edits are
-// absorbed by the dual-simplex repair on the retained basis — but never
-// structural growth.
-func (m *Model) Revision() int { return m.revision }
 
 // SetVarBounds replaces v's root bounds in place (model-patching API): the
 // next Solve snapshots the new bounds as its root bounds. The model's
@@ -365,12 +349,12 @@ type Options struct {
 	// RootBasis, and like it single-flight: one solve at a time may hold it.
 	RootWorkspace *lp.Workspace
 	// Workers is the number of branch-and-bound workers draining one open
-	// list. 0 or 1 run the search on the calling goroutine alone — results
-	// are bit-for-bit reproducible. Values > 1 fork that many minus one
-	// workers on problem clones, which start on the tree while the root
-	// primal heuristics still run; results remain correct (same proven
-	// status and gap guarantees) but the incumbent point may differ between
-	// runs. Negative means runtime.NumCPU().
+	// list, already resolved by the caller. ≤ 1 runs the search on the
+	// calling goroutine alone — results are bit-for-bit reproducible. Values
+	// > 1 fork that many minus one workers on problem clones, which start on
+	// the tree while the root primal heuristics still run; results remain
+	// correct (same proven status and gap guarantees) but the incumbent point
+	// may differ between runs.
 	Workers int
 }
 
@@ -462,10 +446,7 @@ func (m *Model) Solve(ctx context.Context, opt Options) Result {
 	if opt.MaxNodes == 0 {
 		opt.MaxNodes = 100000
 	}
-	if opt.Workers < 0 {
-		opt.Workers = runtime.NumCPU()
-	}
-	if opt.Workers == 0 {
+	if opt.Workers < 1 {
 		opt.Workers = 1
 	}
 

@@ -206,14 +206,6 @@ func TestParallelBoundsRestoredAfterSolve(t *testing.T) {
 	}
 }
 
-func TestParallelNegativeWorkersMeansNumCPU(t *testing.T) {
-	m, _ := fixedAssignment(t, 7, 10, 4)
-	r := m.Solve(context.Background(), Options{Workers: -1, MaxNodes: 20000})
-	if r.Workers != runtime.NumCPU() {
-		t.Fatalf("Workers=-1 resolved to %d, want NumCPU=%d", r.Workers, runtime.NumCPU())
-	}
-}
-
 // Regression tests from the serial-assumption bug sweep. The driver shares
 // node.changes slices between sibling nodes and between goroutines, so
 // appendChange must never alias its input's backing array.

@@ -89,7 +89,7 @@ func (m *Mover) ApplyTargets(now int64) int {
 
 // moveServer executes one ownership change.
 func (m *Mover) moveServer(st *broker.ServerState, to reservation.ID) {
-	inUse := st.Containers > 0 && st.LoanedTo == reservation.Unassigned
+	inUse := st.MovePreempts()
 	if m.alloc != nil && st.Containers > 0 {
 		// Preempt: reschedule the containers inside their own reservation.
 		m.reschedule(st.ID)

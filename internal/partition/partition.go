@@ -168,10 +168,7 @@ func SplitDemands(region *topology.Region, states []broker.ServerState,
 				continue
 			}
 			srv := &region.Servers[i]
-			if r.Policy.SingleDC >= 0 && srv.DC != r.Policy.SingleDC {
-				continue
-			}
-			v := r.Value(region.Catalog, srv.Type)
+			v := r.ValueAt(region.Catalog, srv.Type, srv.DC)
 			if v <= 0 {
 				continue
 			}

@@ -125,6 +125,15 @@ func (r *Reservation) Value(cat *hardware.Catalog, typeIdx int) float64 {
 	return v
 }
 
+// ValueAt is Value for a server in datacenter dc: 0 outside the DC a
+// Policy.SingleDC restriction names.
+func (r *Reservation) ValueAt(cat *hardware.Catalog, typeIdx, dc int) float64 {
+	if r.Policy.SingleDC >= 0 && dc != r.Policy.SingleDC {
+		return 0
+	}
+	return r.Value(cat, typeIdx)
+}
+
 // Validate reports structural problems with the reservation.
 func (r *Reservation) Validate() error {
 	if r.RRUs < 0 {

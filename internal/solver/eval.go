@@ -37,16 +37,6 @@ type Eval struct {
 	Unserviceable float64
 }
 
-// specValue is V_{s,r} for a server of the given hardware type and DC under
-// spec s, honouring the SingleDC policy (the same eligibility the MIP bakes
-// into vval).
-func specValue(in Input, s *resSpec, typeIdx, dc int) float64 {
-	if s.res.Policy.SingleDC >= 0 && dc != s.res.Policy.SingleDC {
-		return 0
-	}
-	return s.res.Value(in.Region.Catalog, typeIdx)
-}
-
 // Evaluate scores a full-region assignment with the phase-1 objective
 // functional — the yardstick the pop backend uses so that k recombined
 // sub-solutions and one monolithic solve are compared on identical terms.
@@ -67,13 +57,13 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 
 	specByID := make(map[reservation.ID][]int, nS)
 	for si := range specs {
-		specByID[specs[si].outID] = append(specByID[specs[si].outID], si)
+		specByID[specs[si].res.ID] = append(specByID[specs[si].res.ID], si)
 	}
 	// firstSpec resolves the spec a server of (type, dc) belongs to under
 	// reservation id — the initCount attribution rule of solvePhase.
 	firstSpec := func(id reservation.ID, typeIdx, dc int) int {
 		for _, si := range specByID[id] {
-			if specValue(in, &specs[si], typeIdx, dc) > 0 {
+			if specs[si].res.ValueAt(in.Region.Catalog, typeIdx, dc) > 0 {
 				return si
 			}
 		}
@@ -105,25 +95,21 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		}
 		srv := &in.Region.Servers[i]
 		for si := range specs {
-			if v := specValue(in, &specs[si], srv.Type, srv.DC); v > 0 {
+			if v := specs[si].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC); v > 0 {
 				eligTotal[si] += v
 				eligDC[si][srv.DC] += v
 			}
 		}
 		// Stability (expression 1): a server counted into its current spec
 		// that the assignment moves elsewhere costs M_s.
-		if cur := firstSpec(st.Current, srv.Type, srv.DC); cur >= 0 && targets[i] != specs[cur].outID {
-			if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-				ev.Stability += cfg.MoveCostInUse
-			} else {
-				ev.Stability += cfg.MoveCostIdle
-			}
+		if cur := firstSpec(st.Current, srv.Type, srv.DC); cur >= 0 && targets[i] != specs[cur].res.ID {
+			ev.Stability += cfg.moveCost(st.MovePreempts())
 		}
 		si := firstSpec(targets[i], srv.Type, srv.DC)
 		if si < 0 {
 			continue
 		}
-		v := specValue(in, &specs[si], srv.Type, srv.DC)
+		v := specs[si].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC)
 		sumMSB[si][srv.MSB] += v
 		sumDC[si][srv.DC] += v
 		total[si] += v

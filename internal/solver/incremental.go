@@ -71,7 +71,7 @@ const (
 	RebuildNone           RebuildReason = iota
 	RebuildNoCache                      // no cached model of the snapshot Delta.Since names: first round or unversioned input
 	RebuildReservationSet               // the delta creates or deletes a reservation
-	RebuildConfig                       // solver config, region, or the cached model's revision differs
+	RebuildConfig                       // solver config or region differs
 	RebuildScope                        // the server count or Input.Subset differs
 	RebuildSpecCount                    // the spec list changed length (a buffer spec or phase-2 member came or went)
 	RebuildSpecShape                    // a spec changed in more than its RRUs
@@ -110,12 +110,11 @@ type groupKey struct {
 func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupKey {
 	srv := &in.Region.Servers[id]
 	st := &in.States[id]
-	inUse := st.Containers > 0 && st.LoanedTo == reservation.Unassigned
 	scope := srv.MSB
 	if rackLevel {
 		scope = srv.Rack
 	}
-	k := groupKey{typeIdx: srv.Type, scope: scope, cur: st.Current, inUse: inUse}
+	k := groupKey{typeIdx: srv.Type, scope: scope, cur: st.Current, inUse: st.MovePreempts()}
 	if wearAware && in.Region.Catalog.Type(srv.Type).FlashTB > 0 {
 		k.wear = wearBucket(st.FlashWear)
 	}
@@ -127,10 +126,11 @@ func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupK
 // and, when wear-aware, the wear bucket — matches g's. The static half
 // (type, MSB or rack) is fixed for a server's life.
 func (g *group) holds(st *broker.ServerState, wearAware bool, cat *hardware.Catalog) bool {
-	if g.cur != st.Current || g.inUse != (st.Containers > 0 && st.LoanedTo == reservation.Unassigned) {
+	k := &g.key
+	if k.cur != st.Current || k.inUse != st.MovePreempts() {
 		return false
 	}
-	return !wearAware || g.wear == wearBucket(st.FlashWear) || (g.wear == 0 && cat.Type(g.typeIdx).FlashTB <= 0)
+	return !wearAware || k.wear == wearBucket(st.FlashWear) || (k.wear == 0 && cat.Type(k.typeIdx).FlashTB <= 0)
 }
 
 // specRows records where one spec's rows and auxiliary variables landed in
@@ -163,8 +163,7 @@ type specRows struct {
 // identical to a cold rebuild. It is single-flight state: one solve at a
 // time may read or mutate it.
 type builtPhase struct {
-	m   *mip.Model
-	rev int // model revision at build; structural growth disables patching
+	m *mip.Model
 
 	region    *topology.Region
 	rackLevel bool
@@ -229,10 +228,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		nrow := make([]string, nS)
 		for si := range specs {
 			s := &specs[si]
-			if s.res.Policy.SingleDC >= 0 && g.dc != s.res.Policy.SingleDC {
-				continue
-			}
-			v := s.res.Value(cat, g.typeIdx)
+			v := s.res.ValueAt(cat, g.key.typeIdx, g.dc)
 			row[si] = v
 			if v > 0 {
 				nrow[si] = fmt.Sprintf("n[g%d,%s]", gi, s.res.Name)
@@ -251,7 +247,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	// phase 2, so phase 2 warm-starts from the phase-1 solution.
 	specByID := make(map[reservation.ID][]int, nS)
 	for si := range specs {
-		specByID[specs[si].outID] = append(specByID[specs[si].outID], si)
+		specByID[specs[si].res.ID] = append(specByID[specs[si].res.ID], si)
 	}
 	curRef := make([]reservation.ID, n)
 	for i := range curRef {
@@ -272,7 +268,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		row := make([]float64, nS)
 		for _, id := range g.servers {
 			serverGroup[id] = int32(gi)
-			// Buffer specs share an outID; pick the one matching the type.
+			// Buffer specs share an ID; pick the one matching the type.
 			for _, si := range specByID[curRef[id]] {
 				if vval[gi][si] > 0 {
 					row[si]++
@@ -360,8 +356,8 @@ func (bp *builtPhase) layout(names [][]string) {
 			// IO-aware placement (§5.2): worn flash assigned to a
 			// flash-consuming reservation carries a per-server cost.
 			wearCost := 0.0
-			if cfg.WearPenalty > 0 && g.wear > 0 && cat.Type(g.typeIdx).FlashTB > 0 && !specs[si].isBuffer {
-				wearCost = cfg.WearPenalty * float64(g.wear)
+			if cfg.WearPenalty > 0 && g.key.wear > 0 && cat.Type(g.key.typeIdx).FlashTB > 0 && !specs[si].isBuffer {
+				wearCost = cfg.WearPenalty * float64(g.key.wear)
 			}
 			bp.nVar[gi][si] = m.AddIntVar(names[gi][si], wearCost, 0, 0)
 			bp.assignVars++
@@ -381,10 +377,7 @@ func (bp *builtPhase) layout(names [][]string) {
 		}
 	}
 	for gi, g := range groups {
-		mcost := cfg.MoveCostIdle
-		if g.inUse {
-			mcost = cfg.MoveCostInUse
-		}
+		mcost := cfg.moveCost(g.key.inUse)
 		for si := range specs {
 			if bp.initCount[gi][si] <= 0 || bp.nVar[gi][si] < 0 {
 				continue
@@ -535,7 +528,6 @@ func (bp *builtPhase) layout(names [][]string) {
 		}
 	}
 	bp.initX = make([]float64, m.NumVars())
-	bp.rev = m.Revision()
 }
 
 // roundingCut is the integer-rounding cut of a hinge y ≥ Σ − t, y ≥ 0 whose
@@ -592,9 +584,9 @@ type specKey struct {
 
 func (s *resSpec) key() specKey {
 	if s.isBuffer {
-		return specKey{s.outID, s.res.EligibleTypes[0]}
+		return specKey{s.res.ID, s.res.EligibleTypes[0]}
 	}
-	return specKey{s.outID, -1}
+	return specKey{s.res.ID, -1}
 }
 
 // at is xs[k], or -1 when the table has no such position.
@@ -707,7 +699,7 @@ func (bp *builtPhase) carryBasis(old *builtPhase, b *lp.Basis) (nb *lp.Basis, ke
 // absorb as an RHS update. Everything else (eligibility, class, policy,
 // identity) shapes the model's rows and columns.
 func specCompatible(old, cur *resSpec) bool {
-	if old.outID != cur.outID || old.isBuffer != cur.isBuffer {
+	if old.isBuffer != cur.isBuffer {
 		return false
 	}
 	a, b := &old.res, &cur.res
@@ -756,7 +748,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 	targets []reservation.ID) RebuildReason {
 
 	// Structural prechecks: same config, topology, subset, and spec list.
-	if cfg != bp.cfg || in.Region != bp.region || bp.m.Revision() != bp.rev {
+	if cfg != bp.cfg || in.Region != bp.region {
 		return RebuildConfig
 	}
 	if len(in.States) != len(bp.inPool) || !slices.Equal(in.Subset, bp.subset) {

@@ -341,8 +341,7 @@ func compareStructure(t *testing.T, round int, got, want *builtPhase) {
 	}
 	for gi := range got.groups {
 		a, b := got.groups[gi], want.groups[gi]
-		if a.typeIdx != b.typeIdx || a.msb != b.msb || a.dc != b.dc || a.rack != b.rack ||
-			a.cur != b.cur || a.inUse != b.inUse || a.wear != b.wear {
+		if a.key != b.key || a.msb != b.msb || a.dc != b.dc || a.rack != b.rack {
 			t.Fatalf("round %d: group %d metadata diverged: %+v vs %+v", round, gi, a, b)
 		}
 		if len(a.servers) != len(b.servers) {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"ras/internal/broker"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -144,12 +143,12 @@ func SeedTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	userSpec := make(map[reservation.ID]int, len(specs))
 	for s := range specs {
 		if !specs[s].isBuffer {
-			userSpec[specs[s].outID] = s
+			userSpec[specs[s].res.ID] = s
 		}
 	}
 	for i := range targets {
 		srv := &in.Region.Servers[i]
-		if s, ok := userSpec[targets[i]]; !ok || specValue(in, &specs[s], srv.Type, srv.DC) <= 0 {
+		if s, ok := userSpec[targets[i]]; !ok || specs[s].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC) <= 0 {
 			targets[i] = reservation.Unassigned
 		}
 	}
@@ -387,7 +386,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 		}
 		p.clsWord[c+1] = p.clsWord[c] + int(n+63)/64
 		for s := range specs {
-			p.val[s*p.nC+c] = specValue(*in, &specs[s], k/nD%nT, k%nD)
+			p.val[s*p.nC+c] = specs[s].res.ValueAt(reg.Catalog, k/nD%nT, k%nD)
 		}
 		keyCls[k] = int32(c)
 		c++
@@ -420,7 +419,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 	}
 	for s := range specs {
 		if !specs[s].isBuffer {
-			userSpec[specs[s].outID] = s
+			userSpec[specs[s].res.ID] = s
 			if specs[s].res.RRUs > 0 {
 				p.donors = append(p.donors, s)
 			}
@@ -562,28 +561,19 @@ func (p *repairPass) pickRelease(s int) (topology.ServerID, int) {
 	return p.lowest(best, s, mem, nil, false), best
 }
 
-// moveCost is M_s: what moving the server out of its current reservation
-// costs.
-func (p *repairPass) moveCost(st *broker.ServerState) float64 {
-	if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-		return p.cfg.MoveCostInUse
-	}
-	return p.cfg.MoveCostIdle
-}
-
 // moveDelta is the stability and wear change of spec s acquiring (or
 // releasing) the server.
 func (p *repairPass) moveDelta(s int, id topology.ServerID, acquiring bool) float64 {
 	st := &p.in.States[id]
 	d := 0.0
-	if st.Current == p.specs[s].outID {
+	if st.Current == p.specs[s].res.ID {
 		// Releasing a current member starts paying M_s; re-acquiring one
 		// stops paying it. Servers current elsewhere already pay their
 		// move either way.
 		if acquiring {
-			d -= p.moveCost(st)
+			d -= p.cfg.moveCost(st.MovePreempts())
 		} else {
-			d += p.moveCost(st)
+			d += p.cfg.moveCost(st.MovePreempts())
 		}
 	}
 	if p.cfg.WearPenalty > 0 && !p.specs[s].isBuffer &&
@@ -674,7 +664,7 @@ func (p *repairPass) repairSpec(s int) {
 		for m := range v.sumMSB {
 			pairs := p.pairs[:0]
 			for _, d := range p.donors {
-				if p.specs[d].outID == v.spec.outID {
+				if p.specs[d].res.ID == v.spec.res.ID {
 					continue
 				}
 				id := p.lowest(m, s, p.setOf(p.mem, d), nil, false)
@@ -756,10 +746,10 @@ func (p *repairPass) offerSteal(s, m int, sp stealPair, curCost, curSq float64, 
 
 	stab := 0.0
 	switch cur := &p.in.States[sp.id]; cur.Current {
-	case v.spec.outID:
-		stab = -p.moveCost(cur) // coming home: its move charge disappears
-	case p.specs[d].outID:
-		stab = +p.moveCost(cur) // leaving its home reservation: a new move
+	case v.spec.res.ID:
+		stab = -p.cfg.moveCost(cur.MovePreempts()) // coming home: its move charge disappears
+	case p.specs[d].res.ID:
+		stab = +p.cfg.moveCost(cur.MovePreempts()) // leaving its home reservation: a new move
 	}
 	tc := &p.thiefAt[p.srvCls[sp.id]]
 	if tc.step != p.step {
@@ -777,7 +767,7 @@ func (p *repairPass) offerSteal(s, m int, sp stealPair, curCost, curSq float64, 
 
 // acquire moves a free server into spec s.
 func (p *repairPass) acquire(s int, id topology.ServerID) {
-	p.targets[id] = p.specs[s].outID
+	p.targets[id] = p.specs[s].res.ID
 	setBit(p.free, p.srvBit[id], false)
 	setBit(p.setOf(p.mem, s), p.srvBit[id], true)
 	p.views[s].add(p.in.Region.Servers[id].MSB, p.value(s, id))
@@ -796,7 +786,7 @@ func (p *repairPass) steal(s, d int, id topology.ServerID) {
 	m := p.in.Region.Servers[id].MSB
 	setBit(p.setOf(p.mem, d), p.srvBit[id], false)
 	p.views[d].add(m, -p.value(d, id))
-	p.targets[id] = p.specs[s].outID
+	p.targets[id] = p.specs[s].res.ID
 	setBit(p.setOf(p.mem, s), p.srvBit[id], true)
 	p.views[s].add(m, p.value(s, id))
 }

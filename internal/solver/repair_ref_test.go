@@ -18,6 +18,16 @@ import (
 // RepairStats.Candidates, so TestRepairMatchesReference and
 // FuzzRepairMatchesReference can require identical targets and stats.
 
+// specValue is V_{s,r} for a server of the given hardware type and DC under
+// spec s, honouring the SingleDC policy: the reference's own copy of
+// Reservation.ValueAt.
+func specValue(in Input, s *resSpec, typeIdx, dc int) float64 {
+	if s.res.Policy.SingleDC >= 0 && dc != s.res.Policy.SingleDC {
+		return 0
+	}
+	return s.res.Value(in.Region.Catalog, typeIdx)
+}
+
 // repairTargetsRef is the pop backend's recombination pass: a deterministic
 // greedy improvement of a merged multi-partition assignment against the
 // phase-1 objective functional (the one Evaluate scores). Sub-problems
@@ -132,7 +142,7 @@ func buildRefView(in Input, targets []reservation.ID, spec resSpec) *refView {
 	}
 	v.members = make([][]topology.ServerID, in.Region.NumMSBs)
 	for i := range in.Region.Servers {
-		if targets[i] != spec.outID || !in.States[i].Usable() {
+		if targets[i] != spec.res.ID || !in.States[i].Usable() {
 			continue
 		}
 		srv := &in.Region.Servers[i]
@@ -162,7 +172,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 	moveDelta := func(id topology.ServerID, acquiring bool) float64 {
 		st := &in.States[id]
 		d := 0.0
-		if st.Current == v.spec.outID {
+		if st.Current == v.spec.res.ID {
 			// Releasing a current member starts paying M_s; re-acquiring one
 			// stops paying it. Servers current elsewhere already pay their
 			// move either way.
@@ -232,7 +242,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 			if viewVal(id) <= 0 {
 				continue
 			}
-			own := in.States[id].Current == view.spec.outID
+			own := in.States[id].Current == view.spec.res.ID
 			if best < 0 || (own && !bestOwn) {
 				best, bestOwn = id, own
 			}
@@ -259,7 +269,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		best := topology.ServerID(-1)
 		bestForeign := false
 		for _, id := range v.members[bestMSB] {
-			foreign := in.States[id].Current != v.spec.outID
+			foreign := in.States[id].Current != v.spec.res.ID
 			if best < 0 || (foreign && !bestForeign) {
 				best, bestForeign = id, foreign
 			}
@@ -278,7 +288,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 	stealByMSB := make([][]topology.ServerID, in.Region.NumMSBs)
 	for ri := range in.Reservations {
 		d := &in.Reservations[ri]
-		if d.Elastic || d.RRUs <= 0 || d.ID == spec.outID {
+		if d.Elastic || d.RRUs <= 0 || d.ID == spec.res.ID {
 			continue
 		}
 		donorOf[d.ID] = d
@@ -305,7 +315,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 	}
 
 	applyAcquire := func(id topology.ServerID, msb int) {
-		targets[id] = v.spec.outID
+		targets[id] = v.spec.res.ID
 		val := value(id)
 		v.sumMSB[msb] += val
 		v.total += val
@@ -330,7 +340,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 			dv.total -= dval
 			dv.members[msb] = removeID(dv.members[msb], id)
 		}
-		targets[id] = v.spec.outID
+		targets[id] = v.spec.res.ID
 		val := value(id)
 		v.sumMSB[msb] += val
 		v.total += val
@@ -492,7 +502,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 				}
 				stab := 0.0
 				switch st.Current {
-				case v.spec.outID:
+				case v.spec.res.ID:
 					stab = -m // coming home: its move charge disappears
 				case donorID:
 					stab = +m // leaving its home reservation: a new move

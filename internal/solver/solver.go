@@ -85,9 +85,9 @@ type Config struct {
 	// DisableRackPhase skips phase 2 entirely.
 	DisableRackPhase bool
 	// Workers is the branch-and-bound worker count for each phase's MIP
-	// solve. Zero or one keeps the exact serial search; values above one
-	// enable the parallel engine (see mip.Options.Workers); negative means
-	// runtime.NumCPU().
+	// solve, already resolved by the caller (backend.Options resolves zero
+	// to runtime.NumCPU()). ≤ 1 keeps the exact serial search; values above
+	// one enable the parallel engine (see mip.Options.Workers).
 	Workers int
 	// SetupOnly builds both phases (RAS build, solver build, initial state)
 	// but skips the MIP step. Used by the Figure 10/11 scalability sweeps,
@@ -143,6 +143,16 @@ func (c Config) withDefaults(region *topology.Region) Config {
 		c.SharedBufferFraction = 0.02
 	}
 	return c
+}
+
+// moveCost is M_s of expression 1: what moving a server out of its current
+// reservation costs, MoveCostInUse when the move preempts its containers
+// (broker.ServerState.MovePreempts).
+func (c *Config) moveCost(preempts bool) float64 {
+	if preempts {
+		return c.MoveCostInUse
+	}
+	return c.MoveCostIdle
 }
 
 // PhaseWarm is one phase's persisted cross-round warm-start state: the model
@@ -316,38 +326,6 @@ type PhaseStats struct {
 	HeuristicWins    int
 }
 
-// RootBasisTally sums, over phases, how the cross-round warm start of the
-// root LP fared: what the CLIs print from the PhaseStats a solve returned.
-type RootBasisTally struct {
-	Offered, Warm, Mismatch     int // phases handed a basis; whose root completed from it; that dropped it
-	ColumnsKept, ColumnsOffered int
-	Cold                        lp.ColdCounts // roots that abandoned the basis they were given, by reason
-}
-
-// Add accumulates one phase.
-func (t *RootBasisTally) Add(p *PhaseStats) {
-	if p.RootBasisOffered == 0 {
-		return
-	}
-	t.Offered++
-	t.ColumnsKept += p.RootBasisKept
-	t.ColumnsOffered += p.RootBasisOffered
-	if p.WarmRoot {
-		t.Warm++
-	}
-	if p.RootBasisMismatch {
-		t.Mismatch++
-	}
-	if p.RootCold != lp.ColdNone {
-		t.Cold[p.RootCold]++
-	}
-}
-
-func (t RootBasisTally) String() string {
-	return fmt.Sprintf("offered=%d warm=%d mismatch=%d columns_kept=%d/%d cold=%v",
-		t.Offered, t.Warm, t.Mismatch, t.ColumnsKept, t.ColumnsOffered, t.Cold)
-}
-
 // SlackResidual is one softened row's remaining violation.
 type SlackResidual struct {
 	Row    string // "capacity[<reservation>]" or "affinity[<reservation>,dc<k>]"
@@ -396,7 +374,6 @@ func (r *Result) TotalTime() time.Duration { return r.Phase1.Total() + r.Phase2.
 // the per-hardware-type shared-buffer reservations (§3.3.1, §3.5.3).
 type resSpec struct {
 	res      reservation.Reservation
-	outID    reservation.ID // ID written to Targets
 	isBuffer bool
 	// alphaF, alphaK and theta are αF, αK and θ as the model uses them: the
 	// reservation's resolved policy (newSpec).
@@ -406,15 +383,11 @@ type resSpec struct {
 // group is one symmetry equivalence class: servers indistinguishable to the
 // model, merged into a single integer count variable per reservation.
 type group struct {
+	key     groupKey // the class's identity, equal across rounds and rebuilds
 	servers []topology.ServerID
-	typeIdx int
 	msb     int
 	dc      int
 	rack    int // -1 at MSB granularity (phase 1)
-	cur     reservation.ID
-	inUse   bool
-	wear    int      // SSD wear bucket (0 when wear-aware placement is off)
-	key     groupKey // the class's identity, equal across rounds and rebuilds
 }
 
 // wearBucket quantizes a wear level in [0,1] into 4 buckets.
@@ -492,8 +465,8 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 			sub := make(map[reservation.ID]bool, len(subset))
 			var specs2 []resSpec
 			for _, s := range specs {
-				if subset[s.outID] || (s.isBuffer && subset[reservation.SharedBuffer]) {
-					sub[s.outID] = true
+				if subset[s.res.ID] || (s.isBuffer && subset[reservation.SharedBuffer]) {
+					sub[s.res.ID] = true
 					specs2 = append(specs2, s)
 				}
 			}
@@ -554,7 +527,7 @@ func accountMoves(in Input, mask []bool, targets []reservation.ID) MoveStats {
 			}
 			continue
 		}
-		if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
+		if st.MovePreempts() {
 			moves.InUse++
 		} else {
 			moves.Unused++
@@ -647,7 +620,7 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 func newSpec(r reservation.Reservation, cfg Config, isBuffer bool) resSpec {
 	p := r.Policy.Resolve(cfg.numMSBs, cfg.numRacks)
 	return resSpec{
-		res: r, outID: r.ID, isBuffer: isBuffer,
+		res: r, isBuffer: isBuffer,
 		alphaF: p.SpreadMSB, alphaK: p.SpreadRack, theta: p.AffinityTheta,
 	}
 }
@@ -842,7 +815,7 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool)
 		g, ok := byKey[k]
 		if !ok {
 			srv := &in.Region.Servers[id]
-			g = &group{typeIdx: srv.Type, msb: srv.MSB, dc: srv.DC, rack: -1, cur: k.cur, inUse: k.inUse, wear: k.wear, key: k}
+			g = &group{key: k, msb: srv.MSB, dc: srv.DC, rack: -1}
 			if rackLevel {
 				g.rack = srv.Rack
 			}
@@ -893,18 +866,18 @@ func realize(in Input, specs []resSpec, p *phaseOutput, targets []reservation.ID
 			if want <= 0 {
 				continue
 			}
-			outID := specs[si].outID
+			rid := specs[si].res.ID
 			// Stable partition: current members first.
 			sort.SliceStable(remaining, func(a, b int) bool {
-				ca := in.States[remaining[a]].Current == outID
-				cb := in.States[remaining[b]].Current == outID
+				ca := in.States[remaining[a]].Current == rid
+				cb := in.States[remaining[b]].Current == rid
 				return ca && !cb
 			})
 			if want > len(remaining) {
 				want = len(remaining)
 			}
 			for _, id := range remaining[:want] {
-				targets[id] = outID
+				targets[id] = rid
 			}
 			remaining = remaining[want:]
 		}
@@ -930,9 +903,9 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 		if s.isBuffer {
 			continue
 		}
-		crByID[s.outID] += s.res.RRUs
-		resByID[s.outID] = &s.res
-		alphaByID[s.outID] = s.alphaK
+		crByID[s.res.ID] += s.res.RRUs
+		resByID[s.res.ID] = &s.res
+		alphaByID[s.res.ID] = s.alphaK
 	}
 	for i := range in.Region.Servers {
 		id := targets[i]

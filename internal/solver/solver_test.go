@@ -443,14 +443,13 @@ func TestRealizeKeepsCurrentMembers(t *testing.T) {
 	pool := usableServers(in)
 	groups, _ := groupServers(in, pool, false, false)
 	specs := []resSpec{{
-		res:   reservation.Reservation{ID: 5, Name: "r", Class: hardware.Web, RRUs: 3, CountBased: true},
-		outID: 5,
+		res: reservation.Reservation{ID: 5, Name: "r", Class: hardware.Web, RRUs: 3, CountBased: true},
 	}}
 	// groupServers splits by current reservation: find the group with cur=5.
 	counts := make([][]float64, len(groups))
 	for gi, g := range groups {
 		counts[gi] = make([]float64, 1)
-		if g.cur == 5 {
+		if g.key.cur == 5 {
 			counts[gi][0] = 2 // shrink from 3 to 2
 		}
 	}

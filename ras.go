@@ -118,8 +118,8 @@ type Options struct {
 	// means 8.
 	StackingUnits int
 	// Workers caps each solve round's parallelism (branch-and-bound
-	// workers; local search is serial). Zero means runtime.NumCPU(); 1
-	// forces the serial engines. See backend.Options.Workers.
+	// workers; local search is serial). Zero means runtime.NumCPU();
+	// negative or 1 forces the serial engines. See backend.Options.Workers.
 	Workers int
 	// Partitions is the pop backend's sub-region count k. Zero means the
 	// backend default; other backends ignore it. See

@@ -3,6 +3,8 @@ package ras_test
 import (
 	"context"
 	"hash/fnv"
+	"math"
+	"strings"
 	"testing"
 
 	"ras"
@@ -390,4 +392,114 @@ func TestQuietRoundProvesRackPhase(t *testing.T) {
 		t.Fatalf("%d of 30 rounds patched both models, %d of them without refactorizing the region phase's basis", patched, reentered)
 	}
 	t.Logf("30 rounds: %d patched both models, %d of them re-entered the region phase's factorization", patched, reentered)
+}
+
+// TestUnserviceableRequestIsExplained drills §5.3's rejection message through
+// the façade: a reservation whose SingleDC policy names a datacenter with no
+// eligible usable server. The round still solves, the phase holding the
+// request names it and the DC it asked for, prices its whole demand as
+// softened slack, and every other reservation's capacity row still holds —
+// checked on the phase's residual rows and recounted from the targets.
+func TestUnserviceableRequestIsExplained(t *testing.T) {
+	for _, tc := range []struct {
+		backend    string
+		partitions int
+	}{{"mip", 0}, {"pop", 2}} {
+		t.Run(tc.backend, func(t *testing.T) {
+			region, err := ras.NewRegion(ras.RegionSpec{
+				Name: "unserviceable", DCs: 2, MSBsPerDC: 2, RacksPerMSB: 4, ServersPerRack: 6, Seed: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := ras.NewSystem(region, ras.Options{Backend: tc.backend, Partitions: tc.partitions,
+				Workers: 1, Solver: ras.SolverConfig{MaxNodes: 100}})
+			// ml may run on one hardware type in DC 1 only, and every such
+			// server has failed.
+			var mlType int
+			for _, srv := range region.Servers {
+				if srv.DC == 1 {
+					mlType = srv.Type
+					break
+				}
+			}
+			ml := ras.Reservation{Name: "ml", Class: ras.BatchML, RRUs: 8, CountBased: true,
+				EligibleTypes: []int{mlType}, Policy: ras.DefaultPolicy()}
+			ml.Policy.SingleDC = 1
+			for _, srv := range region.Servers {
+				if srv.DC == 1 && ml.ValueAt(region.Catalog, srv.Type, srv.DC) > 0 {
+					sys.Broker().SetUnavailable(srv.ID, broker.RandomFailure, 0, 1000)
+				}
+			}
+			others := []ras.Reservation{
+				{Name: "web", Class: ras.Web, RRUs: 20, CountBased: true, Policy: ras.DefaultPolicy()},
+				{Name: "feed", Class: ras.Feed1, RRUs: 16, CountBased: true, Policy: ras.DefaultPolicy()},
+			}
+			for i, r := range append(others, ml) {
+				id, err := sys.CreateReservation(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i < len(others) {
+					others[i].ID = id
+				}
+			}
+			states := sys.Broker().Snapshot()
+			res, err := sys.Solve(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status == ras.SolveNoSolution {
+				t.Fatalf("round status %v", res.Status)
+			}
+
+			var holder *solver.PhaseStats
+			for _, r := range res.SolverResults() {
+				for _, ph := range [2]*solver.PhaseStats{&r.Phase1, &r.Phase2} {
+					if len(ph.Unserviceable) > 0 {
+						if holder != nil {
+							t.Fatalf("two phases report an unserviceable request: %q and %q", holder.Unserviceable, ph.Unserviceable)
+						}
+						holder = ph
+					}
+					for _, rs := range ph.ResidualSlack {
+						for _, o := range others {
+							if rs.Row == "capacity["+o.Name+"]" {
+								t.Errorf("capacity row of %s left violated by %.3f", o.Name, rs.Amount)
+							}
+						}
+					}
+				}
+			}
+			if holder == nil {
+				t.Fatal("no phase reports the unserviceable request")
+			}
+			if u := holder.Unserviceable; len(u) != 1 || !strings.HasPrefix(u[0], "ml: ") || !strings.Contains(u[0], "singleDC 1") {
+				t.Fatalf("Unserviceable = %q, want one entry naming ml and singleDC 1", u)
+			}
+			if len(holder.ResidualSlack) != 0 || math.Abs(holder.SoftSlack-ml.RRUs) > 1e-6 {
+				t.Fatalf("SoftSlack %.6f with residual rows %v, want ml's %v RRUs alone",
+					holder.SoftSlack, holder.ResidualSlack, ml.RRUs)
+			}
+
+			// Recount expression 6 from the targets: Σ V − max over MSBs ≥ C.
+			for _, o := range others {
+				perMSB := make([]float64, region.NumMSBs)
+				total, worst := 0.0, 0.0
+				for i, tgt := range res.Targets {
+					if tgt != o.ID || !states[i].Usable() {
+						continue
+					}
+					srv := &region.Servers[i]
+					v := o.ValueAt(region.Catalog, srv.Type, srv.DC)
+					total += v
+					perMSB[srv.MSB] += v
+					worst = math.Max(worst, perMSB[srv.MSB])
+				}
+				if total-worst < o.RRUs-1e-6 {
+					t.Errorf("%s: %.1f RRUs assigned, %.1f beyond the worst MSB, want %.1f", o.Name, total, total-worst, o.RRUs)
+				}
+			}
+		})
+	}
 }
