@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-quiet bench-quiet-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
 
-check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke
+check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke bench-quiet-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -88,8 +88,9 @@ same-decisions:
 
 # The simplex kernel layer by layer on the captured RAS basis
 # (internal/lp/testdata/ras_basis.json): refactorization, the two sparse-RHS
-# solves, the row-wise pivot row, and whole dual and primal iterations, each
-# with the nonzeros it touches. `make check` runs one iteration of each as a
+# solves, the row-wise pivot row, whole dual and primal iterations, each with
+# the nonzeros it touches, and a live warm re-entry after 0, 4 and 64 changed
+# bounds (ns/op, allocs/op). `make check` runs one iteration of each as a
 # smoke.
 KERNEL_BENCHTIME ?= 2000x
 bench-lp:
@@ -120,24 +121,38 @@ bench-online:
 bench-online-smoke:
 	@$(MAKE) --no-print-directory bench-online ONLINE_BENCHTIME=1x >/dev/null
 
+# One quiet round of solver.SolveWarm on the round benchmark's steady_quiet
+# deployment (3×4×6×24, eight reservations, no shared buffer), settled in
+# set-up: two free-pool servers fail and last round's come back, the models
+# are patched and each phase's root LP re-enters its factorization.
+# BenchmarkQuietRound reports ns/op, B/op, allocs/op and the median round
+# (p50-ns/round). `make check` runs one round.
+QUIET_BENCHTIME ?= 2000x
+bench-quiet:
+	$(GO) test -run '^$$' -bench BenchmarkQuietRound -benchtime $(QUIET_BENCHTIME) ./internal/solver
+
+bench-quiet-smoke:
+	@$(MAKE) --no-print-directory bench-quiet QUIET_BENCHTIME=1x >/dev/null
+
 # Every benchmark of the root module once: the paper-figure benches, the
 # backend comparison and the layer benches.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Record the solver benchmark baseline (the simplex kernel's layers, the
-# MIP's 1/2/NumCPU worker sweeps and the serial local search, the POP k
-# sweep and the repair pass three times each at GOMAXPROCS=1, the online
-# path's two benchmarks, then 20 individually timed rounds of
-# BenchmarkRoundIncremental per mode for its p50 and max) as JSON. The raw
-# Go benchmark lines are preserved under "benchfmt_lines"; extract them with
-# jq for benchstat comparisons against a later run.
+# Record the solver benchmark baseline (the simplex kernel's layers and warm
+# re-entry, the MIP's 1/2/NumCPU worker sweeps and the serial local search,
+# the POP k sweep and the repair pass three times each at GOMAXPROCS=1, the
+# online path's two benchmarks, the quiet round, then 20 individually timed
+# rounds of BenchmarkRoundIncremental per mode for its p50 and max) as JSON.
+# The raw Go benchmark lines are preserved under "benchfmt_lines"; extract
+# them with jq for benchstat comparisons against a later run.
 bench-baseline:
 	{ $(GO) test -run '^$$' -bench BenchmarkKernel -benchtime $(KERNEL_BENCHTIME) -count 1 ./internal/lp; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBackend(MIP|LocalSearch)' -benchtime 3x -count 1 .; \
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkBackendPOPLarge -benchtime 3x -count 3 .; \
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkRepairTargets -benchtime $(REPAIR_BENCHTIME) -count 3 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPlace|BenchmarkApplyTargets' -benchtime $(ONLINE_BENCHTIME) -count 1 ./internal/allocator ./internal/mover; \
+	  $(GO) test -run '^$$' -bench BenchmarkQuietRound -benchtime $(QUIET_BENCHTIME) -count 1 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench BenchmarkRoundIncremental -benchtime 20x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"

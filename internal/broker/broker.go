@@ -292,10 +292,15 @@ func (b *Broker) Snapshot() []ServerState {
 // solver keys its cached phase models by that version; feed it back to
 // ChangedSince after further mutations to list the servers that differ
 // between this snapshot and a later one.
-func (b *Broker) SnapshotAt() ([]ServerState, uint64) {
+func (b *Broker) SnapshotAt() ([]ServerState, uint64) { return b.SnapshotInto(nil) }
+
+// SnapshotInto is SnapshotAt copied into dst's storage, which it reuses when
+// it has room: a caller that snapshots round after round, and keeps no
+// earlier snapshot, copies the region without allocating.
+func (b *Broker) SnapshotInto(dst []ServerState) ([]ServerState, uint64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return append([]ServerState(nil), b.states...), b.version
+	return append(dst[:0], b.states...), b.version
 }
 
 // Scan calls visit with every server's record in ascending ID order, in

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -180,4 +181,35 @@ func BenchmarkKernel(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(iters, 1)), "ns/iter")
 		b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 	})
+	// A live re-entry: the retained basis re-solved after the upper bounds of
+	// 0, 4 or 64 nonbasic columns at their lower bound moved (4 → 5 and back),
+	// which changes no answer — the whole solve is the entry, the O(nnz)
+	// recompute and residual checks, and the closing pricing pass.
+	for _, changed := range []int{0, 4, 64} {
+		b.Run(fmt.Sprintf("warmEntry/changed=%d", changed), func(b *testing.B) {
+			p, ws := fixtureWorkspace(b)
+			opt := Options{ReuseBasis: true}
+			p.SolveWith(context.Background(), opt, ws)
+			var cols []int
+			for j := 0; j < ws.nStruct && len(cols) < changed; j++ {
+				if ws.inRow[j] < 0 && !ws.atUp[j] && ws.d[j] > 1e-6 {
+					cols = append(cols, j)
+				}
+			}
+			if len(cols) < changed {
+				b.Fatalf("%d nonbasic columns at their lower bound, want %d", len(cols), changed)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				up := 4.0 + float64(i%2)
+				for _, j := range cols {
+					p.SetBounds(j, 0, up)
+				}
+				if sol := p.SolveWith(context.Background(), opt, ws); sol.Iterations != 1 || !sol.WarmStarted {
+					b.Fatalf("re-entry took %d iterations (warm %v), want the closing pass alone", sol.Iterations, sol.WarmStarted)
+				}
+			}
+		})
+	}
 }

@@ -352,6 +352,11 @@ func (s *Workspace) optimize(cost []float64) Status {
 			// Bound flip: entering variable moved to its other bound. No
 			// basis change, so reduced costs and Devex weights are untouched.
 			s.atUp[enter] = !s.atUp[enter]
+			bound := s.lo[enter]
+			if s.atUp[enter] {
+				bound = s.up[enter]
+			}
+			s.offBound = s.offBound || math.Float64bits(s.x[enter]) != math.Float64bits(bound)
 			continue
 		}
 

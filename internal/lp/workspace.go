@@ -45,10 +45,11 @@ type Workspace struct {
 	slackRow []int       // slack column − nStruct → row
 
 	// Numeric inputs, refreshed from the Problem on every entry.
-	cost []float64 // phase-2 costs (structural section copied per solve)
-	lo   []float64
-	up   []float64
-	b    []float64 // row RHS (equalities)
+	cost    []float64 // phase-2 costs (structural section copied per solve)
+	lo      []float64
+	up      []float64
+	b       []float64 // row RHS (equalities)
+	changed []int     // structural columns whose bounds the last refresh changed, ascending
 
 	// Working basis state, mutated freely during a solve.
 	basis    []int  // basis[i] = column basic in row i
@@ -57,6 +58,7 @@ type Workspace struct {
 	x        []float64
 	fact     *factor // sparse basis factorization (LU + eta file)
 	repaired bool    // last refactorization swapped artificials into the basis
+	offBound bool    // a primal bound flip of this solve left a column's value off its bound's bits
 
 	// Retained good basis: the warm-start seed — the most recent optimal,
 	// artificial-free basis this workspace reached, or the Basis it last
@@ -138,6 +140,8 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 	s.diters = 0
 	s.cursor = 0
 	s.refresh(p)
+	offBound := s.offBound
+	s.offBound = false
 
 	// One rule: start from the nearest solved basis on offer. That is the
 	// retained one when the caller asks for it (ReuseBasis) or offers the very
@@ -148,11 +152,11 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 	var why ColdReason
 	switch {
 	case s.goodOK && (opt.ReuseBasis || (opt.Start != nil && opt.Start == s.goodBasis)):
-		sol, why = s.runReuse()
+		sol, why = s.runReuse(offBound)
 	case opt.Start == nil:
 		return s.run()
 	case s.adopt(opt.Start):
-		sol, why = s.runReuse()
+		sol, why = s.runReuse(false)
 	default:
 		why = ColdBadBasis // written for another shape
 	}
@@ -274,8 +278,10 @@ func (s *Workspace) reshape(p *Problem) bool {
 }
 
 // refresh copies the problem's current numeric data (costs, bounds, RHS)
-// into the workspace and resets the artificial bounds to their pre-solve
-// state. Structure and basis state are untouched.
+// into the workspace, listing in s.changed the columns whose bounds differ
+// from what it held when the live factorization is the retained basis's, and
+// resets the artificial bounds to their pre-solve state. Structure and basis
+// state are untouched.
 func (s *Workspace) refresh(p *Problem) {
 	for j, c := range p.cost {
 		if !floats.ExactEqual(s.cost[j], c) {
@@ -283,8 +289,16 @@ func (s *Workspace) refresh(p *Problem) {
 			s.dualAge = -1 // reduced costs kept from the last solve are for other costs
 		}
 	}
-	copy(s.lo[:s.nStruct], p.lo)
-	copy(s.up[:s.nStruct], p.up)
+	s.changed = s.changed[:0]
+	for j, lo := range p.lo {
+		up := p.up[j]
+		if math.Float64bits(lo) != math.Float64bits(s.lo[j]) || math.Float64bits(up) != math.Float64bits(s.up[j]) {
+			s.lo[j], s.up[j] = lo, up
+			if s.liveIsGood { // only a live re-entry reads the list
+				s.changed = append(s.changed, j)
+			}
+		}
+	}
 	copy(s.b, p.rhs)
 	for i := 0; i < s.m; i++ {
 		a := s.artStart + i
@@ -492,21 +506,49 @@ func (s *Workspace) adopt(b *Basis) bool {
 func (s *Workspace) installNonbasics(atUp []bool) {
 	clear(s.x)
 	clear(s.atUp)
-	for i := 0; i < s.m; i++ {
-		s.up[s.artStart+i] = 0
-	}
+	s.pinArtificials()
 	for j := 0; j < s.n; j++ {
-		if s.inRow[j] >= 0 {
-			continue
-		}
-		if atUp[j] && !math.IsInf(s.up[j], 1) {
-			s.x[j] = s.up[j]
-			s.atUp[j] = true
-		} else {
-			s.x[j] = s.lo[j]
+		if s.inRow[j] < 0 {
+			s.installAt(j, atUp[j])
 		}
 	}
 }
+
+// installChanged is installNonbasics for a workspace whose live state is the
+// retained basis with every nonbasic column installed for the bounds of the
+// solve that saved it: only the nonbasic columns refresh listed as changed
+// move. Basic columns keep the bound status they had when they entered, which
+// nothing reads while they are basic.
+func (s *Workspace) installChanged() {
+	s.pinArtificials()
+	for _, j := range s.changed {
+		if s.inRow[j] < 0 {
+			s.installAt(j, s.goodAtUp[j])
+		}
+	}
+}
+
+func (s *Workspace) pinArtificials() {
+	for i := 0; i < s.m; i++ {
+		s.up[s.artStart+i] = 0
+	}
+}
+
+// installAt puts nonbasic column j at its upper bound when atUp and that bound
+// is finite, at its lower bound otherwise.
+func (s *Workspace) installAt(j int, atUp bool) {
+	if atUp && !math.IsInf(s.up[j], 1) {
+		s.x[j] = s.up[j]
+		s.atUp[j] = true
+	} else {
+		s.x[j] = s.lo[j]
+		s.atUp[j] = false
+	}
+}
+
+// fullWarmEntry is true only in tests that check the changed-columns entry of
+// runReuse against the full passes it replaces.
+var fullWarmEntry = false
 
 // runReuse attempts a warm solve from the workspace's retained good basis.
 // The snapshot holds only the basis index set, so entry re-factorizes it —
@@ -514,13 +556,28 @@ func (s *Workspace) installNonbasics(atUp []bool) {
 // saving exactly the basis the factorization already represents (bounds never
 // enter B, so the factors stay valid across the caller's bound changes): the
 // allocation-free fast path of a branch-and-bound child solved straight after
-// its parent. A reason other than ColdNone tells the caller to cold-start;
-// warmFinish lists them.
-func (s *Workspace) runReuse() (Solution, ColdReason) {
+// its parent, and of a model re-solved round after round. There the basis,
+// the bound statuses and the nonbasic point are still the saved ones, so only
+// the columns whose bounds changed are installed again, unless offBound says
+// a bound flip of that solve left a value that reinstalling would change. A
+// reason other than ColdNone tells the caller to cold-start; warmFinish lists
+// them.
+func (s *Workspace) runReuse(offBound bool) (Solution, ColdReason) {
 	live := s.liveIsGood
 	s.liveIsGood = false
 	if !live {
 		s.dualAge = -1 // another basis: the reduced costs in hand are not its own
+	}
+	if live && !offBound && !fullWarmEntry {
+		s.installChanged()
+		s.recomputeBasics()
+		if !s.residualOK() {
+			s.dualAge = -1 // a rebuild may repair the basis
+			if !s.refactorize() {
+				return Solution{}, ColdBadBasis
+			}
+		}
+		return s.warmFinish(true)
 	}
 
 	for j := range s.inRow {
@@ -544,7 +601,7 @@ func (s *Workspace) runReuse() (Solution, ColdReason) {
 	} else if !s.refactorize() {
 		return Solution{}, ColdBadBasis
 	}
-	return s.warmFinish()
+	return s.warmFinish(false)
 }
 
 // warmFinish is the shared tail of every warm start: restore dual
@@ -566,8 +623,8 @@ func (s *Workspace) runReuse() (Solution, ColdReason) {
 //
 // Cancellation is returned directly — the point of cancelling is to stop
 // working, not to re-solve from scratch.
-func (s *Workspace) warmFinish() (Solution, ColdReason) {
-	s.flipToDualFeasible()
+func (s *Workspace) warmFinish(changedOnly bool) (Solution, ColdReason) {
+	s.flipToDualFeasible(changedOnly)
 	switch st, certified := s.dualSimplex(warmRepairBudget * s.m); st {
 	case Infeasible:
 		if certified {
@@ -638,16 +695,31 @@ func (s *Workspace) residualOK() bool {
 // stays where it is, and its cost is raised — in a scratch copy of the costs,
 // which then becomes s.obj — to where it prices out at zero: the dual pass
 // keeps it out, and the primal pass after it, on the true costs, lets it in.
-func (s *Workspace) flipToDualFeasible() {
+//
+// changedOnly limits the scan to the columns whose bounds refresh saw change,
+// for a live re-entry (runReuse) that keeps the reduced costs too: the solve
+// that saved the basis ended Optimal, on a fresh vector with no column
+// violating by more than tol, and a column whose bounds, status and reduced
+// cost are all as they were then still does not.
+func (s *Workspace) flipToDualFeasible(changedOnly bool) {
 	// A solve that re-enters the basis and factorization the last one ended on
 	// also re-enters its reduced costs, when those were freshly computed for
 	// the true costs: bounds enter neither.
 	if s.dualAge != 0 || !sameVector(s.obj, s.cost) {
 		s.refreshDuals(s.cost)
+		changedOnly = false
 	}
 	dtol := math.Max(tol*1e3, 1e-6)
 	flips, shifts := 0, 0
-	for j := 0; j < s.artStart; j++ { // the artificials are pinned at zero
+	cols := s.artStart // the artificials are pinned at zero
+	if changedOnly {
+		cols = len(s.changed)
+	}
+	for k := 0; k < cols; k++ {
+		j := k
+		if changedOnly {
+			j = s.changed[k]
+		}
 		viol := s.violation(j)
 		switch {
 		case viol <= dtol:

@@ -69,6 +69,23 @@ type Model struct {
 	intOnlyRows []bool
 	idxRows     int // row count when the caches were built
 	idxVars     int
+
+	kept solveState // per-solve state carried from one Solve to the next
+}
+
+// solveState is what a Model keeps of one Solve for the next, so that
+// re-solving a model patched in place rebuilds none of it: the root bounds
+// Solve snapshots, every row's reachable continuous activity (recomputed only
+// when a continuous column's bound changed), the root search's four heuristic
+// points, and the storage of the incumbent and of its snapshots (until one
+// escapes into a Result).
+type solveState struct {
+	rootLo, rootUp   []float64
+	contMin, contMax []float64 // per-row reachable continuous activity, lower and upper side
+	contOK           bool      // contMin/contMax were computed from the continuous bounds in rootLo/rootUp
+	points           [4][]float64
+	incumbent        []float64
+	incCopy          []float64
 }
 
 type rowRef struct {
@@ -261,7 +278,11 @@ func (m *Model) MarkPenalty(v Var) {
 // the previous assignment exactly as RAS does between consecutive solves.
 // Use math.NaN for variables without a hint.
 func (m *Model) SetInitial(x []float64) {
-	m.initial = append([]float64(nil), x...)
+	if len(x) == 0 {
+		m.initial = nil
+		return
+	}
+	m.initial = append(m.initial[:0], x...)
 }
 
 // Status reports the outcome of a MIP solve.

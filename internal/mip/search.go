@@ -19,15 +19,18 @@ import (
 )
 
 // engine is the state shared by every search goroutine of one Solve call.
-// All fields set in newEngine are immutable for the duration of the solve;
-// the incumbent is guarded by incMu, the node count and stall tracking are
-// atomics, and the stop flags are sticky atomics so any goroutine can observe
-// an expiry another one detected. LP statistics are not shared at all: each
-// search's workspace counts its own and fillStats sums them after the join.
+// Its buffers are the Model's (solveState), so a re-solve allocates none of
+// them again. All fields set in newEngine are immutable for the duration of
+// the solve; the incumbent is guarded by incMu, the node count and stall
+// tracking are atomics, and the stop flags are sticky atomics so any
+// goroutine can observe an expiry another one detected. LP statistics are not
+// shared at all: each search's workspace counts its own and fillStats sums
+// them after the join.
 type engine struct {
-	m   *Model
-	opt Options
-	ctx context.Context
+	m    *Model
+	opt  Options
+	ctx  context.Context
+	kept *solveState // m.kept: the storage behind the slices below
 
 	n       int
 	rootLo  []float64
@@ -43,9 +46,8 @@ type engine struct {
 	// monotonically improving bound and a worker racing a stale snapshot
 	// can at worst miss a prune, never corrupt the incumbent.
 	incMu      sync.Mutex
-	incumbent  []float64
-	incObj     float64 // +Inf when none
-	incCopy    []float64
+	incumbent  []float64 // nil when none; stored in kept.incumbent
+	incObj     float64   // +Inf when none
 	incUpdates int
 	heurWins   int
 
@@ -64,21 +66,35 @@ type engine struct {
 }
 
 func newEngine(ctx context.Context, m *Model, opt Options) *engine {
+	k := &m.kept
 	e := &engine{
 		m:      m,
 		opt:    opt,
 		ctx:    ctx,
 		n:      m.prob.NumVars(),
 		incObj: math.Inf(1),
+		kept:   k,
 	}
+	rows := m.prob.NumRows()
 
 	// Save root bounds so the model is unchanged after Solve and so node
-	// bound changes have a fixed base to apply against.
-	e.rootLo = make([]float64, e.n)
-	e.rootUp = make([]float64, e.n)
-	for j := 0; j < e.n; j++ {
-		e.rootLo[j], e.rootUp[j] = m.prob.Bounds(j)
+	// bound changes have a fixed base to apply against. A continuous column
+	// whose bounds differ from the last Solve's invalidates the row ranges
+	// below; integer columns never enter them.
+	if len(k.rootLo) != e.n || len(k.contMin) != rows {
+		k.rootLo, k.rootUp = make([]float64, e.n), make([]float64, e.n)
+		k.contMin, k.contMax = make([]float64, rows), make([]float64, rows)
+		k.contOK = false
 	}
+	for j := 0; j < e.n; j++ {
+		lo, up := m.prob.Bounds(j)
+		if !m.integer[j] && (math.Float64bits(lo) != math.Float64bits(k.rootLo[j]) ||
+			math.Float64bits(up) != math.Float64bits(k.rootUp[j])) {
+			k.contOK = false
+		}
+		k.rootLo[j], k.rootUp[j] = lo, up
+	}
+	e.rootLo, e.rootUp = k.rootLo, k.rootUp
 
 	// Build the lazy column index up front: parallel searches share it
 	// read-only, so a lazy rebuild mid-search would race.
@@ -88,26 +104,31 @@ func newEngine(ctx context.Context, m *Model, opt Options) *engine {
 	// how much can the row's continuous members still move the activity?
 	// Pure-integer rows have a zero range; rows with an unbounded envelope
 	// or free slack have an infinite side and never bind the guard there.
-	e.contMin = make([]float64, m.prob.NumRows())
-	e.contMax = make([]float64, m.prob.NumRows())
-	for i := range e.contMin {
-		for _, nz := range m.prob.Row(i) {
-			if m.integer[nz.Index] {
-				continue
+	if !k.contOK {
+		clear(k.contMin)
+		clear(k.contMax)
+		for i := range k.contMin {
+			for _, nz := range m.prob.Row(i) {
+				if m.integer[nz.Index] {
+					continue
+				}
+				lo, up := m.prob.Bounds(nz.Index)
+				a, b := nz.Value*lo, nz.Value*up
+				if a > b {
+					a, b = b, a
+				}
+				k.contMin[i] += a
+				k.contMax[i] += b
 			}
-			lo, up := m.prob.Bounds(nz.Index)
-			a, b := nz.Value*lo, nz.Value*up
-			if a > b {
-				a, b = b, a
-			}
-			e.contMin[i] += a
-			e.contMax[i] += b
 		}
+		k.contOK = true
 	}
+	e.contMin, e.contMax = k.contMin, k.contMax
 
 	// Seed the incumbent from the warm-start point when valid.
 	if m.initial != nil && m.feasibleIntegral(m.initial) {
-		e.incumbent = append([]float64(nil), m.initial...)
+		e.incumbent = append(k.incumbent[:0], m.initial...)
+		k.incumbent = e.incumbent
 		e.incObj = m.objective(e.incumbent)
 	}
 	e.boundBits.Store(math.Float64bits(math.Inf(-1)))
@@ -193,7 +214,8 @@ func (e *engine) offer(x []float64, obj float64, heuristic bool) bool {
 		return false
 	}
 	e.incObj = obj
-	e.incumbent = append(e.incumbent[:0], x...)
+	e.incumbent = append(e.kept.incumbent[:0], x...)
+	e.kept.incumbent = e.incumbent
 	e.incUpdates++
 	if heuristic {
 		e.heurWins++
@@ -202,19 +224,24 @@ func (e *engine) offer(x []float64, obj float64, heuristic bool) bool {
 	return true
 }
 
-// incumbentCopy snapshots the shared incumbent (nil when none exists) into
-// an engine-owned buffer that the next call overwrites. Only the root search's
-// goroutine calls it (root status, root heuristics, polish, final result), so
-// at most one snapshot is live at a time; the final one may escape into
-// Result.X, which is safe because the engine dies with the solve.
-func (e *engine) incumbentCopy() ([]float64, float64) {
+// incumbentCopy snapshots the shared incumbent (nil when none exists) into a
+// buffer the Model keeps, which the next call overwrites. Only the root
+// search's goroutine calls it (root status, root heuristics, polish, final
+// result), so at most one snapshot is live at a time. A snapshot for Result.X
+// takes the buffer with it: the Model lets go of it, and the next solve's
+// first snapshot allocates another.
+func (e *engine) incumbentCopy(forResult bool) ([]float64, float64) {
 	e.incMu.Lock()
 	defer e.incMu.Unlock()
 	if e.incumbent == nil {
 		return nil, e.incObj
 	}
-	e.incCopy = append(e.incCopy[:0], e.incumbent...)
-	return e.incCopy, e.incObj
+	x := append(e.kept.incCopy[:0], e.incumbent...)
+	e.kept.incCopy = x
+	if forResult {
+		e.kept.incCopy = nil
+	}
+	return x, e.incObj
 }
 
 // fillStats copies the solve's statistics into res. The driver calls it after
@@ -236,7 +263,7 @@ func (e *engine) fillStats(res *Result) {
 func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 	switch rootSol.Status {
 	case lp.Infeasible:
-		if inc, incObj := e.incumbentCopy(); inc != nil {
+		if inc, incObj := e.incumbentCopy(true); inc != nil {
 			// The warm start satisfies every row by direct evaluation, so an
 			// infeasible relaxation is numerical noise; keep the incumbent.
 			res.Status = Feasible
@@ -251,7 +278,7 @@ func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 		res.Status = Unbounded
 		return true
 	case lp.IterLimit, lp.Cancelled:
-		inc, incObj := e.incumbentCopy()
+		inc, incObj := e.incumbentCopy(true)
 		if inc == nil {
 			res.Status = NoSolution
 			return true
@@ -290,20 +317,33 @@ type search struct {
 }
 
 // newSearch gives the search the workspace ws, which counts from zero for this
-// solve, or a new one when ws is nil.
+// solve, or a new one when ws is nil, and its four heuristic points, each the
+// model's width: the Model's own for the search on the model's own problem —
+// the root search — and new ones for every other. Every heuristic overwrites a
+// point in full before it reads it, so what a kept one held does not matter.
 func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis, ws *lp.Workspace) *search {
 	if ws == nil {
 		ws = lp.NewWorkspace()
 	}
 	ws.ResetStats()
+	pts := new([4][]float64)
+	if prob == &e.m.prob {
+		pts = &e.kept.points
+	}
+	for i, p := range pts {
+		if cap(p) < e.n {
+			p = make([]float64, e.n)
+		}
+		pts[i] = p[:e.n]
+	}
 	s := &search{
 		m: e.m, e: e, prob: prob,
 		ws:        ws,
 		seedBasis: seed,
-		xbuf:      make([]float64, e.n),
-		xibuf:     make([]float64, e.n),
-		divebuf:   make([]float64, e.n),
-		checkbuf:  make([]float64, e.n),
+		xbuf:      pts[0],
+		xibuf:     pts[1],
+		divebuf:   pts[2],
+		checkbuf:  pts[3],
 	}
 	e.searches = append(e.searches, s)
 	return s
@@ -856,7 +896,7 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 	}
 	// Polish the incumbent with a repair pass; it can close residual
 	// soft-penalty slack that greedy dives strand.
-	if inc, _ := e.incumbentCopy(); inc != nil {
+	if inc, _ := e.incumbentCopy(false); inc != nil {
 		s.roundRepairComplete(inc)
 	}
 }
@@ -868,7 +908,7 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 // everywhere, so nothing the completion LP could return would be kept.
 func (s *search) polish(bound float64) {
 	e := s.e
-	inc, incObj := e.incumbentCopy()
+	inc, incObj := e.incumbentCopy(false)
 	if inc == nil || incObj-bound <= e.opt.AbsGap {
 		return
 	}
@@ -889,7 +929,7 @@ func newResult() Result {
 // Optimal/Feasible/Cancelled/Infeasible classification.
 func (e *engine) finalResult(res Result, outstanding float64, openNodes int) Result {
 	opt := e.opt
-	incumbent, incObj := e.incumbentCopy()
+	incumbent, incObj := e.incumbentCopy(true)
 	res.Bound = math.Min(outstanding, incObj)
 	if incumbent == nil {
 		if openNodes == 0 && !e.timedOut.Load() && !e.cancelled.Load() && int(e.nodes.Load()) < opt.MaxNodes {

@@ -182,6 +182,7 @@ type builtPhase struct {
 	vval      [][]float64 // V_{g,s}
 	initCount [][]float64 // X_{g,s}, kept current through patches
 	initX     []float64   // warm-start point, parallel to model variables
+	solved    [][]float64 // the last solve's counts (solvedCounts), rows over one backing array
 
 	nVar      [][]mip.Var
 	assignRow []int
@@ -204,6 +205,30 @@ type builtPhase struct {
 	serverGroup []int32 // group index; -1 outside the pool
 	countSpec   []int32 // spec index the server's initCount charge went to; -1 none
 	subset      []topology.ServerID
+}
+
+// solvedCounts rounds the group counts of the solution x into bp.solved —
+// solved[g][s] is group g's server count for spec s — and returns it. The
+// matrix is refilled by the next solve of this model, so it is for the
+// current round only, like the initCount fallback realize reads otherwise.
+func (bp *builtPhase) solvedCounts(x []float64) [][]float64 {
+	nG, nS := len(bp.groups), len(bp.specs)
+	if len(bp.solved) != nG || (nG > 0 && len(bp.solved[0]) != nS) {
+		flat := make([]float64, nG*nS)
+		bp.solved = make([][]float64, nG)
+		for gi := range bp.solved {
+			bp.solved[gi] = flat[gi*nS : (gi+1)*nS : (gi+1)*nS]
+		}
+	}
+	for gi, row := range bp.solved {
+		for si := range row {
+			row[si] = 0
+			if v := bp.nVar[gi][si]; v >= 0 {
+				row[si] = math.Round(x[v])
+			}
+		}
+	}
+	return bp.solved
 }
 
 // buildPhase runs the cold path: grouping, initial state, then the MIP as

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -180,6 +181,9 @@ type PhaseWarm struct {
 type WarmState struct {
 	Phase1 PhaseWarm
 	Phase2 PhaseWarm
+	// pools is the storage of the round's two server pools, phase 1's and
+	// the rack phase's, which the next round refills.
+	pools [2][]topology.ServerID
 }
 
 // Input is one solve's snapshot of the world (Figure 6 step 2).
@@ -448,10 +452,12 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 		w1, w2 = &warm.Phase1, &warm.Phase2
 		// A round that skips the rack phase hands its model on untouched.
 		res.Warm.Phase2.model = warm.Phase2.model
+		res.Warm.pools = warm.pools
 	}
 
 	// ---- Phase 1: whole region, MSB granularity. ------------------------
-	pool := usableServers(in)
+	pool := appendUsable(res.Warm.pools[0][:0], in)
+	res.Warm.pools[0] = pool
 	p1 := solvePhase(ctx, in, cfg, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1)
 	res.Phase1 = p1.stats
 	res.Warm.Phase1 = p1.warm
@@ -470,13 +476,14 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 					specs2 = append(specs2, s)
 				}
 			}
-			var pool2 []topology.ServerID
+			pool2 := res.Warm.pools[1][:0]
 			for _, id := range pool {
 				t := res.Targets[id]
 				if t == reservation.Unassigned || sub[t] {
 					pool2 = append(pool2, id)
 				}
 			}
+			res.Warm.pools[1] = pool2
 			p2 := solvePhase(ctx, in, cfg, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2)
 			res.Phase2 = p2.stats
 			res.Warm.Phase2 = p2.warm
@@ -625,9 +632,9 @@ func newSpec(r reservation.Reservation, cfg Config, isBuffer bool) resSpec {
 	}
 }
 
-func usableServers(in Input) []topology.ServerID {
+// appendUsable appends the usable servers in scope to pool, ascending.
+func appendUsable(pool []topology.ServerID, in Input) []topology.ServerID {
 	mask := in.subsetMask()
-	var pool []topology.ServerID
 	for i := range in.States {
 		if mask != nil && !mask[i] {
 			continue
@@ -695,10 +702,9 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	bp.statesVersion = in.StatesVersion
 
 	m := bp.m
-	nG, nS := len(bp.groups), len(specs)
 	out.groups = bp.groups
 	out.stats.AssignVars = bp.assignVars
-	out.stats.Groups = nG
+	out.stats.Groups = len(bp.groups)
 	out.stats.ModelVars = m.NumVars()
 	out.stats.ModelRows = m.NumConstrs()
 	out.stats.CutRows = bp.cutRows
@@ -771,16 +777,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		out.stats.Bound = r.Bound
 		out.stats.RootBound = r.RootObjective
 		out.stats.GapPreemptions = r.Gap() / cfg.MoveCostInUse // nonzero: withDefaults floors MoveCostInUse at 10 when zero
-		counts := make([][]float64, nG)
-		for gi := range out.groups {
-			counts[gi] = make([]float64, nS)
-			for si := range specs {
-				if bp.nVar[gi][si] >= 0 {
-					counts[gi][si] = math.Round(r.X[bp.nVar[gi][si]])
-				}
-			}
-		}
-		out.counts = counts
+		out.counts = bp.solvedCounts(r.X)
 		residual := func(sv mip.Var, format string, args ...any) {
 			out.stats.SoftSlack += r.X[sv]
 			if r.X[sv] > 1e-6 {
@@ -857,22 +854,31 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool)
 // Targets. Within a group, servers already in the target reservation are
 // kept first to minimize real-world churn.
 func realize(in Input, specs []resSpec, p *phaseOutput, targets []reservation.ID) {
+	var buf, others []topology.ServerID // reused by every group and spec
 	for gi, g := range p.groups {
 		// Order servers so that, for each spec in turn, ones already bound
 		// to the spec's reservation come first.
-		remaining := append([]topology.ServerID(nil), g.servers...)
+		buf = append(buf[:0], g.servers...)
+		remaining := buf
 		for si := range specs {
 			want := int(p.counts[gi][si])
 			if want <= 0 {
 				continue
 			}
 			rid := specs[si].res.ID
-			// Stable partition: current members first.
-			sort.SliceStable(remaining, func(a, b int) bool {
-				ca := in.States[remaining[a]].Current == rid
-				cb := in.States[remaining[b]].Current == rid
-				return ca && !cb
-			})
+			// Stable partition: current members first, each side in the
+			// order it had.
+			members := 0
+			others = others[:0]
+			for _, id := range remaining {
+				if in.States[id].Current == rid {
+					remaining[members] = id
+					members++
+				} else {
+					others = append(others, id)
+				}
+			}
+			copy(remaining[members:], others)
 			if want > len(remaining) {
 				want = len(remaining)
 			}
@@ -893,53 +899,73 @@ func realize(in Input, specs []resSpec, p *phaseOutput, targets []reservation.ID
 func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reservation.ID]bool {
 	cat := in.Region.Catalog
 
-	// Rack-level RRU load per output reservation from the phase-1 targets.
-	rackSum := make(map[reservation.ID][]float64) // res → RRU sum per rack
-	crByID := make(map[reservation.ID]float64)
-	resByID := make(map[reservation.ID]*reservation.Reservation)
-	alphaByID := make(map[reservation.ID]float64)
+	// The output reservations, each once, in spec order: capacity summed
+	// over the specs that carry it, the reservation and its policy taken from
+	// the last of them.
+	type outRes struct {
+		id      reservation.ID
+		cr      float64
+		res     *reservation.Reservation
+		alpha   float64
+		value   []float64 // RRUs of one server, by hardware type
+		rackSum []float64 // RRU load per rack from the phase-1 targets; nil until a server counts
+	}
+	var outs []outRes
 	for si := range specs {
 		s := &specs[si]
 		if s.isBuffer {
 			continue
 		}
-		crByID[s.res.ID] += s.res.RRUs
-		resByID[s.res.ID] = &s.res
-		alphaByID[s.res.ID] = s.alphaK
+		k := slices.IndexFunc(outs, func(o outRes) bool { return o.id == s.res.ID })
+		if k < 0 {
+			outs = append(outs, outRes{id: s.res.ID})
+			k = len(outs) - 1
+		}
+		outs[k].cr += s.res.RRUs
+		outs[k].res, outs[k].alpha = &s.res, s.alphaK
+	}
+	for k := range outs {
+		outs[k].value = make([]float64, cat.Len())
+		for t := range outs[k].value {
+			outs[k].value[t] = outs[k].res.Value(cat, t)
+		}
 	}
 	for i := range in.Region.Servers {
 		id := targets[i]
-		if _, ok := crByID[id]; !ok {
+		k := slices.IndexFunc(outs, func(o outRes) bool { return o.id == id })
+		if k < 0 {
 			continue
 		}
+		o := &outs[k]
 		srv := &in.Region.Servers[i]
-		v := resByID[id].Value(cat, srv.Type)
-		sums := rackSum[id]
-		if sums == nil {
-			sums = make([]float64, in.Region.NumRacks)
-			rackSum[id] = sums
+		if o.rackSum == nil {
+			o.rackSum = make([]float64, in.Region.NumRacks)
 		}
-		sums[srv.Rack] += v
+		o.rackSum[srv.Rack] += o.value[srv.Type]
 	}
 
 	// A reservation's excess is summed on its own, over its racks in
 	// ascending order, so equal loads give bit-equal excesses and the total
-	// order below decides ties by ID — never by map iteration order.
+	// order below decides ties by ID.
 	type cand struct {
 		id     reservation.ID
 		excess float64
 	}
 	var cands []cand
-	for id, sums := range rackSum {
-		limit := alphaByID[id] * crByID[id]
+	for k := range outs {
+		o := &outs[k]
+		if o.rackSum == nil {
+			continue
+		}
+		limit := o.alpha * o.cr
 		excess := 0.0
-		for _, sum := range sums {
+		for _, sum := range o.rackSum {
 			if over := sum - limit; over > 0 {
 				excess += over
 			}
 		}
 		if excess > 0 {
-			cands = append(cands, cand{id, excess})
+			cands = append(cands, cand{o.id, excess})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -949,7 +975,7 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 		return cands[i].id < cands[j].id
 	})
 
-	maxRes := int(math.Ceil(phase2ResFraction * float64(len(crByID))))
+	maxRes := int(math.Ceil(phase2ResFraction * float64(len(outs))))
 	if maxRes < 1 {
 		maxRes = 1
 	}

@@ -26,6 +26,9 @@ func testRegion(t testing.TB, dcs, msbsPerDC, racksPerMSB, serversPerRack int, s
 	return r
 }
 
+// usableServers lists the usable servers in scope, ascending.
+func usableServers(in Input) []topology.ServerID { return appendUsable(nil, in) }
+
 func freshInput(region *topology.Region, rsvs []reservation.Reservation) Input {
 	b := broker.New(region)
 	return Input{Region: region, Reservations: rsvs, States: b.Snapshot()}

@@ -140,6 +140,10 @@ type System struct {
 
 	opts      Options
 	lastSolve *SolveResult
+	// snap is the broker snapshot each SolveWith copies into. Nothing a solve
+	// returns or keeps — the SolveResult, the warm state — refers to the
+	// round's States, so the next round may overwrite it.
+	snap []broker.ServerState
 	// warm is the cross-round warm-start state the last solve exported
 	// (backend.Result.Warm): the MIP root bases and/or the local-search
 	// assignment. Each SolveWith passes it back in so consecutive rounds
@@ -236,7 +240,8 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 		return nil, err
 	}
 	storeVersion := s.store.Version()
-	states, statesVersion := s.broker.SnapshotAt()
+	states, statesVersion := s.broker.SnapshotInto(s.snap)
+	s.snap = states
 	in := solver.Input{
 		Region:        s.region,
 		Reservations:  s.store.All(),
