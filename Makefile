@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-quiet bench-quiet-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-quiet bench-quiet-smoke bench-rebuild bench-rebuild-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
 
-check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke bench-quiet-smoke
+check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke bench-quiet-smoke bench-rebuild-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -134,6 +134,20 @@ bench-quiet:
 bench-quiet-smoke:
 	@$(MAKE) --no-print-directory bench-quiet QUIET_BENCHTIME=1x >/dev/null
 
+# One rebuild round of solver.SolveWarm on the same deployment: one assigned
+# server starts running containers — a symmetry group the cached models lack,
+# as failure_churn's in-use failures make — and last round's goes idle, so
+# both phase models rebuild, into the storage of the models they replace,
+# with their root LPs on last round's workspaces. BenchmarkRebuildRound
+# reports ns/op, B/op, allocs/op and the median round (p50-ns/round).
+# `make check` runs one round.
+REBUILD_BENCHTIME ?= 500x
+bench-rebuild:
+	$(GO) test -run '^$$' -bench BenchmarkRebuildRound -benchtime $(REBUILD_BENCHTIME) ./internal/solver
+
+bench-rebuild-smoke:
+	@$(MAKE) --no-print-directory bench-rebuild REBUILD_BENCHTIME=1x >/dev/null
+
 # Every benchmark of the root module once: the paper-figure benches, the
 # backend comparison and the layer benches.
 bench:
@@ -142,8 +156,9 @@ bench:
 # Record the solver benchmark baseline (the simplex kernel's layers and warm
 # re-entry, the MIP's 1/2/NumCPU worker sweeps and the serial local search,
 # the POP k sweep and the repair pass three times each at GOMAXPROCS=1, the
-# online path's two benchmarks, the quiet round, then 20 individually timed
-# rounds of BenchmarkRoundIncremental per mode for its p50 and max) as JSON.
+# online path's two benchmarks, the quiet and the rebuild round, then 20
+# individually timed rounds of BenchmarkRoundIncremental per mode for its p50
+# and max) as JSON.
 # The raw Go benchmark lines are preserved under "benchfmt_lines"; extract
 # them with jq for benchstat comparisons against a later run.
 bench-baseline:
@@ -153,6 +168,7 @@ bench-baseline:
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkRepairTargets -benchtime $(REPAIR_BENCHTIME) -count 3 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPlace|BenchmarkApplyTargets' -benchtime $(ONLINE_BENCHTIME) -count 1 ./internal/allocator ./internal/mover; \
 	  $(GO) test -run '^$$' -bench BenchmarkQuietRound -benchtime $(QUIET_BENCHTIME) -count 1 ./internal/solver; \
+	  $(GO) test -run '^$$' -bench BenchmarkRebuildRound -benchtime $(REBUILD_BENCHTIME) -count 1 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench BenchmarkRoundIncremental -benchtime 20x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"ras/internal/floats"
 )
@@ -150,7 +151,8 @@ func (r *rowwise) transpose(cols [][]Nonzero, done, total int) {
 
 // factor is a sparse factorization of the current simplex basis. It is
 // rebuilt in place by factorize and extended by update; all storage is
-// retained across refactorizations so the steady state allocates nothing.
+// retained across refactorizations so the steady state allocates nothing, and
+// across reset, so a workspace retargeted to another problem reuses it too.
 type factor struct {
 	m int
 
@@ -214,36 +216,57 @@ type factor struct {
 	deficient  []int // slots found unpivotable
 }
 
-// newFactor returns a factorization sized for an m-row basis. It holds no
-// factors until the first factorize call.
-func newFactor(m int) *factor {
+// reset sizes the factorization for an m-row basis and empties it, as new as
+// a zero factor sized for m: it holds no factors until the next factorize
+// call. Storage is kept wherever it has room, and so are the entry slices of
+// the L, U and working columns, which every refactorization truncates before
+// it fills them.
+func (f *factor) reset(m int) {
 	words := (m + 63) / 64
-	f := &factor{m: m}
-	f.lcols = make([][]Nonzero, m)
-	f.ucols = make([][]Nonzero, m)
-	f.lrows.start = make([]int32, m+1)
-	f.urows = make([][]Nonzero, m)
-	f.lsteps = make(bitset, words)
-	f.pr = make([]int, m)
-	f.ps = make([]int, m)
-	f.invP = make([]float64, m)
-	f.rowStep = make([]int32, m)
-	f.slotStep = make([]int32, m)
-	f.slotEtas = make([]uint64, m)
-	f.pv = make([]float64, m)
-	f.sv = make([]float64, m)
-	f.steps = make(bitset, words)
-	f.pattern = make(bitset, words)
-	f.workCol = make([][]Nonzero, m)
-	f.rowCols = make([][]int32, m)
-	f.rowCnt = make([]int32, m)
-	f.colCnt = make([]int32, m)
-	f.rowDone = make([]bool, m)
-	f.colDone = make([]bool, m)
-	f.pos = make([]int32, m)
-	f.posEra = make([]int32, m)
-	f.singles = make(bitset, words)
-	return f
+	f.m = m
+	f.lcols = regrow(f.lcols, m)
+	f.ucols = regrow(f.ucols, m)
+	f.lrows.start = resize(f.lrows.start, m+1)
+	f.urows = regrow(f.urows, m)
+	f.lsteps = resize(f.lsteps, words)
+	f.pr = resize(f.pr, m)
+	f.ps = resize(f.ps, m)
+	f.invP = resize(f.invP, m)
+	f.rowStep = resize(f.rowStep, m)
+	f.slotStep = resize(f.slotStep, m)
+	f.etas = f.etas[:0]
+	f.etaNnz = 0
+	f.slotEtas = resize(f.slotEtas, m)
+	f.factNnz = 0
+	f.pv = resize(f.pv, m)
+	f.sv = resize(f.sv, m)
+	f.steps = resize(f.steps, words)
+	f.pattern = resize(f.pattern, words)
+	f.workCol = regrow(f.workCol, m)
+	f.rowCols = regrow(f.rowCols, m)
+	f.rowCnt = resize(f.rowCnt, m)
+	f.colCnt = resize(f.colCnt, m)
+	f.rowDone = resize(f.rowDone, m)
+	f.colDone = resize(f.colDone, m)
+	f.pos = resize(f.pos, m)
+	f.posEra = resize(f.posEra, m)
+	f.era = 0
+	f.singles = resize(f.singles, words)
+	f.done = 0
+}
+
+// resize returns s with length n and every element zero, in s's own storage
+// when it has room; when it has none, the storage grows as append grows it.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// regrow returns s with length n, keeping the slices it holds — and their
+// storage — in place; every user truncates an element before it fills it.
+func regrow[T any](s [][]T, n int) [][]T {
+	return slices.Grow(s[:cap(s)], max(0, n-cap(s)))[:n]
 }
 
 // nnz reports the nonzeros currently stored across factors and etas — the

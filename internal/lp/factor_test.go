@@ -419,3 +419,10 @@ func TestFactorHeapMatchesLinearScan(t *testing.T) {
 	}
 	sameFactors(t, "captured RAS basis", heap, ref, gotDef, ref.factorizeLinearScan(cols, basis))
 }
+
+// newFactor returns a factorization sized for an m-row basis.
+func newFactor(m int) *factor {
+	f := new(factor)
+	f.reset(m)
+	return f
+}

@@ -62,7 +62,11 @@ func checkKernel(t testing.TB, ws *Workspace) {
 // sparseBoxedLP builds a random sparse LP in which every variable has a finite
 // box and a known interior point is feasible.
 func sparseBoxedLP(rng *rand.Rand, nVars, nRows int) *Problem {
-	p := &Problem{}
+	return addSparseBoxedLP(&Problem{}, rng, nVars, nRows)
+}
+
+// addSparseBoxedLP adds sparseBoxedLP's variables and rows to p.
+func addSparseBoxedLP(p *Problem, rng *rand.Rand, nVars, nRows int) *Problem {
 	point := make([]float64, nVars)
 	for j := range point {
 		up := float64(1 + rng.Intn(6))

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"ras/internal/floats"
@@ -82,13 +83,29 @@ type Problem struct {
 	lo   []float64 // lower bounds (finite)
 	up   []float64 // upper bounds (may be +Inf)
 
-	rows   [][]Nonzero // sparse constraint rows
+	rows   [][]Nonzero // sparse constraint rows, each a full slice of nz
 	senses []Sense
 	rhs    []float64
+	nz     []Nonzero // the storage of every row, in row order
+
+	// gen counts the Resets: a workspace that built its structure for this
+	// problem at another generation builds it again.
+	gen uint64
 
 	// mark is AddRow's scratch: for each variable, one more than its position
 	// in the row being added, zero outside AddRow.
 	mark []int32
+}
+
+// Reset empties the problem for a rebuild that reuses its storage: the next
+// variables and rows are written over the old ones. Workspaces treat the
+// rebuilt problem as a new one. Rows the problem handed out — Row, or a
+// Clone's — are overwritten by the rebuild, so nothing may hold them across
+// a Reset.
+func (p *Problem) Reset() {
+	p.cost, p.lo, p.up = p.cost[:0], p.lo[:0], p.up[:0]
+	p.rows, p.senses, p.rhs, p.nz = p.rows[:0], p.senses[:0], p.rhs[:0], p.nz[:0]
+	p.gen++
 }
 
 // NumVars reports the number of variables added so far.
@@ -166,9 +183,9 @@ func (p *Problem) Cost(j int) float64 { return p.cost[j] }
 // mutated independently of the original — the per-worker scratch state of a
 // parallel branch-and-bound search, where every worker tightens bounds on
 // its own copy between node LPs. The sparse row payloads are shared with the
-// original: rows are append-only and never mutated in place by SolveWith or
-// SetBounds, so sharing them is safe as long as no rows or variables are
-// added to either copy while clones are in use.
+// original: SolveWith, SetBounds and SetRHS never write a row, so sharing
+// them is safe as long as neither copy adds rows or variables, or is Reset,
+// while the clone is in use.
 func (p *Problem) Clone() *Problem {
 	return &Problem{
 		cost:   append([]float64(nil), p.cost...),
@@ -184,10 +201,12 @@ func (p *Problem) Clone() *Problem {
 // Coefficients must reference variables that already exist. Duplicate indices
 // within one row are summed.
 func (p *Problem) AddRow(coeffs []Nonzero, sense Sense, rhs float64) int {
-	row := make([]Nonzero, 0, len(coeffs))
 	if n := len(p.cost) - len(p.mark); n > 0 {
 		p.mark = append(p.mark, make([]int32, n)...)
 	}
+	start := len(p.nz)
+	p.nz = slices.Grow(p.nz, len(coeffs))
+	row := p.nz[start : start : start+len(coeffs)]
 	for _, nz := range coeffs {
 		if nz.Index < 0 || nz.Index >= len(p.cost) {
 			panic(fmt.Sprintf("lp: row references unknown variable %d", nz.Index))
@@ -205,7 +224,8 @@ func (p *Problem) AddRow(coeffs []Nonzero, sense Sense, rhs float64) int {
 	for _, nz := range row {
 		p.mark[nz.Index] = 0
 	}
-	p.rows = append(p.rows, row)
+	p.nz = p.nz[:start+len(row)]
+	p.rows = append(p.rows, row[:len(row):len(row)])
 	p.senses = append(p.senses, sense)
 	p.rhs = append(p.rhs, rhs)
 	return len(p.rows) - 1

@@ -269,9 +269,7 @@ func (s *Workspace) optimize(cost []float64) Status {
 			// Escalate to Devex: reset the reference framework to the
 			// current nonbasic set (all weights 1).
 			staged = devex
-			if s.gamma == nil {
-				s.gamma = make([]float64, s.artStart)
-			}
+			s.gamma = resize(s.gamma, s.artStart)
 			for j := range s.gamma {
 				s.gamma[j] = 1
 			}

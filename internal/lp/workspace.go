@@ -18,9 +18,10 @@ import (
 // allocation-free apart from the Solution's X vector.
 //
 // A Workspace is owned by one goroutine at a time. It retargets itself
-// automatically when handed a different Problem or a Problem whose shape
-// (variable or row count) changed since the last solve; retained basis
-// state is discarded on retarget.
+// automatically when handed a different Problem, a Problem rebuilt since the
+// last solve (Problem.Reset), or one whose shape (variable or row count)
+// changed; retained basis state is discarded on retarget, and the storage is
+// kept for the new structure.
 //
 // Variables are indexed 0..nStruct-1 structural, then slacks, then one
 // artificial per row starting at artStart.
@@ -34,12 +35,15 @@ type Workspace struct {
 
 	stats Stats // everything this workspace has done since ResetStats
 
-	// Structure, rebuilt by reshape when the owner or shape changes.
+	// Structure, rebuilt by reshape when the owner, its generation or the shape
+	// changes.
 	owner    *Problem
+	ownerGen uint64      // owner's generation (Problem.Reset) when the structure was built
 	m        int         // rows
 	n        int         // total columns (structural + slacks + artificials)
 	nStruct  int         // structural variable count
 	cols     [][]Nonzero // column-wise copy of the rows (which pivotRow reads in place), then the unit columns
+	colNz    []Nonzero   // the storage of every column of cols
 	artStart int         // first artificial column index
 	slackOf  []int       // row → slack column, or -1 for equality rows
 	slackRow []int       // slack column − nStruct → row
@@ -56,9 +60,9 @@ type Workspace struct {
 	inRow    []int  // inRow[j] = row where j is basic, or -1
 	atUp     []bool // nonbasic at upper bound (else at lower)
 	x        []float64
-	fact     *factor // sparse basis factorization (LU + eta file)
-	repaired bool    // last refactorization swapped artificials into the basis
-	offBound bool    // a primal bound flip of this solve left a column's value off its bound's bits
+	fact     factor // sparse basis factorization (LU + eta file)
+	repaired bool   // last refactorization swapped artificials into the basis
+	offBound bool   // a primal bound flip of this solve left a column's value off its bound's bits
 
 	// Retained good basis: the warm-start seed — the most recent optimal,
 	// artificial-free basis this workspace reached, or the Basis it last
@@ -177,25 +181,31 @@ func (s *Workspace) solve(ctx context.Context, p *Problem, opt Options) Solution
 }
 
 // reshape points the workspace at p, rebuilding the simplex structure unless
-// the workspace already holds it for this exact problem and shape. It
-// reports whether the existing structure was reused.
+// the workspace already holds it for this exact problem, generation and shape.
+// It reports whether the existing structure was reused. A rebuild writes into
+// the workspace's own storage wherever it has room and leaves every buffer as
+// a new workspace's would be: the first solve on a retargeted workspace runs
+// exactly as it would on a new one.
 func (s *Workspace) reshape(p *Problem) bool {
 	m, nStruct := len(p.rows), len(p.cost)
-	if s.owner == p && s.m == m && s.nStruct == nStruct {
+	if s.owner == p && s.ownerGen == p.gen && s.m == m && s.nStruct == nStruct {
 		return true
 	}
 	s.owner = p
+	s.ownerGen = p.gen
 	s.m = m
 	s.nStruct = nStruct
 	s.goodOK = false
 	s.liveIsGood = false
 	s.goodBasis = nil
+	s.repaired = false
+	s.offBound = false
 	s.rotor = 0
 
-	// Count, allocate once, fill: structural columns from the sparse rows,
-	// then one unit column per inequality row (its slack: +1 for LE and -1 for
-	// GE, bounds [0, +Inf), zero cost) and one per row (its artificial).
-	s.slackOf = make([]int, m)
+	// Count, size once, fill: structural columns from the sparse rows, then
+	// one unit column per inequality row (its slack: +1 for LE and -1 for GE,
+	// bounds [0, +Inf), zero cost) and one per row (its artificial).
+	s.slackOf = resize(s.slackOf, m)
 	s.slackRow = s.slackRow[:0]
 	n := nStruct
 	for i, sense := range p.senses {
@@ -209,7 +219,7 @@ func (s *Workspace) reshape(p *Problem) bool {
 	s.artStart = n
 	n += m
 	s.n = n
-	count := make([]int, n) // becomes s.inRow, which every start overwrites
+	count := resize(s.inRow, n) // becomes s.inRow, which every start overwrites
 	total := 0
 	for _, row := range p.rows {
 		for _, nz := range row {
@@ -217,15 +227,15 @@ func (s *Workspace) reshape(p *Problem) bool {
 		}
 		total += len(row)
 	}
-	arena := make([]Nonzero, total+n-nStruct)
-	cols := make([][]Nonzero, n)
+	s.colNz = resize(s.colNz, total+n-nStruct)
+	cols := resize(s.cols, n)
 	at := 0
 	for j := range cols {
 		size := 1
 		if j < nStruct {
 			size = count[j]
 		}
-		cols[j] = arena[at : at : at+size]
+		cols[j] = s.colNz[at : at : at+size]
 		at += size
 	}
 	for i, row := range p.rows {
@@ -243,37 +253,37 @@ func (s *Workspace) reshape(p *Problem) bool {
 	}
 	s.cols = cols
 
-	s.cost = make([]float64, n)
-	s.lo = make([]float64, n)
-	s.up = make([]float64, n)
-	s.b = make([]float64, m)
+	s.cost = resize(s.cost, n)
+	s.lo = resize(s.lo, n)
+	s.up = resize(s.up, n)
+	s.b = resize(s.b, m)
 	for j := s.nStruct; j < s.artStart; j++ {
 		s.up[j] = Inf // slack bounds are constant: [0, +Inf)
 	}
 
-	s.basis = make([]int, m)
+	s.basis = resize(s.basis, m)
 	s.inRow = count
-	s.atUp = make([]bool, n)
-	s.x = make([]float64, n)
-	s.fact = newFactor(m)
-	s.goodCols = make([]int, m)
-	s.goodAtUp = make([]bool, n)
+	s.atUp = resize(s.atUp, n)
+	s.x = resize(s.x, n)
+	s.fact.reset(m)
+	s.goodCols = resize(s.goodCols, m)
+	s.goodAtUp = resize(s.goodAtUp, n)
 
-	s.d = make([]float64, s.artStart)
+	s.d = resize(s.d, s.artStart)
 	s.obj = nil
-	s.rho = make([]float64, m)
-	s.rhoIdx = make([]int, 0, m)
-	s.alpha = make([]float64, s.artStart)
+	s.rho = resize(s.rho, m)
+	s.rhoIdx = s.rhoIdx[:0]
+	s.alpha = resize(s.alpha, s.artStart)
 	s.alphaIdx = s.alphaIdx[:0]
-	s.touched = make([]bool, s.artStart)
+	s.touched = resize(s.touched, s.artStart)
 	s.viol = s.viol[:0]
-	s.isViol = make([]bool, s.artStart)
-	s.y = make([]float64, m)
-	s.w = make([]float64, m)
-	s.wnz = make([]int, 0, m)
-	s.cb = make([]float64, m)
-	s.resid = make([]float64, m)
-	s.gamma = nil // sized when a pass first escalates to Devex
+	s.isViol = resize(s.isViol, s.artStart)
+	s.y = resize(s.y, m)
+	s.w = resize(s.w, m)
+	s.wnz = s.wnz[:0]
+	s.cb = resize(s.cb, m)
+	s.resid = resize(s.resid, m)
+	s.gamma = s.gamma[:0] // sized when a pass first escalates to Devex
 	return false
 }
 

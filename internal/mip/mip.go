@@ -25,7 +25,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"ras/internal/floats"
 	"ras/internal/lp"
@@ -57,21 +59,52 @@ var Inf = lp.Inf
 type Model struct {
 	prob     lp.Problem // variables, bounds, costs and rows
 	integer  []bool
-	names    []string
-	rowNames []string
+	names    nameList
+	rowNames nameList
+	row      []lp.Nonzero // the row AddConstr, AddPosPart and AddUpperEnvelope stage for the problem to copy
 
 	initial []float64    // optional warm-start point (may be partial: NaN = unset)
 	penalty map[Var]bool // soft-constraint slack variables (see MarkPenalty)
 
 	// Column index caches for the repair heuristic, rebuilt lazily when the
-	// model grows.
-	colRows     [][]rowRef
+	// model grows or is Reset: column j's rows are colRefs[colStart[j]:colStart[j+1]].
+	colStart    []int32
+	colRefs     []rowRef
 	intOnlyRows []bool
-	idxRows     int // row count when the caches were built
+	idxRows     int // row count when the caches were built, -1 after a Reset
 	idxVars     int
 
 	kept solveState // per-solve state carried from one Solve to the next
 }
+
+// nameList holds a model's variable or row names back to back in one byte
+// buffer, so that adding one copies its bytes and allocates nothing once the
+// buffer has room.
+type nameList struct {
+	buf []byte
+	end []int32 // name i is buf[end[i-1]:end[i]]
+}
+
+func (l *nameList) add(name string) {
+	l.buf = append(l.buf, name...)
+	l.end = append(l.end, int32(len(l.buf)))
+}
+
+// addIndexed adds the name prefix[i].
+func (l *nameList) addIndexed(prefix string, i int) {
+	l.buf = append(strconv.AppendInt(append(append(l.buf, prefix...), '['), int64(i), 10), ']')
+	l.end = append(l.end, int32(len(l.buf)))
+}
+
+func (l *nameList) at(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = l.end[i-1]
+	}
+	return l.buf[start:l.end[i]]
+}
+
+func (l *nameList) reset() { l.buf, l.end = l.buf[:0], l.end[:0] }
 
 // solveState is what a Model keeps of one Solve for the next, so that
 // re-solving a model patched in place rebuilds none of it: the root bounds
@@ -94,29 +127,70 @@ type rowRef struct {
 }
 
 // buildColIndex (re)builds the column→rows index used by the repair
-// heuristic. It is a no-op when the model has not grown since the last call.
+// heuristic: count, size once, fill, each column's rows in ascending order in
+// one arena. It is a no-op when the model has not grown or been Reset since
+// the last call.
 func (m *Model) buildColIndex() {
-	if m.idxRows == m.prob.NumRows() && m.idxVars == m.prob.NumVars() {
+	nRows, nVars := m.prob.NumRows(), m.prob.NumVars()
+	if m.idxRows == nRows && m.idxVars == nVars {
 		return
 	}
-	m.colRows = make([][]rowRef, m.prob.NumVars())
-	m.intOnlyRows = make([]bool, m.prob.NumRows())
+	start := slices.Grow(m.colStart[:0], nVars+1)[:nVars+1]
+	clear(start)
+	nnz := 0
+	for i := 0; i < nRows; i++ {
+		row := m.prob.Row(i)
+		for _, nz := range row {
+			start[nz.Index+1]++
+		}
+		nnz += len(row)
+	}
+	for j := 0; j < nVars; j++ {
+		start[j+1] += start[j]
+	}
+	refs := slices.Grow(m.colRefs[:0], nnz)[:nnz]
+	m.intOnlyRows = slices.Grow(m.intOnlyRows[:0], nRows)[:nRows]
 	for i := range m.intOnlyRows {
 		pure := true
 		for _, nz := range m.prob.Row(i) {
-			m.colRows[nz.Index] = append(m.colRows[nz.Index], rowRef{row: i, coef: nz.Value})
+			refs[start[nz.Index]] = rowRef{row: i, coef: nz.Value}
+			start[nz.Index]++
 			if !m.integer[nz.Index] {
 				pure = false
 			}
 		}
 		m.intOnlyRows[i] = pure
 	}
-	m.idxRows = m.prob.NumRows()
-	m.idxVars = m.prob.NumVars()
+	// Filling advanced every start to its column's end, which is the next
+	// column's start: shift back by one column.
+	copy(start[1:], start[:nVars])
+	start[0] = 0
+	m.colStart, m.colRefs = start, refs
+	m.idxRows, m.idxVars = nRows, nVars
 }
+
+// colRows lists the rows of column j with their coefficients (buildColIndex).
+func (m *Model) colRows(j int) []rowRef { return m.colRefs[m.colStart[j]:m.colStart[j+1]] }
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{} }
+
+// Reset empties the model for a rebuild that reuses its storage — variables,
+// rows, names, penalty marks, the column index and the per-solve state — and
+// makes every cache keyed on the model's identity or shape treat the rebuilt
+// model as new: its problem's workspaces retarget (lp.Problem.Reset), and the
+// column index and the row ranges of the next Solve are computed afresh. A
+// rebuilt model solves exactly as a new one built the same way.
+func (m *Model) Reset() {
+	m.prob.Reset()
+	m.integer = m.integer[:0]
+	m.names.reset()
+	m.rowNames.reset()
+	m.initial = m.initial[:0]
+	clear(m.penalty)
+	m.idxRows, m.idxVars = -1, -1
+	m.kept.contOK = false
+}
 
 // NumVars reports the number of variables added so far.
 func (m *Model) NumVars() int { return m.prob.NumVars() }
@@ -125,17 +199,17 @@ func (m *Model) NumVars() int { return m.prob.NumVars() }
 func (m *Model) NumConstrs() int { return m.prob.NumRows() }
 
 // VarName reports the name given to v at creation.
-func (m *Model) VarName(v Var) string { return m.names[v] }
+func (m *Model) VarName(v Var) string { return string(m.names.at(int(v))) }
 
 // ConstrName reports the name given to constraint row i at creation.
-func (m *Model) ConstrName(i int) string { return m.rowNames[i] }
+func (m *Model) ConstrName(i int) string { return string(m.rowNames.at(i)) }
 
 // AddVar adds a continuous variable and returns it. The lower bound must be
 // finite; the upper bound may be mip.Inf.
 func (m *Model) AddVar(name string, cost, lo, up float64) Var {
 	j := m.prob.AddVar(cost, lo, up)
 	m.integer = append(m.integer, false)
-	m.names = append(m.names, name)
+	m.names.add(name)
 	return Var(j)
 }
 
@@ -148,12 +222,12 @@ func (m *Model) AddIntVar(name string, cost, lo, up float64) Var {
 
 // AddConstr adds the constraint Σ terms sense rhs and returns its row index.
 func (m *Model) AddConstr(name string, terms []Term, sense Sense, rhs float64) int {
-	nz := make([]lp.Nonzero, 0, len(terms))
+	m.row = m.row[:0]
 	for _, t := range terms {
-		nz = append(nz, lp.Nonzero{Index: int(t.Var), Value: t.Coef})
+		m.row = append(m.row, lp.Nonzero{Index: int(t.Var), Value: t.Coef})
 	}
-	i := m.prob.AddRow(nz, sense, rhs)
-	m.rowNames = append(m.rowNames, name)
+	i := m.prob.AddRow(m.row, sense, rhs) // the one copy of the terms
+	m.rowNames.add(name)
 	return i
 }
 
@@ -184,7 +258,7 @@ func (m *Model) Fingerprint() uint64 {
 			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 	}
 	wf := func(f float64) { w64(math.Float64bits(f)) }
-	ws := func(s string) { w64(uint64(len(s))); buf = append(buf, s...) }
+	ws := func(s []byte) { w64(uint64(len(s))); buf = append(buf, s...) }
 	w64(uint64(m.prob.NumVars()))
 	for j := 0; j < m.prob.NumVars(); j++ {
 		lo, up := m.prob.Bounds(j)
@@ -196,7 +270,7 @@ func (m *Model) Fingerprint() uint64 {
 		} else {
 			w64(0)
 		}
-		ws(m.names[j])
+		ws(m.names.at(j))
 	}
 	w64(uint64(m.prob.NumRows()))
 	for i := 0; i < m.prob.NumRows(); i++ {
@@ -208,7 +282,7 @@ func (m *Model) Fingerprint() uint64 {
 		}
 		w64(uint64(m.prob.Sense(i)))
 		wf(m.prob.RHS(i))
-		ws(m.rowNames[i])
+		ws(m.rowNames.at(i))
 	}
 	w64(uint64(len(m.initial)))
 	for _, v := range m.initial {
@@ -234,12 +308,18 @@ func (m *Model) Fingerprint() uint64 {
 // expressions 1–3).
 func (m *Model) AddPosPart(name string, terms []Term, constant, cost float64) (Var, int) {
 	y := m.AddVar(name, cost, 0, Inf)
-	row := make([]Term, 0, len(terms)+1)
-	row = append(row, Term{y, 1})
+	m.stageNegated(y, terms)
+	i := m.prob.AddRow(m.row, GE, constant)
+	m.rowNames.add(name)
+	return y, i
+}
+
+// stageNegated stages the row 1·v − Σ terms in m.row.
+func (m *Model) stageNegated(v Var, terms []Term) {
+	m.row = append(m.row[:0], lp.Nonzero{Index: int(v), Value: 1})
 	for _, t := range terms {
-		row = append(row, Term{t.Var, -t.Coef})
+		m.row = append(m.row, lp.Nonzero{Index: int(t.Var), Value: -t.Coef})
 	}
-	return y, m.AddConstr(name, row, GE, constant)
 }
 
 // AddUpperEnvelope adds an auxiliary continuous variable z with objective
@@ -252,12 +332,9 @@ func (m *Model) AddUpperEnvelope(name string, groups [][]Term, cost float64) (Va
 	z := m.AddVar(name, cost, 0, Inf)
 	rows := make([]int, len(groups))
 	for gi, g := range groups {
-		row := make([]Term, 0, len(g)+1)
-		row = append(row, Term{z, 1})
-		for _, t := range g {
-			row = append(row, Term{t.Var, -t.Coef})
-		}
-		rows[gi] = m.AddConstr(fmt.Sprintf("%s[%d]", name, gi), row, GE, 0)
+		m.stageNegated(z, g)
+		rows[gi] = m.prob.AddRow(m.row, GE, 0)
+		m.rowNames.addIndexed(name, gi)
 	}
 	return z, rows
 }
@@ -360,14 +437,17 @@ type Options struct {
 	// rounds solve near-identical problems. A basis the root LP cannot use
 	// falls back to a cold root solve and Result.RootCold says why.
 	RootBasis *lp.Basis
-	// RootWorkspace is the Result.RootWorkspace of the previous solve of this
-	// same model (patched in place since, perhaps): the root search runs on it
-	// instead of a new one, so the simplex structure is not rebuilt, and when
+	// RootWorkspace is the Result.RootWorkspace of the previous solve: the
+	// root search runs on it instead of a new one. For the same model (patched
+	// in place since, perhaps) the simplex structure is not rebuilt, and when
 	// RootBasis is the basis it still holds — nothing was solved on it after
 	// that root — the root LP re-enters its factorization too, once the basic
 	// values recomputed from the new bounds and right-hand sides pass the
-	// residual check (it is refactorized otherwise). It is state like
-	// RootBasis, and like it single-flight: one solve at a time may hold it.
+	// residual check (it is refactorized otherwise). For any other model, or
+	// the same one rebuilt since (Reset), the workspace retargets itself and
+	// keeps only its storage: the solve runs exactly as on a new workspace. It
+	// is state like RootBasis, and like it single-flight: one solve at a time
+	// may hold it.
 	RootWorkspace *lp.Workspace
 	// Workers is the number of branch-and-bound workers draining one open
 	// list, already resolved by the caller. ≤ 1 runs the search on the

@@ -10,6 +10,7 @@ package mip
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,8 +83,8 @@ func newEngine(ctx context.Context, m *Model, opt Options) *engine {
 	// whose bounds differ from the last Solve's invalidates the row ranges
 	// below; integer columns never enter them.
 	if len(k.rootLo) != e.n || len(k.contMin) != rows {
-		k.rootLo, k.rootUp = make([]float64, e.n), make([]float64, e.n)
-		k.contMin, k.contMax = make([]float64, rows), make([]float64, rows)
+		k.rootLo, k.rootUp = slices.Grow(k.rootLo[:0], e.n)[:e.n], slices.Grow(k.rootUp[:0], e.n)[:e.n]
+		k.contMin, k.contMax = slices.Grow(k.contMin[:0], rows)[:rows], slices.Grow(k.contMax[:0], rows)[:rows]
 		k.contOK = false
 	}
 	for j := 0; j < e.n; j++ {
@@ -126,7 +127,7 @@ func newEngine(ctx context.Context, m *Model, opt Options) *engine {
 	e.contMin, e.contMax = k.contMin, k.contMax
 
 	// Seed the incumbent from the warm-start point when valid.
-	if m.initial != nil && m.feasibleIntegral(m.initial) {
+	if len(m.initial) > 0 && m.feasibleIntegral(m.initial) {
 		e.incumbent = append(k.incumbent[:0], m.initial...)
 		k.incumbent = e.incumbent
 		e.incObj = m.objective(e.incumbent)
@@ -412,7 +413,7 @@ func (m *Model) newIntAct(xi []float64) []float64 {
 // reach of its continuous members.
 func (s *search) guardBlocked(act []float64, j int, delta float64) int {
 	m, e := s.m, s.e
-	for _, ri := range m.colRows[j] {
+	for _, ri := range m.colRows(j) {
 		i := ri.row
 		na := act[i] + ri.coef*delta
 		rhs := m.prob.RHS(i)
@@ -440,7 +441,7 @@ func (s *search) guardOK(act []float64, j int, delta float64) bool {
 
 func (s *search) applyDelta(act, xi []float64, j int, delta float64) {
 	xi[j] += delta
-	for _, ri := range s.m.colRows[j] {
+	for _, ri := range s.m.colRows(j) {
 		act[ri.row] += ri.coef * delta
 	}
 }
@@ -462,7 +463,7 @@ func (s *search) guardedRound(act, xi []float64, j int) bool {
 	// Anchor toward the warm start only when the fractional point is
 	// genuinely ambiguous; strong fractional pulls (e.g. capacity fills)
 	// must win over stability.
-	if m.initial != nil && j < len(m.initial) && frac > 0.35 && frac < 0.65 {
+	if j < len(m.initial) && frac > 0.35 && frac < 0.65 {
 		if iv := m.initial[j]; floats.ExactEqual(iv, floor) || floats.ExactEqual(iv, ceil) {
 			first, second = iv, floor+ceil-iv
 		}

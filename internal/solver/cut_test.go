@@ -194,7 +194,10 @@ func TestCutRowsWhereSumsAreCounts(t *testing.T) {
 // other has them taken away. Round for round the phases end in the same
 // status at the same objective, and what a round reports as its LP work is
 // exactly what its (carried) root workspace did since it was handed over —
-// at Workers = 1 that workspace runs every LP of the phase.
+// at Workers = 1 that workspace runs every LP of the phase. A phase that
+// rebuilt its model runs on the carried workspace too, retargeted, and
+// matches the fresh side to the bit; a patched phase's live re-entry may
+// differ from a fresh factorization in the last bits.
 func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 	region := testRegion(t, 2, 2, 3, 5, 43)
 	mA := newMutator(t, region, 45, 5)
@@ -204,8 +207,9 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 
 	var dtA, dtB deltaTracker
 	var warmA, warmB *WarmState
-	carried, reentered := 0, 0
+	carried, reentered, rebuilt := 0, 0, 0
 	for round := 0; round < 50; round++ {
+		prevA := warmA
 		if round > 0 {
 			mA.step(round%9 == 6)
 			mB.step(round%9 == 6)
@@ -240,6 +244,18 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 			if pw.ws == nil {
 				continue // the phase did not run
 			}
+			if prev := prevA; !a.ModelPatched && prev != nil {
+				if prevWS := [2]*PhaseWarm{&prev.Phase1, &prev.Phase2}[k].ws; prevWS != nil {
+					rebuilt++
+					if pw.ws != prevWS {
+						t.Fatalf("round %d phase %d: the rebuilt model's root ran on a new workspace, not last round's", round, k+1)
+					}
+					if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || a.LPIters != b.LPIters {
+						t.Fatalf("round %d phase %d: rebuilt model: objective %.17g in %d LP iterations on the carried workspace, %.17g in %d on a fresh one",
+							round, k+1, a.Objective, a.LPIters, b.Objective, b.LPIters)
+					}
+				}
+			}
 			if got := pw.ws.Stats(); got != a.LP {
 				t.Fatalf("round %d phase %d: the result reports LP work %+v, its root workspace did %+v", round, k+1, a.LP, got)
 			}
@@ -266,8 +282,10 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if carried < 10 || reentered == 0 {
-		t.Fatalf("%d phases ran on a carried workspace, %d of them re-entered its factorization: the sequence no longer covers the carry", carried, reentered)
+	if carried < 10 || reentered == 0 || rebuilt < 10 {
+		t.Fatalf("%d patched phases ran on a carried workspace, %d of them re-entered its factorization, %d rebuilt ones: the sequence no longer covers the carry",
+			carried, reentered, rebuilt)
 	}
-	t.Logf("50 rounds: %d phases on a carried workspace, %d with fewer refactorizations than on a fresh one", carried, reentered)
+	t.Logf("50 rounds: %d patched phases on a carried workspace, %d with fewer refactorizations than on a fresh one; %d rebuilt phases on a carried workspace",
+		carried, reentered, rebuilt)
 }

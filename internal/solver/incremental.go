@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"ras/internal/broker"
 	"ras/internal/clock"
@@ -212,17 +213,9 @@ type builtPhase struct {
 // matrix is refilled by the next solve of this model, so it is for the
 // current round only, like the initCount fallback realize reads otherwise.
 func (bp *builtPhase) solvedCounts(x []float64) [][]float64 {
-	nG, nS := len(bp.groups), len(bp.specs)
-	if len(bp.solved) != nG || (nG > 0 && len(bp.solved[0]) != nS) {
-		flat := make([]float64, nG*nS)
-		bp.solved = make([][]float64, nG)
-		for gi := range bp.solved {
-			bp.solved[gi] = flat[gi*nS : (gi+1)*nS : (gi+1)*nS]
-		}
-	}
+	bp.solved = matrix(bp.solved, len(bp.groups), len(bp.specs))
 	for gi, row := range bp.solved {
 		for si := range row {
-			row[si] = 0
 			if v := bp.nVar[gi][si]; v >= 0 {
 				row[si] = math.Round(x[v])
 			}
@@ -231,36 +224,52 @@ func (bp *builtPhase) solvedCounts(x []float64) [][]float64 {
 	return bp.solved
 }
 
-// buildPhase runs the cold path: grouping, initial state, then the MIP as
+// matrix returns m reshaped to nG rows of nS zeros. The rows are consecutive
+// slices of one array — m's own when it has room, which is why a row's
+// capacity runs to the array's end: m[0] reaches all of it.
+func matrix[T any](m [][]T, nG, nS int) [][]T {
+	var flat []T
+	if len(m) > 0 {
+		flat = m[0][:cap(m[0])]
+	}
+	flat = slices.Grow(flat[:0], nG*nS)[:nG*nS]
+	clear(flat)
+	m = slices.Grow(m[:0], nG)[:nG]
+	for gi := range m {
+		m[gi] = flat[gi*nS : (gi+1)*nS]
+	}
+	return m
+}
+
+// rebuild runs the cold path — grouping, initial state, then the MIP as
 // layout (every column, row, coefficient, name and cost, with placeholder
 // bounds and right-hand sides) followed by the fill functions over every
-// group, cell and spec — the same three functions patch runs over what a
-// delta touched.
-func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
+// group, cell and spec, the same three functions patch runs over what a delta
+// touched — into the storage of old, the phase the new one replaces: its
+// model (mip.Model.Reset), the value, count, solution and warm-start
+// matrices and the per-server tables. old keeps its layout index alone —
+// what carryBasis reads — and is spent: a later round that finds it rebuilds
+// into new storage. A first build is the same code from a zero builtPhase.
+func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	targets []reservation.ID, rackLevel bool, stats *PhaseStats) *builtPhase {
+
+	store := *old
+	*old = builtPhase{specs: store.specs, groupIdx: store.groupIdx, assignRow: store.assignRow,
+		nVar: store.nVar, moveVar: store.moveVar, moveRow: store.moveRow,
+		sp: store.sp, msbIdx: store.msbIdx, rackIdx: store.rackIdx}
 
 	// ---------------- RAS build: grouping & constants. -------------------
 	t0 := clock.Now()
-	groups, groupIdx := groupServers(in, pool, rackLevel, cfg.WearPenalty > 0)
+	groups, groupIdx := groupServers(in, pool, rackLevel, cfg.WearPenalty > 0, store.groups)
 	cat := in.Region.Catalog
 	nG, nS := len(groups), len(specs)
 
-	// Per-(group, spec) RRU values, eligibility, and variable names.
-	vval := make([][]float64, nG)
-	names := make([][]string, nG)
+	// Per-(group, spec) RRU values; a cell is eligible where it is positive.
+	vval := matrix(store.vval, nG, nS)
 	for gi, g := range groups {
-		row := make([]float64, nS)
-		nrow := make([]string, nS)
 		for si := range specs {
-			s := &specs[si]
-			v := s.res.ValueAt(cat, g.key.typeIdx, g.dc)
-			row[si] = v
-			if v > 0 {
-				nrow[si] = fmt.Sprintf("n[g%d,%s]", gi, s.res.Name)
-			}
+			vval[gi][si] = specs[si].res.ValueAt(cat, g.key.typeIdx, g.dc)
 		}
-		vval[gi] = row
-		names[gi] = nrow
 	}
 	stats.RASBuild = clock.Since(t0)
 
@@ -274,7 +283,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	for si := range specs {
 		specByID[specs[si].res.ID] = append(specByID[specs[si].res.ID], si)
 	}
-	curRef := make([]reservation.ID, n)
+	curRef := slices.Grow(store.curRef[:0], n)[:n]
 	for i := range curRef {
 		if rackLevel {
 			curRef[i] = targets[i]
@@ -282,34 +291,38 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 			curRef[i] = in.States[i].Current
 		}
 	}
-	initCount := make([][]float64, nG)
-	serverGroup := make([]int32, n)
-	countSpec := make([]int32, n)
+	initCount := matrix(store.initCount, nG, nS)
+	serverGroup := slices.Grow(store.serverGroup[:0], n)[:n]
+	countSpec := slices.Grow(store.countSpec[:0], n)[:n]
 	for i := range serverGroup {
 		serverGroup[i] = -1
 		countSpec[i] = -1
 	}
 	for gi, g := range groups {
-		row := make([]float64, nS)
 		for _, id := range g.servers {
 			serverGroup[id] = int32(gi)
 			// Buffer specs share an ID; pick the one matching the type.
 			for _, si := range specByID[curRef[id]] {
 				if vval[gi][si] > 0 {
-					row[si]++
+					initCount[gi][si]++
 					countSpec[id] = int32(si)
 					break
 				}
 			}
 		}
-		initCount[gi] = row
 	}
 	stats.InitialState = clock.Since(t0)
 
 	// ---------------- Solver build: the MIP. ------------------------------
 	t0 = clock.Now()
+	m := store.m
+	if m == nil {
+		m = mip.NewModel()
+	} else {
+		m.Reset()
+	}
 	bp := &builtPhase{
-		m:         mip.NewModel(),
+		m:         m,
 		region:    in.Region,
 		rackLevel: rackLevel,
 		cfg:       cfg,
@@ -320,17 +333,20 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		groupIdx:  groupIdx,
 		vval:      vval,
 		initCount: initCount,
+		initX:     store.initX,
+		solved:    store.solved,
 
 		curRef:      curRef,
+		inPool:      slices.Grow(store.inPool[:0], n)[:n],
 		serverGroup: serverGroup,
 		countSpec:   countSpec,
-		subset:      append([]topology.ServerID(nil), in.Subset...),
+		subset:      append(store.subset[:0], in.Subset...),
 	}
-	bp.inPool = make([]bool, n)
+	clear(bp.inPool)
 	for _, id := range pool {
 		bp.inPool[id] = true
 	}
-	bp.layout(names)
+	bp.layout()
 	for gi := range bp.groups {
 		bp.fillGroup(gi)
 		for si := range bp.specs {
@@ -349,6 +365,15 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	return bp
 }
 
+// label is a model name under construction, appended the way fmt prints %s
+// and %d. layout hands string(label) straight to the mip.Model, which keeps
+// the bytes and not the string, so a name that fits the compiler's 32-byte
+// conversion buffer is never allocated on its own.
+type label []byte
+
+func (l label) s(x string) label { return append(l, x...) }
+func (l label) d(x int) label    { return strconv.AppendInt(l, int64(x), 10) }
+
 // layout adds every column and row of the phase's MIP and records where each
 // landed. It fixes the model's shape — which variables and rows exist, their
 // coefficients, names and costs — and nothing else: every bound, right-hand
@@ -359,20 +384,19 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 // (C_r > 0 and some eligible server) and, at rack level, the fractional part
 // of α·C_r for count-based specs (roundingCut) — exactly what patch treats as
 // structural drift.
-func (bp *builtPhase) layout(names [][]string) {
+func (bp *builtPhase) layout() {
 	m, cfg, groups, specs := bp.m, bp.cfg, bp.groups, bp.specs
 	cat := bp.region.Catalog
 	nG, nS := len(groups), len(specs)
+	var nm label
+	var terms, row []mip.Term // scratch: the model copies every row it is given
 
 	// Count variables n_{g,s}, (5) assignment Σ_s n_{g,s} ≤ |g|, and
 	// (1) stability: cost M · max(0, X − n) per cell with X > 0.
-	bp.nVar = make([][]mip.Var, nG) // -1 if absent
-	bp.moveVar = make([][]mip.Var, nG)
-	bp.moveRow = make([][]int, nG)
+	bp.nVar = matrix[mip.Var](nil, nG, nS) // -1 if absent
+	bp.moveVar = matrix[mip.Var](nil, nG, nS)
+	bp.moveRow = matrix[int](nil, nG, nS)
 	for gi, g := range groups {
-		bp.nVar[gi] = make([]mip.Var, nS)
-		bp.moveVar[gi] = make([]mip.Var, nS)
-		bp.moveRow[gi] = make([]int, nS)
 		for si := range specs {
 			bp.nVar[gi][si], bp.moveVar[gi][si], bp.moveRow[gi][si] = -1, -1, -1
 			if bp.vval[gi][si] <= 0 {
@@ -384,21 +408,23 @@ func (bp *builtPhase) layout(names [][]string) {
 			if cfg.WearPenalty > 0 && g.key.wear > 0 && cat.Type(g.key.typeIdx).FlashTB > 0 && !specs[si].isBuffer {
 				wearCost = cfg.WearPenalty * float64(g.key.wear)
 			}
-			bp.nVar[gi][si] = m.AddIntVar(names[gi][si], wearCost, 0, 0)
+			nm = nm[:0].s("n[g").d(gi).s(",").s(specs[si].res.Name).s("]")
+			bp.nVar[gi][si] = m.AddIntVar(string(nm), wearCost, 0, 0)
 			bp.assignVars++
 		}
 	}
 	bp.assignRow = make([]int, nG)
 	for gi := range groups {
 		bp.assignRow[gi] = -1
-		var terms []mip.Term
+		terms = terms[:0]
 		for si := range specs {
 			if bp.nVar[gi][si] >= 0 {
 				terms = append(terms, mip.Term{Var: bp.nVar[gi][si], Coef: 1})
 			}
 		}
-		if terms != nil {
-			bp.assignRow[gi] = m.AddConstr(fmt.Sprintf("assign[g%d]", gi), terms, mip.LE, 0)
+		if len(terms) > 0 {
+			nm = nm[:0].s("assign[g").d(gi).s("]")
+			bp.assignRow[gi] = m.AddConstr(string(nm), terms, mip.LE, 0)
 		}
 	}
 	for gi, g := range groups {
@@ -407,14 +433,18 @@ func (bp *builtPhase) layout(names [][]string) {
 			if bp.initCount[gi][si] <= 0 || bp.nVar[gi][si] < 0 {
 				continue
 			}
-			bp.moveVar[gi][si], bp.moveRow[gi][si] = m.AddPosPart(fmt.Sprintf("move[g%d,s%d]", gi, si),
+			nm = nm[:0].s("move[g").d(gi).s(",s").d(si).s("]")
+			bp.moveVar[gi][si], bp.moveRow[gi][si] = m.AddPosPart(string(nm),
 				[]mip.Term{{Var: bp.nVar[gi][si], Coef: -1}}, 0, mcost)
 		}
 	}
 
 	// Scopes the per-spec rows sum over: MSBs, racks (phase 2), DCs, all.
 	msbGroups := make(map[int][]int, 64) // msb → group indices
-	rackGroups := make(map[int][]int, 256)
+	var rackGroups map[int][]int
+	if bp.rackLevel {
+		rackGroups = make(map[int][]int, 256)
+	}
 	dcGroups := make(map[int][]int, 8)
 	all := make([]int, nG)
 	for gi, g := range groups {
@@ -444,44 +474,44 @@ func (bp *builtPhase) layout(names [][]string) {
 		if s.res.RRUs <= 0 {
 			continue
 		}
-		sumTerms := func(gis []int) []mip.Term {
-			var terms []mip.Term
+		// sumTerms appends spec si's terms V·n over the groups gis to dst.
+		sumTerms := func(dst []mip.Term, gis []int) []mip.Term {
 			for _, gi := range gis {
 				if bp.nVar[gi][si] >= 0 {
-					terms = append(terms, mip.Term{Var: bp.nVar[gi][si], Coef: bp.vval[gi][si]})
+					dst = append(dst, mip.Term{Var: bp.nVar[gi][si], Coef: bp.vval[gi][si]})
 				}
 			}
-			return terms
+			return dst
 		}
 		// spreadRows lays out β · max(0, Σ_scope − α·C) for each scope key
-		// that has terms; absent scopes get -1. In the rack-level model a
-		// count-based spec's hinge is followed by its rounding cut, whose
-		// slope — a coefficient, so part of the shape — comes from the demand
-		// the model is laid out for.
-		spreadRows := func(format string, keys []int, byKey map[int][]int, alpha float64) (rows []int, vars []mip.Var, cuts []int) {
+		// that has terms, named head[s<si>,<scope><key>]; absent scopes get
+		// -1. In the rack-level model a count-based spec's hinge is followed
+		// by its rounding cut, whose slope — a coefficient, so part of the
+		// shape — comes from the demand the model is laid out for.
+		spreadRows := func(head, scope string, keys []int, byKey map[int][]int, alpha float64) (rows []int, vars []mip.Var, cuts []int) {
 			slope := bp.cutSlope(s, alpha, s.res.RRUs)
 			rows, vars, cuts = make([]int, len(keys)), make([]mip.Var, len(keys)), make([]int, len(keys))
 			for k, key := range keys {
 				rows[k], vars[k], cuts[k] = -1, -1, -1
-				terms := sumTerms(byKey[key])
-				if terms == nil {
+				terms = sumTerms(terms[:0], byKey[key])
+				if len(terms) == 0 {
 					continue
 				}
-				vars[k], rows[k] = m.AddPosPart(fmt.Sprintf(format, si, key), terms, 0, cfg.Beta)
+				nm = nm[:0].s("cut/").s(head).s("[s").d(si).s(",").s(scope).d(key).s("]")
+				vars[k], rows[k] = m.AddPosPart(string(nm[len("cut/"):]), terms, 0, cfg.Beta)
 				if slope > 0 {
-					row := append(make([]mip.Term, 0, len(terms)+1), mip.Term{Var: vars[k], Coef: 1})
+					row = append(row[:0], mip.Term{Var: vars[k], Coef: 1})
 					for _, t := range terms {
 						row = append(row, mip.Term{Var: t.Var, Coef: -slope})
 					}
-					cuts[k] = m.AddConstr("cut/"+fmt.Sprintf(format, si, key), row, mip.GE, 0)
+					cuts[k] = m.AddConstr(string(nm), row, mip.GE, 0)
 					bp.cutRows++
 				}
 			}
 			return rows, vars, cuts
 		}
 
-		capTerms := sumTerms(all)
-		if capTerms == nil {
+		if len(sumTerms(terms[:0], all)) == 0 {
 			// Nothing in the region can serve this request: report the
 			// rejection instead of silently dropping the constraint.
 			sp.unserviceable = true
@@ -494,28 +524,31 @@ func (bp *builtPhase) layout(names [][]string) {
 		// Shared-buffer specs skip the embedded buffer (they *are* buffer).
 		if !s.isBuffer {
 			// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
+			// The per-MSB sums are consecutive runs of one scratch slice.
 			var perMSB [][]mip.Term
 			var envKeys []int // the bp.msbs index of each perMSB group
 			sp.envRow = make([]int, len(bp.msbs))
+			terms = terms[:0]
 			for k, msb := range bp.msbs {
 				sp.envRow[k] = -1
-				if terms := sumTerms(msbGroups[msb]); terms != nil {
-					perMSB = append(perMSB, terms)
+				from := len(terms)
+				if terms = sumTerms(terms, msbGroups[msb]); len(terms) > from {
+					perMSB = append(perMSB, terms[from:len(terms):len(terms)])
 					envKeys = append(envKeys, k)
 				}
 			}
 			if perMSB != nil {
 				var rows []int
-				sp.env, rows = m.AddUpperEnvelope(fmt.Sprintf("maxmsb[s%d]", si), perMSB, cfg.Tau)
+				nm = nm[:0].s("maxmsb[s").d(si).s("]")
+				sp.env, rows = m.AddUpperEnvelope(string(nm), perMSB, cfg.Tau)
 				for g, k := range envKeys {
 					sp.envRow[k] = rows[g]
 				}
-				capTerms = append(capTerms, mip.Term{Var: sp.env, Coef: -1})
 			}
 			// (3) MSB spread, and (2) rack spread in phase 2 only.
-			sp.spreadRow, sp.spreadVar, sp.spreadCut = spreadRows("spreadF[s%d,m%d]", bp.msbs, msbGroups, s.alphaF)
+			sp.spreadRow, sp.spreadVar, sp.spreadCut = spreadRows("spreadF", "m", bp.msbs, msbGroups, s.alphaF)
 			if bp.rackLevel {
-				sp.rackRow, sp.rackVar, sp.rackCut = spreadRows("spreadK[s%d,r%d]", bp.racks, rackGroups, s.alphaK)
+				sp.rackRow, sp.rackVar, sp.rackCut = spreadRows("spreadK", "r", bp.racks, rackGroups, s.alphaK)
 			}
 		}
 
@@ -524,10 +557,16 @@ func (bp *builtPhase) layout(names [][]string) {
 		// violation, so a clean incumbent pins it to [0,0]); keeping the
 		// column in place is what lets a patch re-open it when a delta breaks
 		// the capacity.
-		sp.capSlack = m.AddVar(fmt.Sprintf("capslack[s%d]", si), cfg.SoftPenalty, 0, 0)
+		nm = nm[:0].s("capslack[s").d(si).s("]")
+		sp.capSlack = m.AddVar(string(nm), cfg.SoftPenalty, 0, 0)
 		m.MarkPenalty(sp.capSlack)
-		capTerms = append(capTerms, mip.Term{Var: sp.capSlack, Coef: 1})
-		sp.capRow = m.AddConstr(fmt.Sprintf("capacity[s%d]", si), capTerms, mip.GE, 0)
+		terms = sumTerms(terms[:0], all)
+		if sp.env >= 0 {
+			terms = append(terms, mip.Term{Var: sp.env, Coef: -1})
+		}
+		terms = append(terms, mip.Term{Var: sp.capSlack, Coef: 1})
+		nm = nm[:0].s("capacity[s").d(si).s("]")
+		sp.capRow = m.AddConstr(string(nm), terms, mip.GE, 0)
 
 		// (7) network affinity per DC with eligible capacity, softened
 		// symmetrically: Σ − slack ≤ hi and Σ + slack ≥ lo.
@@ -537,22 +576,26 @@ func (bp *builtPhase) layout(names [][]string) {
 			for dc := 0; dc < bp.nDCs; dc++ {
 				sp.affRow[dc] = [2]int{-1, -1}
 				sp.affSlack[dc] = -1
-				terms := sumTerms(dcGroups[dc])
-				if terms == nil {
+				terms = sumTerms(terms[:0], dcGroups[dc])
+				if len(terms) == 0 {
 					continue
 				}
-				sl := m.AddVar(fmt.Sprintf("affslack[s%d,d%d]", si, dc), cfg.SoftPenalty, 0, 0)
+				nm = nm[:0].s("affslack[s").d(si).s(",d").d(dc).s("]")
+				sl := m.AddVar(string(nm), cfg.SoftPenalty, 0, 0)
 				m.MarkPenalty(sl)
 				sp.affSlack[dc] = sl
-				up := append(append([]mip.Term(nil), terms...), mip.Term{Var: sl, Coef: -1})
-				hiRow := m.AddConstr(fmt.Sprintf("aff-hi[s%d,d%d]", si, dc), up, mip.LE, 0)
-				dn := append(append([]mip.Term(nil), terms...), mip.Term{Var: sl, Coef: 1})
-				loRow := m.AddConstr(fmt.Sprintf("aff-lo[s%d,d%d]", si, dc), dn, mip.GE, 0)
+				terms = append(terms, mip.Term{Var: sl, Coef: -1})
+				nm = nm[:0].s("aff-hi[s").d(si).s(",d").d(dc).s("]")
+				hiRow := m.AddConstr(string(nm), terms, mip.LE, 0)
+				terms[len(terms)-1].Coef = 1
+				nm = nm[:0].s("aff-lo[s").d(si).s(",d").d(dc).s("]")
+				loRow := m.AddConstr(string(nm), terms, mip.GE, 0)
 				sp.affRow[dc] = [2]int{hiRow, loRow}
 			}
 		}
 	}
-	bp.initX = make([]float64, m.NumVars())
+	bp.initX = slices.Grow(bp.initX[:0], m.NumVars())[:m.NumVars()]
+	clear(bp.initX)
 }
 
 // roundingCut is the integer-rounding cut of a hinge y ≥ Σ − t, y ≥ 0 whose
@@ -762,7 +805,7 @@ func specCompatible(old, cur *resSpec) bool {
 // drift, and run the fill functions over the groups, cells and specs that
 // were touched. Any reason other than RebuildNone means the change set breaks
 // structure (the caller then cold-rebuilds and the half-mutated cache is
-// discarded). On success the model is bit-for-bit what buildPhase would have
+// discarded). On success the model is bit-for-bit what rebuild would have
 // produced: the change set is derived here, by comparing each server's pool
 // membership, count reference and group key with the cache's, and the
 // values written come from the same fill functions the cold build runs. A
@@ -897,7 +940,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 
 // The three fill functions below are the only code that writes variable
 // bounds, right-hand sides and warm-start values. Each value is derived on
-// one line here and nowhere else; buildPhase runs them over everything,
+// one line here and nowhere else; rebuild runs them over everything,
 // patch over what a delta touched.
 
 // fillGroup writes what depends on the group's size |g| alone: the upper

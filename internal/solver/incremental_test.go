@@ -13,6 +13,12 @@ import (
 	"ras/internal/topology"
 )
 
+// buildPhase runs the cold path into new storage, as a first round does.
+func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
+	targets []reservation.ID, rackLevel bool, stats *PhaseStats) *builtPhase {
+	return new(builtPhase).rebuild(in, cfg, specs, pool, targets, rackLevel, stats)
+}
+
 // mutator drives a seeded random change stream through a real broker and
 // reservation store — the same write paths production rounds see — so the
 // snapshots and deltas the tests consume come from those write paths, not

@@ -165,10 +165,13 @@ func (c *Config) moveCost(preempts bool) float64 {
 // is, with ws — which holds the simplex structure of the model and, while
 // nothing was solved after the root, the factorization of Basis
 // (mip.Options.RootWorkspace). A round that rebuilds the model — for
-// whatever reason — rewrites the basis onto the new one by identity first
+// whatever reason — builds it in the old model's storage
+// (builtPhase.rebuild), rewrites the basis onto it by identity
 // (builtPhase.carryBasis: the model's layout names every column and row by
-// what it is), and never sees ws. The model is mutated by the next solve, so
-// a WarmState must feed at most one solve at a time.
+// what it is) and runs its root LP on ws too, which retargets itself to the
+// new model and keeps only its storage. Either way the next solve takes the
+// model and ws over, so a WarmState feeds one solve: the round after it
+// starts from that solve's Result.Warm.
 type PhaseWarm struct {
 	Basis *lp.Basis
 	model *builtPhase
@@ -683,7 +686,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	}
 	if in.Delta != nil {
 		switch {
-		case bp == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
+		case bp == nil || bp.m == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
 			out.stats.Rebuild = RebuildNoCache
 		case in.Delta.structural():
 			out.stats.Rebuild = RebuildReservationSet
@@ -697,7 +700,10 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		}
 	}
 	if !out.stats.ModelPatched {
-		bp = buildPhase(in, cfg, specs, pool, targets, rackLevel, &out.stats)
+		if bp == nil {
+			bp = new(builtPhase)
+		}
+		bp = bp.rebuild(in, cfg, specs, pool, targets, rackLevel, &out.stats)
 	}
 	bp.statesVersion = in.StatesVersion
 
@@ -727,17 +733,21 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	}
 	t0 := clock.Now()
 	// Cross-round warm start: the root LP starts from the previous round's
-	// optimal basis — the nearest solved problem. A patched model is the one
-	// the basis belongs to; a rebuilt one gets it carried over by identity.
+	// optimal basis — the nearest solved problem — on the previous round's
+	// root workspace. A patched model is the one the basis belongs to; a
+	// rebuilt one gets it carried over by identity, and the workspace
+	// retargets itself to it.
 	var rootBasis *lp.Basis
 	var rootWS *lp.Workspace
+	if pw != nil {
+		rootWS = pw.ws
+	}
 	if pw != nil && pw.Basis != nil {
 		out.stats.RootBasisOffered = pw.Basis.NumCols()
 		switch pw.model {
 		case nil: // a hand-assembled PhaseWarm: nothing says what the columns were
 		case bp:
 			rootBasis, out.stats.RootBasisKept = pw.Basis, pw.Basis.NumCols()
-			rootWS = pw.ws
 		default:
 			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.model, pw.Basis)
 		}
@@ -803,30 +813,39 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 
 // groupServers computes the symmetry equivalence classes of the pool,
 // returning them in their deterministic model order plus the key → index
-// map the incremental patch uses to route servers between classes.
-func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool) ([]*group, map[groupKey]int) {
-	byKey := make(map[groupKey]*group, 256)
-	var order []groupKey
+// map the incremental patch uses to route servers between classes. The
+// classes are built in the groups and server lists of spare, the classes of
+// a spent phase, as far as they go.
+func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool, spare []*group) ([]*group, map[groupKey]int) {
+	idx := make(map[groupKey]int, 256)
+	groups := spare[:0]
 	for _, id := range pool {
 		k := serverKey(in, id, rackLevel, wearAware)
-		g, ok := byKey[k]
+		gi, ok := idx[k]
 		if !ok {
+			gi = len(groups)
+			idx[k] = gi
 			srv := &in.Region.Servers[id]
-			g = &group{key: k, msb: srv.MSB, dc: srv.DC, rack: -1}
+			var g *group
+			if gi < len(spare) {
+				g = spare[gi]
+			} else {
+				g = new(group)
+			}
+			*g = group{key: k, servers: g.servers[:0], msb: srv.MSB, dc: srv.DC, rack: -1}
 			if rackLevel {
 				g.rack = srv.Rack
 			}
-			byKey[k] = g
-			order = append(order, k)
+			groups = append(groups, g)
 		}
-		g.servers = append(g.servers, id)
+		groups[gi].servers = append(groups[gi].servers, id)
 	}
 	// The comparator is total over the key (wear breaks the remaining ties),
 	// so the group order is a pure function of the key set: a patched cache
 	// and a cold rebuild agree on group indices no matter what order the
 	// pool produced the keys in.
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	sort.Slice(groups, func(i, j int) bool {
+		a, b := groups[i].key, groups[j].key
 		if a.scope != b.scope {
 			return a.scope < b.scope
 		}
@@ -841,11 +860,8 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool)
 		}
 		return a.wear < b.wear
 	})
-	groups := make([]*group, 0, len(order))
-	idx := make(map[groupKey]int, len(order))
-	for _, k := range order {
-		idx[k] = len(groups)
-		groups = append(groups, byKey[k])
+	for gi, g := range groups {
+		idx[g.key] = gi
 	}
 	return groups, idx
 }
