@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-quiet bench-quiet-smoke bench-rebuild bench-rebuild-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
+.PHONY: check fmt vet lint build test race smoke bench-smoke bench-lp bench-lp-smoke bench-repair bench-repair-smoke bench-online bench-online-smoke bench-round bench-round-smoke bench-pairs same-decisions bench bench-baseline bench-compare bench-compare-short profile loc fuzz-smoke
 
-check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke bench-quiet-smoke bench-rebuild-smoke
+check: fmt vet lint build test race smoke bench-smoke bench-lp-smoke bench-repair-smoke bench-online-smoke bench-round-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -121,32 +121,23 @@ bench-online:
 bench-online-smoke:
 	@$(MAKE) --no-print-directory bench-online ONLINE_BENCHTIME=1x >/dev/null
 
-# One quiet round of solver.SolveWarm on the round benchmark's steady_quiet
-# deployment (3×4×6×24, eight reservations, no shared buffer), settled in
-# set-up: two free-pool servers fail and last round's come back, the models
-# are patched and each phase's root LP re-enters its factorization.
-# BenchmarkQuietRound reports ns/op, B/op, allocs/op and the median round
-# (p50-ns/round). `make check` runs one round.
-QUIET_BENCHTIME ?= 2000x
-bench-quiet:
-	$(GO) test -run '^$$' -bench BenchmarkQuietRound -benchtime $(QUIET_BENCHTIME) ./internal/solver
+# One round of solver.SolveWarm of each kind on the round benchmark's
+# steady_quiet deployment (3×4×6×24, eight reservations), BenchmarkRound/…:
+#   quiet    two free-pool servers fail and last round's come back: the models
+#            are patched and each phase's root LP re-enters its factorization;
+#   rebuild  one assigned server starts running containers, a symmetry group
+#            the cached models lack: both phase models rebuild, into the
+#            storage of the models they replace;
+#   cold     cold_solve's round: a fresh system with 1 % of its servers
+#            failed and no warm state, so branch-and-bound is the round.
+# Each reports ns/op, B/op, allocs/op, lpiters/op, nodes/op and the median
+# round (p50-ns/round). `make check` runs one round of each.
+ROUND_BENCHTIME ?= 200x
+bench-round:
+	$(GO) test -run '^$$' -bench '^BenchmarkRound$$' -benchtime $(ROUND_BENCHTIME) ./internal/solver
 
-bench-quiet-smoke:
-	@$(MAKE) --no-print-directory bench-quiet QUIET_BENCHTIME=1x >/dev/null
-
-# One rebuild round of solver.SolveWarm on the same deployment: one assigned
-# server starts running containers — a symmetry group the cached models lack,
-# as failure_churn's in-use failures make — and last round's goes idle, so
-# both phase models rebuild, into the storage of the models they replace,
-# with their root LPs on last round's workspaces. BenchmarkRebuildRound
-# reports ns/op, B/op, allocs/op and the median round (p50-ns/round).
-# `make check` runs one round.
-REBUILD_BENCHTIME ?= 500x
-bench-rebuild:
-	$(GO) test -run '^$$' -bench BenchmarkRebuildRound -benchtime $(REBUILD_BENCHTIME) ./internal/solver
-
-bench-rebuild-smoke:
-	@$(MAKE) --no-print-directory bench-rebuild REBUILD_BENCHTIME=1x >/dev/null
+bench-round-smoke:
+	@$(MAKE) --no-print-directory bench-round ROUND_BENCHTIME=1x >/dev/null
 
 # Every benchmark of the root module once: the paper-figure benches, the
 # backend comparison and the layer benches.
@@ -156,7 +147,7 @@ bench:
 # Record the solver benchmark baseline (the simplex kernel's layers and warm
 # re-entry, the MIP's 1/2/NumCPU worker sweeps and the serial local search,
 # the POP k sweep and the repair pass three times each at GOMAXPROCS=1, the
-# online path's two benchmarks, the quiet and the rebuild round, then 20
+# online path's two benchmarks, the quiet, rebuild and cold rounds, then 20
 # individually timed rounds of BenchmarkRoundIncremental per mode for its p50
 # and max) as JSON.
 # The raw Go benchmark lines are preserved under "benchfmt_lines"; extract
@@ -167,8 +158,7 @@ bench-baseline:
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkBackendPOPLarge -benchtime 3x -count 3 .; \
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkRepairTargets -benchtime $(REPAIR_BENCHTIME) -count 3 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPlace|BenchmarkApplyTargets' -benchtime $(ONLINE_BENCHTIME) -count 1 ./internal/allocator ./internal/mover; \
-	  $(GO) test -run '^$$' -bench BenchmarkQuietRound -benchtime $(QUIET_BENCHTIME) -count 1 ./internal/solver; \
-	  $(GO) test -run '^$$' -bench BenchmarkRebuildRound -benchtime $(REBUILD_BENCHTIME) -count 1 ./internal/solver; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkRound$$' -benchtime $(ROUND_BENCHTIME) -count 1 ./internal/solver; \
 	  $(GO) test -run '^$$' -bench BenchmarkRoundIncremental -benchtime 20x -count 1 .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo "wrote BENCH_solver.json"

@@ -37,7 +37,7 @@ func entryRun(t testing.TB, seed int64, fixture, full bool) (sols []Solution, st
 		if ws.liveIsGood && !ws.offBound {
 			changedEntries++
 		}
-		sol := p.SolveWith(context.Background(), opt, ws)
+		sol := keep(p.SolveWith(context.Background(), opt, ws))
 		sols, stats = append(sols, sol), append(stats, ws.Stats())
 		return sol
 	}

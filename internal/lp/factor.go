@@ -79,11 +79,12 @@ const (
 
 // etaOp is one PFI update eta: the identity with column pivot replaced, so
 // that applying it scales the pivot component by invP and adds multiples of
-// it elsewhere. It operates on basis-slot coordinates.
+// it elsewhere. It operates on basis-slot coordinates. Its off-pivot entries
+// (Index = slot, Value = coefficient) are etaNz[start:end] of its factor.
 type etaOp struct {
-	pivot int       // slot the eta pivots on
-	invP  float64   // 1/pivot value
-	nz    []Nonzero // off-pivot entries: Index = slot, Value = coefficient
+	pivot      int     // slot the eta pivots on
+	invP       float64 // 1/pivot value
+	start, end int32
 }
 
 // bitset is a fixed-size set of small integers: the worklist and the result
@@ -107,7 +108,7 @@ func (b bitset) drainAscending(v []float64, out []int) []int {
 	return out
 }
 
-// rowwise is a compressed row-wise copy of the (small) L factor: the entries
+// rowwise is a compressed row-wise copy of the L or the U factor: the entries
 // of step j are ents[start[j]:start[j+1]], Index naming the step of the column
 // they came from.
 type rowwise struct {
@@ -117,8 +118,8 @@ type rowwise struct {
 
 func (r *rowwise) of(j int) []Nonzero { return r.ents[r.start[j]:r.start[j+1]] }
 
-// transpose rebuilds r from the first done columns of L, total entries in
-// all, in step coordinates.
+// transpose rebuilds r from the first done columns of L or U, total entries
+// in all, in step coordinates.
 func (r *rowwise) transpose(cols [][]Nonzero, done, total int) {
 	start := r.start
 	clear(start)
@@ -161,16 +162,17 @@ type factor struct {
 	// pivot invP[j]; rowStep and slotStep are the inverse maps (-1 for a row
 	// or slot no step pivoted). lcols[j] holds the unit elimination
 	// multipliers of step j (entries at later steps), ucols[j] the U column
-	// of the j-th pivot (entries at earlier steps); lrows and urows are the
-	// same entries by row — urows[i] filled as the columns are recorded, in
-	// ascending column order; lrows transposed at the end, L's rows having no
-	// step until then. lsteps marks the steps whose lcols is not empty:
+	// of the j-th pivot (entries at earlier steps), both in the arena luNz,
+	// step after step; lrows and urows are the same entries by row, in
+	// ascending column order, transposed at the end (L's rows have no step
+	// until then). lsteps marks the steps whose lcols is not empty:
 	// near-triangular bases leave it almost empty, and FTRAN's L pass visits
 	// nothing else.
 	lcols    [][]Nonzero
 	ucols    [][]Nonzero
+	luNz     []Nonzero
 	lrows    rowwise
-	urows    [][]Nonzero
+	urows    rowwise
 	lsteps   bitset
 	pr       []int
 	ps       []int
@@ -179,9 +181,11 @@ type factor struct {
 	slotStep []int32
 
 	// PFI update etas appended by pivots since the last refactorization,
-	// operating on basis-slot coordinates. Bit k of slotEtas[s] is set when
-	// eta k pivots on slot s or has an entry there.
+	// operating on basis-slot coordinates, their entries back to back in one
+	// arena that a refactorization empties and the next etas refill. Bit k of
+	// slotEtas[s] is set when eta k pivots on slot s or has an entry there.
 	etas     []etaOp
+	etaNz    []Nonzero
 	etaNnz   int
 	slotEtas []uint64
 
@@ -196,15 +200,16 @@ type factor struct {
 
 	// Scratch of the refactorization.
 	workCol [][]Nonzero
-	rowCols [][]int32 // row -> slots with a (possibly stale) entry
-	rowCnt  []int32   // active nonzeros per row
-	colCnt  []int32   // active nonzeros per column slot
+	rowCols [][]int32 // row -> slots with a (possibly stale) entry, in rowBuf
+	rowBuf  []int32
+	rowCnt  []int32 // active nonzeros per row
+	colCnt  []int32 // active nonzeros per column slot
 	rowDone []bool
 	colDone []bool
 	pos     []int32 // scatter index: row -> position in the column being updated
 	posEra  []int32 // epoch marks validating pos entries
 	era     int32
-	nzbuf   []Nonzero // spill arena for freshly built columns
+	nzbuf   []Nonzero // the working columns, then spare room for their fill-in
 
 	// State of the refactorization in progress (load → pivot… → finish).
 	singles    bitset   // slots whose column has one active entry (lazily deleted)
@@ -214,6 +219,7 @@ type factor struct {
 	done       int // pivots recorded so far
 	fillIns    int
 	deficient  []int // slots found unpivotable
+	unpivoted  []int // unpivotedRows' list
 }
 
 // reset sizes the factorization for an m-row basis and empties it, as new as
@@ -227,7 +233,7 @@ func (f *factor) reset(m int) {
 	f.lcols = regrow(f.lcols, m)
 	f.ucols = regrow(f.ucols, m)
 	f.lrows.start = resize(f.lrows.start, m+1)
-	f.urows = regrow(f.urows, m)
+	f.urows.start = resize(f.urows.start, m+1)
 	f.lsteps = resize(f.lsteps, words)
 	f.pr = resize(f.pr, m)
 	f.ps = resize(f.ps, m)
@@ -235,6 +241,7 @@ func (f *factor) reset(m int) {
 	f.rowStep = resize(f.rowStep, m)
 	f.slotStep = resize(f.slotStep, m)
 	f.etas = f.etas[:0]
+	f.etaNz = f.etaNz[:0]
 	f.etaNnz = 0
 	f.slotEtas = resize(f.slotEtas, m)
 	f.factNnz = 0
@@ -309,6 +316,7 @@ func (f *factor) factorize(cols [][]Nonzero, basis []int) (deficient []int) {
 func (f *factor) load(cols [][]Nonzero, basis []int) {
 	m := f.m
 	f.etas = f.etas[:0]
+	f.etaNz = f.etaNz[:0]
 	f.etaNnz = 0
 	clear(f.slotEtas)
 	f.done = 0
@@ -324,10 +332,15 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 	if cap(f.nzbuf) < nnzTotal+m {
 		f.nzbuf = make([]Nonzero, 0, 2*(nnzTotal+m))
 	}
+	// L and U together hold what the basis columns hold but their pivots, and
+	// the fill-in. Sized with room to spare, as the arenas here are, so that
+	// the next bases, which are a little larger, fit too.
+	if cap(f.luNz) < nnzTotal {
+		f.luNz = make([]Nonzero, 0, 2*nnzTotal)
+	}
+	f.luNz = f.luNz[:0]
 	arena := f.nzbuf[:0]
 	for i := 0; i < m; i++ {
-		f.rowCols[i] = f.rowCols[i][:0]
-		f.urows[i] = f.urows[i][:0]
 		f.rowCnt[i] = 0
 		f.rowStep[i] = -1
 		f.slotStep[i] = -1
@@ -338,6 +351,25 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 	f.singlesLow = 0
 	f.colHeap = f.colHeap[:0]
 	f.heapBuilt = false
+	for s := 0; s < m; s++ {
+		if basis[s] >= 0 {
+			for _, nz := range cols[basis[s]] {
+				f.rowCnt[nz.Index]++
+			}
+		}
+	}
+	// Each row's slots, in slot order, with room for one fill-in; the spare
+	// part takes the rows that get more (roomIn).
+	if cap(f.rowBuf) < nnzTotal+m {
+		f.rowBuf = make([]int32, 0, 2*(nnzTotal+m))
+	}
+	f.rowBuf = f.rowBuf[:nnzTotal+m]
+	at := int32(0)
+	for i := 0; i < m; i++ {
+		end := at + f.rowCnt[i] + 1
+		f.rowCols[i] = f.rowBuf[at:at:end]
+		at = end
+	}
 	for s := 0; s < m; s++ {
 		var src []Nonzero
 		if basis[s] >= 0 {
@@ -352,26 +384,26 @@ func (f *factor) load(cols [][]Nonzero, basis []int) {
 		}
 		for _, nz := range src {
 			f.rowCols[nz.Index] = append(f.rowCols[nz.Index], int32(s))
-			f.rowCnt[nz.Index]++
 		}
 	}
 	f.nzbuf = arena
 }
 
-// roomFor returns col with room for one more entry, moved to the spare half
-// of the arena at twice its size when it has none (fill-in is rare, and a
-// column that takes one usually takes more).
-func (f *factor) roomFor(col []Nonzero) []Nonzero {
-	if len(col) < cap(col) {
-		return col
+// roomIn returns s, a column or a row's slots carved from arena, with room
+// for one more element: moved to the spare part of the arena at twice its
+// size when it has none (fill-in is rare, and a column or row that takes one
+// usually takes more).
+func roomIn[T any](s []T, arena *[]T) []T {
+	if len(s) < cap(s) {
+		return s
 	}
-	need := 2*len(col) + 2
-	used := len(f.nzbuf)
-	if used+need > cap(f.nzbuf) {
-		return append(make([]Nonzero, 0, need), col...)
+	need := 2*len(s) + 2
+	used := len(*arena)
+	if used+need > cap(*arena) {
+		return append(make([]T, 0, need), s...)
 	}
-	f.nzbuf = f.nzbuf[:used+need]
-	return append(f.nzbuf[used:used:used+need], col...)
+	*arena = (*arena)[:used+need]
+	return append((*arena)[used:used:used+need], s...)
 }
 
 // The pivot-column queue answers "fewest active nonzeros, ties to the lowest
@@ -502,33 +534,34 @@ func (f *factor) pivot(cs int) {
 	}
 
 	// Record the pivot: U entries are the column's values in already
-	// pivoted rows, named by the step that pivoted them, and filed by row as
-	// well; L multipliers are its values in still-active rows, named by row
-	// until finish knows their steps.
+	// pivoted rows, named by the step that pivoted them; L multipliers are its
+	// values in still-active rows, named by row until finish knows their
+	// steps.
 	j := f.done
 	f.pr[j] = pivRow
 	f.ps[j] = cs
 	f.rowStep[pivRow] = int32(j)
 	f.slotStep[cs] = int32(j)
 	f.invP[j] = 1 / pivVal // nonzero: pivVal passed the Markowitz screen |v| >= pivRelTol*colMax with colMax >= pivAbsTol
-	ue := f.ucols[j][:0]
-	le := f.lcols[j][:0]
+	lu := f.luNz
+	at := len(lu)
 	for _, nz := range col {
-		switch {
-		case nz.Index == pivRow:
-		case f.rowDone[nz.Index]:
+		if nz.Index != pivRow && f.rowDone[nz.Index] && !floats.ExactZero(nz.Value) {
+			lu = append(lu, Nonzero{Index: int(f.rowStep[nz.Index]), Value: nz.Value})
+		}
+	}
+	ue := lu[at:len(lu):len(lu)]
+	at = len(lu)
+	for _, nz := range col {
+		if nz.Index != pivRow && !f.rowDone[nz.Index] {
 			if !floats.ExactZero(nz.Value) {
-				step := int(f.rowStep[nz.Index])
-				ue = append(ue, Nonzero{Index: step, Value: nz.Value})
-				f.urows[step] = append(f.urows[step], Nonzero{Index: j, Value: nz.Value})
-			}
-		default:
-			if !floats.ExactZero(nz.Value) {
-				le = append(le, Nonzero{Index: nz.Index, Value: nz.Value * f.invP[j]})
+				lu = append(lu, Nonzero{Index: nz.Index, Value: nz.Value * f.invP[j]})
 			}
 			f.rowCnt[nz.Index]--
 		}
 	}
+	le := lu[at:len(lu):len(lu)]
+	f.luNz = lu
 	f.ucols[j] = ue
 	f.lcols[j] = le
 	f.rowDone[pivRow] = true
@@ -573,12 +606,12 @@ func (f *factor) pivot(cs int) {
 				if f.posEra[i] == era {
 					tgt[f.pos[i]].Value -= delta
 				} else {
-					tgt = append(f.roomFor(tgt), Nonzero{Index: i, Value: -delta})
+					tgt = append(roomIn(tgt, &f.nzbuf), Nonzero{Index: i, Value: -delta})
 					f.pos[i] = int32(len(tgt) - 1)
 					f.posEra[i] = era
 					f.colCnt[s]++
 					f.rowCnt[i]++
-					f.rowCols[i] = append(f.rowCols[i], s32)
+					f.rowCols[i] = append(roomIn(f.rowCols[i], &f.rowBuf), s32)
 					f.fillIns++
 				}
 			}
@@ -607,7 +640,7 @@ func (f *factor) finish() []int {
 
 	clear(f.lsteps)
 	f.factNnz = 0
-	lnnz := 0
+	lnnz, unnz := 0, 0
 	for j := 0; j < done; j++ {
 		// A multiplier in a row nothing pivoted (a deficient factorization,
 		// unusable until repaired) has no step to act on and is dropped.
@@ -622,9 +655,11 @@ func (f *factor) finish() []int {
 			f.lsteps.set(j)
 			lnnz += len(le)
 		}
+		unnz += len(f.ucols[j])
 		f.factNnz += len(le) + len(f.ucols[j]) + 1
 	}
 	f.lrows.transpose(f.lcols, done, lnnz)
+	f.urows.transpose(f.ucols, done, unnz)
 	// The solves stop at done; the marks say where the pivot sequence ends to
 	// whoever reads pr whole.
 	for j := done; j < m; j++ {
@@ -635,14 +670,15 @@ func (f *factor) finish() []int {
 
 // unpivotedRows lists, in ascending order, the constraint rows the last
 // factorize left without a pivot — exactly as many as the deficient slots it
-// returned. Valid until the next factorize call.
+// returned. The list is the factor's, valid until the next call.
 func (f *factor) unpivotedRows() []int {
-	var rows []int
+	rows := f.unpivoted[:0]
 	for i := 0; i < f.m; i++ {
 		if !f.rowDone[i] {
 			rows = append(rows, i)
 		}
 	}
+	f.unpivoted = rows
 	return rows
 }
 
@@ -662,14 +698,16 @@ func (f *factor) markColumnInactive(s int) {
 // The caller has already verified |w[r]| is numerically safe.
 func (f *factor) update(r int, w []float64, wnz []int) {
 	invP := 1 / w[r] // nonzero by precondition: the caller has verified |w[r]| against the pivot tolerance before calling update
-	var nz []Nonzero
 	k := len(f.etas)
-	if k < cap(f.etas) {
-		// Reuse the retired eta's entry slice to avoid steady-state growth.
-		nz = f.etas[:k+1][k].nz[:0]
-	}
 	bit := uint64(1) << uint(k) // k < maxEtas: needRefactor rebuilds before the file outgrows the word
 	f.slotEtas[r] |= bit
+	start := len(f.etaNz)
+	nz := f.etaNz
+	if cap(nz)-start < len(wnz) {
+		// At least double: append's quarter steps would allocate a new
+		// factorization's arena several times over on its way up.
+		nz = slices.Grow(nz, max(len(wnz), cap(nz)))
+	}
 	for _, i := range wnz {
 		if i == r || floats.ExactZero(w[i]) {
 			continue
@@ -677,9 +715,13 @@ func (f *factor) update(r int, w []float64, wnz []int) {
 		nz = append(nz, Nonzero{Index: i, Value: -w[i] * invP})
 		f.slotEtas[i] |= bit
 	}
-	f.etas = append(f.etas, etaOp{pivot: r, invP: invP, nz: nz})
-	f.etaNnz += len(nz) + 1
+	f.etaNz = nz
+	f.etas = append(f.etas, etaOp{pivot: r, invP: invP, start: int32(start), end: int32(len(nz))})
+	f.etaNnz += len(nz) - start + 1
 }
+
+// entries lists the off-pivot entries of eta op.
+func (f *factor) entries(op *etaOp) []Nonzero { return f.etaNz[op.start:op.end] }
 
 // applyEtas runs the update etas, in application order, over the
 // slot-coordinate vector v — the last leg of both FTRANs.
@@ -691,7 +733,7 @@ func (f *factor) applyEtas(v []float64) {
 			continue
 		}
 		v[op.pivot] = t * op.invP
-		for _, nz := range op.nz {
+		for _, nz := range f.entries(op) {
 			v[nz.Index] += nz.Value * t
 		}
 	}
@@ -766,7 +808,7 @@ func (f *factor) ftran(dst []float64, a []Nonzero, nzOut []int) []int {
 			continue
 		}
 		dst[op.pivot] = t * op.invP
-		for _, nz := range op.nz {
+		for _, nz := range f.entries(op) {
 			dst[nz.Index] += nz.Value * t
 			pattern.set(nz.Index)
 		}
@@ -815,7 +857,7 @@ func (f *factor) btran(dst, src []float64) {
 	for k := len(f.etas) - 1; k >= 0; k-- {
 		op := &f.etas[k]
 		t := op.invP * sv[op.pivot]
-		for _, nz := range op.nz {
+		for _, nz := range f.entries(op) {
 			t += nz.Value * sv[nz.Index]
 		}
 		sv[op.pivot] = t
@@ -870,7 +912,7 @@ func (f *factor) btranRow(dst []float64, slot int, nzOut []int) []int {
 		op := &f.etas[k]
 		old := sv[op.pivot]
 		t := op.invP * old
-		for _, nz := range op.nz {
+		for _, nz := range f.entries(op) {
 			t += nz.Value * sv[nz.Index]
 		}
 		sv[op.pivot] = t
@@ -910,7 +952,7 @@ func (f *factor) btranRow(dst []float64, slot int, nzOut []int) []int {
 			}
 			t *= f.invP[j]
 			pv[j] = t
-			for _, nz := range f.urows[j] {
+			for _, nz := range f.urows.of(j) {
 				pv[nz.Index] -= nz.Value * t
 				steps.set(nz.Index)
 			}

@@ -83,7 +83,7 @@ func TestWarmMatchesColdUnderBoundEdits(t *testing.T) {
 			}
 			ws := NewWorkspace()
 			opt := Options{ReuseBasis: true, RefactorEvery: refactorEvery}
-			last := p.SolveWith(context.Background(), opt, ws)
+			last := keep(p.SolveWith(context.Background(), opt, ws))
 			// want re-adds, from the Solutions, what ws counts for itself.
 			want := Stats{Solves: 1, Iterations: last.Iterations}
 			for step := 0; step < 12; step++ {
@@ -144,7 +144,7 @@ func TestWarmMatchesColdUnderBoundEdits(t *testing.T) {
 					}
 					continue
 				}
-				last = warm
+				last = keep(warm)
 			}
 			got := ws.Stats()
 			if got.Refactorizations == 0 || got.WorkspaceReuses != 12 {

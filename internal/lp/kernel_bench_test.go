@@ -144,7 +144,7 @@ func BenchmarkKernel(b *testing.B) {
 	b.Run("dualIteration", func(b *testing.B) {
 		p, ws := fixtureWorkspace(b)
 		rng := rand.New(rand.NewSource(2))
-		base := p.SolveWith(context.Background(), Options{ReuseBasis: true}, ws)
+		base := keep(p.SolveWith(context.Background(), Options{ReuseBasis: true}, ws))
 		iters := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

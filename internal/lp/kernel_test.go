@@ -162,7 +162,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			sol := p.SolveWith(ctx, opt, ws)
 			agree("retained basis", sol)
 			if sol.Status == Optimal {
-				last = sol
+				last = keep(sol)
 			} else {
 				for j := 0; j < n; j++ {
 					p.SetBounds(j, rootLo[j], rootUp[j])

@@ -380,10 +380,14 @@ func (s Stats) Kernel() string {
 
 // Solution is the result of solving a Problem.
 type Solution struct {
-	Status     Status
-	Objective  float64   // objective value at X (valid when Status == Optimal)
-	X          []float64 // one value per problem variable
-	Iterations int       // total simplex iterations across both phases
+	Status    Status
+	Objective float64 // objective value at X (valid when Status == Optimal)
+	// X has one value per problem variable. It is the workspace's storage:
+	// valid until the next solve on that workspace, which overwrites it in
+	// place. A caller that keeps the point past that copies it; writing into
+	// it leaves the workspace's own state alone.
+	X          []float64
+	Iterations int // total simplex iterations across both phases
 	// WarmStarted reports whether the solution was produced by a warm path
 	// (basis import or workspace basis reuse) rather than a cold two-phase
 	// solve.
@@ -511,10 +515,10 @@ var ErrMalformed = errors.New("lp: malformed problem")
 // the solution. The problem itself is not modified and may be solved
 // repeatedly, including after further rows or variables are added. The
 // workspace retains the problem's simplex structure and all scratch buffers
-// between calls, so a steady-state re-solve performs no allocation beyond the
-// Solution's X vector. A workspace must not be used by more than one
-// goroutine at a time, and is retargeted automatically when given a different
-// problem or shape.
+// between calls, and the returned Solution.X is one of them, valid until the
+// workspace's next solve: a steady-state re-solve allocates nothing. A
+// workspace must not be used by more than one goroutine at a time, and is
+// retargeted automatically when given a different problem or shape.
 //
 // Cancelling ctx aborts the simplex iteration loops promptly; the returned
 // Solution then has Status Cancelled and carries whatever (possibly

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,11 +18,19 @@ func solveCold(p *Problem) Solution {
 	return p.SolveWith(context.Background(), Options{}, NewWorkspace())
 }
 
-// solveOn solves p on ws and returns the solution with the basis it ended
-// on: the one the workspace just retained, nil when it retained none (the
-// solve did not end optimal and artificial-free).
+// keep returns sol with its own copy of the point: Solution.X is the
+// workspace's until that workspace's next solve, so a test that holds a
+// solution past that copies the point when it takes it.
+func keep(sol Solution) Solution {
+	sol.X = slices.Clone(sol.X)
+	return sol
+}
+
+// solveOn solves p on ws and returns the solution, with its point kept, and
+// the basis it ended on: the one the workspace just retained, nil when it
+// retained none (the solve did not end optimal and artificial-free).
 func solveOn(p *Problem, ws *Workspace, opt Options) (Solution, *Basis) {
-	sol := p.SolveWith(context.Background(), opt, ws)
+	sol := keep(p.SolveWith(context.Background(), opt, ws))
 	if !ws.liveIsGood {
 		return sol, nil
 	}

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"slices"
 
 	"ras/internal/floats"
 )
@@ -15,7 +16,7 @@ import (
 // O(nnz + m), and every retained buffer — including the factorization — is
 // O(nnz + m) of memory; re-entering a workspace for a problem of the same
 // shape reuses all of it, which makes steady-state re-solves
-// allocation-free apart from the Solution's X vector.
+// allocation-free: the Solution's X is the workspace's too.
 //
 // A Workspace is owned by one goroutine at a time. It retargets itself
 // automatically when handed a different Problem, a Problem rebuilt since the
@@ -60,9 +61,10 @@ type Workspace struct {
 	inRow    []int  // inRow[j] = row where j is basic, or -1
 	atUp     []bool // nonbasic at upper bound (else at lower)
 	x        []float64
-	fact     factor // sparse basis factorization (LU + eta file)
-	repaired bool   // last refactorization swapped artificials into the basis
-	offBound bool   // a primal bound flip of this solve left a column's value off its bound's bits
+	xOut     []float64 // the structural point a solve returns as Solution.X
+	fact     factor    // sparse basis factorization (LU + eta file)
+	repaired bool      // last refactorization swapped artificials into the basis
+	offBound bool      // a primal bound flip of this solve left a column's value off its bound's bits
 
 	// Retained good basis: the warm-start seed — the most recent optimal,
 	// artificial-free basis this workspace reached, or the Basis it last
@@ -265,22 +267,27 @@ func (s *Workspace) reshape(p *Problem) bool {
 	s.inRow = count
 	s.atUp = resize(s.atUp, n)
 	s.x = resize(s.x, n)
+	s.xOut = resize(s.xOut, nStruct)
 	s.fact.reset(m)
 	s.goodCols = resize(s.goodCols, m)
 	s.goodAtUp = resize(s.goodAtUp, n)
 
 	s.d = resize(s.d, s.artStart)
 	s.obj = nil
+	// The index lists hold each row or column at most once: sized here, they
+	// never grow during a solve.
+	s.changed = slices.Grow(s.changed[:0], nStruct)
 	s.rho = resize(s.rho, m)
-	s.rhoIdx = s.rhoIdx[:0]
+	s.rhoIdx = slices.Grow(s.rhoIdx[:0], m)
 	s.alpha = resize(s.alpha, s.artStart)
-	s.alphaIdx = s.alphaIdx[:0]
+	s.alphaIdx = slices.Grow(s.alphaIdx[:0], s.artStart)
 	s.touched = resize(s.touched, s.artStart)
-	s.viol = s.viol[:0]
+	s.cands = slices.Grow(s.cands[:0], s.artStart)
+	s.viol = slices.Grow(s.viol[:0], s.artStart)
 	s.isViol = resize(s.isViol, s.artStart)
 	s.y = resize(s.y, m)
 	s.w = resize(s.w, m)
-	s.wnz = s.wnz[:0]
+	s.wnz = slices.Grow(s.wnz[:0], m)
 	s.cb = resize(s.cb, m)
 	s.resid = resize(s.resid, m)
 	s.gamma = s.gamma[:0] // sized when a pass first escalates to Devex
@@ -766,8 +773,9 @@ func (s *Workspace) feasTol() float64 { return tol * float64(1+s.m) * 100 }
 // overhead.
 func (s *Workspace) cancelled() bool { return s.ctx.Err() != nil }
 
+// structX copies the structural part of the point into the workspace's output
+// buffer and returns it: Solution.X.
 func (s *Workspace) structX() []float64 {
-	out := make([]float64, s.nStruct)
-	copy(out, s.x[:s.nStruct])
-	return out
+	copy(s.xOut, s.x[:s.nStruct])
+	return s.xOut
 }

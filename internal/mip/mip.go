@@ -109,14 +109,14 @@ func (l *nameList) reset() { l.buf, l.end = l.buf[:0], l.end[:0] }
 // solveState is what a Model keeps of one Solve for the next, so that
 // re-solving a model patched in place rebuilds none of it: the root bounds
 // Solve snapshots, every row's reachable continuous activity (recomputed only
-// when a continuous column's bound changed), the root search's four heuristic
-// points, and the storage of the incumbent and of its snapshots (until one
-// escapes into a Result).
+// when a continuous column's bound changed), the root search's scratch, and
+// the storage of the incumbent and of its snapshots (until one escapes into a
+// Result).
 type solveState struct {
 	rootLo, rootUp   []float64
 	contMin, contMax []float64 // per-row reachable continuous activity, lower and upper side
 	contOK           bool      // contMin/contMax were computed from the continuous bounds in rootLo/rootUp
-	points           [4][]float64
+	scratch          scratch
 	incumbent        []float64
 	incCopy          []float64
 }
@@ -512,8 +512,9 @@ func (r Result) Gap() float64 {
 }
 
 type node struct {
-	// Bound changes relative to the root problem, applied in order.
-	changes []boundChange
+	// Bound changes relative to the root problem: the newest, linked to the
+	// ones before it, which are applied first.
+	changes *boundLink
 	bound   float64 // parent LP objective (lower bound for this node)
 	depth   int
 	// basis is the optimal basis of the LP this node was branched from — the
@@ -527,6 +528,15 @@ type node struct {
 type boundChange struct {
 	v      int
 	lo, up float64
+}
+
+// boundLink is one node's bound change, linked to the changes of the node it
+// was branched from. A child adds one link to its parent's chain, which its
+// sibling shares; links are never modified, so the chains can be shared
+// between goroutines too.
+type boundLink struct {
+	boundChange
+	prev *boundLink
 }
 
 // Solve minimizes the model and returns the result. The model may be solved
@@ -567,22 +577,18 @@ func sign(x float64) float64 {
 	return 1
 }
 
-func appendChange(cs []boundChange, c boundChange) []boundChange {
-	out := make([]boundChange, len(cs)+1)
-	copy(out, cs)
-	out[len(cs)] = c
-	return out
-}
+// appendChange returns the chain cs with c applied after it.
+func appendChange(cs *boundLink, c boundChange) *boundLink { return &boundLink{c, cs} }
 
-// nodeBounds reports the effective bounds of v at node nd.
+// nodeBounds reports the effective bounds of v at node nd: those of the
+// newest change to v, the last one applied.
 func nodeBounds(nd node, v int, rootLo, rootUp float64) (lo, up float64) {
-	lo, up = rootLo, rootUp
-	for _, bc := range nd.changes {
-		if bc.v == v {
-			lo, up = bc.lo, bc.up
+	for l := nd.changes; l != nil; l = l.prev {
+		if l.v == v {
+			return l.lo, l.up
 		}
 	}
-	return lo, up
+	return rootLo, rootUp
 }
 
 // mostFractional returns the integer variable with value farthest from an

@@ -206,21 +206,28 @@ func TestParallelBoundsRestoredAfterSolve(t *testing.T) {
 	}
 }
 
-// Regression tests from the serial-assumption bug sweep. The driver shares
-// node.changes slices between sibling nodes and between goroutines, so
-// appendChange must never alias its input's backing array.
+// Regression tests from the serial-assumption bug sweep. The driver shares a
+// node's bound changes between sibling nodes and between goroutines, so
+// appendChange must never change its input: each child sees its own change
+// and its parent's, never its sibling's, and the parent sees neither.
 func TestAppendChangeDoesNotAliasParent(t *testing.T) {
-	parent := make([]boundChange, 1, 8) // spare capacity invites aliasing bugs
-	parent[0] = boundChange{v: 0, lo: 0, up: 1}
+	parent := appendChange(nil, boundChange{v: 0, lo: 0, up: 1})
 	c1 := appendChange(parent, boundChange{v: 1, lo: 0, up: 0})
 	c2 := appendChange(parent, boundChange{v: 2, lo: 1, up: 1})
-	c1[0] = boundChange{v: 9, lo: 9, up: 9}
-	c1[1] = boundChange{v: 9, lo: 9, up: 9}
-	if parent[0].v != 0 {
-		t.Fatalf("mutating child corrupted parent: %+v", parent[0])
-	}
-	if c2[1].v != 2 || c2[1].lo != 1 {
-		t.Fatalf("sibling shares backing array: %+v", c2[1])
+	const rootLo, rootUp = 0, 5
+	for _, c := range []struct {
+		name   string
+		chain  *boundLink
+		v      int
+		lo, up float64
+	}{
+		{"parent", parent, 0, 0, 1}, {"parent", parent, 1, rootLo, rootUp}, {"parent", parent, 2, rootLo, rootUp},
+		{"first child", c1, 0, 0, 1}, {"first child", c1, 1, 0, 0}, {"first child", c1, 2, rootLo, rootUp},
+		{"second child", c2, 0, 0, 1}, {"second child", c2, 1, rootLo, rootUp}, {"second child", c2, 2, 1, 1},
+	} {
+		if lo, up := nodeBounds(node{changes: c.chain}, c.v, rootLo, rootUp); lo != c.lo || up != c.up {
+			t.Fatalf("%s: x%d in [%v, %v], want [%v, %v]", c.name, c.v, lo, up, c.lo, c.up)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -300,7 +299,7 @@ func (e *engine) handleRootStatus(res *Result, rootSol lp.Solution) bool {
 // goroutine may mutate freely (the model's own problem for the root search,
 // a Clone for every other worker), the goroutine's LP workspace — which
 // retains the simplex structure, all solver scratch, and the basis of the
-// last LP it solved to optimality — and reusable point buffers for the
+// last LP it solved to optimality — and the storage of the node loop and the
 // heuristics.
 // Nothing in a search is shared across goroutines; everything shared lives
 // in the engine.
@@ -311,40 +310,95 @@ type search struct {
 	ws        *lp.Workspace
 	seedBasis *lp.Basis // start of a chain whose workspace has solved nothing yet (root basis, cross-round basis)
 	forceCold bool
-	xbuf      []float64 // rounding-heuristic point
-	xibuf     []float64 // roundRepairComplete working point
-	divebuf   []float64 // dive working point
-	checkbuf  []float64 // dive batch-rollback checkpoint
+	*scratch
+}
+
+// scratch is a search's storage, so that neither an LP nor a heuristic call
+// nor a node allocates any. An LP's point is its workspace's until the next
+// solve on it (lp.Solution.X), so every point read after a further LP is
+// copied here first: the root LP's, which all root heuristics start from, a
+// node's, which branch reads after the node's heuristics, and dive's iterate.
+type scratch struct {
+	rootX    []float64 // the root LP's point
+	nodeX    []float64 // the node LP's point
+	xbuf     []float64 // rounding-heuristic point
+	xibuf    []float64 // roundRepairComplete working point
+	divebuf  []float64 // dive working point
+	checkbuf []float64 // dive batch-rollback checkpoint
+
+	act   []float64     // integer activity per row (intAct)
+	order []int         // roundRepairComplete's rounding order
+	bump  []uint32      // roundRepairComplete's marks: column j was bumped in this round-robin when bump[j] == bumpEra
+	undo  []boundSave   // bound changes completeLP and dive make and undo
+	fixed []bool        // dive's fixed columns
+	fracs []fracVar     // dive's fractional columns
+	path  []boundChange // a node's bound changes, newest first (applyNodeBounds)
+
+	bumpEra uint32
+	bumped  int // columns marked in this era
+}
+
+// boundSave is a column's bounds before a heuristic changed them.
+type boundSave struct {
+	v      int
+	lo, up float64
+}
+
+// fracVar is a fractional column of a dive with its distance to the nearest
+// integer.
+type fracVar struct {
+	j int
+	d float64
+}
+
+// size readies the buffers for n columns and rows rows, keeping storage
+// wherever it has room. Every point and the activities are overwritten in
+// full before they are read, and the lists are emptied before they are
+// filled, so what a kept scratch held does not matter.
+func (sc *scratch) size(n, rows int) {
+	for _, p := range [...]*[]float64{&sc.rootX, &sc.nodeX, &sc.xbuf, &sc.xibuf, &sc.divebuf, &sc.checkbuf} {
+		*p = slices.Grow((*p)[:0], n)[:n]
+	}
+	sc.act = slices.Grow(sc.act[:0], rows)[:rows]
+	sc.order = slices.Grow(sc.order[:0], n)
+	sc.undo = slices.Grow(sc.undo[:0], n)
+	sc.fixed = slices.Grow(sc.fixed[:0], n)[:n]
+	sc.fracs = slices.Grow(sc.fracs[:0], n)
+	if len(sc.bump) != n {
+		sc.bump = make([]uint32, n)
+		sc.bumpEra = 0
+	}
+}
+
+// newBumps starts a round-robin with no column bumped.
+func (sc *scratch) newBumps() {
+	sc.bumpEra++
+	if sc.bumpEra == 0 { // wrapped: marks of 2³² eras ago would read as current
+		clear(sc.bump)
+		sc.bumpEra = 1
+	}
+	sc.bumped = 0
 }
 
 // newSearch gives the search the workspace ws, which counts from zero for this
-// solve, or a new one when ws is nil, and its four heuristic points, each the
-// model's width: the Model's own for the search on the model's own problem —
-// the root search — and new ones for every other. Every heuristic overwrites a
-// point in full before it reads it, so what a kept one held does not matter.
+// solve, or a new one when ws is nil, and its scratch: the Model's own for the
+// search on the model's own problem — the root search — and a new one for
+// every other.
 func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis, ws *lp.Workspace) *search {
 	if ws == nil {
 		ws = lp.NewWorkspace()
 	}
 	ws.ResetStats()
-	pts := new([4][]float64)
-	if prob == &e.m.prob {
-		pts = &e.kept.points
+	sc := &e.kept.scratch
+	if prob != &e.m.prob {
+		sc = new(scratch)
 	}
-	for i, p := range pts {
-		if cap(p) < e.n {
-			p = make([]float64, e.n)
-		}
-		pts[i] = p[:e.n]
-	}
+	sc.size(e.n, e.m.prob.NumRows())
 	s := &search{
 		m: e.m, e: e, prob: prob,
 		ws:        ws,
 		seedBasis: seed,
-		xbuf:      pts[0],
-		xibuf:     pts[1],
-		divebuf:   pts[2],
-		checkbuf:  pts[3],
+		scratch:   sc,
 	}
 	e.searches = append(e.searches, s)
 	return s
@@ -379,10 +433,14 @@ func (s *search) solveLP(start *lp.Basis) lp.Solution {
 // seed, when the caller supplied one: offered as the start, so that a
 // workspace carried over from the solve that exported it (Options.RootWorkspace)
 // recognises its own basis, and one that has moved on adopts it instead of
-// continuing from wherever the last search ended — and records it on res. It
-// reports whether res is final (handleRootStatus).
+// continuing from wherever the last search ended — and records it on res. The
+// returned point is the search's copy (rootX): every root heuristic starts
+// from it after LPs of its own. It reports whether res is final
+// (handleRootStatus).
 func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
 	sol := s.solveLP(s.seedBasis)
+	copy(s.rootX, sol.X)
+	sol.X = s.rootX
 	res.RootWorkspace = s.ws
 	if sol.Status == lp.Optimal {
 		res.RootBasis = s.ws.Basis()
@@ -394,17 +452,29 @@ func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
 	return sol, s.e.handleRootStatus(res, sol)
 }
 
-// newIntAct computes the integer-variable activity of every row at xi.
-func (m *Model) newIntAct(xi []float64) []float64 {
-	act := make([]float64, m.prob.NumRows())
+// intAct computes the integer-variable activity of every row at xi, into the
+// search's buffer.
+func (s *search) intAct(xi []float64) []float64 {
+	m, act := s.m, s.act
 	for i := range act {
+		a := 0.0
 		for _, nz := range m.prob.Row(i) {
 			if m.integer[nz.Index] {
-				act[i] += nz.Value * xi[nz.Index]
+				a += nz.Value * xi[nz.Index]
 			}
 		}
+		act[i] = a
 	}
 	return act
+}
+
+// rollback undoes the heuristic bound changes past the first to, newest
+// first.
+func (s *search) rollback(to int) {
+	for i := len(s.undo) - 1; i >= to; i-- {
+		s.prob.SetBounds(s.undo[i].v, s.undo[i].lo, s.undo[i].up)
+	}
+	s.undo = s.undo[:to]
 }
 
 // guardBlocked reports the first row that changing integer variable j by
@@ -485,11 +555,7 @@ func (s *search) guardedRound(act, xi []float64, j int) bool {
 // incumbent on success. It restores all bounds before returning.
 func (s *search) completeLP(xi []float64) bool {
 	m, e, n := s.m, s.e, s.e.n
-	type saved struct {
-		v      int
-		lo, up float64
-	}
-	var undo []saved
+	mark := len(s.undo)
 	ok := true
 	for j := 0; j < n && ok; j++ {
 		if !m.integer[j] {
@@ -501,7 +567,7 @@ func (s *search) completeLP(xi []float64) bool {
 			ok = false
 			break
 		}
-		undo = append(undo, saved{j, lo, up})
+		s.undo = append(s.undo, boundSave{j, lo, up})
 		s.prob.SetBounds(j, v, v)
 	}
 	improved := false
@@ -519,9 +585,7 @@ func (s *search) completeLP(xi []float64) bool {
 			}
 		}
 	}
-	for i := len(undo) - 1; i >= 0; i-- {
-		s.prob.SetBounds(undo[i].v, undo[i].lo, undo[i].up)
-	}
+	s.rollback(mark)
 	return improved
 }
 
@@ -538,16 +602,17 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 	for v := range m.penalty {
 		xi[v] = 0 // expose soft violations to the repair pass
 	}
-	act := m.newIntAct(xi)
+	act := s.intAct(xi)
 	// Guarded rounding in order of decreasing value keeps big counts
 	// stable and lets small fractional ones absorb the adjustment.
-	order := make([]int, 0, n)
+	order := s.order[:0]
 	for j := 0; j < n; j++ {
 		if m.integer[j] {
 			order = append(order, j)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return xi[order[a]] > xi[order[b]] })
+	s.order = order
+	slices.SortFunc(order, func(a, b int) int { return descending(xi[a], xi[b]) })
 	for _, j := range order {
 		if !s.guardedRound(act, xi, j) {
 			return false // pure-integer rows unsatisfiable by rounding
@@ -597,12 +662,12 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 			if m.prob.Sense(i) != EQ {
 				need += 2 * sign(need)
 			}
-			bumped := map[int]bool{}
+			s.newBumps()
 			for cycle := 0; cycle < 64 && math.Abs(need) > 1e-9; cycle++ {
 				moved := false
 				for _, nz := range row {
 					j := nz.Index
-					if !m.integer[j] || floats.ExactZero(nz.Value) || !floats.ExactZero(m.prob.Cost(j)) || bumped[j] {
+					if !m.integer[j] || floats.ExactZero(nz.Value) || !floats.ExactZero(m.prob.Cost(j)) || s.bump[j] == s.bumpEra {
 						continue
 					}
 					step := sign(need) * sign(nz.Value)
@@ -611,7 +676,8 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 						continue
 					}
 					s.applyDelta(act, xi, j, step)
-					bumped[j] = true
+					s.bump[j] = s.bumpEra
+					s.bumped++
 					need -= step * nz.Value
 					dirty = true
 					moved = true
@@ -623,8 +689,8 @@ func (s *search) roundRepairComplete(seed []float64) bool {
 				if !moved {
 					break
 				}
-				if len(bumped) >= len(row) {
-					bumped = map[int]bool{}
+				if s.bumped >= len(row) {
+					s.newBumps()
 				}
 			}
 		}
@@ -644,80 +710,50 @@ func (s *search) dive(seed []float64, bias float64) {
 	m, e, n := s.m, s.e, s.e.n
 	x := s.divebuf
 	copy(x, seed)
-	// Temporary bound changes to undo afterwards.
-	type saved struct {
-		v      int
-		lo, up float64
-	}
-	var undo []saved
-	rollback := func(to int) {
-		for i := len(undo) - 1; i >= to; i-- {
-			s.prob.SetBounds(undo[i].v, undo[i].lo, undo[i].up)
-		}
-		undo = undo[:to]
-	}
-	defer func() { rollback(0) }()
-	fixed := make([]bool, n)
+	defer s.rollback(len(s.undo))
+	clear(s.fixed)
 	for depth := 0; depth < n+1; depth++ {
 		if e.expired() {
 			return
 		}
-		act := m.newIntAct(x)
-		// fix pins variable j to a guarded rounding of its value.
-		fix := func(j int) bool {
-			lo, up := s.prob.Bounds(j)
-			f := x[j] - math.Floor(x[j])
-			if f > bias && f < 1 {
-				x[j] = math.Min(up, math.Ceil(x[j])) - 1e-9
-			}
-			if !s.guardedRound(act, x, j) {
-				return false
-			}
-			undo = append(undo, saved{j, lo, up})
-			s.prob.SetBounds(j, x[j], x[j])
-			fixed[j] = true
-			return true
-		}
+		s.intAct(x)
 		// Fix near-integral variables in bulk, then a batch of the most
 		// fractional ones (warm-started dual repair keeps LP rounds
 		// cheap). A per-variable guard cannot see joint effects through
 		// coupled continuous variables (e.g. max-envelopes), so when a
 		// batch lands infeasible we roll it back and retry one variable
 		// at a time.
-		type fc struct {
-			j int
-			d float64
-		}
-		var fracs []fc
+		fracs := s.fracs[:0]
 		progress := false
-		checkpoint := len(undo)
+		checkpoint := len(s.undo)
 		var xcheck []float64
 		for j := 0; j < n; j++ {
-			if !m.integer[j] || fixed[j] {
+			if !m.integer[j] || s.fixed[j] {
 				continue
 			}
 			f := x[j] - math.Floor(x[j])
 			d := math.Min(f, 1-f)
 			if d <= 0.01 {
-				if fix(j) {
+				if s.fix(x, j, bias) {
 					progress = true
 				}
 			} else {
-				fracs = append(fracs, fc{j, d})
+				fracs = append(fracs, fracVar{j, d})
 			}
 		}
+		s.fracs = fracs
 		if len(fracs) == 0 {
 			if !progress {
 				break
 			}
 		} else {
-			sort.Slice(fracs, func(a, b int) bool { return fracs[a].d > fracs[b].d })
+			slices.SortFunc(fracs, func(a, b fracVar) int { return descending(a.d, b.d) })
 			xcheck = s.checkbuf
 			copy(xcheck, x)
 			batch := len(fracs)/8 + 1
 			fixedAny := false
 			for _, f := range fracs[:batch] {
-				if fix(f.j) {
+				if s.fix(x, f.j, bias) {
 					fixedAny = true
 				}
 			}
@@ -729,13 +765,13 @@ func (s *search) dive(seed []float64, bias float64) {
 		if sol.Status != lp.Optimal && len(fracs) > 0 {
 			// Batch overshot a coupled constraint: retry with a single
 			// most-fractional fix from the checkpoint.
-			rollback(checkpoint)
+			s.rollback(checkpoint)
 			copy(x, xcheck)
 			for _, f := range fracs {
-				fixed[f.j] = false
+				s.fixed[f.j] = false
 			}
-			act = m.newIntAct(x)
-			if !fix(fracs[0].j) {
+			s.intAct(x)
+			if !s.fix(x, fracs[0].j, bias) {
 				return
 			}
 			sol = s.solveLP(nil)
@@ -743,7 +779,7 @@ func (s *search) dive(seed []float64, bias float64) {
 		if sol.Status != lp.Optimal {
 			return // infeasible dive; give up
 		}
-		x = sol.X
+		copy(x, sol.X)
 		if m.mostFractional(x) == -1 {
 			// Snap integers exactly and accept if feasible.
 			for j := 0; j < n; j++ {
@@ -759,6 +795,36 @@ func (s *search) dive(seed []float64, bias float64) {
 	}
 }
 
+// fix pins integer variable j of the dive's point x to a guarded rounding of
+// its value — rounded up once its fractional part passes bias — against the
+// row activities in s.act, and records the bounds it replaced.
+func (s *search) fix(x []float64, j int, bias float64) bool {
+	lo, up := s.prob.Bounds(j)
+	f := x[j] - math.Floor(x[j])
+	if f > bias && f < 1 {
+		x[j] = math.Min(up, math.Ceil(x[j])) - 1e-9
+	}
+	if !s.guardedRound(s.act, x, j) {
+		return false
+	}
+	s.undo = append(s.undo, boundSave{j, lo, up})
+	s.prob.SetBounds(j, x[j], x[j])
+	s.fixed[j] = true
+	return true
+}
+
+// descending compares a and b for a sort by decreasing value: it is negative
+// exactly when a > b.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
+}
+
 // applyNodeBounds resets the search's problem to root bounds and applies
 // nd's bound changes in order. It reports false when the changes cross
 // (lo > up), i.e. the node is trivially infeasible.
@@ -767,7 +833,13 @@ func (s *search) applyNodeBounds(nd node) bool {
 	for j := 0; j < e.n; j++ {
 		s.prob.SetBounds(j, e.rootLo[j], e.rootUp[j])
 	}
-	for _, bc := range nd.changes {
+	path := s.path[:0]
+	for l := nd.changes; l != nil; l = l.prev {
+		path = append(path, l.boundChange)
+	}
+	s.path = path
+	for i := len(path) - 1; i >= 0; i-- {
+		bc := path[i]
 		if bc.up < bc.lo {
 			return false
 		}
@@ -841,14 +913,18 @@ func (s *search) processNode(nd node, open []node) []node {
 		return open
 	}
 
-	frac := m.mostFractional(sol.X)
+	// The node's heuristics solve LPs on this workspace, and branch reads the
+	// point after them.
+	x := s.nodeX
+	copy(x, sol.X)
+	frac := m.mostFractional(x)
 	if frac == -1 {
-		e.offer(sol.X, sol.Objective, false)
+		e.offer(x, sol.Objective, false)
 		return open
 	}
 
 	// Rounding heuristic: round to nearest integers, verify feasibility.
-	copy(s.xbuf, sol.X)
+	copy(s.xbuf, x)
 	for j := 0; j < e.n; j++ {
 		if m.integer[j] {
 			s.xbuf[j] = math.Round(s.xbuf[j])
@@ -863,13 +939,13 @@ func (s *search) processNode(nd node, open []node) []node {
 	// Periodic heuristics from this node's relaxation, keyed to the global
 	// node counter (bounds are still the node's at this point).
 	if myNode%16 == 1 {
-		s.roundRepairComplete(sol.X)
+		s.roundRepairComplete(x)
 	}
 	if myNode%64 == 33 {
-		s.dive(sol.X, 0.5)
+		s.dive(x, 0.5)
 	}
 
-	first, second := s.branch(nd, frac, sol.X[frac], sol.Objective, basis)
+	first, second := s.branch(nd, frac, x[frac], sol.Objective, basis)
 	return append(open, first, second)
 }
 

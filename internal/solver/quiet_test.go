@@ -116,32 +116,54 @@ func (q *quietRig) solve(tb testing.TB, in Input) *Result {
 	return res
 }
 
-// BenchmarkQuietRound times one quiet round of SolveWarm on steady_quiet's
-// deployment — the broker events and snapshot stay outside the timer —
-// reporting ns/op, B/op and allocs/op, the LP iterations and B&B nodes a
-// round took, and the median of the individually timed rounds (a round that
-// rebuilds a model, one in ten or so, moves the mean but not the median).
-func BenchmarkQuietRound(b *testing.B) {
-	q := newQuietRig(b)
-	iters, nodes := 0, 0
-	rounds := make([]time.Duration, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		q.quietEvents()
-		in := q.input()
-		b.StartTimer()
-		t0 := time.Now()
-		res := q.solve(b, in)
-		rounds = append(rounds, time.Since(t0))
-		iters += res.Phase1.LPIters + res.Phase2.LPIters
-		nodes += res.Phase1.Nodes + res.Phase2.Nodes
+// BenchmarkRound times one SolveWarm round on steady_quiet's deployment —
+// the broker events and the snapshot stay outside the timer — of each kind a
+// round comes in:
+//   - quiet: the models are patched and each phase's root LP re-enters its
+//     factorization (quietEvents);
+//   - rebuild: both phase models rebuild on a new symmetry group, into the
+//     storage of the models they replace (rebuildEvents);
+//   - cold: a fresh system with 1 % of its servers failed, with no warm
+//     state, so the models, workspaces and factorizations are built anew and
+//     branch-and-bound is most of the round (coldEvents).
+//
+// Each reports ns/op, B/op and allocs/op, the LP iterations and B&B nodes a
+// round took, and the median of the individually timed rounds (a quiet round
+// that rebuilds a model, one in ten or so, moves the mean but not the
+// median).
+func BenchmarkRound(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		events func(q *quietRig, busy *topology.ServerID)
+	}{
+		{"quiet", func(q *quietRig, _ *topology.ServerID) { q.quietEvents() }},
+		{"rebuild", (*quietRig).rebuildEvents},
+		{"cold", func(q *quietRig, _ *topology.ServerID) { q.coldEvents() }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			q := newQuietRig(b)
+			busy := topology.ServerID(-1)
+			iters, nodes := 0, 0
+			rounds := make([]time.Duration, 0, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c.events(q, &busy)
+				in := q.input()
+				b.StartTimer()
+				t0 := time.Now()
+				res := q.solve(b, in)
+				rounds = append(rounds, time.Since(t0))
+				iters += res.Phase1.LPIters + res.Phase2.LPIters
+				nodes += res.Phase1.Nodes + res.Phase2.Nodes
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "lpiters/op")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			slices.Sort(rounds)
+			b.ReportMetric(float64(rounds[len(rounds)/2]), "p50-ns/round")
+		})
 	}
-	b.ReportMetric(float64(iters)/float64(b.N), "lpiters/op")
-	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-	slices.Sort(rounds)
-	b.ReportMetric(float64(rounds[len(rounds)/2]), "p50-ns/round")
 }
 
 // TestQuietRoundAllocsBounded pins what a patched quiet round allocates: the

@@ -2,9 +2,7 @@ package solver
 
 import (
 	"runtime"
-	"slices"
 	"testing"
-	"time"
 
 	"ras/internal/broker"
 	"ras/internal/reservation"
@@ -29,35 +27,6 @@ func (q *quietRig) rebuildEvents(busy *topology.ServerID) {
 	})
 	*busy = idle[q.rng.Intn(len(idle))]
 	q.br.SetContainers(*busy, 1)
-}
-
-// BenchmarkRebuildRound times one SolveWarm round on steady_quiet's
-// deployment that rebuilds both phase models on a new symmetry group — the
-// broker events and snapshot stay outside the timer — reporting ns/op, B/op,
-// allocs/op, the LP iterations and B&B nodes a round took, and the median of
-// the individually timed rounds.
-func BenchmarkRebuildRound(b *testing.B) {
-	q := newQuietRig(b)
-	busy := topology.ServerID(-1)
-	iters, nodes := 0, 0
-	rounds := make([]time.Duration, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		q.rebuildEvents(&busy)
-		in := q.input()
-		b.StartTimer()
-		t0 := time.Now()
-		res := q.solve(b, in)
-		rounds = append(rounds, time.Since(t0))
-		iters += res.Phase1.LPIters + res.Phase2.LPIters
-		nodes += res.Phase1.Nodes + res.Phase2.Nodes
-	}
-	b.ReportMetric(float64(iters)/float64(b.N), "lpiters/op")
-	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-	slices.Sort(rounds)
-	b.ReportMetric(float64(rounds[len(rounds)/2]), "p50-ns/round")
 }
 
 // TestRebuildRoundAllocsBounded pins what a rebuild round allocates when the
