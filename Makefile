@@ -130,8 +130,9 @@ bench-online-smoke:
 #            storage of the models they replace;
 #   cold     cold_solve's round: a fresh system with 1 % of its servers
 #            failed and no warm state, so branch-and-bound is the round.
-# Each reports ns/op, B/op, allocs/op, lpiters/op, nodes/op and the median
-# round (p50-ns/round). `make check` runs one round of each.
+# Each reports ns/op, B/op, allocs/op, lpiters/op, nodes/op, coldlps/op (LPs
+# offered no basis: cold roots and the root retry dive's first LP) and the
+# median round (p50-ns/round). `make check` runs one round of each.
 ROUND_BENCHTIME ?= 200x
 bench-round:
 	$(GO) test -run '^$$' -bench '^BenchmarkRound$$' -benchtime $(ROUND_BENCHTIME) ./internal/solver

@@ -11,9 +11,9 @@ import (
 // when the model keeps its per-solve state (solveState): the unchanged model,
 // and the model with one bound patched, each re-solved from its own RootBasis
 // and RootWorkspace the way the RAS solver re-solves a quiet round. What is
-// left to allocate is what the Result carries — X and RootBasis — the root
-// LP's Solution.X, and fixed-size structs of the engine, its search and its
-// node pool; nothing else of the model's width.
+// left to allocate is what the Result carries — X and RootBasis — and
+// fixed-size structs of the engine, its search and its node pool; nothing
+// else of the model's width (the root LP's point is its workspace's storage).
 func TestResolveAllocsBounded(t *testing.T) {
 	m, point := randomAssignment(rand.New(rand.NewSource(3)), 20, 10)
 	m.SetInitial(point)
@@ -47,9 +47,9 @@ func TestResolveAllocsBounded(t *testing.T) {
 
 	n := m.NumVars()
 	basisBytes := 64 + 8*((n+m.NumConstrs()+31)/32)
-	carried := 2*8*n + basisBytes // Result.X, the root LP's X, Result.RootBasis
-	const fixedBytes = 2048       // engine, search, node pool and their small slices
-	const fixedAllocs = 13        // X, the root LP's X, RootBasis (2), nine fixed-size structs
+	carried := 8*n + basisBytes // Result.X, Result.RootBasis
+	const fixedBytes = 2048     // engine, search, node pool and their small slices
+	const fixedAllocs = 12      // X, RootBasis (2), nine fixed-size structs
 	for _, c := range []struct {
 		name string
 		run  func() Result

@@ -309,7 +309,7 @@ type search struct {
 	prob      *lp.Problem
 	ws        *lp.Workspace
 	seedBasis *lp.Basis // start of a chain whose workspace has solved nothing yet (root basis, cross-round basis)
-	forceCold bool
+	forceCold bool      // the next LP starts with no basis (the retry dive's first)
 	*scratch
 }
 
@@ -417,10 +417,14 @@ var offerParentBasis, coldLPs = true, false
 // LP differs by a few fixings from the one this workspace solved last — which
 // the seed basis opens while the workspace has solved nothing. Bound changes
 // since the start basis was optimal are absorbed by dual-simplex repair.
+// forceCold makes the next LP, and only it, start with no basis; the chain
+// then continues from there.
 func (s *search) solveLP(start *lp.Basis) lp.Solution {
 	var o lp.Options
+	cold := s.forceCold || coldLPs
+	s.forceCold = false
 	switch {
-	case s.forceCold || coldLPs:
+	case cold:
 	case start != nil && offerParentBasis:
 		o.Start = start
 	default:
@@ -951,8 +955,8 @@ func (s *search) processNode(nd node, open []node) []node {
 
 // rootHeuristics runs the root-node primal heuristic schedule from the
 // fractional root relaxation: round/repair/complete, a nearest-rounding
-// dive, then gap-dependent retries (an up-biased dive and a cold-started
-// dive) and a final repair polish of the incumbent.
+// dive, then gap-dependent retries (an up-biased dive and a retry dive whose
+// first LP starts with no basis) and a final repair polish of the incumbent.
 func (s *search) rootHeuristics(rootSol lp.Solution) {
 	e := s.e
 	s.roundRepairComplete(rootSol.X)
@@ -964,12 +968,13 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 	}
 	// Warm-started LPs revisit vertices whose roundings can be brittle
 	// on tightly-coupled instances; if the dives have not closed most
-	// of the gap, retry once with cold LPs, which reach different
-	// (often friendlier) vertices.
+	// of the gap, retry once from a vertex the warm chain does not reach:
+	// the dive's first LP starts with no basis, every later depth continues
+	// the dive's own chain from it.
 	if e.bestObj()-rootSol.Objective > math.Max(10*e.opt.AbsGap, 0.05*math.Abs(e.bestObj())) {
 		s.forceCold = true
 		s.dive(rootSol.X, 0.5)
-		s.forceCold = false
+		s.forceCold = false // the dive stopped before its first LP
 	}
 	// Polish the incumbent with a repair pass; it can close residual
 	// soft-penalty slack that greedy dives strand.

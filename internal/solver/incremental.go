@@ -389,7 +389,9 @@ func (bp *builtPhase) layout() {
 	cat := bp.region.Catalog
 	nG, nS := len(groups), len(specs)
 	var nm label
-	var terms, row []mip.Term // scratch: the model copies every row it is given
+	// Scratch, sized for the longest row: the model copies every row it is
+	// given.
+	terms, row := make([]mip.Term, 0, nG+nS+2), make([]mip.Term, 0, nG+1)
 
 	// Count variables n_{g,s}, (5) assignment Σ_s n_{g,s} ≤ |g|, and
 	// (1) stability: cost M · max(0, X − n) per cell with X > 0.
@@ -440,23 +442,16 @@ func (bp *builtPhase) layout() {
 	}
 
 	// Scopes the per-spec rows sum over: MSBs, racks (phase 2), DCs, all.
-	msbGroups := make(map[int][]int, 64) // msb → group indices
-	var rackGroups map[int][]int
+	var msbGroups, rackGroups, dcGroups map[int][]int // scope → group indices
+	msbGroups, bp.msbs = groupsBy(groups, func(g *group) int { return g.msb })
 	if bp.rackLevel {
-		rackGroups = make(map[int][]int, 256)
+		rackGroups, bp.racks = groupsBy(groups, func(g *group) int { return g.rack })
 	}
-	dcGroups := make(map[int][]int, 8)
+	dcGroups, _ = groupsBy(groups, func(g *group) int { return g.dc })
 	all := make([]int, nG)
-	for gi, g := range groups {
-		msbGroups[g.msb] = append(msbGroups[g.msb], gi)
-		if bp.rackLevel {
-			rackGroups[g.rack] = append(rackGroups[g.rack], gi)
-		}
-		dcGroups[g.dc] = append(dcGroups[g.dc], gi)
+	for gi := range all {
 		all[gi] = gi
 	}
-	bp.msbs = sortedKeys(msbGroups)
-	bp.racks = sortedKeys(rackGroups)
 	bp.msbIdx = make(map[int]int, len(bp.msbs))
 	for k, msb := range bp.msbs {
 		bp.msbIdx[msb] = k
@@ -467,6 +462,8 @@ func (bp *builtPhase) layout() {
 	}
 
 	bp.sp = make([]specRows, nS)
+	perMSB := make([][]mip.Term, 0, len(bp.msbs)) // scratch of the envelope rows
+	envKeys := make([]int, 0, len(bp.msbs))       // the bp.msbs index of each perMSB group
 	for si := range specs {
 		s := &specs[si]
 		sp := &bp.sp[si]
@@ -525,8 +522,7 @@ func (bp *builtPhase) layout() {
 		if !s.isBuffer {
 			// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
 			// The per-MSB sums are consecutive runs of one scratch slice.
-			var perMSB [][]mip.Term
-			var envKeys []int // the bp.msbs index of each perMSB group
+			perMSB, envKeys = perMSB[:0], envKeys[:0]
 			sp.envRow = make([]int, len(bp.msbs))
 			terms = terms[:0]
 			for k, msb := range bp.msbs {
@@ -537,7 +533,7 @@ func (bp *builtPhase) layout() {
 					envKeys = append(envKeys, k)
 				}
 			}
-			if perMSB != nil {
+			if len(perMSB) > 0 {
 				var rows []int
 				nm = nm[:0].s("maxmsb[s").d(si).s("]")
 				sp.env, rows = m.AddUpperEnvelope(string(nm), perMSB, cfg.Tau)

@@ -11,6 +11,7 @@ import (
 
 	"ras/internal/broker"
 	"ras/internal/hardware"
+	"ras/internal/lp"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -128,9 +129,10 @@ func (q *quietRig) solve(tb testing.TB, in Input) *Result {
 //     branch-and-bound is most of the round (coldEvents).
 //
 // Each reports ns/op, B/op and allocs/op, the LP iterations and B&B nodes a
-// round took, and the median of the individually timed rounds (a quiet round
-// that rebuilds a model, one in ten or so, moves the mean but not the
-// median).
+// round took, the LPs it solved that were offered no basis (coldlps: cold
+// roots and the root retry dive's first LP), and the median of the
+// individually timed rounds (a quiet round that rebuilds a model, one in ten
+// or so, moves the mean but not the median).
 func BenchmarkRound(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -143,7 +145,7 @@ func BenchmarkRound(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			q := newQuietRig(b)
 			busy := topology.ServerID(-1)
-			iters, nodes := 0, 0
+			iters, nodes, cold := 0, 0, 0
 			rounds := make([]time.Duration, 0, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -157,9 +159,13 @@ func BenchmarkRound(b *testing.B) {
 				rounds = append(rounds, time.Since(t0))
 				iters += res.Phase1.LPIters + res.Phase2.LPIters
 				nodes += res.Phase1.Nodes + res.Phase2.Nodes
+				for _, l := range [...]lp.Stats{res.Phase1.LP, res.Phase2.LP} {
+					cold += l.Solves - l.WarmHits - l.ColdFallbacks.Total()
+				}
 			}
 			b.ReportMetric(float64(iters)/float64(b.N), "lpiters/op")
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(cold)/float64(b.N), "coldlps/op")
 			slices.Sort(rounds)
 			b.ReportMetric(float64(rounds[len(rounds)/2]), "p50-ns/round")
 		})

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"ras/internal/floats"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -231,12 +232,15 @@ func (v *resView) short() bool {
 	return v.cr-lhs > 1e-9
 }
 
-// resView is a spec's live load: what localCost prices.
+// resView is a spec's live load: what localCost prices. Its stamps number
+// the changes a repair pass made to it: ver to the spec's members and
+// loads, freeVer to the free servers of classes the spec values.
 type resView struct {
-	spec   *resSpec
-	cr     float64
-	sumMSB []float64
-	total  float64
+	spec         *resSpec
+	cr           float64
+	sumMSB       []float64
+	total        float64
+	ver, freeVer uint64
 }
 
 // localCost is the reservation's share of the phase-1 objective (stability
@@ -301,8 +305,7 @@ func (v *resView) costWith(cfg *Config, m1 int, x1 float64, m2 int, x2 float64) 
 // values) and home the servers it currently holds; free is the free pool.
 // Every pick — a view's lowest own free server, its lowest foreign member,
 // a donor's lowest stealable server in an MSB — is the first set bit over
-// one MSB's classes, so a step costs O(MSBs × donors × types) lookups plus
-// one O(MSBs) localCost per scored view, and allocates nothing.
+// one MSB's classes, and a step allocates nothing.
 type repairPass struct {
 	in      *Input
 	cfg     *Config
@@ -324,10 +327,15 @@ type repairPass struct {
 	mem     []uint64 // words per spec
 	home    []uint64 // words per spec
 
-	// Within a step the free pool and the views only change by trial, so
-	// a donor's baseline cost and backfill pick, and the stepping spec's
-	// cost with one more server of a class, are computed once per step.
+	// A step changes the stepping spec, at most one donor and the free
+	// pool, so what the steal candidates score on the donor side is kept
+	// across steps and rescored only when a stamp it was computed under
+	// (resView.ver, resView.freeVer) has moved: per (MSB, donor) the pick
+	// and the donor's cost without it and with its backfill, per donor its
+	// baseline cost and backfill pick. The stepping spec's cost with one
+	// more server of a class is computed once per step.
 	step    int          // numbers the greedy steps of the pass
+	pairAt  []pairCache  // pairAt[m*len(donors)+k]: donors[k] in MSB m
 	donorAt []donorCache // per spec
 	thiefAt []stepCost   // per class
 	pairs   []stealPair
@@ -339,18 +347,38 @@ type stepCost struct {
 	cost, sq float64
 }
 
-// donorCache is what a step learns about a donor at its first steal
-// candidate and reuses at every other MSB.
+// pairCache is a donor's steal pick in one MSB for one thief (thief+1, so
+// that the zero entry is never valid): the donor's lowest member there that
+// the thief values, valid while the donor's ver is the one it was picked
+// at, the donor's cost without it (cost, sq), and its cost without it and
+// with a backfill of value bfVal in MSB bfMSB (bfMSB -1: none scored yet).
+type pairCache struct {
+	thief, ver   uint64
+	id           topology.ServerID
+	val          float64 // the pick's value to the donor
+	cost, sq     float64
+	bfMSB        int
+	bfVal        float64
+	bfCost, bfSq float64
+}
+
+// donorCache is a donor's baseline cost, valid while its ver is ver, and
+// its backfill pick for one thief (bfThief, thief+1), valid while its ver
+// and freeVer are bfVer and bfFree. The pick is made with the load of the
+// first MSB scored for the donor lowered — an MSB the thief and the
+// donor's members decide, which the stamps pin.
 type donorCache struct {
-	stepCost // its baseline cost
-	bf       topology.ServerID
-	bfMSB    int
+	ver, bfThief, bfVer, bfFree uint64
+	cost, sq                    float64
+	bf                          topology.ServerID
+	bfMSB                       int
+	bfVal, bfMove               float64
 }
 
 // stealPair is one steal candidate: a donor's lowest server in an MSB.
 type stealPair struct {
-	id    topology.ServerID
 	donor int
+	pc    *pairCache
 }
 
 func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservation.ID) *repairPass {
@@ -446,7 +474,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 	loads := make([]float64, nS*nM)
 	p.views = make([]resView, nS)
 	for s := range specs {
-		p.views[s] = resView{spec: &specs[s], cr: specs[s].res.RRUs, sumMSB: loads[s*nM : (s+1)*nM]}
+		p.views[s] = resView{spec: &specs[s], cr: specs[s].res.RRUs, sumMSB: loads[s*nM : (s+1)*nM], ver: 1, freeVer: 1}
 	}
 	for i := range reg.Servers {
 		b, c := p.srvBit[i], p.srvCls[i]
@@ -464,6 +492,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 		}
 	}
 
+	p.pairAt = make([]pairCache, nM*len(p.donors))
 	p.donorAt = make([]donorCache, nS)
 	p.thiefAt = make([]stepCost, p.nC)
 	p.pairs = make([]stealPair, 0, len(p.donors))
@@ -487,7 +516,20 @@ func (p *repairPass) setOf(sets []uint64, s int) []uint64 {
 func (v *resView) add(m int, x float64) {
 	v.sumMSB[m] += x
 	v.total += x
+	v.ver++
 }
+
+// lower takes x off the view's MSB m load and its total for a trial, and
+// returns what restore puts back.
+func (v *resView) lower(m int, x float64) (sm, st float64) {
+	sm, st = v.sumMSB[m], v.total
+	v.sumMSB[m] -= x
+	v.total -= x
+	return sm, st
+}
+
+// restore ends a lower trial.
+func (v *resView) restore(m int, sm, st float64) { v.sumMSB[m], v.total = sm, st }
 
 func (p *repairPass) value(s int, id topology.ServerID) float64 {
 	return p.val[s*p.nC+int(p.srvCls[id])]
@@ -663,20 +705,20 @@ func (p *repairPass) repairSpec(s int) {
 		// pool with a type the buffer row cannot use.
 		for m := range v.sumMSB {
 			pairs := p.pairs[:0]
-			for _, d := range p.donors {
+			for k, d := range p.donors {
 				if p.specs[d].res.ID == v.spec.res.ID {
 					continue
 				}
-				id := p.lowest(m, s, p.setOf(p.mem, d), nil, false)
-				if id < 0 {
+				pc := p.pair(s, m, k)
+				if pc.id < 0 {
 					continue
 				}
 				i := len(pairs)
 				pairs = append(pairs, stealPair{})
-				for ; i > 0 && pairs[i-1].id > id; i-- {
+				for ; i > 0 && pairs[i-1].pc.id > pc.id; i-- {
 					pairs[i] = pairs[i-1]
 				}
-				pairs[i] = stealPair{id, d}
+				pairs[i] = stealPair{d, pc}
 			}
 			for _, sp := range pairs {
 				p.offerSteal(s, m, sp, curCost, curSq, &best)
@@ -707,7 +749,24 @@ func (p *repairPass) repairSpec(s int) {
 	}
 }
 
-// offerSteal scores stealing sp.id from donor sp.donor in MSB m, plain and
+// pair is donors[k]'s steal pick in MSB m for thief s, rescored if the
+// donor's members changed since it was made.
+func (p *repairPass) pair(s, m, k int) *pairCache {
+	d := p.donors[k]
+	dv, pc := &p.views[d], &p.pairAt[m*len(p.donors)+k]
+	if pc.thief == uint64(s)+1 && pc.ver == dv.ver {
+		return pc
+	}
+	pc.thief, pc.ver, pc.bfMSB = uint64(s)+1, dv.ver, -1
+	pc.id = p.lowest(m, s, p.setOf(p.mem, d), nil, false)
+	if pc.id >= 0 {
+		pc.val = p.value(d, pc.id)
+		pc.cost, pc.sq = dv.costWith(p.cfg, m, -pc.val, -1, 0)
+	}
+	return pc
+}
+
+// offerSteal scores stealing sp.pc.id from donor sp.donor in MSB m, plain and
 // with the donor's backfill, each with the exact combined change of both
 // touched reservations plus the server's stability change (wear is
 // per-assigned-server, so a transfer leaves it unchanged). The compound
@@ -715,60 +774,58 @@ func (p *repairPass) repairSpec(s int) {
 // (the stolen server's class is contested, the backfill's is not). The
 // donor's tiebreaker change is folded in too, so the global potential
 // Σ(cost, Σ S²) still strictly decreases on acceptance and sweeps cannot
-// cycle through mutual theft.
+// cycle through mutual theft. The donor side comes from the caches
+// (pairCache, donorCache), rescored where a stamp moved.
 func (p *repairPass) offerSteal(s, m int, sp stealPair, curCost, curSq float64, best *repairMove) {
-	v, d, cfg := &p.views[s], sp.donor, p.cfg
-	dv := &p.views[d]
-	dc := &p.donorAt[d]
-	first := dc.step != p.step
-	if first {
-		dc.step = p.step
+	v, d, pc, cfg := &p.views[s], sp.donor, sp.pc, p.cfg
+	dv, dc := &p.views[d], &p.donorAt[d]
+	if dc.ver != dv.ver {
+		dc.ver = dv.ver
 		dc.cost, dc.sq = dv.localCost(cfg)
 	}
-	dCost0, dSq0 := dc.cost, dc.sq
-
-	dval := p.value(d, sp.id)
-	sm, st := dv.sumMSB[m], dv.total
-	dv.sumMSB[m] -= dval
-	dv.total -= dval
-	dCost1, dSq1 := dv.localCost(cfg)
-	if first {
-		// Picked with the load of this first MSB already lowered.
+	if thief := uint64(s) + 1; dc.bfThief != thief || dc.bfVer != dv.ver || dc.bfFree != dv.freeVer {
+		// Unchanged within a step, so this is the step's first candidate
+		// for the donor: picked with this MSB's load lowered.
+		dc.bfThief, dc.bfVer, dc.bfFree = thief, dv.ver, dv.freeVer
+		sm, st := dv.lower(m, pc.val)
 		dc.bf, dc.bfMSB = p.pickAcquire(d)
+		dv.restore(m, sm, st)
+		if dc.bf >= 0 {
+			dc.bfVal, dc.bfMove = p.value(d, dc.bf), p.moveDelta(d, dc.bf, true)
+		}
 	}
-	bfID, bfMSB := dc.bf, dc.bfMSB
-	dCost2, dSq2, bfMove := 0.0, 0.0, 0.0
-	if bfID >= 0 {
-		dCost2, dSq2 = dv.costWith(cfg, bfMSB, p.value(d, bfID), -1, 0)
-		bfMove = p.moveDelta(d, bfID, true)
+	if dc.bf >= 0 && (pc.bfMSB != dc.bfMSB || !floats.ExactEqual(pc.bfVal, dc.bfVal)) {
+		pc.bfMSB, pc.bfVal = dc.bfMSB, dc.bfVal
+		sm, st := dv.lower(m, pc.val)
+		pc.bfCost, pc.bfSq = dv.costWith(cfg, dc.bfMSB, dc.bfVal, -1, 0)
+		dv.restore(m, sm, st)
 	}
-	dv.sumMSB[m], dv.total = sm, st
 
 	stab := 0.0
-	switch cur := &p.in.States[sp.id]; cur.Current {
+	switch cur := &p.in.States[pc.id]; cur.Current {
 	case v.spec.res.ID:
 		stab = -p.cfg.moveCost(cur.MovePreempts()) // coming home: its move charge disappears
 	case p.specs[d].res.ID:
 		stab = +p.cfg.moveCost(cur.MovePreempts()) // leaving its home reservation: a new move
 	}
-	tc := &p.thiefAt[p.srvCls[sp.id]]
+	tc := &p.thiefAt[p.srvCls[pc.id]]
 	if tc.step != p.step {
 		tc.step = p.step
-		tc.cost, tc.sq = v.costWith(cfg, m, p.value(s, sp.id), -1, 0)
+		tc.cost, tc.sq = v.costWith(cfg, m, p.value(s, pc.id), -1, 0)
 	}
 	cost, sq := tc.cost, tc.sq
-	p.offer(best, repairMove{kind: moveSteal, acq: sp.id, donor: d,
-		delta: cost - curCost + ((dCost1 - dCost0) + stab), sqDelta: sq - curSq + (dSq1 - dSq0)})
-	if bfID >= 0 {
-		p.offer(best, repairMove{kind: moveStealBackfill, acq: sp.id, donor: d, bf: bfID,
-			delta: cost - curCost + ((dCost2 - dCost0) + stab + bfMove), sqDelta: sq - curSq + (dSq2 - dSq0)})
+	p.offer(best, repairMove{kind: moveSteal, acq: pc.id, donor: d,
+		delta: cost - curCost + ((pc.cost - dc.cost) + stab), sqDelta: sq - curSq + (pc.sq - dc.sq)})
+	if dc.bf >= 0 {
+		p.offer(best, repairMove{kind: moveStealBackfill, acq: pc.id, donor: d, bf: dc.bf,
+			delta: cost - curCost + ((pc.bfCost - dc.cost) + stab + dc.bfMove), sqDelta: sq - curSq + (pc.bfSq - dc.sq)})
 	}
 }
 
 // acquire moves a free server into spec s.
 func (p *repairPass) acquire(s int, id topology.ServerID) {
 	p.targets[id] = p.specs[s].res.ID
-	setBit(p.free, p.srvBit[id], false)
+	p.setFree(id, false)
 	setBit(p.setOf(p.mem, s), p.srvBit[id], true)
 	p.views[s].add(p.in.Region.Servers[id].MSB, p.value(s, id))
 }
@@ -777,7 +834,7 @@ func (p *repairPass) acquire(s int, id topology.ServerID) {
 func (p *repairPass) release(s int, id topology.ServerID) {
 	p.targets[id] = reservation.Unassigned
 	setBit(p.setOf(p.mem, s), p.srvBit[id], false)
-	setBit(p.free, p.srvBit[id], true)
+	p.setFree(id, true)
 	p.views[s].add(p.in.Region.Servers[id].MSB, -p.value(s, id))
 }
 
@@ -789,4 +846,16 @@ func (p *repairPass) steal(s, d int, id topology.ServerID) {
 	p.targets[id] = p.specs[s].res.ID
 	setBit(p.setOf(p.mem, s), p.srvBit[id], true)
 	p.views[s].add(m, p.value(s, id))
+}
+
+// setFree puts the server in or out of the free pool and stamps the change
+// on every spec that values its class.
+func (p *repairPass) setFree(id topology.ServerID, on bool) {
+	setBit(p.free, p.srvBit[id], on)
+	c := int(p.srvCls[id])
+	for s := range p.views {
+		if p.val[s*p.nC+c] > 0 {
+			p.views[s].freeVer++
+		}
+	}
 }

@@ -27,6 +27,7 @@
 package solver
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -815,30 +816,58 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 // returning them in their deterministic model order plus the key → index
 // map the incremental patch uses to route servers between classes. The
 // classes are built in the groups and server lists of spare, the classes of
-// a spent phase, as far as they go.
+// a spent phase, as far as they go; a first pass counts each class, so the
+// rest is allocated once, each new server list to its exact size.
 func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool, spare []*group) ([]*group, map[groupKey]int) {
+	type class struct {
+		key   groupKey
+		first topology.ServerID
+		n     int
+	}
 	idx := make(map[groupKey]int, 256)
-	groups := spare[:0]
-	for _, id := range pool {
+	classes := make([]class, 0, 256)
+	of := make([]int32, len(pool)) // each pool server's class
+	for p, id := range pool {
 		k := serverKey(in, id, rackLevel, wearAware)
 		gi, ok := idx[k]
 		if !ok {
-			gi = len(groups)
+			gi = len(classes)
 			idx[k] = gi
-			srv := &in.Region.Servers[id]
-			var g *group
-			if gi < len(spare) {
-				g = spare[gi]
-			} else {
-				g = new(group)
-			}
-			*g = group{key: k, servers: g.servers[:0], msb: srv.MSB, dc: srv.DC, rack: -1}
-			if rackLevel {
-				g.rack = srv.Rack
-			}
-			groups = append(groups, g)
+			classes = append(classes, class{key: k, first: id})
 		}
-		groups[gi].servers = append(groups[gi].servers, id)
+		classes[gi].n++
+		of[p] = int32(gi)
+	}
+	need := 0 // server slots no spare list has room for
+	for gi, c := range classes {
+		if gi >= len(spare) || cap(spare[gi].servers) < c.n {
+			need += c.n
+		}
+	}
+	backing := make([]topology.ServerID, need)
+	fresh := make([]group, max(0, len(classes)-len(spare)))
+	groups := slices.Grow(spare[:0], len(classes))[:len(classes)]
+	for gi, c := range classes {
+		var g *group
+		if gi < len(spare) {
+			g = spare[gi]
+		} else {
+			g = &fresh[gi-len(spare)]
+		}
+		servers := g.servers[:0]
+		if cap(servers) < c.n {
+			servers, backing = backing[:0:c.n], backing[c.n:]
+		}
+		srv := &in.Region.Servers[c.first]
+		*g = group{key: c.key, servers: servers, msb: srv.MSB, dc: srv.DC, rack: -1}
+		if rackLevel {
+			g.rack = srv.Rack
+		}
+		groups[gi] = g
+	}
+	for p, id := range pool {
+		g := groups[of[p]]
+		g.servers = append(g.servers, id)
 	}
 	// The comparator is total over the key (wear breaks the remaining ties),
 	// so the group order is a pure function of the key set: a patched cache
@@ -1013,11 +1042,28 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 	return out
 }
 
-func sortedKeys(m map[int][]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// groupsBy lists the indices of the groups under each key, ascending, as
+// runs of one sorted array, and returns the keys in ascending order.
+func groupsBy(groups []*group, key func(*group) int) (map[int][]int, []int) {
+	order := make([]int, len(groups))
+	for gi := range order {
+		order[gi] = gi
 	}
-	sort.Ints(out)
-	return out
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(key(groups[a]), key(groups[b])) })
+	runs := 0
+	for i := range order {
+		if i == 0 || key(groups[order[i]]) != key(groups[order[i-1]]) {
+			runs++
+		}
+	}
+	byKey, keys := make(map[int][]int, runs), make([]int, 0, runs)
+	for lo := 0; lo < len(order); {
+		k, hi := key(groups[order[lo]]), lo+1
+		for hi < len(order) && key(groups[order[hi]]) == k {
+			hi++
+		}
+		byKey[k], keys = order[lo:hi:hi], append(keys, k)
+		lo = hi
+	}
+	return byKey, keys
 }
