@@ -34,10 +34,13 @@ import (
 // tuning lives in Config and is fixed at construction time; Options varies
 // per call.
 type Options struct {
-	// TimeLimit bounds the whole solve. Zero keeps each backend's
-	// configured/default budget. A ctx deadline earlier than TimeLimit wins
-	// either way; Solve implementations derive their internal deadlines from
-	// the context.
+	// TimeLimit bounds the whole solve's search: mip spends 2/3 of it on
+	// phase 1 and 1/3 on the rack phase, pop divides those limits over the
+	// waves its sub-solves run in (solver.Config.Share), so that sub-solves
+	// run one after another stay within it, and local search stops at it.
+	// Zero keeps each backend's configured/default budget. A ctx deadline
+	// earlier than TimeLimit wins either way; Solve implementations derive
+	// their internal deadlines from the context.
 	TimeLimit time.Duration
 	// Workers caps one solve's parallelism: branch-and-bound workers for
 	// the MIP backend and the total budget the pop backend divides across

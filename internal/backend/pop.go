@@ -46,8 +46,10 @@ type POPDetail struct {
 	Concurrent int
 	// PlanSig is the partition plan signature (warm-state key).
 	PlanSig uint64
-	// Repair summarizes the cross-partition recombination pass.
-	Repair solver.RepairStats
+	// Seed and Repair summarize the recombination of the merged targets
+	// (solver.RecombineTargets): the seed's acquisitions and releases, then
+	// the repair pass's moves and work.
+	Seed, Repair solver.RepairStats
 	// Eval is the region-wide phase-1 objective breakdown of the final
 	// merged-and-repaired assignment (Result.Objective = Eval.Objective).
 	Eval solver.Eval
@@ -84,12 +86,13 @@ func divideWorkers(w, k int) (perSub, concurrent int) {
 // popBackend implements POP-style partitioned solving (PAPERS.md: "Solving
 // Large-Scale Granular Resource Allocation Problems Efficiently with POP"):
 // split the region into k sub-regions along MSB boundaries, solve k
-// independent sub-MIPs concurrently, merge, and run a cheap cross-partition
-// repair pass. Whenever each sub-solve runs serial (Workers ≤ Partitions),
-// the result is bit-for-bit deterministic at every Workers value: partition
-// p's sub-problem and warm state are fixed by the snapshot, so which
-// goroutine solves it cannot change its answer, and the merge and repair
-// are pure functions of the sub-results.
+// independent sub-MIPs concurrently on shares of one solve's node and time
+// budget (solver.Config.Share), merge, and recombine: seed, then a cheap
+// cross-partition repair pass. Whenever each sub-solve runs serial (Workers
+// ≤ Partitions), the result is bit-for-bit deterministic at every Workers
+// value: partition p's sub-problem, node budget and warm state are fixed by
+// the snapshot, so which goroutine solves it cannot change its answer, and
+// the merge and recombination are pure functions of the sub-results.
 type popBackend struct {
 	cfg solver.Config
 }
@@ -109,7 +112,8 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	k = plan.K
 	demands := partition.SplitDemands(in.Region, in.States, in.Reservations, plan)
 
-	// Sub-solves share the wall-clock window: they run concurrently.
+	// The sub-solves split one solve's budget: the workers (divideWorkers),
+	// the nodes of each phase, and its time over the waves they run in.
 	perSub, concurrent := divideWorkers(opts.workers(), k)
 	cfg := opts.solverConfig(b.cfg, perSub)
 
@@ -153,7 +157,7 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 				// Each partition index p is claimed exactly once via the
 				// atomic cursor, so workers write disjoint elements, and
 				// wg.Wait() orders every write before the merge reads.
-				subs[p], errs[p] = solver.SolveWarm(ctx, sub, cfg, warms[p])
+				subs[p], errs[p] = solver.SolveWarm(ctx, sub, cfg.Share(p, k, concurrent), warms[p])
 			}
 		}()
 	}
@@ -188,12 +192,14 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	}
 	noSolution := sawDemand && !solvedDemand
 
-	// Repair: fix cross-partition spread/buffer violations and trim the k
+	// Recombine: the seed refills reservations the partitions left short
+	// (their eligible servers handed elsewhere), then the repair fixes
+	// cross-partition spread/buffer violations and trims the k
 	// per-partition embedded buffers down toward one region-wide envelope.
 	// A cancelled round returns the raw merge — the caller asked us to stop.
-	var repair solver.RepairStats
+	var seed, repair solver.RepairStats
 	if !cancelled {
-		repair = solver.RepairTargets(in, b.cfg, targets)
+		seed, repair = solver.RecombineTargets(in, b.cfg, targets)
 	}
 
 	ev := solver.Evaluate(in, b.cfg, targets)
@@ -213,6 +219,7 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 			SubWorkers:     perSub,
 			Concurrent:     concurrent,
 			PlanSig:        plan.Sig,
+			Seed:           seed,
 			Repair:         repair,
 			Eval:           ev,
 			Subs:           subs,

@@ -27,7 +27,7 @@ type Totals struct {
 	Phases                 [2]PhaseTotals
 	// POPs counts the pop results Added; the rest sums their POPDetail.
 	POPs, Partitions, WarmPartitions, SubSolves int
-	Repair                                      solver.RepairStats
+	Seed, Repair                                solver.RepairStats
 }
 
 // PhaseTotals sums one solve phase: its LP counters, and what became of the
@@ -70,6 +70,7 @@ func (t *Totals) Add(res *Result) {
 		t.Partitions += d.Partitions
 		t.WarmPartitions += d.WarmPartitions
 		t.SubSolves += len(d.Subs)
+		t.Seed.Add(d.Seed)
 		t.Repair.Add(d.Repair)
 	}
 }
@@ -120,8 +121,8 @@ func (t *Totals) Print(w io.Writer) {
 		l.Solves, l.Iterations, l.DualIterations, l.Refactorizations, l.WorkspaceReuses, l.WarmHits, l.ColdFallbacks.Total())
 	fmt.Fprintf(w, "lp-factor: update_etas=%d fill_ins=%d singular_repairs=%d\n", l.UpdateEtas, l.FillIns, l.SingularRepairs)
 	if t.POPs > 0 {
-		fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d repair_moves=%d repair_steps=%d repair_candidates=%d partition_warm_hits=%d partition_warm_misses=%d\n",
-			t.Partitions, t.SubSolves, t.Repair.Moves(), t.Repair.Steps, t.Repair.Candidates, t.WarmPartitions, t.Partitions-t.WarmPartitions)
+		fmt.Fprintf(w, "pop: partitions=%d partition_solves=%d seed_moves=%d repair_moves=%d repair_steps=%d repair_candidates=%d partition_warm_hits=%d partition_warm_misses=%d\n",
+			t.Partitions, t.SubSolves, t.Seed.Moves(), t.Repair.Moves(), t.Repair.Steps, t.Repair.Candidates, t.WarmPartitions, t.Partitions-t.WarmPartitions)
 	}
 	for i, p := range t.Phases {
 		if l := p.LP; l.Solves > 0 {

@@ -91,8 +91,8 @@ func POPSweep(scale Scale) (*Report, error) {
 	if !shapeChecked {
 		rep.ShapeHolds = false
 	}
-	rep.Notes = "pop divides the serial budget across sub-solves; speedups on one " +
-		"machine come from superlinear MIP cost reduction, not parallelism"
+	rep.Notes = "pop divides one solve's node, time and worker budget across its sub-solves; " +
+		"speedups on one machine come from superlinear MIP cost reduction, not parallelism"
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }

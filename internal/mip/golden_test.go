@@ -41,6 +41,15 @@ var goldenSearchTrajectories = [72]uint64{
 	0xd1945df11b476124, 0x0bbc7a86a5b9096c, 0x105e84750b26c990, 0x87d0cce6f3a11234,
 }
 
+// goldenSpreadTrajectories are the searchTrajectory hashes of spreadCases,
+// recorded with the root retry dive starting its first LP cold and
+// continuing its own chain; they are re-recorded as goldenSearchTrajectories
+// are.
+var goldenSpreadTrajectories = [len(spreadCases)]uint64{
+	0x4413a240ad7a7da8, 0x5b581eb613676f27, 0xa4123320fb6f01e5, 0x3c2e75c7e737f4a4,
+	0xce80b2dc2b2c085e, 0x5f9fd0b9552e92f8, 0xc1969cabda7cbabc, 0x0aeb51e298642d54,
+}
+
 // searchTrajectory hashes what a search decided: per solve its Status, the
 // bits of Objective and of every entry of X, Nodes, the LP iterations and the
 // incumbent updates.
@@ -76,38 +85,54 @@ func differing(got, want []uint64) []int {
 
 // TestGoldenSearchTrajectories solves the 72 seeded cases of
 // TestDriverMatchesSerialReference at Workers: 1 — the same models, node caps,
-// stall settings and second warm solves — and requires each trajectory hash to
-// read as recorded. The reference comparison shares processNode and the
-// heuristics with the driver, so it cannot see a change that moves both; this
-// oracle can, and a point kept past the solve that produced it and then
-// overwritten is such a change.
+// stall settings and second warm solves — and its spreadCases, and requires
+// each trajectory hash to read as recorded. The reference comparison shares
+// processNode and the heuristics with the driver, so it cannot see a change
+// that moves both; this oracle can, and a point kept past the solve that
+// produced it and then overwritten is such a change.
 func TestGoldenSearchTrajectories(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("trajectories recorded on amd64; FMA fusing elsewhere changes float bits")
 	}
 	var got [72]uint64
-	ctx := context.Background()
 	for seed := int64(0); seed < 72; seed++ {
 		shape := byte(seed%3) + 3*byte(seed*7%13)
 		limits := byte(seed / 3 % 16)
-		build, opt, again := refCase(seed, shape, limits)
-		m := build()
-		rs := []Result{m.Solve(ctx, opt)}
-		if again {
-			o := opt
-			o.RootBasis, o.RootWorkspace = rs[0].RootBasis, rs[0].RootWorkspace
-			rs = append(rs, m.Solve(ctx, o))
-		}
-		got[seed] = searchTrajectory(rs)
+		got[seed] = trajectoryOf(refCase(seed, shape, limits))
 	}
-	if got != goldenSearchTrajectories {
-		var b strings.Builder
-		for i, h := range got {
-			if i%4 == 0 {
-				b.WriteString("\n\t")
+	var spread [len(spreadCases)]uint64
+	for i := range spreadCases {
+		spread[i] = trajectoryOf(spreadCase(i))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []uint64
+	}{
+		{"search", got[:], goldenSearchTrajectories[:]},
+		{"spread", spread[:], goldenSpreadTrajectories[:]},
+	} {
+		if d := differing(c.got, c.want); len(d) > 0 {
+			var b strings.Builder
+			for i, h := range c.got {
+				if i%4 == 0 {
+					b.WriteString("\n\t")
+				}
+				fmt.Fprintf(&b, "%#016x, ", h)
 			}
-			fmt.Fprintf(&b, "%#016x, ", h)
+			t.Errorf("%s trajectories changed; cases %v differ. Recorded values to paste:%s", c.name, d, b.String())
 		}
-		t.Fatalf("search trajectories changed; cases %v differ. Recorded values to paste:%s", differing(got[:], goldenSearchTrajectories[:]), b.String())
 	}
+}
+
+// trajectoryOf solves a case — again from the first solve's root basis and
+// workspace when again is set — and hashes its trajectory.
+func trajectoryOf(build func() *Model, opt Options, again bool) uint64 {
+	m := build()
+	rs := []Result{m.Solve(context.Background(), opt)}
+	if again {
+		o := opt
+		o.RootBasis, o.RootWorkspace = rs[0].RootBasis, rs[0].RootWorkspace
+		rs = append(rs, m.Solve(context.Background(), o))
+	}
+	return searchTrajectory(rs)
 }

@@ -157,12 +157,47 @@ func requireSameResult(t *testing.T, what string, got, want Result) {
 	}
 }
 
+// spreadCases are spreadModel searches whose root retry dive runs deep — six
+// to ten LPs each, where none of refCase's searches runs one past its first
+// LP — so the reference comparison and the golden trajectories see the
+// dive's later depths and its batch rollbacks on envelope-coupled rows.
+var spreadCases = [...]struct {
+	seed             int64
+	res, doms, types int
+	maxNodes         int
+	again            bool
+}{
+	{1, 3, 3, 3, 1, false},
+	{1, 4, 4, 4, 60, false},
+	{2, 6, 4, 3, 1, true},
+	{3, 3, 4, 3, 60, true},
+	{5, 5, 3, 4, 60, false},
+	{7, 4, 4, 3, 60, true},
+	{9, 4, 4, 3, 1, false},
+	{12, 6, 4, 3, 60, false},
+}
+
+// spreadCase is spreadCases[i] as refCase returns a case.
+func spreadCase(i int) (build func() *Model, opt Options, again bool) {
+	c := spreadCases[i]
+	build = func() *Model { return spreadModel(c.seed, c.res, c.doms, c.types) }
+	return build, Options{MaxNodes: c.maxNodes, Workers: 1}, c.again
+}
+
 // compareWithReference solves one refCase with the driver and with the
 // reference, each on its own copy of the model, and returns the driver's
 // results.
 func compareWithReference(t *testing.T, seed int64, shape, limits byte) []Result {
 	t.Helper()
 	build, opt, again := refCase(seed, shape, limits)
+	return compareCase(t, fmt.Sprintf("seed %d shape %d limits %d", seed, shape, limits), build, opt, again)
+}
+
+// compareCase solves one case with the driver and with the reference, each
+// on its own copy of the model — again from the first solve's root basis and
+// workspace when again is set — and returns the driver's results.
+func compareCase(t *testing.T, name string, build func() *Model, opt Options, again bool) []Result {
+	t.Helper()
 	mGot, mWant := build(), build()
 	ctx := context.Background()
 	got := []Result{mGot.Solve(ctx, opt)}
@@ -175,7 +210,7 @@ func compareWithReference(t *testing.T, seed int64, shape, limits byte) []Result
 		want = append(want, mWant.solveRef(ctx, o))
 	}
 	for i := range got {
-		requireSameResult(t, fmt.Sprintf("seed %d shape %d limits %d solve %d", seed, shape, limits, i), got[i], want[i])
+		requireSameResult(t, fmt.Sprintf("%s solve %d", name, i), got[i], want[i])
 	}
 	return got
 }
@@ -206,6 +241,15 @@ func TestDriverMatchesSerialReference(t *testing.T) {
 	t.Logf("%d solves went past 16 nodes, %d stopped on the stall rule", deep, stalled)
 	if deep < 20 || stalled == 0 {
 		t.Fatalf("%d solves went past 16 nodes and %d stopped on the stall rule: the cases lost their point", deep, stalled)
+	}
+	for i := range spreadCases {
+		build, opt, again := spreadCase(i)
+		r := compareCase(t, fmt.Sprintf("spread case %d", i), build, opt, again)[0]
+		// Two LPs offered no basis, the root and the retry dive's first: the
+		// dive fired (TestRetryDiveStartsColdOnce).
+		if cold := r.LP.Solves - r.LP.WarmHits - r.LP.ColdFallbacks.Total(); cold != 2 {
+			t.Fatalf("spread case %d: %d LPs offered no basis, want 2: the retry dive no longer fires", i, cold)
+		}
 	}
 }
 

@@ -83,23 +83,43 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	// sub-solves each round their own sub-fleet, so the merged per-type
 	// buffer counts miss the region-wide targets by ±1 per type, each miss
 	// a full SoftPenalty.
-	specs := buildSpecs(in, cfg)
-	order := repairOrder(specs)
+	p := newRepairPass(&in, &cfg, buildSpecs(in, cfg), targets, false)
+	p.repair()
+	return p.stats
+}
 
-	// Sweep until a full pass applies nothing (bounded): a reservation
-	// trimming its surplus frees servers an earlier-processed reservation's
-	// shortfall can only pick up on the next sweep.
-	p := newRepairPass(&in, &cfg, specs, targets)
+// RecombineTargets is the pop backend's recombination: SeedTargets, then
+// RepairTargets, on one build of the specs and the pass state. The seed
+// refills what the repair steps cannot reach — a reservation whose eligible
+// servers the partitions handed to others — and the repair then walks the
+// seeded assignment to its fixed point. Before repairing, the views are
+// re-summed in server order as a new pass sums them, so the targets and the
+// repair's stats are those of the two calls made in turn, bit for bit. It
+// returns the seed's and the repair's stats.
+func RecombineTargets(in Input, cfg Config, targets []reservation.ID) (seed, repair RepairStats) {
+	cfg = cfg.withDefaults(in.Region)
+	p := newRepairPass(&in, &cfg, buildSpecs(in, cfg), targets, true)
+	p.seed()
+	seed, p.stats = p.stats, RepairStats{}
+	p.load()
+	p.repair()
+	return seed, p.stats
+}
+
+// repair sweeps the specs in repairOrder until a full sweep applies nothing
+// (bounded): a reservation trimming its surplus frees servers an
+// earlier-processed reservation's shortfall can only pick up on the next
+// sweep.
+func (p *repairPass) repair() {
 	for sweep := 0; sweep < repairMaxSweeps; sweep++ {
 		before := p.stats.Moves()
-		for _, si := range order {
+		for _, si := range p.order {
 			p.repairSpec(si)
 		}
 		if p.stats.Moves() == before {
 			break
 		}
 	}
-	return p.stats
 }
 
 // repairOrder lists the specs with demand in the order the repair pass and
@@ -140,23 +160,15 @@ func repairOrder(specs []resSpec) []int {
 // returned stats count the seed's acquisitions and releases.
 func SeedTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	cfg = cfg.withDefaults(in.Region)
-	specs := buildSpecs(in, cfg)
-	userSpec := make(map[reservation.ID]int, len(specs))
-	for s := range specs {
-		if !specs[s].isBuffer {
-			userSpec[specs[s].res.ID] = s
-		}
-	}
-	for i := range targets {
-		srv := &in.Region.Servers[i]
-		if s, ok := userSpec[targets[i]]; !ok || specs[s].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC) <= 0 {
-			targets[i] = reservation.Unassigned
-		}
-	}
-	p := newRepairPass(&in, &cfg, specs, targets)
-	order := repairOrder(specs)
+	p := newRepairPass(&in, &cfg, buildSpecs(in, cfg), targets, true)
+	p.seed()
+	return p.stats
+}
+
+// seed fills, trims and fills again (SeedTargets).
+func (p *repairPass) seed() {
 	fill := func() {
-		for _, s := range order {
+		for _, s := range p.order {
 			for p.views[s].short() {
 				id, _ := p.pickAcquire(s)
 				if id < 0 {
@@ -168,11 +180,10 @@ func SeedTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 		}
 	}
 	fill()
-	for _, s := range order {
+	for _, s := range p.order {
 		p.trim(s)
 	}
 	fill()
-	return p.stats
 }
 
 // trim releases spec s's members one at a time while a release lowers the
@@ -296,24 +307,30 @@ func (v *resView) costWith(cfg *Config, m1 int, x1 float64, m2 int, x2 float64) 
 	return cost, sq
 }
 
-// repairPass is what one RepairTargets call builds once and keeps in step
-// with every applied move. Usable servers are grouped into classes — one
-// (MSB, hardware type, DC) triple each, so a spec values a class's servers
-// alike — and a class owns a run of words in every bit set, bit b standing
-// for its b-th lowest server ID. Per spec, mem holds the servers targeted
-// to it (valued or not: a donor's server is stealable by whatever the thief
-// values) and home the servers it currently holds; free is the free pool.
-// Every pick — a view's lowest own free server, its lowest foreign member,
-// a donor's lowest stealable server in an MSB — is the first set bit over
-// one MSB's classes, and a step allocates nothing.
+// repairPass is what one RepairTargets, SeedTargets or RecombineTargets call
+// builds once and keeps in step with every applied move. Usable servers are
+// grouped into classes — one (MSB, hardware type, DC) triple each, so a spec
+// values a class's servers alike — and a class owns a run of words in every
+// bit set, bit b standing for its b-th lowest server ID. Per spec, mem holds
+// the servers targeted to it (valued or not: a donor's server is stealable
+// by whatever the thief values) and home the servers it currently holds;
+// free is the free pool. Every pick — a view's lowest own free server, its
+// lowest foreign member, a donor's lowest stealable server in an MSB — is
+// the first set bit over one MSB's classes, and a step allocates nothing.
 type repairPass struct {
 	in      *Input
 	cfg     *Config
 	targets []reservation.ID
 	specs   []resSpec
+	order   []int     // repairOrder(specs)
 	views   []resView // one per spec, live for the whole pass
 	donors  []int     // specs a steal can take from: guaranteed reservations
 	stats   RepairStats
+
+	// userSpec and bufSpec resolve a target or current reservation to the
+	// spec whose view holds the server (owner).
+	userSpec map[reservation.ID]int
+	bufSpec  []int // per class: the shared-buffer row valuing it, or -1
 
 	nC      int                 // classes
 	words   int                 // words per bit set
@@ -381,7 +398,9 @@ type stealPair struct {
 	pc    *pairCache
 }
 
-func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservation.ID) *repairPass {
+// newRepairPass builds the pass over targets. For the seed (unseat), it
+// first frees every server whose target is no reservation valuing it.
+func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservation.ID, unseat bool) *repairPass {
 	reg := in.Region
 	nT, nD, nM, nS := reg.Catalog.Len(), reg.NumDCs, reg.NumMSBs, len(specs)
 	p := &repairPass{in: in, cfg: cfg, targets: targets, specs: specs}
@@ -436,46 +455,38 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 		p.srvBit[i], p.srvCls[i], p.bitSrv[b] = int32(b), c, topology.ServerID(i)
 	}
 
-	// owner resolves a target or current reservation to the spec whose view
-	// holds the server: a user reservation's own spec, or the shared-buffer
-	// row of the server's type.
-	userSpec := make(map[reservation.ID]int, nS)
+	p.userSpec = make(map[reservation.ID]int, nS)
 	p.donors = make([]int, 0, nS)
-	bufSpec := make([]int, p.nC)
-	for c := range bufSpec {
-		bufSpec[c] = -1
+	p.bufSpec = make([]int, p.nC)
+	for c := range p.bufSpec {
+		p.bufSpec[c] = -1
 	}
 	for s := range specs {
 		if !specs[s].isBuffer {
-			userSpec[specs[s].res.ID] = s
+			p.userSpec[specs[s].res.ID] = s
 			if specs[s].res.RRUs > 0 {
 				p.donors = append(p.donors, s)
 			}
 			continue
 		}
-		for c := range bufSpec {
-			if bufSpec[c] < 0 && p.val[s*p.nC+c] > 0 {
-				bufSpec[c] = s
+		for c := range p.bufSpec {
+			if p.bufSpec[c] < 0 && p.val[s*p.nC+c] > 0 {
+				p.bufSpec[c] = s
 			}
 		}
 	}
-	owner := func(id reservation.ID, c int32) int {
-		if id == reservation.SharedBuffer {
-			return bufSpec[c]
+
+	if unseat {
+		for i := range targets {
+			srv := &reg.Servers[i]
+			if s, ok := p.userSpec[targets[i]]; !ok || specs[s].res.ValueAt(reg.Catalog, srv.Type, srv.DC) <= 0 {
+				targets[i] = reservation.Unassigned
+			}
 		}
-		if s, ok := userSpec[id]; ok {
-			return s
-		}
-		return -1
 	}
 
 	sets := make([]uint64, (1+2*nS)*p.words)
 	p.free, p.mem, p.home = sets[:p.words], sets[p.words:(1+nS)*p.words], sets[(1+nS)*p.words:]
-	loads := make([]float64, nS*nM)
-	p.views = make([]resView, nS)
-	for s := range specs {
-		p.views[s] = resView{spec: &specs[s], cr: specs[s].res.RRUs, sumMSB: loads[s*nM : (s+1)*nM], ver: 1, freeVer: 1}
-	}
 	for i := range reg.Servers {
 		b, c := p.srvBit[i], p.srvCls[i]
 		if b < 0 {
@@ -483,20 +494,58 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 		}
 		if targets[i] == reservation.Unassigned {
 			setBit(p.free, b, true)
-		} else if s := owner(targets[i], c); s >= 0 {
+		} else if s := p.owner(targets[i], c); s >= 0 {
 			setBit(p.setOf(p.mem, s), b, true)
-			p.views[s].add(reg.Servers[i].MSB, p.val[s*p.nC+int(c)])
 		}
-		if s := owner(in.States[i].Current, c); s >= 0 {
+		if s := p.owner(in.States[i].Current, c); s >= 0 {
 			setBit(p.setOf(p.home, s), b, true)
 		}
 	}
+	loads := make([]float64, nS*nM)
+	p.views = make([]resView, nS)
+	for s := range specs {
+		p.views[s] = resView{spec: &specs[s], cr: specs[s].res.RRUs, sumMSB: loads[s*nM : (s+1)*nM], freeVer: 1}
+	}
+	p.load()
+	p.order = repairOrder(specs)
 
 	p.pairAt = make([]pairCache, nM*len(p.donors))
 	p.donorAt = make([]donorCache, nS)
 	p.thiefAt = make([]stepCost, p.nC)
 	p.pairs = make([]stealPair, 0, len(p.donors))
 	return p
+}
+
+// owner is the spec whose view holds a server of class c targeted to id: a
+// user reservation's own spec or the shared-buffer row of the class; -1 if
+// none.
+func (p *repairPass) owner(id reservation.ID, c int32) int {
+	if id == reservation.SharedBuffer {
+		return p.bufSpec[c]
+	}
+	if s, ok := p.userSpec[id]; ok {
+		return s
+	}
+	return -1
+}
+
+// load sums every view from its spec's targeted servers, in ascending
+// server ID as the pass's build does, and stamps the change.
+func (p *repairPass) load() {
+	for s := range p.views {
+		v := &p.views[s]
+		clear(v.sumMSB)
+		v.total = 0
+		v.ver++
+	}
+	for i, c := range p.srvCls {
+		if p.srvBit[i] < 0 || p.targets[i] == reservation.Unassigned {
+			continue
+		}
+		if s := p.owner(p.targets[i], c); s >= 0 {
+			p.views[s].add(p.in.Region.Servers[i].MSB, p.val[s*p.nC+int(c)])
+		}
+	}
 }
 
 func setBit(set []uint64, b int32, on bool) {

@@ -15,22 +15,43 @@ import (
 	"ras/internal/topology"
 )
 
-// popMerge solves in the way the pop backend does — partition.Split into k
-// sub-regions, one serial sub-solve per sub-region on its share of the
-// demand — and returns the merged targets its repair pass starts from.
+// popMerge solves in the way the pop backend did before its sub-solves
+// shared one budget — partition.Split into k sub-regions, one serial
+// sub-solve per sub-region on its share of the demand, each with the whole
+// MaxNodes — and returns the merged targets its repair pass started from.
+// TestRepairMatchesReference's first 36 inputs, TestRepairAllocsBounded and
+// BenchmarkRepairTargets are these merges.
 func popMerge(tb testing.TB, in Input, cfg Config, k int) []reservation.ID {
+	return mergeSubSolves(tb, in, k, func(int, int) Config { return cfg })
+}
+
+// seededPopMerge is what the pop backend's repair pass starts from now: the
+// k serial sub-solves on shares of one budget (Config.Share at one
+// sub-solve at a time), merged, then seeded (SeedTargets) — the input of
+// RecombineTargets' repair half.
+func seededPopMerge(tb testing.TB, in Input, cfg Config, k int) []reservation.ID {
+	targets := mergeSubSolves(tb, in, k, func(p, k int) Config { return cfg.Share(p, k, 1) })
+	SeedTargets(in, cfg, targets)
+	return targets
+}
+
+// mergeSubSolves splits the region into k sub-regions, solves each serially
+// on its share of the demand under cfgOf(partition, effective k), and
+// merges the sub-results.
+func mergeSubSolves(tb testing.TB, in Input, k int, cfgOf func(p, k int) Config) []reservation.ID {
 	tb.Helper()
 	plan, err := partition.Split(in.Region, in.States, k)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	demands := partition.SplitDemands(in.Region, in.States, in.Reservations, plan)
-	cfg.Workers = 1
 	targets := make([]reservation.ID, len(in.Region.Servers))
 	for i := range targets {
 		targets[i] = reservation.Unassigned
 	}
 	for p := 0; p < plan.K; p++ {
+		cfg := cfgOf(p, plan.K)
+		cfg.Workers = 1
 		sub := Input{Region: in.Region, Reservations: demands[p], States: in.States, Subset: plan.Subsets[p]}
 		res, err := SolveWarm(context.Background(), sub, cfg, nil)
 		if err != nil {
@@ -191,13 +212,23 @@ var summationOrderSeeds = map[int64]bool{24: true, 28: true}
 // RepairTargets and through the reference pass it replaced, and requires
 // the same moves: identical targets and RepairStats, work counts included.
 // The corpus is the round benchmark's pop_cold deployment plus 30 seeded
-// mixes, half of them with rate-based reservations.
+// mixes, half of them with rate-based reservations, merged as the pop
+// backend did with a whole budget per sub-solve (popMerge), and the pop_cold
+// deployment again as the backend merges it now (seededPopMerge).
 func TestRepairMatchesReference(t *testing.T) {
 	var total RepairStats
 	for _, k := range []int{2, 4, 8} {
 		for seed := int64(1); seed <= 2; seed++ {
 			in, cfg := benchDeployment(t, seed)
 			s := repairBoth(t, fmt.Sprintf("pop_cold seed %d k %d", seed, k), in, cfg, popMerge(t, in, cfg, k))
+			total.Stolen += s.Stolen
+			total.Steps += s.Steps
+		}
+	}
+	for _, k := range []int{2, 4, 8} {
+		for seed := int64(1); seed <= 2; seed++ {
+			in, cfg := benchDeployment(t, seed)
+			s := repairBoth(t, fmt.Sprintf("seeded pop_cold seed %d k %d", seed, k), in, cfg, seededPopMerge(t, in, cfg, k))
 			total.Stolen += s.Stolen
 			total.Steps += s.Steps
 		}
@@ -221,6 +252,35 @@ func TestRepairMatchesReference(t *testing.T) {
 	}
 	if total.Stolen == 0 || total.Steps == 0 {
 		t.Fatalf("the corpus exercises too little of the pass: %+v", total)
+	}
+}
+
+// TestRecombineIsSeedThenRepair: RecombineTargets, which seeds and repairs
+// on one build of the pass, decides what SeedTargets then RepairTargets
+// decide — the same targets and the same stats, bit for bit — on merges of
+// the pop_cold deployment and of the 30 seeded mixes, rate-based ones
+// included, as the pop backend merges them.
+func TestRecombineIsSeedThenRepair(t *testing.T) {
+	check := func(name string, in Input, cfg Config, k int) {
+		merged := mergeSubSolves(t, in, k, func(p, k int) Config { return cfg.Share(p, k, 1) })
+		got, want := append([]reservation.ID(nil), merged...), append([]reservation.ID(nil), merged...)
+		seed, repair := RecombineTargets(in, cfg, got)
+		wantSeed := SeedTargets(in, cfg, want)
+		wantRepair := RepairTargets(in, cfg, want)
+		if seed != wantSeed || repair != wantRepair {
+			t.Fatalf("%s: stats %+v then %+v, SeedTargets then RepairTargets %+v then %+v", name, seed, repair, wantSeed, wantRepair)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: targets differ from SeedTargets then RepairTargets", name)
+		}
+	}
+	for _, k := range []int{2, 4} {
+		in, cfg := benchDeployment(t, 1)
+		check(fmt.Sprintf("pop_cold k %d", k), in, cfg, k)
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		in, cfg := mixedDeployment(t, seed, seed%2 == 0)
+		check(fmt.Sprintf("mix seed %d", seed), in, cfg, []int{2, 4, 8}[seed%3])
 	}
 }
 
@@ -279,11 +339,22 @@ func TestRepairAllocsBounded(t *testing.T) {
 	if settledSteps > 30 || mergedSteps < 200 {
 		t.Fatalf("inputs no longer span the step range: %d and %d steps", settledSteps, mergedSteps)
 	}
-	// 71 on this input (23 specs, 12 MSBs), 47 of them buildSpecs'.
+	// 74 on this input (23 specs, 12 MSBs), 47 of them buildSpecs'.
 	bound := 2*len(buildSpecs(in, cfg.withDefaults(in.Region))) + 30
 	if settledAllocs != mergedAllocs || mergedAllocs > float64(bound) {
 		t.Fatalf("allocations per pass: %v at %d steps, %v at %d steps (want equal and ≤ %d)",
 			settledAllocs, settledSteps, mergedAllocs, mergedSteps, bound)
+	}
+	// A recombination builds once too: what a repair pass allocates, give or
+	// take a map bucket (74–75 here), where SeedTargets then RepairTargets
+	// allocate 150.
+	targets := make([]reservation.ID, len(merged))
+	recombine := testing.AllocsPerRun(5, func() {
+		copy(targets, merged)
+		RecombineTargets(in, cfg, targets)
+	})
+	if recombine > mergedAllocs+2 {
+		t.Fatalf("a recombination allocates %v, a repair pass %v: the seed builds its own state", recombine, mergedAllocs)
 	}
 }
 

@@ -132,6 +132,15 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	if floats.ExactZero(c.SoftPenalty) {
 		c.SoftPenalty = 1000
 	}
+	if floats.ExactZero(c.SharedBufferFraction) {
+		c.SharedBufferFraction = 0.02
+	}
+	return c.withBudget()
+}
+
+// withBudget returns c with its zero search budgets — the phase time limits
+// and MaxNodes — set to their documented defaults.
+func (c Config) withBudget() Config {
 	if c.Phase1TimeLimit == 0 {
 		c.Phase1TimeLimit = 10 * time.Second
 	}
@@ -141,9 +150,29 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 400
 	}
-	if floats.ExactZero(c.SharedBufferFraction) {
-		c.SharedBufferFraction = 0.02
+	return c
+}
+
+// Share is sub-solve p's config when k sub-solves, concurrent of them at a
+// time, split one solve's search budget (the pop backend): p gets MaxNodes/k
+// nodes per phase, the remainder going one each to the lowest indices, and
+// each phase time limit divided by the ⌈k/concurrent⌉ waves the sub-solves
+// run in. The budgets are resolved first, so the k node budgets sum to the
+// resolved MaxNodes and the waves' phase limits to at most the resolved
+// limits. No share is below one node or nanosecond, since a zero would read
+// as the default; only a MaxNodes below k therefore sums to more. The
+// split depends on p, k and concurrent alone, so a sub-solve's node budget
+// does not depend on which goroutine runs it.
+func (c Config) Share(p, k, concurrent int) Config {
+	c = c.withBudget()
+	nodes := c.MaxNodes / k
+	if p < c.MaxNodes%k {
+		nodes++
 	}
+	c.MaxNodes = max(nodes, 1)
+	waves := time.Duration((k + concurrent - 1) / concurrent)
+	c.Phase1TimeLimit = max(c.Phase1TimeLimit/waves, 1)
+	c.Phase2TimeLimit = max(c.Phase2TimeLimit/waves, 1)
 	return c
 }
 

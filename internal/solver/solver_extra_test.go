@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"ras/internal/broker"
 	"ras/internal/hardware"
@@ -120,6 +121,56 @@ func TestSolverConfigDefaults(t *testing.T) {
 	}
 	if cfg.SoftPenalty <= cfg.MoveCostInUse {
 		t.Fatal("soft penalty must dominate move costs")
+	}
+}
+
+// TestConfigShare: k sub-solves, concurrent at a time, split one solve's
+// budget — the node budgets sum to the resolved MaxNodes, the remainder on
+// the lowest indices, each at least one node, and the ⌈k/concurrent⌉ waves'
+// phase limits sum to at most the resolved limits. Zero budgets resolve to
+// their defaults before the split, and nothing else in the config moves.
+func TestConfigShare(t *testing.T) {
+	for _, tc := range []struct {
+		cfg           Config
+		k, concurrent int
+		nodes         []int // per sub-solve
+		waves         int
+	}{
+		{Config{MaxNodes: 100}, 2, 1, []int{50, 50}, 2},
+		{Config{MaxNodes: 100}, 4, 4, []int{25, 25, 25, 25}, 1},
+		{Config{MaxNodes: 100}, 3, 2, []int{34, 33, 33}, 2},
+		{Config{MaxNodes: 100}, 6, 4, []int{17, 17, 17, 17, 16, 16}, 2},
+		{Config{MaxNodes: 7, Phase1TimeLimit: time.Second, Phase2TimeLimit: 3 * time.Nanosecond}, 4, 1, []int{2, 2, 2, 1}, 4},
+		{Config{}, 3, 1, []int{134, 133, 133}, 3}, // 400 nodes, 10 s a phase
+		{Config{MaxNodes: 100}, 1, 1, []int{100}, 1},
+		{Config{MaxNodes: 2}, 4, 2, []int{1, 1, 1, 1}, 2}, // below k: one node each
+	} {
+		resolved := tc.cfg.withBudget()
+		sum := 0
+		for p := 0; p < tc.k; p++ {
+			sub := tc.cfg.Share(p, tc.k, tc.concurrent)
+			if sub.MaxNodes != tc.nodes[p] {
+				t.Errorf("%+v k %d: sub-solve %d gets %d nodes, want %d", tc.cfg, tc.k, p, sub.MaxNodes, tc.nodes[p])
+			}
+			sum += sub.MaxNodes
+			waves := time.Duration(tc.waves)
+			for _, l := range []struct{ sub, whole time.Duration }{
+				{sub.Phase1TimeLimit, resolved.Phase1TimeLimit}, {sub.Phase2TimeLimit, resolved.Phase2TimeLimit},
+			} {
+				// A limit shorter than the waves floors at 1 ns each.
+				if l.sub != max(l.whole/waves, 1) || (l.whole >= waves && waves*l.sub > l.whole) {
+					t.Errorf("%+v k %d concurrent %d: phase limit %v of %v over %d waves", tc.cfg, tc.k, tc.concurrent, l.sub, l.whole, tc.waves)
+				}
+			}
+			rest := sub
+			rest.MaxNodes, rest.Phase1TimeLimit, rest.Phase2TimeLimit = resolved.MaxNodes, resolved.Phase1TimeLimit, resolved.Phase2TimeLimit
+			if rest != resolved {
+				t.Errorf("%+v: Share changed more than the budget: %+v", tc.cfg, sub)
+			}
+		}
+		if want := max(resolved.MaxNodes, tc.k); sum != want {
+			t.Errorf("%+v k %d: node budgets sum to %d, want %d", tc.cfg, tc.k, sum, want)
+		}
 	}
 }
 
