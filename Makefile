@@ -16,12 +16,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis (cmd/raslint): the AST rules determinism,
-# mapiter, ctxflow, floatcmp and errdrop, the call-graph rule calldeterminism,
-# and the concurrency rules lockcheck (a CFG dataflow) and leakcheck.
-# Exceptions need //raslint:allow <rule> <reason>; -stale fails the gate on
-# allow directives that no longer suppress anything.
+# mapiter, ctxflow, floatcmp and errdrop. Exceptions need
+# //raslint:allow <rule> <reason>, and an allow directive that no longer
+# suppresses anything fails the gate.
 lint:
-	$(GO) run ./cmd/raslint -stale ./...
+	$(GO) run ./cmd/raslint ./...
 
 build:
 	$(GO) build ./...

@@ -1,18 +1,16 @@
 // Command raslint runs the project's static-analysis pass (internal/lint)
 // over the module: the AST rules determinism, mapiter, ctxflow, floatcmp and
-// errdrop, the call-graph rule calldeterminism, and the concurrency rules
-// lockcheck (a CFG dataflow) and leakcheck. It is part of the pre-merge gate
-// (`make lint`, inside `make check`).
+// errdrop. It is part of the pre-merge gate (`make lint`, inside `make
+// check`).
 //
 // Usage:
 //
-//	raslint [flags] [patterns...]
+//	raslint [-json] [-C dir] [patterns...]
 //
 // Patterns are module-relative directories ("internal/mip") or subtree
-// patterns ("./..."); the default is "./...". Every rule has an enable flag
-// (-determinism=false disables it); -json emits machine-readable
-// diagnostics; -stale additionally reports //raslint:allow directives that no
-// longer suppress anything (on in `make lint`).
+// patterns ("./..."); the default is "./...". -json emits machine-readable
+// diagnostics; -C names the module root. Every rule always runs, and a
+// //raslint:allow directive that no longer suppresses anything is a finding.
 //
 // Exit status separates a red tree from a broken linter: 0 clean, 1
 // findings, 2 usage errors, 3 analyzer internal errors (a package failed to
@@ -28,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"ras/internal/lint"
 )
@@ -42,18 +39,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	dir := fs.String("C", ".", "module root directory")
-	stale := fs.Bool("stale", false, "report //raslint:allow directives that suppress nothing")
-
-	docs := lint.RuleDocs()
-	ruleFlags := map[string]*bool{}
-	names := lint.RuleNames()
-	sort.Strings(names)
-	for _, name := range names {
-		if name == "directive" {
-			continue // malformed directives are always errors
-		}
-		ruleFlags[name] = fs.Bool(name, true, "enable the "+name+" rule: "+docs[name])
-	}
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -63,13 +48,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	cfg := &lint.Config{Disabled: map[string]bool{}, Stale: *stale}
-	for name, enabled := range ruleFlags {
-		if !*enabled {
-			cfg.Disabled[name] = true
-		}
 	}
 
 	loader, err := lint.NewLoader(*dir)
@@ -82,7 +60,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, err)
 		return 3
 	}
-	diags := lint.Run(cfg, pkgs)
+	diags := lint.Run(pkgs)
 
 	if *jsonOut {
 		if diags == nil {

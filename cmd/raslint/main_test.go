@@ -150,3 +150,15 @@ func TestJSONCleanIsEmptyArray(t *testing.T) {
 		t.Fatalf("clean run must emit [], got %q", stdout)
 	}
 }
+
+// TestStaleDirectiveIsAFinding: every run reports an allow directive that
+// suppresses nothing, with no flag to ask for it.
+func TestStaleDirectiveIsAFinding(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"stale.go": "package demo\n\n//raslint:allow determinism nothing here reads the clock\nfunc OK() int { return 1 }\n",
+	})
+	code, stdout, _ := runCLI(t, []string{"-C", dir, "./..."})
+	if code != 1 || !regexp.MustCompile(`directive: stale //raslint:allow determinism`).MatchString(stdout) {
+		t.Fatalf("stale directive: exit %d, stdout %q; want exit 1 and a stale-directive finding", code, stdout)
+	}
+}

@@ -265,3 +265,23 @@ func BenchmarkPlace(b *testing.B) {
 		}
 	}
 }
+
+// TestEvictReleasesTheLock: Evict unlocks by hand, before it writes the
+// broker, so a path that keeps a.mu fails here at once instead of hanging
+// the next allocator call.
+func TestEvictReleasesTheLock(t *testing.T) {
+	b, a := setup(t)
+	bind(b, 1, 0)
+	if _, err := a.Place(1, "j", 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []topology.ServerID{0, 1} { // with and without containers
+		if got := a.Evict(id); id == 1 && len(got) != 0 {
+			t.Fatalf("Evict(1) returned %d containers from an empty server", len(got))
+		}
+		if !a.mu.TryLock() {
+			t.Fatalf("Evict(%d) returned with the allocator's lock held", id)
+		}
+		a.mu.Unlock()
+	}
+}

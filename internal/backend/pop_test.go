@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,6 +71,7 @@ func solvePOP(t *testing.T, in solver.Input, opts Options) (popRun, *Result) {
 // answer is a pure function of its own inputs.
 func TestPOPDeterministicAcrossWorkers(t *testing.T) {
 	in := testInput(t, 11, 5, 4)
+	before := runtime.NumGoroutine()
 	base, res := solvePOP(t, in, Options{Workers: 1, Partitions: 3})
 	if base.status != StatusFeasible {
 		t.Fatalf("serial pop solve status %v, want feasible", base.status)
@@ -91,6 +93,7 @@ func TestPOPDeterministicAcrossWorkers(t *testing.T) {
 		if run != base {
 			t.Fatalf("Workers=%d result differs from Workers=1:\n%+v\nvs\n%+v", w, run, base)
 		}
+		requireGoroutinesJoined(t, before) // the sub-solve workers exit with the solve
 	}
 }
 

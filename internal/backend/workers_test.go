@@ -86,10 +86,17 @@ func TestCancelMIPMidSolveParallel(t *testing.T) {
 	}
 	checkTargetsShape(t, in, res)
 
-	// Every worker must have joined before Solve returned. Poll briefly:
-	// unrelated runtime goroutines retire lazily.
+	requireGoroutinesJoined(t, before)
+}
+
+// requireGoroutinesJoined fails unless the goroutine count is back to before:
+// every goroutine a solve started must have exited by the time it returned,
+// a single leaked one included. It polls briefly, since a fired timer's
+// goroutine retires lazily.
+func requireGoroutinesJoined(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+1 {
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutine leak: %d before solve, %d after", before, runtime.NumGoroutine())
 		}

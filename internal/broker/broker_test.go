@@ -304,3 +304,36 @@ func FuzzChangedSinceCoversWrites(f *testing.F) {
 		}
 	})
 }
+
+// TestManualUnlocksReleaseTheLock covers every broker method that unlocks by
+// hand rather than with defer (it must drop the lock before notifying
+// subscribers): each returns with b.mu free on every path, the early return
+// of ClearUnavailable included. A path that keeps the lock fails here at
+// once, where the other tests would hang on the next broker call.
+func TestManualUnlocksReleaseTheLock(t *testing.T) {
+	b := testBroker(t)
+	b.Subscribe(func(Event) {})
+	requireUnlocked := func(after string) {
+		t.Helper()
+		if !b.mu.TryLock() {
+			t.Fatalf("%s returned with the broker's lock held", after)
+		}
+		b.mu.Unlock()
+	}
+	b.SetUnavailable(0, RandomFailure, 1, 10)
+	requireUnlocked("SetUnavailable")
+	b.ClearUnavailable(1, 2) // already available: the early return
+	requireUnlocked("ClearUnavailable of an available server")
+	b.ClearUnavailable(0, 2)
+	requireUnlocked("ClearUnavailable")
+	b.SetUnavailable(1, ToRFailure, 3, 5)
+	b.SetUnavailable(1, Available, 4, 0) // delegates to ClearUnavailable
+	requireUnlocked("SetUnavailable(Available)")
+	b.SetUnavailable(2, PlannedMaintenance, 5, 8)
+	if got := b.ExpireUnavailability(9); len(got) != 1 {
+		t.Fatalf("ExpireUnavailability recovered %v, want server 2", got)
+	}
+	requireUnlocked("ExpireUnavailability")
+	b.ExpireUnavailability(9) // nothing left to expire
+	requireUnlocked("ExpireUnavailability with nothing expired")
+}

@@ -4,11 +4,11 @@
 // enough to trust (Workers ≤ 1 bit-for-bit, parallel runs
 // objective-deterministic) — rests on solve paths never consulting ambient
 // nondeterministic state directly. raslint's determinism rule forbids
-// time.Now/time.Since in internal/lp, internal/mip, internal/solver,
-// internal/backend, internal/partition and internal/broker; those packages route every timing
-// read through this seam instead. Production uses the real clock; a test can
-// install its own with Override, for instance to count reads or to act at a
-// chosen read.
+// time.Now/Since/Until everywhere in the module except here and in the
+// packages that time runs (experiments, rasbench, the benchmark); every
+// other timing read routes through this seam. Production uses the real
+// clock; a test can install its own with Override, for instance to count
+// reads or to act at a chosen read.
 package clock
 
 import (

@@ -41,3 +41,24 @@ func TestOverrideAndFake(t *testing.T) {
 	// Calling restore twice must not clobber a later Override.
 	defer Override(fixed(base.Add(time.Hour)))()
 }
+
+// TestReadsAndOverrideReleaseTheLock: Now, Since, Override and its restore
+// function unlock by hand, so each must return with mu free; a read lock
+// left held fails here at once instead of hanging the next Override.
+func TestReadsAndOverrideReleaseTheLock(t *testing.T) {
+	requireUnlocked := func(after string) {
+		t.Helper()
+		if !mu.TryLock() {
+			t.Fatalf("%s returned with the clock's lock held", after)
+		}
+		mu.Unlock()
+	}
+	restore := Override(fixed(time.Date(2021, 10, 26, 0, 0, 0, 0, time.UTC)))
+	requireUnlocked("Override")
+	Now()
+	requireUnlocked("Now")
+	Since(time.Time{})
+	requireUnlocked("Since")
+	restore()
+	requireUnlocked("Override's restore")
+}

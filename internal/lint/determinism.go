@@ -3,9 +3,11 @@ package lint
 // determinism: the solve stack's reproducibility rests on never reading
 // ambient nondeterministic state. Two checks:
 //
-//  1. Wall clock: time.Now and time.Since are forbidden in the solver
-//     packages (solveScope); timing there goes through the internal/clock
-//     seam, which tests can freeze.
+//  1. Wall clock: time.Now, time.Since and time.Until are forbidden in every
+//     package of the module outside wallClockExempt; timing goes through the
+//     internal/clock seam, which tests can override. Module-wide, because a
+//     read in any package the solve stack calls (topology, reservation, the
+//     façade) leaks into a round as surely as one in the solver itself.
 //  2. Global RNG: the package-level math/rand functions draw from a shared,
 //     unseeded global source, so any use makes a run unrepeatable. They are
 //     forbidden module-wide — every random stream must come from an
@@ -40,7 +42,7 @@ var globalRandFuncs = map[string]bool{
 }
 
 func runDeterminism(pkg *Package, report reportFunc) {
-	timeInScope := slices.Contains(solveScope, pkg.Path)
+	timeExempt := slices.Contains(wallClockExempt, pkg.Path)
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -56,8 +58,8 @@ func runDeterminism(pkg *Package, report reportFunc) {
 			}
 			switch obj.Pkg().Path() {
 			case "time":
-				if timeInScope && forbiddenTimeFuncs[obj.Name()] {
-					report(sel.Pos(), "time.%s reads the wall clock in a solve path; use internal/clock (injectable in tests) instead", obj.Name())
+				if !timeExempt && forbiddenTimeFuncs[obj.Name()] {
+					report(sel.Pos(), "time.%s reads the wall clock; use internal/clock (injectable in tests) instead", obj.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				if globalRandFuncs[obj.Name()] {

@@ -35,13 +35,12 @@ type allowDirective struct {
 	line int
 	pos  token.Pos
 	// hit records whether this directive suppressed at least one finding in
-	// the current run; an unhit directive is stale (Config.Stale).
+	// the current run; an unhit directive is stale.
 	hit bool
 }
 
 // directiveSet indexes allow directives by file and line. One set spans the
-// whole run: module-level analyzers report across package boundaries, so
-// suppression lookup must too.
+// whole run.
 type directiveSet struct {
 	// allows maps file name → line → rule → directive on that line.
 	allows map[string]map[int]map[string]*allowDirective

@@ -50,14 +50,12 @@ func TestAnalyzersAgainstTestdata(t *testing.T) {
 	cases := []struct {
 		dir        string
 		importPath string
-		// cfg overrides the default empty Config for fixtures that exercise
-		// configured behavior (entry points, stale detection).
-		cfg *Config
 	}{
 		// Positive fixtures load under in-scope paths; _out fixtures load
 		// under out-of-scope paths and assert silence.
-		{dir: "determinism", importPath: "ras/internal/mip"},
+		{dir: "determinism", importPath: "ras/internal/topology"},
 		{dir: "determinism_out", importPath: "ras/internal/experiments"},
+		{dir: "calldeterminism", importPath: "ras/internal/app"},
 		{dir: "mapiter", importPath: "ras/internal/solver"},
 		{dir: "mapiter_out", importPath: "ras/internal/metrics"},
 		{dir: "ctxflow", importPath: "ras/internal/broker"},
@@ -65,12 +63,7 @@ func TestAnalyzersAgainstTestdata(t *testing.T) {
 		{dir: "floatcmp_out", importPath: "ras/internal/topology"},
 		{dir: "errdrop", importPath: "ras/internal/placer"},
 		{dir: "directives", importPath: "ras/internal/directives"},
-		{dir: "lockcheck", importPath: "ras/internal/lockcheck"},
-		{dir: "leakcheck", importPath: "ras/internal/mip"},
-		{dir: "leakcheck_out", importPath: "ras/internal/metrics"},
-		{dir: "calldeterminism", importPath: "ras/internal/app",
-			cfg: &Config{CalldeterminismEntries: []string{"ras/internal/app.Solve"}}},
-		{dir: "stale", importPath: "ras/internal/stale", cfg: &Config{Stale: true}},
+		{dir: "stale", importPath: "ras/internal/stale"},
 	}
 
 	// Registry and corpus cannot drift: a rule cannot ship without a fixture
@@ -123,11 +116,7 @@ func TestAnalyzersAgainstTestdata(t *testing.T) {
 				t.Fatalf("loading testdata/src/%s: %v", tc.dir, err)
 			}
 			wants := collectWants(t, pkg)
-			cfg := tc.cfg
-			if cfg == nil {
-				cfg = &Config{}
-			}
-			diags := Run(cfg, []*Package{pkg})
+			diags := Run([]*Package{pkg})
 			for _, d := range diags {
 				claimed := false
 				for _, w := range wants {

@@ -1,13 +1,13 @@
 // Package lint is raslint: a from-scratch static-analysis pass, built only
 // on the standard library's go/ast, go/parser, go/types, and go/importer,
 // that machine-checks the invariants the RAS solver's reproducibility
-// promise rests on (see DESIGN.md "Static analysis"). Eight rules.
+// promise rests on (see DESIGN.md "Static analysis"). Five AST rules, run
+// one package at a time:
 //
-// AST rules, one package at a time:
-//
-//   - determinism — no wall-clock reads (time.Now/Since/Until) in the solve
-//     stack, which must route timing through internal/clock, and no global
-//     math/rand anywhere in the module.
+//   - determinism — no wall-clock reads (time.Now/Since/Until) anywhere in
+//     the module outside wallClockExempt (internal/clock, which every timing
+//     read routes through, and the packages whose job is timing runs), and
+//     no global math/rand anywhere.
 //   - mapiter — no map iteration in the solve stack whose results are
 //     accumulated past the loop in visit order: append without a following
 //     sort, channel send, or float compound assignment.
@@ -18,22 +18,10 @@
 //     the designated exact-comparison helpers.
 //   - errdrop — no error return silently discarded in statement position.
 //
-// Call-graph rule, once over the module (callgraph.go):
-//
-//   - calldeterminism — no solve entry point transitively reaches a
-//     wall-clock read or global math/rand outside internal/clock.
-//
-// Concurrency rules, one function body at a time:
-//
-//   - lockcheck — a mutex acquired on some path is released on every path
-//     out (or by a defer), in the mode it was acquired in: a may-held
-//     dataflow over the function's control-flow graph (cfg.go).
-//   - leakcheck — a go-launched function in the solve stack has an exit that
-//     is not an unguarded channel operation.
-//
 // Intentional exceptions carry a //raslint:allow <rule> <reason> directive
 // (see directives.go); each suppression is scoped to a single line and must
-// name a real rule and a reason.
+// name a real rule and a reason, and a directive that suppresses nothing is
+// itself a finding.
 package lint
 
 import (
@@ -57,61 +45,23 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
-// An analyzer is one named rule. Exactly one of run and runModule is set:
-// run sees one type-checked package at a time; runModule sees the whole
-// loaded set once, for what cannot be decided package by package.
+// An analyzer is one named rule, run over one type-checked package at a
+// time.
 type analyzer struct {
-	name      string
-	doc       string
-	run       func(pkg *Package, report reportFunc)
-	runModule func(cfg *Config, pkgs []*Package, report reportFunc)
+	name string
+	run  func(pkg *Package, report reportFunc)
 }
 
 // reportFunc files one finding at pos.
 type reportFunc func(pos token.Pos, format string, args ...any)
 
 // analyzers is the rule registry, in documentation order.
-var analyzers = []*analyzer{
-	{
-		name: "determinism",
-		doc:  "forbid wall-clock reads in solver packages and global math/rand module-wide",
-		run:  runDeterminism,
-	},
-	{
-		name: "mapiter",
-		doc:  "flag map iterations that append, send or float-accumulate into state outliving the loop",
-		run:  runMapiter,
-	},
-	{
-		name: "ctxflow",
-		doc:  "functions receiving a ctx must forward it and must not mint root contexts",
-		run:  runCtxflow,
-	},
-	{
-		name: "floatcmp",
-		doc:  "forbid ==/!= on floats in numerical packages outside exact-comparison helpers",
-		run:  runFloatcmp,
-	},
-	{
-		name: "errdrop",
-		doc:  "forbid discarding error returns in statement position",
-		run:  runErrdrop,
-	},
-	{
-		name:      "calldeterminism",
-		doc:       "flag solve-entry-point call paths that transitively reach time.Now or global math/rand outside internal/clock",
-		runModule: runCalldeterminism,
-	},
-	{
-		name: "lockcheck",
-		doc:  "a mutex acquired on some CFG path must be released on every path out (or deferred), in the mode it was acquired",
-		run:  runLockcheck,
-	},
-	{
-		name: "leakcheck",
-		doc:  "flag go-launched functions whose only exits are unguarded channel operations",
-		run:  runLeakcheck,
-	},
+var analyzers = []analyzer{
+	{"determinism", runDeterminism},
+	{"mapiter", runMapiter},
+	{"ctxflow", runCtxflow},
+	{"floatcmp", runFloatcmp},
+	{"errdrop", runErrdrop},
 }
 
 // RuleNames lists every rule, including the synthetic "directive" rule that
@@ -125,35 +75,10 @@ func RuleNames() []string {
 	return names
 }
 
-// RuleDocs maps rule name → one-line description.
-func RuleDocs() map[string]string {
-	docs := map[string]string{"directive": "malformed or stale //raslint: directives"}
-	for _, a := range analyzers {
-		docs[a.name] = a.doc
-	}
-	return docs
-}
-
-// Config selects rules. The zero value runs every rule.
-type Config struct {
-	// Disabled turns rules off by name. The "directive" rule cannot be
-	// disabled: a malformed suppression is always an error.
-	Disabled map[string]bool
-	// Stale, when set, reports every well-formed //raslint:allow directive
-	// that suppressed nothing in this run, under the "directive" rule, so
-	// annotations cannot outlive the finding they excuse.
-	Stale bool
-	// CalldeterminismEntries names the solve entry points reachability
-	// starts from, as "pkgpath.Func" or "pkgpath.Type.Method" (interface
-	// methods expand to every module implementation). Nil selects the
-	// repository's Solve seams (see defaultSolveEntryPoints).
-	CalldeterminismEntries []string
-}
-
 // Rule scopes, as import paths of this module. Fixtures pick a scope by the
 // import path they are loaded under.
 var (
-	// solveScope is where determinism (wall clock) and mapiter apply.
+	// solveScope is where mapiter applies.
 	solveScope = []string{
 		"ras/internal/lp",
 		"ras/internal/mip",
@@ -164,6 +89,15 @@ var (
 		// iteration order reaches solve results.
 		"ras/internal/broker",
 	}
+	// wallClockExempt are the only packages where determinism allows a
+	// wall-clock read: the clock seam every other timing read routes
+	// through, and the packages whose job is timing runs.
+	wallClockExempt = []string{
+		"ras/internal/clock",
+		"ras/internal/experiments",
+		"ras/cmd/rasbench",
+		"ras/benchmark",
+	}
 	// floatScope is where floatcmp applies: the numerical core and the
 	// objective plumbing above it.
 	floatScope = []string{
@@ -172,79 +106,54 @@ var (
 		"ras/internal/solver",
 		"ras/internal/floats", // home of the helpers below: only their bodies may compare
 	}
-	// floatcmpHelpers are the designated exact-comparison helper names:
-	// tiny, documented functions whose whole job is an intentional exact
-	// float comparison (sparsity checks on stored-exact zeros).
-	floatcmpHelpers = []string{"ExactZero", "ExactEqual", "approxEq", "isZero"}
+	// floatcmpHelpers are the designated exact-comparison helpers, both in
+	// internal/floats: tiny, documented functions whose whole job is an
+	// intentional exact float comparison (sparsity checks on stored-exact
+	// zeros).
+	floatcmpHelpers = []string{"ExactZero", "ExactEqual"}
 )
 
-// Run executes every enabled analyzer over pkgs, which must come from one
-// Loader (they share its file set), and returns the surviving findings
-// sorted by position. Findings on lines carrying a matching //raslint:allow
-// directive are suppressed; malformed directives are reported under the
-// "directive" rule, and — with Config.Stale — so is every well-formed
-// directive that suppressed nothing.
-func Run(cfg *Config, pkgs []*Package) []Diagnostic {
+// Run executes every analyzer over pkgs, which must come from one Loader
+// (they share its file set), and returns the surviving findings sorted by
+// position. Findings on lines carrying a matching //raslint:allow directive
+// are suppressed. Malformed directives, and well-formed ones that suppressed
+// nothing (so annotations cannot outlive the finding they excuse), are
+// reported under the "directive" rule.
+func Run(pkgs []*Package) []Diagnostic {
 	if len(pkgs) == 0 {
 		return nil
-	}
-	if cfg == nil {
-		cfg = &Config{}
 	}
 	known := map[string]bool{}
 	for _, name := range RuleNames() {
 		known[name] = true
 	}
 	fset := pkgs[0].Fset
-
-	// Phase 1: collect raw findings from every analyzer and the directive
-	// index of every package. Filtering is global because module analyzers
-	// report across package boundaries.
 	diagAt := func(pos token.Pos, rule, format string, args ...any) Diagnostic {
 		p := fset.Position(pos)
 		return Diagnostic{File: p.Filename, Line: p.Line, Col: p.Column, Rule: rule, Message: fmt.Sprintf(format, args...)}
 	}
-	var raw []Diagnostic
-	collect := func(rule string) reportFunc {
-		return func(pos token.Pos, format string, args ...any) {
-			raw = append(raw, diagAt(pos, rule, format, args...))
-		}
-	}
+
+	// Collect the directive index and every raw finding, then apply the
+	// suppressions, marking each directive that fires.
+	var diags []Diagnostic
 	dirs := newDirectiveSet()
 	for _, pkg := range pkgs {
 		parseDirectives(pkg, known, dirs, func(pos token.Pos, rule, format string, args ...any) {
-			collect(rule)(pos, format, args...)
+			diags = append(diags, diagAt(pos, rule, format, args...))
 		})
 	}
 	for _, a := range analyzers {
-		if cfg.Disabled[a.name] {
-			continue
-		}
-		if a.runModule != nil {
-			a.runModule(cfg, pkgs, collect(a.name))
-			continue
-		}
 		for _, pkg := range pkgs {
-			a.run(pkg, collect(a.name))
+			a.run(pkg, func(pos token.Pos, format string, args ...any) {
+				d := diagAt(pos, a.name, format, args...)
+				if !dirs.allowed(token.Position{Filename: d.File, Line: d.Line}, d.Rule) {
+					diags = append(diags, d)
+				}
+			})
 		}
 	}
-
-	// Phase 2: apply suppressions, marking each directive that fires.
-	var diags []Diagnostic
-	for _, d := range raw {
-		if d.Rule != "directive" && dirs.allowed(token.Position{Filename: d.File, Line: d.Line}, d.Rule) {
-			continue
-		}
-		diags = append(diags, d)
-	}
-
-	// Phase 3: stale directives. A directive for a rule that was disabled
-	// this run proves nothing about staleness and is skipped.
-	if cfg.Stale {
-		for _, ad := range dirs.list {
-			if ad.hit || cfg.Disabled[ad.rule] {
-				continue
-			}
+	for _, ad := range dirs.list {
+		if !ad.hit {
 			diags = append(diags, diagAt(ad.pos, "directive",
 				"stale //raslint:allow %s: it suppresses no %s finding; remove the directive", ad.rule, ad.rule))
 		}

@@ -1,8 +1,8 @@
-// Fixture for the calldeterminism analyzer. Loaded under "ras/internal/app"
-// — outside the per-package determinism time scope, so the direct time.Now
-// calls below are invisible to the determinism rule and every finding here
-// is reachability-based. The test config names ras/internal/app.Solve as
-// the sole entry point.
+// Fixture holding the cases the call-graph rule calldeterminism used to
+// reach, loaded under "ras/internal/app" as it was: an interface method, a
+// helper two calls below Solve, and a read on no solve path at all. The
+// determinism rule is module-wide, so each direct read is a finding where it
+// sits, with no call graph and no entry points.
 package app
 
 import (
@@ -17,7 +17,7 @@ type ticker interface {
 type realTicker struct{}
 
 func (realTicker) tick() {
-	_ = time.Now() // want `solve path app\.Solve → app\.realTicker\.tick → time\.Now reaches time\.Now`
+	_ = time.Now() // want `time\.Now reads the wall clock`
 }
 
 func Solve() {
@@ -32,17 +32,15 @@ func helper() {
 }
 
 func stamp() time.Time {
-	return time.Now() // want `solve path app\.Solve → app\.helper → app\.stamp → time\.Now reaches time\.Now`
+	return time.Now() // want `time\.Now reads the wall clock`
 }
 
-// Negative: seeded sources and their methods are deterministic.
+// Seeded sources and their methods are deterministic.
 func seeded() int {
 	rng := rand.New(rand.NewSource(7))
 	return rng.Intn(4)
 }
 
-// Negative: reads the wall clock but is not reachable from Solve, and the
-// package is outside the determinism time scope — no finding.
 func offThePath() time.Time {
-	return time.Now()
+	return time.Now() // want `time\.Now reads the wall clock`
 }

@@ -1,6 +1,8 @@
-// Fixture for the determinism analyzer, loaded under "ras/internal/mip" so
-// the wall-clock scope applies. The global-rand half of the rule is
-// module-wide and would fire under any import path.
+// Fixture for the determinism analyzer, loaded under "ras/internal/topology":
+// a package outside the solver that the solve path calls. Both halves of the
+// rule are module-wide, so every direct read below is a finding. The
+// calldeterminism fixture holds the call-path cases (interface method,
+// helper two calls deep, no solve path).
 package determinism
 
 import (
@@ -14,6 +16,10 @@ func clockReads() time.Duration {
 	return d
 }
 
+func untilDeadline(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want `time\.Until reads the wall clock`
+}
+
 func globalRand() int {
 	return rand.Intn(4) // want `rand\.Intn draws from the global rand source`
 }
@@ -21,6 +27,10 @@ func globalRand() int {
 func seededRand() int {
 	rng := rand.New(rand.NewSource(7)) // seeded constructor and methods: fine
 	return rng.Intn(4)
+}
+
+func durations(d time.Duration) time.Time {
+	return time.Unix(0, 0).Add(d) // constructing and shifting instants reads no clock: fine
 }
 
 func allowedStandalone() time.Time {

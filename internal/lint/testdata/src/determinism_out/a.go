@@ -1,6 +1,6 @@
-// Negative fixture: loaded under "ras/internal/experiments", which is outside
-// the wall-clock scope, so time.Now is fine here — but the global rand source
-// stays forbidden module-wide.
+// Negative fixture: loaded under "ras/internal/experiments", one of the
+// packages whose job is timing runs (wallClockExempt), so time.Now is fine
+// here — but the global rand source stays forbidden module-wide.
 package determinismout
 
 import (
@@ -9,7 +9,7 @@ import (
 )
 
 func timing() time.Time {
-	return time.Now() // outside the wall-clock scope: no finding
+	return time.Now() // exempt from the wall-clock half: no finding
 }
 
 func figure() float64 {

@@ -1,7 +1,7 @@
-// Fixture for stale-directive detection (Config.Stale). The first directive
-// suppresses a real finding (the module-wide global-rand half of the
-// determinism rule fires under any import path); the second suppresses
-// nothing and must be reported.
+// Fixture for stale-directive detection, which every run performs. The
+// first directive suppresses a real finding (the module-wide global-rand
+// half of the determinism rule fires under any import path); the second
+// suppresses nothing and must be reported.
 package stale
 
 import "math/rand"
