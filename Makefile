@@ -26,15 +26,18 @@ build:
 	$(GO) build ./...
 
 # Shuffled: no test reads process-wide state, and the gate keeps it that way.
+# The timeouts are about 4× the slowest package on a 2-CPU host
+# (internal/experiments, 27 s; under -race internal/solver, 149 s), so a
+# deadlock fails the gate in minutes; `make check` runs test before race.
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -shuffle=on -timeout 2m ./...
 
 # The race suite covers the parallel solve paths: the mip and backend tests
 # exercise Workers > 1 (the branch-and-bound node pool drained by several
 # workers while the root heuristics run, pop's concurrent sub-solves) under
 # the race detector.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 10m ./...
 
 # Every fuzz target of the root module for FUZZTIME each, from its committed
 # corpus on. `go test -fuzz` takes one target per run, so this loops over what

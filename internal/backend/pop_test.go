@@ -151,9 +151,10 @@ func TestDivideWorkers(t *testing.T) {
 
 // TestPOPSubSolvesShareOneBudget: the k sub-solves of a pop round together
 // spend at most one solve's MaxNodes per phase, and the budget binds — at
-// least one sub-solve's phase-1 search runs to its share.
+// least one sub-solve's phase-1 search runs to its share (on this fixture,
+// every partition's search does).
 func TestPOPSubSolvesShareOneBudget(t *testing.T) {
-	in := testInput(t, 11, 5, 4)
+	in := testInput(t, 12, 6, 5)
 	const maxNodes = 12
 	be, err := New("pop", Config{Solver: solver.Config{MaxNodes: maxNodes}})
 	if err != nil {
@@ -246,6 +247,45 @@ func TestPOPFourPartitionsMeetCapacity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPOPRoundCoversDemand: count-based demand shares are whole servers
+// rounded down, so the sub-solves together may ask for up to k − 1 servers
+// less than a reservation's C_r. The round must still serve all of it: the
+// recombined targets give every reservation usable servers worth at least
+// C_r, on the pop_cold deployment at k = 2 and 4 and on a smaller region at
+// k = 3.
+func TestPOPRoundCoversDemand(t *testing.T) {
+	be, err := New("pop", Config{Solver: solver.Config{
+		MaxNodes: 100, Phase1TimeLimit: time.Minute, Phase2TimeLimit: time.Minute,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, in solver.Input, k int) {
+		res, err := be.Solve(context.Background(), in, Options{Workers: 1, Partitions: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, len(in.Reservations))
+		for i, tgt := range res.Targets {
+			if tgt >= 0 && in.States[i].Usable() {
+				srv := &in.Region.Servers[i]
+				got[tgt] += in.Reservations[tgt].ValueAt(in.Region.Catalog, srv.Type, srv.DC)
+			}
+		}
+		for _, r := range in.Reservations {
+			if got[r.ID] < r.RRUs-1e-9 {
+				t.Errorf("%s k %d: reservation %d served %v of %v", name, k, r.ID, got[r.ID], r.RRUs)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, k := range []int{2, 4} {
+			check(fmt.Sprintf("pop_cold seed %d", seed), popColdInput(t, seed), k)
+		}
+	}
+	check("testInput", testInput(t, 11, 5, 4), 3)
 }
 
 // TestPOPWarmStateRoundTrip checks the warm-start keying: threading the
@@ -383,5 +423,59 @@ func TestCancelPOPMidSolve(t *testing.T) {
 	}
 	if res.POP.Repair.Moves() != 0 {
 		t.Errorf("cancelled round still ran %d repair moves", res.POP.Repair.Moves())
+	}
+}
+
+// pollCancelCtx is a cancellable context that cancels itself at the n-th
+// call of its Err: the cancel lands at a point of the solve named by how
+// often the solve polled the context, not by time. Contexts derived from it
+// (each solve phase's deadline) are cancelled with it.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+	n      int64
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancelReachesPOPSubSolves: a cancel reaches the sub-solves, not just
+// the merge. The round context cancels at its first poll, which a sub-solve
+// makes when its phase-1 search ends; the two sub-solves run at once, so
+// the other one is cancelled in flight (or meets the cancel at its own
+// first poll). Every sub-result must report Cancelled — a sub-solve run on
+// a context of its own would finish its search and report nothing.
+func TestCancelReachesPOPSubSolves(t *testing.T) {
+	in := testInput(t, 11, 5, 4)
+	be, err := New("pop", Config{Solver: solver.Config{
+		Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 30 * time.Second,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &pollCancelCtx{Context: inner, cancel: cancel, n: 1}
+	res, err := be.Solve(ctx, in, Options{Workers: 2, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusCancelled {
+		t.Fatalf("status = %v, want %v", res.Status, StatusCancelled)
+	}
+	checkTargetsShape(t, in, res)
+	for p, sub := range res.POP.Subs {
+		if !sub.Cancelled {
+			t.Errorf("sub-solve %d does not report the cancel (phase 1: %d nodes, status %v)",
+				p, sub.Phase1.Nodes, sub.Phase1.Status)
+		}
+		if sub.RanPhase2 {
+			t.Errorf("sub-solve %d ran its rack phase after the cancel", p)
+		}
 	}
 }

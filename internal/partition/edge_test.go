@@ -122,7 +122,8 @@ func TestSplitDemandsZeroDemand(t *testing.T) {
 // TestSplitSingleServerMSBs runs the partitioner over a region whose MSBs
 // each hold exactly one server: the LPT balancer and subset builder must
 // still disjointly cover the fleet, the clamp must still guarantee ≥2 MSBs
-// per partition, and demand shares must still sum to exactly C_r.
+// per partition, and demand shares must still keep the split's contract
+// (checkShares).
 func TestSplitSingleServerMSBs(t *testing.T) {
 	region, states := tinyRegion(t, 1, 6, 1, 1) // 6 MSBs, 1 rack × 1 server each
 	if len(region.Servers) != region.NumMSBs {
@@ -156,18 +157,16 @@ func TestSplitSingleServerMSBs(t *testing.T) {
 		}
 	}
 
-	r := testReservation(0, 5)
-	demands := SplitDemands(region, states, []reservation.Reservation{r}, plan)
-	sum := 0.0
+	rate := testReservation(1, 4.1)
+	rate.CountBased = false
+	rsvs := []reservation.Reservation{testReservation(0, 5), rate}
+	demands := SplitDemands(region, states, rsvs, plan)
 	for p, list := range demands {
 		for _, sub := range list {
 			if math.IsNaN(sub.RRUs) || sub.RRUs < 0 {
 				t.Fatalf("partition %d: bad share %v", p, sub.RRUs)
 			}
-			sum += sub.RRUs
 		}
 	}
-	if sum != r.RRUs {
-		t.Errorf("single-server-MSB shares sum to %v, want exactly %v", sum, r.RRUs)
-	}
+	checkShares(t, region, states, rsvs, plan, demands)
 }

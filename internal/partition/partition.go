@@ -21,6 +21,7 @@ package partition
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"ras/internal/broker"
 	"ras/internal/reservation"
@@ -144,10 +145,12 @@ func appendUint32(b []byte, v uint32) []byte {
 // splits proportionally to its current holdings per partition, so sub-MIPs
 // mostly keep servers where they are; a fresh reservation splits
 // proportionally to its eligible usable capacity per partition. Partitions
-// with a zero share are skipped entirely (smaller sub-models); the last
-// positive share absorbs the floating-point remainder so the shares sum to
-// exactly C_r. A reservation nothing in the region can serve goes whole to
-// partition 0 so the sub-solver still reports it unserviceable (§5.3).
+// with a zero share are skipped entirely (smaller sub-models). Rate-based
+// shares sum to exactly C_r. Count-based shares are whole servers rounded
+// down, so they sum to more than C_r − k: the recombination's seed places
+// the remainder with the whole region in view. A reservation nothing in the
+// region can serve goes whole to partition 0 so the sub-solver still
+// reports it unserviceable (§5.3).
 // Elastic reservations pass through unsplit (the solver ignores them).
 func SplitDemands(region *topology.Region, states []broker.ServerState,
 	rsvs []reservation.Reservation, plan *Plan) [][]reservation.Reservation {
@@ -188,27 +191,38 @@ func SplitDemands(region *topology.Region, states []broker.ServerState,
 			out[0] = append(out[0], *r)
 			continue
 		}
-		// Fixed-order remainder accounting: every partition but the last
-		// positive one gets its proportional share, the last absorbs the rest.
-		last := -1
+		// Rate-based shares are proportional in fixed order, the last
+		// positive one absorbing the float residue. Count-based shares are
+		// whole servers, ⌊C_r·w_p/W⌋: a zero share is skipped, and if all
+		// are zero the heaviest partition (lowest p on ties) takes C_r.
+		last, heaviest := -1, 0
 		for p := 0; p < plan.K; p++ {
 			if weights[p] > 0 {
 				last = p
 			}
+			if weights[p] > weights[heaviest] {
+				heaviest = p
+			}
 		}
 		assigned := 0.0
 		for p := 0; p < plan.K; p++ {
-			if weights[p] <= 0 {
-				continue
-			}
 			share := r.RRUs * weights[p] / total
-			if p == last {
+			switch {
+			case r.CountBased:
+				share = math.Floor(share)
+			case p == last:
 				share = r.RRUs - assigned
+			}
+			if weights[p] <= 0 || (r.CountBased && share <= 0) {
+				continue
 			}
 			assigned += share
 			sub := *r
 			sub.RRUs = share
 			out[p] = append(out[p], sub)
+		}
+		if r.CountBased && assigned <= 0 {
+			out[heaviest] = append(out[heaviest], *r)
 		}
 	}
 	return out

@@ -127,8 +127,9 @@ func TestSplitClampsK(t *testing.T) {
 	}
 }
 
-// TestSplitDemandsConservesRRUs checks the remainder accounting: the
-// per-partition shares of every reservation sum to exactly C_r — not within
+// TestSplitDemandsConservesRRUs checks the shares against the split's
+// contract (checkShares): count-based shares are whole servers that lose
+// fewer than k of C_r, rate-based ones sum to exactly C_r — not within
 // epsilon; the last positive share absorbs the float residue.
 func TestSplitDemandsConservesRRUs(t *testing.T) {
 	region, states := testRegion(t)
@@ -136,26 +137,103 @@ func TestSplitDemandsConservesRRUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rate := testReservation(3, 23.7)
+	rate.CountBased = false
 	rsvs := []reservation.Reservation{
-		testReservation(0, 17), testReservation(1, 31.3), testReservation(2, 1),
+		testReservation(0, 17), testReservation(1, 31.3), testReservation(2, 1), rate,
 	}
 	demands := SplitDemands(region, states, rsvs, plan)
 	if len(demands) != plan.K {
 		t.Fatalf("got %d demand lists for %d partitions", len(demands), plan.K)
 	}
-	total := map[reservation.ID]float64{}
 	for _, list := range demands {
 		for _, r := range list {
 			if r.RRUs <= 0 {
 				t.Errorf("reservation %d got non-positive share %v", r.ID, r.RRUs)
 			}
-			total[r.ID] += r.RRUs
 		}
 	}
+	checkShares(t, region, states, rsvs, plan, demands)
+}
+
+// checkShares holds every reservation's shares to SplitDemands' contract,
+// given the weights w_p it splits by (current usable holdings per
+// partition, else eligible usable capacity) and their total W:
+//   - a count-based share in partition p is ⌊C_r·w_p/W⌋ whole servers,
+//     absent where that is 0, unless every share floors to 0 and the
+//     heaviest partition (lowest p on ties) holds all of C_r;
+//   - count-based shares sum to a value in (C_r − k, C_r];
+//   - rate-based shares are bit for bit the proportional split whose last
+//     positive share takes the float residue, summing to exactly C_r.
+func checkShares(t *testing.T, region *topology.Region, states []broker.ServerState,
+	rsvs []reservation.Reservation, plan *Plan, demands [][]reservation.Reservation) {
+	t.Helper()
 	for _, r := range rsvs {
-		if got := total[r.ID]; got != r.RRUs {
-			t.Errorf("reservation %d shares sum to %v, want exactly %v (diff %g)",
-				r.ID, got, r.RRUs, got-r.RRUs)
+		got := make([]float64, plan.K)
+		sum := 0.0
+		for p, list := range demands {
+			for _, sub := range list {
+				if sub.ID == r.ID {
+					got[p] = sub.RRUs
+					sum += sub.RRUs
+				}
+			}
+		}
+		caps, held := make([]float64, plan.K), make([]float64, plan.K)
+		capTotal, heldTotal := 0.0, 0.0
+		for i := range region.Servers {
+			srv := &region.Servers[i]
+			v := r.ValueAt(region.Catalog, srv.Type, srv.DC)
+			if !states[i].Usable() || v <= 0 {
+				continue
+			}
+			caps[plan.PartOfMSB[srv.MSB]] += v
+			capTotal += v
+			if states[i].Current == r.ID {
+				held[plan.PartOfMSB[srv.MSB]] += v
+				heldTotal += v
+			}
+		}
+		w, total := caps, capTotal
+		if heldTotal > 0 {
+			w, total = held, heldTotal
+		}
+		want := make([]float64, plan.K)
+		heaviest, last, assigned := 0, -1, 0.0
+		for p := range w {
+			if w[p] > w[heaviest] {
+				heaviest = p
+			}
+			if w[p] > 0 {
+				last = p
+			}
+		}
+		for p := range w {
+			if w[p] <= 0 {
+				continue
+			}
+			want[p] = r.RRUs * w[p] / total
+			if r.CountBased {
+				want[p] = math.Floor(want[p])
+			} else if p == last {
+				want[p] = r.RRUs - assigned
+			}
+			assigned += want[p]
+		}
+		if r.CountBased && assigned <= 0 {
+			want[heaviest] = r.RRUs
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("reservation %d (count-based %v, C_r %v, weights %v): shares %v, want %v",
+				r.ID, r.CountBased, r.RRUs, w, got, want)
+		}
+		lo := r.RRUs - float64(plan.K)
+		if !r.CountBased {
+			lo = math.Nextafter(r.RRUs, math.Inf(-1)) // exactly C_r
+		}
+		if sum <= lo || sum > r.RRUs {
+			t.Errorf("reservation %d (count-based %v) shares sum to %v, want within (%v, %v]",
+				r.ID, r.CountBased, sum, lo, r.RRUs)
 		}
 	}
 }

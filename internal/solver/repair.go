@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 
@@ -611,15 +612,20 @@ func (p *repairPass) lowest(m, by int, set, mask []uint64, keep bool) topology.S
 	return best
 }
 
+// lessLoad reports whether MSB load a is below b by more than a relative
+// 1e-9, so that loads summed in different orders tie (to the lower MSB).
+func lessLoad(a, b float64) bool { return a < b-1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+
 // pickAcquire selects the free server spec s values in its least-loaded
-// MSB (ties: lower MSB, then recover-own-current first, then lower ID).
+// MSB (ties, within lessLoad: lower MSB, then recover-own-current first,
+// then lower ID).
 // Used for the spec's own acquires and for donor backfills in compound
 // steals.
 func (p *repairPass) pickAcquire(s int) (topology.ServerID, int) {
 	load := p.views[s].sumMSB
 	best := -1
 	for m := range load {
-		if (best < 0 || load[m] < load[best]) && p.lowest(m, s, p.free, nil, false) >= 0 {
+		if (best < 0 || lessLoad(load[m], load[best])) && p.lowest(m, s, p.free, nil, false) >= 0 {
 			best = m
 		}
 	}
@@ -632,14 +638,14 @@ func (p *repairPass) pickAcquire(s int) (topology.ServerID, int) {
 	return p.lowest(best, s, p.free, nil, false), best
 }
 
-// pickRelease selects a member of spec s's most-loaded MSB (ties: lower
-// MSB; within it, foreign-current members first so releases stay free,
-// then lower ID).
+// pickRelease selects a member of spec s's most-loaded MSB (ties, within
+// lessLoad: lower MSB; within it, foreign-current members first so
+// releases stay free, then lower ID).
 func (p *repairPass) pickRelease(s int) (topology.ServerID, int) {
 	load, mem := p.views[s].sumMSB, p.setOf(p.mem, s)
 	best := -1
 	for m := range load {
-		if (best < 0 || load[m] > load[best]) && p.lowest(m, s, mem, nil, false) >= 0 {
+		if (best < 0 || lessLoad(load[best], load[m])) && p.lowest(m, s, mem, nil, false) >= 0 {
 			best = m
 		}
 	}

@@ -229,7 +229,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 			if !has {
 				continue
 			}
-			if !found || view.sumMSB[m] < view.sumMSB[bestMSB] {
+			if !found || lessLoad(view.sumMSB[m], view.sumMSB[bestMSB]) {
 				bestMSB, found = m, true
 			}
 		}
@@ -259,7 +259,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 			if len(v.members[m]) == 0 {
 				continue
 			}
-			if !found || v.sumMSB[m] > v.sumMSB[bestMSB] {
+			if !found || lessLoad(v.sumMSB[bestMSB], v.sumMSB[m]) {
 				bestMSB, found = m, true
 			}
 		}

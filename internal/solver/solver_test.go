@@ -358,6 +358,10 @@ func TestSolveEmptyReservations(t *testing.T) {
 	}
 }
 
+// TestSolveInputValidation: a nil region, a state count that does not match
+// the servers, and a Subset with a duplicate, a descending or an
+// out-of-range server ID are refused before anything is built — the last
+// with validateSubset's own error.
 func TestSolveInputValidation(t *testing.T) {
 	if _, err := Solve(context.Background(), Input{}, Config{}); err == nil {
 		t.Fatal("nil region must error")
@@ -365,6 +369,21 @@ func TestSolveInputValidation(t *testing.T) {
 	region := testRegion(t, 1, 1, 1, 2, 12)
 	if _, err := Solve(context.Background(), Input{Region: region, States: make([]broker.ServerState, 1)}, Config{}); err == nil {
 		t.Fatal("state/server count mismatch must error")
+	}
+	region = testRegion(t, 1, 2, 2, 3, 12)
+	in := freshInput(region, []reservation.Reservation{{
+		ID: 0, Name: "svc", Class: hardware.FleetAvg, RRUs: 2, CountBased: true, Policy: reservation.DefaultPolicy(),
+	}})
+	n := topology.ServerID(len(region.Servers))
+	for _, subset := range [][]topology.ServerID{{1, 3, 3, 5}, {4, 2}, {0, 1, n}, {-1, 2}} {
+		in.Subset = subset
+		want := in.validateSubset()
+		if want == nil {
+			t.Fatalf("subset %v: validateSubset accepts it", subset)
+		}
+		if res, err := SolveWarm(context.Background(), in, Config{}, nil); err == nil || err.Error() != want.Error() {
+			t.Errorf("subset %v: SolveWarm = (%v, %v), want validateSubset's error %q", subset, res, err, want)
+		}
 	}
 }
 
