@@ -53,14 +53,15 @@ fuzz-smoke:
 
 # End-to-end smoke runs on a synthetic region: the parallel MIP, the
 # partitioned backend (k sub-solves dividing the same worker budget), local
-# search, and a multi-round simulation that must exercise both the
-# model-cache patch path and — via the -grow-hour structural delta — the
-# fallback rebuild path.
+# search, and two multi-round simulations, under mip and under pop, that must
+# each exercise both the model-cache patch path and — via the -grow-hour
+# structural change — the fallback rebuild path.
 smoke:
 	$(GO) run ./cmd/rassolve -synthetic -workers 4 -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassolve -synthetic -backend pop -partitions 4 -workers 4 -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassolve -synthetic -backend localsearch >/dev/null
 	$(GO) run ./cmd/rassim -days 1 -dcs 2 -msbs 2 -racks 4 -servers 4 -grow-hour 6 -require-cache -q >/dev/null
+	$(GO) run ./cmd/rassim -days 1 -dcs 2 -msbs 2 -racks 4 -servers 4 -grow-hour 6 -backend pop -partitions 2 -workers 1 -require-cache -q >/dev/null
 
 # The round-loop benchmark (BENCHMARK.json, benchmark/) is a module of its
 # own, so nothing above compiles it: vet it, run its tests, and drive one

@@ -144,25 +144,14 @@ func BenchmarkBackendPOPLarge(b *testing.B) {
 
 // BenchmarkRoundIncremental measures the continuous-optimization steady
 // state: round after round over the 10× region with a small availability
-// delta between rounds. mode=patch hands the solver broker deltas so the
-// cached phase models are patched in place; mode=cold withholds them, so
-// every round rebuilds from scratch. Both modes apply the identical
-// deterministic mutation stream, so objective/op must match; the
-// buildns/op ratio between the modes is the incremental-build payoff that
-// cmd/benchjson derives into BENCH_solver.json's round_incremental section.
-// One slow round moves ns/op by a factor that depends on b.N, so the rounds
-// are also timed one by one and reported as p50-ns/round and max-ns/round;
-// the committed row is taken at -benchtime 20x (make bench-baseline).
+// change between rounds, each round patching the phase models the last one
+// cached. buildns/op and patchrounds/op feed BENCH_solver.json's
+// round_incremental section (cmd/benchjson); BenchmarkRound's quiet and
+// rebuild rounds time a patch against a rebuild. One slow round moves ns/op
+// by a factor that depends on b.N, so the rounds are also timed one by one
+// and reported as p50-ns/round and max-ns/round; the committed row is taken
+// at -benchtime 20x (make bench-baseline).
 func BenchmarkRoundIncremental(b *testing.B) {
-	for _, mode := range []string{"patch", "cold"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			runRoundIncremental(b, mode == "patch")
-		})
-	}
-}
-
-func runRoundIncremental(b *testing.B, usePatch bool) {
-	b.Helper()
 	region, err := topology.Generate(topology.GenSpec{
 		Name: "ablation-large", DCs: 4, MSBsPerDC: 6, RacksPerMSB: 9, ServersPerRack: 10, Seed: 9,
 	})
@@ -184,35 +173,25 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 		Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 10 * time.Second,
 		MaxNodes: 100, SharedBufferFraction: -1, Workers: 1,
 	}
+	solve := func(states []broker.ServerState, warm *solver.WarmState) *solver.Result {
+		res, err := solver.SolveWarm(context.Background(),
+			solver.Input{Region: region, Reservations: rsvs, States: states}, cfg, warm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
 
 	// Warmup round: populate the model cache and settle the assignment, so
 	// the timed rounds are the steady state the incremental build targets.
-	states, v := br.SnapshotAt()
-	res, err := solver.SolveWarm(context.Background(),
-		solver.Input{Region: region, Reservations: rsvs, States: states, StatesVersion: v}, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm := res.Warm
-	last := v
+	res := solve(br.Snapshot(), nil)
 	for i, tgt := range res.Targets {
 		br.SetCurrent(topology.ServerID(i), tgt)
 	}
 	// Settle round: the applied moves shuffle servers across symmetry
-	// groups, so this round falls back to a cold rebuild (in patch mode) —
-	// absorb it here so the timed rounds measure the steady state.
-	states, v = br.SnapshotAt()
-	in := solver.Input{Region: region, Reservations: rsvs, States: states, StatesVersion: v}
-	if usePatch {
-		if changed, ok := br.ChangedSince(last); ok {
-			in.Delta = &solver.Delta{Since: last, Servers: changed}
-		}
-	}
-	last = v
-	if res, err = solver.SolveWarm(context.Background(), in, cfg, warm); err != nil {
-		b.Fatal(err)
-	}
-	warm = res.Warm
+	// groups, so this round falls back to a rebuild — absorb it here so the
+	// timed rounds measure the steady state.
+	warm := solve(br.Snapshot(), res.Warm).Warm
 
 	var buildNS, mipNS float64
 	rounds := make([]time.Duration, 0, b.N)
@@ -220,7 +199,7 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// One server fails, another revives: a pure bound-flip delta.
+		// One server fails, another revives: a pure bound-flip change.
 		b.StopTimer()
 		down := topology.ServerID((i * 7) % len(region.Servers))
 		br.SetUnavailable(down, broker.RandomFailure, int64(i), int64(i)+1000)
@@ -228,20 +207,10 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 			up := topology.ServerID(((i - 1) * 7) % len(region.Servers))
 			br.ClearUnavailable(up, int64(i))
 		}
-		states, v := br.SnapshotAt()
-		in := solver.Input{Region: region, Reservations: rsvs, States: states, StatesVersion: v}
-		if usePatch {
-			if changed, ok := br.ChangedSince(last); ok {
-				in.Delta = &solver.Delta{Since: last, Servers: changed}
-			}
-		}
-		last = v
+		states := br.Snapshot()
 		b.StartTimer()
 		t0 := time.Now()
-		res, err := solver.SolveWarm(context.Background(), in, cfg, warm)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := solve(states, warm)
 		rounds = append(rounds, time.Since(t0))
 		warm = res.Warm
 		for _, p := range []*solver.PhaseStats{&res.Phase1, &res.Phase2} {
@@ -255,8 +224,8 @@ func runRoundIncremental(b *testing.B, usePatch bool) {
 			b.ReportMetric(res.Phase1.Objective, "objective")
 		}
 	}
-	if usePatch && patched == 0 {
-		b.Fatal("patch mode never hit the patch path")
+	if patched == 0 {
+		b.Fatal("no round hit the patch path")
 	}
 	b.ReportMetric(buildNS/float64(b.N), "buildns/op")
 	b.ReportMetric(mipNS/float64(b.N), "mipns/op")

@@ -66,25 +66,17 @@ type POPSweep struct {
 	ObjectiveDeltaPct float64   `json:"objective_delta_pct"`
 }
 
-// RoundIncremental is the derived incremental-model-build summary: the
-// multi-round steady-state benchmark (BenchmarkRoundIncremental) with broker
-// deltas feeding the solver's model cache (mode=patch) against the same
-// mutation stream rebuilt cold every round (mode=cold). BuildSpeedup is the
-// cold model-build time over the patch time — the ISSUE's ≥5× target —
-// and ObjectiveDelta must be 0: patching is only taken when the patched
-// model is bit-for-bit identical to a rebuild. The round times are the median
-// and the slowest of the benchmark's individually timed rounds, which — unlike
-// ns/op — do not move with the iteration count.
+// RoundIncremental is the derived incremental-model-build summary of the
+// multi-round steady-state benchmark (BenchmarkRoundIncremental), whose
+// rounds patch the models the last round cached: the model-build time per
+// round, the share of rounds whose phase 1 was patched, and the median and
+// the slowest of the individually timed rounds, which — unlike ns/op — do
+// not move with the iteration count.
 type RoundIncremental struct {
 	PatchBuildNs    float64 `json:"patch_build_ns"`
-	ColdBuildNs     float64 `json:"cold_build_ns"`
-	BuildSpeedup    float64 `json:"build_speedup"`
 	PatchRounds     float64 `json:"patch_rounds_frac"`
-	ObjectiveDelta  float64 `json:"objective_delta"`
 	PatchRoundP50Ns float64 `json:"patch_round_p50_ns"`
 	PatchRoundMaxNs float64 `json:"patch_round_max_ns"`
-	ColdRoundP50Ns  float64 `json:"cold_round_p50_ns"`
-	ColdRoundMaxNs  float64 `json:"cold_round_max_ns"`
 }
 
 func main() {
@@ -239,37 +231,21 @@ func derivePOPKSweep(benches []Bench) []POPSweep {
 	return rows
 }
 
-// deriveRoundIncremental pairs BenchmarkRoundIncremental's patch and cold
-// modes into the incremental-build summary. Returns nil when either mode is
-// absent (filtered bench run).
+// deriveRoundIncremental reads BenchmarkRoundIncremental into the
+// incremental-build summary. Returns nil when it is absent (filtered bench
+// run).
 func deriveRoundIncremental(benches []Bench) *RoundIncremental {
-	var patch, cold *Bench
-	for i := range benches {
-		switch trimProcs(benches[i].Name) {
-		case "BenchmarkRoundIncremental/mode=patch":
-			patch = &benches[i]
-		case "BenchmarkRoundIncremental/mode=cold":
-			cold = &benches[i]
+	for _, b := range benches {
+		if trimProcs(b.Name) == "BenchmarkRoundIncremental" {
+			return &RoundIncremental{
+				PatchBuildNs:    b.Metrics["buildns/op"],
+				PatchRounds:     b.Metrics["patchrounds/op"],
+				PatchRoundP50Ns: b.Metrics["p50-ns/round"],
+				PatchRoundMaxNs: b.Metrics["max-ns/round"],
+			}
 		}
 	}
-	if patch == nil || cold == nil {
-		return nil
-	}
-	r := &RoundIncremental{
-		PatchBuildNs:   patch.Metrics["buildns/op"],
-		ColdBuildNs:    cold.Metrics["buildns/op"],
-		PatchRounds:    patch.Metrics["patchrounds/op"],
-		ObjectiveDelta: patch.Metrics["objective"] - cold.Metrics["objective"],
-
-		PatchRoundP50Ns: patch.Metrics["p50-ns/round"],
-		PatchRoundMaxNs: patch.Metrics["max-ns/round"],
-		ColdRoundP50Ns:  cold.Metrics["p50-ns/round"],
-		ColdRoundMaxNs:  cold.Metrics["max-ns/round"],
-	}
-	if r.PatchBuildNs > 0 {
-		r.BuildSpeedup = r.ColdBuildNs / r.PatchBuildNs
-	}
-	return r
+	return nil
 }
 
 // trimProcs strips the "-N" GOMAXPROCS suffix go test appends to benchmark

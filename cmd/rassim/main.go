@@ -128,7 +128,7 @@ func main() {
 		}
 	})
 
-	// Mid-run growth: a new reservation is a structural delta, so the next
+	// Mid-run growth: a new reservation is a structural change, so the next
 	// hourly solve must fall back to a cold model rebuild while steady-state
 	// hours keep patching.
 	if *growHour >= 0 {

@@ -68,7 +68,7 @@ func TestRunTotalsAddUp(t *testing.T) {
 			phaseSolves[k] += ph.LPSolves
 		}
 	}
-	if patched == 0 || rebuilds[solver.RebuildReservationSet] == 0 || rackRounds == 0 {
+	if patched == 0 || totals.Fallbacks() == 0 || rackRounds == 0 {
 		t.Fatalf("the run lost its point: %d patched phases, rebuilds %v, %d rack rounds", patched, rebuilds, rackRounds)
 	}
 

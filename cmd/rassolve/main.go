@@ -265,8 +265,8 @@ func main() {
 }
 
 // printModelBuilds reports, per sub-solve and phase and from the values the
-// solve returned, whether the phase's model was patched or built and why a
-// requested patch fell back, how many rounding cuts it carries and the gap the
+// solve returned, whether the phase's model was patched or built and why it
+// was built, how many rounding cuts it carries and the gap the
 // search started from (the root relaxation's bound against the objective it
 // ended on), then every softened row left violated (§5.3: a shortfall has to
 // name the request it hits).

@@ -72,8 +72,9 @@ type WarmState struct {
 	MIP *solver.WarmState
 	// LocalSearch is the last local-search assignment.
 	LocalSearch []reservation.ID
-	// POP is the partitioned backend's per-partition warm state.
-	POP *POPWarm
+	// POP is the partitioned backend's warm state: partition p's
+	// solver.WarmState at index p.
+	POP []*solver.WarmState
 }
 
 // workers resolves the Workers knob: zero → NumCPU, floor 1.

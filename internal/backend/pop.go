@@ -19,24 +19,13 @@ import (
 // loss on granular problems.
 const DefaultPartitions = 4
 
-// POPWarm is the partitioned backend's cross-round warm-start state: one
-// solver.WarmState per partition, keyed to the partition plan that produced
-// them. A round whose plan signature differs (topology or availability
-// drift re-drew the sub-regions) solves every partition cold.
-type POPWarm struct {
-	// Sig is the partition.Plan signature the states belong to.
-	Sig uint64
-	// Parts holds each partition's solver warm state, indexed by partition.
-	Parts []*solver.WarmState
-}
-
 // POPDetail is the pop backend's backend-specific result detail.
 type POPDetail struct {
 	// Partitions is the effective sub-region count k, and WarmPartitions how
-	// many of them were handed the previous round's warm state (all or none:
-	// the plan signature either matched or the round was cold). What became
-	// of each partition's root bases is on its Subs entry
-	// (PhaseStats.RootBasisKept / RootBasisOffered / RootBasisMismatch).
+	// many of them were handed a previous round's warm state. What became of
+	// each partition's cached models and root bases is on its Subs entry
+	// (PhaseStats.Rebuild, RootBasisKept / RootBasisOffered /
+	// RootBasisMismatch).
 	Partitions     int
 	WarmPartitions int
 	// SubWorkers is the branch-and-bound worker count each sub-solve ran
@@ -44,8 +33,6 @@ type POPDetail struct {
 	// SubWorkers×Concurrent never exceeds the Options.Workers budget.
 	SubWorkers int
 	Concurrent int
-	// PlanSig is the partition plan signature (warm-state key).
-	PlanSig uint64
 	// Seed and Repair summarize the recombination of the merged targets
 	// (solver.RecombineTargets): the seed's acquisitions and releases, then
 	// the repair pass's moves and work.
@@ -90,9 +77,10 @@ func divideWorkers(w, k int) (perSub, concurrent int) {
 // budget (solver.Config.Share), merge, and recombine: seed, then a cheap
 // cross-partition repair pass. Whenever each sub-solve runs serial (Workers
 // ≤ Partitions), the result is bit-for-bit deterministic at every Workers
-// value: partition p's sub-problem, node budget and warm state are fixed by
-// the snapshot, so which goroutine solves it cannot change its answer, and
-// the merge and recombination are pure functions of the sub-results.
+// value: partition p's sub-problem and node budget are fixed by the snapshot
+// and its warm state by the last round, so which goroutine solves it cannot
+// change its answer, and the merge and recombination are pure functions of
+// the sub-results.
 type popBackend struct {
 	cfg solver.Config
 }
@@ -117,12 +105,14 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	perSub, concurrent := divideWorkers(opts.workers(), k)
 	cfg := opts.solverConfig(b.cfg, perSub)
 
-	// Per-partition warm states apply only when the plan they were exported
-	// under is the plan we just drew.
+	// Partition p starts from the warm state partition p exported last
+	// round, whatever the plan: the sub-solve patches its cached models only
+	// for the same sub-problem (RebuildConfig or RebuildScope otherwise),
+	// and carries the root basis over by identity (RootBasisMismatch when
+	// too little of it still names this sub-problem's columns).
 	warms := make([]*solver.WarmState, k)
-	if opts.Warm != nil && opts.Warm.POP != nil &&
-		opts.Warm.POP.Sig == plan.Sig && len(opts.Warm.POP.Parts) == k {
-		copy(warms, opts.Warm.POP.Parts)
+	if opts.Warm != nil {
+		copy(warms, opts.Warm.POP)
 	}
 	warmParts := 0
 	for _, w := range warms {
@@ -218,7 +208,6 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 			WarmPartitions: warmParts,
 			SubWorkers:     perSub,
 			Concurrent:     concurrent,
-			PlanSig:        plan.Sig,
 			Seed:           seed,
 			Repair:         repair,
 			Eval:           ev,
@@ -226,11 +215,10 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 		},
 	}
 	out.Warm = nextWarm(opts.Warm, func(w *WarmState) {
-		pw := &POPWarm{Sig: plan.Sig, Parts: make([]*solver.WarmState, k)}
+		w.POP = make([]*solver.WarmState, k)
 		for p := 0; p < k; p++ {
-			pw.Parts[p] = subs[p].Warm
+			w.POP[p] = subs[p].Warm
 		}
-		w.POP = pw
 	})
 	switch {
 	case cancelled:

@@ -23,7 +23,6 @@ import (
 type popRun struct {
 	status   Status
 	obj      float64
-	planSig  uint64
 	repair   solver.RepairStats
 	moves    solver.MoveStats
 	targets  string
@@ -53,7 +52,6 @@ func solvePOP(t *testing.T, in solver.Input, opts Options) (popRun, *Result) {
 	return popRun{
 		status:   res.Status,
 		obj:      res.Objective,
-		planSig:  res.POP.PlanSig,
 		repair:   res.POP.Repair,
 		moves:    res.Moves,
 		targets:  string(buf),
@@ -288,26 +286,23 @@ func TestPOPRoundCoversDemand(t *testing.T) {
 	check("testInput", testInput(t, 11, 5, 4), 3)
 }
 
-// TestPOPWarmStateRoundTrip checks the warm-start keying: threading the
-// previous round's Warm back in hits every partition's warm state when the
-// plan signature matches, and a differently partitioned round (new k → new
-// signature) solves cold instead of consuming stale bases.
+// TestPOPWarmStateRoundTrip checks the warm-start hand-over: threading the
+// previous round's Warm back in hands partition p the state partition p
+// exported, so a round over the same plan patches every partition's cached
+// model and warms every root, and a differently partitioned round (new k)
+// hands the states over all the same, where each sub-solve's own checks
+// reject the models of a different sub-problem.
 func TestPOPWarmStateRoundTrip(t *testing.T) {
 	in := testInput(t, 13, 4, 4)
 	_, first := solvePOP(t, in, Options{Workers: 1, Partitions: 2})
-	if first.Warm == nil || first.Warm.POP == nil {
-		t.Fatal("pop solve exported no warm state")
+	if first.Warm == nil || len(first.Warm.POP) != first.POP.Partitions {
+		t.Fatalf("pop solve exported no warm state per partition: %+v", first.Warm)
 	}
-	if first.Warm.POP.Sig != first.POP.PlanSig {
-		t.Fatalf("warm Sig %#x != plan Sig %#x", first.Warm.POP.Sig, first.POP.PlanSig)
-	}
-	if len(first.Warm.POP.Parts) != first.POP.Partitions {
-		t.Fatalf("warm state has %d parts for %d partitions", len(first.Warm.POP.Parts), first.POP.Partitions)
-	}
-
 	if first.POP.WarmPartitions != 0 {
 		t.Errorf("cold round reports %d warm partitions", first.POP.WarmPartitions)
 	}
+	// A warm state feeds one solve, so the repeat starts from a twin of it.
+	_, twin := solvePOP(t, in, Options{Workers: 1, Partitions: 2})
 	warmed, second := solvePOP(t, in, Options{Workers: 1, Partitions: 2, Warm: first.Warm})
 	if second.POP.WarmPartitions != second.POP.Partitions {
 		t.Errorf("same-plan warm round warmed %d partitions, want all %d",
@@ -319,15 +314,18 @@ func TestPOPWarmStateRoundTrip(t *testing.T) {
 	// decided by which of several equal-objective vertices the node LPs
 	// return. So the objectives are not compared. What warm state does
 	// guarantee: the repeat of the same warm round is bit-identical, and every
-	// partition's root relaxation starts from the previous round's basis and
-	// takes fewer iterations than the cold root.
-	rewarmed, _ := solvePOP(t, in, Options{Workers: 1, Partitions: 2, Warm: first.Warm})
+	// partition patches its model and starts its root relaxation from the
+	// previous round's basis, taking fewer iterations than the cold root.
+	rewarmed, _ := solvePOP(t, in, Options{Workers: 1, Partitions: 2, Warm: twin.Warm})
 	if warmed != rewarmed {
 		t.Fatalf("warm-started solve not deterministic:\n%+v\nvs\n%+v", warmed, rewarmed)
 	}
 	_, cold := solvePOP(t, in, Options{Workers: 1, Partitions: 2})
 	for i, sub := range second.POP.Subs {
 		w, c := sub.Phase1, cold.POP.Subs[i].Phase1
+		if !w.ModelPatched {
+			t.Errorf("partition %d: warm round rebuilt its model (%v)", i, w.Rebuild)
+		}
 		if !w.WarmRoot {
 			t.Errorf("partition %d: warm round solved its root relaxation cold", i)
 		}
@@ -336,13 +334,23 @@ func TestPOPWarmStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	_, third := solvePOP(t, in, Options{Workers: 1, Partitions: 3, Warm: first.Warm})
-	if third.POP.WarmPartitions != 0 {
-		t.Errorf("plan-signature mismatch still warmed %d of %d partitions",
+	_, third := solvePOP(t, in, Options{Workers: 1, Partitions: 3, Warm: second.Warm})
+	if third.POP.WarmPartitions != 2 {
+		t.Errorf("a k=3 round after a k=2 one warmed %d of %d partitions, want 2",
 			third.POP.WarmPartitions, third.POP.Partitions)
 	}
-	if third.Warm.POP.Sig == first.Warm.POP.Sig {
-		t.Error("k=2 and k=3 rounds share a plan signature")
+	// Partitions 0 and 1 find a model of another sub-problem (its budget
+	// share and subset changed with k), fall back and are offered its basis;
+	// partition 2 has neither.
+	for p, sub := range third.POP.Subs {
+		ph := &sub.Phase1
+		ok := ph.Rebuild > solver.RebuildNoCache && ph.RootBasisOffered > 0
+		if p >= 2 {
+			ok = ph.Rebuild == solver.RebuildNoCache && ph.RootBasisOffered == 0
+		}
+		if !ok {
+			t.Errorf("k=3 round, partition %d: rebuild %v, basis offered %d", p, ph.Rebuild, ph.RootBasisOffered)
+		}
 	}
 	// Foreign warm fields must survive the pop round (backend-switch contract).
 	if third.Warm.MIP != first.Warm.MIP {

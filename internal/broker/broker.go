@@ -288,9 +288,8 @@ func (b *Broker) Snapshot() []ServerState {
 	return append([]ServerState(nil), b.states...)
 }
 
-// SnapshotAt is Snapshot plus the version the copy corresponds to. The
-// solver keys its cached phase models by that version; feed it back to
-// ChangedSince after further mutations to list the servers that differ
+// SnapshotAt is Snapshot plus the version the copy corresponds to: feed it
+// back to ChangedSince after further mutations to list the servers that differ
 // between this snapshot and a later one.
 func (b *Broker) SnapshotAt() ([]ServerState, uint64) { return b.SnapshotInto(nil) }
 

@@ -20,7 +20,6 @@ package partition
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"ras/internal/broker"
@@ -42,10 +41,6 @@ type Plan struct {
 	// sees its servers' full broker state (including failed servers that
 	// must keep their return-home binding).
 	Subsets [][]topology.ServerID
-	// Sig fingerprints the plan (k plus the MSB→partition map). Cross-round
-	// warm-start state is keyed on it: a changed signature means the
-	// sub-problems were re-drawn and per-partition bases no longer apply.
-	Sig uint64
 }
 
 // Split partitions the region into (at most) k sub-regions. MSBs are
@@ -121,19 +116,7 @@ func Split(region *topology.Region, states []broker.ServerState, k int) (*Plan, 
 		plan.Subsets[p] = append(plan.Subsets[p], topology.ServerID(i))
 	}
 
-	h := fnv.New64a()
-	buf := make([]byte, 0, 4+4*len(plan.PartOfMSB))
-	buf = appendUint32(buf, uint32(k))
-	for _, p := range plan.PartOfMSB {
-		buf = appendUint32(buf, uint32(p))
-	}
-	h.Write(buf) //raslint:allow errdrop hash.Hash documents that Write never returns an error
-	plan.Sig = h.Sum64()
 	return plan, nil
-}
-
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // SplitDemands splits every reservation's demand C_r across the plan's

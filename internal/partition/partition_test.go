@@ -33,7 +33,7 @@ func testReservation(id int, rrus float64) reservation.Reservation {
 
 // TestSplitDeterministic mirrors internal/mip/determinism_test.go for the
 // partitioner: repeated Split calls over one snapshot must produce identical
-// plans (same MSB map, same subsets, same signature) — the plan feeds k
+// plans (same MSB map, same subsets) — the plan feeds k
 // concurrent sub-solves, so any instability here would defeat the pop
 // backend's bit-for-bit reproducibility.
 func TestSplitDeterministic(t *testing.T) {
@@ -58,13 +58,6 @@ func TestSplitDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d: plan differs from first:\n%+v\nvs\n%+v", run, first, again)
 		}
-	}
-	other, err := Split(region, states, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Sig == first.Sig {
-		t.Fatalf("k=2 and k=3 plans share signature %#x", first.Sig)
 	}
 }
 

@@ -289,8 +289,7 @@ func (s *Store) Log() []Request {
 
 // Version reports the capacity-request log length: a monotone counter that
 // identifies a point in the store's history, so ChangesSince can answer
-// "what was asked for since then" — the reservation-side half of the solver's
-// snapshot/delta protocol.
+// "what was asked for since then".
 func (s *Store) Version() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

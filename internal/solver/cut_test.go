@@ -147,14 +147,13 @@ func TestRackCutKeepsOptimum(t *testing.T) {
 func TestCutRowsWhereSumsAreCounts(t *testing.T) {
 	region := testRegion(t, 2, 2, 4, 6, 61)
 	m := newMutator(t, region, 1, 12)
-	states, v := m.b.SnapshotAt()
-	in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+	in := m.input()
 	cfg := fastCfg()
 	cfg.SharedBufferFraction = 0.05
 	cfg = cfg.withDefaults(region)
 	for _, rackLevel := range []bool{false, true} {
 		var st PhaseStats
-		bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(states, rackLevel), rackLevel, &st)
+		bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, rackLevel), rackLevel, &st)
 		if !rackLevel {
 			if bp.cutRows != 0 || len(bp.cutRowsOf()) != 0 {
 				t.Fatalf("the region-level model has %d cut rows", bp.cutRows)
@@ -205,7 +204,6 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Workers = 1
 
-	var dtA, dtB deltaTracker
 	var warmA, warmB *WarmState
 	carried, reentered, rebuilt := 0, 0, 0
 	for round := 0; round < 50; round++ {
@@ -214,8 +212,7 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 			mA.step(round%9 == 6)
 			mB.step(round%9 == 6)
 		}
-		inA, commitA := dtA.input(mA, true)
-		inB, commitB := dtB.input(mB, true)
+		inA, inB := mA.input(), mB.input()
 		if warmB != nil {
 			warmB.Phase1.ws, warmB.Phase2.ws = nil, nil
 		}
@@ -227,8 +224,6 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		commitA()
-		commitB()
 		warmA, warmB = resA.Warm, resB.Warm
 
 		for k, ph := range [2][2]*PhaseStats{{&resA.Phase1, &resB.Phase1}, {&resA.Phase2, &resB.Phase2}} {

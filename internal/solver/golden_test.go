@@ -40,8 +40,7 @@ func TestGoldenColdFingerprints(t *testing.T) {
 		for k := 0; k < 10; k++ {
 			m.step(k == 5)
 		}
-		states, v := m.b.SnapshotAt()
-		in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+		in := m.input()
 		pool := usableServers(in)
 		for k, tc := range []struct {
 			rackLevel bool
@@ -52,7 +51,7 @@ func TestGoldenColdFingerprints(t *testing.T) {
 			cfg.WearPenalty = 2
 			cfg = cfg.withDefaults(region)
 			var stats PhaseStats
-			bp := buildPhase(in, cfg, buildSpecs(in, cfg), pool, fixtureTargets(states, tc.rackLevel), tc.rackLevel, &stats)
+			bp := buildPhase(in, cfg, buildSpecs(in, cfg), pool, fixtureTargets(in.States, tc.rackLevel), tc.rackLevel, &stats)
 			got[int(seed-1)*3+k] = bp.m.Fingerprint()
 		}
 	}

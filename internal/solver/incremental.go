@@ -28,53 +28,28 @@ import (
 	"ras/internal/topology"
 )
 
-// Delta describes what changed in a round's inputs relative to the snapshot
-// an earlier round solved, letting the solver patch its cached phase models
-// instead of rebuilding them. Callers assemble it from the snapshot version
-// they last solved and the reservation store's ChangesSince log; the patch
-// finds the changed servers itself, by comparing each server's model inputs
-// with what the cache recorded.
+// Delta is what benchmark/driver.go assembles for Input.Delta. The solver
+// does not read it: a patch finds what changed by comparing each server's
+// model inputs, and the spec list, with what its cached model recorded.
 type Delta struct {
-	// Since is the broker snapshot version the cached round solved
-	// (Input.StatesVersion of that round). The patch path engages only when
-	// it matches the cache.
-	Since uint64
-	// Servers may list the servers whose broker state changed since Since
-	// (broker.ChangedSince). The solver never reads it.
-	Servers []topology.ServerID
-	// Reservations are the capacity requests logged since the cached round.
-	// Creates and deletes change the spec list itself and force a rebuild;
-	// resizes arrive as RHS updates.
+	Since        uint64
+	Servers      []topology.ServerID
 	Reservations []reservation.Request
 }
 
-// structural reports whether the delta is known to break model structure
-// without attempting a patch: reservation creates and deletes change the
-// spec list itself.
-func (d *Delta) structural() bool {
-	for i := range d.Reservations {
-		if d.Reservations[i].Kind != reservation.Resize {
-			return true
-		}
-	}
-	return false
-}
-
-// RebuildReason says why a round that carried a Delta rebuilt a phase's model
-// instead of patching the cached one.
+// RebuildReason says why a phase rebuilt its model instead of patching the
+// one its warm state held.
 type RebuildReason uint8
 
-// Rebuild reasons. RebuildNone means the model was patched, or the round
-// carried no Delta and so never asked for a patch. RebuildNoCache is a patch
-// miss — there was nothing to patch; every later reason is a fallback: a
-// cache and a delta were there, and the delta broke the model's structure.
+// Rebuild reasons. RebuildNone means the model was patched. RebuildNoCache
+// is a patch miss — the warm state held no model; every later reason is a
+// fallback: a cached model was there, and the change broke its structure.
 const (
 	RebuildNone           RebuildReason = iota
-	RebuildNoCache                      // no cached model of the snapshot Delta.Since names: first round or unversioned input
-	RebuildReservationSet               // the delta creates or deletes a reservation
+	RebuildNoCache                      // the warm state held no model: a first round or a nil WarmState
 	RebuildConfig                       // solver config or region differs
 	RebuildScope                        // the server count or Input.Subset differs
-	RebuildSpecCount                    // the spec list changed length (a buffer spec or phase-2 member came or went)
+	RebuildSpecCount                    // the spec list changed length (a reservation, buffer spec or phase-2 member came or went)
 	RebuildSpecShape                    // a spec changed in more than its RRUs
 	RebuildSpecActivation               // a spec's demand crossed zero
 	RebuildCacheCorrupt                 // the cache lost track of a pooled server (a bug, survived by rebuilding)
@@ -86,7 +61,7 @@ const (
 )
 
 var rebuildReasonNames = [NumRebuildReasons]string{
-	"none", "no-cache", "reservation-set", "config", "scope", "spec-count", "spec-shape",
+	"none", "no-cache", "config", "scope", "spec-count", "spec-shape",
 	"spec-activation", "cache-corrupt", "new-group", "empty-group", "hinge", "cut-slope",
 }
 
@@ -170,9 +145,6 @@ type builtPhase struct {
 	rackLevel bool
 	cfg       Config
 	nDCs      int
-
-	// statesVersion is the broker snapshot version this model reflects.
-	statesVersion uint64
 
 	specs    []resSpec // copy; RRUs tracked through patches
 	specByID map[reservation.ID][]int
@@ -803,7 +775,8 @@ func specCompatible(old, cur *resSpec) bool {
 // structure (the caller then cold-rebuilds and the half-mutated cache is
 // discarded). On success the model is bit-for-bit what rebuild would have
 // produced: the change set is derived here, by comparing each server's pool
-// membership, count reference and group key with the cache's, and the
+// membership, count reference and group key with the cache's — however many
+// rounds ago the cache was last built or patched — and the
 // values written come from the same fill functions the cold build runs. A
 // server whose write touched nothing else the model reads (UnavailEnd,
 // Target, wear within its bucket, one more container on a busy server) keeps

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ras/internal/broker"
@@ -189,21 +190,20 @@ func (m *mutator) find(id topology.ServerID, pick func(broker.ServerState) bool)
 	return 0, false
 }
 
-// deltaTracker mirrors ras.System's snapshot/delta bookkeeping.
-type deltaTracker struct {
-	lastStates uint64
-	lastStore  int
-	have       bool
+// input snapshots the broker and the store into the next round's input.
+func (m *mutator) input() Input {
+	return Input{Region: m.region, Reservations: m.st.All(), States: m.b.Snapshot()}
 }
 
-func (dt *deltaTracker) input(m *mutator, withDelta bool) (Input, func()) {
-	storeV := m.st.Version()
-	states, v := m.b.SnapshotAt()
-	in := Input{Region: m.region, Reservations: m.st.All(), States: states, StatesVersion: v}
-	if withDelta && dt.have {
-		in.Delta = &Delta{Since: dt.lastStates, Reservations: m.st.ChangesSince(dt.lastStore)}
+// forceRebuild spoils the config every model warm holds recorded, so the
+// next solve rebuilds each phase (RebuildConfig) where it would patch — and
+// carries the basis and workspace over as any rebuild does.
+func forceRebuild(warm *WarmState) {
+	for _, pw := range []*PhaseWarm{&warm.Phase1, &warm.Phase2} {
+		if pw.model != nil {
+			pw.model.cfg = Config{}
+		}
 	}
-	return in, func() { dt.lastStates = v; dt.lastStore = storeV; dt.have = true }
 }
 
 // patchPhase is one kind of phase model the patch property runs on.
@@ -222,12 +222,15 @@ var patchPhases = []patchPhase{
 	{"rack", true, -1, 2},
 }
 
-// patchRounds runs rounds of m's mutation stream through one cached model of
+// patchRounds runs rounds of m's mutation stream through cached models of
 // kind pk — a round is structural (a reservation created and/or deleted) when
-// structural says so — and requires every round whose delta patches to be
+// structural says so — and requires every patch that succeeds to be
 // bit-for-bit identical to a cold rebuild of the same input: model
-// fingerprint, group structure, and initial counts. It tallies why the other
-// rounds fell back into reasons and returns both counts.
+// fingerprint, group structure, and initial counts. Two caches follow the
+// stream: one brought forward every round, and one after one, two and three
+// skipped rounds in turn, as a rack phase's is after rounds that ran without
+// it. It tallies why the other patches fell back into reasons and returns
+// both counts.
 func patchRounds(t *testing.T, region *topology.Region, m *mutator, pk patchPhase, rounds int,
 	structural func(round int) bool, reasons *[NumRebuildReasons]int) (patches, fallbacks int) {
 	t.Helper()
@@ -236,37 +239,41 @@ func patchRounds(t *testing.T, region *topology.Region, m *mutator, pk patchPhas
 	cfg.WearPenalty = pk.wear
 	cfg = cfg.withDefaults(region)
 
-	var cached *builtPhase
+	forward := func(cached *builtPhase, round int, in Input) *builtPhase {
+		specs := buildSpecs(in, cfg)
+		pool := usableServers(in)
+		targets := fixtureTargets(in.States, pk.rackLevel)
+		var cold PhaseStats
+		want := buildPhase(in, cfg, specs, pool, targets, pk.rackLevel, &cold)
+		if cached == nil {
+			return want
+		}
+		why := cached.patch(in, cfg, specs, pool, targets)
+		reasons[why]++
+		if why != RebuildNone {
+			fallbacks++
+			return want
+		}
+		patches++
+		if got, w := cached.m.Fingerprint(), want.m.Fingerprint(); got != w {
+			t.Fatalf("round %d: patched fingerprint %x != cold %x", round, got, w)
+		}
+		compareStructure(t, round, cached, want)
+		return cached
+	}
+	var fresh, stale *builtPhase
+	next, skips := 0, 0 // the round the stale cache is brought forward at
 	for round := 0; round < rounds; round++ {
 		if round > 0 {
 			m.step(structural(round))
 		}
-		states, v := m.b.SnapshotAt()
-		in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
-		specs := buildSpecs(in, cfg)
-		pool := usableServers(in)
-		targets := fixtureTargets(states, pk.rackLevel)
-
-		var cold PhaseStats
-		want := buildPhase(in, cfg, specs, pool, targets, pk.rackLevel, &cold)
-		if cached != nil {
-			why := cached.patch(in, cfg, specs, pool, targets)
-			reasons[why]++
-			if why == RebuildNone {
-				patches++
-				if got, w := cached.m.Fingerprint(), want.m.Fingerprint(); got != w {
-					t.Fatalf("round %d: patched fingerprint %x != cold %x", round, got, w)
-				}
-				compareStructure(t, round, cached, want)
-				// Keep solving on the patched model to mimic real use.
-			} else {
-				fallbacks++
-				cached = want
-			}
-		} else {
-			cached = want
+		in := m.input()
+		fresh = forward(fresh, round, in)
+		if round == next {
+			stale = forward(stale, round, in)
+			next = round + 2 + skips%3
+			skips++
 		}
-		cached.statesVersion = v
 	}
 	return patches, fallbacks
 }
@@ -368,13 +375,15 @@ func compareStructure(t *testing.T, round int, got, want *builtPhase) {
 }
 
 // TestIncrementalSolveEquivalence runs two full SolveWarm sequences over the
-// same mutation stream — one handing the solver deltas (patching), one not
-// (rebuilding every round) — and requires identical targets and move
-// accounting and equal objectives every round at Workers=1, plus at least one
-// patched and one fallback round so both paths are actually exercised. The
-// objectives are compared to 1e-9 relative: a patched round's root LP re-enters
-// the factorization the last round left, a rebuilt round's refactorizes, and
-// the two can differ in the last bit of a sum.
+// same mutation stream — one patching whatever model its warm state holds,
+// one forced to rebuild every phase every round (forceRebuild) — and
+// requires identical targets and move accounting and equal objectives every
+// round at Workers=1, plus at least one patched and one fallback round so
+// both paths are actually exercised. Every phase that ran must report
+// ModelPatched exactly when its rebuild reason is RebuildNone. The
+// objectives are compared to 1e-9 relative: a patched round's root LP
+// re-enters the factorization the last round left, a rebuilt round's
+// refactorizes, and the two can differ in the last bit of a sum.
 func TestIncrementalSolveEquivalence(t *testing.T) {
 	region := testRegion(t, 2, 2, 3, 5, 43)
 	mA := newMutator(t, region, 45, 5)
@@ -383,17 +392,15 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Workers = 1
 
-	var dtA, dtB deltaTracker
 	var warmA, warmB *WarmState
-
 	patchedRounds, fallbackRounds := 0, 0
 	for round := 0; round < 12; round++ {
 		if round > 0 {
 			mA.step(round == 6)
 			mB.step(round == 6)
+			forceRebuild(warmB)
 		}
-		inA, commitA := dtA.input(mA, true)
-		inB, commitB := dtB.input(mB, false)
+		inA, inB := mA.input(), mB.input()
 
 		resA, err := SolveWarm(context.Background(), inA, cfg, warmA)
 		if err != nil {
@@ -403,31 +410,39 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		commitA()
-		commitB()
 		warmA, warmB = resA.Warm, resB.Warm
 
+		for _, res := range []*Result{resA, resB} {
+			phases := []*PhaseStats{&res.Phase1}
+			if res.RanPhase2 {
+				phases = append(phases, &res.Phase2)
+			}
+			for k, ph := range phases {
+				if ph.ModelPatched != (ph.Rebuild == RebuildNone) {
+					t.Fatalf("round %d phase %d: patched %v with rebuild reason %v", round, k+1, ph.ModelPatched, ph.Rebuild)
+				}
+			}
+		}
+		if resB.Phase1.ModelPatched || resB.Phase2.ModelPatched {
+			t.Fatalf("round %d: the forced-rebuild sequence patched", round)
+		}
 		if resA.Phase1.ModelPatched {
 			patchedRounds++
 		}
 		if resA.Phase1.Rebuild > RebuildNoCache {
 			fallbackRounds++
 		}
-		if resB.Phase1.ModelPatched || resB.Phase1.Rebuild != RebuildNone {
-			t.Fatalf("round %d: the delta-less sequence reports patched=%v rebuild=%v",
-				round, resB.Phase1.ModelPatched, resB.Phase1.Rebuild)
-		}
 		for k, obj := range [2][2]float64{{resA.Phase1.Objective, resB.Phase1.Objective}, {resA.Phase2.Objective, resB.Phase2.Objective}} {
 			if d := math.Abs(obj[0] - obj[1]); d > 1e-9*(1+math.Abs(obj[1])) {
-				t.Fatalf("round %d: phase-%d objective %v (delta) != %v (cold)", round, k+1, obj[0], obj[1])
+				t.Fatalf("round %d: phase-%d objective %v (patched) != %v (rebuilt)", round, k+1, obj[0], obj[1])
 			}
 		}
 		if resA.Moves != resB.Moves {
-			t.Fatalf("round %d: moves %+v (delta) != %+v (cold)", round, resA.Moves, resB.Moves)
+			t.Fatalf("round %d: moves %+v (patched) != %+v (rebuilt)", round, resA.Moves, resB.Moves)
 		}
 		for i := range resA.Targets {
 			if resA.Targets[i] != resB.Targets[i] {
-				t.Fatalf("round %d: target[%d] = %d (delta) != %d (cold)",
+				t.Fatalf("round %d: target[%d] = %d (patched) != %d (rebuilt)",
 					round, i, resA.Targets[i], resB.Targets[i])
 			}
 		}
@@ -462,8 +477,7 @@ func ptrState(b *broker.Broker, i int) *broker.ServerState {
 func TestParallelColdBuildDeterministic(t *testing.T) {
 	region := testRegion(t, 2, 2, 8, 16, 45)
 	m := newMutator(t, region, 46, 8)
-	states, v := m.b.SnapshotAt()
-	in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+	in := m.input()
 
 	base := fastCfg()
 	targetsFor := func() []reservation.ID {
@@ -505,8 +519,7 @@ func TestPatchRepeatDeterministic(t *testing.T) {
 			if round > 0 {
 				m.step(false)
 			}
-			states, v := m.b.SnapshotAt()
-			in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+			in := m.input()
 			specs := buildSpecs(in, cfg)
 			pool := usableServers(in)
 			targets := make([]reservation.ID, len(region.Servers))
@@ -536,18 +549,16 @@ func TestPatchedModelSolves(t *testing.T) {
 	m := newMutator(t, region, 50, 4)
 	cfg := fastCfg()
 	cfg.Workers = 1
-	var dt deltaTracker
 	var warm *WarmState
 	for round := 0; round < 6; round++ {
 		if round > 0 {
 			m.step(false)
 		}
-		in, commit := dt.input(m, true)
+		in := m.input()
 		res, err := SolveWarm(context.Background(), in, cfg, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		commit()
 		warm = res.Warm
 		for _, r := range in.Reservations {
 			got := rruOf(region, res.Targets, &r)
@@ -563,14 +574,15 @@ func TestPatchedModelSolves(t *testing.T) {
 // TestRebuildReasonsForced fires, on purpose, the rebuild reasons a mutation
 // stream over one phase's patch cannot reach: a changed config or scope, a
 // corrupted cache, a rack-level hinge flip (phase 1 groups by Current, so
-// there a cell's X only reaches zero with its group), and the two reasons
-// solvePhase decides before patch runs.
+// there a cell's X only reaches zero with its group), the one reason
+// solvePhase decides before patch runs, and what a reservation created or
+// deleted reports through it.
 func TestRebuildReasonsForced(t *testing.T) {
 	region := testRegion(t, 2, 2, 4, 12, 51)
 	m := newMutator(t, region, 52, 6)
 	cfg := fastCfg().withDefaults(region)
-	states, v := m.b.SnapshotAt()
-	in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+	in := m.input()
+	states := in.States
 	specs := buildSpecs(in, cfg)
 	pool := usableServers(in)
 	unassigned := fixtureTargets(states, false)
@@ -615,75 +627,104 @@ func TestRebuildReasonsForced(t *testing.T) {
 	}
 	expect("hinge", build(true).patch(in, cfg, specs, pool, targets), RebuildHinge)
 
-	// solvePhase's own reasons, through the public entry point.
+	// Through the public entry point: no model to patch, then a reservation
+	// created (one spec more) and one deleted as another is created (as
+	// many specs, one of them another reservation).
 	cfg.SetupOnly = true
-	var dt deltaTracker
-	in0, commit := dt.input(m, true)
-	res0, err := SolveWarm(context.Background(), in0, cfg, nil)
+	solve := func(warm *WarmState) *Result {
+		t.Helper()
+		res, err := SolveWarm(context.Background(), m.input(), cfg, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := solve(nil)
+	expect("no cache", res.Phase1.Rebuild, RebuildNoCache)
+	grown, err := m.st.Create(m.reservationOfKind(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit()
-	expect("no delta", res0.Phase1.Rebuild, RebuildNone)
-	m.step(true)
-	in1, _ := dt.input(m, true)
-	res1, err := SolveWarm(context.Background(), in1, cfg, res0.Warm)
-	if err != nil {
+	res = solve(res.Warm)
+	expect("create", res.Phase1.Rebuild, RebuildSpecCount)
+	if err := m.st.Delete(m.live[0]); err != nil {
 		t.Fatal(err)
 	}
-	expect("create/delete", res1.Phase1.Rebuild, RebuildReservationSet)
-	res2, err := SolveWarm(context.Background(), in1, cfg, nil)
-	if err != nil {
+	if _, err := m.st.Create(m.reservationOfKind(1)); err != nil {
 		t.Fatal(err)
 	}
-	expect("delta without a cache", res2.Phase1.Rebuild, RebuildNoCache)
+	res = solve(res.Warm)
+	expect("delete and create", res.Phase1.Rebuild, RebuildSpecShape)
+	if err := m.st.Delete(grown); err != nil {
+		t.Fatal(err)
+	}
+	res = solve(res.Warm)
+	expect("delete", res.Phase1.Rebuild, RebuildSpecCount)
 }
 
 // TestPhaseWarmCarriesModel pins what a phase's warm state holds across the
 // rounds that export no basis: a SetupOnly round keeps its model (the next
-// round patches it), a round that skips the rack phase hands the rack
-// model on untouched, and a hand-assembled PhaseWarm with a basis but no
-// model builds cold and offers the basis without keeping it.
+// round patches it), a round that skips the rack phase hands the rack model
+// on untouched — and the next rack round patches that model, a round stale,
+// into what a forced rebuild decides — and a hand-assembled PhaseWarm with a
+// basis but no model builds cold and offers the basis without keeping it.
 func TestPhaseWarmCarriesModel(t *testing.T) {
 	region := testRegion(t, 2, 2, 4, 12, 61)
-	m := newMutator(t, region, 62, 5)
-	var dt deltaTracker
-	solve := func(cfg Config, warm *WarmState) *Result {
+	solve := func(m *mutator, cfg Config, warm *WarmState) *Result {
 		t.Helper()
-		in, commit := dt.input(m, true)
-		res, err := SolveWarm(context.Background(), in, cfg, warm)
+		res, err := SolveWarm(context.Background(), m.input(), cfg, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		commit()
 		return res
 	}
-
+	m := newMutator(t, region, 62, 5)
 	setup := fastCfg()
 	setup.SetupOnly = true
-	res0 := solve(setup, nil)
+	res0 := solve(m, setup, nil)
 	if res0.Warm.Phase1.Basis != nil || res0.Warm.Phase1.model == nil {
 		t.Fatalf("SetupOnly round exported basis %v, model %v; want no basis and its model", res0.Warm.Phase1.Basis, res0.Warm.Phase1.model)
 	}
 	m.step(false)
-	if res := solve(setup, res0.Warm); !res.Phase1.ModelPatched {
+	if res := solve(m, setup, res0.Warm); !res.Phase1.ModelPatched {
 		t.Fatalf("round after a SetupOnly round rebuilt phase 1 (%v), want the kept model patched", res.Phase1.Rebuild)
 	}
-	res1 := solve(fastCfg(), nil)
+
+	// Rack round, a round without the rack phase, then a rack round again:
+	// patched, or (force) with every cached model rebuilt.
+	noRack := fastCfg()
+	noRack.DisableRackPhase = true
+	staleRack := func(force bool) (res1, res2, res3 *Result) {
+		m := newMutator(t, region, 62, 5)
+		res1 = solve(m, fastCfg(), nil)
+		m.step(false)
+		res2 = solve(m, noRack, res1.Warm)
+		m.step(false)
+		if force {
+			forceRebuild(res2.Warm)
+		}
+		return res1, res2, solve(m, fastCfg(), res2.Warm)
+	}
+	res1, res2, patched := staleRack(false)
 	if !res1.RanPhase2 {
 		t.Skip("the rack phase did not run on this region")
 	}
-
-	noRack := fastCfg()
-	noRack.DisableRackPhase = true
-	res2 := solve(noRack, res1.Warm)
 	if res2.RanPhase2 || res2.Warm.Phase2.model != res1.Warm.Phase2.model || res2.Warm.Phase2.Basis != nil {
 		t.Fatal("a round without the rack phase must hand the rack model on, without a basis")
 	}
+	_, _, rebuilt := staleRack(true)
+	if !patched.RanPhase2 || !patched.Phase2.ModelPatched || rebuilt.Phase2.Rebuild != RebuildConfig {
+		t.Fatalf("rack round after a skipped one: ran %v, patched %v (%v); forced: %v",
+			patched.RanPhase2, patched.Phase2.ModelPatched, patched.Phase2.Rebuild, rebuilt.Phase2.Rebuild)
+	}
+	if !slices.Equal(patched.Targets, rebuilt.Targets) || patched.Moves != rebuilt.Moves ||
+		math.Abs(patched.Phase2.Objective-rebuilt.Phase2.Objective) > 1e-9*(1+math.Abs(rebuilt.Phase2.Objective)) {
+		t.Fatalf("the stale rack model patched decides objective %v, moves %+v; rebuilt %v, %+v",
+			patched.Phase2.Objective, patched.Moves, rebuilt.Phase2.Objective, rebuilt.Moves)
+	}
 
 	m.step(false)
-	in, _ := dt.input(m, true)
-	hand, err := SolveWarm(context.Background(), in, fastCfg(), &WarmState{Phase1: PhaseWarm{Basis: res1.Warm.Phase1.Basis}})
+	hand, err := SolveWarm(context.Background(), m.input(), fastCfg(), &WarmState{Phase1: PhaseWarm{Basis: res1.Warm.Phase1.Basis}})
 	if err != nil {
 		t.Fatal(err)
 	}

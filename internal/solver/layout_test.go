@@ -31,8 +31,7 @@ func TestLayoutRowsAreCanonical(t *testing.T) {
 		for k := 0; k < 10; k++ {
 			m.step(k == 5)
 		}
-		states, v := m.b.SnapshotAt()
-		in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+		in := m.input()
 		for _, tc := range []struct {
 			rackLevel bool
 			buffer    float64
@@ -42,7 +41,7 @@ func TestLayoutRowsAreCanonical(t *testing.T) {
 			cfg.WearPenalty = 2
 			cfg = cfg.withDefaults(region)
 			var stats PhaseStats
-			bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(states, tc.rackLevel), tc.rackLevel, &stats)
+			bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, tc.rackLevel), tc.rackLevel, &stats)
 			checkLayoutRows(t, fmt.Sprintf("golden seed %d rack %v buffer %v", seed, tc.rackLevel, tc.buffer), bp)
 			models++
 		}
@@ -58,10 +57,9 @@ func TestLayoutRowsAreCanonical(t *testing.T) {
 			if round > 0 {
 				m.step(round%7 == 3)
 			}
-			states, v := m.b.SnapshotAt()
-			in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+			in := m.input()
 			var stats PhaseStats
-			bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(states, pk.rackLevel), pk.rackLevel, &stats)
+			bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, pk.rackLevel), pk.rackLevel, &stats)
 			checkLayoutRows(t, fmt.Sprintf("%s round %d", pk.name, round), bp)
 			models++
 		}

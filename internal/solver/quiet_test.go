@@ -28,7 +28,6 @@ type quietRig struct {
 	br     *broker.Broker
 	cfg    Config
 	warm   *WarmState
-	last   uint64
 	down   []topology.ServerID
 	rng    *rand.Rand
 }
@@ -67,15 +66,9 @@ func newQuietRig(tb testing.TB) *quietRig {
 	return q
 }
 
-// input snapshots the broker into the next round's input, naming the last
-// round's snapshot as the patch base once there is one.
+// input snapshots the broker into the next round's input.
 func (q *quietRig) input() Input {
-	states, v := q.br.SnapshotAt()
-	in := Input{Region: q.region, Reservations: q.rsvs, States: states, StatesVersion: v}
-	if q.warm != nil {
-		in.Delta = &Delta{Since: q.last}
-	}
-	return in
+	return Input{Region: q.region, Reservations: q.rsvs, States: q.br.Snapshot()}
 }
 
 // quietEvents revives last round's failures and fails two free-pool servers.
@@ -113,7 +106,7 @@ func (q *quietRig) solve(tb testing.TB, in Input) *Result {
 			q.br.SetCurrent(topology.ServerID(i), tgt)
 		}
 	}
-	q.warm, q.last = res.Warm, in.StatesVersion
+	q.warm = res.Warm
 	return res
 }
 

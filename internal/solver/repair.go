@@ -612,9 +612,13 @@ func (p *repairPass) lowest(m, by int, set, mask []uint64, keep bool) topology.S
 	return best
 }
 
-// lessLoad reports whether MSB load a is below b by more than a relative
-// 1e-9, so that loads summed in different orders tie (to the lower MSB).
-func lessLoad(a, b float64) bool { return a < b-1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+// lessLoad reports whether MSB load a is below b by more than 1e-9,
+// relative to the larger load and never less than absolute, so that loads
+// summed in different orders tie (to the lower MSB) — an emptied MSB's load
+// of 2e-16 included.
+func lessLoad(a, b float64) bool {
+	return a < b-1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
 
 // pickAcquire selects the free server spec s values in its least-loaded
 // MSB (ties, within lessLoad: lower MSB, then recover-own-current first,

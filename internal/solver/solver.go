@@ -189,13 +189,12 @@ func (c *Config) moveCost(preempts bool) float64 {
 // PhaseWarm is one phase's persisted cross-round warm-start state: the model
 // round k built or patched, the root relaxation's optimal basis on it (nil
 // when the MIP did not run), and the LP workspace that root ran on.
-// Consecutive RAS rounds solve near-identical MIPs. When the next round
-// arrives with a Delta whose Since matches the model's StatesVersion, the
-// phase patches the model in place and hands the basis to its root LP as it
-// is, with ws — which holds the simplex structure of the model and, while
-// nothing was solved after the root, the factorization of Basis
-// (mip.Options.RootWorkspace). A round that rebuilds the model — for
-// whatever reason — builds it in the old model's storage
+// Consecutive RAS rounds solve near-identical MIPs, so the next round patches
+// the model in place (builtPhase.patch, which finds what changed itself) and
+// hands the basis to its root LP as it is, with ws — which holds the simplex
+// structure of the model and, while nothing was solved after the root, the
+// factorization of Basis (mip.Options.RootWorkspace). A round that rebuilds
+// the model — for whatever reason — builds it in the old model's storage
 // (builtPhase.rebuild), rewrites the basis onto it by identity
 // (builtPhase.carryBasis: the model's layout names every column and row by
 // what it is) and runs its root LP on ws too, which retargets itself to the
@@ -234,19 +233,9 @@ type Input struct {
 	// Targets outside the subset stay reservation.Unassigned. IDs must be
 	// ascending and duplicate-free. nil solves the whole region.
 	Subset []topology.ServerID
-	// StatesVersion is the broker snapshot version States was taken at
-	// (broker.SnapshotAt). Zero means "unversioned": the round solves fine
-	// but its models cannot serve as a patch base for later deltas.
+	// StatesVersion and Delta are not read: benchmark/driver.go fills them.
 	StatesVersion uint64
-	// Delta, when non-nil, names the earlier round whose StatesVersion
-	// equals Delta.Since and the capacity requests logged since, opting
-	// this round into the incremental model build: phases with a cached
-	// model from that round patch it in place, finding the changed servers
-	// by comparing each server's model inputs with the cache, and fall back
-	// to a cold rebuild when the change breaks model structure. nil always
-	// rebuilds. Region topology must be
-	// unchanged between the rounds (the same *Region pointer).
-	Delta *Delta
+	Delta         *Delta
 }
 
 // subsetMask materializes Subset as a per-server bitmap (nil when the whole
@@ -352,8 +341,8 @@ type PhaseStats struct {
 	// from the previous round's cache instead of rebuilt; RASBuild and
 	// InitialState are then zero and SolverBuild is the patch time.
 	ModelPatched bool
-	// Rebuild says why a round that carried a Delta rebuilt this phase's
-	// model all the same; RebuildNone when it was patched or no Delta asked.
+	// Rebuild says why this phase's model was rebuilt; RebuildNone when it
+	// was patched.
 	Rebuild RebuildReason
 	// Workers is the resolved branch-and-bound worker count the phase ran
 	// with; IncumbentUpdates and HeuristicWins break down where its
@@ -714,19 +703,14 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	if pw != nil {
 		bp = pw.model
 	}
-	if in.Delta != nil {
-		switch {
-		case bp == nil || bp.m == nil || in.StatesVersion == 0 || bp.statesVersion != in.Delta.Since:
-			out.stats.Rebuild = RebuildNoCache
-		case in.Delta.structural():
-			out.stats.Rebuild = RebuildReservationSet
-		default:
-			t0 := clock.Now()
-			out.stats.Rebuild = bp.patch(in, cfg, specs, pool, targets)
-			if out.stats.Rebuild == RebuildNone {
-				out.stats.SolverBuild = clock.Since(t0)
-				out.stats.ModelPatched = true
-			}
+	if bp == nil || bp.m == nil {
+		out.stats.Rebuild = RebuildNoCache
+	} else {
+		t0 := clock.Now()
+		out.stats.Rebuild = bp.patch(in, cfg, specs, pool, targets)
+		if out.stats.Rebuild == RebuildNone {
+			out.stats.SolverBuild = clock.Since(t0)
+			out.stats.ModelPatched = true
 		}
 	}
 	if !out.stats.ModelPatched {
@@ -735,7 +719,6 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		}
 		bp = bp.rebuild(in, cfg, specs, pool, targets, rackLevel, &out.stats)
 	}
-	bp.statesVersion = in.StatesVersion
 
 	m := bp.m
 	out.groups = bp.groups

@@ -114,10 +114,9 @@ func FuzzBasisTransfer(f *testing.F) {
 		cfg.SharedBufferFraction = 0.05
 		cfg = cfg.withDefaults(region)
 		build := func() *builtPhase {
-			states, v := m.b.SnapshotAt()
-			in := Input{Region: region, Reservations: m.st.All(), States: states, StatesVersion: v}
+			in := m.input()
 			var st PhaseStats
-			return buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(states, rack), rack, &st)
+			return buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, rack), rack, &st)
 		}
 
 		old := build()

@@ -144,21 +144,14 @@ type System struct {
 	// returns or keeps — the SolveResult, the warm state — refers to the
 	// round's States, so the next round may overwrite it.
 	snap []broker.ServerState
-	// warm is the cross-round warm-start state the last solve exported
-	// (backend.Result.Warm): the MIP root bases and/or the local-search
-	// assignment. Each SolveWith passes it back in so consecutive rounds
-	// amortize solver work the way the paper's continuous loop does; a
-	// problem whose shape drifted falls back to a cold solve inside the
-	// backend, so the round's outcome is never at risk.
+	// warm is the cross-round warm-start state the last successful solve
+	// exported (backend.Result.Warm): the MIP's cached phase models and root
+	// bases (per partition under pop) and/or the local-search assignment.
+	// Each SolveWith passes it back in so consecutive rounds amortize solver
+	// work the way the paper's continuous loop does: a cached model is
+	// patched to the round's input, and one whose structure drifted is
+	// rebuilt inside the solver, so the round's outcome is never at risk.
 	warm *backend.WarmState
-	// lastStatesVersion / lastStoreVersion identify the snapshots the last
-	// solve consumed, and haveDelta records that they are valid — together
-	// they let the next round hand the solver a Delta (that snapshot's
-	// version plus the capacity-request log since then) so it can patch its
-	// cached phase models instead of rebuilding them.
-	lastStatesVersion uint64
-	lastStoreVersion  int
-	haveDelta         bool
 }
 
 // NewSystem wires a System over the region.
@@ -239,25 +232,9 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 	if err != nil {
 		return nil, err
 	}
-	storeVersion := s.store.Version()
-	states, statesVersion := s.broker.SnapshotInto(s.snap)
+	states, _ := s.broker.SnapshotInto(s.snap)
 	s.snap = states
-	in := solver.Input{
-		Region:        s.region,
-		Reservations:  s.store.All(),
-		States:        states,
-		StatesVersion: statesVersion,
-	}
-	// When a previous round established a snapshot version, name it and the
-	// capacity requests logged since, so the solver's incremental build can
-	// patch the models it cached for that snapshot. The solver finds the
-	// changed servers itself.
-	if s.haveDelta {
-		in.Delta = &solver.Delta{
-			Since:        s.lastStatesVersion,
-			Reservations: s.store.ChangesSince(s.lastStoreVersion),
-		}
-	}
+	in := solver.Input{Region: s.region, Reservations: s.store.All(), States: states}
 	res, err := be.Solve(ctx, in, backend.Options{
 		Workers: s.opts.Workers, Partitions: s.opts.Partitions, Warm: s.warm,
 	})
@@ -271,9 +248,6 @@ func (s *System) SolveWith(ctx context.Context, now Clock, backendName string) (
 	}
 	s.lastSolve = res
 	s.warm = res.Warm
-	s.lastStatesVersion = statesVersion
-	s.lastStoreVersion = storeVersion
-	s.haveDelta = true
 	return res, nil
 }
 
