@@ -52,14 +52,15 @@ fuzz-smoke:
 	done
 
 # End-to-end smoke runs on a synthetic region: the parallel MIP, the
-# partitioned backend (k sub-solves dividing the same worker budget), local
-# search, and two multi-round simulations, under mip and under pop, that must
-# each exercise both the model-cache patch path and — via the -grow-hour
-# structural change — the fallback rebuild path.
+# partitioned backend (k sub-solves dividing the same worker budget) and local
+# search, each rassolve round under a -time-limit deadline, and two
+# multi-round simulations, under mip and under pop, that must each exercise
+# both the model-cache patch path and — via the -grow-hour structural change —
+# the fallback rebuild path.
 smoke:
 	$(GO) run ./cmd/rassolve -synthetic -workers 4 -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassolve -synthetic -backend pop -partitions 4 -workers 4 -time-limit 10s >/dev/null
-	$(GO) run ./cmd/rassolve -synthetic -backend localsearch >/dev/null
+	$(GO) run ./cmd/rassolve -synthetic -backend localsearch -time-limit 10s >/dev/null
 	$(GO) run ./cmd/rassim -days 1 -dcs 2 -msbs 2 -racks 4 -servers 4 -grow-hour 6 -require-cache -q >/dev/null
 	$(GO) run ./cmd/rassim -days 1 -dcs 2 -msbs 2 -racks 4 -servers 4 -grow-hour 6 -backend pop -partitions 2 -workers 1 -require-cache -q >/dev/null
 

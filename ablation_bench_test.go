@@ -171,11 +171,11 @@ func BenchmarkRoundIncremental(b *testing.B) {
 	br := broker.New(region)
 	cfg := solver.Config{
 		Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 10 * time.Second,
-		MaxNodes: 100, SharedBufferFraction: -1, Workers: 1,
+		MaxNodes: 100, SharedBufferFraction: -1,
 	}
 	solve := func(states []broker.ServerState, warm *solver.WarmState) *solver.Result {
 		res, err := solver.SolveWarm(context.Background(),
-			solver.Input{Region: region, Reservations: rsvs, States: states}, cfg, warm)
+			solver.Input{Region: region, Reservations: rsvs, States: states}, cfg, warm, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

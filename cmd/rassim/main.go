@@ -16,7 +16,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -40,8 +39,8 @@ func main() {
 		failDay  = flag.Int("fail-day", 1, "virtual day of the correlated-failure drill")
 		quiet    = flag.Bool("q", false, "suppress the hourly log")
 		fillFrac = flag.Float64("fill", 0.7, "fraction of the region requested as capacity")
-		workers  = flag.Int("workers", runtime.NumCPU(),
-			"solve parallelism for the hourly rounds: branch-and-bound workers (mip) or the budget pop divides across its sub-solves; localsearch is serial; 1 = serial")
+		workers  = flag.Int("workers", 0,
+			"solve parallelism for the hourly rounds: branch-and-bound workers (mip) or the budget pop divides across its sub-solves; localsearch is serial; 0 = all CPUs, 1 = serial")
 		beName = flag.String("backend", backend.DefaultName,
 			"solver backend for the hourly rounds ("+strings.Join(backend.Names(), ", ")+")")
 		partitions = flag.Int("partitions", 0,

@@ -9,10 +9,12 @@
 //	rassolve -synthetic -dcs 2 -msbs 3 -reservations 4 > assignment.json
 //	rassolve -synthetic -backend localsearch > assignment.json
 //
-// The -backend flag selects the solver backend (mip, localsearch, pop);
-// -partitions sets the pop backend's sub-region count. SIGINT/SIGTERM cancel
-// the solve cooperatively: the tool still writes the best incumbent
-// assignment found before the signal.
+// The round runs in a ras.System, as each of rassim's rounds does. The
+// -backend flag selects the solver backend (mip, localsearch, pop);
+// -partitions sets the pop backend's sub-region count; -time-limit T gives
+// the region-wide phase 2T/3, the rack phase T/3 and the whole round a
+// deadline of T. SIGINT/SIGTERM cancel the solve cooperatively: the tool
+// still writes the best incumbent assignment found before the signal.
 //
 // Input schema (JSON):
 //
@@ -42,7 +44,6 @@ import (
 
 	"ras"
 	"ras/internal/backend"
-	"ras/internal/broker"
 	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/solver"
@@ -109,9 +110,10 @@ func main() {
 		dcs       = flag.Int("dcs", 2, "synthetic: datacenters")
 		msbs      = flag.Int("msbs", 3, "synthetic: MSBs per DC")
 		nres      = flag.Int("reservations", 4, "synthetic: reservation count")
-		timeLimit = flag.Duration("time-limit", 10*time.Second, "solve time limit")
-		workers   = flag.Int("workers", runtime.NumCPU(),
-			"solve parallelism: branch-and-bound workers (mip) or the budget pop divides across its sub-solves; localsearch is serial; 1 = serial")
+		timeLimit = flag.Duration("time-limit", 10*time.Second,
+			"round deadline: 2/3 of it on the region-wide phase, 1/3 on the rack phase (0 = the solver's default phase limits, no deadline)")
+		workers = flag.Int("workers", 0,
+			"solve parallelism: branch-and-bound workers (mip) or the budget pop divides across its sub-solves; localsearch is serial; 0 = all CPUs, 1 = serial")
 		beName = flag.String("backend", backend.DefaultName,
 			"solver backend ("+strings.Join(backend.Names(), ", ")+")")
 		partitions = flag.Int("partitions", 0,
@@ -180,8 +182,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var rsvs []reservation.Reservation
-	for i, rd := range doc.Reservations {
+	// SIGINT/SIGTERM cancel the solve; the backend returns its best
+	// incumbent, which is still written out below.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	cfg, ctx, cancel := roundBudget(ctx, *timeLimit)
+	defer cancel()
+
+	sys := ras.NewSystem(region, ras.Options{Backend: *beName, Solver: cfg, Workers: *workers, Partitions: *partitions})
+	names := map[reservation.ID]string{}
+	for _, rd := range doc.Reservations {
 		cl, ok := classByName(rd.Class)
 		if !ok {
 			log.Fatalf("rassolve: unknown class %q (want one of %v)", rd.Class, hardware.Classes())
@@ -190,25 +200,16 @@ func main() {
 		if rd.SingleDC != nil {
 			pol.SingleDC = *rd.SingleDC
 		}
-		rsvs = append(rsvs, reservation.Reservation{
-			ID: reservation.ID(i), Name: rd.Name, Class: cl,
-			RRUs: rd.RRUs, CountBased: rd.CountBased, Policy: pol,
+		id, err := sys.CreateReservation(reservation.Reservation{
+			Name: rd.Name, Class: cl, RRUs: rd.RRUs, CountBased: rd.CountBased, Policy: pol,
 		})
+		if err != nil {
+			log.Fatalf("rassolve: reservation %q: %v", rd.Name, err)
+		}
+		names[id] = rd.Name
 	}
 
-	// SIGINT/SIGTERM cancel the solve; the backend returns its best
-	// incumbent, which is still written out below.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	be, err := backend.New(*beName, backend.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	b := broker.New(region)
-	res, err := be.Solve(ctx, solver.Input{
-		Region: region, Reservations: rsvs, States: b.Snapshot(),
-	}, backend.Options{TimeLimit: *timeLimit, Workers: *workers, Partitions: *partitions})
+	res, err := sys.Solve(ctx, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -229,23 +230,15 @@ func main() {
 			out.Phase2 = &s2
 		}
 	}
-	nameOf := func(id reservation.ID) string {
-		switch {
-		case id == reservation.Unassigned:
-			return ""
-		case id == reservation.SharedBuffer:
-			return "shared-buffer"
-		case int(id) < len(rsvs):
-			return rsvs[id].Name
-		}
-		return fmt.Sprintf("res-%d", id)
-	}
 	for i, tgt := range res.Targets {
-		srv := region.Servers[i]
-		name := nameOf(tgt)
-		if name == "" {
+		if tgt == reservation.Unassigned {
 			continue // free pool
 		}
+		name := names[tgt]
+		if tgt == reservation.SharedBuffer {
+			name = "shared-buffer"
+		}
+		srv := region.Servers[i]
 		out.Servers = append(out.Servers, serverOut{
 			ID: i, Type: region.Catalog.Type(srv.Type).ID, MSB: srv.MSB, DC: srv.DC, Res: name,
 		})
@@ -262,6 +255,19 @@ func main() {
 		totals.Print(os.Stderr)
 		printModelBuilds(os.Stderr, res)
 	}
+}
+
+// roundBudget splits a -time-limit T the way production splits its one-hour
+// SLO: 2T/3 on the region-wide phase, T/3 on the rack phase, and a deadline
+// of T on ctx, which bounds the whole round — local search and pop's
+// recombination included. T ≤ 0 keeps the solver's default phase limits and
+// sets no deadline.
+func roundBudget(ctx context.Context, t time.Duration) (ras.SolverConfig, context.Context, context.CancelFunc) {
+	if t <= 0 {
+		return ras.SolverConfig{}, ctx, func() {}
+	}
+	ctx, cancel := context.WithTimeout(ctx, t)
+	return ras.SolverConfig{Phase1TimeLimit: t * 2 / 3, Phase2TimeLimit: t / 3}, ctx, cancel
 }
 
 // printModelBuilds reports, per sub-solve and phase and from the values the

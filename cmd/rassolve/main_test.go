@@ -8,10 +8,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ras"
 	"ras/internal/backend"
 	"ras/internal/broker"
+	"ras/internal/clock"
 	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/solver"
@@ -141,5 +143,29 @@ func TestVerboseCountersAddUp(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTimeLimitSplitsTheRound: -time-limit T gives the region-wide phase
+// 2T/3, the rack phase T/3 and the whole round a deadline T from now; zero
+// keeps the solver's default phase limits and sets no deadline.
+func TestTimeLimitSplitsTheRound(t *testing.T) {
+	const limit = 3 * time.Second
+	before := clock.Now()
+	cfg, ctx, cancel := roundBudget(context.Background(), limit)
+	defer cancel()
+	after := clock.Now()
+	if cfg.Phase1TimeLimit != 2*time.Second || cfg.Phase2TimeLimit != time.Second {
+		t.Errorf("phase limits %v and %v, want 2s and 1s", cfg.Phase1TimeLimit, cfg.Phase2TimeLimit)
+	}
+	deadline, ok := ctx.Deadline()
+	if !ok || deadline.Before(before.Add(limit)) || deadline.After(after.Add(limit)) {
+		t.Errorf("round deadline %v (set %v), want %v after the call", deadline, ok, limit)
+	}
+
+	cfg, ctx, cancel = roundBudget(context.Background(), 0)
+	defer cancel()
+	if _, ok := ctx.Deadline(); ok || cfg != (ras.SolverConfig{}) {
+		t.Errorf("-time-limit 0: config %+v, deadline set %v; want the defaults and none", cfg, ok)
 	}
 }

@@ -34,22 +34,14 @@ import (
 // tuning lives in Config and is fixed at construction time; Options varies
 // per call.
 type Options struct {
-	// TimeLimit bounds the whole solve's search: mip spends 2/3 of it on
-	// phase 1 and 1/3 on the rack phase, pop divides those limits over the
-	// waves its sub-solves run in (solver.Config.Share), so that sub-solves
-	// run one after another stay within it, and local search stops at it.
-	// Zero keeps each backend's configured/default budget. A ctx deadline
-	// earlier than TimeLimit wins either way; Solve implementations derive
-	// their internal deadlines from the context.
-	TimeLimit time.Duration
 	// Workers caps one solve's parallelism: branch-and-bound workers for
 	// the MIP backend and the total budget the pop backend divides across
 	// its concurrent sub-solves (never multiplies — `-workers 4 -partitions
 	// 4` runs 4 serial sub-solves, not 16 threads). Local search is serial
 	// and ignores it. Zero means runtime.NumCPU() — backends exploit the
 	// whole machine unless told otherwise; this is the one place zero is
-	// resolved, and solver.Config.Workers gets the resolved count. Negative
-	// or 1 forces the exact serial engines.
+	// resolved, and solver.SolveWarm gets the resolved count. Negative or 1
+	// forces the exact serial engines.
 	Workers int
 	// Partitions is the pop backend's sub-region count k (clamped to the
 	// region's MSB count). Zero means DefaultPartitions. Other backends
@@ -57,10 +49,11 @@ type Options struct {
 	Partitions int
 	// Warm carries cross-round warm-start state: pass the previous round's
 	// Result.Warm so consecutive solves of the continuous-optimization loop
-	// amortize work (root-LP bases for the MIP backend, the last assignment
-	// for local search). nil — or state from a differently shaped problem —
-	// solves cold. Each backend reads only its own field, so one WarmState
-	// can be threaded through rounds that switch backends.
+	// amortize work (cached models and root-LP bases for mip and pop). nil —
+	// or state from a differently shaped problem — solves cold. Each backend
+	// reads only its own field, so one WarmState can be threaded through
+	// rounds that switch backends. Local search keeps none: it starts from
+	// the input's current bindings.
 	Warm *WarmState
 }
 
@@ -70,8 +63,6 @@ type Options struct {
 type WarmState struct {
 	// MIP is the two-phase solver's persisted root bases.
 	MIP *solver.WarmState
-	// LocalSearch is the last local-search assignment.
-	LocalSearch []reservation.ID
 	// POP is the partitioned backend's warm state: partition p's
 	// solver.WarmState at index p.
 	POP []*solver.WarmState
@@ -87,19 +78,6 @@ func (o Options) workers() int {
 		w = 1
 	}
 	return w
-}
-
-// solverConfig is cfg for a solve under these options: the two-phase solver's
-// resolved worker count, and a joint TimeLimit split like production's
-// one-hour SLO — most of it on the region-wide phase, the rest on rack
-// refinement.
-func (o Options) solverConfig(cfg solver.Config, workers int) solver.Config {
-	if o.TimeLimit > 0 {
-		cfg.Phase1TimeLimit = o.TimeLimit * 2 / 3
-		cfg.Phase2TimeLimit = o.TimeLimit / 3
-	}
-	cfg.Workers = workers
-	return cfg
 }
 
 // Backend is one interchangeable optimization engine producing a full
@@ -181,7 +159,8 @@ type Result struct {
 
 	// Warm is the cross-round warm-start state to feed the next round's
 	// Options.Warm. It starts from the state passed in (so foreign backends'
-	// fields survive a backend switch) with this backend's field updated.
+	// fields survive a backend switch) with this backend's field updated;
+	// local search, which keeps none, hands that state on as it is.
 	Warm *WarmState
 }
 
@@ -251,13 +230,12 @@ type mipBackend struct {
 func (b *mipBackend) Name() string { return "mip" }
 
 func (b *mipBackend) Solve(ctx context.Context, in solver.Input, opts Options) (*Result, error) {
-	cfg := opts.solverConfig(b.cfg, opts.workers())
 	var warm *solver.WarmState
 	if opts.Warm != nil {
 		warm = opts.Warm.MIP
 	}
 	start := clock.Now()
-	res, err := solver.SolveWarm(ctx, in, cfg, warm)
+	res, err := solver.SolveWarm(ctx, in, b.cfg, warm, opts.workers())
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,11 @@ type LocalSearchDetail struct {
 
 // localSearchBackend is the near-realtime backend ReBalancer offers next to
 // the MIP (§6), built from the recombination pass pop already runs: start
-// from the round's bindings — or the previous round's assignment where it is
-// still legal — seed it (solver.SeedTargets: every short reservation and
-// buffer row filled into its least-loaded MSBs, surplus members trimmed),
-// then run solver.RepairTargets until a pass applies nothing, checking ctx
+// from the round's current bindings — in a ras.System, the last round's
+// applied targets plus whatever the mover or a failure changed since — seed
+// them (solver.SeedTargets: every short reservation and buffer row filled
+// into its least-loaded MSBs, surplus members trimmed), then run
+// solver.RepairTargets until a pass applies nothing, checking ctx
 // between passes. Every step is priced by the phase-1 objective Evaluate
 // scores, so its answer compares directly with the other backends'. It
 // proves no bound, runs serial, and is a pure function of its input.
@@ -46,19 +47,10 @@ func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Op
 	if len(in.States) != len(in.Region.Servers) {
 		return nil, fmt.Errorf("localsearch: %d states for %d servers", len(in.States), len(in.Region.Servers))
 	}
-	if opts.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
-		defer cancel()
-	}
 	start := clock.Now()
 	targets := make([]reservation.ID, len(in.States))
-	if opts.Warm != nil && len(opts.Warm.LocalSearch) == len(targets) {
-		copy(targets, opts.Warm.LocalSearch)
-	} else {
-		for i := range in.States {
-			targets[i] = in.States[i].Current
-		}
+	for i := range in.States {
+		targets[i] = in.States[i].Current
 	}
 	d := &LocalSearchDetail{Seed: solver.SeedTargets(in, b.cfg, targets)}
 	for ctx.Err() == nil {
@@ -80,7 +72,7 @@ func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Op
 		Gap:         math.Inf(1),
 		Elapsed:     clock.Since(start),
 		LocalSearch: d,
-		Warm:        nextWarm(opts.Warm, func(w *WarmState) { w.LocalSearch = targets }),
+		Warm:        opts.Warm,
 	}
 	// Explicit cancellation only: a deadline running out is a time budget
 	// spent (Feasible), as for the other backends.

@@ -69,8 +69,9 @@ func TestLocalSearchRespectsEligibilityAndAvailability(t *testing.T) {
 
 // TestLocalSearchStableOnResolve feeds a solve's assignment back as the
 // current bindings, every assigned server in use: the re-solve must not
-// preempt in-use servers, and handed its own answer as warm state it must
-// not end worse than that answer.
+// preempt in-use servers, and a further re-solve that starts from its answer
+// — as a System's next round starts from the targets it applied — must not
+// end worse than that answer, priced on the same input.
 func TestLocalSearchStableOnResolve(t *testing.T) {
 	in := testInput(t, 4, 3, 4)
 	first := solveLocal(t, in, solver.Config{})
@@ -84,16 +85,12 @@ func TestLocalSearchStableOnResolve(t *testing.T) {
 	if second.Moves.InUse > 2 {
 		t.Fatalf("re-solve preempted %d in-use servers", second.Moves.InUse)
 	}
-	be, err := New("localsearch", Config{})
-	if err != nil {
-		t.Fatal(err)
+	for i := range in.States {
+		in.States[i].Current = second.Targets[i]
 	}
-	warm, err := be.Solve(context.Background(), in, Options{Warm: second.Warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Objective > second.Objective {
-		t.Fatalf("warm re-solve objective %v above its warm start's %v", warm.Objective, second.Objective)
+	third := solveLocal(t, in, solver.Config{})
+	if start := solver.Evaluate(in, solver.Config{}, second.Targets).Objective; third.Objective > start {
+		t.Fatalf("re-solve from the second answer ends at objective %v, above its start's %v", third.Objective, start)
 	}
 }
 

@@ -103,7 +103,6 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	// The sub-solves split one solve's budget: the workers (divideWorkers),
 	// the nodes of each phase, and its time over the waves they run in.
 	perSub, concurrent := divideWorkers(opts.workers(), k)
-	cfg := opts.solverConfig(b.cfg, perSub)
 
 	// Partition p starts from the warm state partition p exported last
 	// round, whatever the plan: the sub-solve patches its cached models only
@@ -147,7 +146,7 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 				// Each partition index p is claimed exactly once via the
 				// atomic cursor, so workers write disjoint elements, and
 				// wg.Wait() orders every write before the merge reads.
-				subs[p], errs[p] = solver.SolveWarm(ctx, sub, cfg.Share(p, k, concurrent), warms[p])
+				subs[p], errs[p] = solver.SolveWarm(ctx, sub, b.cfg.Share(p, k, concurrent), warms[p], perSub)
 			}
 		}()
 	}

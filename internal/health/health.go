@@ -78,13 +78,10 @@ func New(b *broker.Broker, cfg Config) *Service {
 	}
 }
 
-// Stats summarizes the events injected by one Tick.
+// Stats counts the random server failures one Tick injected; its ToR and MSB
+// failures show in the broker's unavailability state.
 type Stats struct {
-	RandomFailures     int
-	ToRFailures        int
-	CorrelatedFailures int // servers taken down by MSB failures
-	MSBsFailed         []int
-	MaintenanceStarts  int
+	RandomFailures int
 }
 
 // Tick advances the injector by one virtual hour ending at time now
@@ -108,8 +105,7 @@ func (s *Service) Tick(now int64) Stats {
 
 	// ToR failures: one rack at a time.
 	byRack := s.region.ServersByRack()
-	for rack, servers := range byRack {
-		_ = rack
+	for _, servers := range byRack {
 		if s.rng.Float64() >= s.cfg.ToRFailureRate {
 			continue
 		}
@@ -117,18 +113,14 @@ func (s *Service) Tick(now int64) Stats {
 		for _, id := range servers {
 			s.broker.SetUnavailable(id, broker.ToRFailure, now, until)
 		}
-		st.ToRFailures++
 	}
 
 	// Correlated MSB failures.
-	byMSB := s.region.ServersByMSB()
-	for msb, servers := range byMSB {
+	for msb := 0; msb < s.region.NumMSBs; msb++ {
 		if s.rng.Float64() >= s.cfg.MSBFailureRate {
 			continue
 		}
 		s.FailMSB(msb, now, int64(s.cfg.MSBRepairHours*3600))
-		st.CorrelatedFailures += len(servers)
-		st.MSBsFailed = append(st.MSBsFailed, msb)
 	}
 	return st
 }

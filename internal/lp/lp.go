@@ -35,7 +35,6 @@ package lp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -507,9 +506,6 @@ func (o *Options) refactorEvery() int {
 		return o.RefactorEvery
 	}
 }
-
-// ErrMalformed reports a structurally invalid problem.
-var ErrMalformed = errors.New("lp: malformed problem")
 
 // SolveWith minimizes the problem's objective on the workspace ws and returns
 // the solution. The problem itself is not modified and may be solved

@@ -202,7 +202,6 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 	mA := newMutator(t, region, 45, 5)
 	mB := newMutator(t, region, 45, 5)
 	cfg := fastCfg()
-	cfg.Workers = 1
 
 	var warmA, warmB *WarmState
 	carried, reentered, rebuilt := 0, 0, 0
@@ -216,11 +215,11 @@ func TestWorkspaceCarryMatchesFresh(t *testing.T) {
 		if warmB != nil {
 			warmB.Phase1.ws, warmB.Phase2.ws = nil, nil
 		}
-		resA, err := SolveWarm(context.Background(), inA, cfg, warmA)
+		resA, err := SolveWarm(context.Background(), inA, cfg, warmA, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resB, err := SolveWarm(context.Background(), inB, cfg, warmB)
+		resB, err := SolveWarm(context.Background(), inB, cfg, warmB, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func newDrillRig(t *testing.T) *drillRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &drillRig{cfg: solver.Config{MaxNodes: 100, Workers: 1, SharedBufferFraction: -1}}
+	d := &drillRig{cfg: solver.Config{MaxNodes: 100, SharedBufferFraction: -1}}
 	d.sys = ras.NewSystem(region, ras.Options{Solver: d.cfg, Workers: 1})
 	for _, r := range []ras.Reservation{
 		{Name: "web", Class: ras.Web, RRUs: 30, CountBased: true, Policy: ras.DefaultPolicy()},
@@ -187,7 +187,7 @@ func (d *drillRig) solve(t *testing.T, ctx context.Context) (*ras.SolveResult, s
 	}
 	cfg := d.cfg
 	cfg.SetupOnly = true
-	cold, err := solver.SolveWarm(context.Background(), in, cfg, nil)
+	cold, err := solver.SolveWarm(context.Background(), in, cfg, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

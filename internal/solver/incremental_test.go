@@ -390,7 +390,6 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 	mB := newMutator(t, region, 45, 5)
 
 	cfg := fastCfg()
-	cfg.Workers = 1
 
 	var warmA, warmB *WarmState
 	patchedRounds, fallbackRounds := 0, 0
@@ -402,11 +401,11 @@ func TestIncrementalSolveEquivalence(t *testing.T) {
 		}
 		inA, inB := mA.input(), mB.input()
 
-		resA, err := SolveWarm(context.Background(), inA, cfg, warmA)
+		resA, err := SolveWarm(context.Background(), inA, cfg, warmA, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resB, err := SolveWarm(context.Background(), inB, cfg, warmB)
+		resB, err := SolveWarm(context.Background(), inB, cfg, warmB, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,41 +470,6 @@ func ptrState(b *broker.Broker, i int) *broker.ServerState {
 	return &st
 }
 
-// TestParallelColdBuildDeterministic: the cold build is a pure function of
-// its inputs — the same input produces fingerprint-identical models at every
-// worker count.
-func TestParallelColdBuildDeterministic(t *testing.T) {
-	region := testRegion(t, 2, 2, 8, 16, 45)
-	m := newMutator(t, region, 46, 8)
-	in := m.input()
-
-	base := fastCfg()
-	targetsFor := func() []reservation.ID {
-		targets := make([]reservation.ID, len(region.Servers))
-		for i := range targets {
-			targets[i] = reservation.Unassigned
-		}
-		return targets
-	}
-
-	var fp1 uint64
-	for _, workers := range []int{1, 2, 4} {
-		cfg := base
-		cfg.Workers = workers
-		cfg = cfg.withDefaults(region)
-		specs := buildSpecs(in, cfg)
-		pool := usableServers(in)
-		var stats PhaseStats
-		bp := buildPhase(in, cfg, specs, pool, targetsFor(), false, &stats)
-		fp := bp.m.Fingerprint()
-		if workers == 1 {
-			fp1 = fp
-		} else if fp != fp1 {
-			t.Fatalf("workers=%d fingerprint %x != workers=1 %x", workers, fp, fp1)
-		}
-	}
-}
-
 // TestPatchRepeatDeterministic re-runs an identical patch sequence and
 // requires bitwise-identical fingerprints run over run.
 func TestPatchRepeatDeterministic(t *testing.T) {
@@ -548,14 +512,13 @@ func TestPatchedModelSolves(t *testing.T) {
 	region := testRegion(t, 1, 2, 4, 8, 49)
 	m := newMutator(t, region, 50, 4)
 	cfg := fastCfg()
-	cfg.Workers = 1
 	var warm *WarmState
 	for round := 0; round < 6; round++ {
 		if round > 0 {
 			m.step(false)
 		}
 		in := m.input()
-		res, err := SolveWarm(context.Background(), in, cfg, warm)
+		res, err := SolveWarm(context.Background(), in, cfg, warm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,7 +596,7 @@ func TestRebuildReasonsForced(t *testing.T) {
 	cfg.SetupOnly = true
 	solve := func(warm *WarmState) *Result {
 		t.Helper()
-		res, err := SolveWarm(context.Background(), m.input(), cfg, warm)
+		res, err := SolveWarm(context.Background(), m.input(), cfg, warm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -666,13 +629,12 @@ func TestRebuildReasonsForced(t *testing.T) {
 // rounds that export no basis: a SetupOnly round keeps its model (the next
 // round patches it), a round that skips the rack phase hands the rack model
 // on untouched — and the next rack round patches that model, a round stale,
-// into what a forced rebuild decides — and a hand-assembled PhaseWarm with a
-// basis but no model builds cold and offers the basis without keeping it.
+// into what a forced rebuild decides.
 func TestPhaseWarmCarriesModel(t *testing.T) {
 	region := testRegion(t, 2, 2, 4, 12, 61)
 	solve := func(m *mutator, cfg Config, warm *WarmState) *Result {
 		t.Helper()
-		res, err := SolveWarm(context.Background(), m.input(), cfg, warm)
+		res, err := SolveWarm(context.Background(), m.input(), cfg, warm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -682,8 +644,8 @@ func TestPhaseWarmCarriesModel(t *testing.T) {
 	setup := fastCfg()
 	setup.SetupOnly = true
 	res0 := solve(m, setup, nil)
-	if res0.Warm.Phase1.Basis != nil || res0.Warm.Phase1.model == nil {
-		t.Fatalf("SetupOnly round exported basis %v, model %v; want no basis and its model", res0.Warm.Phase1.Basis, res0.Warm.Phase1.model)
+	if res0.Warm.Phase1.basis != nil || res0.Warm.Phase1.model == nil {
+		t.Fatalf("SetupOnly round exported basis %v, model %v; want no basis and its model", res0.Warm.Phase1.basis, res0.Warm.Phase1.model)
 	}
 	m.step(false)
 	if res := solve(m, setup, res0.Warm); !res.Phase1.ModelPatched {
@@ -709,7 +671,7 @@ func TestPhaseWarmCarriesModel(t *testing.T) {
 	if !res1.RanPhase2 {
 		t.Skip("the rack phase did not run on this region")
 	}
-	if res2.RanPhase2 || res2.Warm.Phase2.model != res1.Warm.Phase2.model || res2.Warm.Phase2.Basis != nil {
+	if res2.RanPhase2 || res2.Warm.Phase2.model != res1.Warm.Phase2.model || res2.Warm.Phase2.basis != nil {
 		t.Fatal("a round without the rack phase must hand the rack model on, without a basis")
 	}
 	_, _, rebuilt := staleRack(true)
@@ -721,15 +683,5 @@ func TestPhaseWarmCarriesModel(t *testing.T) {
 		math.Abs(patched.Phase2.Objective-rebuilt.Phase2.Objective) > 1e-9*(1+math.Abs(rebuilt.Phase2.Objective)) {
 		t.Fatalf("the stale rack model patched decides objective %v, moves %+v; rebuilt %v, %+v",
 			patched.Phase2.Objective, patched.Moves, rebuilt.Phase2.Objective, rebuilt.Moves)
-	}
-
-	m.step(false)
-	hand, err := SolveWarm(context.Background(), m.input(), fastCfg(), &WarmState{Phase1: PhaseWarm{Basis: res1.Warm.Phase1.Basis}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := hand.Phase1; p.Rebuild != RebuildNoCache || p.RootBasisOffered == 0 || p.RootBasisKept != 0 {
-		t.Fatalf("hand-assembled PhaseWarm: rebuild %v, basis offered %d kept %d; want no-cache, offered, none kept",
-			p.Rebuild, p.RootBasisOffered, p.RootBasisKept)
 	}
 }

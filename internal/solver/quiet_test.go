@@ -43,7 +43,7 @@ func newQuietRig(tb testing.TB) *quietRig {
 		br:     broker.New(region),
 		cfg: Config{
 			MaxNodes: 100, Phase1TimeLimit: 2 * time.Minute, Phase2TimeLimit: 2 * time.Minute,
-			SharedBufferFraction: -1, Workers: 1,
+			SharedBufferFraction: -1,
 		},
 		rng: rand.New(rand.NewSource(1)),
 	}
@@ -97,7 +97,7 @@ func (q *quietRig) quietEvents() {
 // solve runs one round on in and applies its targets: the servers the round
 // moves change Current at once, as the mover would.
 func (q *quietRig) solve(tb testing.TB, in Input) *Result {
-	res, err := SolveWarm(context.Background(), in, q.cfg, q.warm)
+	res, err := SolveWarm(context.Background(), in, q.cfg, q.warm, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -50,10 +50,8 @@ func mergeSubSolves(tb testing.TB, in Input, k int, cfgOf func(p, k int) Config)
 		targets[i] = reservation.Unassigned
 	}
 	for p := 0; p < plan.K; p++ {
-		cfg := cfgOf(p, plan.K)
-		cfg.Workers = 1
 		sub := Input{Region: in.Region, Reservations: demands[p], States: in.States, Subset: plan.Subsets[p]}
-		res, err := SolveWarm(context.Background(), sub, cfg, nil)
+		res, err := SolveWarm(context.Background(), sub, cfgOf(p, plan.K), nil, 1)
 		if err != nil {
 			tb.Fatal(err)
 		}

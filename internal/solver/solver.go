@@ -79,18 +79,13 @@ type Config struct {
 	// absolute gap is at most StallGap — cutting the long proving tail on
 	// degenerate instances where the bound sits flat under a near-optimal
 	// incumbent. Zero keeps the search running to MaxNodes. The stop is
-	// keyed to node counts, so Workers=1 solves stay deterministic.
+	// keyed to node counts, so serial solves stay deterministic.
 	StallNodes int
 	// StallGap is the absolute-gap ceiling for the stall rule, in objective
 	// units (one in-use preemption costs MoveCostInUse). Zero disables it.
 	StallGap float64
 	// DisableRackPhase skips phase 2 entirely.
 	DisableRackPhase bool
-	// Workers is the branch-and-bound worker count for each phase's MIP
-	// solve, already resolved by the caller (backend.Options resolves zero
-	// to runtime.NumCPU()). ≤ 1 keeps the exact serial search; values above
-	// one enable the parallel engine (see mip.Options.Workers).
-	Workers int
 	// SetupOnly builds both phases (RAS build, solver build, initial state)
 	// but skips the MIP step. Used by the Figure 10/11 scalability sweeps,
 	// which measure exactly those three steps.
@@ -200,9 +195,10 @@ func (c *Config) moveCost(preempts bool) float64 {
 // what it is) and runs its root LP on ws too, which retargets itself to the
 // new model and keeps only its storage. Either way the next solve takes the
 // model and ws over, so a WarmState feeds one solve: the round after it
-// starts from that solve's Result.Warm.
+// starts from that solve's Result.Warm. Only SolveWarm fills one, so a basis
+// always comes with the model it was solved on.
 type PhaseWarm struct {
-	Basis *lp.Basis
+	basis *lp.Basis
 	model *builtPhase
 	ws    *lp.Workspace
 }
@@ -428,8 +424,8 @@ func wearBucket(w float64) int {
 	return b
 }
 
-// Solve runs one continuous-optimization round and returns target bindings
-// for every server.
+// Solve runs one continuous-optimization round, cold and serial, and returns
+// target bindings for every server.
 //
 // ctx bounds the whole round: each phase derives its own deadline as the
 // earlier of the phase time limit and the context deadline, and cancelling
@@ -437,17 +433,20 @@ func wearBucket(w float64) int {
 // round is not an error — the Result carries the best incumbent targets
 // with Cancelled set.
 func Solve(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	return SolveWarm(ctx, in, cfg, nil)
+	return SolveWarm(ctx, in, cfg, nil, 1)
 }
 
-// SolveWarm is Solve with cross-round warm-start state: warm carries the
-// previous round's root bases and models (pass Result.Warm from round k to
-// round k+1; nil solves cold). Each phase starts its root relaxation from the
-// previous round's basis — as it is when the model was patched, carried over
-// by identity when it was rebuilt — so the continuous-optimization loop
-// amortizes simplex work across rounds without changing what a round is
-// allowed to return.
-func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Result, error) {
+// SolveWarm is Solve with cross-round warm-start state on workers
+// branch-and-bound workers per phase. warm carries the previous round's root
+// bases and models (pass Result.Warm from round k to round k+1; nil solves
+// cold). Each phase starts its root relaxation from the previous round's
+// basis — as it is when the model was patched, carried over by identity when
+// it was rebuilt — so the continuous-optimization loop amortizes simplex
+// work across rounds without changing what a round is allowed to return.
+// workers is a resolved count (the backend resolves zero to
+// runtime.NumCPU()): ≤ 1 keeps the exact serial search, more enables the
+// parallel engine (mip.Options.Workers).
+func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, workers int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
 	}
@@ -480,7 +479,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 	// ---- Phase 1: whole region, MSB granularity. ------------------------
 	pool := appendUsable(res.Warm.pools[0][:0], in)
 	res.Warm.pools[0] = pool
-	p1 := solvePhase(ctx, in, cfg, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1)
+	p1 := solvePhase(ctx, in, cfg, workers, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1)
 	res.Phase1 = p1.stats
 	res.Warm.Phase1 = p1.warm
 	realize(in, specs, p1, res.Targets)
@@ -506,7 +505,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState) (*Res
 				}
 			}
 			res.Warm.pools[1] = pool2
-			p2 := solvePhase(ctx, in, cfg, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2)
+			p2 := solvePhase(ctx, in, cfg, workers, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2)
 			res.Phase2 = p2.stats
 			res.Warm.Phase2 = p2.warm
 			res.RanPhase2 = true
@@ -682,15 +681,15 @@ type phaseOutput struct {
 }
 
 // solvePhase builds (or patches) and solves one phase's MIP over the given
-// server pool. rackLevel selects the grouping granularity and enables
-// expression 2. targets carries phase-1 intent (used for warm starts in
-// phase 2). pw is the phase's warm state from an earlier round (nil, or a
-// PhaseWarm without a model, builds cold).
+// server pool on workers branch-and-bound workers. rackLevel selects the
+// grouping granularity and enables expression 2. targets carries phase-1
+// intent (used for warm starts in phase 2). pw is the phase's warm state from
+// an earlier round (nil, or a PhaseWarm without a model, builds cold).
 //
 // The phase deadline is derived from the parent context: the MIP stops at
 // the earlier of now+limit and the parent's own deadline, and parent
 // cancellation aborts the search immediately.
-func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
+func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []resSpec, pool []topology.ServerID,
 	targets []reservation.ID, rackLevel bool, limit time.Duration, pw *PhaseWarm) *phaseOutput {
 
 	phaseCtx, cancel := context.WithTimeout(ctx, limit)
@@ -755,14 +754,12 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	if pw != nil {
 		rootWS = pw.ws
 	}
-	if pw != nil && pw.Basis != nil {
-		out.stats.RootBasisOffered = pw.Basis.NumCols()
-		switch pw.model {
-		case nil: // a hand-assembled PhaseWarm: nothing says what the columns were
-		case bp:
-			rootBasis, out.stats.RootBasisKept = pw.Basis, pw.Basis.NumCols()
-		default:
-			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.model, pw.Basis)
+	if pw != nil && pw.basis != nil {
+		out.stats.RootBasisOffered = pw.basis.NumCols()
+		if pw.model == bp {
+			rootBasis, out.stats.RootBasisKept = pw.basis, pw.basis.NumCols()
+		} else {
+			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.model, pw.basis)
 		}
 		if 2*out.stats.RootBasisKept < out.stats.RootBasisOffered {
 			rootBasis, out.stats.RootBasisMismatch = nil, true
@@ -777,7 +774,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		AbsGap:        0.9 * cfg.MoveCostIdle,
 		StallNodes:    cfg.StallNodes,
 		StallGap:      cfg.StallGap,
-		Workers:       cfg.Workers,
+		Workers:       workers,
 		RootBasis:     rootBasis,
 		RootWorkspace: rootWS,
 	})
@@ -791,7 +788,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 	out.stats.RootLPIters = r.RootLPIters
 	out.stats.WarmRoot = r.RootWarm
 	out.stats.RootCold = r.RootCold
-	out.warm.Basis, out.warm.ws = r.RootBasis, r.RootWorkspace
+	out.warm.basis, out.warm.ws = r.RootBasis, r.RootWorkspace
 	out.stats.Workers = r.Workers
 	out.stats.IncumbentUpdates = r.IncumbentUpdates
 	out.stats.HeuristicWins = r.HeuristicWins

@@ -381,7 +381,7 @@ func TestSolveInputValidation(t *testing.T) {
 		if want == nil {
 			t.Fatalf("subset %v: validateSubset accepts it", subset)
 		}
-		if res, err := SolveWarm(context.Background(), in, Config{}, nil); err == nil || err.Error() != want.Error() {
+		if res, err := SolveWarm(context.Background(), in, Config{}, nil, 1); err == nil || err.Error() != want.Error() {
 			t.Errorf("subset %v: SolveWarm = (%v, %v), want validateSubset's error %q", subset, res, err, want)
 		}
 	}

@@ -37,13 +37,13 @@ func TestCrossRoundWarmStart(t *testing.T) {
 	// warm basis applies. Early rounds still churn (the grouping keys on the
 	// servers' current bindings), so those legitimately fall back to cold.
 	var warmRound, coldBefore *Result
-	prev, err := SolveWarm(context.Background(), in, cfg, nil)
+	prev, err := SolveWarm(context.Background(), in, cfg, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 2; round <= 8; round++ {
 		applyRound(&in, prev.Targets)
-		cur, err := SolveWarm(context.Background(), in, cfg, prev.Warm)
+		cur, err := SolveWarm(context.Background(), in, cfg, prev.Warm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	in := freshInput(region, rsvs)
 	cfg := fastCfg()
 
-	r1, err := SolveWarm(context.Background(), in, cfg, nil)
+	r1, err := SolveWarm(context.Background(), in, cfg, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	applyRound(&in, r1.Targets)
 
 	// Steady-state round to obtain a basis for the settled shape.
-	r2, err := SolveWarm(context.Background(), in, cfg, r1.Warm)
+	r2, err := SolveWarm(context.Background(), in, cfg, r1.Warm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Warm.Phase1.Basis == nil {
+	if r2.Warm.Phase1.basis == nil {
 		t.Fatal("round 2 exported no phase-1 root basis")
 	}
 	applyRound(&in, r2.Targets)
@@ -106,7 +106,7 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	// Shape change: a new reservation adds variables and rows.
 	in.Reservations = append(in.Reservations,
 		reservation.Reservation{ID: 1, Name: "feed", Class: hardware.Feed1, RRUs: 10, Policy: reservation.DefaultPolicy()})
-	r3, err := SolveWarm(context.Background(), in, cfg, r2.Warm)
+	r3, err := SolveWarm(context.Background(), in, cfg, r2.Warm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCrossRoundWarmShapeFallback(t *testing.T) {
 	in.Reservations = []reservation.Reservation{
 		{ID: 7, Name: "store", Class: hardware.DataStore, RRUs: 12, Policy: reservation.DefaultPolicy()},
 	}
-	r4, err := SolveWarm(context.Background(), in, cfg, r3.Warm)
+	r4, err := SolveWarm(context.Background(), in, cfg, r3.Warm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,6 +208,66 @@ func TestSolveLocalSearchBackend(t *testing.T) {
 	}
 }
 
+// TestWorkersOptionReachesEveryPhase: Options.Workers is the one worker
+// count a round runs on. Every phase that ran reports it, and under pop the
+// sub-solves share it: at two partitions each runs serial, two at a time
+// when the budget is two.
+func TestWorkersOptionReachesEveryPhase(t *testing.T) {
+	for _, tc := range []struct {
+		backend    string
+		partitions int
+	}{{"mip", 0}, {"pop", 2}} {
+		for _, workers := range []int{1, 2} {
+			region, err := ras.NewRegion(ras.RegionSpec{
+				Name: "workers", DCs: 2, MSBsPerDC: 2, RacksPerMSB: 4, ServersPerRack: 6, Seed: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := ras.NewSystem(region, ras.Options{Backend: tc.backend, Partitions: tc.partitions,
+				Workers: workers, Solver: ras.SolverConfig{MaxNodes: 100}})
+			for _, r := range []ras.Reservation{
+				{Name: "web", Class: ras.Web, RRUs: 24, CountBased: true, Policy: ras.DefaultPolicy()},
+				{Name: "feed", Class: ras.Feed1, RRUs: 18, CountBased: true, Policy: ras.DefaultPolicy()},
+			} {
+				if _, err := sys.CreateReservation(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			perPhase := workers
+			if tc.backend == "pop" {
+				perPhase = 1
+			}
+			phases := 0
+			for round := 0; round < 2; round++ {
+				res, err := sys.Solve(context.Background(), ras.Clock(round))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.POP != nil && (res.POP.SubWorkers != 1 || res.POP.Concurrent != workers) {
+					t.Errorf("pop at Workers %d: sub-solves ran %d×%d", workers, res.POP.SubWorkers, res.POP.Concurrent)
+				}
+				for _, r := range res.SolverResults() {
+					ran := []solver.PhaseStats{r.Phase1}
+					if r.RanPhase2 {
+						ran = append(ran, r.Phase2)
+					}
+					for i, ph := range ran {
+						phases++
+						if ph.Workers != perPhase {
+							t.Errorf("%s at Workers %d, round %d: phase %d ran on %d workers, want %d",
+								tc.backend, workers, round, i+1, ph.Workers, perPhase)
+						}
+					}
+				}
+			}
+			if phases == 0 {
+				t.Fatalf("%s: no phase ran", tc.backend)
+			}
+		}
+	}
+}
+
 // churnSystem is a system with two reservations, solved until a round patches
 // its model: the state the failure drills and repeatability checks start from.
 func churnSystem(t *testing.T) (*ras.System, []ras.ReservationID) {
@@ -331,7 +391,7 @@ func TestQuietRoundProvesRackPhase(t *testing.T) {
 	// pool of 48: some rack always holds more than α_K·C of one reservation,
 	// so the rack phase runs every round. No shared buffer: its per-type
 	// sizes follow the usable fleet, so a failure would reshape its specs.
-	cfg := solver.Config{MaxNodes: 100, Workers: 1, SharedBufferFraction: -1}
+	cfg := solver.Config{MaxNodes: 100, SharedBufferFraction: -1}
 	sys, _ := settledSystem(t, ras.RegionSpec{
 		Name: "quiet", DCs: 2, MSBsPerDC: 2, RacksPerMSB: 6, ServersPerRack: 8, Seed: 1,
 	}, cfg, []ras.Reservation{
