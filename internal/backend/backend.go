@@ -180,7 +180,7 @@ func (r *Result) SolverResults() []*solver.Result {
 // any of them.
 type Config struct {
 	// Solver tunes the two-phase MIP solves of mip and pop, and sets the
-	// objective weights and shared-buffer size every backend scores with.
+	// shared-buffer size and wear price every backend scores with.
 	Solver solver.Config
 }
 

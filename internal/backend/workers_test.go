@@ -42,7 +42,7 @@ func TestWorkersDeterministicObjective(t *testing.T) {
 			ref = res.Objective
 			continue
 		}
-		// MoveCostIdle defaults to 1 (AbsGap 0.9) and mip's relGap is 2%.
+		// The idle move costs 1 (solver's AbsGap 0.9) and mip's relGap is 2%.
 		tol := 0.9 + 0.02*math.Abs(ref) + 1e-6
 		if math.Abs(res.Objective-ref) > tol {
 			t.Fatalf("workers=%d: objective %v differs from serial %v by more than %v",

@@ -92,7 +92,7 @@ func reservationCount(s Scale) int {
 func solverConfig(s Scale) solver.Config {
 	stall := func(c solver.Config) solver.Config {
 		c.StallNodes = 128
-		// Below one in-use preemption (MoveCostInUse = 10): a stalled stop
+		// Below one in-use preemption (M_s = 10): a stalled stop
 		// may strand idle-move-scale slack but never an unredeemed preemption.
 		c.StallGap = 5
 		return c

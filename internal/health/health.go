@@ -25,33 +25,30 @@ type Config struct {
 	RandomRepairHours float64
 	// ToRFailureRate is the per-rack probability of a ToR failure per hour.
 	ToRFailureRate float64
-	// ToRRepairHours is the mean ToR repair duration.
-	ToRRepairHours float64
 	// MSBFailureRate is the per-MSB probability of a correlated failure per
 	// hour (≈1 MSB/month/region in the paper).
 	MSBFailureRate float64
-	// MSBRepairHours is the mean correlated-failure duration.
-	MSBRepairHours float64
-	// MaintenanceFraction is the fraction of an MSB taken down concurrently
-	// during a maintenance wave (paper: 25%).
-	MaintenanceFraction float64
-	// MaintenanceHours is the duration of one maintenance wave.
-	MaintenanceHours float64
-	Seed             int64
+	// Seed seeds the injector's random draws.
+	Seed int64
 }
+
+// The repair and maintenance durations of §2.5, typed so that every product
+// formed from them rounds as it would on a float64 variable.
+const (
+	torRepairHours      float64 = 8    // mean ToR repair
+	msbRepairHours      float64 = 12   // correlated-failure duration
+	maintenanceFraction float64 = 0.25 // share of an MSB one wave takes down
+	maintenanceHours    float64 = 4    // duration of one maintenance wave
+)
 
 // DefaultConfig returns rates matching the paper's observations.
 func DefaultConfig() Config {
 	return Config{
-		RandomFailureRate:   0.00005, // ×72h repairs ≈ 0.36% in repair at steady state
-		RandomRepairHours:   72,
-		ToRFailureRate:      0.000005,
-		ToRRepairHours:      8,
-		MSBFailureRate:      1.0 / (30 * 24 * 36), // ~1 MSB/month in a 36-MSB region
-		MSBRepairHours:      12,
-		MaintenanceFraction: 0.25,
-		MaintenanceHours:    4,
-		Seed:                1,
+		RandomFailureRate: 0.00005, // ×72h repairs ≈ 0.36% in repair at steady state
+		RandomRepairHours: 72,
+		ToRFailureRate:    0.000005,
+		MSBFailureRate:    1.0 / (30 * 24 * 36), // ~1 MSB/month in a 36-MSB region
+		Seed:              1,
 	}
 }
 
@@ -109,7 +106,7 @@ func (s *Service) Tick(now int64) Stats {
 		if s.rng.Float64() >= s.cfg.ToRFailureRate {
 			continue
 		}
-		until := now + int64(s.cfg.ToRRepairHours*jitter(s.rng)*3600)
+		until := now + int64(torRepairHours*jitter(s.rng)*3600)
 		for _, id := range servers {
 			s.broker.SetUnavailable(id, broker.ToRFailure, now, until)
 		}
@@ -120,7 +117,7 @@ func (s *Service) Tick(now int64) Stats {
 		if s.rng.Float64() >= s.cfg.MSBFailureRate {
 			continue
 		}
-		s.FailMSB(msb, now, int64(s.cfg.MSBRepairHours*3600))
+		s.FailMSB(msb, now, int64(msbRepairHours*3600))
 	}
 	return st
 }
@@ -154,7 +151,7 @@ func (s *Service) RecoverMSB(msb int, now int64) {
 }
 
 // StartMaintenanceWave begins planned maintenance on the next MSB in the
-// rotation, taking down at most MaintenanceFraction of its servers, and
+// rotation, taking down at most maintenanceFraction of its servers, and
 // returns the MSB index and the number of servers affected. The 25% cap is
 // what lets embedded buffers return 75% of capacity within seconds during a
 // correlated failure (§3.3.1).
@@ -166,8 +163,8 @@ func (s *Service) StartMaintenanceWave(now int64) (msb, affected int) {
 	msb = s.nextMaintMSB % len(byMSB)
 	s.nextMaintMSB++
 	servers := byMSB[msb]
-	limit := int(float64(len(servers)) * s.cfg.MaintenanceFraction)
-	until := now + int64(s.cfg.MaintenanceHours*3600)
+	limit := int(float64(len(servers)) * maintenanceFraction)
+	until := now + int64(maintenanceHours*3600)
 	for _, id := range servers {
 		if affected >= limit {
 			break

@@ -81,9 +81,7 @@ func TestRecoverMSB(t *testing.T) {
 }
 
 func TestMaintenanceWaveRespectsCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaintenanceFraction = 0.25
-	b, svc := testSetup(t, cfg)
+	b, svc := testSetup(t, DefaultConfig())
 	msb, affected := svc.StartMaintenanceWave(0)
 	if msb != 0 {
 		t.Fatalf("first wave at MSB %d, want 0 (rotation)", msb)

@@ -1,8 +1,8 @@
 // Package metrics is the small statistics toolkit of the experiment suite:
-// Sample (mean, variance, percentiles), NormalizedVariance (Figure 14's
-// imbalance measure) and Table (aligned text output). Solve statistics do not
-// live here: they ride the results of the solve that produced them
-// (lp.Stats, mip.Result, solver.PhaseStats).
+// Sample (mean, standard deviation, percentiles), NormalizedVariance
+// (Figure 14's imbalance measure) and Table (aligned text output). Solve
+// statistics do not live here: they ride the results of the solve that
+// produced them (lp.Stats, mip.Result, solver.PhaseStats).
 package metrics
 
 import (
@@ -39,8 +39,9 @@ func (s *Sample) Mean() float64 {
 	return t / float64(len(s.xs))
 }
 
-// Variance reports the population variance (0 for fewer than 2 points).
-func (s *Sample) Variance() float64 {
+// StdDev reports the population standard deviation (0 for fewer than 2
+// points).
+func (s *Sample) StdDev() float64 {
 	if len(s.xs) < 2 {
 		return 0
 	}
@@ -50,11 +51,8 @@ func (s *Sample) Variance() float64 {
 		d := x - m
 		t += d * d
 	}
-	return t / float64(len(s.xs))
+	return math.Sqrt(t / float64(len(s.xs)))
 }
-
-// StdDev reports the population standard deviation.
-func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Percentile reports the p-th percentile (p in [0,100]) using linear
 // interpolation between order statistics. Empty samples yield 0.

@@ -9,7 +9,7 @@ import (
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Variance() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.StdDev() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty sample must yield zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -18,8 +18,8 @@ func TestSampleBasics(t *testing.T) {
 	if s.Len() != 8 || s.Mean() != 5 {
 		t.Fatalf("len=%d mean=%v", s.Len(), s.Mean())
 	}
-	if s.Variance() != 4 || s.StdDev() != 2 {
-		t.Fatalf("var=%v sd=%v", s.Variance(), s.StdDev())
+	if s.StdDev() != 2 {
+		t.Fatalf("sd=%v", s.StdDev())
 	}
 }
 
@@ -51,6 +51,9 @@ func TestPercentileUnsortedInsertion(t *testing.T) {
 		t.Fatal("sorting broken")
 	}
 	s.Add(0) // must re-sort after Add
+	if s.Max() != 9 {
+		t.Fatalf("max %v after adding a smaller value, want 9", s.Max())
+	}
 	if s.Percentile(0) != 0 {
 		t.Fatal("stale sort after Add")
 	}
@@ -92,8 +95,12 @@ func TestNormalizedVariance(t *testing.T) {
 	if lo >= hi {
 		t.Fatalf("imbalance ordering: %v !< %v", lo, hi)
 	}
-	// Scale-free: multiplying all values by a constant changes nothing.
+	// {0.5, 1, 1.5} after dividing by the mean: a population variance of 1/6.
 	a := NormalizedVariance([]float64{1, 2, 3})
+	if math.Abs(a-1.0/6) > 1e-12 {
+		t.Fatalf("normalized variance of {1, 2, 3} = %v, want 1/6", a)
+	}
+	// Scale-free: multiplying all values by a constant changes nothing.
 	b := NormalizedVariance([]float64{100, 200, 300})
 	if math.Abs(a-b) > 1e-12 {
 		t.Fatalf("not scale-free: %v vs %v", a, b)
@@ -111,5 +118,12 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // header, separator, 2 rows
 		t.Fatalf("table has %d lines", len(lines))
+	}
+	// The first column is as wide as its widest cell, "alpha": the second
+	// starts at offset 7 on every line.
+	for _, line := range lines {
+		if len(line) < 8 || line[5:7] != "  " || line[7] == ' ' {
+			t.Fatalf("second column not at offset 7 in %q", line)
+		}
 	}
 }

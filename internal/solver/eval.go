@@ -23,7 +23,7 @@ type Eval struct {
 	Spread float64
 	// Buffer is τ·Σ_r max_MSB Σ (expression 4).
 	Buffer float64
-	// CapSlack prices unmet capacity: SoftPenalty per RRU short of the
+	// CapSlack prices unmet capacity: softPenalty per RRU short of the
 	// embedded-buffer capacity row (expression 6).
 	CapSlack float64
 	// AffSlack prices DC-affinity violations (expression 7).
@@ -44,31 +44,18 @@ type Eval struct {
 // buffer terms; Evaluate recomputes everything from the merged Targets.
 //
 // Only usable servers count (the availability constraint), and every term
-// replicates the MIP's construction: servers attribute to the first
-// eligible spec sharing their target ID (buffer specs are per-type), specs
-// with no eligible usable server anywhere are reported Unserviceable
-// instead of priced, and affinity violations are priced only in DCs with
-// eligible capacity.
+// replicates the MIP's construction: servers count into specs by the
+// model's attribution rule (attribute), specs with no eligible usable server
+// anywhere are reported Unserviceable instead of priced, and affinity
+// violations are priced only in DCs with eligible capacity.
 func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 	cfg = cfg.withDefaults(in.Region)
 	specs := buildSpecs(in, cfg)
 	nS := len(specs)
 	var ev Eval
 
-	specByID := make(map[reservation.ID][]int, nS)
-	for si := range specs {
-		specByID[specs[si].res.ID] = append(specByID[specs[si].res.ID], si)
-	}
-	// firstSpec resolves the spec a server of (type, dc) belongs to under
-	// reservation id — the initCount attribution rule of solvePhase.
-	firstSpec := func(id reservation.ID, typeIdx, dc int) int {
-		for _, si := range specByID[id] {
-			if specs[si].res.ValueAt(in.Region.Catalog, typeIdx, dc) > 0 {
-				return si
-			}
-		}
-		return -1
-	}
+	specByID := specsByID(specs)
+	val := make([]float64, nS) // the current server's value under each spec
 
 	// Eligible usable capacity per spec (region total and per DC) decides
 	// which specs are serviceable and which DCs can carry affinity.
@@ -95,21 +82,22 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		}
 		srv := &in.Region.Servers[i]
 		for si := range specs {
-			if v := specs[si].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC); v > 0 {
+			val[si] = specs[si].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC)
+			if v := val[si]; v > 0 {
 				eligTotal[si] += v
 				eligDC[si][srv.DC] += v
 			}
 		}
 		// Stability (expression 1): a server counted into its current spec
 		// that the assignment moves elsewhere costs M_s.
-		if cur := firstSpec(st.Current, srv.Type, srv.DC); cur >= 0 && targets[i] != specs[cur].res.ID {
-			ev.Stability += cfg.moveCost(st.MovePreempts())
+		if cur := attribute(specByID[st.Current], val); cur >= 0 && targets[i] != specs[cur].res.ID {
+			ev.Stability += moveCost(st.MovePreempts())
 		}
-		si := firstSpec(targets[i], srv.Type, srv.DC)
+		si := attribute(specByID[targets[i]], val)
 		if si < 0 {
 			continue
 		}
-		v := specs[si].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC)
+		v := val[si]
 		sumMSB[si][srv.MSB] += v
 		sumDC[si][srv.DC] += v
 		total[si] += v
@@ -140,12 +128,12 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		capLHS := total[si]
 		if !s.isBuffer {
 			for _, v := range sumMSB[si] {
-				ev.Spread += cfg.Beta * math.Max(0, v-s.alphaF*cr)
+				ev.Spread += beta * math.Max(0, v-s.alphaF*cr)
 			}
-			ev.Buffer += cfg.Tau * env
+			ev.Buffer += tau * env
 			capLHS -= env
 		}
-		ev.CapSlack += cfg.SoftPenalty * math.Max(0, cr-capLHS)
+		ev.CapSlack += softPenalty * math.Max(0, cr-capLHS)
 
 		if len(s.res.Policy.DCAffinity) > 0 {
 			for dc := 0; dc < in.Region.NumDCs; dc++ {
@@ -156,7 +144,7 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 				hi := a*cr + s.theta*cr
 				lo := a*cr - s.theta*cr
 				viol := math.Max(math.Max(0, sumDC[si][dc]-hi), math.Max(0, lo-sumDC[si][dc]))
-				ev.AffSlack += cfg.SoftPenalty * viol
+				ev.AffSlack += softPenalty * viol
 			}
 		}
 	}

@@ -10,3 +10,19 @@ func PhaseFingerprints(w *WarmState) (fp [2]uint64) {
 	}
 	return fp
 }
+
+// RackFingerprint reports the Fingerprint of the rack-phase model a cold
+// build makes for in when phase 1 ended at the targets w's rack model was
+// last built or patched for; 0 where w caches no rack model.
+func RackFingerprint(in Input, cfg Config, w *WarmState) uint64 {
+	bp := w.Phase2.model
+	if bp == nil {
+		return 0
+	}
+	cfg = cfg.withDefaults(in.Region)
+	specs := buildSpecs(in, cfg)
+	targets := bp.curRef
+	specs2, pool2 := rackScope(specs, pickPhase2(in, specs, targets), appendUsable(nil, in), targets, nil)
+	var stats PhaseStats
+	return new(builtPhase).rebuild(in, cfg, specs2, pool2, targets, true, &stats).m.Fingerprint()
+}

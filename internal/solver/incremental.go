@@ -251,10 +251,7 @@ func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []top
 	// Initial count X[g][s]: servers of g currently in spec s. The "current"
 	// reference is the broker's Current in phase 1 and the phase-1 target in
 	// phase 2, so phase 2 warm-starts from the phase-1 solution.
-	specByID := make(map[reservation.ID][]int, nS)
-	for si := range specs {
-		specByID[specs[si].res.ID] = append(specByID[specs[si].res.ID], si)
-	}
+	specByID := specsByID(specs)
 	curRef := slices.Grow(store.curRef[:0], n)[:n]
 	for i := range curRef {
 		if rackLevel {
@@ -273,13 +270,9 @@ func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []top
 	for gi, g := range groups {
 		for _, id := range g.servers {
 			serverGroup[id] = int32(gi)
-			// Buffer specs share an ID; pick the one matching the type.
-			for _, si := range specByID[curRef[id]] {
-				if vval[gi][si] > 0 {
-					initCount[gi][si]++
-					countSpec[id] = int32(si)
-					break
-				}
+			if si := attribute(specByID[curRef[id]], vval[gi]); si >= 0 {
+				initCount[gi][si]++
+				countSpec[id] = int32(si)
 			}
 		}
 	}
@@ -402,7 +395,7 @@ func (bp *builtPhase) layout() {
 		}
 	}
 	for gi, g := range groups {
-		mcost := cfg.moveCost(g.key.inUse)
+		mcost := moveCost(g.key.inUse)
 		for si := range specs {
 			if bp.initCount[gi][si] <= 0 || bp.nVar[gi][si] < 0 {
 				continue
@@ -467,7 +460,7 @@ func (bp *builtPhase) layout() {
 					continue
 				}
 				nm = nm[:0].s("cut/").s(head).s("[s").d(si).s(",").s(scope).d(key).s("]")
-				vars[k], rows[k] = m.AddPosPart(string(nm[len("cut/"):]), terms, 0, cfg.Beta)
+				vars[k], rows[k] = m.AddPosPart(string(nm[len("cut/"):]), terms, 0, beta)
 				if slope > 0 {
 					row = append(row[:0], mip.Term{Var: vars[k], Coef: 1})
 					for _, t := range terms {
@@ -508,7 +501,7 @@ func (bp *builtPhase) layout() {
 			if len(perMSB) > 0 {
 				var rows []int
 				nm = nm[:0].s("maxmsb[s").d(si).s("]")
-				sp.env, rows = m.AddUpperEnvelope(string(nm), perMSB, cfg.Tau)
+				sp.env, rows = m.AddUpperEnvelope(string(nm), perMSB, tau)
 				for g, k := range envKeys {
 					sp.envRow[k] = rows[g]
 				}
@@ -526,7 +519,7 @@ func (bp *builtPhase) layout() {
 		// column in place is what lets a patch re-open it when a delta breaks
 		// the capacity.
 		nm = nm[:0].s("capslack[s").d(si).s("]")
-		sp.capSlack = m.AddVar(string(nm), cfg.SoftPenalty, 0, 0)
+		sp.capSlack = m.AddVar(string(nm), softPenalty, 0, 0)
 		m.MarkPenalty(sp.capSlack)
 		terms = sumTerms(terms[:0], all)
 		if sp.env >= 0 {
@@ -549,7 +542,7 @@ func (bp *builtPhase) layout() {
 					continue
 				}
 				nm = nm[:0].s("affslack[s").d(si).s(",d").d(dc).s("]")
-				sl := m.AddVar(string(nm), cfg.SoftPenalty, 0, 0)
+				sl := m.AddVar(string(nm), softPenalty, 0, 0)
 				m.MarkPenalty(sl)
 				sp.affSlack[dc] = sl
 				terms = append(terms, mip.Term{Var: sl, Coef: -1})
@@ -865,13 +858,10 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 			k, _ := slices.BinarySearch(bp.groups[gi].servers, id)
 			bp.groups[gi].servers = slices.Insert(bp.groups[gi].servers, k, id)
 			bp.serverGroup[i] = int32(gi)
-			for _, si := range bp.specByID[newCur] {
-				if bp.vval[gi][si] > 0 {
-					bp.initCount[gi][si]++
-					bp.countSpec[i] = int32(si)
-					pairs = append(pairs, [2]int32{int32(gi), int32(si)})
-					break
-				}
+			if si := attribute(bp.specByID[newCur], bp.vval[gi]); si >= 0 {
+				bp.initCount[gi][si]++
+				bp.countSpec[i] = int32(si)
+				pairs = append(pairs, [2]int32{int32(gi), int32(si)})
 			}
 			groupTouched[gi] = true
 		}

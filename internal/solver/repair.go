@@ -83,7 +83,7 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	// matter because their largest-remainder sizing is not additive — k
 	// sub-solves each round their own sub-fleet, so the merged per-type
 	// buffer counts miss the region-wide targets by ±1 per type, each miss
-	// a full SoftPenalty.
+	// a full softPenalty.
 	p := newRepairPass(&in, &cfg, buildSpecs(in, cfg), targets, false)
 	p.repair()
 	return p.stats
@@ -192,16 +192,16 @@ func (p *repairPass) seed() {
 // member whose release costs the least stability and wear (ties: lower ID)
 // and takes the best of those.
 func (p *repairPass) trim(s int) {
-	v, cfg := &p.views[s], p.cfg
+	v := &p.views[s]
 	for {
-		cur, _ := v.localCost(cfg)
+		cur, _ := v.localCost()
 		best, bestID := -1e-9, topology.ServerID(-1)
 		for m := range v.sumMSB {
 			id, move := p.pickTrim(s, m)
 			if id < 0 {
 				continue
 			}
-			cost, _ := v.costWith(cfg, m, -p.value(s, id), -1, 0)
+			cost, _ := v.costWith(m, -p.value(s, id), -1, 0)
 			if d := cost - cur + move; d < best {
 				best, bestID = d, id
 			}
@@ -262,23 +262,23 @@ type resView struct {
 // a single move cannot lower τ·max (zero cost delta), but moves that
 // equalize loads strictly shrink the squared sum and walk the plateau until
 // the envelope can actually drop.
-func (v *resView) localCost(cfg *Config) (cost, sq float64) {
+func (v *resView) localCost() (cost, sq float64) {
 	if v.spec.isBuffer {
 		// Buffer rows have no spread goals and no envelope subtraction
 		// (expression 6 reduces to total ≥ C_r): cost is purely the
 		// unmet-capacity penalty, and the plateau tiebreaker is pinned to
 		// zero so cost-neutral churn is never accepted.
-		return cfg.SoftPenalty * pos(v.cr-v.total), 0
+		return softPenalty * pos(v.cr-v.total), 0
 	}
 	env, spread, hinge := 0.0, 0.0, v.spec.alphaF*v.cr
 	for _, s := range v.sumMSB {
 		if s > env {
 			env = s
 		}
-		spread += cfg.Beta * pos(s-hinge)
+		spread += beta * pos(s-hinge)
 		sq += s * s
 	}
-	return spread + cfg.Tau*env + cfg.SoftPenalty*pos(v.cr-(v.total-env)), sq
+	return spread + tau*env + softPenalty*pos(v.cr-(v.total-env)), sq
 }
 
 // pos is max(0, x) without math.Max's NaN and signed-zero handling, which
@@ -292,7 +292,7 @@ func pos(x float64) float64 {
 
 // costWith is localCost with x1 added to MSB m1's load, x2 to MSB m2's (m2
 // < 0: none) and both to the total, leaving the view as it was.
-func (v *resView) costWith(cfg *Config, m1 int, x1 float64, m2 int, x2 float64) (cost, sq float64) {
+func (v *resView) costWith(m1 int, x1 float64, m2 int, x2 float64) (cost, sq float64) {
 	s1, s2, t := v.sumMSB[m1], 0.0, v.total
 	v.sumMSB[m1] += x1
 	if m2 >= 0 {
@@ -300,7 +300,7 @@ func (v *resView) costWith(cfg *Config, m1 int, x1 float64, m2 int, x2 float64) 
 		v.sumMSB[m2] += x2
 	}
 	v.total += x1 + x2
-	cost, sq = v.localCost(cfg)
+	cost, sq = v.localCost()
 	v.sumMSB[m1], v.total = s1, t
 	if m2 >= 0 {
 		v.sumMSB[m2] = s2
@@ -672,9 +672,9 @@ func (p *repairPass) moveDelta(s int, id topology.ServerID, acquiring bool) floa
 		// stops paying it. Servers current elsewhere already pay their
 		// move either way.
 		if acquiring {
-			d -= p.cfg.moveCost(st.MovePreempts())
+			d -= moveCost(st.MovePreempts())
 		} else {
-			d += p.cfg.moveCost(st.MovePreempts())
+			d += moveCost(st.MovePreempts())
 		}
 	}
 	if p.cfg.WearPenalty > 0 && !p.specs[s].isBuffer &&
@@ -726,11 +726,11 @@ func (p *repairPass) offer(best *repairMove, c repairMove) {
 // repairSpec runs the greedy loop for one spec (a reservation or one
 // per-type shared-buffer row).
 func (p *repairPass) repairSpec(s int) {
-	v, cfg := &p.views[s], p.cfg
+	v := &p.views[s]
 	for step := 0; step < repairBudgetPerRes; step++ {
 		p.step++
 		p.stats.Steps++
-		curCost, curSq := v.localCost(cfg)
+		curCost, curSq := v.localCost()
 		best := repairMove{kind: -1}
 
 		acqID, acqMSB := p.pickAcquire(s)
@@ -738,18 +738,18 @@ func (p *repairPass) repairSpec(s int) {
 		var av, rv float64
 		if acqID >= 0 {
 			av = p.value(s, acqID)
-			cost, sq := v.costWith(cfg, acqMSB, av, -1, 0)
+			cost, sq := v.costWith(acqMSB, av, -1, 0)
 			p.offer(&best, repairMove{kind: moveAcquire, acq: acqID,
 				delta: cost - curCost + p.moveDelta(s, acqID, true), sqDelta: sq - curSq})
 		}
 		if relID >= 0 {
 			rv = p.value(s, relID)
-			cost, sq := v.costWith(cfg, relMSB, -rv, -1, 0)
+			cost, sq := v.costWith(relMSB, -rv, -1, 0)
 			p.offer(&best, repairMove{kind: moveRelease, rel: relID,
 				delta: cost - curCost + p.moveDelta(s, relID, false), sqDelta: sq - curSq})
 		}
 		if acqID >= 0 && relID >= 0 && acqMSB != relMSB {
-			cost, sq := v.costWith(cfg, acqMSB, av, relMSB, -rv)
+			cost, sq := v.costWith(acqMSB, av, relMSB, -rv)
 			p.offer(&best, repairMove{kind: moveRebalance, acq: acqID, rel: relID,
 				delta: cost - curCost + (p.moveDelta(s, acqID, true) + p.moveDelta(s, relID, false)), sqDelta: sq - curSq})
 		}
@@ -820,7 +820,7 @@ func (p *repairPass) pair(s, m, k int) *pairCache {
 	pc.id = p.lowest(m, s, p.setOf(p.mem, d), nil, false)
 	if pc.id >= 0 {
 		pc.val = p.value(d, pc.id)
-		pc.cost, pc.sq = dv.costWith(p.cfg, m, -pc.val, -1, 0)
+		pc.cost, pc.sq = dv.costWith(m, -pc.val, -1, 0)
 	}
 	return pc
 }
@@ -836,11 +836,11 @@ func (p *repairPass) pair(s, m, k int) *pairCache {
 // cycle through mutual theft. The donor side comes from the caches
 // (pairCache, donorCache), rescored where a stamp moved.
 func (p *repairPass) offerSteal(s, m int, sp stealPair, curCost, curSq float64, best *repairMove) {
-	v, d, pc, cfg := &p.views[s], sp.donor, sp.pc, p.cfg
+	v, d, pc := &p.views[s], sp.donor, sp.pc
 	dv, dc := &p.views[d], &p.donorAt[d]
 	if dc.ver != dv.ver {
 		dc.ver = dv.ver
-		dc.cost, dc.sq = dv.localCost(cfg)
+		dc.cost, dc.sq = dv.localCost()
 	}
 	if thief := uint64(s) + 1; dc.bfThief != thief || dc.bfVer != dv.ver || dc.bfFree != dv.freeVer {
 		// Unchanged within a step, so this is the step's first candidate
@@ -856,21 +856,21 @@ func (p *repairPass) offerSteal(s, m int, sp stealPair, curCost, curSq float64, 
 	if dc.bf >= 0 && (pc.bfMSB != dc.bfMSB || !floats.ExactEqual(pc.bfVal, dc.bfVal)) {
 		pc.bfMSB, pc.bfVal = dc.bfMSB, dc.bfVal
 		sm, st := dv.lower(m, pc.val)
-		pc.bfCost, pc.bfSq = dv.costWith(cfg, dc.bfMSB, dc.bfVal, -1, 0)
+		pc.bfCost, pc.bfSq = dv.costWith(dc.bfMSB, dc.bfVal, -1, 0)
 		dv.restore(m, sm, st)
 	}
 
 	stab := 0.0
 	switch cur := &p.in.States[pc.id]; cur.Current {
 	case v.spec.res.ID:
-		stab = -p.cfg.moveCost(cur.MovePreempts()) // coming home: its move charge disappears
+		stab = -moveCost(cur.MovePreempts()) // coming home: its move charge disappears
 	case p.specs[d].res.ID:
-		stab = +p.cfg.moveCost(cur.MovePreempts()) // leaving its home reservation: a new move
+		stab = +moveCost(cur.MovePreempts()) // leaving its home reservation: a new move
 	}
 	tc := &p.thiefAt[p.srvCls[pc.id]]
 	if tc.step != p.step {
 		tc.step = p.step
-		tc.cost, tc.sq = v.costWith(cfg, m, p.value(s, pc.id), -1, 0)
+		tc.cost, tc.sq = v.costWith(m, p.value(s, pc.id), -1, 0)
 	}
 	cost, sq := tc.cost, tc.sq
 	p.offer(best, repairMove{kind: moveSteal, acq: pc.id, donor: d,

@@ -56,7 +56,7 @@ func repairTargetsRef(in Input, cfg Config, targets []reservation.ID) RepairStat
 	// matter because their largest-remainder sizing is not additive — k
 	// sub-solves each round their own sub-fleet, so the merged per-type
 	// buffer counts miss the region-wide targets by ±1 per type, each miss
-	// a full SoftPenalty.
+	// a full softPenalty.
 	specs := buildSpecs(in, cfg)
 	order := make([]int, 0, len(specs))
 	for si := range specs {
@@ -110,13 +110,13 @@ type refView struct {
 // a single move cannot lower τ·max (zero cost delta), but moves that
 // equalize loads strictly shrink the squared sum and walk the plateau until
 // the envelope can actually drop.
-func (v *refView) localCost(cfg Config) (cost, sq float64) {
+func (v *refView) localCost() (cost, sq float64) {
 	if v.spec.isBuffer {
 		// Buffer rows have no spread goals and no envelope subtraction
 		// (expression 6 reduces to total ≥ C_r): cost is purely the
 		// unmet-capacity penalty, and the plateau tiebreaker is pinned to
 		// zero so cost-neutral churn is never accepted.
-		return cfg.SoftPenalty * math.Max(0, v.cr-v.total), 0
+		return softPenalty * math.Max(0, v.cr-v.total), 0
 	}
 	env := 0.0
 	spread := 0.0
@@ -124,10 +124,10 @@ func (v *refView) localCost(cfg Config) (cost, sq float64) {
 		if s > env {
 			env = s
 		}
-		spread += cfg.Beta * math.Max(0, s-v.spec.alphaF*v.cr)
+		spread += beta * math.Max(0, s-v.spec.alphaF*v.cr)
 		sq += s * s
 	}
-	return spread + cfg.Tau*env + cfg.SoftPenalty*math.Max(0, v.cr-(v.total-env)), sq
+	return spread + tau*env + softPenalty*math.Max(0, v.cr-(v.total-env)), sq
 }
 
 // buildRefView assembles a spec's mutable repair state from the current
@@ -176,9 +176,9 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 			// Releasing a current member starts paying M_s; re-acquiring one
 			// stops paying it. Servers current elsewhere already pay their
 			// move either way.
-			m := cfg.MoveCostIdle
+			m := moveCostIdle
 			if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-				m = cfg.MoveCostInUse
+				m = moveCostInUse
 			}
 			if acquiring {
 				d -= m
@@ -366,7 +366,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 
 	for step := 0; step < repairBudgetPerRes; step++ {
 		stats.Steps++
-		curCost, curSq := v.localCost(cfg)
+		curCost, curSq := v.localCost()
 
 		type candidate struct {
 			kind    int // 0 acquire, 1 release, 2 rebalance, 3 steal, 4 steal+backfill
@@ -388,7 +388,7 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 		try := func(c candidate, moveCost float64, apply, undo func()) {
 			stats.Candidates++
 			apply()
-			cost, sq := v.localCost(cfg)
+			cost, sq := v.localCost()
 			undo()
 			c.delta = cost - curCost + moveCost
 			c.sqDelta = sq - curSq
@@ -465,10 +465,10 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 				srv := &in.Region.Servers[stealID]
 				dval := specValue(in, &dv.spec, srv.Type, srv.DC)
 				av := value(stealID)
-				dCost0, dSq0 := dv.localCost(cfg)
+				dCost0, dSq0 := dv.localCost()
 				dv.sumMSB[stealMSB] -= dval
 				dv.total -= dval
-				dCost1, dSq1 := dv.localCost(cfg)
+				dCost1, dSq1 := dv.localCost()
 				bfID, bfMSB := bfPick(donorID)
 				dCost2, dSq2, bfMove := 0.0, 0.0, 0.0
 				if bfID >= 0 {
@@ -476,14 +476,14 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 					bval := specValue(in, &dv.spec, bsrv.Type, bsrv.DC)
 					dv.sumMSB[bfMSB] += bval
 					dv.total += bval
-					dCost2, dSq2 = dv.localCost(cfg)
+					dCost2, dSq2 = dv.localCost()
 					dv.sumMSB[bfMSB] -= bval
 					dv.total -= bval
 					bst := &in.States[bfID]
 					if bst.Current == donorID {
-						bm := cfg.MoveCostIdle
+						bm := moveCostIdle
 						if bst.Containers > 0 && bst.LoanedTo == reservation.Unassigned {
-							bm = cfg.MoveCostInUse
+							bm = moveCostInUse
 						}
 						bfMove -= bm // donor recovers its own server: move charge ends
 					}
@@ -496,9 +496,9 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 				dv.sumMSB[stealMSB] += dval
 				dv.total += dval
 				st := &in.States[stealID]
-				m := cfg.MoveCostIdle
+				m := moveCostIdle
 				if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-					m = cfg.MoveCostInUse
+					m = moveCostInUse
 				}
 				stab := 0.0
 				switch st.Current {

@@ -52,22 +52,22 @@ const (
 	phase2ResFraction = 0.1   // share of reservations refined in phase 2
 )
 
-// Config tunes the solver. Zero values select documented defaults. The
-// spread and affinity limits αF, αK and θ are per-reservation policy
+// The objective's weights (§3.5.3), typed so that every product formed from
+// them rounds as it would on a float64 variable.
+const (
+	beta          float64 = 3    // β per RRU beyond a spread threshold, expressions 2–3
+	tau           float64 = 3    // τ per RRU of correlated-failure buffer, expression 4
+	moveCostInUse float64 = 10   // M_s (expression 1) of a move that preempts containers
+	moveCostIdle  float64 = 1    // M_s of an idle move: "virtually free"
+	softPenalty   float64 = 1000 // per unit of softened slack, expressions 6–7
+)
+
+// Config tunes the solver's search budget, buffer and wear pricing. Zero
+// values select documented defaults. The objective's weights are the
+// package's constants (beta, tau, moveCostInUse, moveCostIdle, softPenalty),
+// and the spread and affinity limits αF, αK and θ are per-reservation policy
 // (reservation.Policy), not solver settings.
 type Config struct {
-	// Beta is β, the penalty per RRU beyond a spread threshold. Zero = 3.
-	Beta float64
-	// Tau is τ, the penalty per RRU of correlated-failure buffer. Zero = 3.
-	Tau float64
-	// MoveCostInUse is M_s for servers with running containers. Zero = 10.
-	MoveCostInUse float64
-	// MoveCostIdle is M_s for idle servers ("virtually free", 10× smaller
-	// in production). Zero = 1.
-	MoveCostIdle float64
-	// SoftPenalty prices one unit of softened-constraint slack. Zero = 1000.
-	SoftPenalty float64
-
 	// Phase1TimeLimit / Phase2TimeLimit bound each phase's MIP step. Zero
 	// means 10s each (production: a joint one-hour SLO).
 	Phase1TimeLimit time.Duration
@@ -82,7 +82,7 @@ type Config struct {
 	// keyed to node counts, so serial solves stay deterministic.
 	StallNodes int
 	// StallGap is the absolute-gap ceiling for the stall rule, in objective
-	// units (one in-use preemption costs MoveCostInUse). Zero disables it.
+	// units (one in-use preemption costs moveCostInUse). Zero disables it.
 	StallGap float64
 	// DisableRackPhase skips phase 2 entirely.
 	DisableRackPhase bool
@@ -112,21 +112,6 @@ type Config struct {
 // default, for a solve over region.
 func (c Config) withDefaults(region *topology.Region) Config {
 	c.numMSBs, c.numRacks = region.NumMSBs, region.NumRacks
-	if floats.ExactZero(c.Beta) {
-		c.Beta = 3
-	}
-	if floats.ExactZero(c.Tau) {
-		c.Tau = 3
-	}
-	if floats.ExactZero(c.MoveCostInUse) {
-		c.MoveCostInUse = 10
-	}
-	if floats.ExactZero(c.MoveCostIdle) {
-		c.MoveCostIdle = 1
-	}
-	if floats.ExactZero(c.SoftPenalty) {
-		c.SoftPenalty = 1000
-	}
 	if floats.ExactZero(c.SharedBufferFraction) {
 		c.SharedBufferFraction = 0.02
 	}
@@ -172,13 +157,13 @@ func (c Config) Share(p, k, concurrent int) Config {
 }
 
 // moveCost is M_s of expression 1: what moving a server out of its current
-// reservation costs, MoveCostInUse when the move preempts its containers
+// reservation costs, moveCostInUse when the move preempts its containers
 // (broker.ServerState.MovePreempts).
-func (c *Config) moveCost(preempts bool) float64 {
+func moveCost(preempts bool) float64 {
 	if preempts {
-		return c.MoveCostInUse
+		return moveCostInUse
 	}
-	return c.MoveCostIdle
+	return moveCostIdle
 }
 
 // PhaseWarm is one phase's persisted cross-round warm-start state: the model
@@ -489,21 +474,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 	if !cfg.DisableRackPhase && ctx.Err() == nil {
 		subset := pickPhase2(in, specs, res.Targets)
 		if len(subset) > 0 {
-			sub := make(map[reservation.ID]bool, len(subset))
-			var specs2 []resSpec
-			for _, s := range specs {
-				if subset[s.res.ID] || (s.isBuffer && subset[reservation.SharedBuffer]) {
-					sub[s.res.ID] = true
-					specs2 = append(specs2, s)
-				}
-			}
-			pool2 := res.Warm.pools[1][:0]
-			for _, id := range pool {
-				t := res.Targets[id]
-				if t == reservation.Unassigned || sub[t] {
-					pool2 = append(pool2, id)
-				}
-			}
+			specs2, pool2 := rackScope(specs, subset, pool, res.Targets, res.Warm.pools[1][:0])
 			res.Warm.pools[1] = pool2
 			p2 := solvePhase(ctx, in, cfg, workers, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2)
 			res.Phase2 = p2.stats
@@ -527,6 +498,29 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 	// ---- Move accounting (expression 1 / Figure 16). --------------------
 	res.Moves = accountMoves(in, in.subsetMask(), res.Targets)
 	return res, nil
+}
+
+// rackScope is the rack phase's share of a round whose phase 1 ended at
+// targets: the specs of the reservations in subset (pickPhase2; the
+// shared-buffer specs with SharedBuffer), and the servers of pool targeted
+// to none or to one of them, appended to pool2.
+func rackScope(specs []resSpec, subset map[reservation.ID]bool, pool []topology.ServerID,
+	targets []reservation.ID, pool2 []topology.ServerID) ([]resSpec, []topology.ServerID) {
+
+	sub := make(map[reservation.ID]bool, len(subset))
+	var specs2 []resSpec
+	for _, s := range specs {
+		if subset[s.res.ID] || (s.isBuffer && subset[reservation.SharedBuffer]) {
+			sub[s.res.ID] = true
+			specs2 = append(specs2, s)
+		}
+	}
+	for _, id := range pool {
+		if t := targets[id]; t == reservation.Unassigned || sub[t] {
+			pool2 = append(pool2, id)
+		}
+	}
+	return specs2, pool2
 }
 
 // accountMoves tallies the moves an assignment implies over the masked
@@ -653,6 +647,31 @@ func newSpec(r reservation.Reservation, cfg Config, isBuffer bool) resSpec {
 	}
 }
 
+// specsByID indexes specs by reservation ID, each ID's specs ascending. The
+// shared-buffer specs, one per hardware type, share one ID.
+func specsByID(specs []resSpec) map[reservation.ID][]int {
+	byID := make(map[reservation.ID][]int, len(specs))
+	for si := range specs {
+		byID[specs[si].res.ID] = append(byID[specs[si].res.ID], si)
+	}
+	return byID
+}
+
+// attribute is the attribution rule of expression 1's X and of every count
+// the model starts from: a server counts into the first of its reference
+// reservation's specs (ids, from specsByID) that values its type and DC —
+// val[si], the server's RRU value under spec si, positive. A shared-buffer
+// server thus counts into the spec of its own type. It returns -1 when no
+// spec does.
+func attribute(ids []int, val []float64) int {
+	for _, si := range ids {
+		if val[si] > 0 {
+			return si
+		}
+	}
+	return -1
+}
+
 // appendUsable appends the usable servers in scope to pool, ascending.
 func appendUsable(pool []topology.ServerID, in Input) []topology.ServerID {
 	mask := in.subsetMask()
@@ -771,7 +790,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 	// rule passes through for callers with tight node budgets.
 	r := m.Solve(phaseCtx, mip.Options{
 		MaxNodes:      cfg.MaxNodes,
-		AbsGap:        0.9 * cfg.MoveCostIdle,
+		AbsGap:        0.9 * moveCostIdle,
 		StallNodes:    cfg.StallNodes,
 		StallGap:      cfg.StallGap,
 		Workers:       workers,
@@ -796,7 +815,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 		out.stats.Objective = r.Objective
 		out.stats.Bound = r.Bound
 		out.stats.RootBound = r.RootObjective
-		out.stats.GapPreemptions = r.Gap() / cfg.MoveCostInUse // nonzero: withDefaults floors MoveCostInUse at 10 when zero
+		out.stats.GapPreemptions = r.Gap() / moveCostInUse
 		out.counts = bp.solvedCounts(r.X)
 		residual := func(sv mip.Var, format string, args ...any) {
 			out.stats.SoftSlack += r.X[sv]

@@ -104,12 +104,13 @@ func TestLoanedServersAreCheapToMove(t *testing.T) {
 }
 
 // TestSolverConfigDefaults: the zero config and the default policy resolve
-// to documented values.
+// to documented values, and the objective's weights keep the paper's
+// relations.
 func TestSolverConfigDefaults(t *testing.T) {
 	region := testRegion(t, 1, 2, 2, 2, 24)
 	cfg := Config{}.withDefaults(region)
-	if cfg.MoveCostInUse != 10 || cfg.MoveCostIdle != 1 {
-		t.Fatalf("move costs %v/%v, want 10/1 (the paper's 10x ratio)", cfg.MoveCostInUse, cfg.MoveCostIdle)
+	if moveCostInUse != 10*moveCostIdle {
+		t.Fatalf("move costs %v/%v, want the paper's 10x ratio", moveCostInUse, moveCostIdle)
 	}
 	if cfg.SharedBufferFraction != 0.02 {
 		t.Fatalf("shared buffer fraction %v, want 0.02", cfg.SharedBufferFraction)
@@ -119,7 +120,7 @@ func TestSolverConfigDefaults(t *testing.T) {
 	if s.alphaF != 0.75 || s.alphaK != 1 || s.theta != 0.05 {
 		t.Fatalf("policy defaults αF %v, αK %v, θ %v; want 0.75, 1, 0.05", s.alphaF, s.alphaK, s.theta)
 	}
-	if cfg.SoftPenalty <= cfg.MoveCostInUse {
+	if softPenalty <= moveCostInUse {
 		t.Fatal("soft penalty must dominate move costs")
 	}
 }

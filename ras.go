@@ -51,7 +51,9 @@ type (
 	Policy = reservation.Policy
 	// Class is a service class with distinct hardware affinity.
 	Class = hardware.Class
-	// SolverConfig tunes the async solver (the MIP backend).
+	// SolverConfig sets the async solver's search budget, shared buffer and
+	// wear price. The objective's weights β, τ, M_s and the slack penalty
+	// are fixed (§3.5.3); DESIGN.md "MIP formulation" names them.
 	SolverConfig = solver.Config
 	// SolveResult is the backend-independent outcome of one
 	// continuous-optimization round. Backend detail (phase stats, repair
@@ -61,7 +63,8 @@ type (
 	SolveStatus = backend.Status
 	// ContainerID identifies a container placed by the allocator.
 	ContainerID = allocator.ContainerID
-	// HealthConfig sets failure-injection rates.
+	// HealthConfig sets failure-injection rates and their seed. The repair
+	// and maintenance durations are fixed (§2.5).
 	HealthConfig = health.Config
 	// Clock is virtual time in seconds since the simulation epoch.
 	Clock = sim.Time
@@ -114,9 +117,6 @@ type Options struct {
 	// Health sets failure-injection rates; the zero value selects
 	// health.DefaultConfig().
 	Health *HealthConfig
-	// StackingUnits is the per-server container stacking capacity. Zero
-	// means 8.
-	StackingUnits int
 	// Workers caps each solve round's parallelism (branch-and-bound
 	// workers; local search is serial). Zero means runtime.NumCPU();
 	// negative or 1 forces the serial engines. See backend.Options.Workers.
@@ -162,7 +162,7 @@ func NewSystem(region *Region, opts Options) *System {
 	if opts.Health != nil {
 		hcfg = *opts.Health
 	}
-	al := allocator.New(b, opts.StackingUnits)
+	al := allocator.New(b, 0)
 	mv := mover.New(b, store, al)
 	s := &System{
 		region: region,
