@@ -37,11 +37,15 @@ test:
 # workers while the root heuristics run, pop's concurrent sub-solves) under
 # the race detector. Under -race on a 2-CPU host internal/solver (91 s) and
 # internal/experiments (103 s) keep a 10-minute timeout; every other package
-# takes under a minute (internal/lp, the slowest, 45 s) and runs at 3 minutes,
-# so a hang there fails the gate before the slow packages start.
+# takes under a minute (internal/lp, the slowest, 45 s) and runs at 3 minutes.
+# The packages where a lock kept on one path hangs first (RACE_HANG: the
+# broker and the packages that drive it) run alone and first, so such a hang
+# fails the gate at its one 3-minute timeout, before anything else starts.
+RACE_HANG := ras ras/internal/broker ras/internal/allocator ras/internal/mover
 RACE_SLOW := ras/internal/solver ras/internal/experiments
 race:
-	$(GO) test -race -timeout 3m $(filter-out $(RACE_SLOW),$(shell $(GO) list ./...))
+	$(GO) test -race -timeout 3m $(RACE_HANG)
+	$(GO) test -race -timeout 3m $(filter-out $(RACE_HANG) $(RACE_SLOW),$(shell $(GO) list ./...))
 	$(GO) test -race -timeout 10m $(RACE_SLOW)
 
 # Every fuzz target of the root module for FUZZTIME each, from its committed

@@ -43,11 +43,12 @@ var goldenSearchTrajectories = [72]uint64{
 
 // goldenSpreadTrajectories are the searchTrajectory hashes of spreadCases,
 // recorded with the root retry dive starting its first LP cold and
-// continuing its own chain; they are re-recorded as goldenSearchTrajectories
-// are.
+// continuing its own chain, and with node completions run only while the
+// incumbent leaves penalty slack; they are re-recorded as
+// goldenSearchTrajectories are.
 var goldenSpreadTrajectories = [len(spreadCases)]uint64{
-	0x4413a240ad7a7da8, 0x5b581eb613676f27, 0xa4123320fb6f01e5, 0x3c2e75c7e737f4a4,
-	0xce80b2dc2b2c085e, 0x5f9fd0b9552e92f8, 0xc1969cabda7cbabc, 0x0aeb51e298642d54,
+	0xacf8ffbd1276eeef, 0xcec6961bbdaaa273, 0x6f72d9c50c7c834e, 0xc09c5a69b5d61fea,
+	0xade8009514021e49, 0xa93124146d82c77d, 0x2d00fa1164548781, 0x0aeb51e298642d54,
 }
 
 // searchTrajectory hashes what a search decided: per solve its Status, the

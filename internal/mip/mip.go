@@ -350,6 +350,17 @@ func (m *Model) MarkPenalty(v Var) {
 	m.penalty[v] = true
 }
 
+// softened reports whether x leaves a penalty slack above 1e-6, i.e. a
+// softened row still violated.
+func (m *Model) softened(x []float64) bool {
+	for v := range m.penalty {
+		if x[v] > 1e-6 {
+			return true
+		}
+	}
+	return false
+}
+
 // SetInitial supplies a warm-start point. If the point is feasible and
 // integral it seeds the incumbent, which lets Solve report gaps relative to
 // the previous assignment exactly as RAS does between consecutive solves.

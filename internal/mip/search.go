@@ -51,6 +51,11 @@ type engine struct {
 	incUpdates int
 	heurWins   int
 
+	// repairs is whether a node completion can still pay: there is no
+	// incumbent yet, or it leaves a penalty slack (Model.softened). Set with
+	// the incumbent, under incMu.
+	repairs atomic.Bool
+
 	nodes atomic.Int64
 	// searches lists every search of the solve, the root search first.
 	// newSearch appends to it, and only the driver goroutine calls newSearch
@@ -131,6 +136,7 @@ func newEngine(ctx context.Context, m *Model, opt Options) *engine {
 		k.incumbent = e.incumbent
 		e.incObj = m.objective(e.incumbent)
 	}
+	e.repairs.Store(e.incumbent == nil || m.softened(e.incumbent))
 	e.boundBits.Store(math.Float64bits(math.Inf(-1)))
 	return e
 }
@@ -216,6 +222,7 @@ func (e *engine) offer(x []float64, obj float64, heuristic bool) bool {
 	e.incObj = obj
 	e.incumbent = append(e.kept.incumbent[:0], x...)
 	e.kept.incumbent = e.incumbent
+	e.repairs.Store(e.m.softened(x))
 	e.incUpdates++
 	if heuristic {
 		e.heurWins++
@@ -408,6 +415,10 @@ func newSearch(e *engine, prob *lp.Problem, seed *lp.Basis, ws *lp.Workspace) *s
 // LP from its parent's basis saves, and coldLPs true only in tests that
 // measure what warm starts save altogether: every LP then starts cold.
 var offerParentBasis, coldLPs = true, false
+
+// onNodeRepair, set only in tests, is told the node count of every node
+// completion processNode runs.
+var onNodeRepair func(node int64)
 
 // solveLP solves the search's problem on the search-local workspace, from the
 // nearest solved basis: a branch-and-bound node passes the basis of the LP it
@@ -941,8 +952,14 @@ func (s *search) processNode(nd node, open []node) []node {
 	// heuristics move the workspace on.
 	basis := s.ws.Basis()
 	// Periodic heuristics from this node's relaxation, keyed to the global
-	// node counter (bounds are still the node's at this point).
-	if myNode%16 == 1 {
+	// node counter (bounds are still the node's at this point). The
+	// completion runs only while there is slack to repair (e.repairs): it
+	// rarely pays against a slack-free incumbent, but it is what repairs
+	// softened instances (Fig 9). The dives run regardless.
+	if myNode%16 == 1 && e.repairs.Load() {
+		if onNodeRepair != nil {
+			onNodeRepair(myNode)
+		}
 		s.roundRepairComplete(x)
 	}
 	if myNode%64 == 33 {

@@ -984,15 +984,17 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 		rackSum []float64 // RRU load per rack from the phase-1 targets; nil until a server counts
 	}
 	var outs []outRes
+	at := make(map[reservation.ID]int) // index in outs by ID
 	for si := range specs {
 		s := &specs[si]
 		if s.isBuffer {
 			continue
 		}
-		k := slices.IndexFunc(outs, func(o outRes) bool { return o.id == s.res.ID })
-		if k < 0 {
+		k, ok := at[s.res.ID]
+		if !ok {
+			k = len(outs)
+			at[s.res.ID] = k
 			outs = append(outs, outRes{id: s.res.ID})
-			k = len(outs) - 1
 		}
 		outs[k].cr += s.res.RRUs
 		outs[k].res, outs[k].alpha = &s.res, s.alphaK
@@ -1004,9 +1006,8 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 		}
 	}
 	for i := range in.Region.Servers {
-		id := targets[i]
-		k := slices.IndexFunc(outs, func(o outRes) bool { return o.id == id })
-		if k < 0 {
+		k, ok := at[targets[i]]
+		if !ok {
 			continue
 		}
 		o := &outs[k]
