@@ -197,8 +197,10 @@ profile:
 
 # Non-test Go lines per package of the root module (the nested benchmark/
 # module and lint fixtures are not product code): the number ROADMAP asks
-# diet PRs to report in CHANGES.md.
+# diet PRs to report in CHANGES.md. Then DESIGN.md's line count, which no
+# change grows without retiring as much.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+	@wc -l < DESIGN.md | awk '{ printf "%6d DESIGN.md lines\n", $$1 }'

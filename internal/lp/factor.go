@@ -276,13 +276,6 @@ func regrow[T any](s [][]T, n int) [][]T {
 	return slices.Grow(s[:cap(s)], max(0, n-cap(s)))[:n]
 }
 
-// nnz reports the nonzeros currently stored across factors and etas — the
-// fill the refactorization policy watches.
-func (f *factor) nnz() int { return f.factNnz + f.etaNnz }
-
-// etaCount reports the update etas applied since the last refactorization.
-func (f *factor) etaCount() int { return len(f.etas) }
-
 // needRefactor reports whether the deterministic refactorization policy
 // asks for a rebuild before the next pivot is applied: the eta file reached
 // the cadence limit, or eta fill outgrew the factorization itself.
