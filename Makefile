@@ -197,7 +197,7 @@ profile:
 
 # Non-test Go lines per package of the root module (the nested benchmark/
 # module and lint fixtures are not product code): the number ROADMAP asks
-# diet PRs to report in CHANGES.md. Then DESIGN.md's line count, which no
+# diet changes to report in CHANGES.md. Then DESIGN.md's line count, which no
 # change grows without retiring as much.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' \

@@ -21,8 +21,8 @@ import (
 // an invariant nothing checks yet. Every named check must exist, and every
 // row must name the planted mutation its check catches. The citations
 // subtest holds every reference to a DESIGN.md section by its quoted title,
-// in Go comments and Markdown files outside CHANGES.md and ISSUE.md, to a
-// heading or bold paragraph title the file still has.
+// in Go comments and in the Markdown documents that describe the current
+// tree, to a heading or bold paragraph title the file still has.
 func TestInvariantLedger(t *testing.T) {
 	design := readText(t, "DESIGN.md")
 	funcs := testFuncs(t)
@@ -159,14 +159,19 @@ func designCitations(t *testing.T) []citation {
 		regexp.MustCompile(`DESIGN(?:\.md)?(?:'s)?[ ,(]*"([^"]{1,80})"`),
 		regexp.MustCompile(`"([^"]{1,80})" in DESIGN\.md`),
 	}
+	// The Markdown documents that describe the current tree. Change logs and
+	// other notes quote section titles as they stood when written.
+	docs := []string{"README.md", "DESIGN.md", "ROADMAP.md", "EXPERIMENTS.md",
+		"benchmark/README.md", ".claude/skills/verify/SKILL.md"}
 	space := regexp.MustCompile(`\s+`)
 	var cites []citation
 	walkRepo(t, func(path string) {
 		var texts []string
 		switch {
-		case path == "CHANGES.md" || path == "ISSUE.md":
-			return
 		case strings.HasSuffix(path, ".md"):
+			if !slices.Contains(docs, path) {
+				return
+			}
 			texts = []string{readText(t, path)}
 		case strings.HasSuffix(path, ".go"):
 			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
