@@ -86,24 +86,17 @@ func reservationCount(s Scale) int {
 // instead of 90; the suite runs 13.3 s against 20.7 s) and the medium one
 // from 500 to 850 (23 → 13.5 ms per node on the Figure 7 series: 80 s
 // against 76 s, 12/12 solves within 200 preemptions where 500 nodes gave
-// 8/12). The stall rule bounds the other tail — a solve that has its answer
-// but cannot prove it against a flat bound stops after 128 stagnant nodes
-// instead of grinding out the rest of the budget.
+// 8/12). The solver's stall rule bounds the other tail: a solve that has its
+// answer but cannot prove it against a flat bound stops after 128 stagnant
+// nodes instead of grinding out the rest of the budget.
 func solverConfig(s Scale) solver.Config {
-	stall := func(c solver.Config) solver.Config {
-		c.StallNodes = 128
-		// Below one in-use preemption (M_s = 10): a stalled stop
-		// may strand idle-move-scale slack but never an unredeemed preemption.
-		c.StallGap = 5
-		return c
-	}
 	switch s {
 	case ScaleSmall:
-		return stall(solver.Config{Phase1TimeLimit: 8 * time.Second, Phase2TimeLimit: 2 * time.Second, MaxNodes: 1200})
+		return solver.Config{Phase1TimeLimit: 8 * time.Second, Phase2TimeLimit: 2 * time.Second, MaxNodes: 1200}
 	case ScaleLarge:
-		return stall(solver.Config{Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 15 * time.Second, MaxNodes: 400})
+		return solver.Config{Phase1TimeLimit: 60 * time.Second, Phase2TimeLimit: 15 * time.Second, MaxNodes: 400}
 	default:
-		return stall(solver.Config{Phase1TimeLimit: 25 * time.Second, Phase2TimeLimit: 5 * time.Second, MaxNodes: 850})
+		return solver.Config{Phase1TimeLimit: 25 * time.Second, Phase2TimeLimit: 5 * time.Second, MaxNodes: 850}
 	}
 }
 

@@ -164,14 +164,22 @@ func TestUpperEnvelope(t *testing.T) {
 }
 
 func TestWarmStartSeedsIncumbent(t *testing.T) {
-	// A knapsack where the warm start is optimal; solver should confirm it.
+	// A knapsack whose warm start is feasible but not optimal. Under a
+	// context cancelled before the solve, the warm start is the only
+	// incumbent the solve can have, and it must come back as the answer.
 	m := NewModel()
 	a := m.AddIntVar("a", -10, 0, 1)
 	b := m.AddIntVar("b", -13, 0, 1)
 	m.AddConstr("w", []Term{{a, 3}, {b, 4}}, LE, 4)
-	m.SetInitial([]float64{0, 1})
-	r := solveOpt(t, m)
-	if !approx(r.Objective, -13) {
+	m.SetInitial([]float64{1, 0})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := m.Solve(ctx, Options{})
+	if r.Status != Cancelled || !approx(r.Objective, -10) || r.X[a] != 1 || r.X[b] != 0 {
+		t.Fatalf("cancelled solve: status=%v obj=%v x=%v, want the warm start (cancelled, -10, [1 0])", r.Status, r.Objective, r.X)
+	}
+	// Uncut, the search improves on it.
+	if r := solveOpt(t, m); !approx(r.Objective, -13) {
 		t.Fatalf("obj=%v, want -13", r.Objective)
 	}
 }

@@ -563,7 +563,7 @@ func TestRebuildReasonsForced(t *testing.T) {
 	expect("unchanged input", build(false).patch(in, cfg, specs, pool, unassigned), RebuildNone)
 
 	cfg2 := cfg
-	cfg2.StallNodes++
+	cfg2.MaxNodes++
 	expect("config", build(false).patch(in, cfg2, buildSpecs(in, cfg2), pool, unassigned), RebuildConfig)
 
 	in2 := in

@@ -62,10 +62,25 @@ const (
 	softPenalty   float64 = 1000 // per unit of softened slack, expressions 6–7
 )
 
+// The search's stopping rules, in objective units. absGap: proving
+// optimality below the cost of a single idle move is pointless churn (the
+// paper likewise accepts early stops and measures the gap left, Figure 9).
+// The stall rule stops a phase after stallNodes consecutive nodes with no
+// incumbent or bound gain while the gap is within stallGap — the degenerate
+// RAS relaxations can hold the bound flat for hundreds of nodes under a
+// near-optimal incumbent. stallGap is half an in-use move, so a stalled stop
+// may strand idle-move slack but never a whole preemption. The rule counts
+// nodes, never wall-clock, so serial solves stay deterministic.
+const (
+	absGap             = 0.9 * moveCostIdle
+	stallNodes         = 128
+	stallGap   float64 = moveCostInUse / 2
+)
+
 // Config tunes the solver's search budget, buffer and wear pricing. Zero
-// values select documented defaults. The objective's weights are the
-// package's constants (beta, tau, moveCostInUse, moveCostIdle, softPenalty),
-// and the spread and affinity limits αF, αK and θ are per-reservation policy
+// values select documented defaults. The objective's weights and the
+// search's gap and stall rules are the package's constants, and the spread
+// and affinity limits αF, αK and θ are per-reservation policy
 // (reservation.Policy), not solver settings.
 type Config struct {
 	// Phase1TimeLimit / Phase2TimeLimit bound each phase's MIP step. Zero
@@ -74,16 +89,6 @@ type Config struct {
 	Phase2TimeLimit time.Duration
 	// MaxNodes bounds branch-and-bound nodes per phase. Zero = 400.
 	MaxNodes int
-	// StallNodes, when positive, stops a phase's search after that many
-	// consecutive nodes with no incumbent or bound improvement while the
-	// absolute gap is at most StallGap — cutting the long proving tail on
-	// degenerate instances where the bound sits flat under a near-optimal
-	// incumbent. Zero keeps the search running to MaxNodes. The stop is
-	// keyed to node counts, so serial solves stay deterministic.
-	StallNodes int
-	// StallGap is the absolute-gap ceiling for the stall rule, in objective
-	// units (one in-use preemption costs moveCostInUse). Zero disables it.
-	StallGap float64
 	// DisableRackPhase skips phase 2 entirely.
 	DisableRackPhase bool
 	// SetupOnly builds both phases (RAS build, solver build, initial state)
@@ -467,7 +472,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 	p1 := solvePhase(ctx, in, cfg, workers, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1)
 	res.Phase1 = p1.stats
 	res.Warm.Phase1 = p1.warm
-	realize(in, specs, p1, res.Targets)
+	realize(specs, p1, res.Targets)
 
 	// ---- Phase 2: rack goals for the worst reservations. ----------------
 	// A cancelled phase 1 skips it: the caller asked the whole round to stop.
@@ -486,7 +491,7 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 			sort.Slice(res.Phase2Reservations, func(i, j int) bool {
 				return res.Phase2Reservations[i] < res.Phase2Reservations[j]
 			})
-			realize(in, specs2, p2, res.Targets)
+			realize(specs2, p2, res.Targets)
 		}
 	}
 
@@ -784,15 +789,11 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 			rootBasis, out.stats.RootBasisMismatch = nil, true
 		}
 	}
-	// Gap tolerances: proving optimality below the cost of a single idle
-	// move is pointless churn, so stop there (the paper likewise accepts
-	// early timeouts and measures the remaining gap, Figure 9). The stall
-	// rule passes through for callers with tight node budgets.
 	r := m.Solve(phaseCtx, mip.Options{
 		MaxNodes:      cfg.MaxNodes,
-		AbsGap:        0.9 * moveCostIdle,
-		StallNodes:    cfg.StallNodes,
-		StallGap:      cfg.StallGap,
+		AbsGap:        absGap,
+		StallNodes:    stallNodes,
+		StallGap:      stallGap,
 		Workers:       workers,
 		RootBasis:     rootBasis,
 		RootWorkspace: rootWS,
@@ -924,39 +925,20 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool,
 }
 
 // realize distributes solved group counts onto concrete servers, writing
-// Targets. Within a group, servers already in the target reservation are
-// kept first to minimize real-world churn.
-func realize(in Input, specs []resSpec, p *phaseOutput, targets []reservation.ID) {
-	var buf, others []topology.ServerID // reused by every group and spec
+// Targets: each spec in turn takes the next servers of the group's list. A
+// group is keyed on its servers' current reservation (serverKey), so its
+// servers are all current members of a spec or none are, and no order within
+// the group moves fewer of them.
+func realize(specs []resSpec, p *phaseOutput, targets []reservation.ID) {
 	for gi, g := range p.groups {
-		// Order servers so that, for each spec in turn, ones already bound
-		// to the spec's reservation come first.
-		buf = append(buf[:0], g.servers...)
-		remaining := buf
+		remaining := g.servers
 		for si := range specs {
-			want := int(p.counts[gi][si])
+			want := min(int(p.counts[gi][si]), len(remaining))
 			if want <= 0 {
 				continue
 			}
-			rid := specs[si].res.ID
-			// Stable partition: current members first, each side in the
-			// order it had.
-			members := 0
-			others = others[:0]
-			for _, id := range remaining {
-				if in.States[id].Current == rid {
-					remaining[members] = id
-					members++
-				} else {
-					others = append(others, id)
-				}
-			}
-			copy(remaining[members:], others)
-			if want > len(remaining) {
-				want = len(remaining)
-			}
 			for _, id := range remaining[:want] {
-				targets[id] = rid
+				targets[id] = specs[si].res.ID
 			}
 			remaining = remaining[want:]
 		}

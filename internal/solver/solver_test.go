@@ -479,7 +479,7 @@ func TestRealizeKeepsCurrentMembers(t *testing.T) {
 	for i := range targets {
 		targets[i] = reservation.Unassigned
 	}
-	realize(in, specs, &phaseOutput{groups: groups, specs: specs, counts: counts}, targets)
+	realize(specs, &phaseOutput{groups: groups, specs: specs, counts: counts}, targets)
 	kept := 0
 	for i := 0; i < 3; i++ {
 		if targets[i] == 5 {

@@ -78,10 +78,18 @@ func (p *builtPhase) identity(v mip.Var, row int) string {
 }
 
 // rootOf solves bp's model just far enough to read its root relaxation: the
-// root LP (from start when given), the root heuristics and one node, after
-// which Bound is the root LP's objective.
+// root LP (from start when given), the root heuristics and one node.
 func rootOf(bp *builtPhase, start *lp.Basis) mip.Result {
 	return bp.m.Solve(context.Background(), mip.Options{MaxNodes: 1, Workers: 1, RootBasis: start})
+}
+
+// rootOutcome names how r's root LP ended: solved to optimality, or not and
+// what the search made of that.
+func rootOutcome(r mip.Result) string {
+	if !math.IsInf(r.RootObjective, -1) {
+		return "an optimal root LP"
+	}
+	return "an unsolved root LP (" + r.Status.String() + ")"
 }
 
 // FuzzBasisTransfer is the cross-round transfer's property, for any mutation
@@ -138,18 +146,21 @@ func FuzzBasisTransfer(f *testing.F) {
 
 		cold := rootOf(bp, nil)
 		warm := rootOf(bp, carried)
-		if warm.Status != cold.Status {
-			t.Fatalf("status %v from the carried basis, %v cold", warm.Status, cold.Status)
-		}
 		if !warm.RootWarm && warm.RootCold == lp.ColdNone {
 			t.Fatal("the root neither completed from the carried basis nor names a cold reason")
 		}
-		if cold.Status == mip.Infeasible || cold.Status == mip.Unbounded || cold.Status == mip.NoSolution {
+		// The root LP's outcome and optimum, not the status after the one
+		// node: that also depends on the incumbent the root heuristics find
+		// from whichever optimal vertex the LP stopped at.
+		if w, c := rootOutcome(warm), rootOutcome(cold); w != c {
+			t.Fatalf("%s from the carried basis, %s cold", w, c)
+		}
+		if math.IsInf(cold.RootObjective, -1) {
 			return
 		}
-		if d := math.Abs(warm.Bound - cold.Bound); d > 1e-6*(1+math.Abs(cold.Bound)) {
+		if d := math.Abs(warm.RootObjective - cold.RootObjective); d > 1e-6*(1+math.Abs(cold.RootObjective)) {
 			t.Fatalf("root objective %.9g from the carried basis, %.9g cold (kept %d of %d, warm=%v cold reason %v)",
-				warm.Bound, cold.Bound, kept, before.RootBasis.NumCols(), warm.RootWarm, warm.RootCold)
+				warm.RootObjective, cold.RootObjective, kept, before.RootBasis.NumCols(), warm.RootWarm, warm.RootCold)
 		}
 	})
 }

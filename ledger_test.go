@@ -1,6 +1,7 @@
 package ras_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -67,6 +68,104 @@ func TestInvariantLedger(t *testing.T) {
 		}
 		t.Logf("%d citations checked", len(cites))
 	})
+}
+
+// settable is the ledger of settable values: every exported field of the
+// solver's, the branch-and-bound engine's and the simplex's options, with
+// the callers that set it. A value stays settable only where two callers
+// need different values (ROADMAP's standing rules); one that no caller
+// varies becomes a constant next to its reader.
+var settable = []struct{ field, setBy string }{
+	{"solver.Config.Phase1TimeLimit", "benchmark/driver.go, the experiments' per-scale budgets, rassolve -time-limit"},
+	{"solver.Config.Phase2TimeLimit", "benchmark/driver.go, the experiments' per-scale budgets, rassolve -time-limit"},
+	{"solver.Config.MaxNodes", "benchmark/driver.go, the experiments' per-scale budgets, tests"},
+	{"solver.Config.DisableRackPhase", "Fig 10/11 (fig_solver.go), tests"},
+	{"solver.Config.SetupOnly", "Fig 10/11 (fig_solver.go), the benchmark's set-up probe"},
+	{"solver.Config.SharedBufferFraction", "benchmark/driver.go, Fig 12 and BufferAccounting (fig_placement.go), tests"},
+	{"solver.Config.WearPenalty", "TestGoldenColdFingerprints and the wear tests"},
+	{"mip.Options.MaxNodes", "solver.solvePhase (Config.MaxNodes), the engine's tests"},
+	{"mip.Options.AbsGap", "solver.solvePhase (absGap); the engine's reference tests keep the 1e-6 default"},
+	{"mip.Options.StallNodes", "solver.solvePhase (stallNodes), TestDriverMatchesSerialReference (8)"},
+	{"mip.Options.StallGap", "solver.solvePhase (stallGap), TestDriverMatchesSerialReference"},
+	{"mip.Options.RootBasis", "solver.solvePhase (the previous round's root basis), tests"},
+	{"mip.Options.RootWorkspace", "solver.solvePhase (the previous round's root workspace), tests"},
+	{"mip.Options.Workers", "solver.solvePhase (the backend's worker count), tests"},
+	{"lp.Options.Start", "mip's node LPs (the parent's basis), tests"},
+	{"lp.Options.ReuseBasis", "mip's node LPs, tests"},
+	{"lp.Options.RefactorEvery", "the kernel's tests (-1: refactorize every pivot)"},
+}
+
+// TestSettableLedger keeps settable in step with the code: it parses the
+// three option structs and fails when an exported field is added, removed
+// or renamed without its ledger entry changing too.
+func TestSettableLedger(t *testing.T) {
+	got := map[string]bool{}
+	for _, s := range []struct{ dir, pkg, typ string }{
+		{"internal/solver", "solver", "Config"},
+		{"internal/mip", "mip", "Options"},
+		{"internal/lp", "lp", "Options"},
+	} {
+		fields := exportedFields(t, s.dir, s.typ)
+		if len(fields) == 0 {
+			t.Fatalf("%s defines no struct %s with exported fields", s.dir, s.typ)
+		}
+		for _, f := range fields {
+			got[s.pkg+"."+s.typ+"."+f] = true
+		}
+	}
+	listed := map[string]bool{}
+	for _, e := range settable {
+		listed[e.field] = true
+		if !got[e.field] {
+			t.Errorf("the ledger lists %s, which the code no longer has", e.field)
+		}
+		if e.setBy == "" {
+			t.Errorf("the ledger names no caller that sets %s", e.field)
+		}
+	}
+	for f := range got {
+		if !listed[f] {
+			t.Errorf("%s is settable but not in the ledger: name the callers that need different values, or make it a constant", f)
+		}
+	}
+	t.Logf("%d settable values", len(settable))
+}
+
+// exportedFields lists the exported fields of struct type typ declared in
+// the non-test Go files of dir.
+func exportedFields(t *testing.T, dir, typ string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != typ {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							names = append(names, id.Name)
+						}
+					}
+				}
+			}
+			return false
+		})
+	}
+	return names
 }
 
 type ledgerRow struct{ invariant, check, mutation string }
