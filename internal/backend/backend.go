@@ -10,11 +10,12 @@
 //
 // The cancellation contract: Backend.Solve takes a context.Context that
 // bounds the entire solve. Cancellation propagates cooperatively down the
-// whole stack (branch-and-bound nodes, simplex iteration loops, local-search
-// repair passes); a cancelled solve is NOT an error — it returns promptly
-// with the best incumbent assignment found so far and Status
-// StatusCancelled, so a supervisor can always apply the most recent targets
-// it has.
+// whole stack (branch-and-bound nodes, simplex iteration loops); the
+// recombination that local search runs and pop ends with reads none, so
+// local search checks it once that returns. A cancelled solve is NOT an
+// error — it returns promptly with the best incumbent assignment found so
+// far and Status StatusCancelled, so a supervisor can always apply the most
+// recent targets it has.
 package backend
 
 import (
@@ -180,7 +181,7 @@ func (r *Result) SolverResults() []*solver.Result {
 // any of them.
 type Config struct {
 	// Solver tunes the two-phase MIP solves of mip and pop, and sets the
-	// shared-buffer size and wear price every backend scores with.
+	// shared-buffer size every backend scores with.
 	Solver solver.Config
 }
 

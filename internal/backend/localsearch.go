@@ -12,27 +12,24 @@ import (
 
 // LocalSearchDetail is the local-search backend's result detail.
 type LocalSearchDetail struct {
-	// Seed counts the seed's acquisitions and releases.
-	Seed solver.RepairStats
-	// Passes counts the repair passes run; the last one applied nothing
-	// unless the solve was stopped first.
-	Passes int
-	// Repair sums the repair passes' moves and work.
-	Repair solver.RepairStats
+	// Seed counts the seed's acquisitions and releases, and Repair the
+	// repair's moves and work (solver.RecombineTargets).
+	Seed, Repair solver.RepairStats
 	// Eval is the objective breakdown of Targets (Result.Objective =
 	// Eval.Objective).
 	Eval solver.Eval
 }
 
 // localSearchBackend is the near-realtime backend ReBalancer offers next to
-// the MIP (§6), built from the recombination pass pop already runs: start
-// from the round's current bindings — in a ras.System, the last round's
-// applied targets plus whatever the mover or a failure changed since — seed
-// them (solver.SeedTargets: every short reservation and buffer row filled
-// into its least-loaded MSBs, surplus members trimmed), then run
-// solver.RepairTargets until a pass applies nothing, checking ctx
-// between passes. Every step is priced by the phase-1 objective Evaluate
-// scores, so its answer compares directly with the other backends'. It
+// the MIP (§6), built from the recombination pop already runs
+// (solver.RecombineTargets) on the round's current bindings — in a
+// ras.System, the last round's applied targets plus whatever the mover or a
+// failure changed since. The seed fills every short reservation and buffer
+// row into its least-loaded MSBs and trims surplus members; the repair then
+// walks the assignment to its fixed point. Every step is priced by the
+// phase-1 objective Evaluate scores, so its answer compares directly with
+// the other backends'. Like pop's recombination it reads neither the
+// context nor the clock while it runs: a cancel is reported after it. It
 // proves no bound, runs serial, and is a pure function of its input.
 type localSearchBackend struct {
 	cfg solver.Config
@@ -52,15 +49,8 @@ func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Op
 	for i := range in.States {
 		targets[i] = in.States[i].Current
 	}
-	d := &LocalSearchDetail{Seed: solver.SeedTargets(in, b.cfg, targets)}
-	for ctx.Err() == nil {
-		st := solver.RepairTargets(in, b.cfg, targets)
-		d.Passes++
-		d.Repair.Add(st)
-		if st.Moves() == 0 {
-			break
-		}
-	}
+	d := &LocalSearchDetail{}
+	d.Seed, d.Repair = solver.RecombineTargets(in, b.cfg, targets)
 	d.Eval = solver.Evaluate(in, b.cfg, targets)
 	out := &Result{
 		Backend:     b.Name(),

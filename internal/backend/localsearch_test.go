@@ -152,7 +152,7 @@ func TestLocalSearchQualityVsMIP(t *testing.T) {
 
 // TestLocalSearchDeterministic solves one input with two separately built
 // backends: the search has no seed and keeps no state between solves, so
-// both must return the same assignment after the same passes and moves.
+// both must return the same assignment after the same moves.
 func TestLocalSearchDeterministic(t *testing.T) {
 	in := testInput(t, 2, 3, 4)
 	a := solveLocal(t, in, solver.Config{})

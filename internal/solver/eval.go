@@ -28,8 +28,8 @@ type Eval struct {
 	CapSlack float64
 	// AffSlack prices DC-affinity violations (expression 7).
 	AffSlack float64
-	// Wear is the IO-aware placement cost (§5.2); zero unless
-	// Config.WearPenalty is set.
+	// Wear is the IO-aware placement cost (§5.2): wearPrice per wear
+	// bucket of each flash server in a flash-consuming reservation.
 	Wear float64
 	// Unserviceable is demand no usable server in the region can serve at
 	// all. Like a direct solve's PhaseStats.SoftSlack bookkeeping it is NOT
@@ -101,10 +101,10 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		sumMSB[si][srv.MSB] += v
 		sumDC[si][srv.DC] += v
 		total[si] += v
-		if cfg.WearPenalty > 0 && !specs[si].isBuffer &&
+		if !specs[si].isBuffer &&
 			in.Region.Catalog.Type(srv.Type).FlashTB > 0 {
 			if b := wearBucket(st.FlashWear); b > 0 {
-				ev.Wear += cfg.WearPenalty * float64(b)
+				ev.Wear += wearPrice * float64(b)
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func concentratedTargets(in Input, r *reservation.Reservation) []reservation.ID 
 	return targets
 }
 
-// TestRepairImprovesConcentratedAssignment drives RepairTargets over a
+// TestRepairImprovesConcentratedAssignment drives repairTargets over a
 // deliberately bad merged assignment and checks it strictly improves the
 // region-wide objective while staying deterministic: identical inputs give
 // identical repaired targets and stats on every run.
@@ -100,7 +100,7 @@ func TestRepairImprovesConcentratedAssignment(t *testing.T) {
 	var runs []run
 	for i := 0; i < 3; i++ {
 		targets := append([]reservation.ID(nil), before...)
-		stats := RepairTargets(in, cfg, targets)
+		stats := repairTargets(in, cfg, targets)
 		runs = append(runs, run{stats, targets, Evaluate(in, cfg, targets).Objective})
 	}
 	if runs[0].stats.Moves() == 0 {
@@ -140,7 +140,7 @@ func TestRepairLeavesSolverOutputAlone(t *testing.T) {
 	}
 	targets := append([]reservation.ID(nil), res.Targets...)
 	before := Evaluate(in, cfg, targets).Objective
-	RepairTargets(in, cfg, targets)
+	repairTargets(in, cfg, targets)
 	after := Evaluate(in, cfg, targets).Objective
 	if after > before+1e-9 {
 		t.Fatalf("repair regressed a solver-optimal assignment: %v → %v", before, after)

@@ -27,8 +27,8 @@ var goldenColdFingerprints = [9]uint64{
 
 // TestGoldenColdFingerprints builds the cold model for a fixture whose
 // reservations cover DC affinity, SingleDC, count-based + EligibleTypes,
-// per-reservation spread limits and θ, with wear-aware placement on and a
-// mutated broker state (failures, wear, rebinding, a zero-RRU resize).
+// per-reservation spread limits and θ, with priced flash wear and a mutated
+// broker state (failures, wear, rebinding, a zero-RRU resize).
 func TestGoldenColdFingerprints(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("fingerprints recorded on amd64; FMA fusing elsewhere changes float bits")
@@ -48,7 +48,6 @@ func TestGoldenColdFingerprints(t *testing.T) {
 		}{{false, -1}, {false, 0.05}, {true, -1}} {
 			cfg := fastCfg()
 			cfg.SharedBufferFraction = tc.buffer
-			cfg.WearPenalty = 2
 			cfg = cfg.withDefaults(region)
 			var stats PhaseStats
 			bp := buildPhase(in, cfg, buildSpecs(in, cfg), pool, fixtureTargets(in.States, tc.rackLevel), tc.rackLevel, &stats)

@@ -78,12 +78,12 @@ type groupKey struct {
 	scope   int // MSB or rack index
 	cur     reservation.ID
 	inUse   bool
-	wear    int // wear bucket; 0 unless wear-aware placement is on
+	wear    int // wear bucket of a flash server; 0 for others
 }
 
 // serverKey computes the symmetry-class key of one server, mirroring the
 // grouping pass of groupServers exactly.
-func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupKey {
+func serverKey(in Input, id topology.ServerID, rackLevel bool) groupKey {
 	srv := &in.Region.Servers[id]
 	st := &in.States[id]
 	scope := srv.MSB
@@ -91,7 +91,7 @@ func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupK
 		scope = srv.Rack
 	}
 	k := groupKey{typeIdx: srv.Type, scope: scope, cur: st.Current, inUse: st.MovePreempts()}
-	if wearAware && in.Region.Catalog.Type(srv.Type).FlashTB > 0 {
+	if in.Region.Catalog.Type(srv.Type).FlashTB > 0 {
 		k.wear = wearBucket(st.FlashWear)
 	}
 	return k
@@ -99,14 +99,14 @@ func serverKey(in Input, id topology.ServerID, rackLevel, wearAware bool) groupK
 
 // holds reports whether a server of g's type and scope in state st still
 // keys into g: whether the dynamic half of its group key — Current, in-use
-// and, when wear-aware, the wear bucket — matches g's. The static half
-// (type, MSB or rack) is fixed for a server's life.
-func (g *group) holds(st *broker.ServerState, wearAware bool, cat *hardware.Catalog) bool {
+// and, for flash, the wear bucket — matches g's. The static half (type, MSB
+// or rack) is fixed for a server's life.
+func (g *group) holds(st *broker.ServerState, cat *hardware.Catalog) bool {
 	k := &g.key
 	if k.cur != st.Current || k.inUse != st.MovePreempts() {
 		return false
 	}
-	return !wearAware || k.wear == wearBucket(st.FlashWear) || (k.wear == 0 && cat.Type(k.typeIdx).FlashTB <= 0)
+	return k.wear == wearBucket(st.FlashWear) || (k.wear == 0 && cat.Type(k.typeIdx).FlashTB <= 0)
 }
 
 // specRows records where one spec's rows and auxiliary variables landed in
@@ -232,7 +232,7 @@ func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []top
 
 	// ---------------- RAS build: grouping & constants. -------------------
 	t0 := clock.Now()
-	groups, groupIdx := groupServers(in, pool, rackLevel, cfg.WearPenalty > 0, store.groups)
+	groups, groupIdx := groupServers(in, pool, rackLevel, store.groups)
 	cat := in.Region.Catalog
 	nG, nS := len(groups), len(specs)
 
@@ -350,8 +350,7 @@ func (l label) d(x int) label    { return strconv.AppendInt(l, int64(x), 10) }
 // of α·C_r for count-based specs (roundingCut) — exactly what patch treats as
 // structural drift.
 func (bp *builtPhase) layout() {
-	m, cfg, groups, specs := bp.m, bp.cfg, bp.groups, bp.specs
-	cat := bp.region.Catalog
+	m, groups, specs := bp.m, bp.groups, bp.specs
 	nG, nS := len(groups), len(specs)
 	var nm label
 	// Scratch, sized for the longest row: the model copies every row it is
@@ -372,8 +371,8 @@ func (bp *builtPhase) layout() {
 			// IO-aware placement (§5.2): worn flash assigned to a
 			// flash-consuming reservation carries a per-server cost.
 			wearCost := 0.0
-			if cfg.WearPenalty > 0 && g.key.wear > 0 && cat.Type(g.key.typeIdx).FlashTB > 0 && !specs[si].isBuffer {
-				wearCost = cfg.WearPenalty * float64(g.key.wear)
+			if g.key.wear > 0 && !specs[si].isBuffer {
+				wearCost = wearPrice * float64(g.key.wear)
 			}
 			nm = nm[:0].s("n[g").d(gi).s(",").s(specs[si].res.Name).s("]")
 			bp.nVar[gi][si] = m.AddIntVar(string(nm), wearCost, 0, 0)
@@ -812,7 +811,6 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 	// Move changed servers between existing groups. A server needing a group
 	// that does not exist, or emptying the one it leaves, changes the
 	// model's shape — bail to the cold path.
-	wearAware := cfg.WearPenalty > 0
 	cat := in.Region.Catalog
 	groupTouched := make([]bool, len(bp.groups))
 	var pairs [][2]int32 // (group, spec) cells whose initCount changed
@@ -827,7 +825,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 			if !inPool[i] {
 				continue
 			}
-			if gi := bp.serverGroup[i]; gi >= 0 && bp.groups[gi].holds(st, wearAware, cat) {
+			if gi := bp.serverGroup[i]; gi >= 0 && bp.groups[gi].holds(st, cat) {
 				continue
 			}
 		}
@@ -851,7 +849,7 @@ func (bp *builtPhase) patch(in Input, cfg Config, specs []resSpec, pool []topolo
 			bp.countSpec[i] = -1
 		}
 		if inPool[i] {
-			gi, ok := bp.groupIdx[serverKey(in, id, bp.rackLevel, wearAware)]
+			gi, ok := bp.groupIdx[serverKey(in, id, bp.rackLevel)]
 			if !ok {
 				return RebuildNewGroup
 			}

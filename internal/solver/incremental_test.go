@@ -53,7 +53,7 @@ func newMutator(t *testing.T, region *topology.Region, seed int64, nRes int) *mu
 		m.live = append(m.live, id)
 	}
 	// Seed a plausible current assignment so move hinges exist, and a spread
-	// of flash wear so wear-aware configs split groups by bucket.
+	// of flash wear so groups split by wear bucket.
 	for i := range region.Servers {
 		if i%3 != 0 {
 			m.b.SetCurrent(topology.ServerID(i), m.live[i%len(m.live)])
@@ -211,15 +211,14 @@ type patchPhase struct {
 	name      string
 	rackLevel bool
 	buffer    float64 // SharedBufferFraction
-	wear      float64 // WearPenalty
 }
 
-// patchPhases are phase 1, phase 1 with the shared buffer and wear buckets,
-// and the rack-level model.
+// patchPhases are phase 1, phase 1 with the shared buffer, and the
+// rack-level model.
 var patchPhases = []patchPhase{
-	{"phase1", false, -1, 0},
-	{"phase1-buffer", false, 0.02, 2},
-	{"rack", true, -1, 2},
+	{"phase1", false, -1},
+	{"phase1-buffer", false, 0.02},
+	{"rack", true, -1},
 }
 
 // patchRounds runs rounds of m's mutation stream through cached models of
@@ -236,7 +235,6 @@ func patchRounds(t *testing.T, region *topology.Region, m *mutator, pk patchPhas
 	t.Helper()
 	cfg := fastCfg()
 	cfg.SharedBufferFraction = pk.buffer
-	cfg.WearPenalty = pk.wear
 	cfg = cfg.withDefaults(region)
 
 	forward := func(cached *builtPhase, round int, in Input) *builtPhase {

@@ -38,7 +38,6 @@ func TestLayoutRowsAreCanonical(t *testing.T) {
 		}{{false, -1}, {false, 0.05}, {true, -1}} {
 			cfg := fastCfg()
 			cfg.SharedBufferFraction = tc.buffer
-			cfg.WearPenalty = 2
 			cfg = cfg.withDefaults(region)
 			var stats PhaseStats
 			bp := buildPhase(in, cfg, buildSpecs(in, cfg), usableServers(in), fixtureTargets(in.States, tc.rackLevel), tc.rackLevel, &stats)
@@ -51,7 +50,6 @@ func TestLayoutRowsAreCanonical(t *testing.T) {
 		m := newMutator(t, region, 42, 6)
 		cfg := fastCfg()
 		cfg.SharedBufferFraction = pk.buffer
-		cfg.WearPenalty = pk.wear
 		cfg = cfg.withDefaults(region)
 		for round := 0; round < 40; round++ {
 			if round > 0 {

@@ -38,7 +38,7 @@ type RepairStats struct {
 // Moves reports the total repair operations.
 func (s RepairStats) Moves() int { return s.Acquired + s.Released + s.Rebalanced + s.Stolen }
 
-// Add accumulates o into s: the local-search backend's passes summed.
+// Add accumulates o into s: the stats of many rounds summed.
 func (s *RepairStats) Add(o RepairStats) {
 	s.Acquired += o.Acquired
 	s.Released += o.Released
@@ -56,9 +56,10 @@ const (
 	repairMaxSweeps    = 4
 )
 
-// RepairTargets is the pop backend's recombination pass: a deterministic
-// greedy improvement of a merged multi-partition assignment against the
-// phase-1 objective functional (the one Evaluate scores). Sub-problems
+// repairTargets is RecombineTargets' repair half on a build of its own: a
+// deterministic greedy improvement of an assignment — for pop, the merge of
+// its partitions' solves — against the phase-1 objective functional (the
+// one Evaluate scores). Sub-problems
 // satisfy their own spread and buffer rows, but the merged region can still
 // be improved across partition boundaries — typically by trimming the k
 // embedded buffers down to one region-wide one (each sub-MIP reserved its
@@ -75,7 +76,7 @@ const (
 // reservations (spread + buffer + capacity slack + stability + wear deltas).
 // Every pick breaks ties by index; the pass is a pure function of its
 // inputs. Shared-buffer and unusable servers are never touched.
-func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
+func repairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	cfg = cfg.withDefaults(in.Region)
 
 	// The repaired rows are the same specs Evaluate scores: user
@@ -89,14 +90,17 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	return p.stats
 }
 
-// RecombineTargets is the pop backend's recombination: SeedTargets, then
-// RepairTargets, on one build of the specs and the pass state. The seed
-// refills what the repair steps cannot reach — a reservation whose eligible
-// servers the partitions handed to others — and the repair then walks the
-// seeded assignment to its fixed point. Before repairing, the views are
-// re-summed in server order as a new pass sums them, so the targets and the
-// repair's stats are those of the two calls made in turn, bit for bit. It
-// returns the seed's and the repair's stats.
+// RecombineTargets is the solver's one local improvement: pop's
+// recombination of its merged sub-solves, and the whole local-search
+// backend. It runs seedTargets, then repairTargets, on one build of the
+// specs and the pass state. The seed refills what the repair steps cannot
+// reach — a reservation whose eligible servers the partitions handed to
+// others — and the repair then walks the seeded assignment to its fixed
+// point, where one more pass would apply nothing. Before repairing, the
+// views are re-summed in server order as a new pass sums them, so the
+// targets and the repair's stats are those of the two calls made in turn,
+// bit for bit. It reads no context or clock, and returns the seed's and the
+// repair's stats.
 func RecombineTargets(in Input, cfg Config, targets []reservation.ID) (seed, repair RepairStats) {
 	cfg = cfg.withDefaults(in.Region)
 	p := newRepairPass(&in, &cfg, buildSpecs(in, cfg), targets, true)
@@ -110,17 +114,19 @@ func RecombineTargets(in Input, cfg Config, targets []reservation.ID) (seed, rep
 // repair sweeps the specs in repairOrder until a full sweep applies nothing
 // (bounded): a reservation trimming its surplus frees servers an
 // earlier-processed reservation's shortfall can only pick up on the next
-// sweep.
-func (p *repairPass) repair() {
+// sweep. It reports whether such a sweep came, false when the sweep cap
+// stopped the pass first.
+func (p *repairPass) repair() (settled bool) {
 	for sweep := 0; sweep < repairMaxSweeps; sweep++ {
 		before := p.stats.Moves()
 		for _, si := range p.order {
 			p.repairSpec(si)
 		}
 		if p.stats.Moves() == before {
-			break
+			return true
 		}
 	}
+	return false
 }
 
 // repairOrder lists the specs with demand in the order the repair pass and
@@ -144,14 +150,13 @@ func repairOrder(specs []resSpec) []int {
 	return order
 }
 
-// SeedTargets is the local-search backend's seed, run once before
-// RepairTargets takes the assignment to a fixed point. It reaches what
-// single repair steps cannot: the plateau where a short reservation's
-// capacity row ignores its first servers (total and envelope rise
-// together), and surplus members outside the most-loaded MSB or behind an
-// in-use one there. A server whose target is no reservation valuing it — a
+// seedTargets is RecombineTargets' seed half on a build of its own. It
+// reaches what single repair steps cannot: the plateau where a short
+// reservation's capacity row ignores its first servers (total and envelope
+// rise together), and surplus members outside the most-loaded MSB or behind
+// an in-use one there. A server whose target is no reservation valuing it — a
 // shared-buffer member, a deleted reservation, an ineligible binding —
-// starts free. Then, with every spec in RepairTargets' order, the seed
+// starts free. Then, with every spec in repairTargets' order, the seed
 // fills, trims and fills again: a fill acquires free servers one at a time
 // into a short spec's least-loaded MSB (pickAcquire, own current members
 // first) until its capacity row (expression 6) holds or no eligible free
@@ -159,14 +164,14 @@ func repairOrder(specs []resSpec) []int {
 // share of the objective (trim). The second fill restocks from what the
 // trim freed, the buffer rows last. targets is updated in place; the
 // returned stats count the seed's acquisitions and releases.
-func SeedTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
+func seedTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 	cfg = cfg.withDefaults(in.Region)
 	p := newRepairPass(&in, &cfg, buildSpecs(in, cfg), targets, true)
 	p.seed()
 	return p.stats
 }
 
-// seed fills, trims and fills again (SeedTargets).
+// seed fills, trims and fills again (seedTargets).
 func (p *repairPass) seed() {
 	fill := func() {
 		for _, s := range p.order {
@@ -308,7 +313,7 @@ func (v *resView) costWith(m1 int, x1 float64, m2 int, x2 float64) (cost, sq flo
 	return cost, sq
 }
 
-// repairPass is what one RepairTargets, SeedTargets or RecombineTargets call
+// repairPass is what one repairTargets, seedTargets or RecombineTargets call
 // builds once and keeps in step with every applied move. Usable servers are
 // grouped into classes — one (MSB, hardware type, DC) triple each, so a spec
 // values a class's servers alike — and a class owns a run of words in every
@@ -677,10 +682,10 @@ func (p *repairPass) moveDelta(s int, id topology.ServerID, acquiring bool) floa
 			d += moveCost(st.MovePreempts())
 		}
 	}
-	if p.cfg.WearPenalty > 0 && !p.specs[s].isBuffer &&
+	if !p.specs[s].isBuffer &&
 		p.in.Region.Catalog.Type(p.in.Region.Servers[id].Type).FlashTB > 0 {
 		if b := wearBucket(st.FlashWear); b > 0 {
-			w := p.cfg.WearPenalty * float64(b)
+			w := wearPrice * float64(b)
 			if acquiring {
 				d += w
 			} else {

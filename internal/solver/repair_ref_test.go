@@ -9,7 +9,7 @@ import (
 	"ras/internal/topology"
 )
 
-// This file keeps the repair pass as it was before RepairTargets kept its
+// This file keeps the repair pass as it was before repairTargets kept its
 // views, free pool and steal pool for the whole pass: a test-only reference
 // that rebuilds every view per spec, rescans the region for the steal pool
 // and collects every candidate of a step in a slice before choosing. It
@@ -186,10 +186,10 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 				d += m
 			}
 		}
-		if cfg.WearPenalty > 0 && !v.spec.isBuffer &&
+		if !v.spec.isBuffer &&
 			in.Region.Catalog.Type(in.Region.Servers[id].Type).FlashTB > 0 {
 			if b := wearBucket(st.FlashWear); b > 0 {
-				w := cfg.WearPenalty * float64(b)
+				w := wearPrice * float64(b)
 				if acquiring {
 					d += w
 				} else {
@@ -487,9 +487,9 @@ func repairSpecRef(in Input, cfg Config, targets []reservation.ID,
 						}
 						bfMove -= bm // donor recovers its own server: move charge ends
 					}
-					if cfg.WearPenalty > 0 && in.Region.Catalog.Type(bsrv.Type).FlashTB > 0 {
+					if in.Region.Catalog.Type(bsrv.Type).FlashTB > 0 {
 						if b := wearBucket(bst.FlashWear); b > 0 {
-							bfMove += cfg.WearPenalty * float64(b)
+							bfMove += wearPrice * float64(b)
 						}
 					}
 				}

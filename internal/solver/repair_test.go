@@ -27,11 +27,11 @@ func popMerge(tb testing.TB, in Input, cfg Config, k int) []reservation.ID {
 
 // seededPopMerge is what the pop backend's repair pass starts from now: the
 // k serial sub-solves on shares of one budget (Config.Share at one
-// sub-solve at a time), merged, then seeded (SeedTargets) — the input of
+// sub-solve at a time), merged, then seeded (seedTargets) — the input of
 // RecombineTargets' repair half.
 func seededPopMerge(tb testing.TB, in Input, cfg Config, k int) []reservation.ID {
 	targets := mergeSubSolves(tb, in, k, func(p, k int) Config { return cfg.Share(p, k, 1) })
-	SeedTargets(in, cfg, targets)
+	seedTargets(in, cfg, targets)
 	return targets
 }
 
@@ -168,20 +168,17 @@ func mixedDeployment(tb testing.TB, seed int64, rateBased bool) (Input, Config) 
 	}
 	cfg := Config{MaxNodes: 60, Phase1TimeLimit: time.Minute, Phase2TimeLimit: time.Minute,
 		SharedBufferFraction: []float64{-1, 0, 0.05}[rng.Intn(3)]}
-	if rng.Intn(2) == 0 {
-		cfg.WearPenalty = 0.5
-	}
 	return in, cfg
 }
 
-// repairBoth runs the reference and RepairTargets on copies of the same
+// repairBoth runs the reference and repairTargets on copies of the same
 // merged targets and fails on any difference in targets or stats.
 func repairBoth(t *testing.T, name string, in Input, cfg Config, merged []reservation.ID) RepairStats {
 	t.Helper()
 	want := append([]reservation.ID(nil), merged...)
 	got := append([]reservation.ID(nil), merged...)
 	wantStats := repairTargetsRef(in, cfg, want)
-	gotStats := RepairTargets(in, cfg, got)
+	gotStats := repairTargets(in, cfg, got)
 	if gotStats != wantStats {
 		t.Fatalf("%s: stats %+v, reference %+v", name, gotStats, wantStats)
 	}
@@ -197,7 +194,7 @@ func repairBoth(t *testing.T, name string, in Input, cfg Config, merged []reserv
 }
 
 // TestRepairMatchesReference runs real pop merges at k ∈ {2, 4, 8} through
-// RepairTargets and through the reference pass it replaced, and requires
+// repairTargets and through the reference pass it replaced, and requires
 // the same moves: identical targets and RepairStats, work counts included.
 // The corpus is the round benchmark's pop_cold deployment plus 30 seeded
 // mixes, half of them with rate-based reservations, merged as the pop
@@ -235,7 +232,7 @@ func TestRepairMatchesReference(t *testing.T) {
 }
 
 // TestRecombineIsSeedThenRepair: RecombineTargets, which seeds and repairs
-// on one build of the pass, decides what SeedTargets then RepairTargets
+// on one build of the pass, decides what seedTargets then repairTargets
 // decide — the same targets and the same stats, bit for bit — on merges of
 // the pop_cold deployment and of the 30 seeded mixes, rate-based ones
 // included, as the pop backend merges them.
@@ -244,13 +241,13 @@ func TestRecombineIsSeedThenRepair(t *testing.T) {
 		merged := mergeSubSolves(t, in, k, func(p, k int) Config { return cfg.Share(p, k, 1) })
 		got, want := append([]reservation.ID(nil), merged...), append([]reservation.ID(nil), merged...)
 		seed, repair := RecombineTargets(in, cfg, got)
-		wantSeed := SeedTargets(in, cfg, want)
-		wantRepair := RepairTargets(in, cfg, want)
+		wantSeed := seedTargets(in, cfg, want)
+		wantRepair := repairTargets(in, cfg, want)
 		if seed != wantSeed || repair != wantRepair {
-			t.Fatalf("%s: stats %+v then %+v, SeedTargets then RepairTargets %+v then %+v", name, seed, repair, wantSeed, wantRepair)
+			t.Fatalf("%s: stats %+v then %+v, seedTargets then repairTargets %+v then %+v", name, seed, repair, wantSeed, wantRepair)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: targets differ from SeedTargets then RepairTargets", name)
+			t.Fatalf("%s: targets differ from seedTargets then repairTargets", name)
 		}
 	}
 	for _, k := range []int{2, 4} {
@@ -261,6 +258,67 @@ func TestRecombineIsSeedThenRepair(t *testing.T) {
 		in, cfg := mixedDeployment(t, seed, seed%2 == 0)
 		check(fmt.Sprintf("mix seed %d", seed), in, cfg, []int{2, 4, 8}[seed%3])
 	}
+}
+
+// TestRecombineReachesFixedPoint: RecombineTargets' repair settles before
+// its sweep cap, and one more repair pass then applies nothing — why the
+// local-search backend runs it once, with no loop. The inputs are the pop
+// merges TestRecombineIsSeedThenRepair recombines, and assignments that
+// start from the current bindings: the pop_cold deployment at seeds 1–3,
+// the local-search cancel test's 2 304 servers and 60 reservations, and the
+// 30 mixes, whose servers are partly bound already.
+func TestRecombineReachesFixedPoint(t *testing.T) {
+	check := func(name string, in Input, cfg Config, start []reservation.ID) {
+		targets := append([]reservation.ID(nil), start...)
+		RecombineTargets(in, cfg, targets)
+		if st := repairTargets(in, cfg, append([]reservation.ID(nil), targets...)); st.Moves() != 0 {
+			t.Fatalf("%s: a repair pass after RecombineTargets applied %d moves", name, st.Moves())
+		}
+		// The recombination again, step by step, to see its sweep cap.
+		replay := append([]reservation.ID(nil), start...)
+		c := cfg.withDefaults(in.Region)
+		p := newRepairPass(&in, &c, buildSpecs(in, c), replay, true)
+		p.seed()
+		p.load()
+		if !p.repair() {
+			t.Fatalf("%s: the repair stopped at its %d-sweep cap", name, repairMaxSweeps)
+		}
+		if !reflect.DeepEqual(replay, targets) {
+			t.Fatalf("%s: the replay decided other targets than RecombineTargets", name)
+		}
+	}
+	current := func(in Input) []reservation.ID {
+		start := make([]reservation.ID, len(in.States))
+		for i := range in.States {
+			start[i] = in.States[i].Current
+		}
+		return start
+	}
+	for _, k := range []int{2, 4} {
+		in, cfg := benchDeployment(t, 1)
+		check(fmt.Sprintf("pop_cold merge k %d", k), in, cfg, mergeSubSolves(t, in, k, func(p, k int) Config { return cfg.Share(p, k, 1) }))
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		in, cfg := mixedDeployment(t, seed, seed%2 == 0)
+		k := []int{2, 4, 8}[seed%3]
+		check(fmt.Sprintf("mix seed %d merge k %d", seed, k), in, cfg, mergeSubSolves(t, in, k, func(p, k int) Config { return cfg.Share(p, k, 1) }))
+		check(fmt.Sprintf("mix seed %d current", seed), in, cfg, current(in))
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		in, cfg := benchDeployment(t, seed)
+		check(fmt.Sprintf("pop_cold seed %d current", seed), in, cfg, current(in))
+	}
+	region := testRegion(t, 2, 3, 48, 8, 3)
+	classes := []hardware.Class{hardware.Web, hardware.Feed1, hardware.DataStore, hardware.FleetAvg}
+	var rsvs []reservation.Reservation
+	for i := 0; i < 60; i++ {
+		rsvs = append(rsvs, reservation.Reservation{
+			ID: reservation.ID(i), Name: "svc", Class: classes[i%len(classes)],
+			RRUs: float64(len(region.Servers)) * 0.7 / 60, CountBased: true, Policy: reservation.DefaultPolicy(),
+		})
+	}
+	in := freshInput(region, rsvs)
+	check("local-search cancel input", in, Config{}, current(in))
 }
 
 // randomTargets is a random merged assignment: every usable server free,
@@ -295,7 +353,7 @@ func TestLessLoadTiesNearZero(t *testing.T) {
 	}
 }
 
-// FuzzRepairMatchesReference compares RepairTargets with the reference
+// FuzzRepairMatchesReference compares repairTargets with the reference
 // pass on random merged assignments over random mixes, rate-based rows in
 // those of even mix seed (as TestRepairMatchesReference draws them), where
 // MSB loads are sums of fractional RRUs and only lessLoad's tolerance keeps
@@ -310,7 +368,7 @@ func FuzzRepairMatchesReference(f *testing.F) {
 	})
 }
 
-// TestRepairAllocsBounded pins RepairTargets' allocations to what it builds
+// TestRepairAllocsBounded pins repairTargets' allocations to what it builds
 // once per pass (specs, classes, bit sets, views): on the same region and
 // reservations a pass costs the same allocations whether it takes one
 // closing step per spec or hundreds of steps.
@@ -318,14 +376,14 @@ func TestRepairAllocsBounded(t *testing.T) {
 	in, cfg := benchDeployment(t, 1)
 	merged := popMerge(t, in, cfg, 2)
 	settled := append([]reservation.ID(nil), merged...)
-	for i := 0; i < 10 && RepairTargets(in, cfg, settled).Moves() > 0; i++ {
+	for i := 0; i < 10 && repairTargets(in, cfg, settled).Moves() > 0; i++ {
 	}
 	allocs := func(start []reservation.ID) (float64, int) {
 		targets := make([]reservation.ID, len(start))
 		steps := 0
 		n := testing.AllocsPerRun(5, func() {
 			copy(targets, start)
-			steps = RepairTargets(in, cfg, targets).Steps
+			steps = repairTargets(in, cfg, targets).Steps
 		})
 		return n, steps
 	}
@@ -341,7 +399,7 @@ func TestRepairAllocsBounded(t *testing.T) {
 			settledAllocs, settledSteps, mergedAllocs, mergedSteps, bound)
 	}
 	// A recombination builds once too: what a repair pass allocates, give or
-	// take a map bucket (74–75 here), where SeedTargets then RepairTargets
+	// take a map bucket (74–75 here), where seedTargets then repairTargets
 	// allocate 150.
 	targets := make([]reservation.ID, len(merged))
 	recombine := testing.AllocsPerRun(5, func() {
@@ -376,7 +434,7 @@ func BenchmarkRepairTargets(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(targets, merged)
-				stats = RepairTargets(in, cfg, targets)
+				stats = repairTargets(in, cfg, targets)
 			}
 			b.ReportMetric(float64(stats.Moves()), "moves")
 			b.ReportMetric(float64(stats.Steps), "steps")

@@ -60,6 +60,10 @@ const (
 	moveCostInUse float64 = 10   // M_s (expression 1) of a move that preempts containers
 	moveCostIdle  float64 = 1    // M_s of an idle move: "virtually free"
 	softPenalty   float64 = 1000 // per unit of softened slack, expressions 6–7
+	// wearPrice is IO-aware placement's cost (§5.2) per wear bucket of a
+	// flash server in a flash-consuming reservation: the most-worn bucket
+	// costs more than an idle move, less than a preemption.
+	wearPrice float64 = 2
 )
 
 // The search's stopping rules, in objective units. absGap: proving
@@ -77,11 +81,11 @@ const (
 	stallGap   float64 = moveCostInUse / 2
 )
 
-// Config tunes the solver's search budget, buffer and wear pricing. Zero
-// values select documented defaults. The objective's weights and the
-// search's gap and stall rules are the package's constants, and the spread
-// and affinity limits αF, αK and θ are per-reservation policy
-// (reservation.Policy), not solver settings.
+// Config tunes the solver's search budget and shared buffer. Zero values
+// select documented defaults. The objective's weights, the wear price among
+// them, and the search's gap and stall rules are the package's constants,
+// and the spread and affinity limits αF, αK and θ are per-reservation
+// policy (reservation.Policy), not solver settings.
 type Config struct {
 	// Phase1TimeLimit / Phase2TimeLimit bound each phase's MIP step. Zero
 	// means 10s each (production: a joint one-hour SLO).
@@ -100,13 +104,6 @@ type Config struct {
 	// fraction of total region capacity (§3.3.1; production: 2%).
 	// Negative disables the buffer; zero means 0.02.
 	SharedBufferFraction float64
-
-	// WearPenalty enables IO-aware placement (paper §5.2, "SSD burnout
-	// reduction through IO-aware server assignments"): assigning a flash
-	// server to a flash-consuming reservation costs WearPenalty per wear
-	// bucket (4 buckets over [0,1]), steering storage onto fresh drives.
-	// Zero disables; wear buckets then do not split symmetry groups.
-	WearPenalty float64
 
 	// numMSBs and numRacks are the solved region's shape, recorded by
 	// withDefaults: newSpec resolves each reservation's policy against them.
@@ -366,8 +363,6 @@ type Result struct {
 	Moves   MoveStats
 	// RanPhase2 reports whether the rack phase executed.
 	RanPhase2 bool
-	// Phase2Reservations lists the reservations refined in phase 2.
-	Phase2Reservations []reservation.ID
 	// Cancelled reports that the solve context was cancelled before the
 	// round completed. Targets still hold the best incumbent assignment
 	// (falling back to the current assignment for phases that never produced
@@ -485,12 +480,6 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 			res.Phase2 = p2.stats
 			res.Warm.Phase2 = p2.warm
 			res.RanPhase2 = true
-			for id := range subset {
-				res.Phase2Reservations = append(res.Phase2Reservations, id)
-			}
-			sort.Slice(res.Phase2Reservations, func(i, j int) bool {
-				return res.Phase2Reservations[i] < res.Phase2Reservations[j]
-			})
 			realize(specs2, p2, res.Targets)
 		}
 	}
@@ -847,7 +836,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 // classes are built in the groups and server lists of spare, the classes of
 // a spent phase, as far as they go; a first pass counts each class, so the
 // rest is allocated once, each new server list to its exact size.
-func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool, spare []*group) ([]*group, map[groupKey]int) {
+func groupServers(in Input, pool []topology.ServerID, rackLevel bool, spare []*group) ([]*group, map[groupKey]int) {
 	type class struct {
 		key   groupKey
 		first topology.ServerID
@@ -857,7 +846,7 @@ func groupServers(in Input, pool []topology.ServerID, rackLevel, wearAware bool,
 	classes := make([]class, 0, 256)
 	of := make([]int32, len(pool)) // each pool server's class
 	for p, id := range pool {
-		k := serverKey(in, id, rackLevel, wearAware)
+		k := serverKey(in, id, rackLevel)
 		gi, ok := idx[k]
 		if !ok {
 			gi = len(classes)

@@ -118,7 +118,6 @@ func FuzzBasisTransfer(f *testing.F) {
 		}
 		m := newMutator(t, region, 44, 5)
 		cfg := fastCfg()
-		cfg.WearPenalty = 2
 		cfg.SharedBufferFraction = 0.05
 		cfg = cfg.withDefaults(region)
 		build := func() *builtPhase {

@@ -82,7 +82,6 @@ var settable = []struct{ field, setBy string }{
 	{"solver.Config.DisableRackPhase", "Fig 10/11 (fig_solver.go), tests"},
 	{"solver.Config.SetupOnly", "Fig 10/11 (fig_solver.go), the benchmark's set-up probe"},
 	{"solver.Config.SharedBufferFraction", "benchmark/driver.go, Fig 12 and BufferAccounting (fig_placement.go), tests"},
-	{"solver.Config.WearPenalty", "TestGoldenColdFingerprints and the wear tests"},
 	{"mip.Options.MaxNodes", "solver.solvePhase (Config.MaxNodes), the engine's tests"},
 	{"mip.Options.AbsGap", "solver.solvePhase (absGap); the engine's reference tests keep the 1e-6 default"},
 	{"mip.Options.StallNodes", "solver.solvePhase (stallNodes), TestDriverMatchesSerialReference (8)"},

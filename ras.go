@@ -51,13 +51,13 @@ type (
 	Policy = reservation.Policy
 	// Class is a service class with distinct hardware affinity.
 	Class = hardware.Class
-	// SolverConfig sets the async solver's search budget, shared buffer and
-	// wear price. The objective's weights β, τ, M_s and the slack penalty
-	// are fixed (§3.5.3); DESIGN.md "MIP formulation" names them.
+	// SolverConfig sets the async solver's search budget and shared buffer.
+	// The objective's weights β, τ, M_s, the slack penalty and the wear
+	// price are fixed; DESIGN.md "MIP formulation" names them.
 	SolverConfig = solver.Config
 	// SolveResult is the backend-independent outcome of one
 	// continuous-optimization round. Backend detail (phase stats, repair
-	// passes, partitions) is carried in its MIP / LocalSearch / POP fields.
+	// moves, partitions) is carried in its MIP / LocalSearch / POP fields.
 	SolveResult = backend.Result
 	// SolveStatus classifies a solve outcome.
 	SolveStatus = backend.Status
