@@ -26,9 +26,10 @@ build:
 	$(GO) build ./...
 
 # Shuffled: no test reads process-wide state, and the gate keeps it that way.
-# The timeouts are about 4× the slowest package on a 2-CPU host
-# (internal/experiments, 27 s; under -race internal/solver, 149 s), so a
-# deadlock fails the gate in minutes; `make check` runs test before race.
+# The timeouts are well above the slowest package on a 2-CPU host
+# (internal/experiments, 13 s alone; under -race internal/solver, 68 s, in
+# `make race`'s last step), so a deadlock fails the gate in minutes;
+# `make check` runs test before race.
 test:
 	$(GO) test -shuffle=on -timeout 2m ./...
 

@@ -42,7 +42,8 @@ func (s *System) EmergencyGrant(id ReservationID, rrus float64) ([]ServerID, err
 		if st.Unavail != broker.Available {
 			continue
 		}
-		v := r.Value(s.region.Catalog, s.region.Servers[st.ID].Type)
+		srv := s.region.Server(st.ID)
+		v := r.Value(s.region.Catalog, srv.Type, srv.DC)
 		if v <= 0 {
 			continue
 		}

@@ -118,3 +118,42 @@ func TestEmergencyGrantUnknownReservation(t *testing.T) {
 		t.Fatal("unknown reservation must error")
 	}
 }
+
+// TestEmergencyGrantKeepsSingleDC: a reservation pinned to datacenter 1 is
+// granted only datacenter-1 servers, although the free pool's lowest IDs
+// lie in datacenter 0, and GuaranteedRRUs counts nothing bound to it outside
+// datacenter 1.
+func TestEmergencyGrantKeepsSingleDC(t *testing.T) {
+	sys := testSystem(t)
+	region := sys.Region()
+	pol := ras.DefaultPolicy()
+	pol.SingleDC = 1
+	r := ras.Reservation{Name: "ml", Class: ras.Web, RRUs: 10, CountBased: true, Policy: pol}
+	id, err := sys.CreateReservation(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	granted, err := sys.EmergencyGrant(id, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sid := range granted {
+		if dc := region.Server(sid).DC; dc != 1 {
+			t.Fatalf("granted server %d of datacenter %d to a reservation pinned to datacenter 1", sid, dc)
+		}
+	}
+	// Bind a server of an accepted type from datacenter 0 by hand.
+	for _, srv := range region.Servers {
+		if srv.DC == 0 && r.Value(region.Catalog, srv.Type, 1) > 0 {
+			sys.Broker().SetCurrent(srv.ID, id)
+			break
+		}
+	}
+	total, _, err := sys.GuaranteedRRUs(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != float64(len(granted)) {
+		t.Fatalf("GuaranteedRRUs = %v, want %d: the datacenter-0 server counts for nothing", total, len(granted))
+	}
+}

@@ -269,7 +269,7 @@ func TestPOPRoundCoversDemand(t *testing.T) {
 		for i, tgt := range res.Targets {
 			if tgt >= 0 && in.States[i].Usable() {
 				srv := &in.Region.Servers[i]
-				got[tgt] += in.Reservations[tgt].ValueAt(in.Region.Catalog, srv.Type, srv.DC)
+				got[tgt] += in.Reservations[tgt].Value(in.Region.Catalog, srv.Type, srv.DC)
 			}
 		}
 		for _, r := range in.Reservations {

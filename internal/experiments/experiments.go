@@ -173,7 +173,8 @@ func perMSBLoad(region *topology.Region, assign []reservation.ID, r *reservation
 		if assign[i] != r.ID {
 			continue
 		}
-		out[region.Servers[i].MSB] += r.Value(region.Catalog, region.Servers[i].Type)
+		srv := &region.Servers[i]
+		out[srv.MSB] += r.Value(region.Catalog, srv.Type, srv.DC)
 	}
 	return out
 }
@@ -233,7 +234,8 @@ func waterfillBound(region *topology.Region, rsvs []reservation.Reservation, usa
 			if usable != nil && !usable(id) {
 				continue
 			}
-			capPerMSB[region.Servers[s].MSB] += r.Value(region.Catalog, region.Servers[s].Type)
+			srv := &region.Servers[s]
+			capPerMSB[srv.MSB] += r.Value(region.Catalog, srv.Type, srv.DC)
 		}
 		max := waterfillMax(capPerMSB, r.RRUs)
 		num += max

@@ -327,8 +327,9 @@ func Fig15(scale Scale) (*Report, error) {
 			if assign[i] != rr.ID {
 				continue
 			}
-			v := rr.Value(region.Catalog, region.Servers[i].Type)
-			perDC[region.Servers[i].DC] += v
+			srv := &region.Servers[i]
+			v := rr.Value(region.Catalog, srv.Type, srv.DC)
+			perDC[srv.DC] += v
 			total += v
 		}
 		if total == 0 {
@@ -444,7 +445,8 @@ func BufferAccounting(scale Scale) (*Report, error) {
 		have := 0.0
 		for s := range region.Servers {
 			if assign[s] == rsvs[i].ID {
-				have += rsvs[i].Value(region.Catalog, region.Servers[s].Type)
+				srv := &region.Servers[s]
+				have += rsvs[i].Value(region.Catalog, srv.Type, srv.DC)
 			}
 		}
 		if over := have - rsvs[i].RRUs; over > 0 {

@@ -28,7 +28,8 @@ func New(b *broker.Broker) *Assigner {
 
 // rru computes the value of a server for a reservation.
 func (a *Assigner) rru(id topology.ServerID, r *reservation.Reservation) float64 {
-	return r.Value(a.region.Catalog, a.region.Servers[id].Type)
+	srv := &a.region.Servers[id]
+	return r.Value(a.region.Catalog, srv.Type, srv.DC)
 }
 
 // Fulfill greedily acquires free servers until the reservation's RRU demand

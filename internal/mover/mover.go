@@ -21,7 +21,7 @@ import (
 	"ras/internal/topology"
 )
 
-// Stats counts mover activity.
+// Stats counts mover activity: plain counters, so a copy is a snapshot.
 type Stats struct {
 	MovesInUse      int // moves that preempted running containers
 	MovesUnused     int // moves of idle servers
@@ -31,7 +31,6 @@ type Stats struct {
 	Loans           int // servers loaned to elastic reservations
 	Revocations     int // loans revoked for failure handling
 	Unplaced        int // preempted containers with no room left in their reservation
-	FailedReplace   []topology.ServerID
 }
 
 // Mover executes binding changes against the broker.
@@ -39,12 +38,13 @@ type Mover struct {
 	broker *broker.Broker
 	region *topology.Region
 	store  *reservation.Store
-	alloc  *allocator.Allocator // optional; nil disables container handling
+	alloc  *allocator.Allocator
 	stats  Stats
 }
 
-// New creates a mover. alloc may be nil when no container allocator is in
-// the loop (pure capacity simulations).
+// New creates a mover over the broker. The store supplies each
+// reservation's host profile and eligibility; the allocator reschedules the
+// containers of the servers the mover takes away.
 func New(b *broker.Broker, store *reservation.Store, alloc *allocator.Allocator) *Mover {
 	return &Mover{broker: b, region: b.Region(), store: store, alloc: alloc}
 }
@@ -58,7 +58,7 @@ func (m *Mover) ResetStats() { m.stats = Stats{} }
 // profileOf looks up a reservation's host profile ("" for the free pool and
 // the shared buffer).
 func (m *Mover) profileOf(id reservation.ID) string {
-	if id < 0 || m.store == nil {
+	if id < 0 {
 		return ""
 	}
 	r, err := m.store.Get(id)
@@ -90,7 +90,7 @@ func (m *Mover) ApplyTargets(now int64) int {
 // moveServer executes one ownership change.
 func (m *Mover) moveServer(st *broker.ServerState, to reservation.ID) {
 	inUse := st.MovePreempts()
-	if m.alloc != nil && st.Containers > 0 {
+	if st.Containers > 0 {
 		// Preempt: reschedule the containers inside their own reservation.
 		m.reschedule(st.ID)
 	}
@@ -121,7 +121,7 @@ func (m *Mover) HandleFailure(ev broker.Event, now int64) {
 	switch ev.Kind {
 	case broker.RandomFailure, broker.ToRFailure:
 		st := m.broker.State(ev.Server)
-		if m.alloc != nil && st.Containers > 0 {
+		if st.Containers > 0 {
 			m.reschedule(ev.Server) // containers flee the dead server
 		}
 		if st.Current < 0 {
@@ -130,24 +130,17 @@ func (m *Mover) HandleFailure(ev broker.Event, now int64) {
 		m.replaceFromBuffer(ev.Server, st.Current)
 	case broker.CorrelatedFailure:
 		// Embedded buffers absorb this; the allocator simply reschedules.
-		if m.alloc != nil {
-			m.reschedule(ev.Server)
-		}
+		m.reschedule(ev.Server)
 	case broker.Available:
 		// Recovered server stays where it is; the next solve rebalances.
 	}
 }
 
-// replaceFromBuffer moves one eligible shared-buffer server into the failed
-// server's reservation. Loaned-out buffer servers are revoked if necessary.
+// replaceFromBuffer moves into the failed server's reservation one buffer
+// server that the reservation values above 0 (Reservation.Value, datacenter
+// pin included), revoking its loan if it has one.
 func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID) {
-	var rsv reservation.Reservation
-	known := false // the store holds the reservation, so its eligibility applies
-	if m.store != nil {
-		if r, err := m.store.Get(into); err == nil {
-			rsv, known = r, true
-		}
-	}
+	rsv, err := m.store.Get(into) // a deleted reservation takes any server
 	failedType := m.region.Servers[failed].Type
 
 	// Prefer identical hardware, then un-loaned servers: rank 0 is same type
@@ -158,13 +151,13 @@ func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID)
 		if st.Current != reservation.SharedBuffer || st.Unavail != broker.Available {
 			return
 		}
-		t := m.region.Servers[st.ID].Type
-		if known && rsv.Value(m.region.Catalog, t) <= 0 {
+		srv := &m.region.Servers[st.ID]
+		if err == nil && rsv.Value(m.region.Catalog, srv.Type, srv.DC) <= 0 {
 			return
 		}
 		loaned := st.LoanedTo != reservation.Unassigned
 		rank := 0
-		if t != failedType {
+		if srv.Type != failedType {
 			rank = 2
 		}
 		if loaned {
@@ -176,7 +169,6 @@ func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID)
 	})
 	if best < 0 {
 		m.stats.ReplacementMiss++
-		m.stats.FailedReplace = append(m.stats.FailedReplace, failed)
 		return
 	}
 	if bestLoaned {
@@ -208,9 +200,7 @@ func (m *Mover) LoanIdleBuffers(elastic []reservation.ID) int {
 
 // revoke reclaims one loaned buffer server, evicting elastic containers.
 func (m *Mover) revoke(id topology.ServerID) {
-	if m.alloc != nil {
-		m.alloc.Evict(id) // elastic workloads are preemptible by contract
-	}
+	m.alloc.Evict(id) // elastic workloads are preemptible by contract
 	m.broker.SetLoan(id, reservation.Unassigned)
 	m.stats.Revocations++
 }

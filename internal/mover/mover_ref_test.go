@@ -25,7 +25,7 @@ type refMover struct {
 	broker *broker.Broker
 	region *topology.Region
 	store  *reservation.Store
-	alloc  *refAllocator // optional; nil disables container handling
+	alloc  *refAllocator
 	stats  Stats
 }
 
@@ -37,7 +37,7 @@ func (m *refMover) HandleFailure(ev broker.Event, now int64) {
 	switch ev.Kind {
 	case broker.RandomFailure, broker.ToRFailure:
 		st := m.broker.State(ev.Server)
-		if m.alloc != nil && st.Containers > 0 {
+		if st.Containers > 0 {
 			m.stats.Unplaced += len(m.alloc.Reschedule(ev.Server)) // containers flee the dead server
 		}
 		if st.Current < 0 {
@@ -46,9 +46,7 @@ func (m *refMover) HandleFailure(ev broker.Event, now int64) {
 		m.replaceFromBuffer(ev.Server, st.Current)
 	case broker.CorrelatedFailure:
 		// Embedded buffers absorb this; the allocator simply reschedules.
-		if m.alloc != nil {
-			m.stats.Unplaced += len(m.alloc.Reschedule(ev.Server))
-		}
+		m.stats.Unplaced += len(m.alloc.Reschedule(ev.Server))
 	case broker.Available:
 		// Recovered server stays where it is; the next solve rebalances.
 	}
@@ -57,13 +55,8 @@ func (m *refMover) HandleFailure(ev broker.Event, now int64) {
 // replaceFromBuffer moves one eligible shared-buffer server into the failed
 // server's reservation. Loaned-out buffer servers are revoked if necessary.
 func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.ID) {
-	var rsv reservation.Reservation
-	known := false
-	if m.store != nil {
-		if r, err := m.store.Get(into); err == nil {
-			rsv, known = r, true
-		}
-	}
+	rsv, err := m.store.Get(into)
+	known := err == nil
 	failedType := m.region.Servers[failed].Type
 
 	snap := m.broker.Snapshot()
@@ -78,8 +71,12 @@ func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.
 		if st.Current != reservation.SharedBuffer || st.Unavail != broker.Available {
 			continue
 		}
-		t := m.region.Servers[st.ID].Type
+		srv := &m.region.Servers[st.ID]
+		t := srv.Type
 		if known {
+			if rsv.Policy.SingleDC >= 0 && srv.DC != rsv.Policy.SingleDC {
+				continue
+			}
 			v := hardware.RRU(m.region.Catalog.Type(t), rsv.Class)
 			if !rsv.Eligible(t, v) {
 				continue
@@ -93,7 +90,6 @@ func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.
 	}
 	if len(cands) == 0 {
 		m.stats.ReplacementMiss++
-		m.stats.FailedReplace = append(m.stats.FailedReplace, failed)
 		return
 	}
 	// Prefer identical hardware, then un-loaned servers.
@@ -141,9 +137,7 @@ func (m *refMover) LoanIdleBuffers(elastic []reservation.ID) int {
 
 // revoke reclaims one loaned buffer server, evicting elastic containers.
 func (m *refMover) revoke(id topology.ServerID) {
-	if m.alloc != nil {
-		m.alloc.Evict(id) // elastic workloads are preemptible by contract
-	}
+	m.alloc.Evict(id) // elastic workloads are preemptible by contract
 	m.broker.SetLoan(id, reservation.Unassigned)
 	m.stats.Revocations++
 }

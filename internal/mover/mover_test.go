@@ -149,6 +149,60 @@ func TestReplacementHonoursEligibilityOfUnnamedReservation(t *testing.T) {
 	}
 }
 
+// TestReplacementKeepsSingleDC: a reservation pinned to datacenter 1 is
+// never replaced from datacenter 0, whatever the buffer holds there. With
+// only a datacenter-0 buffer server the failure is a miss; once datacenter 1
+// has one too, that server is taken.
+func TestReplacementKeepsSingleDC(t *testing.T) {
+	region, err := topology.Generate(topology.GenSpec{DCs: 2, MSBsPerDC: 1, RacksPerMSB: 2, ServersPerRack: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New(region)
+	store := reservation.NewStore()
+	m := New(b, store, allocator.New(b, 8))
+	b.Subscribe(func(ev broker.Event) { m.HandleFailure(ev, ev.Time) })
+	rsv := reservation.Reservation{Name: "ml", Policy: reservation.Policy{SingleDC: 1}}
+	id, err := store.Create(rsv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Servers the reservation could use by type, in each datacenter.
+	var byDC [2][]topology.ServerID
+	for _, srv := range region.Servers {
+		if rsv.Value(region.Catalog, srv.Type, 1) > 0 {
+			byDC[srv.DC] = append(byDC[srv.DC], srv.ID)
+		}
+	}
+	if len(byDC[0]) < 1 || len(byDC[1]) < 3 {
+		t.Fatalf("too few servers of an eligible type: %v", byDC)
+	}
+	outside, inside := byDC[0][0], byDC[1][2]
+	victims := byDC[1][:2]
+	for _, v := range victims {
+		b.SetCurrent(v, id)
+	}
+	b.SetCurrent(outside, reservation.SharedBuffer)
+
+	b.SetUnavailable(victims[0], broker.RandomFailure, 10, 1000)
+	if got := b.State(outside).Current; got != reservation.SharedBuffer {
+		t.Fatalf("datacenter-0 buffer server %d moved into %d, which is pinned to datacenter 1", outside, got)
+	}
+	if st := m.Stats(); st.ReplacementMiss != 1 || st.Replacements != 0 {
+		t.Fatalf("replacements = %d, misses = %d; want 0 and 1", st.Replacements, st.ReplacementMiss)
+	}
+
+	b.SetCurrent(inside, reservation.SharedBuffer)
+	b.SetUnavailable(victims[1], broker.RandomFailure, 20, 1000)
+	if b.State(inside).Current != id || b.State(outside).Current != reservation.SharedBuffer {
+		t.Fatalf("servers %d (datacenter 1) and %d (datacenter 0) are bound to %d and %d; want %d and the buffer",
+			inside, outside, b.State(inside).Current, b.State(outside).Current, id)
+	}
+	if st := m.Stats(); st.ReplacementMiss != 1 || st.Replacements != 1 {
+		t.Fatalf("replacements = %d, misses = %d; want 1 and 1", st.Replacements, st.ReplacementMiss)
+	}
+}
+
 func TestCorrelatedFailureNoMoverAction(t *testing.T) {
 	b, store, _, m := setup(t)
 	id, _ := store.Create(reservation.Reservation{Name: "svc", Policy: reservation.DefaultPolicy()})
@@ -237,7 +291,7 @@ func TestResetStats(t *testing.T) {
 	m.ApplyTargets(0)
 	m.ResetStats()
 	st := m.Stats()
-	if st.MovesInUse != 0 || st.MovesUnused != 0 || st.Replacements != 0 || st.FailedReplace != nil {
+	if st != (Stats{}) {
 		t.Fatalf("ResetStats did not clear: %+v", st)
 	}
 }

@@ -36,8 +36,9 @@ type twin struct {
 }
 
 // newTwin builds the seeded deployment: a small region, three guaranteed
-// reservations (one restricted to a single hardware type), two elastic ones,
-// and every server free, in the shared buffer or bound at random.
+// reservations (one restricted to a single hardware type, and on
+// two-datacenter regions one pinned to datacenter 1), two elastic ones, and
+// every server free, in the shared buffer or bound at random.
 func newTwin(t testing.TB, seed int64) *twin {
 	rng := rand.New(rand.NewSource(seed))
 	region, err := topology.Generate(topology.GenSpec{
@@ -50,6 +51,9 @@ func newTwin(t testing.TB, seed int64) *twin {
 	classes := []hardware.Class{hardware.Web, hardware.DataStore, hardware.Feed1}
 	for i, class := range classes {
 		r := reservation.Reservation{Name: fmt.Sprintf("svc%d", i), Class: class, Policy: reservation.DefaultPolicy()}
+		if i == 0 && region.NumDCs == 2 {
+			r.Policy.SingleDC = 1
+		}
 		if i == 2 {
 			r.EligibleTypes = []int{region.Servers[rng.Intn(len(region.Servers))].Type}
 		}
@@ -166,8 +170,12 @@ func (tw *twin) apply(op, x, y byte) {
 	case 10: // any kind of failure, lasting one to four hours
 		kind := broker.UnavailKind(1 + int(y)%4)
 		until := tw.now + 3600*int64(1+int(y/4)%4)
+		pinned, misses := tw.pinRefuses(server), tw.m.Stats().ReplacementMiss
 		tw.b.SetUnavailable(server, kind, tw.now, until)
 		tw.rb.SetUnavailable(server, kind, tw.now, until)
+		if pinned && (kind == broker.RandomFailure || kind == broker.ToRFailure) && tw.m.Stats().ReplacementMiss > misses {
+			tw.seen["pin refused"]++
+		}
 	case 11: // one server recovers, or an hour passes and expired events clear
 		if y%2 == 0 {
 			tw.b.ClearUnavailable(server, tw.now)
@@ -179,6 +187,25 @@ func (tw *twin) apply(op, x, y byte) {
 			t.Fatalf("ExpireUnavailability = %v; reference %v", got, want)
 		}
 	}
+}
+
+// pinRefuses reports whether the server's reservation is pinned to one
+// datacenter and the shared buffer holds an available server of a type it
+// accepts in another datacenter: one that only the pin keeps out.
+func (tw *twin) pinRefuses(server topology.ServerID) bool {
+	r, err := tw.store.Get(tw.b.State(server).Current)
+	if err != nil || r.Policy.SingleDC < 0 {
+		return false
+	}
+	found := false
+	tw.b.ScanReservation(reservation.SharedBuffer, func(st *broker.ServerState) {
+		srv := &tw.region.Servers[st.ID]
+		if st.Unavail == broker.Available && srv.DC != r.Policy.SingleDC &&
+			r.Value(tw.region.Catalog, srv.Type, r.Policy.SingleDC) > 0 {
+			found = true
+		}
+	})
+	return found
 }
 
 // check requires both sides to agree on every server record and broker
@@ -252,7 +279,8 @@ func TestAllocatorMatchesReference(t *testing.T) {
 		stats.Unplaced += st.Unplaced
 	}
 	t.Logf("cases: %v; mover: %+v", seen, stats)
-	if seen["borrowed placement"] == 0 || seen["no capacity"] == 0 || stats.Replacements == 0 || stats.ReplacementMiss == 0 ||
+	if seen["borrowed placement"] == 0 || seen["no capacity"] == 0 || seen["pin refused"] == 0 ||
+		stats.Replacements == 0 || stats.ReplacementMiss == 0 ||
 		stats.Loans == 0 || stats.Revocations == 0 || stats.Unplaced == 0 {
 		t.Fatalf("the sequences exercise too little: %v, %+v", seen, stats)
 	}
@@ -379,7 +407,7 @@ func benchDeployment(tb testing.TB) (*broker.Broker, *Mover, []topology.ServerID
 			used += units
 		}
 	}
-	return b, New(b, nil, al), free
+	return b, New(b, reservation.NewStore(), al), free
 }
 
 // TestApplyTargetsAllocs pins ApplyTargets with nothing pending to no

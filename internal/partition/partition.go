@@ -154,7 +154,7 @@ func SplitDemands(region *topology.Region, states []broker.ServerState,
 				continue
 			}
 			srv := &region.Servers[i]
-			v := r.ValueAt(region.Catalog, srv.Type, srv.DC)
+			v := r.Value(region.Catalog, srv.Type, srv.DC)
 			if v <= 0 {
 				continue
 			}

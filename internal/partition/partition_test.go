@@ -176,7 +176,7 @@ func checkShares(t *testing.T, region *topology.Region, states []broker.ServerSt
 		capTotal, heldTotal := 0.0, 0.0
 		for i := range region.Servers {
 			srv := &region.Servers[i]
-			v := r.ValueAt(region.Catalog, srv.Type, srv.DC)
+			v := r.Value(region.Catalog, srv.Type, srv.DC)
 			if !states[i].Usable() || v <= 0 {
 				continue
 			}
@@ -290,8 +290,8 @@ func TestSplitDemandsCapacityRules(t *testing.T) {
 			counts[r.ID]++
 			if r.ID == pinned.ID {
 				ok := false
-				for m, part := range plan.PartOfMSB {
-					if part == p && region.DCOfMSB(m) == 0 {
+				for _, srv := range region.Servers {
+					if srv.DC == 0 && plan.PartOfMSB[srv.MSB] == p {
 						ok = true
 					}
 				}

@@ -111,10 +111,16 @@ func (r *Reservation) Eligible(t int, rru float64) bool {
 	return false
 }
 
-// Value is V_{s,r}, what one server of hardware type typeIdx contributes to
-// the reservation: its RRU value for the reservation's class, 1 for a
-// count-based reservation, and 0 when the type is not eligible.
-func (r *Reservation) Value(cat *hardware.Catalog, typeIdx int) float64 {
+// Value is V_{s,r}, what one server of hardware type typeIdx in datacenter
+// dc contributes to the reservation: its RRU value for the reservation's
+// class, 1 for a count-based reservation, and 0 when the type is not
+// eligible or dc is not the one a Policy.SingleDC restriction names. It is
+// the one eligibility rule: the solver prices servers by it, and the mover,
+// emergency grants and capacity reports take and count servers by it.
+func (r *Reservation) Value(cat *hardware.Catalog, typeIdx, dc int) float64 {
+	if r.Policy.SingleDC >= 0 && dc != r.Policy.SingleDC {
+		return 0
+	}
 	v := hardware.RRU(cat.Type(typeIdx), r.Class)
 	if !r.Eligible(typeIdx, v) {
 		return 0
@@ -123,15 +129,6 @@ func (r *Reservation) Value(cat *hardware.Catalog, typeIdx int) float64 {
 		return 1
 	}
 	return v
-}
-
-// ValueAt is Value for a server in datacenter dc: 0 outside the DC a
-// Policy.SingleDC restriction names.
-func (r *Reservation) ValueAt(cat *hardware.Catalog, typeIdx, dc int) float64 {
-	if r.Policy.SingleDC >= 0 && dc != r.Policy.SingleDC {
-		return 0
-	}
-	return r.Value(cat, typeIdx)
 }
 
 // Validate reports structural problems with the reservation.
@@ -278,13 +275,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.byID)
-}
-
-// Log returns a copy of the capacity-request log.
-func (s *Store) Log() []Request {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Request(nil), s.log...)
 }
 
 // Version reports the capacity-request log length: a monotone counter that

@@ -68,7 +68,7 @@ func TestStoreLog(t *testing.T) {
 	id, _ := s.Create(Reservation{Name: "a", RRUs: 5, Policy: DefaultPolicy()})
 	s.Resize(id, 7)
 	s.Delete(id)
-	log := s.Log()
+	log := s.ChangesSince(0)
 	if len(log) != 3 {
 		t.Fatalf("log has %d entries, want 3", len(log))
 	}

@@ -64,9 +64,6 @@ func (e *Engine) Now() Time { return e.now }
 // Processed reports how many events have run.
 func (e *Engine) Processed() int { return e.ran }
 
-// Pending reports how many events are scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
 // it would silently reorder causality.
 func (e *Engine) At(t Time, fn func(now Time)) {
@@ -106,16 +103,4 @@ func (e *Engine) RunUntil(t Time) {
 	if t > e.now {
 		e.now = t
 	}
-}
-
-// Step executes exactly the next event (if any) and reports whether one ran.
-func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.events).(event)
-	e.now = ev.at
-	e.ran++
-	ev.fn(e.now)
-	return true
 }

@@ -105,21 +105,6 @@ func TestPastSchedulingPanics(t *testing.T) {
 	e.At(5, func(Time) {})
 }
 
-func TestStep(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty queue")
-	}
-	e.At(5, func(Time) {})
-	e.At(10, func(Time) {})
-	if !e.Step() || e.Now() != 5 {
-		t.Fatalf("Step: now=%d", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d", e.Pending())
-	}
-}
-
 func TestAfter(t *testing.T) {
 	e := NewEngine()
 	e.At(100, func(now Time) {

@@ -287,7 +287,7 @@ func checkCapacity(t *testing.T, what string, in solver.Input, res *ras.SolveRes
 				continue
 			}
 			srv := &region.Servers[i]
-			v := r.ValueAt(region.Catalog, srv.Type, srv.DC)
+			v := r.Value(region.Catalog, srv.Type, srv.DC)
 			total += v
 			perMSB[srv.MSB] += v
 			worst = math.Max(worst, perMSB[srv.MSB])

@@ -82,7 +82,7 @@ func Evaluate(in Input, cfg Config, targets []reservation.ID) Eval {
 		}
 		srv := &in.Region.Servers[i]
 		for si := range specs {
-			val[si] = specs[si].res.ValueAt(in.Region.Catalog, srv.Type, srv.DC)
+			val[si] = specs[si].res.Value(in.Region.Catalog, srv.Type, srv.DC)
 			if v := val[si]; v > 0 {
 				eligTotal[si] += v
 				eligDC[si][srv.DC] += v

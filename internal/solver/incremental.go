@@ -240,7 +240,7 @@ func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []top
 	vval := matrix(store.vval, nG, nS)
 	for gi, g := range groups {
 		for si := range specs {
-			vval[gi][si] = specs[si].res.ValueAt(cat, g.key.typeIdx, g.dc)
+			vval[gi][si] = specs[si].res.Value(cat, g.key.typeIdx, g.dc)
 		}
 	}
 	stats.RASBuild = clock.Since(t0)

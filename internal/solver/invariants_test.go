@@ -131,8 +131,9 @@ func invariantCheck(t *testing.T, seed int64) bool {
 				if res.Targets[i] != r.ID {
 					continue
 				}
-				v := r.Value(region.Catalog, region.Servers[i].Type)
-				perMSB[region.Servers[i].MSB] += v
+				srv := &region.Servers[i]
+				v := r.Value(region.Catalog, srv.Type, srv.DC)
+				perMSB[srv.MSB] += v
 				total += v
 			}
 			worst := 0.0

@@ -439,7 +439,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 		}
 		p.clsWord[c+1] = p.clsWord[c] + int(n+63)/64
 		for s := range specs {
-			p.val[s*p.nC+c] = specs[s].res.ValueAt(reg.Catalog, k/nD%nT, k%nD)
+			p.val[s*p.nC+c] = specs[s].res.Value(reg.Catalog, k/nD%nT, k%nD)
 		}
 		keyCls[k] = int32(c)
 		c++
@@ -485,7 +485,7 @@ func newRepairPass(in *Input, cfg *Config, specs []resSpec, targets []reservatio
 	if unseat {
 		for i := range targets {
 			srv := &reg.Servers[i]
-			if s, ok := p.userSpec[targets[i]]; !ok || specs[s].res.ValueAt(reg.Catalog, srv.Type, srv.DC) <= 0 {
+			if s, ok := p.userSpec[targets[i]]; !ok || specs[s].res.Value(reg.Catalog, srv.Type, srv.DC) <= 0 {
 				targets[i] = reservation.Unassigned
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
@@ -20,12 +21,19 @@ import (
 
 // specValue is V_{s,r} for a server of the given hardware type and DC under
 // spec s, honouring the SingleDC policy: the reference's own copy of
-// Reservation.ValueAt.
+// Reservation.Value.
 func specValue(in Input, s *resSpec, typeIdx, dc int) float64 {
 	if s.res.Policy.SingleDC >= 0 && dc != s.res.Policy.SingleDC {
 		return 0
 	}
-	return s.res.Value(in.Region.Catalog, typeIdx)
+	v := hardware.RRU(in.Region.Catalog.Type(typeIdx), s.res.Class)
+	if !s.res.Eligible(typeIdx, v) {
+		return 0
+	}
+	if s.res.CountBased {
+		return 1
+	}
+	return v
 }
 
 // repairTargetsRef is the pop backend's recombination pass: a deterministic

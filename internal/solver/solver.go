@@ -970,10 +970,14 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 		outs[k].cr += s.res.RRUs
 		outs[k].res, outs[k].alpha = &s.res, s.alphaK
 	}
+	// One value per type, read at the reservation's own datacenter, suffices:
+	// phase 1 has no variable where a server's value is 0, so the phase-1
+	// targets of a SingleDC reservation all lie in its datacenter.
 	for k := range outs {
 		outs[k].value = make([]float64, cat.Len())
+		dc := max(outs[k].res.Policy.SingleDC, 0)
 		for t := range outs[k].value {
-			outs[k].value[t] = outs[k].res.Value(cat, t)
+			outs[k].value[t] = outs[k].res.Value(cat, t, dc)
 		}
 	}
 	for i := range in.Region.Servers {

@@ -36,16 +36,7 @@ type Region struct {
 	NumDCs   int
 	NumMSBs  int
 	NumRacks int
-
-	msbToDC   []int // MSB index → DC index
-	rackToMSB []int // rack index → MSB index
 }
-
-// DCOfMSB reports the datacenter of an MSB.
-func (r *Region) DCOfMSB(msb int) int { return r.msbToDC[msb] }
-
-// MSBOfRack reports the MSB of a rack.
-func (r *Region) MSBOfRack(rack int) int { return r.rackToMSB[rack] }
 
 // Server returns the server with the given ID.
 func (r *Region) Server(id ServerID) *Server { return &r.Servers[id] }
@@ -66,16 +57,6 @@ func (r *Region) ServersByRack() [][]ServerID {
 	for i := range r.Servers {
 		s := &r.Servers[i]
 		out[s.Rack] = append(out[s.Rack], s.ID)
-	}
-	return out
-}
-
-// ServersByDC partitions server IDs by datacenter (the ΨD partition).
-func (r *Region) ServersByDC() [][]ServerID {
-	out := make([][]ServerID, r.NumDCs)
-	for i := range r.Servers {
-		s := &r.Servers[i]
-		out[s.DC] = append(out[s.DC], s.ID)
 	}
 	return out
 }
@@ -160,14 +141,12 @@ func Generate(spec GenSpec) (*Region, error) {
 	numServers := numRacks * spec.ServersPerRack
 
 	r := &Region{
-		Name:      spec.Name,
-		Catalog:   cat,
-		Servers:   make([]Server, 0, numServers),
-		NumDCs:    spec.DCs,
-		NumMSBs:   numMSBs,
-		NumRacks:  numRacks,
-		msbToDC:   make([]int, numMSBs),
-		rackToMSB: make([]int, numRacks),
+		Name:     spec.Name,
+		Catalog:  cat,
+		Servers:  make([]Server, 0, numServers),
+		NumDCs:   spec.DCs,
+		NumMSBs:  numMSBs,
+		NumRacks: numRacks,
 	}
 
 	msb := 0
@@ -175,7 +154,6 @@ func Generate(spec GenSpec) (*Region, error) {
 	var id ServerID
 	for dc := 0; dc < spec.DCs; dc++ {
 		for mi := 0; mi < spec.MSBsPerDC; mi++ {
-			r.msbToDC[msb] = dc
 			// MSB "age": 0 (oldest) .. 1 (newest), by global deployment order.
 			age := 0.0
 			if numMSBs > 1 {
@@ -183,7 +161,6 @@ func Generate(spec GenSpec) (*Region, error) {
 			}
 			weights := msbTypeWeights(cat, age, spec.Uniform, rng)
 			for ri := 0; ri < spec.RacksPerMSB; ri++ {
-				r.rackToMSB[rack] = msb
 				// Racks are homogeneous in practice: pick one type per rack.
 				t := sampleType(weights, rng)
 				for si := 0; si < spec.ServersPerRack; si++ {

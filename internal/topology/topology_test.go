@@ -16,6 +16,22 @@ func gen(t testing.TB, spec GenSpec) *Region {
 	return r
 }
 
+// nested reports the first server that disagrees with an earlier server of
+// its rack about their MSB, or of its MSB about their datacenter.
+func nested(r *Region) (ServerID, bool) {
+	msbOfRack, dcOfMSB := map[int]int{}, map[int]int{}
+	for _, s := range r.Servers {
+		if m, ok := msbOfRack[s.Rack]; ok && m != s.MSB {
+			return s.ID, false
+		}
+		if d, ok := dcOfMSB[s.MSB]; ok && d != s.DC {
+			return s.ID, false
+		}
+		msbOfRack[s.Rack], dcOfMSB[s.MSB] = s.MSB, s.DC
+	}
+	return 0, true
+}
+
 func TestGenerateCounts(t *testing.T) {
 	r := gen(t, GenSpec{DCs: 2, MSBsPerDC: 3, RacksPerMSB: 4, ServersPerRack: 5, Seed: 1})
 	if r.NumDCs != 2 || r.NumMSBs != 6 || r.NumRacks != 24 {
@@ -52,15 +68,12 @@ func TestHierarchyConsistency(t *testing.T) {
 		if int(s.ID) != i {
 			t.Fatalf("server %d has ID %d", i, s.ID)
 		}
-		if r.MSBOfRack(s.Rack) != s.MSB {
-			t.Fatalf("rack %d maps to MSB %d, server says %d", s.Rack, r.MSBOfRack(s.Rack), s.MSB)
-		}
-		if r.DCOfMSB(s.MSB) != s.DC {
-			t.Fatalf("MSB %d maps to DC %d, server says %d", s.MSB, r.DCOfMSB(s.MSB), s.DC)
-		}
 		if r.Server(s.ID) != s {
 			t.Fatal("Server() must return the same record")
 		}
+	}
+	if id, ok := nested(r); !ok {
+		t.Fatalf("server %+v leaves the rack → MSB → DC hierarchy", r.Servers[id])
 	}
 }
 
@@ -69,7 +82,6 @@ func TestPartitionsCoverExactly(t *testing.T) {
 	for name, part := range map[string][][]ServerID{
 		"msb":  r.ServersByMSB(),
 		"rack": r.ServersByRack(),
-		"dc":   r.ServersByDC(),
 	} {
 		seen := make(map[ServerID]bool)
 		for _, grp := range part {
@@ -190,11 +202,9 @@ func TestQuickGenerate(t *testing.T) {
 			if sv.Type < 0 || sv.Type >= r.Catalog.Len() {
 				return false
 			}
-			if sv.MSB != r.MSBOfRack(sv.Rack) || sv.DC != r.DCOfMSB(sv.MSB) {
-				return false
-			}
 		}
-		return true
+		_, ok := nested(r)
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -302,7 +302,7 @@ func (s *System) GuaranteedRRUs(id ReservationID) (total, afterWorstMSB float64,
 	perMSB := make([]float64, s.region.NumMSBs)
 	for _, sid := range s.broker.ServersIn(id) {
 		srv := s.region.Server(sid)
-		v := r.Value(s.region.Catalog, srv.Type)
+		v := r.Value(s.region.Catalog, srv.Type, srv.DC)
 		if v <= 0 {
 			continue
 		}

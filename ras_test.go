@@ -487,7 +487,7 @@ func TestUnserviceableRequestIsExplained(t *testing.T) {
 				EligibleTypes: []int{mlType}, Policy: ras.DefaultPolicy()}
 			ml.Policy.SingleDC = 1
 			for _, srv := range region.Servers {
-				if srv.DC == 1 && ml.ValueAt(region.Catalog, srv.Type, srv.DC) > 0 {
+				if srv.DC == 1 && ml.Value(region.Catalog, srv.Type, srv.DC) > 0 {
 					sys.Broker().SetUnavailable(srv.ID, broker.RandomFailure, 0, 1000)
 				}
 			}
@@ -551,7 +551,7 @@ func TestUnserviceableRequestIsExplained(t *testing.T) {
 						continue
 					}
 					srv := &region.Servers[i]
-					v := o.ValueAt(region.Catalog, srv.Type, srv.DC)
+					v := o.Value(region.Catalog, srv.Type, srv.DC)
 					total += v
 					perMSB[srv.MSB] += v
 					worst = math.Max(worst, perMSB[srv.MSB])
