@@ -37,10 +37,10 @@ test:
 # exercise Workers > 1 (the branch-and-bound node pool drained by several
 # workers while the root heuristics run, pop's concurrent sub-solves) under
 # the race detector. One -count=1 run of these three steps on a 2-CPU host
-# took 2 min 3 s: internal/experiments (66 s) and internal/solver (45 s)
+# took 2 min 30 s: internal/solver (67 s) and internal/experiments (62 s)
 # keep a 10-minute timeout; the rest run at 3 minutes, the slowest being
-# internal/backend (45 s, 40 s of it TestQuietRoundsSettle), internal/lp
-# (19 s), internal/lint (9 s) and internal/mip (6 s).
+# internal/backend (31 s, 27 s of it TestQuietRoundsSettle), internal/lp
+# (27 s), internal/lint (13 s) and internal/mip (7 s).
 # The packages where a lock kept on one path hangs first (RACE_HANG: the
 # broker and the packages that drive it) run alone and first, so such a hang
 # fails the gate at its one 3-minute timeout, before anything else starts.

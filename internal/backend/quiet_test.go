@@ -17,8 +17,10 @@ import (
 // on every server: mip without the rack phase from round 3, and it never
 // ships targets that Evaluate scores worse than their start; mip with the
 // rack phase, which trades the phase-1 objective for rack spread and takes
-// longer, in rounds 16–20; local search from round 3. pop does not settle
-// yet, and is left out.
+// longer, in rounds 16–20, where neither phase searches a node any more: a
+// settled phase's search stalled, and a model that stays the same resumes
+// its stall count (mip.Options.StallNodes) instead of re-running it; local
+// search from round 3. pop does not settle yet, and is left out.
 func TestQuietRoundsSettle(t *testing.T) {
 	budget := solver.Config{MaxNodes: 100, Phase1TimeLimit: time.Minute, Phase2TimeLimit: time.Minute}
 	noRack := budget
@@ -28,10 +30,11 @@ func TestQuietRoundsSettle(t *testing.T) {
 		cfg           solver.Config
 		rounds, quiet int // run rounds 1..rounds; rounds quiet..rounds must not move
 		noWorse       bool
+		noNodes       bool // nor search a node
 	}{
-		{"mip/rack-off", "mip", noRack, 5, 3, true},
-		{"mip/rack-on", "mip", budget, 20, 16, false},
-		{"localsearch", "localsearch", budget, 5, 3, false},
+		{"mip/rack-off", "mip", noRack, 5, 3, true, false},
+		{"mip/rack-on", "mip", budget, 20, 16, false, true},
+		{"localsearch", "localsearch", budget, 5, 3, false, false},
 	} {
 		be, err := New(c.backend, Config{Solver: c.cfg})
 		if err != nil {
@@ -59,6 +62,9 @@ func TestQuietRoundsSettle(t *testing.T) {
 					}
 					if round >= c.quiet && changed > 0 {
 						t.Errorf("round %d: %d servers change binding (moves %+v), want none", round, changed, res.Moves)
+					}
+					if c.noNodes && round >= c.quiet && res.MIP.Phase1.Nodes+res.MIP.Phase2.Nodes > 0 {
+						t.Errorf("round %d: %d + %d nodes, want none", round, res.MIP.Phase1.Nodes, res.MIP.Phase2.Nodes)
 					}
 					if c.noWorse {
 						before, after := solver.Evaluate(in, c.cfg, current).Objective, solver.Evaluate(in, c.cfg, res.Targets).Objective

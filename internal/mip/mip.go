@@ -111,7 +111,7 @@ func (l *nameList) reset() { l.buf, l.end = l.buf[:0], l.end[:0] }
 // Solve snapshots, every row's reachable continuous activity (recomputed only
 // when a continuous column's bound changed), the root search's scratch, and
 // the storage of the incumbent and of its snapshots (until one escapes into a
-// Result).
+// Result), and the stall rule's progress.
 type solveState struct {
 	rootLo, rootUp   []float64
 	contMin, contMax []float64 // per-row reachable continuous activity, lower and upper side
@@ -119,6 +119,19 @@ type solveState struct {
 	scratch          scratch
 	incumbent        []float64
 	incCopy          []float64
+	stall            stallCarry
+}
+
+// stallCarry is the stall rule's progress at the end of a search that left a
+// gap above AbsGap: the nodes since its last incumbent or bound gain, the
+// best bound it saw, and the root LP and incumbent objectives it ran from and
+// ended at. The next solve resumes the count when its root LP objective and
+// its seeded incumbent's objective are bit-equal to root and inc: the same
+// search again, which the count already says cannot gain. nodes is 0 when
+// nothing is carried.
+type stallCarry struct {
+	nodes            int64
+	bound, root, inc float64
 }
 
 type rowRef struct {
@@ -190,6 +203,7 @@ func (m *Model) Reset() {
 	clear(m.penalty)
 	m.idxRows, m.idxVars = -1, -1
 	m.kept.contOK = false
+	m.kept.stall = stallCarry{}
 }
 
 // NumVars reports the number of variables added so far.
@@ -436,7 +450,10 @@ type Options struct {
 	// its answer but cannot prove it against a degenerate (flat) bound.
 	// The rule is keyed to the global node counter, never wall-clock, so
 	// serial solves stay deterministic. Zero disables the rule; it is also
-	// inert unless StallGap > 0.
+	// inert unless StallGap > 0. A solve that ends with a gap above AbsGap
+	// leaves its count to the model's next solve, which resumes it when its
+	// root LP and seeded incumbent objectives are the same to the bit; a
+	// search that resumes stalled skips its root heuristics and polish.
 	StallNodes int
 	// StallGap is the absolute-gap ceiling below which the stall rule may
 	// fire. Zero disables the rule.

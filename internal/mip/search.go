@@ -68,6 +68,12 @@ type engine struct {
 	// initially). Both are monotone, so stale reads only delay a stall stop.
 	lastGain  atomic.Int64
 	boundBits atomic.Uint64
+	// carry is what the model's last solve left for the stall rule, and
+	// stalledAtEntry that this solve resumed it already stalled
+	// (resumeStall): the root heuristics and the polish then have nothing to
+	// try that the last solve did not.
+	carry          stallCarry
+	stalledAtEntry bool
 }
 
 func newEngine(ctx context.Context, m *Model, opt Options) *engine {
@@ -79,7 +85,9 @@ func newEngine(ctx context.Context, m *Model, opt Options) *engine {
 		n:      m.prob.NumVars(),
 		incObj: math.Inf(1),
 		kept:   k,
+		carry:  k.stall,
 	}
+	k.stall = stallCarry{} // a solve that stops early leaves none
 	rows := m.prob.NumRows()
 
 	// Save root bounds so the model is unchanged after Solve and so node
@@ -172,6 +180,22 @@ func (e *engine) stalled(bb float64) bool {
 		return false
 	}
 	return e.nodes.Load()-e.lastGain.Load() >= int64(opt.StallNodes)
+}
+
+// resumeStall resumes the stall rule's count from what the model's last
+// solve left, when this solve's root LP objective (root) and seeded
+// incumbent — no heuristic has run yet — are that solve's to the bit, and
+// notes whether the search is stalled at entry: it then stops at its first
+// node.
+func (e *engine) resumeStall(root float64) {
+	c := e.carry
+	if c.nodes <= 0 || math.Float64bits(c.root) != math.Float64bits(root) ||
+		math.Float64bits(c.inc) != math.Float64bits(e.bestObj()) {
+		return
+	}
+	e.lastGain.Store(e.nodes.Load() - c.nodes)
+	e.boundBits.Store(math.Float64bits(c.bound))
+	e.stalledAtEntry = e.stalled(root)
 }
 
 // restoreRootBounds resets the model's own problem to its root bounds so the
@@ -464,7 +488,11 @@ func (s *search) solveRoot(res *Result) (lp.Solution, bool) {
 	res.RootLPIters = sol.Iterations
 	res.RootWarm = sol.WarmStarted
 	res.RootCold = sol.ColdFallback
-	return sol, s.e.handleRootStatus(res, sol)
+	if s.e.handleRootStatus(res, sol) {
+		return sol, true
+	}
+	s.e.resumeStall(sol.Objective)
+	return sol, false
 }
 
 // intAct computes the integer-variable activity of every row at xi, into the
@@ -976,6 +1004,9 @@ func (s *search) processNode(nd node, open []node) []node {
 // first LP starts with no basis) and a final repair polish of the incumbent.
 func (s *search) rootHeuristics(rootSol lp.Solution) {
 	e := s.e
+	if e.stalledAtEntry {
+		return
+	}
 	s.roundRepairComplete(rootSol.X)
 	s.dive(rootSol.X, 0.5)
 	// A second, up-biased dive targets residual shortfalls that the
@@ -1004,11 +1035,13 @@ func (s *search) rootHeuristics(rootSol lp.Solution) {
 // on the incumbent, which node incumbents found mid-search never saw and which
 // often closes residual soft-penalty slack. An incumbent within AbsGap of the
 // best outstanding bound is left alone: the search prunes at that distance
-// everywhere, so nothing the completion LP could return would be kept.
+// everywhere, so nothing the completion LP could return would be kept. A
+// search stalled at entry is the last one again, whose incumbent that one's
+// polish saw.
 func (s *search) polish(bound float64) {
 	e := s.e
 	inc, incObj := e.incumbentCopy(false)
-	if inc == nil || incObj-bound <= e.opt.AbsGap {
+	if inc == nil || incObj-bound <= e.opt.AbsGap || e.stalledAtEntry {
 		return
 	}
 	for j := 0; j < e.n; j++ {
@@ -1025,7 +1058,9 @@ func newResult() Result {
 
 // finalResult assembles the end-of-search Result from the best outstanding
 // node bound and the number of unexplored open nodes, applying the shared
-// Optimal/Feasible/Cancelled/Infeasible classification.
+// Optimal/Feasible/Cancelled/Infeasible classification. A search that ran to
+// its end with a gap above AbsGap leaves the model its stall count
+// (stallCarry).
 func (e *engine) finalResult(res Result, outstanding float64, openNodes int) Result {
 	opt := e.opt
 	incumbent, incObj := e.incumbentCopy(true)
@@ -1041,6 +1076,10 @@ func (e *engine) finalResult(res Result, outstanding float64, openNodes int) Res
 	res.Objective = incObj
 	res.X = incumbent
 	gap := incObj - res.Bound
+	if gap > opt.AbsGap && !e.timedOut.Load() && !e.cancelled.Load() {
+		e.m.kept.stall = stallCarry{nodes: e.nodes.Load() - e.lastGain.Load(),
+			bound: math.Float64frombits(e.boundBits.Load()), root: res.RootObjective, inc: incObj}
+	}
 	rel := gap / (1 + math.Abs(res.Objective))
 	if openNodes == 0 || gap <= opt.AbsGap || rel <= relGap {
 		res.Status = Optimal

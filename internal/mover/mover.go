@@ -138,9 +138,13 @@ func (m *Mover) HandleFailure(ev broker.Event, now int64) {
 
 // replaceFromBuffer moves into the failed server's reservation one buffer
 // server that the reservation values above 0 (Reservation.Value, datacenter
-// pin included), revoking its loan if it has one.
+// pin included), revoking its loan if it has one. A reservation the store no
+// longer holds has nothing to replace: the next solve frees its servers.
 func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID) {
-	rsv, err := m.store.Get(into) // a deleted reservation takes any server
+	rsv, err := m.store.Get(into)
+	if err != nil {
+		return
+	}
 	failedType := m.region.Servers[failed].Type
 
 	// Prefer identical hardware, then un-loaned servers: rank 0 is same type
@@ -152,7 +156,7 @@ func (m *Mover) replaceFromBuffer(failed topology.ServerID, into reservation.ID)
 			return
 		}
 		srv := &m.region.Servers[st.ID]
-		if err == nil && rsv.Value(m.region.Catalog, srv.Type, srv.DC) <= 0 {
+		if rsv.Value(m.region.Catalog, srv.Type, srv.DC) <= 0 {
 			return
 		}
 		loaned := st.LoanedTo != reservation.Unassigned

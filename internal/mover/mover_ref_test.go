@@ -54,9 +54,12 @@ func (m *refMover) HandleFailure(ev broker.Event, now int64) {
 
 // replaceFromBuffer moves one eligible shared-buffer server into the failed
 // server's reservation. Loaned-out buffer servers are revoked if necessary.
+// A deleted reservation gets none.
 func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.ID) {
 	rsv, err := m.store.Get(into)
-	known := err == nil
+	if err != nil {
+		return
+	}
 	failedType := m.region.Servers[failed].Type
 
 	snap := m.broker.Snapshot()
@@ -73,14 +76,11 @@ func (m *refMover) replaceFromBuffer(failed topology.ServerID, into reservation.
 		}
 		srv := &m.region.Servers[st.ID]
 		t := srv.Type
-		if known {
-			if rsv.Policy.SingleDC >= 0 && srv.DC != rsv.Policy.SingleDC {
-				continue
-			}
-			v := hardware.RRU(m.region.Catalog.Type(t), rsv.Class)
-			if !rsv.Eligible(t, v) {
-				continue
-			}
+		if rsv.Policy.SingleDC >= 0 && srv.DC != rsv.Policy.SingleDC {
+			continue
+		}
+		if v := hardware.RRU(m.region.Catalog.Type(t), rsv.Class); !rsv.Eligible(t, v) {
+			continue
 		}
 		cands = append(cands, cand{
 			id:     st.ID,

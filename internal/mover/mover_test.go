@@ -112,6 +112,32 @@ func TestReplacementMissRecorded(t *testing.T) {
 	}
 }
 
+// TestNoReplacementForDeletedReservation: a failed server of a reservation
+// the store no longer holds is not replaced — the next solve frees it — so
+// the buffer server stays in the buffer.
+func TestNoReplacementForDeletedReservation(t *testing.T) {
+	b, store, _, m := setup(t)
+	id, err := store.Create(reservation.Reservation{Name: "gone", Policy: reservation.DefaultPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetCurrent(0, id)
+	b.SetCurrent(1, reservation.SharedBuffer)
+	if err := store.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+
+	b.SetUnavailable(0, broker.RandomFailure, 10, 1000)
+	m.HandleFailure(broker.Event{Server: 0, Kind: broker.RandomFailure, Time: 10}, 10)
+
+	if got := b.State(1).Current; got != reservation.SharedBuffer {
+		t.Fatalf("buffer server 1 bound to %d, the deleted reservation %d", got, id)
+	}
+	if st := m.Stats(); st.Replacements != 0 {
+		t.Fatalf("replacements = %d, want 0", st.Replacements)
+	}
+}
+
 // TestReplacementHonoursEligibilityOfUnnamedReservation: a reservation's
 // eligibility applies whether or not it has a name. The shared buffer holds
 // one server, of a type the reservation does not accept, so the failure is a

@@ -22,7 +22,8 @@ func RackFingerprint(in Input, cfg Config, w *WarmState) uint64 {
 	cfg = cfg.withDefaults(in.Region)
 	specs := buildSpecs(in, cfg)
 	targets := bp.curRef
-	specs2, pool2 := rackScope(specs, pickPhase2(in, specs, targets), appendUsable(nil, in), targets, nil)
+	var t roundTables
+	specs2, pool2 := t.rackScope(specs, t.pickPhase2(in, specs, targets), appendUsable(nil, in), targets)
 	var stats PhaseStats
 	return new(builtPhase).rebuild(in, cfg, specs2, pool2, targets, true, &stats).m.Fingerprint()
 }

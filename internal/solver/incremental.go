@@ -133,6 +133,45 @@ type specRows struct {
 	affSlack  []mip.Var // by DC; -1 absent
 }
 
+// reset empties sp for a new layout, keeping its tables' storage.
+func (sp *specRows) reset() {
+	*sp = specRows{env: -1, capRow: -1, capSlack: -1,
+		envRow: sp.envRow[:0], spreadRow: sp.spreadRow[:0], spreadVar: sp.spreadVar[:0], spreadCut: sp.spreadCut[:0],
+		rackRow: sp.rackRow[:0], rackVar: sp.rackVar[:0], rackCut: sp.rackCut[:0],
+		affRow: sp.affRow[:0], affSlack: sp.affSlack[:0]}
+}
+
+// negs returns n entries of -1 in s's storage, or in new storage when s has
+// no room for them.
+func negs[T ~int](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+// positions fills m — a new map when m is nil — with each key's position in
+// keys.
+func positions(m map[int]int, keys []int) map[int]int {
+	m = cleared(m, len(keys))
+	for k, key := range keys {
+		m[key] = k
+	}
+	return m
+}
+
+// layoutScratch is layout's working storage, which the next rebuild lays out
+// with again.
+type layoutScratch struct {
+	scopes     [3]scopes // the groups by MSB, rack and DC
+	dcs        []int     // the DCs with groups
+	all        []int     // every group index
+	terms, row []mip.Term
+	perMSB     [][]mip.Term
+	envKeys    []int
+}
+
 // builtPhase is one phase's cached model: the mip.Model plus every piece of
 // bookkeeping needed to (a) run the MIP step, (b) patch the model in place
 // for a compatible next-round input, and (c) prove the patch kept it
@@ -146,27 +185,18 @@ type builtPhase struct {
 	cfg       Config
 	nDCs      int
 
-	specs    []resSpec // copy; RRUs tracked through patches
-	specByID map[reservation.ID][]int
+	layoutIndex // the live index: where this model's columns and rows are
+	// spare is the index of the phase this one replaced, which carryBasis
+	// reads, and the storage the next rebuild lays out into.
+	spare layoutIndex
 
+	specByID map[reservation.ID][]int
 	groups   []*group
-	groupIdx map[groupKey]int
 
 	vval      [][]float64 // V_{g,s}
 	initCount [][]float64 // X_{g,s}, kept current through patches
 	initX     []float64   // warm-start point, parallel to model variables
 	solved    [][]float64 // the last solve's counts (solvedCounts), rows over one backing array
-
-	nVar      [][]mip.Var
-	assignRow []int
-	moveVar   [][]mip.Var
-	moveRow   [][]int
-
-	sp      []specRows
-	msbs    []int
-	racks   []int
-	msbIdx  map[int]int
-	rackIdx map[int]int
 
 	assignVars int
 	cutRows    int // rounding-cut rows laid out next to spread hinges
@@ -178,6 +208,28 @@ type builtPhase struct {
 	serverGroup []int32 // group index; -1 outside the pool
 	countSpec   []int32 // spec index the server's initCount charge went to; -1 none
 	subset      []topology.ServerID
+
+	grouping groupStore    // groupServers' tables
+	scratch  layoutScratch // layout's working storage
+}
+
+// layoutIndex says what every column and row of a phase's model is: the
+// specs and symmetry groups it was laid out for, and where layout put each
+// cell's count, move hinge and assignment row and each spec's rows.
+type layoutIndex struct {
+	specs    []resSpec // copy; RRUs tracked through patches
+	groupIdx map[groupKey]int
+
+	nVar      [][]mip.Var
+	assignRow []int
+	moveVar   [][]mip.Var
+	moveRow   [][]int
+
+	sp      []specRows
+	msbs    []int
+	racks   []int
+	msbIdx  map[int]int
+	rackIdx map[int]int
 }
 
 // solvedCounts rounds the group counts of the solution x into bp.solved —
@@ -219,20 +271,19 @@ func matrix[T any](m [][]T, nG, nS int) [][]T {
 // group, cell and spec, the same three functions patch runs over what a delta
 // touched — into the storage of old, the phase the new one replaces: its
 // model (mip.Model.Reset), the value, count, solution and warm-start
-// matrices and the per-server tables. old keeps its layout index alone —
-// what carryBasis reads — and is spent: a later round that finds it rebuilds
-// into new storage. A first build is the same code from a zero builtPhase.
+// matrices, the per-server and grouping tables, and its spare layout index.
+// old's live index becomes the new phase's spare, intact for carryBasis, and
+// old is spent: a later round that finds it rebuilds into new storage. A
+// first build is the same code from a zero builtPhase.
 func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 	targets []reservation.ID, rackLevel bool, stats *PhaseStats) *builtPhase {
 
 	store := *old
-	*old = builtPhase{specs: store.specs, groupIdx: store.groupIdx, assignRow: store.assignRow,
-		nVar: store.nVar, moveVar: store.moveVar, moveRow: store.moveRow,
-		sp: store.sp, msbIdx: store.msbIdx, rackIdx: store.rackIdx}
+	*old = builtPhase{}
 
 	// ---------------- RAS build: grouping & constants. -------------------
 	t0 := clock.Now()
-	groups, groupIdx := groupServers(in, pool, rackLevel, store.groups)
+	groups, groupIdx := store.grouping.groupServers(in, pool, rackLevel, store.groups, store.spare.groupIdx)
 	cat := in.Region.Catalog
 	nG, nS := len(groups), len(specs)
 
@@ -287,26 +338,29 @@ func (old *builtPhase) rebuild(in Input, cfg Config, specs []resSpec, pool []top
 		m.Reset()
 	}
 	bp := &builtPhase{
-		m:         m,
-		region:    in.Region,
-		rackLevel: rackLevel,
-		cfg:       cfg,
-		nDCs:      in.Region.NumDCs,
-		specs:     append([]resSpec(nil), specs...),
-		specByID:  specByID,
-		groups:    groups,
-		groupIdx:  groupIdx,
-		vval:      vval,
-		initCount: initCount,
-		initX:     store.initX,
-		solved:    store.solved,
+		m:           m,
+		region:      in.Region,
+		rackLevel:   rackLevel,
+		cfg:         cfg,
+		nDCs:        in.Region.NumDCs,
+		layoutIndex: store.spare,
+		spare:       store.layoutIndex,
+		specByID:    specByID,
+		groups:      groups,
+		vval:        vval,
+		initCount:   initCount,
+		initX:       store.initX,
+		solved:      store.solved,
 
 		curRef:      curRef,
 		inPool:      slices.Grow(store.inPool[:0], n)[:n],
 		serverGroup: serverGroup,
 		countSpec:   countSpec,
 		subset:      append(store.subset[:0], in.Subset...),
+		grouping:    store.grouping,
+		scratch:     store.scratch,
 	}
+	bp.specs, bp.groupIdx = append(bp.specs[:0], specs...), groupIdx
 	clear(bp.inPool)
 	for _, id := range pool {
 		bp.inPool[id] = true
@@ -350,18 +404,18 @@ func (l label) d(x int) label    { return strconv.AppendInt(l, int64(x), 10) }
 // of α·C_r for count-based specs (roundingCut) — exactly what patch treats as
 // structural drift.
 func (bp *builtPhase) layout() {
-	m, groups, specs := bp.m, bp.groups, bp.specs
+	m, groups, specs, sc := bp.m, bp.groups, bp.specs, &bp.scratch
 	nG, nS := len(groups), len(specs)
 	var nm label
 	// Scratch, sized for the longest row: the model copies every row it is
 	// given.
-	terms, row := make([]mip.Term, 0, nG+nS+2), make([]mip.Term, 0, nG+1)
+	terms, row := slices.Grow(sc.terms[:0], nG+nS+2), slices.Grow(sc.row[:0], nG+1)
 
 	// Count variables n_{g,s}, (5) assignment Σ_s n_{g,s} ≤ |g|, and
 	// (1) stability: cost M · max(0, X − n) per cell with X > 0.
-	bp.nVar = matrix[mip.Var](nil, nG, nS) // -1 if absent
-	bp.moveVar = matrix[mip.Var](nil, nG, nS)
-	bp.moveRow = matrix[int](nil, nG, nS)
+	bp.nVar = matrix(bp.nVar, nG, nS) // -1 if absent
+	bp.moveVar = matrix(bp.moveVar, nG, nS)
+	bp.moveRow = matrix(bp.moveRow, nG, nS)
 	for gi, g := range groups {
 		for si := range specs {
 			bp.nVar[gi][si], bp.moveVar[gi][si], bp.moveRow[gi][si] = -1, -1, -1
@@ -379,9 +433,8 @@ func (bp *builtPhase) layout() {
 			bp.assignVars++
 		}
 	}
-	bp.assignRow = make([]int, nG)
+	bp.assignRow = negs(bp.assignRow, nG)
 	for gi := range groups {
-		bp.assignRow[gi] = -1
 		terms = terms[:0]
 		for si := range specs {
 			if bp.nVar[gi][si] >= 0 {
@@ -407,31 +460,26 @@ func (bp *builtPhase) layout() {
 
 	// Scopes the per-spec rows sum over: MSBs, racks (phase 2), DCs, all.
 	var msbGroups, rackGroups, dcGroups map[int][]int // scope → group indices
-	msbGroups, bp.msbs = groupsBy(groups, func(g *group) int { return g.msb })
+	msbGroups, bp.msbs = sc.scopes[0].groupsBy(groups, func(g *group) int { return g.msb }, bp.msbs)
+	bp.racks = bp.racks[:0]
 	if bp.rackLevel {
-		rackGroups, bp.racks = groupsBy(groups, func(g *group) int { return g.rack })
+		rackGroups, bp.racks = sc.scopes[1].groupsBy(groups, func(g *group) int { return g.rack }, bp.racks)
 	}
-	dcGroups, _ = groupsBy(groups, func(g *group) int { return g.dc })
-	all := make([]int, nG)
+	dcGroups, sc.dcs = sc.scopes[2].groupsBy(groups, func(g *group) int { return g.dc }, sc.dcs)
+	all := slices.Grow(sc.all[:0], nG)[:nG]
 	for gi := range all {
 		all[gi] = gi
 	}
-	bp.msbIdx = make(map[int]int, len(bp.msbs))
-	for k, msb := range bp.msbs {
-		bp.msbIdx[msb] = k
-	}
-	bp.rackIdx = make(map[int]int, len(bp.racks))
-	for k, rk := range bp.racks {
-		bp.rackIdx[rk] = k
-	}
+	sc.all = all
+	bp.msbIdx, bp.rackIdx = positions(bp.msbIdx, bp.msbs), positions(bp.rackIdx, bp.racks)
 
-	bp.sp = make([]specRows, nS)
-	perMSB := make([][]mip.Term, 0, len(bp.msbs)) // scratch of the envelope rows
-	envKeys := make([]int, 0, len(bp.msbs))       // the bp.msbs index of each perMSB group
+	bp.sp = slices.Grow(bp.sp[:0], nS)[:nS]
+	perMSB := slices.Grow(sc.perMSB[:0], len(bp.msbs))   // scratch of the envelope rows
+	envKeys := slices.Grow(sc.envKeys[:0], len(bp.msbs)) // the bp.msbs index of each perMSB group
 	for si := range specs {
 		s := &specs[si]
 		sp := &bp.sp[si]
-		*sp = specRows{env: -1, capRow: -1, capSlack: -1}
+		sp.reset()
 		if s.res.RRUs <= 0 {
 			continue
 		}
@@ -449,11 +497,10 @@ func (bp *builtPhase) layout() {
 		// -1. In the rack-level model a count-based spec's hinge is followed
 		// by its rounding cut, whose slope — a coefficient, so part of the
 		// shape — comes from the demand the model is laid out for.
-		spreadRows := func(head, scope string, keys []int, byKey map[int][]int, alpha float64) (rows []int, vars []mip.Var, cuts []int) {
+		spreadRows := func(head, scope string, keys []int, byKey map[int][]int, alpha float64, rows []int, vars []mip.Var, cuts []int) ([]int, []mip.Var, []int) {
 			slope := bp.cutSlope(s, alpha, s.res.RRUs)
-			rows, vars, cuts = make([]int, len(keys)), make([]mip.Var, len(keys)), make([]int, len(keys))
+			rows, vars, cuts = negs(rows, len(keys)), negs(vars, len(keys)), negs(cuts, len(keys))
 			for k, key := range keys {
-				rows[k], vars[k], cuts[k] = -1, -1, -1
 				terms = sumTerms(terms[:0], byKey[key])
 				if len(terms) == 0 {
 					continue
@@ -487,10 +534,9 @@ func (bp *builtPhase) layout() {
 			// (4)+(6): envelope z ≥ per-MSB sum, cost τ; capacity row uses z.
 			// The per-MSB sums are consecutive runs of one scratch slice.
 			perMSB, envKeys = perMSB[:0], envKeys[:0]
-			sp.envRow = make([]int, len(bp.msbs))
+			sp.envRow = negs(sp.envRow, len(bp.msbs))
 			terms = terms[:0]
 			for k, msb := range bp.msbs {
-				sp.envRow[k] = -1
 				from := len(terms)
 				if terms = sumTerms(terms, msbGroups[msb]); len(terms) > from {
 					perMSB = append(perMSB, terms[from:len(terms):len(terms)])
@@ -506,9 +552,11 @@ func (bp *builtPhase) layout() {
 				}
 			}
 			// (3) MSB spread, and (2) rack spread in phase 2 only.
-			sp.spreadRow, sp.spreadVar, sp.spreadCut = spreadRows("spreadF", "m", bp.msbs, msbGroups, s.alphaF)
+			sp.spreadRow, sp.spreadVar, sp.spreadCut = spreadRows("spreadF", "m", bp.msbs, msbGroups, s.alphaF,
+				sp.spreadRow, sp.spreadVar, sp.spreadCut)
 			if bp.rackLevel {
-				sp.rackRow, sp.rackVar, sp.rackCut = spreadRows("spreadK", "r", bp.racks, rackGroups, s.alphaK)
+				sp.rackRow, sp.rackVar, sp.rackCut = spreadRows("spreadK", "r", bp.racks, rackGroups, s.alphaK,
+					sp.rackRow, sp.rackVar, sp.rackCut)
 			}
 		}
 
@@ -531,11 +579,10 @@ func (bp *builtPhase) layout() {
 		// (7) network affinity per DC with eligible capacity, softened
 		// symmetrically: Σ − slack ≤ hi and Σ + slack ≥ lo.
 		if len(s.res.Policy.DCAffinity) > 0 {
-			sp.affRow = make([][2]int, bp.nDCs)
-			sp.affSlack = make([]mip.Var, bp.nDCs)
+			sp.affRow = slices.Grow(sp.affRow, bp.nDCs)[:bp.nDCs]
+			sp.affSlack = negs(sp.affSlack, bp.nDCs)
 			for dc := 0; dc < bp.nDCs; dc++ {
 				sp.affRow[dc] = [2]int{-1, -1}
-				sp.affSlack[dc] = -1
 				terms = sumTerms(terms[:0], dcGroups[dc])
 				if len(terms) == 0 {
 					continue
@@ -556,6 +603,7 @@ func (bp *builtPhase) layout() {
 	}
 	bp.initX = slices.Grow(bp.initX[:0], m.NumVars())[:m.NumVars()]
 	clear(bp.initX)
+	sc.terms, sc.row, sc.perMSB, sc.envKeys = terms, row, perMSB, envKeys
 }
 
 // roundingCut is the integer-rounding cut of a hinge y ≥ Σ − t, y ≥ 0 whose
@@ -625,12 +673,13 @@ func at[T ~int](xs []T, k int) T {
 	return xs[k]
 }
 
-// carryBasis rewrites b — an optimal root basis of the model old laid out —
-// onto bp's freshly built model, by identity: the layout tables say what
-// every column and row is (a symmetry-group key × a spec for count cells,
-// move hinges and assignment rows; a spec × an MSB, rack or DC for envelope,
-// spread, capacity and affinity rows and their auxiliaries), and an entry
-// both layouts have keeps its status. A column only bp has enters nonbasic at
+// carryBasis rewrites b — an optimal root basis of the model old indexes, the
+// one bp replaced (bp.spare) — onto bp's freshly built model, by identity:
+// the layout tables say what every column and row is (a symmetry-group key ×
+// a spec for count cells, move hinges and assignment rows; a spec × an MSB,
+// rack or DC for envelope, spread, capacity and affinity rows and their
+// auxiliaries), and an entry both layouts have keeps its status. A column
+// only bp has enters nonbasic at
 // the bound the seeded assignment puts it on, a row only bp has is covered by
 // its slack, and what only old has is dropped; package lp squares up whatever
 // set of Basic columns that leaves. It also reports how many of b's columns
@@ -638,7 +687,7 @@ func at[T ~int](xs []T, k int) T {
 // appearing and emptying — the rows that go contain only columns that go, so
 // the carried set is again a basis with the old duals, and the root LP is
 // left with the bounds and right-hand sides that moved.
-func (bp *builtPhase) carryBasis(old *builtPhase, b *lp.Basis) (nb *lp.Basis, kept int) {
+func (bp *builtPhase) carryBasis(old *layoutIndex, b *lp.Basis) (nb *lp.Basis, kept int) {
 	m := bp.m
 	nb = lp.NewBasis(m.NumVars(), m.NumConstrs())
 	for j, x := range bp.initX {

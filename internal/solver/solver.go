@@ -196,9 +196,29 @@ type PhaseWarm struct {
 type WarmState struct {
 	Phase1 PhaseWarm
 	Phase2 PhaseWarm
-	// pools is the storage of the round's two server pools, phase 1's and
-	// the rack phase's, which the next round refills.
-	pools [2][]topology.ServerID
+	tables roundTables
+}
+
+// roundTables is the storage of what SolveWarm works out afresh every round
+// — the spec list, the two server pools (phase 1's and the rack phase's),
+// pickPhase2's tables and the rack phase's scope — which the next round
+// refills. The free function buildSpecs fills new ones.
+type roundTables struct {
+	specs, specs2 []resSpec
+	pools         [2][]topology.ServerID
+	outs          []phase2Res
+	at            map[reservation.ID]int
+	cands         []phase2Cand
+	picked, sub   map[reservation.ID]bool
+}
+
+// cleared returns m emptied, or a new map with room for n keys when m is nil.
+func cleared[K comparable, V any](m map[K]V, n int) map[K]V {
+	if m == nil {
+		return make(map[K]V, n)
+	}
+	clear(m)
+	return m
 }
 
 // Input is one solve's snapshot of the world (Figure 6 step 2).
@@ -451,19 +471,20 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 		res.Targets[i] = reservation.Unassigned
 	}
 
-	specs := buildSpecs(in, cfg)
 	res.Warm = &WarmState{}
 	var w1, w2 *PhaseWarm
 	if warm != nil {
 		w1, w2 = &warm.Phase1, &warm.Phase2
 		// A round that skips the rack phase hands its model on untouched.
 		res.Warm.Phase2.model = warm.Phase2.model
-		res.Warm.pools = warm.pools
+		res.Warm.tables = warm.tables
 	}
+	t := &res.Warm.tables
+	specs := t.buildSpecs(in, cfg)
 
 	// ---- Phase 1: whole region, MSB granularity. ------------------------
-	pool := appendUsable(res.Warm.pools[0][:0], in)
-	res.Warm.pools[0] = pool
+	pool := appendUsable(t.pools[0][:0], in)
+	t.pools[0] = pool
 	p1 := solvePhase(ctx, in, cfg, workers, specs, pool, res.Targets, false, cfg.Phase1TimeLimit, w1)
 	res.Phase1 = p1.stats
 	res.Warm.Phase1 = p1.warm
@@ -472,10 +493,9 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 	// ---- Phase 2: rack goals for the worst reservations. ----------------
 	// A cancelled phase 1 skips it: the caller asked the whole round to stop.
 	if !cfg.DisableRackPhase && ctx.Err() == nil {
-		subset := pickPhase2(in, specs, res.Targets)
+		subset := t.pickPhase2(in, specs, res.Targets)
 		if len(subset) > 0 {
-			specs2, pool2 := rackScope(specs, subset, pool, res.Targets, res.Warm.pools[1][:0])
-			res.Warm.pools[1] = pool2
+			specs2, pool2 := t.rackScope(specs, subset, pool, res.Targets)
 			p2 := solvePhase(ctx, in, cfg, workers, specs2, pool2, res.Targets, true, cfg.Phase2TimeLimit, w2)
 			res.Phase2 = p2.stats
 			res.Warm.Phase2 = p2.warm
@@ -497,23 +517,24 @@ func SolveWarm(ctx context.Context, in Input, cfg Config, warm *WarmState, worke
 // rackScope is the rack phase's share of a round whose phase 1 ended at
 // targets: the specs of the reservations in subset (pickPhase2; the
 // shared-buffer specs with SharedBuffer), and the servers of pool targeted
-// to none or to one of them, appended to pool2.
-func rackScope(specs []resSpec, subset map[reservation.ID]bool, pool []topology.ServerID,
-	targets []reservation.ID, pool2 []topology.ServerID) ([]resSpec, []topology.ServerID) {
+// to none or to one of them, in t's storage.
+func (t *roundTables) rackScope(specs []resSpec, subset map[reservation.ID]bool, pool []topology.ServerID,
+	targets []reservation.ID) ([]resSpec, []topology.ServerID) {
 
-	sub := make(map[reservation.ID]bool, len(subset))
-	var specs2 []resSpec
+	t.sub = cleared(t.sub, len(subset))
+	specs2, pool2 := t.specs2[:0], t.pools[1][:0]
 	for _, s := range specs {
 		if subset[s.res.ID] || (s.isBuffer && subset[reservation.SharedBuffer]) {
-			sub[s.res.ID] = true
+			t.sub[s.res.ID] = true
 			specs2 = append(specs2, s)
 		}
 	}
 	for _, id := range pool {
-		if t := targets[id]; t == reservation.Unassigned || sub[t] {
+		if tgt := targets[id]; tgt == reservation.Unassigned || t.sub[tgt] {
 			pool2 = append(pool2, id)
 		}
 	}
+	t.specs2, t.pools[1] = specs2, pool2
 	return specs2, pool2
 }
 
@@ -562,8 +583,11 @@ func CountMoves(in Input, targets []reservation.ID) MoveStats {
 
 // buildSpecs assembles the internal reservation list: user reservations
 // (minus elastic ones) plus per-hardware-type shared-buffer reservations.
-func buildSpecs(in Input, cfg Config) []resSpec {
-	var specs []resSpec
+func buildSpecs(in Input, cfg Config) []resSpec { return new(roundTables).buildSpecs(in, cfg) }
+
+// buildSpecs is the package's buildSpecs in t's storage.
+func (t *roundTables) buildSpecs(in Input, cfg Config) []resSpec {
+	specs := t.specs[:0]
 	for _, r := range in.Reservations {
 		if r.Elastic {
 			continue
@@ -628,6 +652,7 @@ func buildSpecs(in Input, cfg Config) []resSpec {
 			}, cfg, true))
 		}
 	}
+	t.specs = specs
 	return specs
 }
 
@@ -726,10 +751,11 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 		}
 	}
 	if !out.stats.ModelPatched {
-		if bp == nil {
-			bp = new(builtPhase)
+		old := bp
+		if old == nil {
+			old = &builtPhase{}
 		}
-		bp = bp.rebuild(in, cfg, specs, pool, targets, rackLevel, &out.stats)
+		bp = old.rebuild(in, cfg, specs, pool, targets, rackLevel, &out.stats)
 	}
 
 	m := bp.m
@@ -772,7 +798,7 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 		if pw.model == bp {
 			rootBasis, out.stats.RootBasisKept = pw.basis, pw.basis.NumCols()
 		} else {
-			rootBasis, out.stats.RootBasisKept = bp.carryBasis(pw.model, pw.basis)
+			rootBasis, out.stats.RootBasisKept = bp.carryBasis(&bp.spare, pw.basis)
 		}
 		if 2*out.stats.RootBasisKept < out.stats.RootBasisOffered {
 			rootBasis, out.stats.RootBasisMismatch = nil, true
@@ -830,54 +856,68 @@ func solvePhase(ctx context.Context, in Input, cfg Config, workers int, specs []
 	return out
 }
 
+// groupStore is the storage groupServers builds the classes in and the next
+// rebuild builds them in again: each pool server's class and one array the
+// server lists are runs of.
+type groupStore struct {
+	of      []int32
+	backing []topology.ServerID
+}
+
+// groupClass is one symmetry class as groupServers first counts it: its
+// first server, which has its key, and its size.
+type groupClass struct {
+	first topology.ServerID
+	n     int32
+}
+
 // groupServers computes the symmetry equivalence classes of the pool,
 // returning them in their deterministic model order plus the key → index
 // map the incremental patch uses to route servers between classes. The
-// classes are built in the groups and server lists of spare, the classes of
-// a spent phase, as far as they go; a first pass counts each class, so the
-// rest is allocated once, each new server list to its exact size.
-func groupServers(in Input, pool []topology.ServerID, rackLevel bool, spare []*group) ([]*group, map[groupKey]int) {
-	type class struct {
-		key   groupKey
-		first topology.ServerID
-		n     int
-	}
-	idx := make(map[groupKey]int, 256)
-	classes := make([]class, 0, 256)
-	of := make([]int32, len(pool)) // each pool server's class
+// classes are built in the group structs of spare, the classes of a spent
+// phase, as far as its capacity goes, and in idx, a spent key map (nil for a
+// new one); a first pass counts each class, so that every server list is a
+// run of one array, which st keeps, cut to its exact size.
+func (st *groupStore) groupServers(in Input, pool []topology.ServerID, rackLevel bool, spare []*group,
+	idx map[groupKey]int) ([]*group, map[groupKey]int) {
+
+	idx = cleared(idx, 256)
+	classes := make([]groupClass, 0, 1024)              // on the stack unless a pool has more classes
+	of := slices.Grow(st.of[:0], len(pool))[:len(pool)] // each pool server's class
 	for p, id := range pool {
 		k := serverKey(in, id, rackLevel)
 		gi, ok := idx[k]
 		if !ok {
 			gi = len(classes)
 			idx[k] = gi
-			classes = append(classes, class{key: k, first: id})
+			classes = append(classes, groupClass{first: id})
 		}
 		classes[gi].n++
 		of[p] = int32(gi)
 	}
-	need := 0 // server slots no spare list has room for
-	for gi, c := range classes {
-		if gi >= len(spare) || cap(spare[gi].servers) < c.n {
-			need += c.n
+	st.of = of
+	backing := slices.Grow(st.backing[:0], len(pool))[:len(pool)]
+	st.backing = backing
+	groups := spare[:cap(spare)]
+	if len(groups) < len(classes) {
+		groups = append(groups, make([]*group, len(classes)-len(groups))...)
+	}
+	groups = groups[:len(classes)]
+	fresh := 0
+	for _, g := range groups {
+		if g == nil {
+			fresh++
 		}
 	}
-	backing := make([]topology.ServerID, need)
-	fresh := make([]group, max(0, len(classes)-len(spare)))
-	groups := slices.Grow(spare[:0], len(classes))[:len(classes)]
+	block := make([]group, fresh)
 	for gi, c := range classes {
-		var g *group
-		if gi < len(spare) {
-			g = spare[gi]
-		} else {
-			g = &fresh[gi-len(spare)]
-		}
-		servers := g.servers[:0]
-		if cap(servers) < c.n {
-			servers, backing = backing[:0:c.n], backing[c.n:]
+		g := groups[gi]
+		if g == nil {
+			g, block = &block[0], block[1:]
 		}
 		srv := &in.Region.Servers[c.first]
-		*g = group{key: c.key, servers: servers, msb: srv.MSB, dc: srv.DC, rack: -1}
+		*g = group{key: serverKey(in, c.first, rackLevel), servers: backing[:0:c.n], msb: srv.MSB, dc: srv.DC, rack: -1}
+		backing = backing[c.n:]
 		if rackLevel {
 			g.rack = srv.Rack
 		}
@@ -937,58 +977,72 @@ func realize(specs []resSpec, p *phaseOutput, targets []reservation.ID) {
 	}
 }
 
+// phase2Res is one output reservation as pickPhase2 sums it up.
+type phase2Res struct {
+	id      reservation.ID
+	cr      float64
+	res     *reservation.Reservation
+	alpha   float64
+	value   []float64 // RRUs of one server, by hardware type
+	rackSum []float64 // RRU load per rack from the phase-1 targets; empty until a server counts
+}
+
+// phase2Cand is a reservation whose rack load exceeds its spread limit by
+// excess.
+type phase2Cand struct {
+	id     reservation.ID
+	excess float64
+}
+
 // pickPhase2 selects the reservations with the worst rack-level objectives
 // for phase-2 refinement, under the variable cap (§3.5.2). It returns a set
-// of output reservation IDs (possibly including reservation.SharedBuffer).
-func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reservation.ID]bool {
+// of output reservation IDs (possibly including reservation.SharedBuffer),
+// which is t's storage until its next call.
+func (t *roundTables) pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reservation.ID]bool {
 	cat := in.Region.Catalog
 
 	// The output reservations, each once, in spec order: capacity summed
 	// over the specs that carry it, the reservation and its policy taken from
 	// the last of them.
-	type outRes struct {
-		id      reservation.ID
-		cr      float64
-		res     *reservation.Reservation
-		alpha   float64
-		value   []float64 // RRUs of one server, by hardware type
-		rackSum []float64 // RRU load per rack from the phase-1 targets; nil until a server counts
-	}
-	var outs []outRes
-	at := make(map[reservation.ID]int) // index in outs by ID
+	outs := t.outs[:0]
+	t.at = cleared(t.at, 0) // index in outs by ID
 	for si := range specs {
 		s := &specs[si]
 		if s.isBuffer {
 			continue
 		}
-		k, ok := at[s.res.ID]
+		k, ok := t.at[s.res.ID]
 		if !ok {
 			k = len(outs)
-			at[s.res.ID] = k
-			outs = append(outs, outRes{id: s.res.ID})
+			t.at[s.res.ID] = k
+			outs = slices.Grow(outs, 1)[:k+1]
+			outs[k] = phase2Res{id: s.res.ID, value: outs[k].value[:0], rackSum: outs[k].rackSum[:0]}
 		}
 		outs[k].cr += s.res.RRUs
 		outs[k].res, outs[k].alpha = &s.res, s.alphaK
 	}
+	t.outs = outs
 	// One value per type, read at the reservation's own datacenter, suffices:
 	// phase 1 has no variable where a server's value is 0, so the phase-1
 	// targets of a SingleDC reservation all lie in its datacenter.
 	for k := range outs {
-		outs[k].value = make([]float64, cat.Len())
-		dc := max(outs[k].res.Policy.SingleDC, 0)
-		for t := range outs[k].value {
-			outs[k].value[t] = outs[k].res.Value(cat, t, dc)
+		o := &outs[k]
+		o.value = slices.Grow(o.value, cat.Len())[:cat.Len()]
+		dc := max(o.res.Policy.SingleDC, 0)
+		for typ := range o.value {
+			o.value[typ] = o.res.Value(cat, typ, dc)
 		}
 	}
 	for i := range in.Region.Servers {
-		k, ok := at[targets[i]]
+		k, ok := t.at[targets[i]]
 		if !ok {
 			continue
 		}
 		o := &outs[k]
 		srv := &in.Region.Servers[i]
-		if o.rackSum == nil {
-			o.rackSum = make([]float64, in.Region.NumRacks)
+		if len(o.rackSum) == 0 {
+			o.rackSum = slices.Grow(o.rackSum, in.Region.NumRacks)[:in.Region.NumRacks]
+			clear(o.rackSum)
 		}
 		o.rackSum[srv.Rack] += o.value[srv.Type]
 	}
@@ -996,14 +1050,10 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 	// A reservation's excess is summed on its own, over its racks in
 	// ascending order, so equal loads give bit-equal excesses and the total
 	// order below decides ties by ID.
-	type cand struct {
-		id     reservation.ID
-		excess float64
-	}
-	var cands []cand
+	cands := t.cands[:0]
 	for k := range outs {
 		o := &outs[k]
-		if o.rackSum == nil {
+		if len(o.rackSum) == 0 {
 			continue
 		}
 		limit := o.alpha * o.cr
@@ -1014,9 +1064,10 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 			}
 		}
 		if excess > 0 {
-			cands = append(cands, cand{o.id, excess})
+			cands = append(cands, phase2Cand{o.id, excess})
 		}
 	}
+	t.cands = cands
 	sort.Slice(cands, func(i, j int) bool {
 		if !floats.ExactEqual(cands[i].excess, cands[j].excess) {
 			return cands[i].excess > cands[j].excess
@@ -1031,9 +1082,9 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 	// Estimated variables per reservation: one per (rack, type) pair it can
 	// touch; a cheap over-estimate of racks × 2 keeps selection simple.
 	varBudget := phase2MaxVars
-	out := make(map[reservation.ID]bool)
+	t.picked = cleared(t.picked, 0)
 	for _, c := range cands {
-		if len(out) >= maxRes {
+		if len(t.picked) >= maxRes {
 			break
 		}
 		est := in.Region.NumRacks * 2
@@ -1041,15 +1092,23 @@ func pickPhase2(in Input, specs []resSpec, targets []reservation.ID) map[reserva
 			break
 		}
 		varBudget -= est
-		out[c.id] = true
+		t.picked[c.id] = true
 	}
-	return out
+	return t.picked
+}
+
+// scopes is groupsBy's storage for one scope family, which its next call
+// fills again.
+type scopes struct {
+	order []int
+	byKey map[int][]int
 }
 
 // groupsBy lists the indices of the groups under each key, ascending, as
-// runs of one sorted array, and returns the keys in ascending order.
-func groupsBy(groups []*group, key func(*group) int) (map[int][]int, []int) {
-	order := make([]int, len(groups))
+// runs of one sorted array, and returns them by key, in s's storage until its
+// next call, with the keys in ascending order appended to keys[:0].
+func (s *scopes) groupsBy(groups []*group, key func(*group) int, keys []int) (map[int][]int, []int) {
+	order := slices.Grow(s.order[:0], len(groups))[:len(groups)]
 	for gi := range order {
 		order[gi] = gi
 	}
@@ -1060,14 +1119,16 @@ func groupsBy(groups []*group, key func(*group) int) (map[int][]int, []int) {
 			runs++
 		}
 	}
-	byKey, keys := make(map[int][]int, runs), make([]int, 0, runs)
+	s.byKey = cleared(s.byKey, runs)
+	keys = slices.Grow(keys[:0], runs)
 	for lo := 0; lo < len(order); {
 		k, hi := key(groups[order[lo]]), lo+1
 		for hi < len(order) && key(groups[order[hi]]) == k {
 			hi++
 		}
-		byKey[k], keys = order[lo:hi:hi], append(keys, k)
+		s.byKey[k], keys = order[lo:hi:hi], append(keys, k)
 		lo = hi
 	}
-	return byKey, keys
+	s.order = order
+	return s.byKey, keys
 }

@@ -201,7 +201,7 @@ func TestPhase2Selection(t *testing.T) {
 			lastRack = region.Servers[i].Rack
 		}
 	}
-	subset := pickPhase2(in, specs, targets)
+	subset := new(roundTables).pickPhase2(in, specs, targets)
 	if !subset[0] {
 		t.Fatalf("phase 2 did not select the rack-concentrated reservation: %v", subset)
 	}
@@ -279,12 +279,12 @@ func TestPhase2SelectionDeterministic(t *testing.T) {
 			targets[i] = id
 		}
 	}
-	first := pickPhase2(in, specs, targets)
+	first := new(roundTables).pickPhase2(in, specs, targets)
 	if len(first) != 1 {
 		t.Fatalf("phase 2 selected %v, want exactly one of the two tied reservations", first)
 	}
 	for run := 1; run < 20; run++ {
-		if got := pickPhase2(in, specs, targets); !reflect.DeepEqual(got, first) {
+		if got := new(roundTables).pickPhase2(in, specs, targets); !reflect.DeepEqual(got, first) {
 			t.Fatalf("call %d selected %v, call 0 selected %v", run, got, first)
 		}
 	}

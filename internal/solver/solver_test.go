@@ -429,7 +429,7 @@ func TestGroupSymmetryReduction(t *testing.T) {
 	region := testRegion(t, 1, 2, 10, 10, 15)
 	in := freshInput(region, nil)
 	pool := usableServers(in)
-	groups, _ := groupServers(in, pool, false, nil)
+	groups, _ := new(groupStore).groupServers(in, pool, false, nil, nil)
 	if len(groups) >= len(region.Servers)/2 {
 		t.Fatalf("grouping achieved no reduction: %d groups for %d servers",
 			len(groups), len(region.Servers))
@@ -447,8 +447,8 @@ func TestGroupRackLevelFinerThanMSB(t *testing.T) {
 	region := testRegion(t, 1, 2, 6, 4, 16)
 	in := freshInput(region, nil)
 	pool := usableServers(in)
-	coarse, _ := groupServers(in, pool, false, nil)
-	fine, _ := groupServers(in, pool, true, nil)
+	coarse, _ := new(groupStore).groupServers(in, pool, false, nil, nil)
+	fine, _ := new(groupStore).groupServers(in, pool, true, nil, nil)
 	if len(fine) < len(coarse) {
 		t.Fatalf("rack-level grouping (%d) must be at least as fine as MSB-level (%d)",
 			len(fine), len(coarse))
@@ -463,7 +463,7 @@ func TestRealizeKeepsCurrentMembers(t *testing.T) {
 		in.States[i].Current = 5
 	}
 	pool := usableServers(in)
-	groups, _ := groupServers(in, pool, false, nil)
+	groups, _ := new(groupStore).groupServers(in, pool, false, nil, nil)
 	specs := []resSpec{{
 		res: reservation.Reservation{ID: 5, Name: "r", Class: hardware.Web, RRUs: 3, CountBased: true},
 	}}

@@ -135,7 +135,7 @@ func FuzzBasisTransfer(f *testing.F) {
 			m.applyOp(ops[i], ops[i+1], ops[i+2])
 		}
 		bp := build()
-		carried, kept := bp.carryBasis(old, before.RootBasis)
+		carried, kept := bp.carryBasis(&old.layoutIndex, before.RootBasis)
 		if carried.NumCols() != bp.m.NumVars() || carried.NumRows() != bp.m.NumConstrs() {
 			t.Fatalf("carried basis is %d×%d, the model %d×%d", carried.NumCols(), carried.NumRows(), bp.m.NumVars(), bp.m.NumConstrs())
 		}
@@ -233,7 +233,7 @@ func carryBasisStatuses(t *testing.T, rack bool) {
 	for i := 0; i < old.m.NumConstrs(); i++ {
 		start.SetRow(i, []lp.BasisStatus{lp.Basic, lp.AtLower}[i%2])
 	}
-	carried, kept := bp.carryBasis(old, start)
+	carried, kept := bp.carryBasis(&old.layoutIndex, start)
 
 	survivors, arrivals := 0, 0
 	for id, j := range newCols {
